@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "data/card_schema.h"
+#include "engine/aggregator.h"
 #include "matching/navigator.h"
 #include "matching/rewriter.h"
 #include "qgm/qgm_builder.h"
@@ -98,32 +99,36 @@ void BM_EndToEndQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndQuery);
 
-void BM_HashAggregate(benchmark::State& state) {
+/// AggregateBatch straight over the columnar trans table, grouping by
+/// (faid, flid) — no parse, plan or projection in the loop.
+void RunAggregate(benchmark::State& state,
+                  const std::vector<std::vector<int>>& sets) {
   Fixture& f = Shared();
-  QueryOptions opts;
-  opts.enable_rewrite = false;
+  std::shared_ptr<const engine::Batch> trans =
+      f.db.storage().Snap().FindColumnar("trans");
+  if (trans == nullptr) std::abort();
+  const std::vector<int> grouping_cols = {1, 3};  // faid, flid
+  engine::AggSpec count;
+  count.star = true;
+  engine::AggSpec sum_qty;
+  sum_qty.func = expr::AggFunc::kSum;
+  sum_qty.arg_col = 5;  // qty
   for (auto _ : state) {
-    auto result = f.db.Query(
-        "select faid, year(date) as y, count(*) as c from trans "
-        "group by faid, year(date)",
-        opts);
+    auto result =
+        engine::AggregateBatch(*trans, grouping_cols, sets, {count, sum_qty});
     benchmark::DoNotOptimize(result);
   }
-  state.SetItemsProcessed(state.iterations() * 1000);
+  state.SetItemsProcessed(state.iterations() * trans->num_rows);
+}
+
+void BM_HashAggregate(benchmark::State& state) {
+  RunAggregate(state, {{0, 1}});
 }
 BENCHMARK(BM_HashAggregate);
 
 void BM_GroupingSetsAggregate(benchmark::State& state) {
-  Fixture& f = Shared();
-  QueryOptions opts;
-  opts.enable_rewrite = false;
-  for (auto _ : state) {
-    auto result = f.db.Query(
-        "select faid, year(date) as y, count(*) as c from trans "
-        "group by cube(faid, year(date))",
-        opts);
-    benchmark::DoNotOptimize(result);
-  }
+  // cube(faid, flid)
+  RunAggregate(state, {{0, 1}, {0}, {1}, {}});
 }
 BENCHMARK(BM_GroupingSetsAggregate);
 

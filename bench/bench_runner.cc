@@ -10,13 +10,7 @@
 // recorded in the JSON: on a single-core runner the parallel column is a
 // no-regression check, not a speedup claim.
 //
-// A second leg compares the columnar batch engine against the row-at-a-time
-// interpreter on aggregation-heavy queries with summary-table rewriting
-// DISABLED — so both engines scan the fact table — at threads=1, and emits
-// BENCH_pr5.json with per-query row/vec latencies and the speedup. Answers
-// are cross-checked between the engines on every query.
-//
-// A third leg exercises the serving layer under a mixed workload: an
+// A second leg exercises the serving layer under a mixed workload: an
 // open-loop stream of cheap warm-cache queries (fixed arrival schedule, so
 // queueing delay is charged to latency — no coordinated omission), a heavy
 // closed-loop analytical query, and a background appender, all through
@@ -25,7 +19,7 @@
 // stream and the headline p99_vs_solo_ratio (how much the heavy+append
 // traffic inflates cheap-query tail latency).
 //
-// A fourth leg prices durability: append throughput with the WAL off
+// A third leg prices durability: append throughput with the WAL off
 // (in-memory), in strict fsync-per-commit mode, and in relaxed group-commit
 // mode; checkpoint write cost; and the restart path (Database::Open over a
 // checkpoint + WAL suffix until the first query answers), reported as
@@ -40,31 +34,21 @@
 // BENCH_pr10.json reports before/after rewrite rate and workload cost with
 // bit-identical cross-checked answers.
 //
-// A seventh leg prices the dictionary-encoded columnar core: the pr5 query
-// set re-measured with dict-code join probes and encoded grouping keys, a
-// supergroup (CUBE / ROLLUP / GROUPING SETS) vec-vs-row set, and append
-// maintenance wall time with vectorized_maintenance off vs on over
-// byte-identical delta streams; BENCH_pr11.json.
-//
-// Usage: bench_runner [--quick] [--out PATH] [--out-vec PATH]
-//                     [--out-serving PATH] [--out-durability PATH]
-//                     [--out-compensation PATH] [--out-advisor PATH]
-//                     [--out-join PATH]
+// Usage: bench_runner [--quick] [--out PATH] [--out-serving PATH]
+//                     [--out-durability PATH] [--out-compensation PATH]
+//                     [--out-advisor PATH]
 //   --quick           small data sizes + fewer reps (CI smoke mode)
 //   --out             matrix-leg JSON path (default BENCH_pr3.json)
-//   --out-vec         vectorized-leg JSON path (default BENCH_pr5.json)
 //   --out-serving     serving-leg JSON path (default BENCH_pr7.json)
 //   --out-durability  durability-leg JSON path (default BENCH_pr8.json)
 //   --out-compensation  compensation-leg JSON path (default BENCH_pr9.json)
 //   --out-advisor     advisor-leg JSON path (default BENCH_pr10.json)
-//   --out-join        dict/supergroup/maintenance JSON (default BENCH_pr11.json)
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -98,19 +82,10 @@ struct QueryRow {
   bool valid = true;
 };
 
-struct VecRow {
-  std::string label;
-  std::string sql;
-  size_t result_rows = 0;
-  double row_ms = 0;  // row interpreter, threads=1, rewrite off
-  double vec_ms = 0;  // columnar engine, threads=1, rewrite off
-};
-
 struct SuiteResult {
   std::string name;
   int64_t fact_rows = 0;
   std::vector<QueryRow> queries;
-  std::vector<VecRow> vec_queries;
   DatabaseStats stats;
 };
 
@@ -192,43 +167,6 @@ QueryRow RunMatrix(Database* db, const BenchQuery& q, int reps) {
   return row;
 }
 
-// Row interpreter vs columnar engine, apples to apples: rewrite disabled so
-// both sides scan the fact table, plan cache on so neither side pays compile
-// after the warmup rep, threads=1 so the comparison isolates the execution
-// model rather than parallelism. Best-of-reps on both sides.
-VecRow RunVecLeg(Database* db, const BenchQuery& q, int reps) {
-  VecRow row;
-  row.label = q.label;
-  row.sql = q.sql;
-
-  QueryOptions row_opts;
-  row_opts.enable_rewrite = false;
-  row_opts.max_threads = 1;
-  row_opts.vectorized = false;
-  QueryOptions vec_opts = row_opts;
-  vec_opts.vectorized = true;
-
-  QueryResult by_rows;
-  OnceMs(db, q.sql, row_opts, nullptr);  // warm the shared plan cache
-  row.row_ms = BestMs(db, q.sql, row_opts, reps, &by_rows);
-  QueryResult by_batch;
-  row.vec_ms = BestMs(db, q.sql, vec_opts, reps, &by_batch);
-  row.result_rows = by_rows.relation.NumRows();
-  if (by_rows.used_summary_table || by_batch.used_summary_table) {
-    std::fprintf(stderr, "vec leg unexpectedly rewritten: %s\n", q.sql);
-    std::exit(1);
-  }
-  if (!engine::SameRowMultiset(by_rows.relation, by_batch.relation)) {
-    std::fprintf(stderr, "BENCH FAILURE: engines disagree on %s\n", q.sql);
-    std::exit(1);
-  }
-  std::printf("%-22s row %8.2f ms | vec %8.2f ms | %5.2fx | %zu rows\n",
-              row.label.c_str(), row.row_ms, row.vec_ms,
-              row.vec_ms > 0 ? row.row_ms / row.vec_ms : 0.0,
-              row.result_rows);
-  return row;
-}
-
 SuiteResult RunCardSuite(bool quick, int reps) {
   bench::PrintHeader("card schema: figure workloads (fig2-fig14 shapes)");
   Database db;
@@ -305,24 +243,6 @@ SuiteResult RunCardSuite(bool quick, int reps) {
     suite.queries.push_back(RunMatrix(&db, q, reps));
   }
 
-  bench::PrintHeader("card schema: columnar vs row engine (rewrite off)");
-  const BenchQuery vec_queries[] = {
-      {"vg1 scan agg",
-       "select flid, year(date) as year, count(*) as cnt, "
-       "sum(qty * price) as value from trans group by flid, year(date)"},
-      {"vg2 filter agg",
-       "select faid, sum(qty) as q, avg(price) as p from trans "
-       "where month(date) >= 6 group by faid"},
-      {"vg3 join agg",
-       "select state, sum(qty * price) as value from trans, loc "
-       "where flid = lid group by state"},
-      {"vg4 global agg",
-       "select count(*) as cnt, sum(qty * price) as value, "
-       "avg(price) as p from trans where qty > 2"},
-  };
-  for (const BenchQuery& q : vec_queries) {
-    suite.vec_queries.push_back(RunVecLeg(&db, q, reps));
-  }
   suite.stats = db.Stats();
   return suite;
 }
@@ -395,25 +315,6 @@ SuiteResult RunTpcdSuite(bool quick, int reps) {
     suite.queries.push_back(RunMatrix(&db, q, reps));
   }
 
-  bench::PrintHeader("tpcd schema: columnar vs row engine (rewrite off)");
-  const BenchQuery vec_queries[] = {
-      {"vt1 lineitem agg",
-       "select year(shipdate) as y, sum(lprice * (1 - ldisc)) as rev, "
-       "count(*) as cnt from lineitem group by year(shipdate)"},
-      {"vt2 filter agg",
-       "select pkey, avg(ldisc) as d, sum(lqty) as q from lineitem "
-       "where lqty > 10 group by pkey"},
-      {"vt3 join agg",
-       "select pbrand, sum(lqty) as vol from lineitem, part "
-       "where lineitem.pkey = part.pkey group by pbrand"},
-      {"vt4 ship month",
-       "select year(shipdate) as y, month(shipdate) as m, "
-       "sum(lprice * (1 - ldisc)) as rev from lineitem "
-       "group by year(shipdate), month(shipdate)"},
-  };
-  for (const BenchQuery& q : vec_queries) {
-    suite.vec_queries.push_back(RunVecLeg(&db, q, reps));
-  }
   suite.stats = db.Stats();
   return suite;
 }
@@ -1319,224 +1220,6 @@ void WriteJson(const std::string& path, bool quick,
   std::printf("\nwrote %s\n", path.c_str());
 }
 
-void WriteVecJson(const std::string& path, bool quick,
-                  const std::vector<SuiteResult>& suites) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"bench\": \"pr5\",\n  \"quick\": %s,\n",
-               quick ? "true" : "false");
-  std::fprintf(f, "  \"hardware_concurrency\": %d,\n",
-               ThreadPool::HardwareParallelism());
-  std::fprintf(f, "  \"threads\": 1,\n  \"rewrite\": false,\n");
-  double row_total = 0, vec_total = 0, min_speedup = 1e18;
-  std::fprintf(f, "  \"suites\": [\n");
-  for (size_t s = 0; s < suites.size(); ++s) {
-    const SuiteResult& suite = suites[s];
-    std::fprintf(f, "    {\n      \"name\": \"%s\",\n", suite.name.c_str());
-    std::fprintf(f, "      \"fact_rows\": %lld,\n",
-                 static_cast<long long>(suite.fact_rows));
-    std::fprintf(f, "      \"queries\": [\n");
-    for (size_t i = 0; i < suite.vec_queries.size(); ++i) {
-      const VecRow& q = suite.vec_queries[i];
-      double speedup = q.vec_ms > 0 ? q.row_ms / q.vec_ms : 0.0;
-      row_total += q.row_ms;
-      vec_total += q.vec_ms;
-      if (speedup < min_speedup) min_speedup = speedup;
-      std::fprintf(f,
-                   "        {\"label\": \"%s\", \"sql\": \"%s\", "
-                   "\"result_rows\": %zu, \"row_ms\": %.4f, "
-                   "\"vec_ms\": %.4f, \"vec_speedup\": %.3f}%s\n",
-                   JsonEscape(q.label).c_str(), JsonEscape(q.sql).c_str(),
-                   q.result_rows, q.row_ms, q.vec_ms, speedup,
-                   i + 1 < suite.vec_queries.size() ? "," : "");
-    }
-    std::fprintf(f, "      ]\n    }%s\n", s + 1 < suites.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"row_total_ms\": %.4f,\n  \"vec_total_ms\": %.4f,\n"
-               "  \"overall_vec_speedup\": %.3f,\n  \"min_vec_speedup\": "
-               "%.3f\n}\n",
-               row_total, vec_total,
-               vec_total > 0 ? row_total / vec_total : 0.0,
-               min_speedup == 1e18 ? 0.0 : min_speedup);
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
-// ---- pr11 leg: dictionary kernels (joins + supergroups) and vectorized
-// maintenance ----
-//
-// Three blocks in BENCH_pr11.json:
-//   pr5_suite    the vec-vs-row numbers measured THIS run on the pr5 query
-//                set (vg1-4 / vt1-4) — the dict-code join probe and encoded
-//                grouping land here, so CI compares these against the
-//                recorded pr5 baseline;
-//   supergroups  CUBE / ROLLUP / GROUPING SETS vec-vs-row, including a
-//                string-keyed rollup that exercises the encoded multi-column
-//                grouping path end to end (answers cross-checked);
-//   maintenance  byte-identical append streams into two databases, one with
-//                vectorized_maintenance off (row reference) and one with it
-//                on, wall-timed end to end with the final AST contents
-//                cross-checked.
-void RunJoinLeg(bool quick, const std::string& path,
-                const std::vector<SuiteResult>& suites, int reps) {
-  bench::PrintHeader("pr11: supergroup kernels (rewrite off)");
-  Database db;
-  data::CardSchemaParams params;
-  params.num_trans = quick ? 20000 : 100000;
-  if (!data::SetupCardSchema(&db, params).ok()) std::exit(1);
-  const BenchQuery sg_queries[] = {
-      {"sg1 cube",
-       "select flid, year(date) as y, count(*) as cnt, sum(qty) as sq "
-       "from trans group by cube(flid, year(date))"},
-      {"sg2 rollup3",
-       "select faid, flid, year(date) as y, count(*) as cnt "
-       "from trans group by rollup(faid, flid, year(date))"},
-      {"sg3 grouping sets",
-       "select flid, faid, year(date) as y, count(*) as cnt, "
-       "sum(qty * price) as value from trans group by grouping sets "
-       "((flid, faid), (flid, year(date)), (year(date)))"},
-      {"sg4 string rollup",
-       "select state, year(date) as y, count(*) as cnt, sum(qty) as sq "
-       "from trans, loc where flid = lid group by rollup(state, year(date))"},
-  };
-  std::vector<VecRow> sg_rows;
-  for (const BenchQuery& q : sg_queries) {
-    sg_rows.push_back(RunVecLeg(&db, q, reps));
-  }
-
-  bench::PrintHeader("pr11: maintenance row vs vectorized");
-  // Identical schemas, identical deltas; only the maintenance engine
-  // differs. Seeded generation keeps the streams byte-identical.
-  Database row_db;
-  Database vec_db;
-  row_db.SetVectorizedMaintenance(false);
-  if (!data::SetupCardSchema(&row_db, params).ok()) std::exit(1);
-  if (!data::SetupCardSchema(&vec_db, params).ok()) std::exit(1);
-  const char* maint_ast =
-      "select faid, flid, count(*) as cnt, sum(qty) as sq, min(qty) as mn, "
-      "max(qty) as mx, sum(price) as sp from trans group by faid, flid";
-  if (!row_db.DefineSummaryTable("ast_maint", maint_ast).ok()) std::exit(1);
-  if (!vec_db.DefineSummaryTable("ast_maint", maint_ast).ok()) std::exit(1);
-  const int rounds = quick ? 4 : 6;
-  const int rows_per_round = quick ? 2000 : 20000;
-  auto gen_delta = [&](uint64_t round) {
-    std::mt19937_64 rng(0x9e11c5ULL + round);
-    std::vector<Row> delta;
-    delta.reserve(rows_per_round);
-    int tid = 5000000 + static_cast<int>(round) * rows_per_round;
-    for (int i = 0; i < rows_per_round; ++i) {
-      delta.push_back(Row{
-          Value::Int(tid++), Value::Int(static_cast<int>(rng() % 50)),
-          Value::Int(static_cast<int>(rng() % 12)),
-          Value::Int(static_cast<int>(rng() % 40)),
-          Value::Date(19900101 + static_cast<int>(rng() % 5) * 10000 +
-                      static_cast<int>(rng() % 12) * 100 +
-                      static_cast<int>(rng() % 28)),
-          Value::Int(1 + static_cast<int>(rng() % 5)),
-          Value::Double(5.0 + static_cast<double>(rng() % 995) * 0.25),
-          Value::Double(0.0)});
-    }
-    return delta;
-  };
-  auto time_appends = [&](Database* target) {
-    auto start = std::chrono::steady_clock::now();
-    for (int round = 0; round < rounds; ++round) {
-      StatusOr<Database::MaintenanceReport> report =
-          target->Append("trans", gen_delta(round));
-      if (!report.ok()) {
-        std::fprintf(stderr, "maintenance append failed: %s\n",
-                     report.status().ToString().c_str());
-        std::exit(1);
-      }
-    }
-    auto end = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::milli>(end - start).count();
-  };
-  const double row_maint_ms = time_appends(&row_db);
-  const double vec_maint_ms = time_appends(&vec_db);
-  QueryOptions no_rewrite;
-  no_rewrite.enable_rewrite = false;
-  const char* stored = "select faid, flid, cnt, sq, mn, mx, sp from ast_maint";
-  StatusOr<QueryResult> by_row = row_db.Query(stored, no_rewrite);
-  StatusOr<QueryResult> by_vec = vec_db.Query(stored, no_rewrite);
-  if (!by_row.ok() || !by_vec.ok() ||
-      !engine::SameRowMultiset(by_row->relation, by_vec->relation)) {
-    std::fprintf(stderr,
-                 "BENCH FAILURE: maintenance engines disagree on ast_maint\n");
-    std::exit(1);
-  }
-  const double maint_speedup =
-      vec_maint_ms > 0 ? row_maint_ms / vec_maint_ms : 0.0;
-  std::printf("%-22s row %8.2f ms | vec %8.2f ms | %5.2fx | %d x %d rows\n",
-              "maintenance appends", row_maint_ms, vec_maint_ms, maint_speedup,
-              rounds, rows_per_round);
-
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"bench\": \"pr11\",\n  \"quick\": %s,\n",
-               quick ? "true" : "false");
-  std::fprintf(f, "  \"hardware_concurrency\": %d,\n",
-               ThreadPool::HardwareParallelism());
-  auto write_queries = [&](const std::vector<VecRow>& rows) {
-    double row_total = 0, vec_total = 0, min_speedup = 1e18;
-    std::fprintf(f, "    \"queries\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const VecRow& q = rows[i];
-      double speedup = q.vec_ms > 0 ? q.row_ms / q.vec_ms : 0.0;
-      row_total += q.row_ms;
-      vec_total += q.vec_ms;
-      if (speedup < min_speedup) min_speedup = speedup;
-      std::fprintf(f,
-                   "      {\"label\": \"%s\", \"result_rows\": %zu, "
-                   "\"row_ms\": %.4f, \"vec_ms\": %.4f, "
-                   "\"vec_speedup\": %.3f}%s\n",
-                   JsonEscape(q.label).c_str(), q.result_rows, q.row_ms,
-                   q.vec_ms, speedup, i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f,
-                 "    ],\n    \"row_total_ms\": %.4f,\n"
-                 "    \"vec_total_ms\": %.4f,\n"
-                 "    \"overall_vec_speedup\": %.3f,\n"
-                 "    \"min_vec_speedup\": %.3f\n",
-                 row_total, vec_total,
-                 vec_total > 0 ? row_total / vec_total : 0.0,
-                 min_speedup == 1e18 ? 0.0 : min_speedup);
-  };
-  std::vector<VecRow> pr5_rows;
-  for (const SuiteResult& suite : suites) {
-    pr5_rows.insert(pr5_rows.end(), suite.vec_queries.begin(),
-                    suite.vec_queries.end());
-  }
-  std::fprintf(f, "  \"pr5_suite\": {\n");
-  write_queries(pr5_rows);
-  std::fprintf(f, "  },\n  \"supergroups\": {\n");
-  write_queries(sg_rows);
-  std::fprintf(f, "  },\n");
-  std::fprintf(f,
-               "  \"maintenance\": {\"rounds\": %d, \"rows_per_round\": %d, "
-               "\"row_ms\": %.4f, \"vec_ms\": %.4f, \"speedup\": %.3f, "
-               "\"asts_match\": true},\n",
-               rounds, rows_per_round, row_maint_ms, vec_maint_ms,
-               maint_speedup);
-  // The pr5 numbers recorded when the vectorized engine landed, before
-  // dictionary encoding — CI warns (shared runners vary) rather than fails
-  // when the current run does not beat them.
-  std::fprintf(f,
-               "  \"baseline_pr5\": {\"overall_vec_speedup\": 6.533, "
-               "\"min_vec_speedup\": 4.926, \"vg3\": 5.597, "
-               "\"vt3\": 5.211}\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 }  // namespace sumtab
 
@@ -1544,19 +1227,15 @@ int main(int argc, char** argv) {
   using namespace sumtab;
   bool quick = false;
   std::string out = "BENCH_pr3.json";
-  std::string out_vec = "BENCH_pr5.json";
   std::string out_serving = "BENCH_pr7.json";
   std::string out_durability = "BENCH_pr8.json";
   std::string out_compensation = "BENCH_pr9.json";
   std::string out_advisor = "BENCH_pr10.json";
-  std::string out_join = "BENCH_pr11.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out = argv[++i];
-    } else if (std::strcmp(argv[i], "--out-vec") == 0 && i + 1 < argc) {
-      out_vec = argv[++i];
     } else if (std::strcmp(argv[i], "--out-serving") == 0 && i + 1 < argc) {
       out_serving = argv[++i];
     } else if (std::strcmp(argv[i], "--out-durability") == 0 && i + 1 < argc) {
@@ -1566,14 +1245,11 @@ int main(int argc, char** argv) {
       out_compensation = argv[++i];
     } else if (std::strcmp(argv[i], "--out-advisor") == 0 && i + 1 < argc) {
       out_advisor = argv[++i];
-    } else if (std::strcmp(argv[i], "--out-join") == 0 && i + 1 < argc) {
-      out_join = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--quick] [--out PATH] [--out-vec PATH] "
-                   "[--out-serving PATH] [--out-durability PATH] "
-                   "[--out-compensation PATH] [--out-advisor PATH] "
-                   "[--out-join PATH]\n",
+                   "usage: %s [--quick] [--out PATH] [--out-serving PATH] "
+                   "[--out-durability PATH] [--out-compensation PATH] "
+                   "[--out-advisor PATH]\n",
                    argv[0]);
       return 2;
     }
@@ -1585,16 +1261,14 @@ int main(int argc, char** argv) {
   suites.push_back(RunCardSuite(quick, reps));
   suites.push_back(RunTpcdSuite(quick, reps));
   WriteJson(out, quick, suites);
-  WriteVecJson(out_vec, quick, suites);
   // After the JSON writes so the pr3 metrics block reflects only the matrix
   // legs (the serving leg runs its own database + server).
   RunServingLeg(quick, out_serving);
   RunDurabilityLeg(quick, out_durability);
   RunCompensationLeg(quick, out_compensation);
   RunAdvisorLeg(quick, out_advisor);
-  RunJoinLeg(quick, out_join, suites, reps);
 
-  double cold = 0, warm = 0, t1 = 0, tn = 0, row_ms = 0, vec_ms = 0;
+  double cold = 0, warm = 0, t1 = 0, tn = 0;
   for (const SuiteResult& suite : suites) {
     for (const QueryRow& q : suite.queries) {
       cold += q.t1_cold_ms;
@@ -1602,17 +1276,11 @@ int main(int argc, char** argv) {
       t1 += q.t1_nocache_ms;
       tn += q.tn_nocache_ms;
     }
-    for (const VecRow& q : suite.vec_queries) {
-      row_ms += q.row_ms;
-      vec_ms += q.vec_ms;
-    }
   }
   std::printf(
       "TOTALS: serial %.2f ms | parallel %.2f ms (%.2fx) | "
       "cache cold %.2f ms | cache warm %.2f ms (%.2fx)\n",
       t1, tn, tn > 0 ? t1 / tn : 0.0, cold, warm,
       warm > 0 ? cold / warm : 0.0);
-  std::printf("VEC LEG: row %.2f ms | columnar %.2f ms (%.2fx, threads=1)\n",
-              row_ms, vec_ms, vec_ms > 0 ? row_ms / vec_ms : 0.0);
   return 0;
 }

@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace sumtab {
 
@@ -97,7 +96,11 @@ void ParallelFor(int64_t n, int max_parallel,
     return;
   }
   // Deterministic chunking: lane i gets [i*n/lanes, (i+1)*n/lanes).
-  std::atomic<int> pending{lanes - 1};
+  // The latch lives on this stack frame, so a worker must finish with it —
+  // decrement AND notify — while holding done_mu: the caller cannot observe
+  // pending == 0, return and destroy done_mu/done_cv until the last worker
+  // has released the lock.
+  int pending = lanes - 1;
   std::mutex done_mu;
   std::condition_variable done_cv;
   QueryScheduleHook* hook = CurrentScheduleHook();
@@ -106,10 +109,8 @@ void ParallelFor(int64_t n, int max_parallel,
     int64_t end = n * (lane + 1) / lanes;
     auto task = [&, lane, begin, end] {
       body(lane, begin, end);
-      if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(done_mu);
-        done_cv.notify_one();
-      }
+      std::lock_guard<std::mutex> lock(done_mu);
+      if (--pending == 0) done_cv.notify_one();
     };
     // With a serving hook installed, the scheduler decides which query's
     // lane runs next; otherwise lanes go straight at the shared pool.
@@ -121,7 +122,7 @@ void ParallelFor(int64_t n, int max_parallel,
   }
   body(0, 0, n / lanes);
   std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return pending.load(std::memory_order_acquire) == 0; });
+  done_cv.wait(lock, [&] { return pending == 0; });
 }
 
 }  // namespace sumtab

@@ -64,10 +64,10 @@ struct Accum {
     }
   }
 
-  // Typed adds for the columnar fast path: exactly the SUM/AVG branch of
-  // AddValue with the kind test hoisted out of the loop (the column tag
-  // already fixes it), so the sticky int->double promotion order — and thus
-  // every floating-point sum — is identical.
+  // Typed adds for the fast paths: exactly the SUM/AVG branch of AddValue
+  // with the kind test hoisted out of the loop (the column tag already fixes
+  // it), so the sticky int->double promotion order — and thus every
+  // floating-point sum — is identical to the generic path.
   void AddSumInt(int64_t v) {
     ++count;
     saw_value = true;
@@ -144,23 +144,6 @@ struct Accum {
   }
 };
 
-/// Accumulates `row` into its group inside `groups`.
-void AccumulateRow(const Row& row, const std::vector<int>& set,
-                   const std::vector<int>& grouping_cols,
-                   const std::vector<AggSpec>& aggs,
-                   std::unordered_map<Row, std::vector<Accum>, RowHash>* groups) {
-  Row key;
-  key.reserve(set.size());
-  for (int g : set) key.push_back(row[grouping_cols[g]]);
-  auto [it, inserted] = groups->try_emplace(std::move(key));
-  if (inserted) it->second.resize(aggs.size());
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    const AggSpec& spec = aggs[a];
-    it->second[a].AddValue(spec,
-                           spec.star ? Value::Null() : row[spec.arg_col]);
-  }
-}
-
 /// Renders every group of one cuboid into output rows (grouping outputs
 /// NULL-padded where the cuboid grouped them out, then the aggregates).
 void EmitGroups(
@@ -187,9 +170,8 @@ void EmitGroups(
 /// Rows per lane below which partitioning overhead beats the win.
 constexpr int64_t kMinParallelRowsPerLane = 4096;
 
-/// Accumulates batch row i into its group (generic columnar path: Values are
-/// reconstructed per row and funnel through the same Accum::AddValue as the
-/// row path).
+/// Accumulates batch row i into its group (generic path: Values are
+/// reconstructed per row and funnel through Accum::AddValue).
 void AccumulateBatchRow(
     const Batch& input, int64_t i, const std::vector<int>& set,
     const std::vector<int>& grouping_cols, const std::vector<AggSpec>& aggs,
@@ -553,67 +535,6 @@ bool EncodedAggregateSet(const Batch& input, size_t num_grouping_cols,
 
 }  // namespace
 
-StatusOr<std::vector<Row>> Aggregate(
-    const std::vector<Row>& input, const std::vector<int>& grouping_cols,
-    const std::vector<std::vector<int>>& grouping_sets,
-    const std::vector<AggSpec>& aggs, int max_threads) {
-  for (const AggSpec& spec : aggs) {
-    if (!spec.star && spec.arg_col < 0) {
-      return Status::Internal("aggregate argument column missing");
-    }
-  }
-  const int64_t n = static_cast<int64_t>(input.size());
-  std::vector<Row> output;
-  for (const std::vector<int>& set : grouping_sets) {
-    // A cuboid with grouping columns and a big input aggregates in parallel:
-    // every group hashes wholly into one partition, partitions run
-    // concurrently, and each partition walks the input in order — so the
-    // per-group accumulation order (and thus every floating-point sum) is
-    // exactly the serial one. The empty set (global aggregation) is a single
-    // group and stays serial.
-    const int lanes =
-        set.empty() ? 1 : ParallelLanes(n, max_threads, kMinParallelRowsPerLane);
-    if (lanes > 1) {
-      std::vector<uint8_t> partition_of(input.size());
-      ParallelFor(n, lanes, [&](int, int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          size_t h = 0;
-          for (int g : set) {
-            h = h * 1000003u + input[i][grouping_cols[g]].Hash();
-          }
-          partition_of[i] = static_cast<uint8_t>(h % lanes);
-        }
-      });
-      std::vector<std::vector<Row>> lane_output(lanes);
-      ParallelFor(lanes, lanes, [&](int, int64_t begin, int64_t end) {
-        for (int64_t p = begin; p < end; ++p) {
-          std::unordered_map<Row, std::vector<Accum>, RowHash> groups;
-          for (size_t i = 0; i < input.size(); ++i) {
-            if (partition_of[i] != p) continue;
-            AccumulateRow(input[i], set, grouping_cols, aggs, &groups);
-          }
-          EmitGroups(groups, set, grouping_cols.size(), aggs,
-                     &lane_output[p]);
-        }
-      }, /*min_chunk=*/1);
-      for (std::vector<Row>& part : lane_output) {
-        for (Row& row : part) output.push_back(std::move(row));
-      }
-      continue;
-    }
-    std::unordered_map<Row, std::vector<Accum>, RowHash> groups;
-    for (const Row& row : input) {
-      AccumulateRow(row, set, grouping_cols, aggs, &groups);
-    }
-    if (groups.empty() && set.empty()) {
-      // Global aggregation over an empty input produces one row.
-      groups.try_emplace(Row{}).first->second.resize(aggs.size());
-    }
-    EmitGroups(groups, set, grouping_cols.size(), aggs, &output);
-  }
-  return output;
-}
-
 StatusOr<std::vector<Row>> AggregateBatch(
     const Batch& input, const std::vector<int>& grouping_cols,
     const std::vector<std::vector<int>>& grouping_sets,
@@ -648,8 +569,13 @@ StatusOr<std::vector<Row>> AggregateBatch(
                             aggs, lanes, &output)) {
       continue;
     }
-    // Generic path: identical structure to the row-store Aggregate, with
-    // per-row Values reconstructed from the columns.
+    // Generic path: per-row Values reconstructed from the columns, grouped
+    // under Row keys. A cuboid with grouping columns and a big input
+    // aggregates in parallel: every group hashes wholly into one partition,
+    // partitions run concurrently, and each partition walks the input in
+    // order — so the per-group accumulation order (and thus every
+    // floating-point sum) is exactly the serial one. The empty set (global
+    // aggregation) is a single group and stays serial.
     if (lanes > 1) {
       std::vector<uint8_t> partition_of(n);
       ParallelFor(n, lanes, [&](int, int64_t begin, int64_t end) {

@@ -30,25 +30,19 @@ struct AggSpec {
 /// groups it out), then one value per aggregate. An empty input still yields
 /// one row for each empty grouping set (global aggregation semantics).
 ///
+/// Single-column grouping keys over int-like columns take a flat int64 hash
+/// table and typed accumulate loops; up to four int/date/bool/dictionary
+/// columns group through one widened composite key; everything else
+/// reconstructs per-row Values. All paths share one accumulator, so the
+/// sticky int->double SUM promotion happens at the same row on each.
+///
 /// max_threads > 1 enables hash-partitioned parallel aggregation for large
 /// inputs: rows are partitioned by group-key hash so every group lands
 /// wholly inside one partition, partitions aggregate concurrently, and each
 /// partition visits its rows in input order. Per-group accumulation order is
 /// therefore identical to the serial path — floating-point sums are
 /// bit-identical, only output row order may differ (callers treat results
-/// as multisets). max_threads <= 1 is the serial reference.
-StatusOr<std::vector<Row>> Aggregate(
-    const std::vector<Row>& input, const std::vector<int>& grouping_cols,
-    const std::vector<std::vector<int>>& grouping_sets,
-    const std::vector<AggSpec>& aggs, int max_threads = 1);
-
-/// Columnar twin of Aggregate: same grouping/padding/parallelism semantics
-/// over a Batch input. Per-group accumulation still walks the input in row
-/// order, so every result value — including sticky int/double SUM promotion
-/// — is bit-identical to running Aggregate on the row form of the batch.
-/// Single-column grouping keys over int-like columns take a flat int64 hash
-/// table and typed accumulate loops; everything else reconstructs per-row
-/// Values and funnels through the very same Accum code as the row path.
+/// as multisets).
 StatusOr<std::vector<Row>> AggregateBatch(
     const Batch& input, const std::vector<int>& grouping_cols,
     const std::vector<std::vector<int>>& grouping_sets,

@@ -1,4 +1,4 @@
-// Columnar batch representation for the vectorized execution core.
+// Columnar batch representation the executor runs on.
 //
 // A ColumnVector is one column of a batch: a null bitmap plus a typed
 // payload. The tag is chosen per column at build time — when every non-null
@@ -7,15 +7,15 @@
 // SUM output whose groups split between Int and Double under the
 // sticky-double rule) degrade to kVariant, a vector of Values. Conversion is
 // loss-free in both directions: ValueAt(i) reconstructs the exact Value that
-// was appended, so the row interpreter and the vectorized engine see
+// was appended, so a table's row-store version and its columnar version hold
 // bit-identical data.
 //
 // NULL handling: the bitmap is authoritative. Typed payloads store a zero
 // placeholder in null slots; a NULL appended into a column never constrains
 // its tag (an all-NULL column keeps whatever tag it started with). Ordering
 // of NULLs — data-NULLs and grouping-set padding-NULLs alike — is defined by
-// Value::Compare (NULL first), the single total order shared with the row
-// side's SortRows/SameRowMultiset.
+// Value::Compare (NULL first), the single total order shared with
+// SortRows/SameRowMultiset.
 //
 // Dictionary encoding: a kString column may additionally carry int32 codes
 // into a shared StringDictionary instead of inline strings. Encoding is

@@ -1,9 +1,7 @@
-// Internals shared by the row interpreter (executor.cc) and the vectorized
-// executor (executor_vec.cc). Both paths MUST take identical plan decisions —
-// predicate classification, equi-join detection, morsel size, GROUPBY output
-// layout — so that the differential oracle can compare their results
-// bit-for-bit; keeping the decision helpers in one place makes divergence a
-// link error instead of a silent drift.
+// Executor internals shared by executor.cc (entry point, budgets, ordering)
+// and executor_vec.cc (operators), plus the one ORDER BY definition that
+// compensation's merged answers reuse: predicate classification, equi-join
+// detection, morsel size and the GROUPBY output layout.
 #ifndef SUMTAB_ENGINE_EXEC_SHARED_H_
 #define SUMTAB_ENGINE_EXEC_SHARED_H_
 
@@ -27,15 +25,16 @@ std::vector<int> PredQuantifiers(const expr::ExprPtr& pred);
 /// Applies an ORDER BY spec to a final result: stable sort under the
 /// engine-wide Value::Compare total order (NULL first, numerics by value
 /// across kinds). The ONE definition every result-ordering site uses — the
-/// executor's Execute tail and compensation's merged answers — so a
-/// compensated or rewritten query is ordered exactly like a direct one.
+/// executor's Execute tail, compensation's merged answers and the tests'
+/// reference evaluator — so a compensated or rewritten query is ordered
+/// exactly like a direct one.
 void ApplyOrderBy(const std::vector<qgm::OrderSpec>& spec, Relation* result);
 
 /// True for `ColRef{qa,*} = ColRef{qb,*}` with qa != qb.
 bool IsEquiJoin(const expr::ExprPtr& pred, int* qa, int* ca, int* qb, int* cb);
 
-/// Rows per morsel for parallel filter/probe/project loops. One morsel is
-/// also one batch range on the vectorized path.
+/// Rows per morsel for parallel filter/probe/project loops; one morsel is
+/// one batch range for the vectorized evaluator.
 constexpr int64_t kMorselRows = 4096;
 
 /// A GROUPBY box decoded into aggregator terms. Grouping outputs and

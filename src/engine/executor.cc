@@ -1,14 +1,10 @@
 #include "engine/executor.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/fault_injection.h"
 #include "common/thread_pool.h"
-#include "engine/aggregator.h"
 #include "engine/exec_shared.h"
-#include "expr/expr_eval.h"
 #include "expr/expr_rewrite.h"
 
 namespace sumtab {
@@ -102,18 +98,6 @@ void ApplyOrderBy(const std::vector<qgm::OrderSpec>& spec, Relation* result) {
 
 }  // namespace exec_internal
 
-namespace {
-
-using exec_internal::IsEquiJoin;
-using exec_internal::kMorselRows;
-using exec_internal::PredQuantifiers;
-using expr::ExprPtr;
-using qgm::Box;
-using qgm::BoxId;
-using qgm::Quantifier;
-
-}  // namespace
-
 Status Executor::Charge(int64_t rows) {
   if (options_.trace != nullptr) options_.trace->AddRowsProcessed(rows);
   int64_t charged =
@@ -136,51 +120,6 @@ Status Executor::Charge(int64_t rows) {
   return Status::OK();
 }
 
-Status Executor::FilterRows(const ExprPtr& pred, int q, int nq,
-                            std::vector<Row>* rows) {
-  std::vector<int> offsets(nq, -1);
-  offsets[q] = 0;
-  const int64_t n = static_cast<int64_t>(rows->size());
-  const int lanes = ParallelLanes(n, options_.max_threads, kMorselRows);
-  if (lanes == 1) {
-    std::vector<Row> kept;
-    kept.reserve(rows->size());
-    for (Row& row : *rows) {
-      expr::EvalContext ctx{&offsets, &row};
-      SUMTAB_ASSIGN_OR_RETURN(bool pass, expr::EvalPredicate(pred, ctx));
-      if (pass) kept.push_back(std::move(row));
-    }
-    *rows = std::move(kept);
-    return Status::OK();
-  }
-  // Morsel-parallel: each lane filters a contiguous chunk; chunks are
-  // re-concatenated in order, so surviving rows keep the serial order.
-  std::vector<std::vector<Row>> lane_kept(lanes);
-  std::vector<Status> lane_status(lanes, Status::OK());
-  ParallelFor(n, lanes, [&](int lane, int64_t begin, int64_t end) {
-    lane_kept[lane].reserve(end - begin);
-    for (int64_t i = begin; i < end; ++i) {
-      expr::EvalContext ctx{&offsets, &(*rows)[i]};
-      StatusOr<bool> pass = expr::EvalPredicate(pred, ctx);
-      if (!pass.ok()) {
-        lane_status[lane] = pass.status();
-        return;
-      }
-      if (*pass) lane_kept[lane].push_back(std::move((*rows)[i]));
-    }
-  }, kMorselRows);
-  for (const Status& st : lane_status) SUMTAB_RETURN_NOT_OK(st);
-  std::vector<Row> kept;
-  size_t total = 0;
-  for (const auto& part : lane_kept) total += part.size();
-  kept.reserve(total);
-  for (std::vector<Row>& part : lane_kept) {
-    for (Row& row : part) kept.push_back(std::move(row));
-  }
-  *rows = std::move(kept);
-  return Status::OK();
-}
-
 Status Executor::CheckDeadline() {
   if (has_deadline_ && std::chrono::steady_clock::now() > deadline_) {
     return Status::ResourceExhausted(
@@ -188,319 +127,6 @@ Status Executor::CheckDeadline() {
         std::to_string(options_.timeout_millis) + " ms)");
   }
   return Status::OK();
-}
-
-StatusOr<Executor::RelPtr> Executor::ExecBox(const qgm::Graph& graph,
-                                             BoxId id) {
-  SUMTAB_RETURN_NOT_OK(CheckDeadline());
-  const Box& box = *graph.box(id);
-  switch (box.kind) {
-    case Box::Kind::kBase: {
-      SUMTAB_FAULT_POINT("executor/scan");
-      if (options_.table_overrides != nullptr) {
-        auto it = options_.table_overrides->find(box.table_name);
-        if (it != options_.table_overrides->end()) {
-          return RelPtr(RelPtr{}, it->second);
-        }
-      }
-      const Relation* table = snapshot_.FindTable(box.table_name);
-      if (table == nullptr) {
-        return Status::NotFound("no data for table '" + box.table_name + "'");
-      }
-      // Non-owning alias: base tables are scanned in place.
-      return RelPtr(RelPtr{}, table);
-    }
-    case Box::Kind::kSelect:
-      return ExecSelect(graph, box);
-    case Box::Kind::kGroupBy:
-      return ExecGroupBy(graph, box);
-  }
-  return Status::Internal("unknown box kind");
-}
-
-StatusOr<Executor::RelPtr> Executor::ExecSelect(const qgm::Graph& graph,
-                                                const Box& box) {
-  const int nq = static_cast<int>(box.quantifiers.size());
-
-  // 1. Execute children. Scalar subqueries collapse to a single row.
-  std::vector<std::vector<Row>> child_rows(nq);
-  std::vector<int> child_width(nq);
-  for (int q = 0; q < nq; ++q) {
-    SUMTAB_ASSIGN_OR_RETURN(RelPtr rel,
-                            ExecBox(graph, box.quantifiers[q].child));
-    child_width[q] = rel->NumColumns();
-    if (box.quantifiers[q].kind == Quantifier::Kind::kScalar) {
-      if (rel->NumRows() > 1) {
-        return Status::InvalidArgument(
-            "scalar subquery returned more than one row");
-      }
-      if (rel->NumRows() == 1) {
-        child_rows[q].push_back(rel->rows[0]);
-      } else {
-        child_rows[q].push_back(Row(rel->NumColumns(), Value::Null()));
-      }
-    } else {
-      child_rows[q] = rel->rows;  // copy; filtered below
-      SUMTAB_RETURN_NOT_OK(Charge(static_cast<int64_t>(child_rows[q].size())));
-    }
-  }
-
-  // 2. Partition predicates: single-quantifier filters push down; equi-joins
-  //    become hash keys; the rest apply as soon as their quantifiers join.
-  std::vector<ExprPtr> residual;
-  struct JoinPred {
-    int qa, ca, qb, cb;
-    ExprPtr pred;
-    bool used = false;
-  };
-  std::vector<JoinPred> join_preds;
-  for (const ExprPtr& pred : box.predicates) {
-    std::vector<int> qs = PredQuantifiers(pred);
-    if (qs.size() == 1) {
-      // Push down: filter the child rows in place (morsel-parallel when the
-      // scan is large).
-      SUMTAB_RETURN_NOT_OK(FilterRows(pred, qs[0], nq, &child_rows[qs[0]]));
-      continue;
-    }
-    JoinPred jp;
-    if (!options_.disable_hash_join && qs.size() == 2 &&
-        IsEquiJoin(pred, &jp.qa, &jp.ca, &jp.qb, &jp.cb)) {
-      jp.pred = pred;
-      join_preds.push_back(jp);
-      continue;
-    }
-    residual.push_back(pred);
-  }
-
-  // 3. Greedy join. Combined rows hold the concatenated child columns of all
-  //    joined quantifiers; offsets[q] is the slot where q's columns start.
-  std::vector<int> offsets(nq, -1);
-  std::vector<Row> combined;
-  std::vector<bool> joined(nq, false);
-  int joined_count = 0;
-  int width = 0;
-
-  auto apply_ready_residuals = [&]() -> Status {
-    std::vector<ExprPtr> still;
-    for (const ExprPtr& pred : residual) {
-      bool ready = true;
-      for (int q : PredQuantifiers(pred)) ready = ready && joined[q];
-      if (!ready) {
-        still.push_back(pred);
-        continue;
-      }
-      std::vector<Row> kept;
-      kept.reserve(combined.size());
-      for (Row& row : combined) {
-        expr::EvalContext ctx{&offsets, &row};
-        SUMTAB_ASSIGN_OR_RETURN(bool pass, expr::EvalPredicate(pred, ctx));
-        if (pass) kept.push_back(std::move(row));
-      }
-      combined = std::move(kept);
-    }
-    residual = std::move(still);
-    return Status::OK();
-  };
-
-  while (joined_count < nq) {
-    // Pick the next quantifier: one with a hash-join edge to the joined set,
-    // else the smallest unjoined child (cartesian step).
-    int next = -1;
-    std::vector<JoinPred*> edges;
-    if (joined_count > 0) {
-      for (JoinPred& jp : join_preds) {
-        if (jp.used) continue;
-        int inside = -1, outside = -1;
-        if (joined[jp.qa] && !joined[jp.qb]) {
-          inside = jp.qa;
-          outside = jp.qb;
-        } else if (joined[jp.qb] && !joined[jp.qa]) {
-          inside = jp.qb;
-          outside = jp.qa;
-        } else {
-          continue;
-        }
-        (void)inside;
-        if (next == -1) next = outside;
-        if (outside == next) edges.push_back(&jp);
-      }
-    }
-    if (next == -1) {
-      for (int q = 0; q < nq; ++q) {
-        if (joined[q]) continue;
-        if (next == -1 || child_rows[q].size() < child_rows[next].size()) {
-          next = q;
-        }
-      }
-    }
-
-    if (joined_count == 0) {
-      // Seed the combined set with the first quantifier's rows.
-      combined = std::move(child_rows[next]);
-      offsets[next] = 0;
-      width = child_width[next];
-    } else if (!edges.empty()) {
-      // Hash join `next` against the combined rows.
-      std::vector<int> build_cols;  // columns of `next`
-      std::vector<int> probe_slots; // slots in combined rows
-      for (JoinPred* jp : edges) {
-        jp->used = true;
-        int cn = jp->qa == next ? jp->ca : jp->cb;
-        int qj = jp->qa == next ? jp->qb : jp->qa;
-        int cj = jp->qa == next ? jp->cb : jp->ca;
-        build_cols.push_back(cn);
-        probe_slots.push_back(offsets[qj] + cj);
-      }
-      std::unordered_map<Row, std::vector<const Row*>, RowHash> table;
-      table.reserve(child_rows[next].size());
-      for (const Row& row : child_rows[next]) {
-        Row key;
-        key.reserve(build_cols.size());
-        bool has_null = false;
-        for (int c : build_cols) {
-          has_null = has_null || row[c].is_null();
-          key.push_back(row[c]);
-        }
-        if (has_null) continue;  // SQL '=' never matches NULL
-        table[std::move(key)].push_back(&row);
-      }
-      // Probe morsel-parallel: the build table is read-only; each lane
-      // probes a contiguous chunk of `combined` and chunk outputs are
-      // concatenated in order (deterministic row order).
-      const int64_t probe_n = static_cast<int64_t>(combined.size());
-      const int lanes =
-          ParallelLanes(probe_n, options_.max_threads, kMorselRows);
-      std::vector<std::vector<Row>> lane_out(lanes);
-      std::vector<Status> lane_status(lanes, Status::OK());
-      ParallelFor(probe_n, lanes, [&](int lane, int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          const Row& left = combined[i];
-          Row key;
-          key.reserve(probe_slots.size());
-          bool has_null = false;
-          for (int slot : probe_slots) {
-            has_null = has_null || left[slot].is_null();
-            key.push_back(left[slot]);
-          }
-          if (has_null) continue;
-          auto it = table.find(key);
-          if (it == table.end()) continue;
-          for (const Row* right : it->second) {
-            Status charged = Charge(1);
-            if (!charged.ok()) {
-              lane_status[lane] = std::move(charged);
-              return;
-            }
-            Row merged = left;
-            merged.insert(merged.end(), right->begin(), right->end());
-            lane_out[lane].push_back(std::move(merged));
-          }
-        }
-      }, kMorselRows);
-      for (const Status& st : lane_status) SUMTAB_RETURN_NOT_OK(st);
-      std::vector<Row> next_combined;
-      size_t total = 0;
-      for (const auto& part : lane_out) total += part.size();
-      next_combined.reserve(total);
-      for (std::vector<Row>& part : lane_out) {
-        for (Row& row : part) next_combined.push_back(std::move(row));
-      }
-      combined = std::move(next_combined);
-      offsets[next] = width;
-      width += child_width[next];
-      child_rows[next].clear();
-    } else {
-      // Nested-loop (cartesian) step; residual predicates prune right after.
-      std::vector<Row> next_combined;
-      next_combined.reserve(combined.size() * child_rows[next].size());
-      for (const Row& left : combined) {
-        for (const Row& right : child_rows[next]) {
-          SUMTAB_RETURN_NOT_OK(Charge(1));
-          Row merged = left;
-          merged.insert(merged.end(), right.begin(), right.end());
-          next_combined.push_back(std::move(merged));
-        }
-      }
-      combined = std::move(next_combined);
-      offsets[next] = width;
-      width += child_width[next];
-      child_rows[next].clear();
-    }
-    joined[next] = true;
-    ++joined_count;
-    SUMTAB_RETURN_NOT_OK(apply_ready_residuals());
-    // Equi-join predicates between already-joined quantifiers that were not
-    // used as hash keys must still be applied as filters.
-    for (JoinPred& jp : join_preds) {
-      if (jp.used || !joined[jp.qa] || !joined[jp.qb]) continue;
-      jp.used = true;
-      residual.push_back(jp.pred);
-      SUMTAB_RETURN_NOT_OK(apply_ready_residuals());
-    }
-  }
-  if (!residual.empty()) {
-    return Status::Internal("residual predicates left after join");
-  }
-
-  // 4. Project (morsel-parallel; lanes write disjoint ranges of the
-  //    pre-sized output, so row order matches the serial path exactly).
-  auto result = std::make_shared<Relation>();
-  for (const auto& out : box.outputs) result->column_names.push_back(out.name);
-  const int64_t project_n = static_cast<int64_t>(combined.size());
-  const int project_lanes =
-      ParallelLanes(project_n, options_.max_threads, kMorselRows);
-  result->rows.resize(combined.size());
-  std::vector<Status> project_status(project_lanes, Status::OK());
-  ParallelFor(project_n, project_lanes,
-              [&](int lane, int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      expr::EvalContext ctx{&offsets, &combined[i]};
-      Row out;
-      out.reserve(box.outputs.size());
-      for (const auto& col : box.outputs) {
-        StatusOr<Value> v = expr::Eval(col.expr, ctx);
-        if (!v.ok()) {
-          project_status[lane] = v.status();
-          return;
-        }
-        out.push_back(std::move(*v));
-      }
-      result->rows[i] = std::move(out);
-    }
-  }, kMorselRows);
-  for (const Status& st : project_status) SUMTAB_RETURN_NOT_OK(st);
-
-  if (box.distinct) {
-    std::unordered_set<Row, RowHash> seen;
-    std::vector<Row> unique;
-    for (Row& row : result->rows) {
-      if (seen.insert(row).second) unique.push_back(std::move(row));
-    }
-    result->rows = std::move(unique);
-  }
-  return RelPtr(result);
-}
-
-StatusOr<Executor::RelPtr> Executor::ExecGroupBy(const qgm::Graph& graph,
-                                                 const Box& box) {
-  SUMTAB_ASSIGN_OR_RETURN(RelPtr child,
-                          ExecBox(graph, box.quantifiers[0].child));
-  exec_internal::GroupBySpec spec;
-  SUMTAB_RETURN_NOT_OK(exec_internal::BuildGroupBySpec(box, &spec));
-  SUMTAB_ASSIGN_OR_RETURN(
-      std::vector<Row> rows,
-      Aggregate(child->rows, spec.grouping_cols, spec.sets, spec.aggs,
-                options_.max_threads));
-  SUMTAB_RETURN_NOT_OK(Charge(static_cast<int64_t>(rows.size())));
-  auto result = std::make_shared<Relation>();
-  for (const auto& out : box.outputs) result->column_names.push_back(out.name);
-  result->rows.reserve(rows.size());
-  for (Row& packed : rows) {
-    result->rows.push_back(
-        exec_internal::PackedToOutput(std::move(packed), spec,
-                                      box.NumOutputs()));
-  }
-  return RelPtr(result);
 }
 
 StatusOr<Relation> Executor::Execute(const qgm::Graph& graph) {
@@ -514,21 +140,8 @@ StatusOr<Relation> Executor::Execute(const qgm::Graph& graph) {
                     std::chrono::duration<double, std::milli>(
                         options_.timeout_millis));
   }
-  Relation result;
-  if (options_.vectorized) {
-    SUMTAB_ASSIGN_OR_RETURN(BatchPtr root, ExecBoxVec(graph, graph.root()));
-    result = BatchToRelation(*root, RootColumnNames(graph));
-  } else {
-    SUMTAB_ASSIGN_OR_RETURN(RelPtr root, ExecBox(graph, graph.root()));
-    if (root.use_count() == 1) {
-      // Uniquely-owned operator output: steal it. A bare base scan arrives
-      // through the aliasing constructor (use_count 0) and anything shared
-      // still deep-copies — sorting below must never mutate storage.
-      result = std::move(*std::const_pointer_cast<Relation>(root));
-    } else {
-      result = *root;
-    }
-  }
+  SUMTAB_ASSIGN_OR_RETURN(BatchPtr root, ExecuteBox(graph, graph.root()));
+  Relation result = BatchToRelation(*root, RootColumnNames(graph));
   exec_internal::ApplyOrderBy(graph.order_by(), &result);
   return result;
 }

@@ -1,11 +1,15 @@
-// QGM interpreter. Executes a graph bottom-up: BASE boxes scan storage,
-// SELECT boxes join (greedy equi-join hash joins with nested-loop fallback),
-// filter and project, GROUPBY boxes hash-aggregate (incl. grouping sets),
-// scalar quantifiers evaluate uncorrelated scalar subqueries.
+// QGM executor: the one execution engine. Executes a graph bottom-up over
+// columnar batches: BASE boxes scan storage's columnar versions, SELECT boxes
+// join (greedy equi-join hash joins with nested-loop fallback), filter and
+// project through the vectorized evaluator, GROUPBY boxes hash-aggregate
+// (incl. grouping sets), scalar quantifiers evaluate uncorrelated scalar
+// subqueries. Queries, summary-table materialization, maintenance and
+// compensation all run here.
 //
-// QGM describes semantics, not plans; this interpreter picks a plan with two
+// QGM describes semantics, not plans; the executor picks a plan with two
 // fixed policies (single-quantifier predicate pushdown, greedy hash joins)
-// that suffice for benchmarking relative costs.
+// that suffice for benchmarking relative costs. Answers are checked against
+// a deliberately naive reference evaluator that lives with the tests.
 //
 // With max_threads > 1 the hot loops go morsel-parallel on the shared pool:
 // pushed-down filters, projection, and hash-join probes split the input into
@@ -43,9 +47,9 @@ struct ExecOptions {
   /// maintenance to evaluate an AST definition against a delta.
   const std::map<std::string, const Relation*>* table_overrides = nullptr;
   /// Prebuilt columnar twins for overridden tables, keyed like
-  /// table_overrides. The vectorized engine scans these directly instead of
-  /// converting the override's rows per execution; entries are optional per
-  /// table (absent => convert rows). Ignored by the row engine.
+  /// table_overrides. Scanned directly instead of converting the override's
+  /// rows per execution; entries are optional per table (absent => convert
+  /// rows).
   const std::map<std::string, std::shared_ptr<const Batch>>*
       columnar_overrides = nullptr;
   /// Row budget: total rows the plan may materialize across all operators
@@ -57,21 +61,18 @@ struct ExecOptions {
   /// boundaries and periodically inside join loops; exceeding it returns
   /// kResourceExhausted.
   double timeout_millis = 0;
-  /// Max concurrent lanes for morsel-parallel operators. 1 (the default) is
-  /// the single-threaded semantic reference; values above the shared pool
-  /// size are clamped to it.
+  /// Max concurrent lanes for morsel-parallel operators. 1 (the default)
+  /// runs single-threaded; values above the shared pool size are clamped to
+  /// it.
   int max_threads = 1;
   /// Optional query trace: rows materialized are counted into it from the
   /// same (possibly parallel) lanes that charge the row budget. Null on the
   /// untraced path — one pointer test per Charge call.
   QueryTrace* trace = nullptr;
-  /// Executes on the columnar batch engine instead of the row-at-a-time
-  /// interpreter. Both paths take identical plan decisions and charge
-  /// identical row counts; results are bit-identical up to output row order
-  /// (machine-checked by the differential oracle's columnar legs). Default
-  /// false so internal callers (incremental maintenance) keep the semantic
-  /// reference path; Database maps QueryOptions::vectorized onto this.
-  bool vectorized = false;
+  /// Read by nothing: the executor has a single (columnar) engine. Kept
+  /// only because the benchmark harness under perfbench/ still sets it, and
+  /// that harness changes only together with the benchmark itself.
+  bool vectorized = true;
 };
 
 class Executor {
@@ -91,30 +92,18 @@ class Executor {
   StatusOr<Relation> Execute(const qgm::Graph& graph);
 
  private:
-  using RelPtr = std::shared_ptr<const Relation>;
   using BatchPtr = std::shared_ptr<const Batch>;
 
-  StatusOr<RelPtr> ExecBox(const qgm::Graph& graph, qgm::BoxId id);
-  StatusOr<RelPtr> ExecSelect(const qgm::Graph& graph, const qgm::Box& box);
-  StatusOr<RelPtr> ExecGroupBy(const qgm::Graph& graph, const qgm::Box& box);
-
-  // Columnar twins of the interpreter (executor_vec.cc). Same recursion
-  // structure, same greedy join order, same Charge points; operators consume
-  // and produce batches and evaluate expressions morsel-at-a-time.
-  StatusOr<BatchPtr> ExecBoxVec(const qgm::Graph& graph, qgm::BoxId id);
-  StatusOr<BatchPtr> ExecSelectVec(const qgm::Graph& graph,
+  // One method per box kind (executor_vec.cc): operators consume and produce
+  // batches and evaluate expressions morsel-at-a-time.
+  StatusOr<BatchPtr> ExecuteBox(const qgm::Graph& graph, qgm::BoxId id);
+  StatusOr<BatchPtr> ExecuteSelect(const qgm::Graph& graph,
                                    const qgm::Box& box);
-  StatusOr<BatchPtr> ExecGroupByVec(const qgm::Graph& graph,
+  StatusOr<BatchPtr> ExecuteGroupBy(const qgm::Graph& graph,
                                     const qgm::Box& box);
   /// Column names of the root box's result (outputs, or the base table's
   /// schema when the root is a bare scan).
   std::vector<std::string> RootColumnNames(const qgm::Graph& graph) const;
-
-  /// Filters `rows` in place by `pred` (which references only quantifier
-  /// `q`), morsel-parallel when the input is large. Surviving rows keep
-  /// their relative order.
-  Status FilterRows(const expr::ExprPtr& pred, int q, int nq,
-                    std::vector<Row>* rows);
 
   /// Accounts `rows` materialized rows against the budget; every 1024
   /// charged rows it also polls the deadline (a clock read is too expensive

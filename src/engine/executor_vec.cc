@@ -1,11 +1,10 @@
-// Columnar twin of the QGM interpreter (executor.cc). One method per box
-// kind, same recursion, same greedy join policy, same row-budget Charge
-// points — only the data representation differs: operators pass Batches,
-// predicates and projections evaluate through the vectorized evaluator in
-// morsel-sized ranges, and joins gather columns by index instead of merging
-// rows. Because every plan decision keys off the same filtered child row
-// counts as the row path, the two engines produce bit-identical results up
-// to output row order (the differential oracle's columnar legs check this).
+// Operators of the QGM executor, one method per box kind. Operators pass
+// columnar Batches; predicates and projections evaluate through the
+// vectorized evaluator in morsel-sized ranges, and joins gather columns by
+// index instead of merging rows. Every plan decision (pushdown, greedy join
+// order, hash vs nested-loop step) keys off filtered child row counts only,
+// never off thread count, so threads=1 and threads=N run the same plan and
+// produce bit-identical results up to output row order.
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -108,7 +107,7 @@ std::vector<std::string> Executor::RootColumnNames(
   return names;
 }
 
-StatusOr<Executor::BatchPtr> Executor::ExecBoxVec(const qgm::Graph& graph,
+StatusOr<Executor::BatchPtr> Executor::ExecuteBox(const qgm::Graph& graph,
                                                   BoxId id) {
   SUMTAB_RETURN_NOT_OK(CheckDeadline());
   const Box& box = *graph.box(id);
@@ -137,14 +136,14 @@ StatusOr<Executor::BatchPtr> Executor::ExecBoxVec(const qgm::Graph& graph,
       return batch;
     }
     case Box::Kind::kSelect:
-      return ExecSelectVec(graph, box);
+      return ExecuteSelect(graph, box);
     case Box::Kind::kGroupBy:
-      return ExecGroupByVec(graph, box);
+      return ExecuteGroupBy(graph, box);
   }
   return Status::Internal("unknown box kind");
 }
 
-StatusOr<Executor::BatchPtr> Executor::ExecSelectVec(const qgm::Graph& graph,
+StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
                                                      const Box& box) {
   const int nq = static_cast<int>(box.quantifiers.size());
 
@@ -153,7 +152,7 @@ StatusOr<Executor::BatchPtr> Executor::ExecSelectVec(const qgm::Graph& graph,
   std::vector<int> child_width(nq);
   for (int q = 0; q < nq; ++q) {
     SUMTAB_ASSIGN_OR_RETURN(BatchPtr batch,
-                            ExecBoxVec(graph, box.quantifiers[q].child));
+                            ExecuteBox(graph, box.quantifiers[q].child));
     child_width[q] = batch->NumColumns();
     if (box.quantifiers[q].kind == Quantifier::Kind::kScalar) {
       if (batch->num_rows > 1) {
@@ -208,9 +207,10 @@ StatusOr<Executor::BatchPtr> Executor::ExecSelectVec(const qgm::Graph& graph,
     residual.push_back(pred);
   }
 
-  // 3. Greedy join — the same decisions as the row path (they key off the
-  //    same filtered child row counts). The combined batch holds the
-  //    concatenated child columns; offsets[q] is q's first column slot.
+  // 3. Greedy join: the next quantifier is one with a hash-join edge to the
+  //    joined set, else the smallest unjoined child (cartesian step). The
+  //    combined batch holds the concatenated child columns; offsets[q] is
+  //    q's first column slot.
   std::vector<int> offsets(nq, -1);
   BatchPtr combined;
   std::vector<bool> joined(nq, false);
@@ -313,8 +313,7 @@ StatusOr<Executor::BatchPtr> Executor::ExecSelectVec(const qgm::Graph& graph,
       std::unordered_map<Row, std::vector<int64_t>, RowHash> row_table;
       if (mode != KeyMode::kNone) {
         flat = std::make_unique<kernels::Int64JoinTable>(build.num_rows);
-        // Reverse insertion: chains come back in ascending build-row order,
-        // matching the row engine's bucket vectors.
+        // Reverse insertion: chains come back in ascending build-row order.
         for (int64_t i = build.num_rows - 1; i >= 0; --i) {
           if (bkey->IsNull(i)) continue;  // SQL '=' never matches NULL
           int64_t k = mode == KeyMode::kInt    ? bkey->ints()[i]
@@ -369,8 +368,7 @@ StatusOr<Executor::BatchPtr> Executor::ExecSelectVec(const qgm::Graph& graph,
             for (int64_t bi = head; bi != -1; bi = flat->Next(bi)) {
               pairs.emplace_back(i, bi);
             }
-            // One charge per probe row covering all its matches — the same
-            // total the row path charges one output row at a time.
+            // One charge per probe row covering all its matches.
             Status charged = Charge(static_cast<int64_t>(pairs.size() - first));
             if (!charged.ok()) {
               lane_status[lane] = std::move(charged);
@@ -501,10 +499,10 @@ StatusOr<Executor::BatchPtr> Executor::ExecSelectVec(const qgm::Graph& graph,
   return BatchPtr(result);
 }
 
-StatusOr<Executor::BatchPtr> Executor::ExecGroupByVec(const qgm::Graph& graph,
+StatusOr<Executor::BatchPtr> Executor::ExecuteGroupBy(const qgm::Graph& graph,
                                                       const Box& box) {
   SUMTAB_ASSIGN_OR_RETURN(BatchPtr child,
-                          ExecBoxVec(graph, box.quantifiers[0].child));
+                          ExecuteBox(graph, box.quantifiers[0].child));
   exec_internal::GroupBySpec spec;
   SUMTAB_RETURN_NOT_OK(exec_internal::BuildGroupBySpec(box, &spec));
   SUMTAB_ASSIGN_OR_RETURN(

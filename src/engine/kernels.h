@@ -70,8 +70,7 @@ inline int64_t SelectFromMask(const uint8_t* mask, int64_t n, int64_t base,
 /// from the build-row count, so inserts never rehash.
 ///
 /// Chains preserve REVERSE insertion order; insert build rows from last to
-/// first and a probe walks matches in ascending build-row order — the same
-/// order the row engine's bucket vectors produce.
+/// first and a probe walks matches in ascending build-row order.
 class Int64JoinTable {
  public:
   explicit Int64JoinTable(int64_t build_rows);

@@ -38,21 +38,19 @@ StatusOr<engine::Relation> ExecuteCompensationPlan(
   }
   // Each slice's columnar twin is built once and cached on the slice, so a
   // repeatedly-compensated query scans columns at base-table speed.
-  std::vector<std::shared_ptr<const engine::Batch>> slice_batches;
-  if (options.vectorized) {
-    slice_batches = snap.DeltaSliceColumnar(plan.stale_table, plan.from_epoch,
-                                            plan.to_epoch);
-  }
+  std::vector<std::shared_ptr<const engine::Batch>> slice_batches =
+      snap.DeltaSliceColumnar(plan.stale_table, plan.from_epoch,
+                              plan.to_epoch);
   if (delta_rows_scanned != nullptr) {
     *delta_rows_scanned =
         snap.DeltaRows(plan.stale_table, plan.from_epoch, plan.to_epoch);
   }
 
   // Both legs execute against the SAME pinned snapshot with the caller's
-  // options (vectorized / parallel / budgets apply to each leg); only the
-  // override differs — leg B reads the delta rows where the plan scans the
-  // stale table. The delta leg runs once per retained slice: aggregates
-  // that qualify for compensation decompose under union, so folding slice
+  // options (parallel / budgets apply to each leg); only the override
+  // differs — leg B reads the delta rows where the plan scans the stale
+  // table. The delta leg runs once per retained slice: aggregates that
+  // qualify for compensation decompose under union, so folding slice
   // partials one at a time equals aggregating the concatenation — without
   // ever copying the slices into one relation.
   engine::ExecOptions leg_options = options;
@@ -67,10 +65,8 @@ StatusOr<engine::Relation> ExecuteCompensationPlan(
     std::map<std::string, std::shared_ptr<const engine::Batch>> columnar;
     engine::ExecOptions slice_options = options;
     slice_options.table_overrides = &overrides;
-    if (i < slice_batches.size()) {
-      columnar[plan.stale_table] = slice_batches[i];
-      slice_options.columnar_overrides = &columnar;
-    }
+    columnar[plan.stale_table] = slice_batches[i];
+    slice_options.columnar_overrides = &columnar;
     engine::Executor delta_exec(snap, slice_options);
     return delta_exec.Execute(plan.delta_leg);
   };

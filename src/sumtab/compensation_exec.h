@@ -18,8 +18,8 @@ namespace compensation {
 
 /// Executes `plan` against `snap` (which must pin delta coverage for the
 /// plan's epoch range — the planner checked; a pinned snapshot cannot lose
-/// slices). `options` flows to both legs — vectorized / parallel / budget
-/// settings apply to each — except table_overrides, which this function owns
+/// slices). `options` flows to both legs — parallel / budget settings apply
+/// to each — except table_overrides, which this function owns
 /// (the delta leg overrides the stale table with the concatenated retained
 /// slices). `delta_rows_scanned` (optional) receives the number of delta
 /// rows the compensation leg read.

@@ -259,9 +259,11 @@ StatusOr<int64_t> Database::DefineSummaryTable(const std::string& name,
                           sql::Parse(sql));
   SUMTAB_ASSIGN_OR_RETURN(qgm::Graph graph, qgm::BuildGraph(*stmt, catalog_));
 
-  // Materialize.
+  // Materialize; stored sorted, like every full recompute (see
+  // RefreshUnderMaint).
   engine::Executor executor(storage_);
   SUMTAB_ASSIGN_OR_RETURN(engine::Relation data, executor.Execute(graph));
+  engine::SortRows(&data);
   int64_t rows = static_cast<int64_t>(data.NumRows());
 
   // The definition parsed, built, and materialized — it will publish, so it
@@ -920,7 +922,6 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
           ? ThreadPool::HardwareParallelism()
           : std::min(options.max_threads, 128);
   exec_options.trace = trace;
-  exec_options.vectorized = options.vectorized;
   int64_t exec_start = MonotonicNanos();
   StatusOr<engine::Relation> data =
       comp != nullptr ? compensation::ExecuteCompensationPlan(

@@ -82,12 +82,6 @@ struct DatabaseOptions {
   /// Auto-checkpoint after this many logged operations (0 = manual
   /// Checkpoint() calls only). Checkpoints prune covered WAL segments.
   int64_t checkpoint_interval_records = 0;
-  /// Run summary-table maintenance (refresh recomputes, incremental delta
-  /// aggregation) on the vectorized engine. The row interpreter stays the
-  /// semantic reference — the differential oracle's vectorized-maintenance
-  /// legs pin both modes to bit-identical results — so this is a pure
-  /// performance knob, on by default.
-  bool vectorized_maintenance = true;
 };
 
 /// One noteworthy event from Database::Open()'s recovery pass.
@@ -147,13 +141,6 @@ struct QueryOptions {
   /// fate, and rows processed. Off by default — the untraced path pays only
   /// null-pointer checks.
   bool collect_trace = false;
-  /// Execute on the columnar batch engine (the default). false falls back to
-  /// the row-at-a-time interpreter, kept as the semantic reference — results
-  /// are bit-identical up to row order (see DESIGN.md, "Columnar batches and
-  /// vectorized evaluation"). Execution knob only: like max_threads, it is
-  /// deliberately NOT part of the plan-cache key, so both engines share one
-  /// cached plan.
-  bool vectorized = true;
   /// Record this query in the workload log (src/sumtab/workload_log.h) so
   /// the advisor can mine it. The advisor's own sizing probes turn this off
   /// to keep its introspection from polluting the telemetry it reads.
@@ -331,12 +318,6 @@ class Database {
   /// Full recomputation of one summary table from the base tables.
   Status RefreshSummaryTable(const std::string& name);
 
-  /// Toggles DatabaseOptions::vectorized_maintenance after construction —
-  /// lets default-constructed (in-memory) databases pick the maintenance
-  /// engine; the differential tests run both modes against each other.
-  void SetVectorizedMaintenance(bool vectorized) {
-    options_.vectorized_maintenance = vectorized;
-  }
   const DatabaseOptions& options() const { return options_; }
 
   // ---- summary tables ----

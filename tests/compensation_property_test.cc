@@ -246,25 +246,21 @@ TEST_P(CompensationPropertyTest, CompensatedMatchesFullRecompute) {
     StatusOr<QueryResult> reference = db.Query(sql, no_rewrite);
     ASSERT_TRUE(reference.ok()) << sql << "\n"
                                 << reference.status().ToString();
-    for (bool vectorized : {false, true}) {
-      QueryOptions opts;
-      opts.vectorized = vectorized;
-      opts.max_threads = 1;
-      StatusOr<QueryResult> got = db.Query(sql, opts);
-      ASSERT_TRUE(got.ok()) << sql << "\n" << got.status().ToString();
-      EXPECT_TRUE(got->used_summary_table) << sql;
-      EXPECT_TRUE(got->compensated) << sql;
-      EXPECT_EQ(got->summary_table, "ast_t") << sql;
-      EXPECT_EQ(got->compensation_delta_rows,
-                static_cast<int64_t>(delta.size()))
-          << sql;
-      EXPECT_EQ(got->compensation_epochs, epochs) << sql;
-      EXPECT_FALSE(got->degradation.degraded) << sql;
-      EXPECT_TRUE(BitIdenticalSorted(reference->relation, got->relation))
-          << sql << " (vectorized=" << vectorized << ")\nreference:\n"
-          << reference->relation.ToString(20) << "\ngot:\n"
-          << got->relation.ToString(20);
-    }
+    QueryOptions opts;
+    opts.max_threads = 1;
+    StatusOr<QueryResult> got = db.Query(sql, opts);
+    ASSERT_TRUE(got.ok()) << sql << "\n" << got.status().ToString();
+    EXPECT_TRUE(got->used_summary_table) << sql;
+    EXPECT_TRUE(got->compensated) << sql;
+    EXPECT_EQ(got->summary_table, "ast_t") << sql;
+    EXPECT_EQ(got->compensation_delta_rows, static_cast<int64_t>(delta.size()))
+        << sql;
+    EXPECT_EQ(got->compensation_epochs, epochs) << sql;
+    EXPECT_FALSE(got->degradation.degraded) << sql;
+    EXPECT_TRUE(BitIdenticalSorted(reference->relation, got->relation))
+        << sql << "\nreference:\n"
+        << reference->relation.ToString(20) << "\ngot:\n"
+        << got->relation.ToString(20);
   }
 
   // Refresh absorbs the deltas: same queries now rewrite WITHOUT

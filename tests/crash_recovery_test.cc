@@ -3,8 +3,8 @@
 // FaultInjector-chosen point — mid-append, mid-fsync, mid-checkpoint, with a
 // torn final write, or in the middle of a later recovery. The parent (this
 // test) recovers the directory in-process and requires the result to be
-// bit-identical (same answers across the six-way row/columnar ×
-// no-rewrite/rewrite/parallel matrix, same rewrite decisions) to a
+// equivalent (same answers across the no-rewrite/rewrite/parallel matrix
+// and against the reference evaluator, same rewrite decisions) to a
 // never-crashed in-memory twin of SOME valid operation prefix:
 //
 //   k  in  { acked,  acked + 1 }
@@ -27,6 +27,7 @@
 #include "bench/crash_script.h"
 #include "engine/relation.h"
 #include "sumtab/database.h"
+#include "tests/reference.h"
 
 #ifndef SUMTAB_CRASH_DRIVER
 #error "SUMTAB_CRASH_DRIVER (path to the crash_driver binary) must be defined"
@@ -90,32 +91,24 @@ std::unique_ptr<Database> Twin(int k) {
   return db;
 }
 
-/// Six-way differential: every check query under row + columnar execution,
-/// each with rewriting off, on, and on+parallel. Returns a description of
-/// the first divergence, empty when equivalent.
+/// Differential: every check query with rewriting off, on, and
+/// on+parallel, recovered vs twin, plus the recovered answer against the
+/// reference evaluator over the twin. Returns a description of the first
+/// divergence, empty when equivalent.
 std::string MatrixDiff(Database* recovered, Database* twin) {
   struct Leg {
     const char* name;
     QueryOptions options;
   };
-  std::vector<Leg> legs;
-  for (bool vectorized : {false, true}) {
-    QueryOptions no_rewrite;
-    no_rewrite.enable_rewrite = false;
-    no_rewrite.max_threads = 1;
-    no_rewrite.vectorized = vectorized;
-    QueryOptions rewrite;
-    rewrite.max_threads = 1;
-    rewrite.vectorized = vectorized;
-    QueryOptions parallel;
-    parallel.max_threads = 4;
-    parallel.vectorized = vectorized;
-    legs.push_back({vectorized ? "columnar/no-rewrite" : "row/no-rewrite",
-                    no_rewrite});
-    legs.push_back({vectorized ? "columnar/rewrite" : "row/rewrite", rewrite});
-    legs.push_back({vectorized ? "columnar/parallel" : "row/parallel",
-                    parallel});
-  }
+  QueryOptions no_rewrite;
+  no_rewrite.enable_rewrite = false;
+  no_rewrite.max_threads = 1;
+  QueryOptions rewrite;
+  rewrite.max_threads = 1;
+  QueryOptions parallel;
+  parallel.max_threads = 4;
+  const std::vector<Leg> legs = {
+      {"no-rewrite", no_rewrite}, {"rewrite", rewrite}, {"parallel", parallel}};
   for (const std::string& sql : crash_script::CheckQueries()) {
     for (const Leg& leg : legs) {
       StatusOr<QueryResult> a = recovered->Query(sql, leg.options);
@@ -135,6 +128,23 @@ std::string MatrixDiff(Database* recovered, Database* twin) {
         return std::string(leg.name) + " \"" + sql +
                "\": answers diverge\nrecovered:\n" + a->relation.ToString(30) +
                "twin:\n" + b->relation.ToString(30);
+      }
+    }
+    StatusOr<QueryResult> got = recovered->Query(sql, no_rewrite);
+    StatusOr<engine::Relation> want = reference::Query(*twin, sql);
+    if (got.ok() != want.ok()) {
+      return "reference \"" + sql + "\": recovered " +
+             (got.ok() ? "succeeded" : got.status().ToString()) +
+             ", reference over twin " +
+             (want.ok() ? "succeeded" : want.status().ToString());
+    }
+    if (got.ok()) {
+      ::testing::AssertionResult same =
+          reference::MatchesReference(got->relation, *want);
+      if (!same) {
+        return "reference \"" + sql + "\": " + same.message() +
+               "\nrecovered:\n" + got->relation.ToString(30) +
+               "reference over twin:\n" + want->ToString(30);
       }
     }
   }

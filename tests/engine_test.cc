@@ -6,6 +6,7 @@
 #include "common/date.h"
 #include "engine/aggregator.h"
 #include "sumtab/database.h"
+#include "tests/reference.h"
 
 namespace sumtab {
 namespace {
@@ -193,47 +194,40 @@ TEST_F(EngineTest, OrderByAppliesToFinalResult) {
 }
 
 TEST_F(EngineTest, OrderByTotalOrderSharedAcrossEngines) {
-  // Both engines order through the one exec_internal::ApplyOrderBy /
-  // Value::Compare definition: NULL first ascending, identical full order.
+  // The engine and the reference evaluator order through the one
+  // exec_internal::ApplyOrderBy / Value::Compare definition: NULL first
+  // ascending, identical full order.
   const char* sql = "select id, val from t order by val, id desc";
-  QueryOptions vec;
-  vec.enable_rewrite = false;
-  QueryOptions row = vec;
-  row.vectorized = false;
-  StatusOr<QueryResult> rv = db_.Query(sql, vec);
-  StatusOr<QueryResult> rr = db_.Query(sql, row);
-  ASSERT_TRUE(rv.ok() && rr.ok());
-  ASSERT_EQ(rv->relation.NumRows(), 5u);
-  EXPECT_TRUE(rv->relation.rows[0][1].is_null());
-  EXPECT_EQ(rv->relation.rows[0][0].AsInt(), 3);
-  ASSERT_EQ(rr->relation.NumRows(), 5u);
+  QueryOptions opts;
+  opts.enable_rewrite = false;
+  StatusOr<QueryResult> got = db_.Query(sql, opts);
+  StatusOr<engine::Relation> want = reference::Query(db_, sql);
+  ASSERT_TRUE(got.ok() && want.ok());
+  ASSERT_EQ(got->relation.NumRows(), 5u);
+  EXPECT_TRUE(got->relation.rows[0][1].is_null());
+  EXPECT_EQ(got->relation.rows[0][0].AsInt(), 3);
+  ASSERT_EQ(want->NumRows(), 5u);
   for (size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(Value::CompareRows(rv->relation.rows[i], rr->relation.rows[i]),
-              0)
+    EXPECT_EQ(Value::CompareRows(got->relation.rows[i], want->rows[i]), 0)
         << "row " << i;
   }
 }
 
 TEST_F(EngineTest, OrderByDoesNotMutateStoredRelation) {
-  // Execute() may steal a uniquely-owned root instead of copying it; a root
-  // that aliases storage must still be copied, or this ORDER BY would
-  // reorder the stored table in place.
-  for (bool vectorized : {true, false}) {
-    QueryOptions opts;
-    opts.enable_rewrite = false;
-    opts.vectorized = vectorized;
-    StatusOr<QueryResult> sorted =
-        db_.Query("select id, grp, val from t order by id desc", opts);
-    ASSERT_TRUE(sorted.ok());
-    EXPECT_EQ(sorted->relation.rows[0][0].AsInt(), 5);
-    StatusOr<QueryResult> scan =
-        db_.Query("select id, grp, val from t", opts);
-    ASSERT_TRUE(scan.ok());
-    ASSERT_EQ(scan->relation.NumRows(), 5u);
-    for (int i = 0; i < 5; ++i) {
-      EXPECT_EQ(scan->relation.rows[i][0].AsInt(), i + 1)
-          << "storage order disturbed (vectorized=" << vectorized << ")";
-    }
+  // Sorting the result of a plain scan must sort a copy, never the stored
+  // table the scan read.
+  QueryOptions opts;
+  opts.enable_rewrite = false;
+  StatusOr<QueryResult> sorted =
+      db_.Query("select id, grp, val from t order by id desc", opts);
+  ASSERT_TRUE(sorted.ok());
+  EXPECT_EQ(sorted->relation.rows[0][0].AsInt(), 5);
+  StatusOr<QueryResult> scan = db_.Query("select id, grp, val from t", opts);
+  ASSERT_TRUE(scan.ok());
+  ASSERT_EQ(scan->relation.NumRows(), 5u);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(scan->relation.rows[i][0].AsInt(), i + 1)
+        << "storage order disturbed";
   }
 }
 
@@ -251,17 +245,32 @@ TEST_F(EngineTest, MissingTableDataFails) {
   EXPECT_FALSE(db_.Query("select x from nosuch", opts).ok());
 }
 
+/// AggregateBatch over `input`, checked against the reference's grouping
+/// of the same rows in the same order (exactly, Value kinds included).
+std::vector<Row> AggregateLikeReference(
+    const std::vector<Row>& input, int num_cols,
+    const std::vector<int>& grouping_cols,
+    const std::vector<std::vector<int>>& sets,
+    const std::vector<engine::AggSpec>& aggs) {
+  auto got = engine::AggregateBatch(engine::BatchFromRows(input, num_cols),
+                                    grouping_cols, sets, aggs);
+  auto want = reference::Aggregate(input, grouping_cols, sets, aggs);
+  EXPECT_TRUE(got.ok() && want.ok());
+  if (!got.ok() || !want.ok()) return {};
+  EXPECT_TRUE(reference::SameRowsExactly(*got, *want));
+  return *got;
+}
+
 TEST(AggregatorTest, MixedIntDoubleSumPromotes) {
   std::vector<Row> input = {{Value::Int(1)}, {Value::Double(2.5)},
                             {Value::Int(3)}};
   engine::AggSpec sum;
   sum.func = expr::AggFunc::kSum;
   sum.arg_col = 0;
-  auto rows = engine::Aggregate(input, {}, {{}}, {sum});
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 1u);
-  EXPECT_EQ((*rows)[0][0].kind(), Value::Kind::kDouble);
-  EXPECT_DOUBLE_EQ((*rows)[0][0].AsDouble(), 6.5);
+  std::vector<Row> rows = AggregateLikeReference(input, 1, {}, {{}}, {sum});
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0].kind(), Value::Kind::kDouble);
+  EXPECT_DOUBLE_EQ(rows[0][0].AsDouble(), 6.5);
 }
 
 TEST(AggregatorTest, NullGroupKeysFormOneGroup) {
@@ -271,9 +280,8 @@ TEST(AggregatorTest, NullGroupKeysFormOneGroup) {
   engine::AggSpec cnt;
   cnt.func = expr::AggFunc::kCount;
   cnt.star = true;
-  auto rows = engine::Aggregate(input, {0}, {{0}}, {cnt});
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->size(), 2u);  // NULL group + 7 group
+  std::vector<Row> rows = AggregateLikeReference(input, 2, {0}, {{0}}, {cnt});
+  EXPECT_EQ(rows.size(), 2u);  // NULL group + 7 group
 }
 
 TEST(StorageTest, AddDropFind) {

@@ -24,20 +24,20 @@ namespace {
 TEST(ThreadPoolTest, ScheduleRunsEveryTask) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.num_threads(), 3);
-  std::atomic<int> done{0};
+  // Counted and signalled under `mu`: the last task must be done with `cv`
+  // before the waiter can see 64 and destroy it.
+  int done = 0;
   std::mutex mu;
   std::condition_variable cv;
   for (int i = 0; i < 64; ++i) {
     pool.Schedule([&] {
-      if (done.fetch_add(1) + 1 == 64) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (++done == 64) cv.notify_all();
     });
   }
   std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return done.load() == 64; });
-  EXPECT_EQ(done.load(), 64);
+  cv.wait(lock, [&] { return done == 64; });
+  EXPECT_EQ(done, 64);
 }
 
 TEST(ThreadPoolTest, HardwareParallelismIsPositive) {
@@ -111,6 +111,23 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
   EXPECT_EQ(total.load(), 4096);
 }
 
+TEST(ThreadPoolTest, ManyShortParallelForCallsReleaseTheirLatch) {
+  // Every call's completion latch lives on the caller's stack. Near-empty
+  // lanes make the last worker's decrement race the caller's return, so a
+  // worker that touched the latch after the caller saw it reach zero would
+  // use a destroyed mutex (ThreadSanitizer flags it; release builds could
+  // abort in pthread_mutex_lock).
+  std::atomic<int64_t> total{0};
+  constexpr int kCalls = 2000;
+  for (int call = 0; call < kCalls; ++call) {
+    ParallelFor(
+        8, 4,
+        [&](int, int64_t begin, int64_t end) { total.fetch_add(end - begin); },
+        /*min_chunk=*/1);
+  }
+  EXPECT_EQ(total.load(), 8 * kCalls);
+}
+
 // ---- parallel aggregation determinism ----
 
 std::string RowToString(const Row& row) {
@@ -167,6 +184,15 @@ std::vector<Row> SkewedInput(int64_t n) {
   return rows;
 }
 
+/// AggregateBatch over `input` at `threads` lanes.
+StatusOr<std::vector<Row>> AggregateAt(
+    const std::vector<Row>& input, const std::vector<int>& grouping_cols,
+    const std::vector<std::vector<int>>& sets,
+    const std::vector<engine::AggSpec>& aggs, int threads) {
+  engine::Batch batch = engine::BatchFromRows(input, 3);
+  return engine::AggregateBatch(batch, grouping_cols, sets, aggs, threads);
+}
+
 TEST(ParallelAggregateTest, SkewedGroupsBitIdenticalToSerial) {
   std::vector<Row> input = SkewedInput(50000);
   std::vector<int> grouping_cols = {0};
@@ -177,10 +203,10 @@ TEST(ParallelAggregateTest, SkewedGroupsBitIdenticalToSerial) {
       {expr::AggFunc::kMin, false, false, 1},
       {expr::AggFunc::kMax, false, false, 2},
   };
-  auto serial = engine::Aggregate(input, grouping_cols, sets, aggs, 1);
+  auto serial = AggregateAt(input, grouping_cols, sets, aggs, 1);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   for (int threads : {2, 4, 8}) {
-    auto parallel = engine::Aggregate(input, grouping_cols, sets, aggs, threads);
+    auto parallel = AggregateAt(input, grouping_cols, sets, aggs, threads);
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
     EXPECT_TRUE(BitIdentical(*serial, *parallel)) << threads << " threads";
   }
@@ -195,9 +221,9 @@ TEST(ParallelAggregateTest, GroupingSetsBitIdenticalToSerial) {
       {expr::AggFunc::kSum, false, false, 1},
       {expr::AggFunc::kCount, false, false, 1},
   };
-  auto serial = engine::Aggregate(input, grouping_cols, sets, aggs, 1);
+  auto serial = AggregateAt(input, grouping_cols, sets, aggs, 1);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  auto parallel = engine::Aggregate(input, grouping_cols, sets, aggs, 4);
+  auto parallel = AggregateAt(input, grouping_cols, sets, aggs, 4);
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
   EXPECT_TRUE(BitIdentical(*serial, *parallel));
 }
@@ -210,17 +236,17 @@ TEST(ParallelAggregateTest, DistinctAndAvgBitIdenticalToSerial) {
       {expr::AggFunc::kCount, /*distinct=*/true, false, 2},
       {expr::AggFunc::kAvg, false, false, 1},
   };
-  auto serial = engine::Aggregate(input, grouping_cols, sets, aggs, 1);
+  auto serial = AggregateAt(input, grouping_cols, sets, aggs, 1);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  auto parallel = engine::Aggregate(input, grouping_cols, sets, aggs, 4);
+  auto parallel = AggregateAt(input, grouping_cols, sets, aggs, 4);
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
   EXPECT_TRUE(BitIdentical(*serial, *parallel));
 }
 
 TEST(ParallelAggregateTest, EmptyInputStillYieldsGlobalRow) {
   std::vector<Row> input;
-  auto out = engine::Aggregate(input, {}, {{}},
-                               {{expr::AggFunc::kCount, false, true, -1}}, 4);
+  auto out = AggregateAt(input, {}, {{}},
+                         {{expr::AggFunc::kCount, false, true, -1}}, 4);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 1u);
   EXPECT_EQ((*out)[0][0].AsInt(), 0);

@@ -4,10 +4,11 @@
 // the columnar path. Each test evaluates the same expression through the
 // scalar Eval and through EvalVec over a batch built from the same rows and
 // asserts exact Value equality row by row; the aggregation tests do the same
-// for Aggregate vs AggregateBatch. Also covers the engine-wide NULL total
-// order (Value::CompareRows) that SortRows/SameRowMultiset and the columnar
-// null bitmap share — data-NULLs and grouping-set padding-NULLs must be
-// indistinguishable to it.
+// for AggregateBatch against the reference evaluator's grouping
+// (tests/reference.h), which walks the same rows in the same order. Also
+// covers the engine-wide NULL total order (Value::CompareRows) that
+// SortRows/SameRowMultiset and the columnar null bitmap share — data-NULLs
+// and grouping-set padding-NULLs must be indistinguishable to it.
 #include <string>
 #include <vector>
 
@@ -19,12 +20,12 @@
 #include "expr/expr.h"
 #include "expr/expr_eval.h"
 #include "expr/expr_vec_eval.h"
+#include "tests/reference.h"
 
 namespace sumtab {
 namespace {
 
 using engine::AggSpec;
-using engine::Aggregate;
 using engine::AggregateBatch;
 using engine::Batch;
 using engine::BatchFromRows;
@@ -233,43 +234,24 @@ TEST(VecEvalTest, MorselRangesSeeTheSameRows) {
   }
 }
 
-/// Sorted bit-exact comparison of two aggregation outputs.
-void ExpectSameRowsExactly(std::vector<Row> a, std::vector<Row> b,
-                           const std::string& label) {
-  ASSERT_EQ(a.size(), b.size()) << label;
-  auto cmp = [](const Row& x, const Row& y) {
-    return Value::CompareRows(x, y) < 0;
-  };
-  std::sort(a.begin(), a.end(), cmp);
-  std::sort(b.begin(), b.end(), cmp);
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].size(), b[i].size()) << label << " row " << i;
-    for (size_t j = 0; j < a[i].size(); ++j) {
-      // Kind check matters here: a SUM that promoted to double on one path
-      // but stayed int on the other would still pass operator==.
-      EXPECT_TRUE(a[i][j] == b[i][j] && a[i][j].kind() == b[i][j].kind())
-          << label << " row " << i << " col " << j << ": "
-          << a[i][j].ToString() << " vs " << b[i][j].ToString();
-    }
-  }
-}
-
-/// Runs both aggregators (serial and 4-lane) and asserts bit-exact results.
+/// Runs AggregateBatch (serial and 4-lane) and asserts results bit-exact
+/// to the reference's grouping, Value kinds included: a SUM that promoted
+/// to double on one side but stayed int on the other would fail.
 void CheckAggBothPaths(const std::vector<Row>& input, int num_cols,
                        const std::vector<int>& grouping_cols,
                        const std::vector<std::vector<int>>& sets,
                        const std::vector<AggSpec>& aggs,
                        const std::string& label) {
   Batch batch = BatchFromRows(input, num_cols);
+  StatusOr<std::vector<Row>> want =
+      reference::Aggregate(input, grouping_cols, sets, aggs);
+  ASSERT_TRUE(want.ok()) << label;
   for (int threads : {1, 4}) {
-    StatusOr<std::vector<Row>> by_rows =
-        Aggregate(input, grouping_cols, sets, aggs, /*max_threads=*/1);
-    ASSERT_TRUE(by_rows.ok()) << label;
-    StatusOr<std::vector<Row>> by_batch =
+    StatusOr<std::vector<Row>> got =
         AggregateBatch(batch, grouping_cols, sets, aggs, threads);
-    ASSERT_TRUE(by_batch.ok()) << label;
-    ExpectSameRowsExactly(*by_rows, *by_batch,
-                          label + " threads=" + std::to_string(threads));
+    ASSERT_TRUE(got.ok()) << label;
+    EXPECT_TRUE(reference::SameRowsExactly(*got, *want))
+        << label << " threads=" << threads;
   }
 }
 
@@ -286,7 +268,7 @@ TEST(VecEvalTest, StickyDoubleSumMatchesRowAggregator) {
   star.star = true;
   // Column 0: int group key. Column 1: int/double/NULL mix whose per-group
   // accumulation order decides when SUM promotes to double — the batch path
-  // must promote at exactly the same row.
+  // must promote at exactly the same row as the reference.
   std::vector<Row> input = {
       Row{Value::Int(1), Value::Int(3)},
       Row{Value::Int(1), Value::Double(0.5)},   // group 1 promotes here
@@ -320,7 +302,7 @@ TEST(VecEvalTest, GroupingSetsMixDataNullsAndPaddingNulls) {
   AggSpec star;
   star.star = true;
   // Key columns contain data NULLs; rollup-style grouping sets add padding
-  // NULLs for grouped-out columns. Both aggregators must agree bit-for-bit,
+  // NULLs for grouped-out columns. Both sides must agree bit-for-bit,
   // which also exercises the shared NULL-first total order used to sort.
   std::vector<Row> input = {
       Row{Value::Int(1), Value::String("a"), Value::Int(10)},
@@ -332,7 +314,7 @@ TEST(VecEvalTest, GroupingSetsMixDataNullsAndPaddingNulls) {
   CheckAggBothPaths(input, 3, {0, 1}, {{0, 1}, {0}, {}},
                     {Spec(AggFunc::kSum, 2), star}, "rollup with data nulls");
   // Single int key with data NULLs: the fast int64-keyed path must put the
-  // NULL group exactly where the row path puts it.
+  // NULL group exactly where the reference puts it.
   CheckAggBothPaths(input, 3, {0}, {{0}},
                     {Spec(AggFunc::kSum, 2), Spec(AggFunc::kMin, 2), star},
                     "int key with nulls");
@@ -428,7 +410,8 @@ TEST(VecEvalTest, DictEncodedGroupingMatchesRowAggregator) {
   AggSpec star;
   star.star = true;
   // Composite keys over dict-encoded strings + ints route through the
-  // encoded multi-column grouping path; the row aggregator is the oracle.
+  // encoded multi-column grouping path; the reference's grouping is the
+  // oracle.
   std::vector<Row> input;
   const char* regions[] = {"east", "west", "", "east"};
   for (int i = 0; i < 40; ++i) {
@@ -445,29 +428,27 @@ TEST(VecEvalTest, DictEncodedGroupingMatchesRowAggregator) {
   std::vector<AggSpec> aggs = {Spec(AggFunc::kSum, 3), Spec(AggFunc::kMin, 3),
                                star};
   // Rollup-style grouping sets: padding NULLs for grouped-out dict columns
-  // must land exactly where the row path puts data NULLs.
+  // must land exactly where the reference puts them.
   std::vector<std::vector<int>> sets = {{0, 1, 2}, {0, 1}, {0}, {}};
+  StatusOr<std::vector<Row>> want =
+      reference::Aggregate(input, {0, 1, 2}, sets, aggs);
+  ASSERT_TRUE(want.ok());
   for (int threads : {1, 4}) {
-    StatusOr<std::vector<Row>> by_rows =
-        Aggregate(input, {0, 1, 2}, sets, aggs, /*max_threads=*/1);
-    ASSERT_TRUE(by_rows.ok());
     StatusOr<std::vector<Row>> by_batch =
         AggregateBatch(batch, {0, 1, 2}, sets, aggs, threads);
     ASSERT_TRUE(by_batch.ok());
-    ExpectSameRowsExactly(*by_rows, *by_batch,
-                          "dict rollup threads=" + std::to_string(threads));
+    EXPECT_TRUE(reference::SameRowsExactly(*by_batch, *want))
+        << "dict rollup threads=" << threads;
   }
   // Raw (non-encoded) string keys can't use the code path — the generic
   // fallback must still agree.
   Batch raw = BatchFromRows(input, 4);
   ASSERT_FALSE(raw.columns[0].dict_encoded());
-  StatusOr<std::vector<Row>> by_rows =
-      Aggregate(input, {0, 1, 2}, sets, aggs, 1);
   StatusOr<std::vector<Row>> by_raw =
       AggregateBatch(raw, {0, 1, 2}, sets, aggs, 4);
-  ASSERT_TRUE(by_rows.ok());
   ASSERT_TRUE(by_raw.ok());
-  ExpectSameRowsExactly(*by_rows, *by_raw, "raw string fallback");
+  EXPECT_TRUE(reference::SameRowsExactly(*by_raw, *want))
+      << "raw string fallback";
 }
 
 TEST(VecEvalTest, ColumnVectorMixedKindsRoundTrip) {
