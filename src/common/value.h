@@ -68,7 +68,7 @@ class Value {
   /// runtime, so both land in the same position), numerics compare by value
   /// across int/double/date/bool, strings lexicographically, and remaining
   /// heterogeneous pairs by kind tag. Every row comparator in the engine —
-  /// SortRows, SameRowMultiset, the columnar null bitmap's ordering — must
+  /// SortBatch, SameRowMultiset, the columnar null bitmap's ordering — must
   /// go through this single definition so NULL placement never diverges
   /// between the row and batch representations.
   int Compare(const Value& other) const;
@@ -77,7 +77,7 @@ class Value {
   bool operator<(const Value& other) const { return Compare(other) < 0; }
 
   /// Lexicographic row comparison under Compare() — shorter rows first on a
-  /// common prefix. The shared comparator for SortRows / SameRowMultiset.
+  /// common prefix. The shared comparator for SortBatch / SameRowMultiset.
   static int CompareRows(const std::vector<Value>& a,
                          const std::vector<Value>& b);
 

@@ -1,5 +1,9 @@
 #include "engine/column_vector.h"
 
+#include <algorithm>
+#include <numeric>
+#include <type_traits>
+
 #include "engine/relation.h"
 
 namespace sumtab {
@@ -108,6 +112,26 @@ double ColumnVector::NumericAt(int64_t i) const {
       return bools_[i] != 0 ? 1.0 : 0.0;
     default:
       return 0.0;
+  }
+}
+
+int ColumnVector::CompareAt(int64_t i, int64_t j) const {
+  if (nulls_[i] != 0 || nulls_[j] != 0) {
+    return nulls_[i] == nulls_[j] ? 0 : (nulls_[i] != 0 ? -1 : 1);
+  }
+  switch (tag_) {
+    case Tag::kString: {
+      int c = StringAt(i).compare(StringAt(j));
+      return c < 0 ? -1 : (c > 0 ? 1 : 0);
+    }
+    case Tag::kVariant:
+      return variants_[i].Compare(variants_[j]);
+    default: {
+      // Numeric tags compare widened to double, exactly as Value::Compare.
+      double a = NumericAt(i);
+      double b = NumericAt(j);
+      return a < b ? -1 : (b < a ? 1 : 0);
+    }
   }
 }
 
@@ -462,6 +486,18 @@ ColumnVector ColumnVector::Slice(const ColumnVector& src, int64_t begin,
   return out;
 }
 
+ColumnVector ColumnVector::Concat(const ColumnVector& a,
+                                  const ColumnVector& b) {
+  // Reserved with a's tag and dictionary, so copying a in keeps the
+  // reservation and b's bulk append needs no reallocation.
+  ColumnVector out(a.tag_);
+  out.dict_ = a.dict_;
+  out.Reserve(a.size() + b.size());
+  out.AppendColumn(a);
+  out.AppendColumn(b);
+  return out;
+}
+
 Row Batch::RowAt(int64_t i) const {
   Row row;
   row.reserve(columns.size());
@@ -469,16 +505,44 @@ Row Batch::RowAt(int64_t i) const {
   return row;
 }
 
-Batch BatchFromRows(const std::vector<Row>& rows, int num_columns) {
+namespace {
+
+/// BatchFromRows for both overloads; a mutable `rows` is released row by
+/// row as it is converted.
+template <typename Rows>
+Batch BuildBatch(Rows& rows, int num_columns) {
   Batch batch;
   batch.num_rows = static_cast<int64_t>(rows.size());
   batch.columns.resize(num_columns);
-  for (ColumnVector& col : batch.columns) col.Reserve(batch.num_rows);
-  for (const Row& row : rows) {
+  for (int c = 0; c < num_columns; ++c) {
+    // Tag each column by its first non-NULL value up front, so Reserve
+    // sizes the payload that will actually be filled.
+    for (const Row& row : rows) {
+      if (!row[c].is_null()) {
+        batch.columns[c] = ColumnVector(TagForKind(row[c].kind()));
+        break;
+      }
+    }
+    batch.columns[c].Reserve(batch.num_rows);
+  }
+  for (auto& row : rows) {
     for (int c = 0; c < num_columns; ++c) {
       batch.columns[c].AppendValue(row[c]);
     }
+    if constexpr (!std::is_const_v<Rows>) Row().swap(row);
   }
+  return batch;
+}
+
+}  // namespace
+
+Batch BatchFromRows(const std::vector<Row>& rows, int num_columns) {
+  return BuildBatch(rows, num_columns);
+}
+
+Batch BatchFromRows(std::vector<Row>&& rows, int num_columns) {
+  Batch batch = BuildBatch(rows, num_columns);
+  rows.clear();
   return batch;
 }
 
@@ -491,6 +555,29 @@ Relation BatchToRelation(const Batch& batch,
     rel.rows.push_back(batch.RowAt(i));
   }
   return rel;
+}
+
+Batch ConcatBatches(const Batch& a, const Batch& b) {
+  Batch out;
+  out.num_rows = a.num_rows + b.num_rows;
+  out.columns.reserve(a.columns.size());
+  for (size_t c = 0; c < a.columns.size(); ++c) {
+    out.columns.push_back(ColumnVector::Concat(a.columns[c], b.columns[c]));
+  }
+  return out;
+}
+
+Batch SortBatch(const Batch& batch) {
+  std::vector<int64_t> order(batch.num_rows);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&batch](int64_t i, int64_t j) {
+    for (const ColumnVector& col : batch.columns) {
+      int c = col.CompareAt(i, j);
+      if (c != 0) return c < 0;
+    }
+    return false;
+  });
+  return GatherBatch(batch, order);
 }
 
 Batch GatherBatch(const Batch& batch, const std::vector<int64_t>& indexes) {

@@ -7,23 +7,23 @@
 // SUM output whose groups split between Int and Double under the
 // sticky-double rule) degrade to kVariant, a vector of Values. Conversion is
 // loss-free in both directions: ValueAt(i) reconstructs the exact Value that
-// was appended, so a table's row-store version and its columnar version hold
-// bit-identical data.
+// was appended, so rows converted into storage's columns and read back out
+// (BatchFromRows, then BatchToRelation) are bit-identical.
 //
 // NULL handling: the bitmap is authoritative. Typed payloads store a zero
 // placeholder in null slots; a NULL appended into a column never constrains
 // its tag (an all-NULL column keeps whatever tag it started with). Ordering
 // of NULLs — data-NULLs and grouping-set padding-NULLs alike — is defined by
 // Value::Compare (NULL first), the single total order shared with
-// SortRows/SameRowMultiset.
+// SortBatch/SameRowMultiset.
 //
 // Dictionary encoding: a kString column may additionally carry int32 codes
 // into a shared StringDictionary instead of inline strings. Encoding is
 // transparent — StringAt/ValueAt return the same strings either way — but
-// lets joins and grouping key on int codes. Storage encodes the lazily built
-// columnar twins; appends extend the shared dictionary (codes are stable
-// forever) instead of rebuilding it, and a column whose dictionary runs out
-// of code space simply stays raw.
+// lets joins and grouping key on int codes. Storage encodes every table
+// version when it is published; appends extend the shared dictionary (codes
+// are stable forever) instead of rebuilding it, and a column whose
+// dictionary runs out of code space simply stays raw.
 #ifndef SUMTAB_ENGINE_COLUMN_VECTOR_H_
 #define SUMTAB_ENGINE_COLUMN_VECTOR_H_
 
@@ -51,8 +51,8 @@ namespace engine {
 /// reverse index). At(code) is deliberately lock-free: a reader only holds
 /// codes obtained from a published column, and every such code's string (and
 /// its chunk pointer) was fully written before that column was published —
-/// the publication itself (Storage's per-version columnar lock / shared_ptr
-/// hand-off) provides the happens-before edge.
+/// the publication itself (Storage's mutex around the version swap, then
+/// the shared_ptr hand-off to the reader) provides the happens-before edge.
 class StringDictionary {
  public:
   /// Default code-space cap; beyond it Intern refuses and the column falls
@@ -152,6 +152,9 @@ class ColumnVector {
   /// ensure the slot is non-null and the tag numeric.
   double NumericAt(int64_t i) const;
 
+  /// ValueAt(i).Compare(ValueAt(j)) without materializing either Value.
+  int CompareAt(int64_t i, int64_t j) const;
+
   /// True when the tag is int/double/date/bool (kVariant is not, even if
   /// every stored Value happens to be numeric).
   bool IsNumericTag() const {
@@ -183,6 +186,10 @@ class ColumnVector {
   /// New column holding src rows [begin, begin + n) — bulk payload copies,
   /// used to materialize borrowed column refs in projections.
   static ColumnVector Slice(const ColumnVector& src, int64_t begin, int64_t n);
+
+  /// New column holding a's rows then b's, allocated once for both (bulk
+  /// copies when tags and dictionaries agree).
+  static ColumnVector Concat(const ColumnVector& a, const ColumnVector& b);
 
  private:
   void PromoteToVariant();
@@ -219,20 +226,32 @@ struct Batch {
 
 struct Relation;  // engine/relation.h
 
-/// Row-store -> columnar conversion (tags inferred per column).
+/// Rows -> columnar conversion (tags inferred per column).
 Batch BatchFromRows(const std::vector<Row>& rows, int num_columns);
+/// Same, releasing each row right after it is converted: one walk over the
+/// rows instead of converting them and then destroying them in a second.
+Batch BatchFromRows(std::vector<Row>&& rows, int num_columns);
 
-/// Columnar -> row-store conversion; `column_names` become the relation's.
+/// Columnar -> rows conversion; `column_names` become the relation's.
 Relation BatchToRelation(const Batch& batch,
                          std::vector<std::string> column_names);
+
+/// a's rows followed by b's (same column count), column by column through
+/// ColumnVector::Concat: when b was encoded against a's dictionaries
+/// (Storage::Encode) the copy is pure payload concatenation.
+Batch ConcatBatches(const Batch& a, const Batch& b);
+
+/// The batch's rows ordered by Value::CompareRows (NULL first; data-NULLs
+/// and grouping-set padding alike).
+Batch SortBatch(const Batch& batch);
 
 /// Keeps the rows whose indexes are listed, in order, across all columns.
 Batch GatherBatch(const Batch& batch, const std::vector<int64_t>& indexes);
 
 /// Dictionary-encodes every raw string column of the batch. seeds[c] (when
 /// present and non-null) is the dictionary to extend for column c — the hook
-/// that keeps one shared dictionary per table column across COW versions and
-/// delta slices; columns without a seed get a fresh dictionary. Exhausted
+/// that keeps one shared dictionary per table column across storage versions
+/// and delta slices; columns without a seed get a fresh dictionary. Exhausted
 /// code spaces leave the column raw.
 void DictEncodeBatch(Batch* batch, const std::vector<DictionaryPtr>& seeds);
 

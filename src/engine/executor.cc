@@ -129,7 +129,8 @@ Status Executor::CheckDeadline() {
   return Status::OK();
 }
 
-StatusOr<Relation> Executor::Execute(const qgm::Graph& graph) {
+StatusOr<Executor::BatchPtr> Executor::ExecuteColumns(
+    const qgm::Graph& graph) {
   SUMTAB_FAULT_POINT("executor/execute");
   rows_charged_.store(0, std::memory_order_relaxed);
   deadline_poll_.store(0, std::memory_order_relaxed);
@@ -140,7 +141,11 @@ StatusOr<Relation> Executor::Execute(const qgm::Graph& graph) {
                     std::chrono::duration<double, std::milli>(
                         options_.timeout_millis));
   }
-  SUMTAB_ASSIGN_OR_RETURN(BatchPtr root, ExecuteBox(graph, graph.root()));
+  return ExecuteBox(graph, graph.root());
+}
+
+StatusOr<Relation> Executor::Execute(const qgm::Graph& graph) {
+  SUMTAB_ASSIGN_OR_RETURN(BatchPtr root, ExecuteColumns(graph));
   Relation result = BatchToRelation(*root, RootColumnNames(graph));
   exec_internal::ApplyOrderBy(graph.order_by(), &result);
   return result;

@@ -43,13 +43,10 @@ struct ExecOptions {
   /// ablation bench.
   bool disable_hash_join = false;
   /// Per-table substitutions: BASE boxes naming a key scan the mapped
-  /// relation instead of storage. Used by incremental summary-table
-  /// maintenance to evaluate an AST definition against a delta.
-  const std::map<std::string, const Relation*>* table_overrides = nullptr;
-  /// Prebuilt columnar twins for overridden tables, keyed like
-  /// table_overrides. Scanned directly instead of converting the override's
-  /// rows per execution; entries are optional per table (absent => convert
-  /// rows).
+  /// batch instead of storage (same columns as the table it stands in for).
+  /// Incremental summary-table maintenance evaluates an AST definition
+  /// against an encoded append delta this way, and delta compensation its
+  /// delta leg against one retained slice.
   const std::map<std::string, std::shared_ptr<const Batch>>*
       columnar_overrides = nullptr;
   /// Row budget: total rows the plan may materialize across all operators
@@ -91,9 +88,13 @@ class Executor {
   /// Executes the graph; applies the graph's ORDER BY to the final result.
   StatusOr<Relation> Execute(const qgm::Graph& graph);
 
- private:
   using BatchPtr = std::shared_ptr<const Batch>;
 
+  /// Executes the graph and returns its result columns, ignoring ORDER BY —
+  /// for materializations that storage keeps in an order of its own.
+  StatusOr<BatchPtr> ExecuteColumns(const qgm::Graph& graph);
+
+ private:
   // One method per box kind (executor_vec.cc): operators consume and produce
   // batches and evaluate expressions morsel-at-a-time.
   StatusOr<BatchPtr> ExecuteBox(const qgm::Graph& graph, qgm::BoxId id);

@@ -92,18 +92,13 @@ Batch GatherJoin(const Batch& probe, const Batch& build,
 std::vector<std::string> Executor::RootColumnNames(
     const qgm::Graph& graph) const {
   const Box& root = *graph.box(graph.root());
+  // An override stands in for the table of the same name, so a bare scan's
+  // names come from storage either way.
+  if (root.kind == Box::Kind::kBase) {
+    return snapshot_.ColumnNames(root.table_name);
+  }
   std::vector<std::string> names;
-  if (root.kind != Box::Kind::kBase) {
-    for (const auto& out : root.outputs) names.push_back(out.name);
-    return names;
-  }
-  const Relation* table = nullptr;
-  if (options_.table_overrides != nullptr) {
-    auto it = options_.table_overrides->find(root.table_name);
-    if (it != options_.table_overrides->end()) table = it->second;
-  }
-  if (table == nullptr) table = snapshot_.FindTable(root.table_name);
-  if (table != nullptr) names = table->column_names;
+  for (const auto& out : root.outputs) names.push_back(out.name);
   return names;
 }
 
@@ -116,19 +111,9 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteBox(const qgm::Graph& graph,
       SUMTAB_FAULT_POINT("executor/scan");
       if (options_.columnar_overrides != nullptr) {
         auto it = options_.columnar_overrides->find(box.table_name);
-        if (it != options_.columnar_overrides->end() && it->second != nullptr) {
-          return it->second;
-        }
+        if (it != options_.columnar_overrides->end()) return it->second;
       }
-      if (options_.table_overrides != nullptr) {
-        auto it = options_.table_overrides->find(box.table_name);
-        if (it != options_.table_overrides->end()) {
-          return BatchPtr(std::make_shared<Batch>(BatchFromRows(
-              it->second->rows, it->second->NumColumns())));
-        }
-      }
-      // Storage hands out (and lazily builds) the shared columnar twin of
-      // the row store; scans borrow it without copying.
+      // Scans borrow storage's published columns without copying.
       BatchPtr batch = snapshot_.FindColumnar(box.table_name);
       if (batch == nullptr) {
         return Status::NotFound("no data for table '" + box.table_name + "'");
@@ -183,18 +168,41 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
     bool used = false;
   };
   std::vector<JoinPred> join_preds;
+  // A lone quantifier's filtered batch feeds only this box's predicates and
+  // outputs (there is no join to carry other columns through), so its
+  // filters gather just the columns those read; the others stay empty.
+  std::vector<bool> read(nq == 1 ? child_width[0] : 0, false);
+  if (nq == 1) {
+    auto mark = [&read](const ExprPtr& e) {
+      expr::Visit(e, [&read](const expr::Expr& node) {
+        if (node.kind == expr::Expr::Kind::kColumnRef && node.column >= 0 &&
+            node.column < static_cast<int>(read.size())) {
+          read[node.column] = true;
+        }
+      });
+    };
+    for (const ExprPtr& pred : box.predicates) mark(pred);
+    for (const qgm::OutputColumn& out : box.outputs) mark(out.expr);
+  }
   for (const ExprPtr& pred : box.predicates) {
     std::vector<int> qs = PredQuantifiers(pred);
     if (qs.size() == 1) {
       std::vector<int> offsets(nq, -1);
       offsets[qs[0]] = 0;
+      const Batch& input = *child[qs[0]];
       SUMTAB_ASSIGN_OR_RETURN(
           std::vector<int64_t> keep,
-          SelectIndexes(pred, offsets, *child[qs[0]], options_.max_threads));
-      if (static_cast<int64_t>(keep.size()) != child[qs[0]]->num_rows) {
-        child[qs[0]] =
-            std::make_shared<Batch>(GatherBatch(*child[qs[0]], keep));
+          SelectIndexes(pred, offsets, input, options_.max_threads));
+      if (static_cast<int64_t>(keep.size()) == input.num_rows) continue;
+      auto filtered = std::make_shared<Batch>();
+      filtered->num_rows = static_cast<int64_t>(keep.size());
+      filtered->columns.resize(input.columns.size());
+      for (size_t c = 0; c < input.columns.size(); ++c) {
+        if (nq > 1 || read[c]) {
+          filtered->columns[c] = ColumnVector::Gather(input.columns[c], keep);
+        }
       }
+      child[qs[0]] = std::move(filtered);
       continue;
     }
     JoinPred jp;
@@ -517,7 +525,7 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteGroupBy(const qgm::Graph& graph,
                                                      box.NumOutputs()));
   }
   return BatchPtr(std::make_shared<Batch>(
-      BatchFromRows(out_rows, box.NumOutputs())));
+      BatchFromRows(std::move(out_rows), box.NumOutputs())));
 }
 
 }  // namespace engine

@@ -86,38 +86,21 @@ bool SameRowMultiset(const Relation& a, const Relation& b) {
   return true;
 }
 
-void SortRows(Relation* relation) {
-  std::sort(relation->rows.begin(), relation->rows.end(),
-            [](const Row& x, const Row& y) {
-              return Value::CompareRows(x, y) < 0;
-            });
-}
-
 std::string Storage::Key(const std::string& name) { return ToLower(name); }
 
-std::shared_ptr<const Batch> Storage::ColumnarOf(const Version& version) {
-  std::lock_guard<std::mutex> lock(version.columnar_mu);
-  if (version.columnar == nullptr) {
-    auto batch = std::make_shared<Batch>(BatchFromRows(
-        version.relation.rows, version.relation.NumColumns()));
-    DictEncodeBatch(batch.get(), version.dict_seeds);
-    version.columnar = std::move(batch);
-  }
-  return version.columnar;
+Storage::VersionPtr Storage::Find(const std::string& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = tables_.find(key);
+  return it == tables_.end() ? nullptr : it->second;
 }
 
-std::vector<DictionaryPtr> Storage::SeedsOf(const Version& version) {
-  std::lock_guard<std::mutex> lock(version.columnar_mu);
-  if (version.columnar != nullptr) {
-    return BatchDictionaries(*version.columnar);
-  }
-  return version.dict_seeds;
-}
-
-Status Storage::AddTable(const std::string& name, Relation relation) {
+Status Storage::AddTable(const std::string& name,
+                         std::vector<std::string> column_names, Batch batch) {
   std::string key = Key(name);
+  DictEncodeBatch(&batch, {});
   auto version = std::make_shared<Version>();
-  version->relation = std::move(relation);
+  version->column_names = std::move(column_names);
+  version->batch = std::make_shared<const Batch>(std::move(batch));
   std::lock_guard<std::mutex> lock(mu_);
   if (tables_.count(key) > 0) {
     return Status::AlreadyExists("table data for '" + key + "'");
@@ -135,50 +118,35 @@ Status Storage::DropTable(const std::string& name) {
   return Status::OK();
 }
 
-Status Storage::Replace(const std::string& name, Relation relation) {
-  std::string key = Key(name);
-  auto version = std::make_shared<Version>();
-  version->relation = std::move(relation);
+Status Storage::Replace(const std::string& name, Batch batch) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = tables_.find(key);
+  auto it = tables_.find(Key(name));
   if (it == tables_.end()) {
     return Status::NotFound("table data for '" + name + "'");
   }
-  // Carry the predecessor's dictionaries forward so the new version's twin
-  // extends them (an append interns only the new strings).
-  version->dict_seeds = SeedsOf(*it->second);
+  // Extend the replaced version's dictionaries (an append interns only the
+  // new strings). A no-op for batches already run through Encode.
+  DictEncodeBatch(&batch, BatchDictionaries(*it->second->batch));
+  auto version = std::make_shared<Version>();
+  version->column_names = it->second->column_names;
+  version->batch = std::make_shared<const Batch>(std::move(batch));
   // Swap in the new version; snapshots holding the old one keep it alive.
   it->second = std::move(version);
   return Status::OK();
 }
 
-const Relation* Storage::FindTable(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tables_.find(Key(name));
-  return it == tables_.end() ? nullptr : &it->second->relation;
-}
-
 std::shared_ptr<const Batch> Storage::FindColumnar(
     const std::string& name) const {
-  VersionPtr version;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = tables_.find(Key(name));
-    if (it == tables_.end()) return nullptr;
-    version = it->second;
-  }
-  return ColumnarOf(*version);
+  VersionPtr version = Find(Key(name));
+  return version == nullptr ? nullptr : version->batch;
 }
 
-std::vector<DictionaryPtr> Storage::DictSeeds(const std::string& name) const {
-  VersionPtr version;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = tables_.find(Key(name));
-    if (it == tables_.end()) return {};
-    version = it->second;
-  }
-  return SeedsOf(*version);
+Batch Storage::Encode(const std::string& name, Batch batch) const {
+  VersionPtr version = Find(Key(name));
+  DictEncodeBatch(&batch, version == nullptr
+                              ? std::vector<DictionaryPtr>{}
+                              : BatchDictionaries(*version->batch));
+  return batch;
 }
 
 int64_t Storage::Epoch(const std::string& name) const {
@@ -198,18 +166,10 @@ void Storage::SetEpoch(const std::string& name, int64_t epoch) {
 }
 
 void Storage::RetainDelta(const std::string& name, int64_t epoch,
-                          Relation delta) {
-  auto version = std::make_shared<Version>();
-  version->relation = std::move(delta);
+                          std::shared_ptr<const Batch> delta) {
   std::lock_guard<std::mutex> lock(mu_);
-  // Slices share the base table's dictionaries: a compensated join between
-  // the stale AST's base tables and the slice then keys on the same codes.
-  auto table = tables_.find(Key(name));
-  if (table != tables_.end()) {
-    version->dict_seeds = SeedsOf(*table->second);
-  }
   DeltaMap& slices = deltas_[Key(name)];
-  slices[epoch] = std::move(version);
+  slices[epoch] = std::move(delta);
   // Cap retention: dropping the OLDEST slice widens the coverage gap at the
   // stale end, so over-stale ASTs lose compensability first — never recent
   // ones.
@@ -225,11 +185,13 @@ void Storage::PruneDeltasThrough(const std::string& name, int64_t epoch) {
 }
 
 std::vector<Storage::RetainedDelta> Storage::RetainedDeltas() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  Snapshot snap = Snap();
   std::vector<RetainedDelta> out;
-  for (const auto& [table, slices] : deltas_) {
-    for (const auto& [epoch, version] : slices) {
-      out.push_back(RetainedDelta{table, epoch, version->relation});
+  for (const auto& [table, slices] : snap.deltas_) {
+    std::vector<std::string> names = snap.ColumnNames(table);
+    for (const auto& [epoch, batch] : slices) {
+      out.push_back(
+          RetainedDelta{table, epoch, BatchToRelation(*batch, names)});
     }
   }
   return out;
@@ -244,15 +206,17 @@ Storage::Snapshot Storage::Snap() const {
   return snap;
 }
 
-const Relation* Storage::Snapshot::FindTable(const std::string& name) const {
-  auto it = tables_.find(Key(name));
-  return it == tables_.end() ? nullptr : &it->second->relation;
-}
-
 std::shared_ptr<const Batch> Storage::Snapshot::FindColumnar(
     const std::string& name) const {
   auto it = tables_.find(Key(name));
-  return it == tables_.end() ? nullptr : ColumnarOf(*it->second);
+  return it == tables_.end() ? nullptr : it->second->batch;
+}
+
+std::vector<std::string> Storage::Snapshot::ColumnNames(
+    const std::string& name) const {
+  auto it = tables_.find(Key(name));
+  return it == tables_.end() ? std::vector<std::string>{}
+                             : it->second->column_names;
 }
 
 int64_t Storage::Snapshot::Epoch(const std::string& name) const {
@@ -260,9 +224,9 @@ int64_t Storage::Snapshot::Epoch(const std::string& name) const {
   return it == epochs_.end() ? 0 : it->second;
 }
 
-std::vector<const Relation*> Storage::Snapshot::DeltaSlices(
+std::vector<std::shared_ptr<const Batch>> Storage::Snapshot::DeltaSlices(
     const std::string& name, int64_t from, int64_t to) const {
-  std::vector<const Relation*> out;
+  std::vector<std::shared_ptr<const Batch>> out;
   if (from >= to) return out;
   auto it = deltas_.find(Key(name));
   if (it == deltas_.end()) return out;
@@ -274,7 +238,7 @@ std::vector<const Relation*> Storage::Snapshot::DeltaSlices(
   for (auto slice = it->second.upper_bound(from);
        slice != it->second.end() && slice->first <= to; ++slice) {
     if (slice->first != expected) return {};
-    out.push_back(&slice->second->relation);
+    out.push_back(slice->second);
     ++expected;
   }
   if (expected != to + 1) return {};
@@ -286,29 +250,10 @@ bool Storage::Snapshot::HasDeltaCoverage(const std::string& name, int64_t from,
   return from >= to || !DeltaSlices(name, from, to).empty();
 }
 
-std::vector<std::shared_ptr<const Batch>> Storage::Snapshot::DeltaSliceColumnar(
-    const std::string& name, int64_t from, int64_t to) const {
-  std::vector<std::shared_ptr<const Batch>> out;
-  if (from >= to) return out;
-  auto it = deltas_.find(Key(name));
-  if (it == deltas_.end()) return out;
-  int64_t expected = from + 1;
-  for (auto slice = it->second.upper_bound(from);
-       slice != it->second.end() && slice->first <= to; ++slice) {
-    if (slice->first != expected) return {};
-    out.push_back(ColumnarOf(*slice->second));
-    ++expected;
-  }
-  if (expected != to + 1) return {};
-  return out;
-}
-
 int64_t Storage::Snapshot::DeltaRows(const std::string& name, int64_t from,
                                      int64_t to) const {
   int64_t rows = 0;
-  for (const Relation* slice : DeltaSlices(name, from, to)) {
-    rows += static_cast<int64_t>(slice->NumRows());
-  }
+  for (const auto& slice : DeltaSlices(name, from, to)) rows += slice->num_rows;
   return rows;
 }
 

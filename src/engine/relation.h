@@ -1,5 +1,6 @@
-// In-memory relations (row store), their columnar twins, and the table
-// storage the engine scans.
+// Table storage the engine scans — one dictionary-encoded columnar version
+// per table — and Relation, the row form answers and loaded data take at the
+// facade edge (BulkLoad input, query results, the checkpoint codec).
 #ifndef SUMTAB_ENGINE_RELATION_H_
 #define SUMTAB_ENGINE_RELATION_H_
 
@@ -17,7 +18,8 @@
 namespace sumtab {
 namespace engine {
 
-/// A materialized relational table: named columns + rows.
+/// A materialized relational table in row form: named columns + rows. Query
+/// results, BulkLoad input and checkpoint sections use it; storage does not.
 struct Relation {
   std::vector<std::string> column_names;
   std::vector<Row> rows;
@@ -36,21 +38,22 @@ struct Relation {
 /// and values compared with a relative fp tolerance.
 bool SameRowMultiset(const Relation& a, const Relation& b);
 
-/// Sorts rows in place by Value::CompareRows (stable display order; NULLs —
-/// data or grouping-set padding — always sort first).
-void SortRows(Relation* relation);
-
 /// Named table storage, copy-on-write.
 ///
-/// Tables live in two representations: the row-store Relation (the source
-/// of truth and the existing API surface) and a lazily-built columnar Batch
-/// the vectorized executor scans. Each table name maps to an immutable
-/// *version*: writers never mutate a published Relation in place — they
-/// build the next version offline and commit it with Replace(), so any
-/// reader holding a Snapshot keeps a consistent view for the whole query
-/// (BulkLoad/Append/refresh can never torn-read a serving scan). The
-/// columnar twin is built lazily per version and shared by every snapshot
-/// pinning that version.
+/// Every table has one representation: a dictionary-encoded columnar Batch
+/// the executor scans directly. Each table name maps to an immutable
+/// *version* — its column names plus that Batch. Writers never mutate a
+/// published version in place — they build the next one offline and commit
+/// it with Replace(), so any reader holding a Snapshot keeps a consistent
+/// view for the whole query (BulkLoad/Append/refresh can never torn-read a
+/// serving scan).
+///
+/// Encoding happens once, when a version is published: AddTable/Replace
+/// dictionary-encode every raw string column, a Replace extending the
+/// dictionaries of the version it replaces, so codes stay stable across
+/// versions and delta slices. Writers that want the encoding off their
+/// commit window pass batches already run through Encode() (or
+/// ConcatBatches of such batches), which leaves publication a pointer swap.
 ///
 /// Every table additionally carries a monotonic *version epoch*, bumped by
 /// the facade on each data change (BulkLoad / Append). Summary tables record
@@ -70,30 +73,20 @@ void SortRows(Relation* relation);
 /// absorbed them, and capped at kMaxRetainedDeltas per table.
 ///
 /// Thread-safety: the name -> version maps are guarded by an internal mutex;
-/// versions themselves are immutable (except the lazily built columnar twin,
-/// which has its own per-version lock). Concurrent Snap() / Replace() /
-/// lookups are safe. Raw pointers returned by FindTable stay valid only
-/// until the table's next Replace/DropTable — concurrent readers must pin a
-/// Snapshot instead.
+/// versions and slices are immutable once published. Concurrent Snap() /
+/// Replace() / lookups are safe, and the Batches handed out are shared_ptrs,
+/// so a reader keeps whatever version it fetched alive.
 class Storage {
  private:
   /// One immutable published version of a table.
   struct Version {
-    Relation relation;
-    /// Per-column dictionaries to extend when this version's twin is built —
-    /// captured from the predecessor version at Replace/RetainDelta time, so
-    /// an append extends the table's shared dictionaries instead of
-    /// rebuilding them (codes stay stable across versions and delta slices).
-    std::vector<DictionaryPtr> dict_seeds;
-    /// Columnar twin of this version; built on first FindColumnar and shared
-    /// by every snapshot holding the version.
-    mutable std::mutex columnar_mu;
-    mutable std::shared_ptr<const Batch> columnar;
+    std::vector<std::string> column_names;
+    std::shared_ptr<const Batch> batch;
   };
   using VersionPtr = std::shared_ptr<const Version>;
 
   /// Per-table retained delta slices, ordered by the epoch each produced.
-  using DeltaMap = std::map<int64_t, VersionPtr>;
+  using DeltaMap = std::map<int64_t, std::shared_ptr<const Batch>>;
 
  public:
   /// Retained slices per table; larger retention only buys compensation
@@ -105,13 +98,14 @@ class Storage {
   /// vector plus a reference to each table's then-current version — and the
   /// retained append-delta slices, so a compensated query keeps reading its
   /// delta rows even if a concurrent refresh prunes them. Cheap to copy
-  /// (shared_ptr per table); keeps the pinned versions (and their columnar
-  /// twins) alive for as long as any holder exists.
+  /// (shared_ptr per table); keeps the pinned versions alive for as long as
+  /// any holder exists.
   class Snapshot {
    public:
     Snapshot() = default;
-    const Relation* FindTable(const std::string& name) const;
     std::shared_ptr<const Batch> FindColumnar(const std::string& name) const;
+    /// Column names of `name` (empty for unknown tables).
+    std::vector<std::string> ColumnNames(const std::string& name) const;
     int64_t Epoch(const std::string& name) const;
     /// Epochs of every table in the snapshot (keyed by lower-cased name).
     const std::unordered_map<std::string, int64_t>& epochs() const {
@@ -125,16 +119,11 @@ class Storage {
     bool HasDeltaCoverage(const std::string& name, int64_t from,
                           int64_t to) const;
     /// The retained slices covering (from, to], oldest first; empty when
-    /// coverage is incomplete. Pointers stay valid while the snapshot lives.
-    std::vector<const Relation*> DeltaSlices(const std::string& name,
-                                             int64_t from, int64_t to) const;
+    /// coverage is incomplete. They share the table's dictionaries.
+    std::vector<std::shared_ptr<const Batch>> DeltaSlices(
+        const std::string& name, int64_t from, int64_t to) const;
     /// Total rows across DeltaSlices(name, from, to).
     int64_t DeltaRows(const std::string& name, int64_t from, int64_t to) const;
-    /// Columnar twins of DeltaSlices(name, from, to), same order — built
-    /// lazily and cached on each slice (like table versions), so repeated
-    /// compensated scans of a slice pay the row->column conversion once.
-    std::vector<std::shared_ptr<const Batch>> DeltaSliceColumnar(
-        const std::string& name, int64_t from, int64_t to) const;
 
    private:
     friend class Storage;
@@ -143,26 +132,24 @@ class Storage {
     std::unordered_map<std::string, DeltaMap> deltas_;
   };
 
-  Status AddTable(const std::string& name, Relation relation);
+  /// Publishes a new table (raw string columns get fresh dictionaries).
+  Status AddTable(const std::string& name,
+                  std::vector<std::string> column_names, Batch batch);
   Status DropTable(const std::string& name);
   /// Commits a new version of an existing table (copy-on-write): snapshots
-  /// taken before the call keep serving the prior version.
-  Status Replace(const std::string& name, Relation relation);
+  /// taken before the call keep serving the prior version. Column names
+  /// carry over; raw string columns are encoded against the replaced
+  /// version's dictionaries.
+  Status Replace(const std::string& name, Batch batch);
 
-  /// Current version of `name` (nullptr for unknown tables). The pointer is
-  /// valid until the table's next Replace/DropTable; concurrent readers use
-  /// Snap() instead.
-  const Relation* FindTable(const std::string& name) const;
-
-  /// Columnar view of `name` (nullptr for unknown tables). Built lazily from
-  /// the row store of the current version and cached with it.
+  /// Current columns of `name` (nullptr for unknown tables).
   std::shared_ptr<const Batch> FindColumnar(const std::string& name) const;
 
-  /// The dictionaries `name`'s current version would encode against — for
-  /// callers (incremental maintenance) that build their own delta batches
-  /// and want them to share the table's dictionaries. Does not force twin
-  /// construction; empty for unknown tables or tables never encoded.
-  std::vector<DictionaryPtr> DictSeeds(const std::string& name) const;
+  /// `batch` with its raw string columns encoded against `name`'s current
+  /// dictionaries (fresh ones where a column has none, or the table is
+  /// unknown) — the encoding AddTable/Replace would run, done offline,
+  /// before the writer's commit window.
+  Batch Encode(const std::string& name, Batch batch) const;
 
   /// Current version epoch of `name` (0 for never-modified / unknown tables).
   int64_t Epoch(const std::string& name) const;
@@ -172,17 +159,18 @@ class Storage {
   /// changes go through BumpEpoch so epochs stay monotonic).
   void SetEpoch(const std::string& name, int64_t epoch);
 
-  /// Retains `delta` as the append slice that produced `epoch` for `name`
-  /// (Append only — BulkLoad's rewrite-of-history must NOT retain, so its
-  /// staleness stays non-compensatable). Oldest slices beyond
-  /// kMaxRetainedDeltas are dropped.
-  void RetainDelta(const std::string& name, int64_t epoch, Relation delta);
+  /// Retains `delta` (run through Encode(name, ...)) as the append slice that
+  /// produced `epoch` for `name` (Append only — BulkLoad's rewrite-of-history
+  /// must NOT retain, so its staleness stays non-compensatable). Oldest
+  /// slices beyond kMaxRetainedDeltas are dropped.
+  void RetainDelta(const std::string& name, int64_t epoch,
+                   std::shared_ptr<const Batch> delta);
 
   /// Drops every slice of `name` with epoch <= `epoch` (absorbed by a
   /// refresh / incremental merge). Snapshots pinned earlier keep theirs.
   void PruneDeltasThrough(const std::string& name, int64_t epoch);
 
-  /// {table (lower-cased), epoch, rows} of every retained slice — copied,
+  /// {table (lower-cased), epoch, rows} of every retained slice — decoded,
   /// for checkpointing.
   struct RetainedDelta {
     std::string table;
@@ -200,16 +188,8 @@ class Storage {
   /// freshness check — names are case-insensitive everywhere).
   static std::string Key(const std::string& name);
 
-  /// Builds/returns the columnar twin of one version. String columns are
-  /// dictionary-encoded against the version's seeds (fresh dictionaries when
-  /// there are none).
-  static std::shared_ptr<const Batch> ColumnarOf(const Version& version);
-
-  /// The dictionaries the next version of this table should extend: the
-  /// built twin's when it exists, else the seeds this version itself carries
-  /// (so chains of appends stay on one dictionary even when no query built a
-  /// twin in between).
-  static std::vector<DictionaryPtr> SeedsOf(const Version& version);
+  /// Current version of `key` (nullptr for unknown tables).
+  VersionPtr Find(const std::string& key) const;
 
   /// Guards the maps; pinned versions are immutable so holders never need it.
   mutable std::mutex mu_;

@@ -50,6 +50,13 @@ enum class UnaryOp { kNeg, kNot };
 
 enum class AggFunc { kCount, kSum, kMin, kMax, kAvg };
 
+/// An aggregate column of a row: its position and function — what a keyed
+/// group merge combines (maintenance::MergeGroups).
+struct AggColumn {
+  int col = 0;
+  AggFunc func = AggFunc::kCount;
+};
+
 /// A single expression node.
 class Expr {
  public:

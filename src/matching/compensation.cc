@@ -139,7 +139,7 @@ StatusOr<CompensationShape> AnalyzeCompensableQuery(
                                      "' does not decompose under union");
     }
     shape.agg_positions.push_back(
-        CompensationShape::AggPosition{i, agg->agg});
+        expr::AggColumn{i, agg->agg});
   }
   return shape;
 }

@@ -39,11 +39,8 @@ struct CompensationShape {
   /// Positions of the grouping outputs among the GROUP-BY box's outputs —
   /// the merge key of the two legs.
   std::vector<int> key_positions;
-  struct AggPosition {
-    int pos = 0;  // position among the GROUP-BY box's outputs
-    expr::AggFunc func = expr::AggFunc::kCount;
-  };
-  std::vector<AggPosition> agg_positions;
+  /// The aggregates, by position among the GROUP-BY box's outputs.
+  std::vector<expr::AggColumn> agg_positions;
 };
 
 /// Decides whether `query` can be answered by compensating a stale AST whose
@@ -69,10 +66,10 @@ struct CompensationPlan {
   int64_t to_epoch = 0;
   bool spj = false;
   qgm::Graph ast_leg;    // Q' rewritten through the AST (no stale-table scan)
-  qgm::Graph delta_leg;  // Q' over base tables; executed with the stale
-                         // table overridden by the concatenated delta rows
+  qgm::Graph delta_leg;  // Q' over base tables; executed once per retained
+                         // slice, with the stale table overridden by it
   std::vector<int> key_positions;
-  std::vector<CompensationShape::AggPosition> agg_positions;
+  std::vector<expr::AggColumn> agg_positions;
   /// Residual root over the merged rows (empty for spj): output expressions
   /// and HAVING conjuncts reference quantifier 0 = the merged GROUP-BY row.
   std::vector<qgm::OutputColumn> final_outputs;

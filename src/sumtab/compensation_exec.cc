@@ -1,9 +1,8 @@
 #include "sumtab/compensation_exec.h"
 
-#include <algorithm>
 #include <iterator>
 #include <map>
-#include <unordered_map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -24,7 +23,7 @@ StatusOr<engine::Relation> ExecuteCompensationPlan(
     const matching::CompensationPlan& plan,
     const engine::Storage::Snapshot& snap, const engine::ExecOptions& options,
     int64_t* delta_rows_scanned) {
-  std::vector<const engine::Relation*> slices =
+  std::vector<std::shared_ptr<const engine::Batch>> slices =
       snap.DeltaSlices(plan.stale_table, plan.from_epoch, plan.to_epoch);
   if (slices.empty() && plan.from_epoch < plan.to_epoch) {
     // The planner validated coverage against this same snapshot, and pinned
@@ -36,11 +35,6 @@ StatusOr<engine::Relation> ExecuteCompensationPlan(
         "retained delta slices for '" + plan.stale_table +
             "' are not pinned by this snapshot");
   }
-  // Each slice's columnar twin is built once and cached on the slice, so a
-  // repeatedly-compensated query scans columns at base-table speed.
-  std::vector<std::shared_ptr<const engine::Batch>> slice_batches =
-      snap.DeltaSliceColumnar(plan.stale_table, plan.from_epoch,
-                              plan.to_epoch);
   if (delta_rows_scanned != nullptr) {
     *delta_rows_scanned =
         snap.DeltaRows(plan.stale_table, plan.from_epoch, plan.to_epoch);
@@ -48,75 +42,43 @@ StatusOr<engine::Relation> ExecuteCompensationPlan(
 
   // Both legs execute against the SAME pinned snapshot with the caller's
   // options (parallel / budgets apply to each leg); only the override
-  // differs — leg B reads the delta rows where the plan scans the stale
-  // table. The delta leg runs once per retained slice: aggregates that
-  // qualify for compensation decompose under union, so folding slice
-  // partials one at a time equals aggregating the concatenation — without
-  // ever copying the slices into one relation.
+  // differs — leg B scans a retained slice where the plan scans the stale
+  // table. The delta leg runs once per slice: aggregates that qualify for
+  // compensation decompose under union, so folding slice partials one at a
+  // time equals aggregating the concatenation — without ever copying the
+  // slices into one batch.
   engine::ExecOptions leg_options = options;
-  leg_options.table_overrides = nullptr;
+  leg_options.columnar_overrides = nullptr;
   engine::Executor ast_exec(snap, leg_options);
-  SUMTAB_ASSIGN_OR_RETURN(engine::Relation ast_leg,
+  SUMTAB_ASSIGN_OR_RETURN(engine::Relation merged,
                           ast_exec.Execute(plan.ast_leg));
-
-  auto exec_slice = [&](size_t i) -> StatusOr<engine::Relation> {
-    std::map<std::string, const engine::Relation*> overrides;
-    overrides[plan.stale_table] = slices[i];
-    std::map<std::string, std::shared_ptr<const engine::Batch>> columnar;
-    engine::ExecOptions slice_options = options;
-    slice_options.table_overrides = &overrides;
-    columnar[plan.stale_table] = slice_batches[i];
-    slice_options.columnar_overrides = &columnar;
-    engine::Executor delta_exec(snap, slice_options);
-    return delta_exec.Execute(plan.delta_leg);
-  };
+  std::vector<Row> delta_rows;
+  for (const auto& slice : slices) {
+    const std::map<std::string, std::shared_ptr<const engine::Batch>>
+        overrides = {{plan.stale_table, slice}};
+    leg_options.columnar_overrides = &overrides;
+    engine::Executor delta_exec(snap, leg_options);
+    SUMTAB_ASSIGN_OR_RETURN(engine::Relation delta_leg,
+                            delta_exec.Execute(plan.delta_leg));
+    delta_rows.insert(delta_rows.end(),
+                      std::make_move_iterator(delta_leg.rows.begin()),
+                      std::make_move_iterator(delta_leg.rows.end()));
+  }
 
   if (plan.spj) {
     // SPJ: the legs partition the answer; concatenate and re-order.
-    engine::Relation result = std::move(ast_leg);
-    for (size_t i = 0; i < slices.size(); ++i) {
-      SUMTAB_ASSIGN_OR_RETURN(engine::Relation delta_leg, exec_slice(i));
-      result.rows.insert(result.rows.end(),
-                         std::make_move_iterator(delta_leg.rows.begin()),
-                         std::make_move_iterator(delta_leg.rows.end()));
-    }
-    ApplyOrderBy(plan.order_by, &result);
-    return result;
+    merged.rows.insert(merged.rows.end(),
+                       std::make_move_iterator(delta_rows.begin()),
+                       std::make_move_iterator(delta_rows.end()));
+    ApplyOrderBy(plan.order_by, &merged);
+    return merged;
   }
 
-  // Keyed merge of the legs' groups — the same index + combine structure
-  // (and the same MergeAggregateValues core) as Append's phase-3 merge, so
-  // aggregate kinds land exactly where a full recompute would put them.
-  engine::Relation merged = std::move(ast_leg);
-  std::unordered_map<Row, size_t, RowHash> index;
-  index.reserve(merged.rows.size());
-  auto key_of = [&plan](const Row& row) {
-    Row key;
-    key.reserve(plan.key_positions.size());
-    for (int c : plan.key_positions) key.push_back(row[c]);
-    return key;
-  };
-  for (size_t i = 0; i < merged.rows.size(); ++i) {
-    index.emplace(key_of(merged.rows[i]), i);
-  }
-  for (size_t s = 0; s < slices.size(); ++s) {
-    SUMTAB_ASSIGN_OR_RETURN(engine::Relation delta_leg, exec_slice(s));
-    for (Row& drow : delta_leg.rows) {
-      auto it = index.find(key_of(drow));
-      if (it == index.end()) {
-        // A group born entirely inside the delta.
-        index.emplace(key_of(drow), merged.rows.size());
-        merged.rows.push_back(std::move(drow));
-        continue;
-      }
-      Row& existing = merged.rows[it->second];
-      for (const matching::CompensationShape::AggPosition& agg :
-           plan.agg_positions) {
-        existing[agg.pos] = maintenance::MergeAggregateValues(
-            agg.func, existing[agg.pos], drow[agg.pos]);
-      }
-    }
-  }
+  // Keyed merge of the legs' groups through the one merge incremental
+  // maintenance uses, so aggregate kinds land exactly where a full recompute
+  // would put them.
+  maintenance::MergeGroups(plan.key_positions, plan.agg_positions,
+                           std::move(delta_rows), &merged.rows);
 
   // Residual: the original root's projections (lowered AVG included) and
   // HAVING, evaluated per merged group. Quantifier 0 of those expressions is

@@ -1,8 +1,8 @@
 // Runtime for delta-compensation plans (matching/compensation.h): executes
-// the two legs against one pinned snapshot, merges them through the same
-// MergeAggregateValues core incremental maintenance uses, then applies the
-// residual projections / HAVING / ORDER BY the plan carried out of the
-// original query root.
+// the two legs against one pinned snapshot, merges them through
+// maintenance::MergeGroups — the keyed merge incremental maintenance uses —
+// then applies the residual projections / HAVING / ORDER BY the plan
+// carried out of the original query root.
 #ifndef SUMTAB_SUMTAB_COMPENSATION_EXEC_H_
 #define SUMTAB_SUMTAB_COMPENSATION_EXEC_H_
 
@@ -19,10 +19,10 @@ namespace compensation {
 /// Executes `plan` against `snap` (which must pin delta coverage for the
 /// plan's epoch range — the planner checked; a pinned snapshot cannot lose
 /// slices). `options` flows to both legs — parallel / budget settings apply
-/// to each — except table_overrides, which this function owns
-/// (the delta leg overrides the stale table with the concatenated retained
-/// slices). `delta_rows_scanned` (optional) receives the number of delta
-/// rows the compensation leg read.
+/// to each — except columnar_overrides, which this function owns (each
+/// delta leg overrides the stale table with one retained slice).
+/// `delta_rows_scanned` (optional) receives the number of delta rows the
+/// compensation leg read.
 StatusOr<engine::Relation> ExecuteCompensationPlan(
     const matching::CompensationPlan& plan,
     const engine::Storage::Snapshot& snap, const engine::ExecOptions& options,

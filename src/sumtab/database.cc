@@ -22,16 +22,17 @@ namespace sumtab {
 namespace {
 
 /// Leaf-scan cost of a graph against a pinned snapshot: total rows of every
-/// scanned base table. Same heuristic TryRewrite costs candidates with; here
-/// it prices the query's base-table form for the workload log.
+/// scanned base table. TryRewrite costs its candidates with it, and the
+/// workload log prices the query's base-table form with it.
 int64_t LeafRowCost(const qgm::Graph& graph,
                     const engine::Storage::Snapshot& snap) {
   int64_t cost = 0;
   for (int id = 0; id < graph.size(); ++id) {
     const qgm::Box* box = graph.box(id);
     if (box->kind != qgm::Box::Kind::kBase) continue;
-    const engine::Relation* rel = snap.FindTable(box->table_name);
-    if (rel != nullptr) cost += static_cast<int64_t>(rel->NumRows());
+    std::shared_ptr<const engine::Batch> batch =
+        snap.FindColumnar(box->table_name);
+    if (batch != nullptr) cost += batch->num_rows;
   }
   return cost;
 }
@@ -162,11 +163,13 @@ Status Database::CreateTable(const std::string& name,
   {
     std::unique_lock<std::shared_mutex> lock(ddl_mu_);
     SUMTAB_RETURN_NOT_OK(catalog_.AddTable(std::move(table)));
-    engine::Relation empty;
+    std::vector<std::string> column_names;
     for (const catalog::Column& col : columns) {
-      empty.column_names.push_back(ToLower(col.name));
+      column_names.push_back(ToLower(col.name));
     }
-    SUMTAB_RETURN_NOT_OK(storage_.AddTable(name, std::move(empty)));
+    SUMTAB_RETURN_NOT_OK(storage_.AddTable(
+        name, std::move(column_names),
+        engine::BatchFromRows({}, static_cast<int>(columns.size()))));
     BumpGeneration();
   }
   MaybeCheckpointLocked();
@@ -212,11 +215,16 @@ Status Database::BulkLoad(const std::string& table, std::vector<Row> rows) {
   // can touch storage/catalog meanwhile, and readers only read, so the
   // full-table copy runs without stalling query planning.
   std::lock_guard<std::mutex> maint(maint_mu_);
-  const engine::Relation* existing = storage_.FindTable(table);
-  if (existing == nullptr) {
+  const catalog::Table* meta = catalog_.FindTable(table);
+  std::shared_ptr<const engine::Batch> existing = storage_.FindColumnar(table);
+  if (meta == nullptr || existing == nullptr) {
     return Status::NotFound("table '" + table + "'");
   }
-  const catalog::Table* meta = catalog_.FindTable(table);
+  if (meta->is_summary_table) {
+    // A summary table's rows are derived: loading into one would make the
+    // rewriter serve answers no query over the base tables can produce.
+    return Status::InvalidArgument("cannot bulk load into a summary table");
+  }
   for (const Row& row : rows) {
     if (row.size() != meta->columns.size()) {
       return Status::InvalidArgument("row arity mismatch for '" + table + "'");
@@ -224,8 +232,13 @@ Status Database::BulkLoad(const std::string& table, std::vector<Row> rows) {
   }
   SUMTAB_RETURN_NOT_OK(LogRowsOp(
       static_cast<uint8_t>(wal::RecordType::kBulkLoad), meta->name, rows));
-  engine::Relation updated = *existing;
-  for (Row& row : rows) updated.rows.push_back(std::move(row));
+  engine::Batch loaded = storage_.Encode(
+      table,
+      engine::BatchFromRows(std::move(rows),
+                            static_cast<int>(meta->columns.size())));
+  engine::Batch updated = existing->num_rows == 0
+                              ? std::move(loaded)
+                              : engine::ConcatBatches(*existing, loaded);
   // Commit: publish the new version and bump the epoch in one exclusive
   // window. Queries that pinned a snapshot before this point keep reading
   // the pre-load rows.
@@ -259,12 +272,13 @@ StatusOr<int64_t> Database::DefineSummaryTable(const std::string& name,
                           sql::Parse(sql));
   SUMTAB_ASSIGN_OR_RETURN(qgm::Graph graph, qgm::BuildGraph(*stmt, catalog_));
 
-  // Materialize; stored sorted, like every full recompute (see
+  // Materialize; stored sorted and encoded, like every full recompute (see
   // RefreshUnderMaint).
   engine::Executor executor(storage_);
-  SUMTAB_ASSIGN_OR_RETURN(engine::Relation data, executor.Execute(graph));
-  engine::SortRows(&data);
-  int64_t rows = static_cast<int64_t>(data.NumRows());
+  SUMTAB_ASSIGN_OR_RETURN(std::shared_ptr<const engine::Batch> result,
+                          executor.ExecuteColumns(graph));
+  engine::Batch data = storage_.Encode(name, engine::SortBatch(*result));
+  int64_t rows = data.num_rows;
 
   // The definition parsed, built, and materialized — it will publish, so it
   // is safe (and required) to harden its record before the commit window.
@@ -277,15 +291,18 @@ StatusOr<int64_t> Database::DefineSummaryTable(const std::string& name,
     catalog::Table table;
     table.name = name;
     table.is_summary_table = true;
+    std::vector<std::string> column_names;
     for (int i = 0; i < root->NumOutputs(); ++i) {
       catalog::Column col;
       col.name = root->outputs[i].name;
       col.type = root->column_info[i].type;
       col.nullable = root->column_info[i].nullable;
+      column_names.push_back(col.name);
       table.columns.push_back(std::move(col));
     }
     SUMTAB_RETURN_NOT_OK(catalog_.AddTable(std::move(table)));
-    SUMTAB_RETURN_NOT_OK(storage_.AddTable(name, std::move(data)));
+    SUMTAB_RETURN_NOT_OK(
+        storage_.AddTable(name, std::move(column_names), std::move(data)));
 
     auto st = std::make_shared<SummaryTable>();
     st->name = ToLower(name);
@@ -338,10 +355,9 @@ std::vector<std::string> Database::SummaryTableNames() const {
 }
 
 int64_t Database::TableRows(const std::string& name) const {
-  // Pin a snapshot so a concurrent Replace can't free the version mid-read.
-  engine::Storage::Snapshot snap = storage_.Snap();
-  const engine::Relation* rel = snap.FindTable(name);
-  return rel == nullptr ? 0 : static_cast<int64_t>(rel->NumRows());
+  // The shared_ptr keeps the version alive across a concurrent Replace.
+  std::shared_ptr<const engine::Batch> batch = storage_.FindColumnar(name);
+  return batch == nullptr ? 0 : batch->num_rows;
 }
 
 // ---- freshness bookkeeping ----
@@ -483,26 +499,15 @@ std::unique_ptr<qgm::Graph> Database::TryRewrite(
     }
     return verdict;
   };
-  // Cost heuristic: total rows scanned at the leaves, counted against the
-  // query's pinned snapshot so concurrent loads don't skew the comparison.
-  auto leaf_cost = [&snap](const qgm::Graph& graph) {
-    int64_t cost = 0;
-    for (int id = 0; id < graph.size(); ++id) {
-      const qgm::Box* box = graph.box(id);
-      if (box->kind == qgm::Box::Kind::kBase) {
-        const engine::Relation* rel = snap.FindTable(box->table_name);
-        if (rel != nullptr) cost += static_cast<int64_t>(rel->NumRows());
-      }
-    }
-    return cost;
-  };
-
+  // Cost heuristic: LeafRowCost, counted against the query's pinned snapshot
+  // so concurrent loads don't skew the comparison.
+  //
   // Iterative rerouting (paper Sec. 7): match the best AST, then feed the
   // rewritten query back through the remaining ASTs — distinct subtrees
   // (e.g. a scalar subquery and the main block) can each land on their own
   // summary table.
   std::unique_ptr<qgm::Graph> current;
-  int64_t current_cost = leaf_cost(query);
+  int64_t current_cost = LeafRowCost(query, snap);
   std::vector<SummaryTablePtr> used;
   constexpr int kMaxRounds = 4;
   for (int round = 0; round < kMaxRounds; ++round) {
@@ -586,7 +591,7 @@ std::unique_ptr<qgm::Graph> Database::TryRewrite(
         ++*candidates;
         int64_t delta_rows =
             snap.DeltaRows(comp->stale_table, comp->from_epoch, comp->to_epoch);
-        int64_t cost = leaf_cost(comp->ast_leg) + delta_rows;
+        int64_t cost = LeafRowCost(comp->ast_leg, snap) + delta_rows;
         bool acceptable = cost <= current_cost &&
                           (best_comp == nullptr || cost < best_comp_cost);
         if (trace != nullptr) {
@@ -651,7 +656,7 @@ std::unique_ptr<qgm::Graph> Database::TryRewrite(
         continue;
       }
       if (round == 0) ++*candidates;
-      int64_t cost = leaf_cost(rewrite->graph);
+      int64_t cost = LeafRowCost(rewrite->graph, snap);
       // The first round takes any match (<=): even a same-size SPJ summary
       // table is worth using (filters/expressions are precomputed). Later
       // rounds demand strict improvement so the iteration terminates.

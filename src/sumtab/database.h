@@ -299,7 +299,7 @@ class Database {
   ///
   /// Either way the appended rows are additionally RETAINED as an
   /// addressable delta slice keyed by the epoch the append produced, so an
-  /// AST left stale (deferred maintenance, or a failed phase-4 refresh) can
+  /// AST left stale (deferred maintenance, or a failed phase-3 refresh) can
   /// still answer queries exactly via delta compensation.
   struct AppendOptions {
     /// False: skip AST maintenance entirely (no incremental merges, no

@@ -172,7 +172,10 @@ Status Database::Recover() {
     for (wal::CheckpointBaseTable& bt : ckpt.state.base_tables) {
       std::string name = bt.table.name;
       SUMTAB_RETURN_NOT_OK(catalog_.AddTable(std::move(bt.table)));
-      SUMTAB_RETURN_NOT_OK(storage_.AddTable(name, std::move(bt.data)));
+      SUMTAB_RETURN_NOT_OK(storage_.AddTable(
+          name, bt.data.column_names,
+          engine::BatchFromRows(std::move(bt.data.rows),
+                                bt.data.NumColumns())));
       storage_.SetEpoch(name, bt.epoch);
     }
     for (const catalog::ForeignKey& fk : ckpt.state.foreign_keys) {
@@ -213,7 +216,12 @@ Status Database::Recover() {
         ++recovery_deltas_dropped_;
         continue;
       }
-      storage_.RetainDelta(delta.table, delta.epoch, std::move(delta.data));
+      storage_.RetainDelta(
+          delta.table, delta.epoch,
+          std::make_shared<const engine::Batch>(
+              storage_.Encode(delta.table,
+                              engine::BatchFromRows(std::move(delta.data.rows),
+                                                    delta.data.NumColumns()))));
     }
   }
 
@@ -311,7 +319,9 @@ Status Database::RecoverAst(wal::CheckpointAst&& ast) {
   } else {
     data = std::move(ast.data);
   }
-  SUMTAB_RETURN_NOT_OK(storage_.AddTable(ast.name, std::move(data)));
+  SUMTAB_RETURN_NOT_OK(storage_.AddTable(
+      ast.name, data.column_names,
+      engine::BatchFromRows(std::move(data.rows), data.NumColumns())));
 
   if (!graph_ok) {
     // Without a definition graph the AST can neither serve rewrites nor be
@@ -452,21 +462,26 @@ Status Database::CheckpointLocked() {
   state.catalog_generation =
       catalog_generation_.load(std::memory_order_acquire);
   state.foreign_keys = catalog_.foreign_keys();
+  // Tables are checkpointed in row form (the codec's format): decoded from
+  // their published columns, so the bytes match what was loaded.
+  engine::Storage::Snapshot snap = storage_.Snap();
+  auto rows_of = [&snap](const std::string& name) {
+    return engine::BatchToRelation(*snap.FindColumnar(name),
+                                   snap.ColumnNames(name));
+  };
   for (const std::string& name : catalog_.TableNames()) {
     const catalog::Table* table = catalog_.FindTable(name);
     if (table->is_summary_table) continue;  // ASTs come from the registry
-    const engine::Relation* rel = storage_.FindTable(name);
-    if (rel == nullptr) continue;
+    if (snap.FindColumnar(name) == nullptr) continue;
     wal::CheckpointBaseTable bt;
     bt.table = *table;
-    bt.epoch = storage_.Epoch(name);
-    bt.data = *rel;
+    bt.epoch = snap.Epoch(name);
+    bt.data = rows_of(name);
     state.base_tables.push_back(std::move(bt));
   }
   for (const SummaryTablePtr& st : summary_tables_) {
     const catalog::Table* table = catalog_.FindTable(st->name);
-    const engine::Relation* rel = storage_.FindTable(st->name);
-    if (table == nullptr || rel == nullptr) continue;
+    if (table == nullptr || snap.FindColumnar(st->name) == nullptr) continue;
     wal::CheckpointAst ast;
     ast.name = st->name;
     ast.sql = st->sql;
@@ -477,7 +492,7 @@ Status Database::CheckpointLocked() {
         st->consecutive_failures.load(std::memory_order_acquire);
     ast.disabled = st->disabled.load(std::memory_order_acquire);
     ast.advisor_owned = st->advisor_owned;
-    ast.data = *rel;
+    ast.data = rows_of(st->name);
     state.asts.push_back(std::move(ast));
   }
   // The observed workload travels with the checkpoint so the advisor's

@@ -27,16 +27,27 @@
 namespace sumtab {
 namespace maintenance {
 
+namespace {
+
+/// How many BASE boxes of `graph` scan `table`.
+int TableReferences(const qgm::Graph& graph, const std::string& table) {
+  int references = 0;
+  for (qgm::BoxId id : graph.TopologicalOrder()) {
+    const qgm::Box* box = graph.box(id);
+    if (box->kind == qgm::Box::Kind::kBase && box->table_name == table) {
+      ++references;
+    }
+  }
+  return references;
+}
+
+}  // namespace
+
 StatusOr<MergePlan> AnalyzeMergePlan(const qgm::Graph& graph,
                                      const std::string& delta_table) {
-  int references = 0;
   bool has_group_by = false;
   for (qgm::BoxId id : graph.TopologicalOrder()) {
     const qgm::Box* box = graph.box(id);
-    if (box->kind == qgm::Box::Kind::kBase &&
-        box->table_name == delta_table) {
-      ++references;
-    }
     if (box->IsGroupBy()) has_group_by = true;
     if (box->distinct) {
       return RejectUnsupported(RejectReason::kMaintDistinctBlock,
@@ -49,7 +60,7 @@ StatusOr<MergePlan> AnalyzeMergePlan(const qgm::Graph& graph,
       }
     }
   }
-  if (references != 1) {
+  if (TableReferences(graph, delta_table) != 1) {
     // The caller tells "unaffected" (0 refs) from "self-join" (>1) by
     // counting references itself, keyed on this subcode.
     return RejectUnsupported(RejectReason::kMaintDeltaRefCount,
@@ -156,7 +167,7 @@ StatusOr<MergePlan> AnalyzeMergePlan(const qgm::Graph& graph,
         return RejectUnsupported(RejectReason::kMaintNonMergeableAggregate,
                                  "non-mergeable aggregate");
     }
-    plan.agg_cols.push_back(MergePlan::AggCol{static_cast<int>(i), agg->agg});
+    plan.agg_cols.push_back(expr::AggColumn{static_cast<int>(i), agg->agg});
   }
   // The merge is keyed on the projected grouping columns; if the root drops
   // one, distinct groups alias in the materialized table and deltas would
@@ -197,13 +208,42 @@ Value MergeAggregateValues(expr::AggFunc func, const Value& current,
   }
 }
 
+void MergeGroups(const std::vector<int>& key_cols,
+                 const std::vector<expr::AggColumn>& agg_cols,
+                 std::vector<Row> delta, std::vector<Row>* rows) {
+  auto key_of = [&key_cols](const Row& row) {
+    Row key;
+    key.reserve(key_cols.size());
+    for (int c : key_cols) key.push_back(row[c]);
+    return key;
+  };
+  std::unordered_map<Row, size_t, RowHash> index;
+  index.reserve(rows->size() + delta.size());
+  for (size_t i = 0; i < rows->size(); ++i) {
+    index.emplace(key_of((*rows)[i]), i);
+  }
+  for (Row& drow : delta) {
+    auto [it, born] = index.emplace(key_of(drow), rows->size());
+    if (born) {
+      // A group born entirely inside the delta.
+      rows->push_back(std::move(drow));
+      continue;
+    }
+    Row& existing = (*rows)[it->second];
+    for (const expr::AggColumn& agg : agg_cols) {
+      existing[agg.col] =
+          MergeAggregateValues(agg.func, existing[agg.col], drow[agg.col]);
+    }
+  }
+}
+
 }  // namespace maintenance
 
 namespace {
 
 using maintenance::AnalyzeMergePlan;
-using maintenance::MergeAggregateValues;
 using maintenance::MergePlan;
+using maintenance::TableReferences;
 
 }  // namespace
 
@@ -234,19 +274,14 @@ Status Database::RefreshUnderMaint(SummaryTable* st) {
   // storage is stable and concurrent queries keep planning while the (full)
   // re-aggregation runs.
   engine::Executor executor(storage_);
-  SUMTAB_ASSIGN_OR_RETURN(engine::Relation data, executor.Execute(st->graph));
+  SUMTAB_ASSIGN_OR_RETURN(std::shared_ptr<const engine::Batch> result,
+                          executor.ExecuteColumns(st->graph));
   // A full materialization is stored sorted, not in the aggregator's
   // hash-table order: the stored order is then deterministic, and queries
   // over the AST run faster on it (perfbench dashboard tiles: median query
   // latency ~12% lower than over hash-ordered ASTs, 4-core Xeon VM).
-  engine::SortRows(&data);
-  const engine::Relation* stored = storage_.FindTable(st->name);
-  if (stored == nullptr) {
-    return Status::Internal("summary table data missing");
-  }
-  engine::Relation updated;
-  updated.column_names = stored->column_names;
-  updated.rows = std::move(data.rows);
+  engine::Batch updated =
+      storage_.Encode(st->name, engine::SortBatch(*result));
   {
     // Copy-on-write commit: queries pinned to the old version keep it.
     std::unique_lock<std::shared_mutex> lock(ddl_mu_);
@@ -273,7 +308,7 @@ StatusOr<Database::MaintenanceReport> Database::Append(
   // snapshot) or plan after the base table and every incrementally-merged
   // AST published together — they never observe the base table appended but
   // a dependent AST unmerged. ASTs on the recompute path go visibly stale at
-  // the commit (their epochs lag) and stop serving rewrites until phase 4
+  // the commit (their epochs lag) and stop serving rewrites until phase 3
   // refreshes them; answers stay correct throughout, from base tables.
   std::lock_guard<std::mutex> maint(maint_mu_);
   const catalog::Table* meta = catalog_.FindTable(table);
@@ -288,88 +323,51 @@ StatusOr<Database::MaintenanceReport> Database::Append(
       return Status::InvalidArgument("row arity mismatch for '" + table + "'");
     }
   }
-  engine::Relation delta;
-  const engine::Relation* stored_base = storage_.FindTable(table);
-  delta.column_names = stored_base->column_names;
-  delta.rows = std::move(rows);
-  // Workload telemetry: the advisor charges candidates their maintenance
-  // cost from this observed append rate. Recording during replay is correct
-  // — a restored checkpoint covers appends up to its last_lsn only.
-  const int64_t appended_rows = static_cast<int64_t>(delta.rows.size());
-
+  // Encoded once against the base table's dictionaries (so joins and group
+  // keys land on the table's shared codes): phase 1 scans it, the next base
+  // version concatenates it, and the retained slice is this same Batch.
+  auto delta = std::make_shared<const engine::Batch>(storage_.Encode(
+      meta->name,
+      engine::BatchFromRows(rows, static_cast<int>(meta->columns.size()))));
+  // The base table's next copy-on-write version, built offline (the
+  // full-table copy is the expensive part of an append — it must not happen
+  // under ddl_mu_).
+  engine::Batch next_base =
+      engine::ConcatBatches(*storage_.FindColumnar(meta->name), *delta);
   MaintenanceReport report;
 
-  // Deferred maintenance: publish the base rows and RETAIN the appended
-  // slice, but leave dependent ASTs untouched. Their epochs now lag by a
-  // pure-append delta with full coverage, so the rewriter can still answer
-  // exactly through them via delta compensation; a later Refresh (or eager
-  // append) absorbs the slices. This trades per-append maintenance cost for
-  // per-query compensation cost — the ingest-heavy end of the paper's
-  // maintenance spectrum.
-  if (!append_options.maintain) {
-    SUMTAB_RETURN_NOT_OK(
-        LogRowsOp(static_cast<uint8_t>(wal::RecordType::kAppendDeferred),
-                  meta->name, delta.rows));
-    engine::Relation next_base = *stored_base;
-    next_base.rows.insert(next_base.rows.end(), delta.rows.begin(),
-                          delta.rows.end());
-    {
-      std::unique_lock<std::shared_mutex> lock(ddl_mu_);
-      SUMTAB_RETURN_NOT_OK(storage_.Replace(meta->name, std::move(next_base)));
-      int64_t new_epoch = storage_.BumpEpoch(meta->name);
-      storage_.RetainDelta(meta->name, new_epoch, std::move(delta));
-    }
-    for (const auto& st : summary_tables_) {
-      int refs = 0;
-      for (qgm::BoxId id : st->graph.TopologicalOrder()) {
-        const qgm::Box* box = st->graph.box(id);
-        refs += box->kind == qgm::Box::Kind::kBase &&
-                        box->table_name == meta->name
-                    ? 1
-                    : 0;
-      }
-      report.entries.push_back(RefreshEntry{
-          st->name,
-          refs == 0 ? RefreshMode::kUnaffected : RefreshMode::kDeferred, 0,
-          ""});
-    }
-    for (const RefreshEntry& entry : report.entries) {
-      MetricsRegistry::Global()
-          .counter(entry.mode == RefreshMode::kDeferred
-                       ? "maintenance.deferred"
-                       : "maintenance.unaffected")
-          ->Increment();
-    }
-    // No-op unless every dependent AST already covers the new epoch (e.g.
-    // an append to a table no enabled AST reads).
-    PruneAbsorbedDeltas(meta->name);
-    workload_log_.RecordAppend(meta->name, appended_rows);
-    MaybeCheckpointLocked();
-    return report;
-  }
-
-  // Maintenance scans a prebuilt columnar delta: encoded once against the
-  // base table's dictionaries (so joins and group keys land on the table's
-  // shared codes) and reused by every AST's phase-1 evaluation instead of
-  // re-converting the delta rows per AST.
-  auto delta_batch = std::make_shared<engine::Batch>(
-      engine::BatchFromRows(delta.rows, delta.NumColumns()));
-  engine::DictEncodeBatch(delta_batch.get(), storage_.DictSeeds(meta->name));
   const std::map<std::string, std::shared_ptr<const engine::Batch>>
-      delta_columnar = {{meta->name, std::move(delta_batch)}};
+      delta_override = {{meta->name, delta}};
 
   // Phase 1: aggregate the delta through every incrementally-maintainable
   // AST (reads dimensions from storage, the appended table from the delta).
   // Storage and the registry are stable under maint_mu_ alone.
+  //
+  // Deferred maintenance skips phases 1-3: it publishes the base rows and
+  // RETAINS the appended slice, but leaves dependent ASTs untouched. Their
+  // epochs now lag by a pure-append delta with full coverage, so the
+  // rewriter can still answer exactly through them via delta compensation;
+  // a later Refresh (or eager append) absorbs the slices. This trades
+  // per-append maintenance cost for per-query compensation cost — the
+  // ingest-heavy end of the paper's maintenance spectrum.
   struct Pending {
     SummaryTable* st;
     MergePlan plan;
     engine::Relation delta_result;
-    engine::Relation merged;  // built in phase 3, published at the commit
+    engine::Batch merged;  // built in phase 2, published at the commit
   };
   std::vector<Pending> incremental;
   std::vector<SummaryTable*> recompute;
   for (const auto& st : summary_tables_) {
+    if (!append_options.maintain) {
+      report.entries.push_back(RefreshEntry{
+          st->name,
+          TableReferences(st->graph, meta->name) == 0
+              ? RefreshMode::kUnaffected
+              : RefreshMode::kDeferred,
+          0, ""});
+      continue;
+    }
     auto start = std::chrono::steady_clock::now();
     StatusOr<MergePlan> plan = AnalyzeMergePlan(st->graph, meta->name);
     if (!plan.ok()) {
@@ -377,15 +375,7 @@ StatusOr<Database::MaintenanceReport> Database::Append(
       if (RejectReasonFromStatus(plan.status()) ==
           RejectReason::kMaintDeltaRefCount) {
         // Distinguish 0 references (unaffected) from self-joins.
-        int refs = 0;
-        for (qgm::BoxId id : st->graph.TopologicalOrder()) {
-          const qgm::Box* box = st->graph.box(id);
-          refs += box->kind == qgm::Box::Kind::kBase &&
-                          box->table_name == meta->name
-                      ? 1
-                      : 0;
-        }
-        unaffected = refs == 0;
+        unaffected = TableReferences(st->graph, meta->name) == 0;
       }
       if (unaffected) {
         report.entries.push_back(
@@ -403,11 +393,8 @@ StatusOr<Database::MaintenanceReport> Database::Append(
       recompute.push_back(st.get());
       continue;
     }
-    std::map<std::string, const engine::Relation*> overrides;
-    overrides[meta->name] = &delta;
     engine::ExecOptions options;
-    options.table_overrides = &overrides;
-    options.columnar_overrides = &delta_columnar;
+    options.columnar_overrides = &delta_override;
     engine::Executor executor(storage_, options);
     Status injected = FaultInjector::Instance().Check("maintenance/incremental");
     StatusOr<engine::Relation> delta_eval =
@@ -431,60 +418,39 @@ StatusOr<Database::MaintenanceReport> Database::Append(
         std::chrono::duration<double, std::milli>(end - start).count(), ""});
   }
 
-  // Phase 2: build the base table's next copy-on-write version offline (the
-  // full-table copy is the expensive part of an append — it must not happen
-  // under ddl_mu_).
-  engine::Relation next_base = *stored_base;
-  next_base.rows.insert(next_base.rows.end(), delta.rows.begin(),
-                        delta.rows.end());
-
-  // Phase 3: merge the delta aggregates into copies of the materialized
+  // Phase 2: merge the delta aggregates into copies of the materialized
   // tables, still offline.
   for (Pending& pending : incremental) {
-    const engine::Relation* current = storage_.FindTable(pending.st->name);
+    std::shared_ptr<const engine::Batch> current =
+        storage_.FindColumnar(pending.st->name);
     if (current == nullptr) {
       return Status::Internal("summary table data missing");
     }
-    pending.merged = *current;
-    engine::Relation& merged = pending.merged;
     if (pending.plan.spj_append) {
-      merged.rows.insert(merged.rows.end(),
-                         pending.delta_result.rows.begin(),
-                         pending.delta_result.rows.end());
+      pending.merged = engine::ConcatBatches(
+          *current, storage_.Encode(pending.st->name,
+                                    engine::BatchFromRows(
+                                        std::move(pending.delta_result.rows),
+                                        current->NumColumns())));
       continue;
     }
-    std::unordered_map<Row, size_t, RowHash> index;
-    index.reserve(merged.rows.size());
-    auto key_of = [&pending](const Row& row) {
-      Row key;
-      key.reserve(pending.plan.key_cols.size());
-      for (int c : pending.plan.key_cols) key.push_back(row[c]);
-      return key;
-    };
-    for (size_t i = 0; i < merged.rows.size(); ++i) {
-      index.emplace(key_of(merged.rows[i]), i);
-    }
-    for (Row& drow : pending.delta_result.rows) {
-      auto it = index.find(key_of(drow));
-      if (it == index.end()) {
-        index.emplace(key_of(drow), merged.rows.size());
-        merged.rows.push_back(std::move(drow));
-        continue;
-      }
-      Row& existing = merged.rows[it->second];
-      for (const MergePlan::AggCol& agg : pending.plan.agg_cols) {
-        existing[agg.col] =
-            MergeAggregateValues(agg.func, existing[agg.col], drow[agg.col]);
-      }
-    }
+    std::vector<Row> merged = engine::BatchToRelation(*current, {}).rows;
+    maintenance::MergeGroups(pending.plan.key_cols, pending.plan.agg_cols,
+                             std::move(pending.delta_result.rows), &merged);
+    pending.merged = storage_.Encode(
+        pending.st->name, engine::BatchFromRows(std::move(merged),
+                                                current->NumColumns()));
   }
 
   // Log + harden before publishing anything: every phase so far was pure
   // offline computation, so a crash up to here means the append never
   // happened; a crash after the harden replays it in full — base rows,
   // incremental merges, and recomputes — through this same code path.
-  SUMTAB_RETURN_NOT_OK(LogRowsOp(
-      static_cast<uint8_t>(wal::RecordType::kAppend), meta->name, delta.rows));
+  SUMTAB_RETURN_NOT_OK(
+      LogRowsOp(static_cast<uint8_t>(append_options.maintain
+                                         ? wal::RecordType::kAppend
+                                         : wal::RecordType::kAppendDeferred),
+                meta->name, rows));
 
   // Commit: publish the appended base and every merged AST, bump the epoch,
   // and advance the merged ASTs' recorded epochs (lifting any quarantine —
@@ -495,11 +461,11 @@ StatusOr<Database::MaintenanceReport> Database::Append(
     std::unique_lock<std::shared_mutex> lock(ddl_mu_);
     SUMTAB_RETURN_NOT_OK(storage_.Replace(meta->name, std::move(next_base)));
     int64_t new_epoch = storage_.BumpEpoch(meta->name);
-    // Retain the slice even on the eager path: if a phase-4 recompute fails
+    // Retain the slice even on the eager path: if a phase-3 recompute fails
     // below, the AST it leaves stale is still exactly one pure-append epoch
     // behind — compensatable instead of unusable. Absorbed slices are pruned
-    // right after phase 4.
-    storage_.RetainDelta(meta->name, new_epoch, std::move(delta));
+    // right after phase 3.
+    storage_.RetainDelta(meta->name, new_epoch, delta);
     for (Pending& pending : incremental) {
       SUMTAB_RETURN_NOT_OK(
           storage_.Replace(pending.st->name, std::move(pending.merged)));
@@ -509,7 +475,7 @@ StatusOr<Database::MaintenanceReport> Database::Append(
     }
   }
 
-  // Phase 4: full recomputation for the rest. A refresh failure marks the
+  // Phase 3: full recomputation for the rest. A refresh failure marks the
   // AST (stale, failure counted toward quarantine) but does not fail the
   // append: the base data is already in, and the rewriter will simply stop
   // routing through the un-refreshed table.
@@ -528,31 +494,22 @@ StatusOr<Database::MaintenanceReport> Database::Append(
     report.entries.push_back(
         RefreshEntry{st->name, RefreshMode::kRecompute, millis, ""});
   }
+  // Indexed by RefreshMode.
+  static const char* const kModeCounters[] = {
+      "maintenance.unaffected", "maintenance.incremental",
+      "maintenance.recompute", "maintenance.failed", "maintenance.deferred"};
   for (const RefreshEntry& entry : report.entries) {
-    const char* mode = "unknown";
-    switch (entry.mode) {
-      case RefreshMode::kUnaffected:
-        mode = "unaffected";
-        break;
-      case RefreshMode::kIncremental:
-        mode = "incremental";
-        break;
-      case RefreshMode::kRecompute:
-        mode = "recompute";
-        break;
-      case RefreshMode::kFailed:
-        mode = "failed";
-        break;
-      case RefreshMode::kDeferred:
-        mode = "deferred";  // unreachable on the eager path
-        break;
-    }
     MetricsRegistry::Global()
-        .counter(std::string("maintenance.") + mode)
+        .counter(kModeCounters[static_cast<int>(entry.mode)])
         ->Increment();
   }
+  // After a deferred append this is a no-op unless every dependent AST
+  // already covers the new epoch (e.g. no enabled AST reads the table).
   PruneAbsorbedDeltas(meta->name);
-  workload_log_.RecordAppend(meta->name, appended_rows);
+  // Workload telemetry: the advisor charges candidates their maintenance
+  // cost from this observed append rate. Recording during replay is correct
+  // — a restored checkpoint covers appends up to its last_lsn only.
+  workload_log_.RecordAppend(meta->name, delta->num_rows);
   MaybeCheckpointLocked();
   return report;
 }

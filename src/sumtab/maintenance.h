@@ -19,11 +19,7 @@ namespace maintenance {
 struct MergePlan {
   bool spj_append = false;    // no aggregation: append delta rows verbatim
   std::vector<int> key_cols;  // output positions forming the group key
-  struct AggCol {
-    int col;
-    expr::AggFunc func;
-  };
-  std::vector<AggCol> agg_cols;
+  std::vector<expr::AggColumn> agg_cols;
 };
 
 /// Decides whether `graph` (an AST definition) supports incremental insert
@@ -45,6 +41,15 @@ StatusOr<MergePlan> AnalyzeMergePlan(const qgm::Graph& graph,
 ///   MIN/MAX: NULL identity, then operator< (cross-kind numeric compare).
 Value MergeAggregateValues(expr::AggFunc func, const Value& current,
                            const Value& delta);
+
+/// The keyed group merge shared by incremental maintenance (materialized
+/// rows + delta aggregate) and delta compensation (AST leg + delta legs):
+/// each `delta` row whose key_cols match a row of `rows` folds its agg_cols
+/// into that row through MergeAggregateValues; any other delta row is a new
+/// group and is appended (later delta rows can merge into it).
+void MergeGroups(const std::vector<int>& key_cols,
+                 const std::vector<expr::AggColumn>& agg_cols,
+                 std::vector<Row> delta, std::vector<Row>* rows);
 
 }  // namespace maintenance
 }  // namespace sumtab

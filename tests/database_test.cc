@@ -1,5 +1,7 @@
 // Facade tests: schema management, loading, summary-table lifecycle, query
 // options, EXPLAIN, and the multi-AST cost-based routing.
+#include <filesystem>
+
 #include <gtest/gtest.h>
 
 #include "tests/test_util.h"
@@ -41,6 +43,58 @@ TEST(DatabaseTest, BulkLoadArityChecked) {
   EXPECT_TRUE(db.BulkLoad("t", {{Value::Int(3), Value::Int(4)}}).ok());
   EXPECT_EQ(db.TableRows("t"), 2);
   EXPECT_FALSE(db.BulkLoad("ghost", {}).ok());
+}
+
+TEST(DatabaseTest, BulkLoadIntoSummaryTableIsRejected) {
+  // A summary table's rows are derived from its base tables: a row loaded
+  // into one would surface in every answer rewritten through it, so the
+  // load must be refused before it reaches the WAL.
+  std::string dir = ::testing::TempDir() + "sumtab_bulkload_into_ast";
+  std::filesystem::remove_all(dir);
+  DatabaseOptions options;
+  options.data_dir = dir;
+  StatusOr<std::unique_ptr<Database>> db = Database::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE((*db)->CreateTable("t", {Column{"a", Type::kInt, false},
+                                       Column{"b", Type::kInt, false}})
+                  .ok());
+  std::vector<Row> rows;
+  for (int i = 0; i < 20; ++i) {
+    rows.push_back({Value::Int(i % 2), Value::Int(i)});
+  }
+  ASSERT_TRUE((*db)->BulkLoad("t", rows).ok());
+  ASSERT_TRUE((*db)
+                  ->DefineSummaryTable(
+                      "ast", "select a, sum(b) as s from t group by a")
+                  .ok());
+  const int64_t wal_records = (*db)->Stats().durability.wal_records;
+
+  Status loaded = (*db)->BulkLoad("ast", {{Value::Int(1), Value::Int(999)}});
+  EXPECT_EQ(loaded.code(), Status::Code::kInvalidArgument)
+      << loaded.ToString();
+  // Rejected before the WAL saw it: nothing to replay on restart either.
+  EXPECT_EQ((*db)->Stats().durability.wal_records, wal_records);
+  EXPECT_EQ((*db)->TableRows("ast"), 2);
+
+  const std::string sql = "select a, sum(b) from t group by a";
+  engine::Relation want;
+  want.rows = {{Value::Int(0), Value::Int(90)},
+               {Value::Int(1), Value::Int(100)}};
+  StatusOr<QueryResult> got = (*db)->Query(sql);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got->used_summary_table);
+  EXPECT_TRUE(engine::SameRowMultiset(got->relation, want))
+      << got->relation.ToString();
+
+  db->reset();
+  StatusOr<std::unique_ptr<Database>> reopened = Database::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  got = (*reopened)->Query(sql);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(engine::SameRowMultiset(got->relation, want))
+      << got->relation.ToString();
+  reopened->reset();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DatabaseTest, SummaryTableLifecycle) {

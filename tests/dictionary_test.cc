@@ -1,6 +1,6 @@
 // Dictionary-encoding edge cases: intern/decode round trips, empty strings,
 // all-NULL columns, code-space exhaustion fallbacks, dictionary growth and
-// code stability across COW versions, sharing between base tables and
+// code stability across storage versions, sharing between base tables and
 // retained delta slices, snapshot pinning, and concurrent extend-while-decode
 // (the suite name matches the CI TSan regex on purpose).
 #include <memory>
@@ -22,7 +22,6 @@ using engine::BatchFromRows;
 using engine::ColumnVector;
 using engine::DictEncodeBatch;
 using engine::DictionaryPtr;
-using engine::Relation;
 using engine::Storage;
 using engine::StringDictionary;
 
@@ -114,68 +113,63 @@ TEST(DictionaryTest, AllNullColumnIsNotEncoded) {
   EXPECT_TRUE(BatchDictionaries(batch)[0] == nullptr);
 }
 
-TEST(DictionaryTest, StorageTwinGrowsOneDictionaryAcrossVersions) {
+TEST(DictionaryTest, StorageVersionsGrowOneDictionary) {
   Storage storage;
-  Relation rel;
-  rel.column_names = {"s"};
-  rel.rows = {{Value::String("x")}, {Value::String("y")}};
-  ASSERT_TRUE(storage.AddTable("t", rel).ok());
-  std::shared_ptr<const Batch> twin1 = storage.FindColumnar("t");
-  ASSERT_NE(twin1, nullptr);
-  ASSERT_TRUE(twin1->columns[0].dict_encoded());
-  DictionaryPtr dict = twin1->columns[0].dict();
-  const int32_t code_x = twin1->columns[0].codes()[0];
+  std::vector<Row> rows = {{Value::String("x")}, {Value::String("y")}};
+  ASSERT_TRUE(storage.AddTable("t", {"s"}, BatchFromRows(rows, 1)).ok());
+  std::shared_ptr<const Batch> v1 = storage.FindColumnar("t");
+  ASSERT_NE(v1, nullptr);
+  ASSERT_TRUE(v1->columns[0].dict_encoded());
+  DictionaryPtr dict = v1->columns[0].dict();
+  const int32_t code_x = v1->columns[0].codes()[0];
 
-  // Append via COW replace: the new version's twin must EXTEND the same
-  // dictionary object, keeping old codes stable.
-  rel.rows.push_back({Value::String("z")});
-  rel.rows.push_back({Value::String("x")});
-  ASSERT_TRUE(storage.Replace("t", rel).ok());
-  std::shared_ptr<const Batch> twin2 = storage.FindColumnar("t");
-  ASSERT_TRUE(twin2->columns[0].dict_encoded());
-  EXPECT_EQ(twin2->columns[0].dict().get(), dict.get());
+  // Append via COW replace of a raw batch: publishing the new version must
+  // EXTEND the same dictionary object, keeping old codes stable.
+  rows.push_back({Value::String("z")});
+  rows.push_back({Value::String("x")});
+  ASSERT_TRUE(storage.Replace("t", BatchFromRows(rows, 1)).ok());
+  std::shared_ptr<const Batch> v2 = storage.FindColumnar("t");
+  ASSERT_TRUE(v2->columns[0].dict_encoded());
+  EXPECT_EQ(v2->columns[0].dict().get(), dict.get());
   EXPECT_EQ(dict->size(), 3);
-  EXPECT_EQ(twin2->columns[0].codes()[0], code_x);
-  EXPECT_EQ(twin2->columns[0].codes()[3], code_x);
-  EXPECT_EQ(twin2->columns[0].StringAt(2), "z");
-}
+  EXPECT_EQ(v2->columns[0].codes()[0], code_x);
+  EXPECT_EQ(v2->columns[0].codes()[3], code_x);
+  EXPECT_EQ(v2->columns[0].StringAt(2), "z");
 
-TEST(DictionaryTest, SeedsCarryAcrossVersionsWithoutBuiltTwins) {
-  Storage storage;
-  Relation rel;
-  rel.column_names = {"s"};
-  rel.rows = {{Value::String("x")}};
-  ASSERT_TRUE(storage.AddTable("t", rel).ok());
-  DictionaryPtr dict = storage.FindColumnar("t")->columns[0].dict();
-  ASSERT_NE(dict, nullptr);
-  // Two replaces with NO twin built in between: the seeds must chain through
-  // the unbuilt middle version instead of resetting.
-  rel.rows.push_back({Value::String("y")});
-  ASSERT_TRUE(storage.Replace("t", rel).ok());
-  rel.rows.push_back({Value::String("z")});
-  ASSERT_TRUE(storage.Replace("t", rel).ok());
-  std::shared_ptr<const Batch> twin = storage.FindColumnar("t");
-  EXPECT_EQ(twin->columns[0].dict().get(), dict.get());
-  EXPECT_EQ(dict->size(), 3);
+  // Two replaces back to back — one raw, one run through Encode — each
+  // extend the dictionary the version before published.
+  rows.push_back({Value::String("w")});
+  ASSERT_TRUE(storage.Replace("t", BatchFromRows(rows, 1)).ok());
+  rows.push_back({Value::String("v")});
+  ASSERT_TRUE(
+      storage.Replace("t", storage.Encode("t", BatchFromRows(rows, 1))).ok());
+  std::shared_ptr<const Batch> v4 = storage.FindColumnar("t");
+  EXPECT_EQ(v4->columns[0].dict().get(), dict.get());
+  EXPECT_EQ(dict->size(), 5);
+  EXPECT_EQ(v4->columns[0].codes()[0], code_x);
+  EXPECT_EQ(v4->columns[0].StringAt(5), "v");
 }
 
 TEST(DictionaryTest, DeltaSlicesShareTheBaseTableDictionary) {
   Storage storage;
-  Relation rel;
-  rel.column_names = {"s"};
-  rel.rows = {{Value::String("x")}, {Value::String("y")}};
-  ASSERT_TRUE(storage.AddTable("t", rel).ok());
+  ASSERT_TRUE(storage
+                  .AddTable("t", {"s"},
+                            BatchFromRows({{Value::String("x")},
+                                           {Value::String("y")}},
+                                          1))
+                  .ok());
   DictionaryPtr dict = storage.FindColumnar("t")->columns[0].dict();
   ASSERT_NE(dict, nullptr);
 
-  Relation delta;
-  delta.column_names = {"s"};
-  delta.rows = {{Value::String("y")}, {Value::String("new")}};
   storage.BumpEpoch("t");
-  storage.RetainDelta("t", 1, delta);
+  storage.RetainDelta(
+      "t", 1,
+      std::make_shared<const Batch>(storage.Encode(
+          "t", BatchFromRows({{Value::String("y")}, {Value::String("new")}},
+                             1))));
   Storage::Snapshot snap = storage.Snap();
   std::vector<std::shared_ptr<const Batch>> slices =
-      snap.DeltaSliceColumnar("t", 0, 1);
+      snap.DeltaSlices("t", 0, 1);
   ASSERT_EQ(slices.size(), 1u);
   const ColumnVector& col = slices[0]->columns[0];
   ASSERT_TRUE(col.dict_encoded());
@@ -188,16 +182,14 @@ TEST(DictionaryTest, DeltaSlicesShareTheBaseTableDictionary) {
 
 TEST(DictionaryTest, SnapshotKeepsItsPinnedTwinAcrossReplace) {
   Storage storage;
-  Relation rel;
-  rel.column_names = {"s"};
-  rel.rows = {{Value::String("x")}};
-  ASSERT_TRUE(storage.AddTable("t", rel).ok());
+  std::vector<Row> rows = {{Value::String("x")}};
+  ASSERT_TRUE(storage.AddTable("t", {"s"}, BatchFromRows(rows, 1)).ok());
   Storage::Snapshot snap = storage.Snap();
   std::shared_ptr<const Batch> pinned = snap.FindColumnar("t");
   ASSERT_EQ(pinned->num_rows, 1);
 
-  rel.rows.push_back({Value::String("y")});
-  ASSERT_TRUE(storage.Replace("t", rel).ok());
+  rows.push_back({Value::String("y")});
+  ASSERT_TRUE(storage.Replace("t", BatchFromRows(rows, 1)).ok());
   // The snapshot still serves the one-row version; the live table grew, and
   // both versions decode through the same extended dictionary.
   EXPECT_EQ(snap.FindColumnar("t")->num_rows, 1);

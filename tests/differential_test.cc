@@ -485,14 +485,17 @@ TEST_P(DifferentialTest, MaintainedAstsMatchReference) {
   auto check_asts = [&](const engine::Storage::Snapshot& base, int round,
                         const char* phase) {
     for (const AstDef& ast : asts) {
-      const engine::Relation* stored = db.storage().FindTable(ast.name);
-      ASSERT_NE(stored, nullptr) << ast.name;
+      const engine::Storage::Snapshot now = db.storage().Snap();
+      std::shared_ptr<const engine::Batch> batch = now.FindColumnar(ast.name);
+      ASSERT_NE(batch, nullptr) << ast.name;
+      const engine::Relation stored =
+          engine::BatchToRelation(*batch, now.ColumnNames(ast.name));
       StatusOr<engine::Relation> want = reference::Query(db, ast.def, base);
       ASSERT_TRUE(want.ok()) << want.status().ToString();
-      EXPECT_TRUE(reference::MatchesReference(*stored, *want))
+      EXPECT_TRUE(reference::MatchesReference(stored, *want))
           << "seed=" << seed << " round=" << round << " phase=" << phase
           << " ast=" << ast.name << "\nstored:\n"
-          << stored->ToString(30) << "reference:\n"
+          << stored.ToString(30) << "reference:\n"
           << want->ToString(30);
     }
   };

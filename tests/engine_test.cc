@@ -57,9 +57,9 @@ class EngineTest : public ::testing::Test {
 };
 
 TEST_F(EngineTest, ScanFilterProject) {
-  engine::Relation r = Run("select id, val + 1 as v from t where val >= 20");
+  engine::Relation r =
+      Run("select id, val + 1 as v from t where val >= 20 order by id");
   ASSERT_EQ(r.NumRows(), 3u);  // NULL val row is rejected
-  engine::SortRows(&r);
   EXPECT_EQ(r.rows[0][0].AsInt(), 2);
   EXPECT_EQ(r.rows[0][1].AsInt(), 21);
 }
@@ -286,13 +286,12 @@ TEST(AggregatorTest, NullGroupKeysFormOneGroup) {
 
 TEST(StorageTest, AddDropFind) {
   engine::Storage storage;
-  engine::Relation rel;
-  rel.column_names = {"a"};
-  EXPECT_TRUE(storage.AddTable("T1", std::move(rel)).ok());
-  EXPECT_NE(storage.FindTable("t1"), nullptr);  // case-insensitive
-  EXPECT_FALSE(storage.AddTable("t1", {}).ok());
+  EXPECT_TRUE(
+      storage.AddTable("T1", {"a"}, engine::BatchFromRows({}, 1)).ok());
+  EXPECT_NE(storage.FindColumnar("t1"), nullptr);  // case-insensitive
+  EXPECT_FALSE(storage.AddTable("t1", {}, {}).ok());
   EXPECT_TRUE(storage.DropTable("T1").ok());
-  EXPECT_EQ(storage.FindTable("t1"), nullptr);
+  EXPECT_EQ(storage.FindColumnar("t1"), nullptr);
   EXPECT_FALSE(storage.DropTable("t1").ok());
 }
 

@@ -145,16 +145,17 @@ class Evaluator {
 
  private:
   StatusOr<Relation> Base(const qgm::Box& box) {
-    const Relation* table = nullptr;
     if (overrides_ != nullptr) {
       auto it = overrides_->find(box.table_name);
-      if (it != overrides_->end()) table = it->second;
+      if (it != overrides_->end()) return *it->second;
     }
-    if (table == nullptr) table = snap_.FindTable(box.table_name);
+    std::shared_ptr<const engine::Batch> table =
+        snap_.FindColumnar(box.table_name);
     if (table == nullptr) {
       return Status::NotFound("no data for table '" + box.table_name + "'");
     }
-    return *table;
+    // Decoded row by row: the reference never touches columns or codes.
+    return engine::BatchToRelation(*table, snap_.ColumnNames(box.table_name));
   }
 
   static Relation Named(const qgm::Box& box) {

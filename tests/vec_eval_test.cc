@@ -7,8 +7,10 @@
 // for AggregateBatch against the reference evaluator's grouping
 // (tests/reference.h), which walks the same rows in the same order. Also
 // covers the engine-wide NULL total order (Value::CompareRows) that
-// SortRows/SameRowMultiset and the columnar null bitmap share — data-NULLs
+// SortBatch/SameRowMultiset and the columnar null bitmap share — data-NULLs
 // and grouping-set padding-NULLs must be indistinguishable to it.
+#include <algorithm>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -34,6 +36,13 @@ using expr::AggFunc;
 using expr::BinaryOp;
 using expr::ExprPtr;
 using expr::UnaryOp;
+
+/// Sorts rows under the engine-wide total order (NULL first).
+void SortByCompareRows(std::vector<Row>* rows) {
+  std::sort(rows->begin(), rows->end(), [](const Row& a, const Row& b) {
+    return Value::CompareRows(a, b) < 0;
+  });
+}
 
 /// Evaluates e over `rows` both ways and asserts identical outcomes:
 /// same Values bit-for-bit when scalar evaluation succeeds on every row,
@@ -332,7 +341,7 @@ TEST(VecEvalTest, NullTotalOrderIsSharedAndNullSourceInvisible) {
 
   // Two relations whose NULLs come from different "sources" (explicit data
   // NULL vs a padded row built by grouping-set emission) must compare equal
-  // under SameRowMultiset and sort identically under SortRows.
+  // under SameRowMultiset and sort identically under Value::CompareRows.
   engine::Relation left;
   left.column_names = {"k", "c"};
   left.rows = {Row{Value::Null(), Value::Int(1)},
@@ -348,8 +357,8 @@ TEST(VecEvalTest, NullTotalOrderIsSharedAndNullSourceInvisible) {
                           2);
   right.rows = {b.RowAt(0), b.RowAt(1), b.RowAt(2)};
   EXPECT_TRUE(engine::SameRowMultiset(left, right));
-  engine::SortRows(&left);
-  engine::SortRows(&right);
+  SortByCompareRows(&left.rows);
+  SortByCompareRows(&right.rows);
   for (size_t i = 0; i < left.rows.size(); ++i) {
     for (size_t j = 0; j < left.rows[i].size(); ++j) {
       EXPECT_TRUE(left.rows[i][j] == right.rows[i][j]) << i << "," << j;
@@ -469,6 +478,43 @@ TEST(VecEvalTest, ColumnVectorMixedKindsRoundTrip) {
   // trip (a lossy widening here would silently change query outputs).
   EXPECT_EQ(batch.columns[0].ValueAt(1).kind(), Value::Kind::kInt);
   EXPECT_EQ(batch.columns[0].ValueAt(2).kind(), Value::Kind::kDouble);
+}
+
+TEST(VecEvalTest, SortBatchOrdersLikeCompareRows) {
+  // Storage sorts materializations column-wise (SortBatch); the order must
+  // be the one Value::CompareRows gives the same rows: NULL first, numerics
+  // compared widened (a variant column mixing Int and Double), strings by
+  // their text behind the dictionary codes, empty strings included. No two
+  // distinct rows compare equal, so both orders are unique.
+  std::mt19937 rng(7);
+  std::vector<Row> rows;
+  for (int i = 0; i < 300; ++i) {
+    int r = static_cast<int>(rng() % 1000);
+    rows.push_back(
+        {r % 5 == 0 ? Value::Null() : Value::Int(r % 4),
+         r % 7 == 0 ? Value::Null()
+         : r % 3 == 0 ? Value::String("")
+                      : Value::String("s" + std::to_string(r % 6)),
+         r % 2 == 0 ? Value::Int(r % 3) : Value::Double((r % 5) * 0.5 + 0.25),
+         Value::Date(20000101 + r % 9)});
+  }
+  Batch batch = BatchFromRows(rows, 4);
+  engine::DictEncodeBatch(&batch, {});
+  ASSERT_TRUE(batch.columns[1].dict_encoded());
+  ASSERT_EQ(batch.columns[2].tag(), ColumnVector::Tag::kVariant);
+
+  engine::Relation want = engine::BatchToRelation(batch, {"a", "b", "c", "d"});
+  SortByCompareRows(&want.rows);
+  engine::Relation got =
+      engine::BatchToRelation(engine::SortBatch(batch), {"a", "b", "c", "d"});
+  ASSERT_EQ(got.rows.size(), want.rows.size());
+  for (size_t i = 0; i < got.rows.size(); ++i) {
+    for (size_t j = 0; j < got.rows[i].size(); ++j) {
+      EXPECT_TRUE(got.rows[i][j] == want.rows[i][j] &&
+                  got.rows[i][j].kind() == want.rows[i][j].kind())
+          << "row " << i << " col " << j;
+    }
+  }
 }
 
 }  // namespace
