@@ -16,9 +16,11 @@ namespace sumtab {
 namespace {
 
 struct Fixture {
-  Fixture() {
+  // Matching cost is data-independent, so the default table is tiny.
+  explicit Fixture(int64_t num_trans = 1000, int num_accounts = 50) {
     data::CardSchemaParams params;
-    params.num_trans = 1000;  // matching cost is data-independent
+    params.num_trans = num_trans;
+    params.num_accounts = num_accounts;
     Status st = data::SetupCardSchema(&db, params);
     if (!st.ok()) std::abort();
     auto rows = db.DefineSummaryTable(
@@ -99,38 +101,69 @@ void BM_EndToEndQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndQuery);
 
-/// AggregateBatch straight over the columnar trans table, grouping by
-/// (faid, flid) — no parse, plan or projection in the loop.
-void RunAggregate(benchmark::State& state,
-                  const std::vector<std::vector<int>>& sets) {
-  Fixture& f = Shared();
+/// A trans table at the shape of perfbench's adhoc_scan: 200k rows over
+/// 100k accounts, so a group-by-account table outgrows the L2 cache.
+Fixture& HighCardinality() {
+  static Fixture* fixture =
+      new Fixture(/*num_trans=*/200000, /*num_accounts=*/100000);
+  return *fixture;
+}
+
+engine::AggSpec CountStar() {
+  engine::AggSpec count;
+  count.star = true;
+  return count;
+}
+
+engine::AggSpec SumOf(int col) {
+  engine::AggSpec sum;
+  sum.func = expr::AggFunc::kSum;
+  sum.arg_col = col;
+  return sum;
+}
+
+/// AggregateBatch straight over the columnar trans table — no parse, plan
+/// or projection in the loop. trans columns: tid, faid, fpgid, flid, date,
+/// qty, price, disc.
+void RunAggregate(benchmark::State& state, Fixture& f,
+                  const std::vector<int>& grouping_cols,
+                  const std::vector<std::vector<int>>& sets,
+                  const std::vector<engine::AggSpec>& aggs) {
   std::shared_ptr<const engine::Batch> trans =
       f.db.storage().Snap().FindColumnar("trans");
   if (trans == nullptr) std::abort();
-  const std::vector<int> grouping_cols = {1, 3};  // faid, flid
-  engine::AggSpec count;
-  count.star = true;
-  engine::AggSpec sum_qty;
-  sum_qty.func = expr::AggFunc::kSum;
-  sum_qty.arg_col = 5;  // qty
   for (auto _ : state) {
-    auto result =
-        engine::AggregateBatch(*trans, grouping_cols, sets, {count, sum_qty});
+    auto result = engine::AggregateBatch(*trans, grouping_cols, sets, aggs);
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() * trans->num_rows);
 }
 
 void BM_HashAggregate(benchmark::State& state) {
-  RunAggregate(state, {{0, 1}});
+  // group by faid, flid
+  RunAggregate(state, Shared(), {1, 3}, {{0, 1}}, {CountStar(), SumOf(5)});
 }
 BENCHMARK(BM_HashAggregate);
 
 void BM_GroupingSetsAggregate(benchmark::State& state) {
   // cube(faid, flid)
-  RunAggregate(state, {{0, 1}, {0}, {1}, {}});
+  RunAggregate(state, Shared(), {1, 3}, {{0, 1}, {0}, {1}, {}},
+               {CountStar(), SumOf(5)});
 }
 BENCHMARK(BM_GroupingSetsAggregate);
+
+void BM_HighCardinalityAggregate(benchmark::State& state) {
+  // group by faid over 100k accounts
+  RunAggregate(state, HighCardinality(), {1}, {{0}},
+               {CountStar(), SumOf(5)});
+}
+BENCHMARK(BM_HighCardinalityAggregate);
+
+void BM_GlobalAggregate(benchmark::State& state) {
+  // count(*), sum(disc)
+  RunAggregate(state, HighCardinality(), {}, {{}}, {CountStar(), SumOf(7)});
+}
+BENCHMARK(BM_GlobalAggregate);
 
 }  // namespace
 }  // namespace sumtab

@@ -1,8 +1,8 @@
 #include "engine/aggregator.h"
 
-#include <array>
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <iterator>
 #include <unordered_set>
 
 #include "common/thread_pool.h"
@@ -15,527 +15,452 @@ namespace {
 
 using expr::AggFunc;
 
-/// Streaming accumulator for one aggregate within one group.
-struct Accum {
-  int64_t count = 0;          // rows (COUNT(*)) or non-null arguments
-  int64_t sum_int = 0;
-  double sum_double = 0.0;
-  bool saw_double = false;
-  bool saw_value = false;
-  Value extreme;              // running MIN or MAX
-  std::unordered_set<Value, ValueHash> distinct;
-
-  void AddValue(const AggSpec& spec, const Value& v) {
-    if (spec.star) {
-      ++count;
-      return;
-    }
-    if (v.is_null()) return;
-    if (spec.distinct) {
-      distinct.insert(v);
-      return;
-    }
-    switch (spec.func) {
-      case AggFunc::kCount:
-        ++count;
-        break;
-      case AggFunc::kSum:
-      case AggFunc::kAvg:
-        ++count;
-        saw_value = true;
-        if (v.kind() == Value::Kind::kInt && !saw_double) {
-          sum_int += v.AsInt();
-        } else {
-          if (!saw_double) {
-            sum_double = static_cast<double>(sum_int);
-            saw_double = true;
-          }
-          sum_double += v.ToDouble();
-        }
-        break;
-      case AggFunc::kMin:
-        if (!saw_value || v < extreme) extreme = v;
-        saw_value = true;
-        break;
-      case AggFunc::kMax:
-        if (!saw_value || extreme < v) extreme = v;
-        saw_value = true;
-        break;
-    }
-  }
-
-  // Typed adds for the fast paths: exactly the SUM/AVG branch of AddValue
-  // with the kind test hoisted out of the loop (the column tag already fixes
-  // it), so the sticky int->double promotion order — and thus every
-  // floating-point sum — is identical to the generic path.
-  void AddSumInt(int64_t v) {
-    ++count;
-    saw_value = true;
-    if (!saw_double) {
-      sum_int += v;
-    } else {
-      sum_double += static_cast<double>(v);
-    }
-  }
-  void AddSumDouble(double v) {
-    ++count;
-    saw_value = true;
-    if (!saw_double) {
-      sum_double = static_cast<double>(sum_int);
-      saw_double = true;
-    }
-    sum_double += v;
-  }
-
-  Value Finish(const AggSpec& spec) const {
-    if (spec.distinct) {
-      switch (spec.func) {
-        case AggFunc::kCount:
-          return Value::Int(static_cast<int64_t>(distinct.size()));
-        case AggFunc::kSum:
-        case AggFunc::kAvg: {
-          if (distinct.empty()) return Value::Null();
-          bool any_double = false;
-          int64_t si = 0;
-          double sd = 0.0;
-          for (const Value& v : distinct) {
-            if (v.kind() == Value::Kind::kInt) {
-              si += v.AsInt();
-            } else {
-              any_double = true;
-            }
-            sd += v.ToDouble();
-          }
-          Value sum = any_double ? Value::Double(sd) : Value::Int(si);
-          if (spec.func == AggFunc::kSum) return sum;
-          return Value::Double(sd / static_cast<double>(distinct.size()));
-        }
-        case AggFunc::kMin:
-        case AggFunc::kMax: {
-          if (distinct.empty()) return Value::Null();
-          Value best;
-          bool first = true;
-          for (const Value& v : distinct) {
-            if (first || (spec.func == AggFunc::kMin ? v < best : best < v)) {
-              best = v;
-            }
-            first = false;
-          }
-          return best;
-        }
-      }
-    }
-    switch (spec.func) {
-      case AggFunc::kCount:
-        return Value::Int(count);
-      case AggFunc::kSum:
-        if (!saw_value) return Value::Null();
-        return saw_double ? Value::Double(sum_double) : Value::Int(sum_int);
-      case AggFunc::kAvg:
-        if (!saw_value) return Value::Null();
-        return Value::Double(
-            (saw_double ? sum_double : static_cast<double>(sum_int)) /
-            static_cast<double>(count));
-      case AggFunc::kMin:
-      case AggFunc::kMax:
-        return saw_value ? extreme : Value::Null();
-    }
-    return Value::Null();
-  }
-};
-
-/// Renders every group of one cuboid into output rows (grouping outputs
-/// NULL-padded where the cuboid grouped them out, then the aggregates).
-void EmitGroups(
-    const std::unordered_map<Row, std::vector<Accum>, RowHash>& groups,
-    const std::vector<int>& set, size_t num_grouping_cols,
-    const std::vector<AggSpec>& aggs, std::vector<Row>* output) {
-  for (const auto& [key, accums] : groups) {
-    Row out;
-    out.reserve(num_grouping_cols + aggs.size());
-    for (size_t g = 0; g < num_grouping_cols; ++g) {
-      int pos = -1;
-      for (size_t k = 0; k < set.size(); ++k) {
-        if (set[k] == static_cast<int>(g)) pos = static_cast<int>(k);
-      }
-      out.push_back(pos >= 0 ? key[pos] : Value::Null());
-    }
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      out.push_back(accums[a].Finish(aggs[a]));
-    }
-    output->push_back(std::move(out));
-  }
-}
-
 /// Rows per lane below which partitioning overhead beats the win.
 constexpr int64_t kMinParallelRowsPerLane = 4096;
 
-/// Accumulates batch row i into its group (generic path: Values are
-/// reconstructed per row and funnel through Accum::AddValue).
-void AccumulateBatchRow(
-    const Batch& input, int64_t i, const std::vector<int>& set,
-    const std::vector<int>& grouping_cols, const std::vector<AggSpec>& aggs,
-    std::unordered_map<Row, std::vector<Accum>, RowHash>* groups) {
-  Row key;
-  key.reserve(set.size());
-  for (int g : set) key.push_back(input.columns[grouping_cols[g]].ValueAt(i));
-  auto [it, inserted] = groups->try_emplace(std::move(key));
-  if (inserted) it->second.resize(aggs.size());
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    const AggSpec& spec = aggs[a];
-    it->second[a].AddValue(
-        spec, spec.star ? Value::Null() : input.columns[spec.arg_col].ValueAt(i));
-  }
-}
-
-/// Per-aggregate dispatch for the int-keyed fast path. kGeneric reconstructs
-/// the argument Value and calls AddValue (distinct, MIN/MAX, string/variant
-/// arguments); the others run typed loops.
-enum class FastOp { kStar, kCount, kSumInt, kSumDouble, kGeneric };
-
-struct FastAggPlan {
-  FastOp op = FastOp::kGeneric;
-  const ColumnVector* arg = nullptr;  // null only for kStar
-};
-
-std::vector<FastAggPlan> BuildFastAggPlans(const Batch& input,
-                                           const std::vector<AggSpec>& aggs) {
-  std::vector<FastAggPlan> plans;
-  plans.reserve(aggs.size());
-  for (const AggSpec& spec : aggs) {
-    FastAggPlan plan;
-    if (spec.star) {
-      plan.op = FastOp::kStar;
-      plans.push_back(plan);
-      continue;
-    }
-    plan.arg = &input.columns[spec.arg_col];
-    ColumnVector::Tag tag = plan.arg->tag();
-    if (spec.distinct) {
-      plan.op = FastOp::kGeneric;
-    } else if (spec.func == AggFunc::kCount) {
-      plan.op = FastOp::kCount;
-    } else if (spec.func == AggFunc::kSum || spec.func == AggFunc::kAvg) {
-      if (tag == ColumnVector::Tag::kInt) {
-        plan.op = FastOp::kSumInt;
-      } else if (plan.arg->IsNumericTag()) {
-        // double/date/bool all take the scalar AddValue's double branch.
-        plan.op = FastOp::kSumDouble;
-      } else {
-        plan.op = FastOp::kGeneric;
-      }
-    } else {
-      plan.op = FastOp::kGeneric;  // MIN/MAX compare Values either way
-    }
-    plans.push_back(plan);
-  }
-  return plans;
-}
-
-/// One cuboid over a single int-like grouping column: flat int64-keyed hash
-/// table (plus one slot for the NULL group) and typed accumulate loops.
-/// `lanes` > 1 hash-partitions rows by key so each group lands wholly in one
-/// partition and is still visited in input order.
-void FastAggregateSet(const Batch& input, size_t num_grouping_cols,
-                      const std::vector<int>& set,
-                      const std::vector<int>& grouping_cols,
-                      const std::vector<AggSpec>& aggs, int lanes,
-                      std::vector<Row>* output) {
-  const ColumnVector& keycol = input.columns[grouping_cols[set[0]]];
-  const bool date_key = keycol.tag() == ColumnVector::Tag::kDate;
-  const std::vector<FastAggPlan> plans = BuildFastAggPlans(input, aggs);
-  const int64_t n = input.num_rows;
-
-  auto key_at = [&](int64_t i) -> int64_t {
-    return date_key ? keycol.dates()[i] : keycol.ints()[i];
-  };
-  auto accumulate = [&](int64_t i, std::vector<Accum>* accums) {
-    for (size_t a = 0; a < plans.size(); ++a) {
-      Accum& acc = (*accums)[a];
-      const FastAggPlan& plan = plans[a];
-      switch (plan.op) {
-        case FastOp::kStar:
-          ++acc.count;
-          break;
-        case FastOp::kCount:
-          if (!plan.arg->IsNull(i)) ++acc.count;
-          break;
-        case FastOp::kSumInt:
-          if (!plan.arg->IsNull(i)) acc.AddSumInt(plan.arg->ints()[i]);
-          break;
-        case FastOp::kSumDouble:
-          if (!plan.arg->IsNull(i)) acc.AddSumDouble(plan.arg->NumericAt(i));
-          break;
-        case FastOp::kGeneric:
-          acc.AddValue(aggs[a], plan.arg->ValueAt(i));
-          break;
-      }
-    }
-  };
-  auto emit = [&](int64_t key, bool key_null,
-                  const std::vector<Accum>& accums,
-                  std::vector<Row>* out_rows) {
-    Row out;
-    out.reserve(num_grouping_cols + aggs.size());
-    for (size_t g = 0; g < num_grouping_cols; ++g) {
-      if (static_cast<int>(g) != set[0] || key_null) {
-        out.push_back(Value::Null());
-      } else {
-        out.push_back(date_key ? Value::Date(static_cast<int32_t>(key))
-                               : Value::Int(key));
-      }
-    }
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      out.push_back(accums[a].Finish(aggs[a]));
-    }
-    out_rows->push_back(std::move(out));
-  };
-  // Scans [0, n) keeping rows whose partition matches (partition < 0 keeps
-  // all — the serial path); NULL keys live in partition 0.
-  auto run_partition = [&](int partition, std::vector<Row>* out_rows) {
-    std::unordered_map<int64_t, std::vector<Accum>> groups;
-    std::vector<Accum> null_group;
-    bool has_null_group = false;
-    for (int64_t i = 0; i < n; ++i) {
-      const bool key_null = keycol.IsNull(i);
-      if (partition >= 0) {
-        const int p =
-            key_null ? 0
-                     : static_cast<int>(static_cast<uint64_t>(key_at(i)) %
-                                        static_cast<uint64_t>(lanes));
-        if (p != partition) continue;
-      }
-      std::vector<Accum>* accums;
-      if (key_null) {
-        if (!has_null_group) {
-          null_group.resize(aggs.size());
-          has_null_group = true;
-        }
-        accums = &null_group;
-      } else {
-        auto [it, inserted] = groups.try_emplace(key_at(i));
-        if (inserted) it->second.resize(aggs.size());
-        accums = &it->second;
-      }
-      accumulate(i, accums);
-    }
-    for (const auto& [key, accums] : groups) {
-      emit(key, /*key_null=*/false, accums, out_rows);
-    }
-    if (has_null_group) emit(0, /*key_null=*/true, null_group, out_rows);
-  };
-
-  if (lanes <= 1) {
-    run_partition(-1, output);
-    return;
-  }
-  std::vector<std::vector<Row>> lane_output(lanes);
-  ParallelFor(lanes, lanes, [&](int, int64_t begin, int64_t end) {
-    for (int64_t p = begin; p < end; ++p) {
-      run_partition(static_cast<int>(p), &lane_output[p]);
-    }
-  }, /*min_chunk=*/1);
-  for (std::vector<Row>& part : lane_output) {
-    for (Row& row : part) output->push_back(std::move(row));
-  }
-}
-
-/// How many grouping columns the encoded composite-key path can widen into
-/// one fixed-size key.
+/// How many grouping columns one composite key of widened codes can hold.
 constexpr int kMaxEncodedKeyCols = 4;
 
-/// One grouping column widened to an int64 code view: ints borrow their
-/// buffer, dates/bools widen into `scratch`, dictionary-encoded strings widen
-/// their codes. Two rows carry the same widened code iff their Values are
-/// equal, which is exactly what group identity needs. Doubles are excluded —
-/// bit-pattern equality would split -0.0 from 0.0 and disagree with Value
-/// equality across int/double — as are raw strings and variants.
+/// One column widened to an int64 code view: ints borrow their buffer,
+/// dates/bools widen into `scratch`, dictionary-encoded strings widen their
+/// codes. Two rows carry the same widened code iff their Values are equal.
+/// Doubles are excluded — bit-pattern equality would split -0.0 from 0.0 —
+/// as are raw strings and variants; `values` stays null for them.
 struct EncodedKey {
+  const ColumnVector* col = nullptr;
   const int64_t* values = nullptr;
+  const uint8_t* nulls = nullptr;
   std::vector<int64_t> scratch;
-  const ColumnVector* col = nullptr;  // for IsNull and emit-time decode
 };
 
-bool EncodeKeyColumn(const ColumnVector& col, int64_t n, EncodedKey* out) {
+template <typename T>
+void Widen(const std::vector<T>& src, EncodedKey* out) {
+  out->scratch.assign(src.begin(), src.end());
+  out->values = out->scratch.data();
+}
+
+void EncodeKeyColumn(const ColumnVector& col, EncodedKey* out) {
   out->col = &col;
+  out->nulls = col.nulls().data();
   switch (col.tag()) {
     case ColumnVector::Tag::kInt:
       out->values = col.ints().data();
-      return true;
-    case ColumnVector::Tag::kDate: {
-      out->scratch.resize(n);
-      const int32_t* src = col.dates().data();
-      for (int64_t i = 0; i < n; ++i) out->scratch[i] = src[i];
-      out->values = out->scratch.data();
-      return true;
-    }
-    case ColumnVector::Tag::kBool: {
-      out->scratch.resize(n);
-      const uint8_t* src = col.bools().data();
-      for (int64_t i = 0; i < n; ++i) out->scratch[i] = src[i];
-      out->values = out->scratch.data();
-      return true;
-    }
-    case ColumnVector::Tag::kString: {
-      if (!col.dict_encoded()) return false;
-      out->scratch.resize(n);
-      const int32_t* src = col.codes().data();
-      for (int64_t i = 0; i < n; ++i) out->scratch[i] = src[i];
-      out->values = out->scratch.data();
-      return true;
-    }
+      return;
+    case ColumnVector::Tag::kDate:
+      return Widen(col.dates(), out);
+    case ColumnVector::Tag::kBool:
+      return Widen(col.bools(), out);
+    case ColumnVector::Tag::kString:
+      if (col.dict_encoded()) Widen(col.codes(), out);
+      return;
     default:
-      return false;
+      return;
   }
 }
 
-/// Composite key of up to kMaxEncodedKeyCols widened codes. NULL slots carry
-/// code 0 with their null_mask bit set so equality is a flat compare.
-struct EncodedGroupKey {
-  std::array<int64_t, kMaxEncodedKeyCols> v{};
-  uint8_t null_mask = 0;
-  uint8_t width = 0;
+/// A grouping key over W widened code columns: equal codes and NULL flags
+/// on every column <=> equal Values (a NULL slot's code is the column's
+/// zero placeholder).
+template <int W>
+struct CodeKey {
+  const int64_t* values[W];
+  const uint8_t* nulls[W];
 
-  bool operator==(const EncodedGroupKey& o) const {
-    return null_mask == o.null_mask && v == o.v;
+  uint64_t Hash(int64_t i) const {
+    int64_t v[W];
+    uint8_t null_mask = 0;
+    for (int k = 0; k < W; ++k) {
+      v[k] = values[k][i];
+      null_mask |= static_cast<uint8_t>(nulls[k][i] << k);
+    }
+    return kernels::MixKey(v, W, null_mask);
+  }
+  bool Same(int64_t i, int64_t j) const {
+    bool same = true;
+    for (int k = 0; k < W; ++k) {
+      same &= (values[k][i] == values[k][j]) & (nulls[k][i] == nulls[k][j]);
+    }
+    return same;
   }
 };
 
-struct EncodedGroupKeyHash {
-  size_t operator()(const EncodedGroupKey& k) const {
-    return static_cast<size_t>(
-        kernels::MixKey(k.v.data(), k.width, k.null_mask));
+/// Any other grouping key (doubles, raw strings, variants, more than
+/// kMaxEncodedKeyCols columns): Value equality and Value::Hash, so -0.0
+/// meets 0.0 and Int(3) meets Double(3.0) exactly as in a Row-keyed map.
+struct ValueKey {
+  std::vector<const ColumnVector*> cols;
+
+  uint64_t Hash(int64_t i) const {
+    uint64_t h = 0;
+    for (const ColumnVector* c : cols) {
+      h = kernels::Mix64(h ^ c->ValueAt(i).Hash());
+    }
+    return h;
   }
-};
-
-/// One cuboid over 1..kMaxEncodedKeyCols encodable grouping columns: widen
-/// every key column to int64 codes once, then group through a flat composite
-/// key — no per-row Value construction or Row hashing. Returns false (output
-/// untouched) when any grouping column is not encodable.
-///
-/// Parallel lanes hash-partition rows by key hash, so each group lands wholly
-/// in one partition and every partition walks [0, n) in input order: the
-/// per-group accumulation order — and thus every floating-point sum — is
-/// exactly the serial one.
-bool EncodedAggregateSet(const Batch& input, size_t num_grouping_cols,
-                         const std::vector<int>& set,
-                         const std::vector<int>& grouping_cols,
-                         const std::vector<AggSpec>& aggs, int lanes,
-                         std::vector<Row>* output) {
-  const int width = static_cast<int>(set.size());
-  const int64_t n = input.num_rows;
-  std::vector<EncodedKey> keys(width);
-  for (int g = 0; g < width; ++g) {
-    if (!EncodeKeyColumn(input.columns[grouping_cols[set[g]]], n, &keys[g])) {
-      return false;
+  bool Same(int64_t i, int64_t j) const {
+    for (const ColumnVector* c : cols) {
+      if (!(c->ValueAt(i) == c->ValueAt(j))) return false;
     }
-  }
-  const std::vector<FastAggPlan> plans = BuildFastAggPlans(input, aggs);
-
-  // Group payload: accumulators plus the first input row, whose column
-  // Values decode the key at emit time (every row of a group carries
-  // bit-identical key Values, so the first is as good as any).
-  struct GroupState {
-    int64_t first_row = 0;
-    std::vector<Accum> accums;
-  };
-
-  auto accumulate = [&](int64_t i, std::vector<Accum>* accums) {
-    for (size_t a = 0; a < plans.size(); ++a) {
-      Accum& acc = (*accums)[a];
-      const FastAggPlan& plan = plans[a];
-      switch (plan.op) {
-        case FastOp::kStar:
-          ++acc.count;
-          break;
-        case FastOp::kCount:
-          if (!plan.arg->IsNull(i)) ++acc.count;
-          break;
-        case FastOp::kSumInt:
-          if (!plan.arg->IsNull(i)) acc.AddSumInt(plan.arg->ints()[i]);
-          break;
-        case FastOp::kSumDouble:
-          if (!plan.arg->IsNull(i)) acc.AddSumDouble(plan.arg->NumericAt(i));
-          break;
-        case FastOp::kGeneric:
-          acc.AddValue(aggs[a], plan.arg->ValueAt(i));
-          break;
-      }
-    }
-  };
-  auto make_key = [&](int64_t i) {
-    EncodedGroupKey key;
-    key.width = static_cast<uint8_t>(width);
-    for (int g = 0; g < width; ++g) {
-      if (keys[g].col->IsNull(i)) {
-        key.null_mask |= static_cast<uint8_t>(1u << g);
-      } else {
-        key.v[g] = keys[g].values[i];
-      }
-    }
-    return key;
-  };
-  auto emit = [&](const EncodedGroupKey& key, const GroupState& state,
-                  std::vector<Row>* out_rows) {
-    Row out;
-    out.reserve(num_grouping_cols + aggs.size());
-    for (size_t g = 0; g < num_grouping_cols; ++g) {
-      int pos = -1;
-      for (int s = 0; s < width; ++s) {
-        if (set[s] == static_cast<int>(g)) pos = s;
-      }
-      if (pos < 0 || ((key.null_mask >> pos) & 1) != 0) {
-        out.push_back(Value::Null());
-      } else {
-        out.push_back(keys[pos].col->ValueAt(state.first_row));
-      }
-    }
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      out.push_back(state.accums[a].Finish(aggs[a]));
-    }
-    out_rows->push_back(std::move(out));
-  };
-  // Scans [0, n) keeping rows whose partition matches (partition < 0 keeps
-  // all — the serial path).
-  auto run_partition = [&](int partition, std::vector<Row>* out_rows) {
-    std::unordered_map<EncodedGroupKey, GroupState, EncodedGroupKeyHash>
-        groups;
-    for (int64_t i = 0; i < n; ++i) {
-      EncodedGroupKey key = make_key(i);
-      if (partition >= 0) {
-        const int p = static_cast<int>(EncodedGroupKeyHash{}(key) %
-                                       static_cast<uint64_t>(lanes));
-        if (p != partition) continue;
-      }
-      auto [it, inserted] = groups.try_emplace(key);
-      if (inserted) {
-        it->second.first_row = i;
-        it->second.accums.resize(aggs.size());
-      }
-      accumulate(i, &it->second.accums);
-    }
-    for (const auto& [key, state] : groups) emit(key, state, out_rows);
-  };
-
-  if (lanes <= 1) {
-    run_partition(-1, output);
     return true;
   }
-  std::vector<std::vector<Row>> lane_output(lanes);
+};
+
+/// Pass 1's answer for one partition of the input: its rows, each row's
+/// group id, and each group's first row; ids run from 0 in first-seen
+/// order. Serially the one partition holds every row (`rows` stays empty).
+struct Partition {
+  std::vector<int64_t> rows;       // input rows, in order; empty = all rows
+  std::vector<int32_t> gid;        // per partition row
+  std::vector<int64_t> first_row;  // per group
+};
+
+/// Calls fn(k, i) for partition row k = 0, 1, ... and its input row i.
+template <typename Fn>
+void ForEachRow(const Partition& part, const Fn& fn) {
+  const int64_t count = static_cast<int64_t>(part.gid.size());
+  if (part.rows.empty()) {
+    for (int64_t k = 0; k < count; ++k) fn(k, k);
+  } else {
+    for (int64_t k = 0; k < count; ++k) fn(k, part.rows[k]);
+  }
+}
+
+/// The partition of a key hash, from bits that are independent of the
+/// high bits a GroupIdTable slot is picked by.
+uint16_t PartitionOf(uint64_t hash, int lanes) {
+  const uint64_t low = kernels::Mix64(hash) & 0xffffffffULL;
+  return static_cast<uint16_t>((low * static_cast<uint64_t>(lanes)) >> 32);
+}
+
+/// Assigns ids to `count` rows, row_of(k) being partition row k's input row
+/// and hash_of(k) its key hash.
+template <typename Key, typename RowOf, typename HashOf>
+void AssignIds(const Key& key, int64_t count, const RowOf& row_of,
+               const HashOf& hash_of, Partition* part) {
+  kernels::GroupIdTable table;
+  part->gid.resize(count);
+  for (int64_t k = 0; k < count; ++k) {
+    const int64_t i = row_of(k);
+    const int32_t g = table.FindOrInsert(hash_of(k), [&](int32_t id) {
+      return key.Same(i, part->first_row[id]);
+    });
+    if (g == static_cast<int32_t>(part->first_row.size())) {
+      part->first_row.push_back(i);
+    }
+    part->gid[k] = g;
+  }
+}
+
+template <typename Key>
+std::vector<Partition> AssignGroupIds(const Key& key, int64_t n, int lanes) {
+  std::vector<Partition> parts(lanes);
+  if (lanes <= 1) {
+    AssignIds(
+        key, n, [](int64_t k) { return k; },
+        [&key](int64_t k) { return key.Hash(k); }, &parts[0]);
+    return parts;
+  }
+  // Hash every row once; the hash picks the partition and the table slot.
+  std::vector<uint64_t> hashes(n);
+  std::vector<uint16_t> partition(n);
+  ParallelFor(n, lanes, [&](int, int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      hashes[i] = key.Hash(i);
+      partition[i] = PartitionOf(hashes[i], lanes);
+    }
+  }, kMinParallelRowsPerLane);
   ParallelFor(lanes, lanes, [&](int, int64_t begin, int64_t end) {
     for (int64_t p = begin; p < end; ++p) {
-      run_partition(static_cast<int>(p), &lane_output[p]);
+      std::vector<int64_t>& rows = parts[p].rows;
+      for (int64_t i = 0; i < n; ++i) {
+        if (partition[i] == p) rows.push_back(i);
+      }
+      AssignIds(
+          key, static_cast<int64_t>(rows.size()),
+          [&rows](int64_t k) { return rows[k]; },
+          [&](int64_t k) { return hashes[rows[k]]; }, &parts[p]);
     }
   }, /*min_chunk=*/1);
-  for (std::vector<Row>& part : lane_output) {
-    for (Row& row : part) output->push_back(std::move(row));
+  return parts;
+}
+
+template <int W>
+std::vector<Partition> AssignCodeIds(
+    const std::vector<const EncodedKey*>& keys, int64_t n, int lanes) {
+  CodeKey<W> codes;
+  for (int k = 0; k < W; ++k) {
+    codes.values[k] = keys[k]->values;
+    codes.nulls[k] = keys[k]->nulls;
   }
-  return true;
+  return AssignGroupIds(codes, n, lanes);
+}
+
+/// Pass 1 over the key made of the `keys` columns of an n-row input. An
+/// empty key is the one global group, which exists even over no rows.
+std::vector<Partition> GroupIdsOf(const std::vector<const EncodedKey*>& keys,
+                                  int64_t n, int lanes) {
+  if (keys.empty()) {
+    std::vector<Partition> parts(1);
+    parts[0].gid.assign(n, 0);
+    parts[0].first_row = {-1};  // never read: the global group has no key
+    return parts;
+  }
+  bool encoded = keys.size() <= kMaxEncodedKeyCols;
+  for (const EncodedKey* key : keys) encoded = encoded && key->values;
+  if (encoded) {
+    using Assign = std::vector<Partition> (*)(
+        const std::vector<const EncodedKey*>&, int64_t, int);
+    constexpr Assign kByWidth[] = {AssignCodeIds<1>, AssignCodeIds<2>,
+                                   AssignCodeIds<3>, AssignCodeIds<4>};
+    return kByWidth[keys.size() - 1](keys, n, lanes);
+  }
+  ValueKey values;
+  for (const EncodedKey* key : keys) values.cols.push_back(key->col);
+  return AssignGroupIds(values, n, lanes);
+}
+
+/// How one aggregate reads its argument.
+enum class Op {
+  kCountStar,
+  kCount,
+  kSumInt,        // SUM/AVG over an int column
+  kSumDouble,     // ... over a double column
+  kSumValue,      // ... over anything else: the sticky int->double rule
+  kMinMaxInt,     // MIN/MAX over int/date/bool, widened to int64
+  kMinMaxDouble,  // ... over a double column (`<` orders like Compare)
+  kMinMaxRow,     // ... over strings/variants: the best row, by CompareAt
+  kDistinct,
+};
+
+struct AggPlan {
+  Op op = Op::kCountStar;
+  bool is_min = false;
+  const ColumnVector* arg = nullptr;
+  EncodedKey widened;  // kMinMaxInt's argument
+};
+
+AggPlan PlanAggregate(const AggSpec& spec, const Batch& input) {
+  using Tag = ColumnVector::Tag;
+  AggPlan plan;
+  if (spec.star) return plan;
+  plan.arg = &input.columns[spec.arg_col];
+  const Tag tag = plan.arg->tag();
+  const bool extreme = spec.func == AggFunc::kMin || spec.func == AggFunc::kMax;
+  if (spec.distinct && !extreme) {  // DISTINCT never moves a MIN or MAX
+    plan.op = Op::kDistinct;
+  } else if (spec.func == AggFunc::kCount) {
+    plan.op = Op::kCount;
+  } else if (spec.func == AggFunc::kSum || spec.func == AggFunc::kAvg) {
+    plan.op = tag == Tag::kInt      ? Op::kSumInt
+              : tag == Tag::kDouble ? Op::kSumDouble
+                                    : Op::kSumValue;
+  } else {
+    plan.is_min = spec.func == AggFunc::kMin;
+    if (tag == Tag::kDouble) {
+      plan.op = Op::kMinMaxDouble;
+    } else if (tag == Tag::kInt || tag == Tag::kDate || tag == Tag::kBool) {
+      plan.op = Op::kMinMaxInt;
+      EncodeKeyColumn(*plan.arg, &plan.widened);
+    } else {
+      plan.op = Op::kMinMaxRow;
+    }
+  }
+  return plan;
+}
+
+/// Pass 2's typed accumulators for one aggregate: struct-of-arrays indexed
+/// by group id; each Op reads the few arrays it needs.
+struct AggAccum {
+  std::vector<int64_t> count;       // rows, or non-NULL arguments
+  std::vector<int64_t> ints;        // SUM's int part; int extreme; best row
+  std::vector<double> doubles;      // SUM's double part; double extreme
+  std::vector<uint8_t> saw_double;  // kSumValue: the SUM went double
+  std::vector<std::unordered_set<Value, ValueHash>> distinct;
+
+  void Resize(size_t groups, Op op) {
+    count.resize(groups);
+    ints.resize(groups);
+    doubles.resize(groups);
+    saw_double.resize(groups);
+    if (op == Op::kDistinct) distinct.resize(groups);
+  }
+
+  /// Appends `part`'s groups after this one's.
+  void Append(AggAccum&& part) {
+    if (count.empty()) {
+      *this = std::move(part);
+      return;
+    }
+    count.insert(count.end(), part.count.begin(), part.count.end());
+    ints.insert(ints.end(), part.ints.begin(), part.ints.end());
+    doubles.insert(doubles.end(), part.doubles.begin(), part.doubles.end());
+    saw_double.insert(saw_double.end(), part.saw_double.begin(),
+                      part.saw_double.end());
+    std::move(part.distinct.begin(), part.distinct.end(),
+              std::back_inserter(distinct));
+  }
+};
+
+/// Folds the partition's rows (input order) into their groups. MIN keeps
+/// the first of equal minima and MAX the first of equal maxima, comparing
+/// numerics widened to double exactly like Value::Compare.
+void Accumulate(const AggPlan& plan, const Partition& part, AggAccum* acc) {
+  const uint8_t* nulls = plan.arg != nullptr ? plan.arg->nulls().data()
+                                             : nullptr;
+  const int32_t* gid = part.gid.data();
+  // fn(i, g) for every partition row i whose argument is not NULL.
+  auto each = [&](const auto& fn) {
+    ForEachRow(part, [&](int64_t k, int64_t i) {
+      if (nulls[i] == 0) fn(i, gid[k]);
+    });
+  };
+  auto better = [min = plan.is_min](double v, double best) {
+    return min ? v < best : best < v;
+  };
+  switch (plan.op) {
+    case Op::kCountStar:
+      ForEachRow(part, [&](int64_t k, int64_t) { ++acc->count[gid[k]]; });
+      return;
+    case Op::kCount:
+      each([&](int64_t, int32_t g) { ++acc->count[g]; });
+      return;
+    case Op::kSumInt: {
+      const int64_t* v = plan.arg->ints().data();
+      each([&](int64_t i, int32_t g) {
+        ++acc->count[g];
+        acc->ints[g] += v[i];
+      });
+      return;
+    }
+    case Op::kSumDouble: {
+      const double* v = plan.arg->doubles().data();
+      each([&](int64_t i, int32_t g) {
+        ++acc->count[g];
+        acc->doubles[g] += v[i];
+      });
+      return;
+    }
+    case Op::kSumValue:
+      each([&](int64_t i, int32_t g) {
+        const Value v = plan.arg->ValueAt(i);
+        ++acc->count[g];
+        if (v.kind() == Value::Kind::kInt && acc->saw_double[g] == 0) {
+          acc->ints[g] += v.AsInt();
+          return;
+        }
+        if (acc->saw_double[g] == 0) {
+          acc->doubles[g] = static_cast<double>(acc->ints[g]);
+          acc->saw_double[g] = 1;
+        }
+        acc->doubles[g] += v.ToDouble();
+      });
+      return;
+    case Op::kMinMaxInt: {
+      const int64_t* v = plan.widened.values;
+      each([&](int64_t i, int32_t g) {
+        if (acc->count[g]++ == 0 || better(static_cast<double>(v[i]),
+                                           static_cast<double>(acc->ints[g]))) {
+          acc->ints[g] = v[i];
+        }
+      });
+      return;
+    }
+    case Op::kMinMaxDouble: {
+      const double* v = plan.arg->doubles().data();
+      each([&](int64_t i, int32_t g) {
+        if (acc->count[g]++ == 0 || better(v[i], acc->doubles[g])) {
+          acc->doubles[g] = v[i];
+        }
+      });
+      return;
+    }
+    case Op::kMinMaxRow:
+      each([&](int64_t i, int32_t g) {
+        int64_t& best = acc->ints[g];
+        if (acc->count[g]++ == 0 ||
+            (plan.is_min ? plan.arg->CompareAt(i, best) < 0
+                         : plan.arg->CompareAt(best, i) < 0)) {
+          best = i;
+        }
+      });
+      return;
+    case Op::kDistinct:
+      each([&](int64_t i, int32_t g) {
+        acc->distinct[g].insert(plan.arg->ValueAt(i));
+      });
+      return;
+  }
+}
+
+/// A DISTINCT COUNT/SUM/AVG over one group's set of non-NULL arguments.
+Value FinishDistinct(const AggSpec& spec,
+                     const std::unordered_set<Value, ValueHash>& values) {
+  if (spec.func == AggFunc::kCount) {
+    return Value::Int(static_cast<int64_t>(values.size()));
+  }
+  if (values.empty()) return Value::Null();
+  bool any_double = false;
+  int64_t si = 0;
+  double sd = 0.0;
+  for (const Value& v : values) {
+    if (v.kind() == Value::Kind::kInt) {
+      si += v.AsInt();
+    } else {
+      any_double = true;
+    }
+    sd += v.ToDouble();
+  }
+  if (spec.func == AggFunc::kAvg) {
+    return Value::Double(sd / static_cast<double>(values.size()));
+  }
+  return any_double ? Value::Double(sd) : Value::Int(si);
+}
+
+/// Group g's result for every op but kMinMaxRow (which gathers).
+Value FinishGroup(const AggPlan& plan, const AggAccum& acc,
+                  const AggSpec& spec, int64_t g) {
+  using Tag = ColumnVector::Tag;
+  if (plan.op == Op::kCountStar || plan.op == Op::kCount) {
+    return Value::Int(acc.count[g]);
+  }
+  if (plan.op == Op::kDistinct) return FinishDistinct(spec, acc.distinct[g]);
+  if (acc.count[g] == 0) return Value::Null();
+  if (plan.op == Op::kMinMaxDouble) return Value::Double(acc.doubles[g]);
+  if (plan.op == Op::kMinMaxInt) {
+    const Tag tag = plan.arg->tag();
+    return tag == Tag::kDate   ? Value::Date(static_cast<int32_t>(acc.ints[g]))
+           : tag == Tag::kBool ? Value::Bool(acc.ints[g] != 0)
+                               : Value::Int(acc.ints[g]);
+  }
+  const bool is_double = plan.op == Op::kSumDouble ||
+                         (plan.op == Op::kSumValue && acc.saw_double[g] != 0);
+  if (spec.func == AggFunc::kAvg) {
+    return Value::Double(
+        (is_double ? acc.doubles[g] : static_cast<double>(acc.ints[g])) /
+        static_cast<double>(acc.count[g]));
+  }
+  return is_double ? Value::Double(acc.doubles[g]) : Value::Int(acc.ints[g]);
+}
+
+ColumnVector EmitAggregate(const AggPlan& plan, const AggAccum& acc,
+                           const AggSpec& spec, int64_t groups) {
+  if (plan.op == Op::kMinMaxRow) {
+    std::vector<int64_t> best(groups);
+    for (int64_t g = 0; g < groups; ++g) {
+      best[g] = acc.count[g] > 0 ? acc.ints[g] : -1;
+    }
+    return ColumnVector::Gather(*plan.arg, best);
+  }
+  ColumnVector col;
+  for (int64_t g = 0; g < groups; ++g) {
+    col.AppendValue(FinishGroup(plan, acc, spec, g));
+  }
+  return col;
 }
 
 }  // namespace
 
-StatusOr<std::vector<Row>> AggregateBatch(
+StatusOr<Batch> AggregateBatch(
     const Batch& input, const std::vector<int>& grouping_cols,
     const std::vector<std::vector<int>>& grouping_sets,
     const std::vector<AggSpec>& aggs, int max_threads) {
@@ -545,76 +470,85 @@ StatusOr<std::vector<Row>> AggregateBatch(
     }
   }
   const int64_t n = input.num_rows;
-  std::vector<Row> output;
+  std::vector<EncodedKey> widened(grouping_cols.size());
+  for (size_t k = 0; k < grouping_cols.size(); ++k) {
+    EncodeKeyColumn(input.columns[grouping_cols[k]], &widened[k]);
+  }
+  const size_t na = aggs.size();
+  std::vector<AggPlan> plans;
+  for (const AggSpec& spec : aggs) plans.push_back(PlanAggregate(spec, input));
+
+  // Group ids run across the sets: set s owns [set_end[s-1], set_end[s]),
+  // partitions in order inside it.
+  std::vector<AggAccum> accums(na);
+  std::vector<int64_t> first_row;
+  std::vector<int64_t> set_end;
   for (const std::vector<int>& set : grouping_sets) {
     const int lanes =
         set.empty() ? 1 : ParallelLanes(n, max_threads, kMinParallelRowsPerLane);
-    // Single int-like grouping key: flat int64 hash table + typed loops.
-    // (A kVariant key column would break int64 equality == Value equality,
-    // so only plain kInt/kDate tags qualify.)
-    if (set.size() == 1) {
-      ColumnVector::Tag key_tag = input.columns[grouping_cols[set[0]]].tag();
-      if (key_tag == ColumnVector::Tag::kInt ||
-          key_tag == ColumnVector::Tag::kDate) {
-        FastAggregateSet(input, grouping_cols.size(), set, grouping_cols,
-                         aggs, lanes, &output);
-        continue;
-      }
-    }
-    // Up to kMaxEncodedKeyCols encodable grouping columns (ints, dates,
-    // bools, dictionary-encoded strings): one composite widened key per row,
-    // no Row hashing. Falls through when any column is not encodable.
-    if (!set.empty() && set.size() <= kMaxEncodedKeyCols &&
-        EncodedAggregateSet(input, grouping_cols.size(), set, grouping_cols,
-                            aggs, lanes, &output)) {
-      continue;
-    }
-    // Generic path: per-row Values reconstructed from the columns, grouped
-    // under Row keys. A cuboid with grouping columns and a big input
-    // aggregates in parallel: every group hashes wholly into one partition,
-    // partitions run concurrently, and each partition walks the input in
-    // order — so the per-group accumulation order (and thus every
-    // floating-point sum) is exactly the serial one. The empty set (global
-    // aggregation) is a single group and stays serial.
-    if (lanes > 1) {
-      std::vector<uint8_t> partition_of(n);
-      ParallelFor(n, lanes, [&](int, int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          size_t h = 0;
-          for (int g : set) {
-            h = h * 1000003u + input.columns[grouping_cols[g]].ValueAt(i).Hash();
-          }
-          partition_of[i] = static_cast<uint8_t>(h % lanes);
+    std::vector<const EncodedKey*> keys;
+    for (int k : set) keys.push_back(&widened[k]);
+    const std::vector<Partition> parts = GroupIdsOf(keys, n, lanes);
+    const int64_t np = static_cast<int64_t>(parts.size());
+    // Each partition accumulates into its own arrays: no two lanes write
+    // one cache line.
+    std::vector<std::vector<AggAccum>> local(np, std::vector<AggAccum>(na));
+    ParallelFor(np, np, [&](int, int64_t begin, int64_t end) {
+      for (int64_t p = begin; p < end; ++p) {
+        for (size_t a = 0; a < na; ++a) {
+          local[p][a].Resize(parts[p].first_row.size(), plans[a].op);
+          Accumulate(plans[a], parts[p], &local[p][a]);
         }
-      });
-      std::vector<std::vector<Row>> lane_output(lanes);
-      ParallelFor(lanes, lanes, [&](int, int64_t begin, int64_t end) {
-        for (int64_t p = begin; p < end; ++p) {
-          std::unordered_map<Row, std::vector<Accum>, RowHash> groups;
-          for (int64_t i = 0; i < n; ++i) {
-            if (partition_of[i] != p) continue;
-            AccumulateBatchRow(input, i, set, grouping_cols, aggs, &groups);
-          }
-          EmitGroups(groups, set, grouping_cols.size(), aggs,
-                     &lane_output[p]);
-        }
-      }, /*min_chunk=*/1);
-      for (std::vector<Row>& part : lane_output) {
-        for (Row& row : part) output.push_back(std::move(row));
       }
-      continue;
+    }, /*min_chunk=*/1);
+    for (int64_t p = 0; p < np; ++p) {
+      first_row.insert(first_row.end(), parts[p].first_row.begin(),
+                       parts[p].first_row.end());
+      for (size_t a = 0; a < na; ++a) accums[a].Append(std::move(local[p][a]));
     }
-    std::unordered_map<Row, std::vector<Accum>, RowHash> groups;
-    for (int64_t i = 0; i < n; ++i) {
-      AccumulateBatchRow(input, i, set, grouping_cols, aggs, &groups);
-    }
-    if (groups.empty() && set.empty()) {
-      // Global aggregation over an empty input produces one row.
-      groups.try_emplace(Row{}).first->second.resize(aggs.size());
-    }
-    EmitGroups(groups, set, grouping_cols.size(), aggs, &output);
+    set_end.push_back(static_cast<int64_t>(first_row.size()));
   }
-  return output;
+
+  Batch out;
+  out.num_rows = static_cast<int64_t>(first_row.size());
+  for (size_t k = 0; k < grouping_cols.size(); ++k) {
+    // Each group's first row, or -1 (NULL padding) where its set groups
+    // column k out.
+    std::vector<int64_t> rows(out.num_rows, -1);
+    int64_t begin = 0;
+    for (size_t s = 0; s < grouping_sets.size(); begin = set_end[s++]) {
+      const std::vector<int>& set = grouping_sets[s];
+      if (std::count(set.begin(), set.end(), static_cast<int>(k)) > 0) {
+        std::copy(first_row.begin() + begin, first_row.begin() + set_end[s],
+                  rows.begin() + begin);
+      }
+    }
+    out.columns.push_back(
+        ColumnVector::Gather(input.columns[grouping_cols[k]], rows));
+  }
+  for (size_t a = 0; a < na; ++a) {
+    out.columns.push_back(
+        EmitAggregate(plans[a], accums[a], aggs[a], out.num_rows));
+  }
+  return out;
+}
+
+std::vector<int64_t> DistinctRows(const Batch& input, int max_threads) {
+  std::vector<EncodedKey> widened(input.columns.size());
+  std::vector<const EncodedKey*> keys;
+  for (size_t c = 0; c < widened.size(); ++c) {
+    EncodeKeyColumn(input.columns[c], &widened[c]);
+    keys.push_back(&widened[c]);
+  }
+  const int lanes =
+      ParallelLanes(input.num_rows, max_threads, kMinParallelRowsPerLane);
+  std::vector<int64_t> rows;
+  for (const Partition& part : GroupIdsOf(keys, input.num_rows, lanes)) {
+    rows.insert(rows.end(), part.first_row.begin(), part.first_row.end());
+  }
+  // Each partition lists its first rows in input order; merge them.
+  if (lanes > 1) std::sort(rows.begin(), rows.end());
+  return rows;
 }
 
 }  // namespace engine

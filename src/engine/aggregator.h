@@ -26,27 +26,37 @@ struct AggSpec {
 ///   grouping_cols: input column index for each grouping output;
 ///   grouping_sets: per cuboid, indexes into grouping_cols;
 ///   aggs: aggregate outputs following the grouping outputs.
-/// Output row layout: one value per grouping output (NULL when the cuboid
-/// groups it out), then one value per aggregate. An empty input still yields
-/// one row for each empty grouping set (global aggregation semantics).
+/// Output columns: one per grouping output (NULL where the cuboid groups it
+/// out), then one per aggregate; one row per group, cuboids in order. An
+/// empty input still yields one row for each empty grouping set (global
+/// aggregation semantics).
 ///
-/// Single-column grouping keys over int-like columns take a flat int64 hash
-/// table and typed accumulate loops; up to four int/date/bool/dictionary
-/// columns group through one widened composite key; everything else
-/// reconstructs per-row Values. All paths share one accumulator, so the
-/// sticky int->double SUM promotion happens at the same row on each.
+/// One kernel, two passes per grouping set. Pass 1 maps each row's key to a
+/// dense group id (first-seen order) through a kernels::GroupIdTable; keys
+/// of up to four int/date/bool/dictionary-string columns compare as int64
+/// codes widened once per call, other keys as Values. Pass 2 folds each
+/// aggregate's argument column into typed struct-of-arrays accumulators
+/// indexed by group id (counts, the sticky int->double SUM, typed MIN/MAX,
+/// the best row for string/variant MIN/MAX; only DISTINCT keeps Value sets).
+/// Grouping outputs are gathered from each group's first row, so they keep
+/// their Values bit for bit and their dictionary codes.
 ///
 /// max_threads > 1 enables hash-partitioned parallel aggregation for large
-/// inputs: rows are partitioned by group-key hash so every group lands
-/// wholly inside one partition, partitions aggregate concurrently, and each
-/// partition visits its rows in input order. Per-group accumulation order is
-/// therefore identical to the serial path — floating-point sums are
+/// inputs: each key is hashed once and the hash picks the row's partition,
+/// so every group lands wholly inside one partition, and each partition
+/// runs both passes over its rows in input order. Per-group accumulation
+/// order is therefore the serial one — floating-point sums are
 /// bit-identical, only output row order may differ (callers treat results
 /// as multisets).
-StatusOr<std::vector<Row>> AggregateBatch(
+StatusOr<Batch> AggregateBatch(
     const Batch& input, const std::vector<int>& grouping_cols,
     const std::vector<std::vector<int>>& grouping_sets,
     const std::vector<AggSpec>& aggs, int max_threads = 1);
+
+/// SELECT DISTINCT on the same pass 1: the first occurrence of every
+/// distinct row of `input` (Value equality, NULL equal to NULL), in input
+/// order.
+std::vector<int64_t> DistinctRows(const Batch& input, int max_threads = 1);
 
 }  // namespace engine
 }  // namespace sumtab

@@ -392,53 +392,57 @@ ColumnVector ColumnVector::Gather(const ColumnVector& src,
   ColumnVector out(src.tag_);
   if (src.tag_ == Tag::kVariant) {
     out.Reserve(n);
-    for (int64_t i : indexes) out.AppendFrom(src, i);
+    for (int64_t i : indexes) {
+      if (i < 0) {
+        out.AppendNull();
+      } else {
+        out.AppendFrom(src, i);
+      }
+    }
     return out;
   }
   // Typed bulk gather: null bitmap first (null slots already hold the zero
-  // placeholder in src, so the payload gather below needs no branches).
+  // placeholder in src, and a negative index yields one, so the payload
+  // gather below needs no branches beyond that one).
   out.nulls_.resize(n);
   uint8_t all_null = 1;
   for (int64_t i = 0; i < n; ++i) {
-    uint8_t nv = src.nulls_[indexes[i]];
+    const int64_t j = indexes[i];
+    uint8_t nv = j < 0 ? 1 : src.nulls_[j];
     out.nulls_[i] = nv;
     all_null &= nv;
   }
   // Matches the per-row semantics: the gathered column saw a value iff any
   // gathered row is non-null.
   out.saw_value_ = n > 0 && all_null == 0;
+  auto gather = [&indexes, n](const auto& from, auto* to) {
+    to->resize(n);
+    for (int64_t i = 0; i < n; ++i) {
+      const int64_t j = indexes[i];
+      (*to)[i] = j < 0 ? typename std::decay_t<decltype(*to)>::value_type{}
+                       : from[j];
+    }
+  };
   switch (src.tag_) {
     case Tag::kInt:
-      out.ints_.resize(n);
-      for (int64_t i = 0; i < n; ++i) out.ints_[i] = src.ints_[indexes[i]];
+      gather(src.ints_, &out.ints_);
       break;
     case Tag::kDouble:
-      out.doubles_.resize(n);
-      for (int64_t i = 0; i < n; ++i) {
-        out.doubles_[i] = src.doubles_[indexes[i]];
-      }
+      gather(src.doubles_, &out.doubles_);
       break;
     case Tag::kString:
       if (src.dict_ != nullptr) {
         out.dict_ = src.dict_;
-        out.codes_.resize(n);
-        for (int64_t i = 0; i < n; ++i) {
-          out.codes_[i] = src.codes_[indexes[i]];
-        }
+        gather(src.codes_, &out.codes_);
       } else {
-        out.strings_.reserve(n);
-        for (int64_t i = 0; i < n; ++i) {
-          out.strings_.push_back(src.strings_[indexes[i]]);
-        }
+        gather(src.strings_, &out.strings_);
       }
       break;
     case Tag::kDate:
-      out.dates_.resize(n);
-      for (int64_t i = 0; i < n; ++i) out.dates_[i] = src.dates_[indexes[i]];
+      gather(src.dates_, &out.dates_);
       break;
     case Tag::kBool:
-      out.bools_.resize(n);
-      for (int64_t i = 0; i < n; ++i) out.bools_[i] = src.bools_[indexes[i]];
+      gather(src.bools_, &out.bools_);
       break;
     case Tag::kVariant:
       break;

@@ -179,7 +179,8 @@ class ColumnVector {
   void AppendBool(bool v) { nulls_.push_back(0); bools_.push_back(v ? 1 : 0); }
   void AppendDate(int32_t v) { nulls_.push_back(0); dates_.push_back(v); }
 
-  /// New column holding src rows at `indexes`, in order (filter/join gather).
+  /// New column holding src rows at `indexes`, in order (filter/join gather);
+  /// a negative index yields NULL (grouping-set padding, empty MIN/MAX).
   static ColumnVector Gather(const ColumnVector& src,
                              const std::vector<int64_t>& indexes);
 
@@ -220,7 +221,7 @@ struct Batch {
   int64_t num_rows = 0;
 
   int NumColumns() const { return static_cast<int>(columns.size()); }
-  /// Materializes row i (adapter boundary and hash-key construction).
+  /// Materializes row i (the row adapter at the facade edge).
   Row RowAt(int64_t i) const;
 };
 

@@ -50,20 +50,6 @@ struct GroupBySpec {
 
 Status BuildGroupBySpec(const qgm::Box& box, GroupBySpec* spec);
 
-/// Reorders one packed aggregator row (grouping ordinals, then aggregates)
-/// into the box's output layout.
-inline Row PackedToOutput(Row packed, const GroupBySpec& spec,
-                          int num_outputs) {
-  Row out(num_outputs);
-  const int ng = static_cast<int>(spec.grouping_cols.size());
-  for (int i = 0; i < num_outputs; ++i) {
-    out[i] = spec.grouping_ordinal[i] >= 0
-                 ? std::move(packed[spec.grouping_ordinal[i]])
-                 : std::move(packed[ng + spec.agg_ordinal[i]]);
-  }
-  return out;
-}
-
 }  // namespace exec_internal
 }  // namespace engine
 }  // namespace sumtab

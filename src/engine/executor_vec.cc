@@ -7,7 +7,6 @@
 // produce bit-identical results up to output row order.
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -64,11 +63,14 @@ StatusOr<std::vector<int64_t>> SelectIndexes(const ExprPtr& pred,
 }
 
 /// Gathers the joined batch: probe-side columns by probe index, build-side
-/// columns by build index. Columns are independent, so large gathers go
+/// columns by build index, where `keep` (over probe then build columns) is
+/// set; the rest stay empty, as nothing reads them. With an empty build
+/// side it filters one batch. Columns are independent, so large gathers go
 /// column-parallel.
 Batch GatherJoin(const Batch& probe, const Batch& build,
                  const std::vector<int64_t>& probe_idx,
-                 const std::vector<int64_t>& build_idx, int max_threads) {
+                 const std::vector<int64_t>& build_idx,
+                 const std::vector<bool>& keep, int max_threads) {
   Batch out;
   out.num_rows = static_cast<int64_t>(probe_idx.size());
   const int pw = probe.NumColumns();
@@ -79,6 +81,7 @@ Batch GatherJoin(const Batch& probe, const Batch& build,
                         : 1;
   ParallelFor(total, lanes, [&](int, int64_t begin, int64_t end) {
     for (int64_t c = begin; c < end; ++c) {
+      if (!keep[c]) continue;
       out.columns[c] =
           c < pw ? ColumnVector::Gather(probe.columns[c], probe_idx)
                  : ColumnVector::Gather(build.columns[c - pw], build_idx);
@@ -168,22 +171,23 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
     bool used = false;
   };
   std::vector<JoinPred> join_preds;
-  // A lone quantifier's filtered batch feeds only this box's predicates and
-  // outputs (there is no join to carry other columns through), so its
-  // filters gather just the columns those read; the others stay empty.
-  std::vector<bool> read(nq == 1 ? child_width[0] : 0, false);
-  if (nq == 1) {
-    auto mark = [&read](const ExprPtr& e) {
-      expr::Visit(e, [&read](const expr::Expr& node) {
-        if (node.kind == expr::Expr::Kind::kColumnRef && node.column >= 0 &&
-            node.column < static_cast<int>(read.size())) {
-          read[node.column] = true;
-        }
-      });
-    };
-    for (const ExprPtr& pred : box.predicates) mark(pred);
-    for (const qgm::OutputColumn& out : box.outputs) mark(out.expr);
-  }
+  // Filters and joins gather only the columns of each quantifier that this
+  // box's predicates and outputs read; the others stay empty up to the
+  // projection, which reads nothing else.
+  std::vector<std::vector<bool>> read(nq);
+  for (int q = 0; q < nq; ++q) read[q].assign(child_width[q], false);
+  auto mark = [&read](const ExprPtr& e) {
+    expr::Visit(e, [&read](const expr::Expr& node) {
+      if (node.kind == expr::Expr::Kind::kColumnRef && node.quantifier >= 0 &&
+          node.quantifier < static_cast<int>(read.size()) &&
+          node.column >= 0 &&
+          node.column < static_cast<int>(read[node.quantifier].size())) {
+        read[node.quantifier][node.column] = true;
+      }
+    });
+  };
+  for (const ExprPtr& pred : box.predicates) mark(pred);
+  for (const qgm::OutputColumn& out : box.outputs) mark(out.expr);
   for (const ExprPtr& pred : box.predicates) {
     std::vector<int> qs = PredQuantifiers(pred);
     if (qs.size() == 1) {
@@ -194,15 +198,8 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
           std::vector<int64_t> keep,
           SelectIndexes(pred, offsets, input, options_.max_threads));
       if (static_cast<int64_t>(keep.size()) == input.num_rows) continue;
-      auto filtered = std::make_shared<Batch>();
-      filtered->num_rows = static_cast<int64_t>(keep.size());
-      filtered->columns.resize(input.columns.size());
-      for (size_t c = 0; c < input.columns.size(); ++c) {
-        if (nq > 1 || read[c]) {
-          filtered->columns[c] = ColumnVector::Gather(input.columns[c], keep);
-        }
-      }
-      child[qs[0]] = std::move(filtered);
+      child[qs[0]] = std::make_shared<Batch>(GatherJoin(
+          input, Batch(), keep, {}, read[qs[0]], options_.max_threads));
       continue;
     }
     JoinPred jp;
@@ -221,6 +218,7 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
   //    q's first column slot.
   std::vector<int> offsets(nq, -1);
   BatchPtr combined;
+  std::vector<bool> combined_read;  // per combined slot: read[q][c]
   std::vector<bool> joined(nq, false);
   int joined_count = 0;
   int width = 0;
@@ -238,7 +236,8 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
           std::vector<int64_t> keep,
           SelectIndexes(pred, offsets, *combined, options_.max_threads));
       if (static_cast<int64_t>(keep.size()) != combined->num_rows) {
-        combined = std::make_shared<Batch>(GatherBatch(*combined, keep));
+        combined = std::make_shared<Batch>(GatherJoin(
+            *combined, Batch(), keep, {}, combined_read, options_.max_threads));
       }
     }
     residual = std::move(still);
@@ -272,23 +271,29 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
       }
     }
 
+    combined_read.insert(combined_read.end(), read[next].begin(),
+                         read[next].end());
     if (joined_count == 0) {
       combined = child[next];
       offsets[next] = 0;
       width = child_width[next];
     } else if (!edges.empty()) {
       // Hash join `next` against the combined batch: build an index table
-      // over the build side, probe morsel-parallel collecting (probe, build)
-      // index pairs, then gather both sides column-wise.
-      const Batch& build = *child[next];
+      // over the smaller side (`next` on a tie), probe morsel-parallel with
+      // the other collecting (probe, build) index pairs, then gather both
+      // sides column-wise.
+      const bool swap = child[next]->num_rows > combined->num_rows;
+      const Batch& build = swap ? *combined : *child[next];
+      const Batch& probe = swap ? *child[next] : *combined;
       std::vector<int> build_cols;
       std::vector<int> probe_slots;
       for (JoinPred* jp : edges) {
         jp->used = true;
-        build_cols.push_back(jp->qa == next ? jp->ca : jp->cb);
+        const int next_col = jp->qa == next ? jp->ca : jp->cb;
         int qj = jp->qa == next ? jp->qb : jp->qa;
         int cj = jp->qa == next ? jp->cb : jp->ca;
-        probe_slots.push_back(offsets[qj] + cj);
+        build_cols.push_back(swap ? offsets[qj] + cj : next_col);
+        probe_slots.push_back(swap ? next_col : offsets[qj] + cj);
       }
       // Single-column keys over matching int-like tags — ints, dates, and
       // dictionary-encoded strings — probe through the flat int64 kernel
@@ -299,7 +304,7 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
       // probe codes to build codes once (one Find per distinct string) and
       // then probe the same pure int loop.
       const ColumnVector* bkey = &build.columns[build_cols[0]];
-      const ColumnVector* pkey = &combined->columns[probe_slots[0]];
+      const ColumnVector* pkey = &probe.columns[probe_slots[0]];
       enum class KeyMode { kNone, kInt, kDate, kCode, kCodeTranslate };
       KeyMode mode = KeyMode::kNone;
       if (build_cols.size() == 1 && bkey->tag() == pkey->tag()) {
@@ -344,13 +349,24 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
           row_table[std::move(key)].push_back(i);
         }
       }
-      const int64_t probe_n = combined->num_rows;
+      const int64_t probe_n = probe.num_rows;
       const int lanes =
           ParallelLanes(probe_n, options_.max_threads, kMorselRows);
       std::vector<std::vector<std::pair<int64_t, int64_t>>> lane_pairs(lanes);
       std::vector<Status> lane_status(lanes, Status::OK());
       ParallelFor(probe_n, lanes, [&](int lane, int64_t begin, int64_t end) {
         auto& pairs = lane_pairs[lane];
+        // Charges the lane's uncharged pairs once there are at least
+        // `at_least` of them, so the row budget trips within a morsel of
+        // matches of its limit without an atomic add per probe row.
+        size_t charged = 0;
+        auto charge = [&](size_t at_least) {
+          if (pairs.size() - charged < at_least) return true;
+          Status st = Charge(static_cast<int64_t>(pairs.size() - charged));
+          charged = pairs.size();
+          if (!st.ok()) lane_status[lane] = std::move(st);
+          return lane_status[lane].ok();
+        };
         if (flat != nullptr) {
           for (int64_t i = begin; i < end; ++i) {
             if (pkey->IsNull(i)) continue;
@@ -372,17 +388,12 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
             }
             int64_t head = flat->Probe(k);
             if (head < 0) continue;
-            size_t first = pairs.size();
             for (int64_t bi = head; bi != -1; bi = flat->Next(bi)) {
               pairs.emplace_back(i, bi);
             }
-            // One charge per probe row covering all its matches.
-            Status charged = Charge(static_cast<int64_t>(pairs.size() - first));
-            if (!charged.ok()) {
-              lane_status[lane] = std::move(charged);
-              return;
-            }
+            if (!charge(kMorselRows)) return;
           }
+          charge(1);
           return;
         }
         for (int64_t i = begin; i < end; ++i) {
@@ -390,20 +401,17 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
           key.reserve(probe_slots.size());
           bool has_null = false;
           for (int slot : probe_slots) {
-            Value v = combined->columns[slot].ValueAt(i);
+            Value v = probe.columns[slot].ValueAt(i);
             has_null = has_null || v.is_null();
             key.push_back(std::move(v));
           }
           if (has_null) continue;
           auto it = row_table.find(key);
           if (it == row_table.end()) continue;
-          Status charged = Charge(static_cast<int64_t>(it->second.size()));
-          if (!charged.ok()) {
-            lane_status[lane] = std::move(charged);
-            return;
-          }
           for (int64_t bi : it->second) pairs.emplace_back(i, bi);
+          if (!charge(kMorselRows)) return;
         }
+        charge(1);
       }, kMorselRows);
       for (const Status& st : lane_status) SUMTAB_RETURN_NOT_OK(st);
       std::vector<int64_t> probe_idx;
@@ -419,7 +427,8 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
         }
       }
       combined = std::make_shared<Batch>(GatherJoin(
-          *combined, build, probe_idx, build_idx, options_.max_threads));
+          *combined, *child[next], swap ? build_idx : probe_idx,
+          swap ? probe_idx : build_idx, combined_read, options_.max_threads));
       offsets[next] = width;
       width += child_width[next];
       child[next] = nullptr;
@@ -438,7 +447,8 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
         }
       }
       combined = std::make_shared<Batch>(GatherJoin(
-          *combined, right, probe_idx, build_idx, options_.max_threads));
+          *combined, right, probe_idx, build_idx, combined_read,
+          options_.max_threads));
       offsets[next] = width;
       width += child_width[next];
       child[next] = nullptr;
@@ -495,11 +505,7 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
   }
 
   if (box.distinct) {
-    std::unordered_set<Row, RowHash> seen;
-    std::vector<int64_t> keep;
-    for (int64_t i = 0; i < result->num_rows; ++i) {
-      if (seen.insert(result->RowAt(i)).second) keep.push_back(i);
-    }
+    std::vector<int64_t> keep = DistinctRows(*result, options_.max_threads);
     if (static_cast<int64_t>(keep.size()) != result->num_rows) {
       result = std::make_shared<Batch>(GatherBatch(*result, keep));
     }
@@ -514,18 +520,19 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteGroupBy(const qgm::Graph& graph,
   exec_internal::GroupBySpec spec;
   SUMTAB_RETURN_NOT_OK(exec_internal::BuildGroupBySpec(box, &spec));
   SUMTAB_ASSIGN_OR_RETURN(
-      std::vector<Row> rows,
-      AggregateBatch(*child, spec.grouping_cols, spec.sets, spec.aggs,
-                     options_.max_threads));
-  SUMTAB_RETURN_NOT_OK(Charge(static_cast<int64_t>(rows.size())));
-  std::vector<Row> out_rows;
-  out_rows.reserve(rows.size());
-  for (Row& packed : rows) {
-    out_rows.push_back(exec_internal::PackedToOutput(std::move(packed), spec,
-                                                     box.NumOutputs()));
+      Batch packed, AggregateBatch(*child, spec.grouping_cols, spec.sets,
+                                   spec.aggs, options_.max_threads));
+  SUMTAB_RETURN_NOT_OK(Charge(packed.num_rows));
+  // Packed layout (grouping ordinals, then aggregates) -> output layout.
+  const int ng = static_cast<int>(spec.grouping_cols.size());
+  std::vector<ColumnVector> columns;
+  columns.swap(packed.columns);
+  for (int i = 0; i < box.NumOutputs(); ++i) {
+    const int g = spec.grouping_ordinal[i];
+    packed.columns.push_back(
+        std::move(columns[g >= 0 ? g : ng + spec.agg_ordinal[i]]));
   }
-  return BatchPtr(std::make_shared<Batch>(
-      BatchFromRows(std::move(out_rows), box.NumOutputs())));
+  return BatchPtr(std::make_shared<Batch>(std::move(packed)));
 }
 
 }  // namespace engine

@@ -21,6 +21,19 @@ void Int64JoinTable::Insert(int64_t key, int64_t row) {
   slot_head_[s] = row;
 }
 
+void GroupIdTable::Grow() {
+  std::vector<Slot> old(slots_.size() * 2);
+  old.swap(slots_);
+  ++bits_;
+  const uint32_t mask = static_cast<uint32_t>(slots_.size() - 1);
+  for (const Slot& slot : old) {
+    if (slot.id < 0) continue;
+    uint32_t s = slot.hash >> (32 - bits_);
+    while (slots_[s].id >= 0) s = (s + 1) & mask;
+    slots_[s] = slot;
+  }
+}
+
 std::vector<int64_t> TranslateCodes(const StringDictionary& from,
                                     const StringDictionary& to) {
   const int32_t n = from.size();

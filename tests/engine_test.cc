@@ -7,6 +7,7 @@
 #include "engine/aggregator.h"
 #include "sumtab/database.h"
 #include "tests/reference.h"
+#include "tests/test_util.h"
 
 namespace sumtab {
 namespace {
@@ -245,6 +246,88 @@ TEST_F(EngineTest, MissingTableDataFails) {
   EXPECT_FALSE(db_.Query("select x from nosuch", opts).ok());
 }
 
+TEST(JoinTest, PrunedGathersAndSmallerBuildSideMatchReference) {
+  // A 12k-row fact against a 60-row dimension (and a 5-row one): hash joins
+  // now build on the smaller side and gather only the columns a box reads.
+  // Every shape — swapped and unswapped build, two-column (Value-keyed)
+  // keys, NULL keys, residuals across sides, a three-way join, a scalar
+  // subquery — must equal the reference at one lane and at four, and the
+  // two lane counts must agree bit for bit.
+  using catalog::Column;
+  Database db;
+  ASSERT_TRUE(db.CreateTable("f",
+                             {Column{"k", Type::kInt, true},
+                              Column{"g", Type::kString, false},
+                              Column{"v", Type::kInt, false},
+                              Column{"x", Type::kDouble, false},
+                              Column{"unused", Type::kString, false}},
+                             {})
+                  .ok());
+  ASSERT_TRUE(db.CreateTable("dm",
+                             {Column{"k", Type::kInt, true},
+                              Column{"g2", Type::kString, false},
+                              Column{"w", Type::kInt, false},
+                              Column{"c", Type::kInt, false}},
+                             {})
+                  .ok());
+  ASSERT_TRUE(db.CreateTable("cat",
+                             {Column{"c", Type::kInt, false},
+                              Column{"label", Type::kString, false}},
+                             {"c"})
+                  .ok());
+  std::vector<Row> f;
+  for (int64_t i = 0; i < 12000; ++i) {
+    f.push_back({i % 97 == 0 ? Value::Null() : Value::Int(i % 70),
+                 Value::String(i % 3 == 0 ? "a" : "b"), Value::Int(i % 50),
+                 Value::Double((i % 13) * 0.25),
+                 Value::String("pad" + std::to_string(i % 5))});
+  }
+  std::vector<Row> dm;
+  for (int64_t k = 0; k < 60; ++k) {
+    dm.push_back({k == 7 ? Value::Null() : Value::Int(k),
+                  Value::String(k % 2 == 0 ? "a" : "b"), Value::Int(k % 40),
+                  Value::Int(k % 5)});
+  }
+  std::vector<Row> cat;
+  for (int64_t c = 0; c < 5; ++c) {
+    cat.push_back({Value::Int(c), Value::String("c" + std::to_string(c))});
+  }
+  ASSERT_TRUE(db.BulkLoad("f", f).ok());
+  ASSERT_TRUE(db.BulkLoad("dm", dm).ok());
+  ASSERT_TRUE(db.BulkLoad("cat", cat).ok());
+  for (const char* sql : {
+           "select dm.c, count(*) as n, sum(f.x) as sx from f, dm "
+           "where f.k = dm.k group by dm.c",
+           "select f.k, dm.w from f, dm where f.k = dm.k and f.v < 1",
+           "select f.g, count(*) as n from f, dm "
+           "where f.k = dm.k and f.g = dm.g2 group by f.g",
+           "select dm.k, f.v from f, dm where f.k = dm.k and f.v > dm.w",
+           "select label, sum(f.v) as sv from f, dm, cat "
+           "where f.k = dm.k and dm.c = cat.c group by label",
+           "select f.k, count(*) as n, count(*) / (select count(*) from dm) "
+           "as share from f, dm where f.k = dm.k group by f.k",
+       }) {
+    StatusOr<engine::Relation> want = reference::Query(db, sql);
+    ASSERT_TRUE(want.ok()) << want.status().ToString() << "\n" << sql;
+    std::vector<Row> serial;
+    for (int threads : {1, 4}) {
+      QueryOptions opts;
+      opts.enable_rewrite = false;
+      opts.max_threads = threads;
+      StatusOr<QueryResult> got = db.Query(sql, opts);
+      ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << sql;
+      EXPECT_TRUE(reference::MatchesReference(got->relation, *want))
+          << sql << " threads=" << threads;
+      if (threads == 1) {
+        serial = got->relation.rows;
+      } else {
+        EXPECT_TRUE(reference::SameRowsExactly(got->relation.rows, serial))
+            << sql;
+      }
+    }
+  }
+}
+
 /// AggregateBatch over `input`, checked against the reference's grouping
 /// of the same rows in the same order (exactly, Value kinds included).
 std::vector<Row> AggregateLikeReference(
@@ -252,8 +335,8 @@ std::vector<Row> AggregateLikeReference(
     const std::vector<int>& grouping_cols,
     const std::vector<std::vector<int>>& sets,
     const std::vector<engine::AggSpec>& aggs) {
-  auto got = engine::AggregateBatch(engine::BatchFromRows(input, num_cols),
-                                    grouping_cols, sets, aggs);
+  auto got = testing::AggregateRows(engine::BatchFromRows(input, num_cols),
+                                   grouping_cols, sets, aggs);
   auto want = reference::Aggregate(input, grouping_cols, sets, aggs);
   EXPECT_TRUE(got.ok() && want.ok());
   if (!got.ok() || !want.ok()) return {};

@@ -190,7 +190,7 @@ StatusOr<std::vector<Row>> AggregateAt(
     const std::vector<std::vector<int>>& sets,
     const std::vector<engine::AggSpec>& aggs, int threads) {
   engine::Batch batch = engine::BatchFromRows(input, 3);
-  return engine::AggregateBatch(batch, grouping_cols, sets, aggs, threads);
+  return testing::AggregateRows(batch, grouping_cols, sets, aggs, threads);
 }
 
 TEST(ParallelAggregateTest, SkewedGroupsBitIdenticalToSerial) {

@@ -4,10 +4,12 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/card_schema.h"
+#include "engine/aggregator.h"
 #include "engine/relation.h"
 #include "sumtab/database.h"
 
@@ -47,6 +49,18 @@ inline std::string ExpectRewriteEquivalent(Database* db,
       << direct->relation.ToString(20) << "\nrouted:\n"
       << routed->relation.ToString(20);
   return routed->rewritten_sql;
+}
+
+/// engine::AggregateBatch's packed output as rows, the form
+/// reference::Aggregate answers in.
+inline StatusOr<std::vector<Row>> AggregateRows(
+    const engine::Batch& input, const std::vector<int>& grouping_cols,
+    const std::vector<std::vector<int>>& sets,
+    const std::vector<engine::AggSpec>& aggs, int max_threads = 1) {
+  SUMTAB_ASSIGN_OR_RETURN(
+      engine::Batch out,
+      engine::AggregateBatch(input, grouping_cols, sets, aggs, max_threads));
+  return engine::BatchToRelation(out, {}).rows;
 }
 
 }  // namespace testing

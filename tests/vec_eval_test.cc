@@ -23,12 +23,12 @@
 #include "expr/expr_eval.h"
 #include "expr/expr_vec_eval.h"
 #include "tests/reference.h"
+#include "tests/test_util.h"
 
 namespace sumtab {
 namespace {
 
 using engine::AggSpec;
-using engine::AggregateBatch;
 using engine::Batch;
 using engine::BatchFromRows;
 using engine::ColumnVector;
@@ -257,7 +257,7 @@ void CheckAggBothPaths(const std::vector<Row>& input, int num_cols,
   ASSERT_TRUE(want.ok()) << label;
   for (int threads : {1, 4}) {
     StatusOr<std::vector<Row>> got =
-        AggregateBatch(batch, grouping_cols, sets, aggs, threads);
+        testing::AggregateRows(batch, grouping_cols, sets, aggs, threads);
     ASSERT_TRUE(got.ok()) << label;
     EXPECT_TRUE(reference::SameRowsExactly(*got, *want))
         << label << " threads=" << threads;
@@ -444,7 +444,7 @@ TEST(VecEvalTest, DictEncodedGroupingMatchesRowAggregator) {
   ASSERT_TRUE(want.ok());
   for (int threads : {1, 4}) {
     StatusOr<std::vector<Row>> by_batch =
-        AggregateBatch(batch, {0, 1, 2}, sets, aggs, threads);
+        testing::AggregateRows(batch, {0, 1, 2}, sets, aggs, threads);
     ASSERT_TRUE(by_batch.ok());
     EXPECT_TRUE(reference::SameRowsExactly(*by_batch, *want))
         << "dict rollup threads=" << threads;
@@ -454,7 +454,7 @@ TEST(VecEvalTest, DictEncodedGroupingMatchesRowAggregator) {
   Batch raw = BatchFromRows(input, 4);
   ASSERT_FALSE(raw.columns[0].dict_encoded());
   StatusOr<std::vector<Row>> by_raw =
-      AggregateBatch(raw, {0, 1, 2}, sets, aggs, 4);
+      testing::AggregateRows(raw, {0, 1, 2}, sets, aggs, 4);
   ASSERT_TRUE(by_raw.ok());
   EXPECT_TRUE(reference::SameRowsExactly(*by_raw, *want))
       << "raw string fallback";
