@@ -88,8 +88,6 @@ const char* RejectReasonToken(RejectReason reason) {
       return "maint_root_shape";
     case RejectReason::kMaintHavingPredicate:
       return "maint_having_predicate";
-    case RejectReason::kMaintRootChildNotGroupBy:
-      return "maint_root_child_not_group_by";
     case RejectReason::kMaintGroupByChildNotSelect:
       return "maint_group_by_child_not_select";
     case RejectReason::kMaintNestedBlock:
@@ -104,8 +102,6 @@ const char* RejectReasonToken(RejectReason reason) {
       return "maint_multi_grouping_set";
     case RejectReason::kMaintPartialGroupKey:
       return "maint_partial_group_key";
-    case RejectReason::kMaintNonForeachQuantifier:
-      return "maint_non_foreach_quantifier";
     case RejectReason::kAdmissionQueueFull:
       return "admission_queue_full";
     case RejectReason::kAdmissionTimeout:

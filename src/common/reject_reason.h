@@ -61,7 +61,7 @@ enum class RejectReason : uint16_t {
   kNoMinMaxDerivation = 79,
   kAvgNotLowered = 80,
 
-  // ---- incremental maintenance (AnalyzeMergePlan) ----
+  // ---- incremental maintenance (AnalyzeMergePlan; 107 and 115 retired) ----
   kMaintDistinctBlock = 100,
   kMaintScalarSubquery = 101,
   kMaintDeltaRefCount = 102,
@@ -69,7 +69,6 @@ enum class RejectReason : uint16_t {
   kMaintAggBelowJoin = 104,
   kMaintRootShape = 105,
   kMaintHavingPredicate = 106,
-  kMaintRootChildNotGroupBy = 107,
   kMaintGroupByChildNotSelect = 108,
   kMaintNestedBlock = 109,
   kMaintComputedOutput = 110,
@@ -77,7 +76,6 @@ enum class RejectReason : uint16_t {
   kMaintNonMergeableAggregate = 112,
   kMaintMultiGroupingSet = 113,
   kMaintPartialGroupKey = 114,
-  kMaintNonForeachQuantifier = 115,
 
   // ---- serving: admission control + sessions (src/serving/) ----
   kAdmissionQueueFull = 130,

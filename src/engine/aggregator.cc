@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <numeric>
 #include <unordered_set>
 
 #include "common/thread_pool.h"
@@ -530,6 +531,44 @@ StatusOr<Batch> AggregateBatch(
     out.columns.push_back(
         EmitAggregate(plans[a], accums[a], aggs[a], out.num_rows));
   }
+  return out;
+}
+
+StatusOr<Batch> MergeGroups(const Batch& current, const Batch& delta,
+                            const std::vector<int>& key_cols,
+                            const std::vector<expr::AggColumn>& agg_cols,
+                            int max_threads) {
+  // AggregateBatch emits the keys, then the aggregates; source[c] is the
+  // emitted column that returns to position c.
+  std::vector<int> positions = key_cols;
+  std::vector<AggSpec> aggs;
+  for (const expr::AggColumn& agg : agg_cols) {
+    positions.push_back(agg.col);
+    aggs.push_back(AggSpec{
+        agg.func == AggFunc::kCount ? AggFunc::kSum : agg.func, false, false,
+        agg.col});
+  }
+  const int width = current.NumColumns();
+  std::vector<int> source(width, -1);
+  bool valid = delta.NumColumns() == width &&
+               static_cast<int>(positions.size()) == width;
+  for (int out = 0; valid && out < width; ++out) {
+    const int pos = positions[out];
+    valid = pos >= 0 && pos < width && source[pos] < 0;
+    if (valid) source[pos] = out;
+  }
+  if (!valid) {
+    return Status::Internal(
+        "merge keys and aggregates must cover each column exactly once");
+  }
+  std::vector<int> set(key_cols.size());
+  std::iota(set.begin(), set.end(), 0);
+  SUMTAB_ASSIGN_OR_RETURN(
+      Batch merged, AggregateBatch(ConcatBatches(current, delta), key_cols,
+                                   {set}, aggs, max_threads));
+  Batch out;
+  out.num_rows = merged.num_rows;
+  for (int c : source) out.columns.push_back(std::move(merged.columns[c]));
   return out;
 }
 

@@ -1,7 +1,9 @@
 // Hash aggregation with multidimensional grouping (canonical grouping sets):
 // each grouping set is evaluated as its own cuboid over the input; grouped-out
 // columns are NULL-padded, and cuboid outputs are concatenated (paper Sec. 5,
-// Fig. 12).
+// Fig. 12). The same kernel merges partial aggregates (MergeGroups), so
+// recompute, incremental maintenance and delta compensation share one
+// definition of COUNT/SUM/MIN/MAX.
 #ifndef SUMTAB_ENGINE_AGGREGATOR_H_
 #define SUMTAB_ENGINE_AGGREGATOR_H_
 
@@ -52,6 +54,21 @@ StatusOr<Batch> AggregateBatch(
     const Batch& input, const std::vector<int>& grouping_cols,
     const std::vector<std::vector<int>>& grouping_sets,
     const std::vector<AggSpec>& aggs, int max_threads = 1);
+
+/// The one keyed merge of partial aggregates, used by incremental
+/// maintenance (stored AST + delta aggregate) and delta compensation (AST
+/// leg + delta leg). Every column of the shared layout is a key
+/// (`key_cols`) or a COUNT/SUM/MIN/MAX partial (`agg_cols`). Runs
+/// AggregateBatch over ConcatBatches(current, delta) grouped on the keys,
+/// re-aggregating COUNT as SUM and SUM/MIN/MAX as themselves (paper §4.1:
+/// `count(*)` rolls up as `sum(cnt)`), so each merged cell has the value
+/// and Value kind a recompute over the union would give. Columns keep
+/// their positions. At one lane, `current`'s groups (unique keys) keep
+/// their order and new groups follow in `delta` order.
+StatusOr<Batch> MergeGroups(const Batch& current, const Batch& delta,
+                            const std::vector<int>& key_cols,
+                            const std::vector<expr::AggColumn>& agg_cols,
+                            int max_threads = 1);
 
 /// SELECT DISTINCT on the same pass 1: the first occurrence of every
 /// distinct row of `input` (Value equality, NULL equal to NULL), in input

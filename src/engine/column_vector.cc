@@ -350,6 +350,13 @@ void ColumnVector::AppendColumn(const ColumnVector& src) {
     *this = src;
     return;
   }
+  if (tag_ == Tag::kString && src.tag_ == Tag::kString && dict_ != nullptr &&
+      dict_ != src.dict_ && src.size() > 0) {
+    // Strings under another encoding would otherwise intern, row by row,
+    // into this column's dictionary, which may be a stored table's: a
+    // query merging an AST leg with a delta leg must not grow it. Go raw.
+    DecodeToRaw();
+  }
   // Bulk concatenation needs matching tags AND — for strings — matching
   // encodings (same dictionary, or both raw); anything else goes per-row.
   if (tag_ == src.tag_ && tag_ != Tag::kVariant &&

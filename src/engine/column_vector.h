@@ -169,7 +169,9 @@ class ColumnVector {
   void AppendValue(const Value& v);
   /// Appends slot i of src (fast path when tags match; promotes otherwise).
   void AppendFrom(const ColumnVector& src, int64_t i);
-  /// Appends all of src (concatenation; promotes on tag mismatch).
+  /// Appends all of src (concatenation; promotes on tag mismatch). Never
+  /// interns: a string src under another encoding than this column's
+  /// dictionary turns this column raw.
   void AppendColumn(const ColumnVector& src);
 
   // Typed appends for evaluator fast paths; only valid while the column's
@@ -239,7 +241,9 @@ Relation BatchToRelation(const Batch& batch,
 
 /// a's rows followed by b's (same column count), column by column through
 /// ColumnVector::Concat: when b was encoded against a's dictionaries
-/// (Storage::Encode) the copy is pure payload concatenation.
+/// (Storage::Encode) the copy is pure payload concatenation; a string
+/// column whose encodings differ comes out raw, and neither dictionary
+/// grows.
 Batch ConcatBatches(const Batch& a, const Batch& b);
 
 /// The batch's rows ordered by Value::CompareRows (NULL first; data-NULLs

@@ -25,7 +25,8 @@ std::vector<int> PredQuantifiers(const expr::ExprPtr& pred);
 /// Applies an ORDER BY spec to a final result: stable sort under the
 /// engine-wide Value::Compare total order (NULL first, numerics by value
 /// across kinds). The ONE definition every result-ordering site uses — the
-/// executor's Execute tail, compensation's merged answers and the tests'
+/// executor's Execute tail, compensation's answers (after the merge and the
+/// residual root, converted from Batch like Execute's) and the tests'
 /// reference evaluator — so a compensated or rewritten query is ordered
 /// exactly like a direct one.
 void ApplyOrderBy(const std::vector<qgm::OrderSpec>& spec, Relation* result);

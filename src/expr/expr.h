@@ -50,8 +50,8 @@ enum class UnaryOp { kNeg, kNot };
 
 enum class AggFunc { kCount, kSum, kMin, kMax, kAvg };
 
-/// An aggregate column of a row: its position and function — what a keyed
-/// group merge combines (maintenance::MergeGroups).
+/// An aggregate column of a batch: its position and function — what the
+/// keyed group merge combines (engine::MergeGroups).
 struct AggColumn {
   int col = 0;
   AggFunc func = AggFunc::kCount;

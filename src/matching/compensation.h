@@ -10,8 +10,9 @@
 // rewritten through the stale AST (answers as of the AST's epoch); leg B is
 // Q' executed with the stale table overridden by the retained delta slices.
 // The executor merges the legs per group through the SAME
-// maintenance::MergeAggregateValues core the incremental-maintenance path
-// uses, so sticky int->double SUM promotion stays bit-identical to a full
+// engine::MergeGroups the incremental-maintenance path uses — the
+// aggregation kernel re-aggregating both legs' partials (COUNT as SUM) —
+// so sticky int->double SUM promotion stays bit-identical to a full
 // recompute, then evaluates the residual root over the merged rows.
 #ifndef SUMTAB_MATCHING_COMPENSATION_H_
 #define SUMTAB_MATCHING_COMPENSATION_H_

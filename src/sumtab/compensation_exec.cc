@@ -1,15 +1,17 @@
 #include "sumtab/compensation_exec.h"
 
-#include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/reject_reason.h"
+#include "engine/aggregator.h"
 #include "engine/exec_shared.h"
-#include "expr/expr_eval.h"
-#include "sumtab/maintenance.h"
+#include "engine/kernels.h"
+#include "expr/expr_vec_eval.h"
 
 namespace sumtab {
 namespace compensation {
@@ -43,73 +45,72 @@ StatusOr<engine::Relation> ExecuteCompensationPlan(
   // Both legs execute against the SAME pinned snapshot with the caller's
   // options (parallel / budgets apply to each leg); only the override
   // differs — leg B scans a retained slice where the plan scans the stale
-  // table. The delta leg runs once per slice: aggregates that qualify for
-  // compensation decompose under union, so folding slice partials one at a
-  // time equals aggregating the concatenation — without ever copying the
-  // slices into one batch.
+  // table. The delta leg runs once per slice and its partials concatenate:
+  // aggregates that qualify for compensation decompose under union, so one
+  // merge over all of them equals aggregating the slices together — without
+  // ever copying the slices into one batch.
   engine::ExecOptions leg_options = options;
   leg_options.columnar_overrides = nullptr;
-  engine::Executor ast_exec(snap, leg_options);
-  SUMTAB_ASSIGN_OR_RETURN(engine::Relation merged,
-                          ast_exec.Execute(plan.ast_leg));
-  std::vector<Row> delta_rows;
+  SUMTAB_ASSIGN_OR_RETURN(
+      engine::Executor::BatchPtr ast_leg,
+      engine::Executor(snap, leg_options).ExecuteColumns(plan.ast_leg));
+  engine::Batch answer = *ast_leg;
+  std::optional<engine::Batch> delta;
   for (const auto& slice : slices) {
     const std::map<std::string, std::shared_ptr<const engine::Batch>>
         overrides = {{plan.stale_table, slice}};
     leg_options.columnar_overrides = &overrides;
-    engine::Executor delta_exec(snap, leg_options);
-    SUMTAB_ASSIGN_OR_RETURN(engine::Relation delta_leg,
-                            delta_exec.Execute(plan.delta_leg));
-    delta_rows.insert(delta_rows.end(),
-                      std::make_move_iterator(delta_leg.rows.begin()),
-                      std::make_move_iterator(delta_leg.rows.end()));
+    SUMTAB_ASSIGN_OR_RETURN(
+        engine::Executor::BatchPtr delta_leg,
+        engine::Executor(snap, leg_options).ExecuteColumns(plan.delta_leg));
+    delta = delta ? engine::ConcatBatches(*delta, *delta_leg) : *delta_leg;
+  }
+  if (delta && plan.spj) {
+    // SPJ: the legs partition the answer; concatenate.
+    answer = engine::ConcatBatches(answer, *delta);
+  } else if (delta) {
+    // Keyed merge of the legs' groups through the one merge incremental
+    // maintenance uses: the aggregation kernel re-aggregates both legs'
+    // partials, so aggregate kinds land exactly where a full recompute
+    // would put them. Concatenation never interns, so the stored AST's
+    // dictionaries stay as they are.
+    SUMTAB_ASSIGN_OR_RETURN(
+        answer, engine::MergeGroups(answer, *delta, plan.key_positions,
+                                    plan.agg_positions, options.max_threads));
   }
 
-  if (plan.spj) {
-    // SPJ: the legs partition the answer; concatenate and re-order.
-    merged.rows.insert(merged.rows.end(),
-                       std::make_move_iterator(delta_rows.begin()),
-                       std::make_move_iterator(delta_rows.end()));
-    ApplyOrderBy(plan.order_by, &merged);
-    return merged;
-  }
-
-  // Keyed merge of the legs' groups through the one merge incremental
-  // maintenance uses, so aggregate kinds land exactly where a full recompute
-  // would put them.
-  maintenance::MergeGroups(plan.key_positions, plan.agg_positions,
-                           std::move(delta_rows), &merged.rows);
-
-  // Residual: the original root's projections (lowered AVG included) and
-  // HAVING, evaluated per merged group. Quantifier 0 of those expressions is
-  // the GROUP-BY box, whose output layout the merged rows carry verbatim.
-  engine::Relation result;
-  result.column_names.reserve(plan.final_outputs.size());
-  for (const qgm::OutputColumn& out : plan.final_outputs) {
-    result.column_names.push_back(out.name);
-  }
-  std::vector<int> offsets = {0};
-  for (const Row& row : merged.rows) {
-    expr::EvalContext ctx;
-    ctx.offsets = &offsets;
-    ctx.row = &row;
-    bool keep = true;
+  if (!plan.spj) {
+    // Residual: the original root's HAVING, then its projections (lowered
+    // AVG included), over the merged groups. Quantifier 0 of those
+    // expressions is the GROUP-BY box, whose output layout the merged batch
+    // carries verbatim. Each conjunct filters what the previous ones kept.
+    const std::vector<int> offsets = {0};
+    auto whole = [&offsets](const engine::Batch& batch) {
+      return expr::VecEvalContext{&offsets, &batch, 0, batch.num_rows};
+    };
     for (const expr::ExprPtr& pred : plan.final_predicates) {
-      SUMTAB_ASSIGN_OR_RETURN(bool pass, expr::EvalPredicate(pred, ctx));
-      if (!pass) {
-        keep = false;
-        break;
-      }
+      std::vector<uint8_t> mask;
+      SUMTAB_RETURN_NOT_OK(expr::EvalPredicateVec(pred, whole(answer), &mask));
+      std::vector<int64_t> kept;
+      engine::kernels::SelectFromMask(mask.data(), answer.num_rows, 0, &kept);
+      answer = engine::GatherBatch(answer, kept);
     }
-    if (!keep) continue;
-    Row out;
-    out.reserve(plan.final_outputs.size());
-    for (const qgm::OutputColumn& o : plan.final_outputs) {
-      SUMTAB_ASSIGN_OR_RETURN(Value v, expr::Eval(o.expr, ctx));
-      out.push_back(std::move(v));
+    engine::Batch projected;
+    projected.num_rows = answer.num_rows;
+    for (const qgm::OutputColumn& out : plan.final_outputs) {
+      SUMTAB_ASSIGN_OR_RETURN(engine::ColumnVector col,
+                              expr::EvalVec(out.expr, whole(answer)));
+      projected.columns.push_back(std::move(col));
     }
-    result.rows.push_back(std::move(out));
+    answer = std::move(projected);
   }
+  std::vector<std::string> names;
+  for (const qgm::OutputColumn& out :
+       plan.spj ? plan.delta_leg.box(plan.delta_leg.root())->outputs
+                : plan.final_outputs) {
+    names.push_back(out.name);
+  }
+  engine::Relation result = engine::BatchToRelation(answer, std::move(names));
   ApplyOrderBy(plan.order_by, &result);
   return result;
 }

@@ -1,8 +1,9 @@
 // Runtime for delta-compensation plans (matching/compensation.h): executes
-// the two legs against one pinned snapshot, merges them through
-// maintenance::MergeGroups — the keyed merge incremental maintenance uses —
-// then applies the residual projections / HAVING / ORDER BY the plan
-// carried out of the original query root.
+// the two legs as Batches against one pinned snapshot, merges them through
+// engine::MergeGroups — the keyed merge incremental maintenance uses — then
+// evaluates the residual HAVING / projections the plan carried out of the
+// original query root with the vectorized evaluator, and applies ORDER BY
+// to the answer.
 #ifndef SUMTAB_SUMTAB_COMPENSATION_EXEC_H_
 #define SUMTAB_SUMTAB_COMPENSATION_EXEC_H_
 

@@ -5,19 +5,20 @@
 // For a mergeable AST — a single aggregate block whose root projects the
 // GROUP-BY outputs untouched — the delta rows are aggregated by executing
 // the AST's own QGM graph with the appended table overridden by the delta,
-// and the per-group results merge into the materialized table: COUNT/SUM
-// add, MIN/MAX combine, new groups append. Anything else (HAVING, DISTINCT
-// aggregates, scalar subqueries, self-references, nested blocks) recomputes.
+// and engine::MergeGroups re-aggregates the materialized table together
+// with that delta aggregate: COUNT/SUM add, MIN/MAX combine, new groups
+// append. Anything else (HAVING, DISTINCT aggregates, scalar subqueries,
+// self-references, nested blocks) recomputes.
 #include "sumtab/maintenance.h"
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
 
 #include "common/fault_injection.h"
 #include "common/metrics.h"
 #include "common/reject_reason.h"
 #include "common/str_util.h"
+#include "engine/aggregator.h"
 #include "engine/column_vector.h"
 #include "engine/executor.h"
 #include "expr/expr_rewrite.h"
@@ -182,61 +183,6 @@ StatusOr<MergePlan> AnalyzeMergePlan(const qgm::Graph& graph,
   return plan;
 }
 
-Value MergeAggregateValues(expr::AggFunc func, const Value& current,
-                           const Value& delta) {
-  // NULL identity: SUM/MIN/MAX over an all-NULL partition is NULL, and the
-  // accumulator ignores NULL partitions when combining — so does the merge.
-  if (current.is_null()) return delta;
-  if (delta.is_null()) return current;
-  switch (func) {
-    case expr::AggFunc::kCount:
-      return Value::Int(current.AsInt() + delta.AsInt());
-    case expr::AggFunc::kSum:
-      // Accumulator-combine semantics: the result is Double iff either
-      // partition saw a double (sticky-double promotion), else Int.
-      if (current.kind() == Value::Kind::kInt &&
-          delta.kind() == Value::Kind::kInt) {
-        return Value::Int(current.AsInt() + delta.AsInt());
-      }
-      return Value::Double(current.ToDouble() + delta.ToDouble());
-    case expr::AggFunc::kMin:
-      return delta < current ? delta : current;
-    case expr::AggFunc::kMax:
-      return current < delta ? delta : current;
-    default:
-      return current;
-  }
-}
-
-void MergeGroups(const std::vector<int>& key_cols,
-                 const std::vector<expr::AggColumn>& agg_cols,
-                 std::vector<Row> delta, std::vector<Row>* rows) {
-  auto key_of = [&key_cols](const Row& row) {
-    Row key;
-    key.reserve(key_cols.size());
-    for (int c : key_cols) key.push_back(row[c]);
-    return key;
-  };
-  std::unordered_map<Row, size_t, RowHash> index;
-  index.reserve(rows->size() + delta.size());
-  for (size_t i = 0; i < rows->size(); ++i) {
-    index.emplace(key_of((*rows)[i]), i);
-  }
-  for (Row& drow : delta) {
-    auto [it, born] = index.emplace(key_of(drow), rows->size());
-    if (born) {
-      // A group born entirely inside the delta.
-      rows->push_back(std::move(drow));
-      continue;
-    }
-    Row& existing = (*rows)[it->second];
-    for (const expr::AggColumn& agg : agg_cols) {
-      existing[agg.col] =
-          MergeAggregateValues(agg.func, existing[agg.col], drow[agg.col]);
-    }
-  }
-}
-
 }  // namespace maintenance
 
 namespace {
@@ -353,7 +299,8 @@ StatusOr<Database::MaintenanceReport> Database::Append(
   struct Pending {
     SummaryTable* st;
     MergePlan plan;
-    engine::Relation delta_result;
+    engine::Batch delta_result;
+    size_t entry;          // its RefreshEntry: phase 2 adds the merge time
     engine::Batch merged;  // built in phase 2, published at the commit
   };
   std::vector<Pending> incremental;
@@ -397,21 +344,22 @@ StatusOr<Database::MaintenanceReport> Database::Append(
     options.columnar_overrides = &delta_override;
     engine::Executor executor(storage_, options);
     Status injected = FaultInjector::Instance().Check("maintenance/incremental");
-    StatusOr<engine::Relation> delta_eval =
-        injected.ok() ? executor.Execute(st->graph)
-                      : StatusOr<engine::Relation>(std::move(injected));
+    StatusOr<engine::Executor::BatchPtr> delta_eval =
+        injected.ok() ? executor.ExecuteColumns(st->graph)
+                      : StatusOr<engine::Executor::BatchPtr>(
+                            std::move(injected));
     if (!delta_eval.ok()) {
       // Incremental path broke; fall back to full recomputation rather than
       // failing the append.
       recompute.push_back(st.get());
       continue;
     }
-    engine::Relation delta_result = std::move(*delta_eval);
     auto end = std::chrono::steady_clock::now();
     Pending pending;
     pending.st = st.get();
     pending.plan = std::move(*plan);
-    pending.delta_result = std::move(delta_result);
+    pending.delta_result = **delta_eval;
+    pending.entry = report.entries.size();
     incremental.push_back(std::move(pending));
     report.entries.push_back(RefreshEntry{
         st->name, RefreshMode::kIncremental,
@@ -419,27 +367,31 @@ StatusOr<Database::MaintenanceReport> Database::Append(
   }
 
   // Phase 2: merge the delta aggregates into copies of the materialized
-  // tables, still offline.
+  // tables, still offline, through the one keyed merge compensation also
+  // uses. Each merge is timed into its AST's entry.
   for (Pending& pending : incremental) {
+    auto start = std::chrono::steady_clock::now();
     std::shared_ptr<const engine::Batch> current =
         storage_.FindColumnar(pending.st->name);
     if (current == nullptr) {
       return Status::Internal("summary table data missing");
     }
+    engine::Batch delta =
+        storage_.Encode(pending.st->name, std::move(pending.delta_result));
     if (pending.plan.spj_append) {
-      pending.merged = engine::ConcatBatches(
-          *current, storage_.Encode(pending.st->name,
-                                    engine::BatchFromRows(
-                                        std::move(pending.delta_result.rows),
-                                        current->NumColumns())));
-      continue;
+      pending.merged = engine::ConcatBatches(*current, delta);
+    } else {
+      SUMTAB_ASSIGN_OR_RETURN(
+          pending.merged,
+          engine::MergeGroups(*current, delta, pending.plan.key_cols,
+                              pending.plan.agg_cols));
     }
-    std::vector<Row> merged = engine::BatchToRelation(*current, {}).rows;
-    maintenance::MergeGroups(pending.plan.key_cols, pending.plan.agg_cols,
-                             std::move(pending.delta_result.rows), &merged);
-    pending.merged = storage_.Encode(
-        pending.st->name, engine::BatchFromRows(std::move(merged),
-                                                current->NumColumns()));
+    pending.merged =
+        storage_.Encode(pending.st->name, std::move(pending.merged));
+    report.entries[pending.entry].millis +=
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - start)
+            .count();
   }
 
   // Log + harden before publishing anything: every phase so far was pure

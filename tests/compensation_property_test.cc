@@ -2,7 +2,7 @@
 // splits of one logical table into a loaded base partition plus retained
 // append deltas, a compensated rewrite (stale AST scan ∪ same-shape aggregate
 // over only the delta rows) must be BIT-IDENTICAL to a full recompute over
-// the union. Exercised both at the MergeAggregateValues core (pure partition
+// the union. Exercised both at the engine::MergeGroups core (pure partition
 // algebra on random Values) and end to end through Database, including the
 // edge shapes that historically break incremental aggregation: NULL-heavy and
 // all-NULL deltas, the empty delta, and delta-only groups the base partition
@@ -11,15 +11,17 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "engine/aggregator.h"
+#include "engine/column_vector.h"
 #include "engine/relation.h"
 #include "expr/expr.h"
 #include "sumtab/database.h"
-#include "sumtab/maintenance.h"
 #include "tests/test_util.h"
 
 namespace sumtab {
@@ -58,7 +60,7 @@ using expr::AggFunc;
 }
 
 // ---------------------------------------------------------------------------
-// Unit-level property: MergeAggregateValues is exactly "aggregate of the
+// Unit-level property: engine::MergeGroups is exactly "aggregate of the
 // union" for every decomposable function, over random partitions of random
 // (possibly NULL, possibly mixed int/double) value lists.
 // ---------------------------------------------------------------------------
@@ -100,9 +102,18 @@ Value AggregateList(AggFunc func, const std::vector<Value>& values) {
 TEST(CompensationMergeProperty, MergeEqualsAggregateOfUnion) {
   const AggFunc kFuncs[] = {AggFunc::kCount, AggFunc::kSum, AggFunc::kMin,
                             AggFunc::kMax};
+  // Each trial is one group: key = trial, then one partial per function.
+  // Enough trials that the four-lane merge really partitions its input.
+  const int kTrials = 8192;
+  std::vector<expr::AggColumn> agg_cols;
+  for (int f = 0; f < 4; ++f) {
+    agg_cols.push_back(expr::AggColumn{1 + f, kFuncs[f]});
+  }
   for (uint64_t seed : {1ULL, 77ULL, 4242ULL, 90210ULL}) {
     std::mt19937_64 rng(seed);
-    for (int trial = 0; trial < 200; ++trial) {
+    std::vector<Row> base_rows, delta_rows, whole_rows;
+    std::vector<size_t> splits;
+    for (int trial = 0; trial < kTrials; ++trial) {
       // Random list: ints, doubles, NULLs; sometimes all-NULL or empty.
       size_t n = rng() % 12;
       int mode = static_cast<int>(rng() % 4);  // 3 => all-NULL
@@ -121,16 +132,39 @@ TEST(CompensationMergeProperty, MergeEqualsAggregateOfUnion) {
       }
       // Random split point: empty prefixes/suffixes are legal partitions.
       size_t split = n == 0 ? 0 : rng() % (n + 1);
+      splits.push_back(split);
       std::vector<Value> base(values.begin(), values.begin() + split);
       std::vector<Value> delta(values.begin() + split, values.end());
+      Row base_row = {Value::Int(trial)};
+      Row delta_row = {Value::Int(trial)};
+      Row whole_row = {Value::Int(trial)};
       for (AggFunc func : kFuncs) {
-        Value whole = AggregateList(func, values);
-        Value merged = maintenance::MergeAggregateValues(
-            func, AggregateList(func, base), AggregateList(func, delta));
-        EXPECT_TRUE(merged == whole)
-            << "func=" << static_cast<int>(func) << " seed=" << seed
-            << " trial=" << trial << " split=" << split << " merged "
-            << merged.ToString() << " vs " << whole.ToString();
+        base_row.push_back(AggregateList(func, base));
+        delta_row.push_back(AggregateList(func, delta));
+        whole_row.push_back(AggregateList(func, values));
+      }
+      base_rows.push_back(std::move(base_row));
+      delta_rows.push_back(std::move(delta_row));
+      whole_rows.push_back(std::move(whole_row));
+    }
+    const engine::Batch current = engine::BatchFromRows(base_rows, 5);
+    const engine::Batch delta = engine::BatchFromRows(delta_rows, 5);
+    for (int threads : {1, 4}) {
+      StatusOr<engine::Batch> merged =
+          engine::MergeGroups(current, delta, {0}, agg_cols, threads);
+      ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+      ASSERT_EQ(merged->num_rows, kTrials);
+      for (int64_t i = 0; i < merged->num_rows; ++i) {
+        const Row got = merged->RowAt(i);
+        const int64_t trial = got[0].AsInt();
+        for (int f = 0; f < 4; ++f) {
+          const Value& whole = whole_rows[trial][1 + f];
+          EXPECT_TRUE(got[1 + f] == whole)
+              << "func=" << static_cast<int>(kFuncs[f]) << " seed=" << seed
+              << " trial=" << trial << " split=" << splits[trial]
+              << " threads=" << threads << " merged "
+              << got[1 + f].ToString() << " vs " << whole.ToString();
+        }
       }
     }
   }
@@ -291,6 +325,72 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<1>(info.param).name + "_seed" +
              std::to_string(std::get<0>(info.param));
     });
+
+// A recovered AST holds its own dictionaries while the retained slices it
+// is compensated with carry the base table's: the merge must answer over
+// both without interning a query's strings into the stored AST's
+// dictionary.
+TEST(CompensationDictionaryTest, CompensatedQueryLeavesTheAstDictionaryAlone) {
+  const std::string dir = ::testing::TempDir() + "sumtab_comp_dictionary";
+  std::filesystem::remove_all(dir);
+  DatabaseOptions options;
+  options.data_dir = dir;
+  auto rows = [](int first, int n) {
+    std::vector<Row> out;
+    for (int id = first; id < first + n; ++id) {
+      out.push_back({Value::Int(id),
+                     Value::String("name" + std::to_string(id % 13))});
+    }
+    return out;
+  };
+  {
+    StatusOr<std::unique_ptr<Database>> db = Database::Open(options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->CreateTable("t", {{"id", Type::kInt},
+                                          {"name", Type::kString}})
+                    .ok());
+    ASSERT_TRUE((*db)->BulkLoad("t", rows(0, 8)).ok());
+    ASSERT_TRUE((*db)->DefineSummaryTable(
+                         "by_name",
+                         "select name, count(*) as c, min(name) as lo, "
+                         "max(id) as hi from t group by name")
+                    .ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+  }
+  StatusOr<std::unique_ptr<Database>> db = Database::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  Database::AppendOptions deferred;
+  deferred.maintain = false;
+  ASSERT_TRUE((*db)->Append("t", rows(8, 20), deferred).ok());
+
+  const engine::DictionaryPtr ast_dict =
+      (*db)->storage().Snap().FindColumnar("by_name")->columns[0].dict();
+  ASSERT_NE(ast_dict, nullptr);
+  ASSERT_NE(ast_dict,
+            (*db)->storage().Snap().FindColumnar("t")->columns[1].dict());
+  const int32_t ast_dict_size = ast_dict->size();
+
+  const std::string sql =
+      "select name, count(*) as c, min(name) as lo, max(id) as hi from t "
+      "group by name";
+  QueryOptions no_rewrite;
+  no_rewrite.enable_rewrite = false;
+  StatusOr<QueryResult> reference = (*db)->Query(sql, no_rewrite);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  for (int threads : {1, 4}) {
+    QueryOptions query_options;
+    query_options.max_threads = threads;
+    StatusOr<QueryResult> got = (*db)->Query(sql, query_options);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(got->compensated);
+    EXPECT_TRUE(BitIdenticalSorted(reference->relation, got->relation))
+        << "reference:\n" << reference->relation.ToString(20) << "\ngot:\n"
+        << got->relation.ToString(20);
+  }
+  EXPECT_EQ(ast_dict->size(), ast_dict_size);
+  db->reset();
+  std::filesystem::remove_all(dir);
+}
 
 }  // namespace
 }  // namespace sumtab

@@ -1,15 +1,17 @@
-// Unit tests for the incremental-maintenance analysis exposed in
-// sumtab/maintenance.h: AnalyzeMergePlan's accept/reject decisions (with
-// their structured maint_* reject subcodes) and MergeAggregateValues'
-// accumulator-combine semantics — in particular the SUM type rules (NULL
-// identity, Int stays Int, any Double side promotes) that must mirror a
-// full recompute exactly.
+// Unit tests for incremental maintenance: AnalyzeMergePlan's accept/reject
+// decisions (with their structured maint_* reject subcodes, from
+// sumtab/maintenance.h) and engine::MergeGroups, the keyed merge that folds
+// a delta aggregate into a stored one — in particular the SUM type rules
+// (NULL identity, Int stays Int, any Double side promotes) that must
+// mirror a full recompute exactly, grouping-set padding keys, the keyless
+// global aggregate, and string keys and extremes under dictionaries.
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/reject_reason.h"
+#include "engine/aggregator.h"
 #include "qgm/qgm_builder.h"
 #include "sql/parser.h"
 #include "sumtab/maintenance.h"
@@ -19,7 +21,6 @@ namespace sumtab {
 namespace {
 
 using maintenance::AnalyzeMergePlan;
-using maintenance::MergeAggregateValues;
 using maintenance::MergePlan;
 using expr::AggFunc;
 
@@ -197,8 +198,23 @@ TEST_F(MaintenanceUnitTest, NullableGroupingColumnUnderRollupIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// MergeAggregateValues: SUM/COUNT/MIN/MAX combine semantics
+// MergeAggregateValuesTest: SUM/COUNT/MIN/MAX combine semantics, each case
+// a two-batch merge of one group through engine::MergeGroups
 // ---------------------------------------------------------------------------
+
+/// Merges the one-group batches {key 1, current} and {key 1, delta} with
+/// `func` on the second column; returns the merged cell.
+Value MergeAggregateValues(AggFunc func, const Value& current,
+                           const Value& delta) {
+  StatusOr<engine::Batch> merged = engine::MergeGroups(
+      engine::BatchFromRows({Row{Value::Int(1), current}}, 2),
+      engine::BatchFromRows({Row{Value::Int(1), delta}}, 2), {0},
+      {expr::AggColumn{1, func}});
+  EXPECT_TRUE(merged.ok()) << merged.status().ToString();
+  if (!merged.ok()) return Value::Null();
+  EXPECT_EQ(merged->num_rows, 1);
+  return merged->columns[1].ValueAt(0);
+}
 
 TEST(MergeAggregateValuesTest, CountAdds) {
   Value v = MergeAggregateValues(AggFunc::kCount, Value::Int(5),
@@ -267,6 +283,190 @@ TEST(MergeAggregateValuesTest, MinMaxCombine) {
                                  Value::Int(3));
   ASSERT_EQ(m.kind(), Value::Kind::kDouble);
   EXPECT_DOUBLE_EQ(m.AsDouble(), 2.5);
+}
+
+// ---------------------------------------------------------------------------
+// MergeGroupsTest: keys, group order and dictionaries of the keyed merge
+// ---------------------------------------------------------------------------
+
+engine::Batch Rows(const std::vector<Row>& rows, int width) {
+  return engine::BatchFromRows(rows, width);
+}
+
+/// The merged batch's rows, in order.
+std::vector<Row> RowsOf(const engine::Batch& batch) {
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < batch.num_rows; ++i) rows.push_back(batch.RowAt(i));
+  return rows;
+}
+
+::testing::AssertionResult SameRows(const std::vector<Row>& got,
+                                    const std::vector<Row>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " rows, want " << want.size();
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (got[i].size() != want[i].size()) {
+      return ::testing::AssertionFailure() << "arity differs at row " << i;
+    }
+    for (size_t j = 0; j < got[i].size(); ++j) {
+      // operator== is exact: Int(3) != Double(3.0).
+      if (!(got[i][j] == want[i][j]) ||
+          got[i][j].kind() != want[i][j].kind()) {
+        return ::testing::AssertionFailure()
+               << "row " << i << " col " << j << ": "
+               << got[i][j].ToString() << ", want " << want[i][j].ToString();
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(MergeGroupsTest, ExistingGroupsStayInPlaceAndNewGroupsFollowInDeltaOrder) {
+  // Columns interleave aggregates and keys: (cnt, k, s). Every lane count
+  // merges the same multiset; one lane also keeps the stored order.
+  const engine::Batch current =
+      Rows({{Value::Int(2), Value::Int(30), Value::Int(7)},
+            {Value::Int(1), Value::Int(10), Value::Int(5)}},
+           3);
+  const engine::Batch delta =
+      Rows({{Value::Int(4), Value::Int(40), Value::Int(1)},
+            {Value::Int(3), Value::Int(10), Value::Int(-2)},
+            {Value::Int(1), Value::Int(20), Value::Int(9)}},
+           3);
+  const std::vector<Row> want = {
+      {Value::Int(2), Value::Int(30), Value::Int(7)},
+      {Value::Int(4), Value::Int(10), Value::Int(3)},
+      {Value::Int(4), Value::Int(40), Value::Int(1)},
+      {Value::Int(1), Value::Int(20), Value::Int(9)}};
+  for (int threads : {1, 4}) {
+    StatusOr<engine::Batch> merged = engine::MergeGroups(
+        current, delta, {1},
+        {expr::AggColumn{0, AggFunc::kCount}, expr::AggColumn{2, AggFunc::kSum}},
+        threads);
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    if (threads == 1) {
+      EXPECT_TRUE(SameRows(RowsOf(*merged), want));
+    } else {
+      EXPECT_TRUE(engine::SameRowMultiset(
+          engine::BatchToRelation(*merged, {"cnt", "k", "s"}),
+          engine::BatchToRelation(Rows(want, 3), {"cnt", "k", "s"})));
+    }
+  }
+}
+
+TEST(MergeGroupsTest, KeysMustCoverTheBatchOnce) {
+  const engine::Batch batch = Rows({{Value::Int(1), Value::Int(2)}}, 2);
+  EXPECT_FALSE(engine::MergeGroups(batch, batch, {0}, {}).ok());
+  EXPECT_FALSE(engine::MergeGroups(batch, batch, {0, 0}, {}).ok());
+  EXPECT_FALSE(
+      engine::MergeGroups(batch, batch, {0},
+                          {expr::AggColumn{2, AggFunc::kSum}})
+          .ok());
+}
+
+TEST(MergeGroupsTest, PaddingNullKeysMergePerCuboid) {
+  // ROLLUP(a, b) rows: (a, b), (a, NULL) and (NULL, NULL) are three
+  // cuboids; a delta row lands on the group with its own padding pattern.
+  const Value null = Value::Null();
+  const engine::Batch current =
+      Rows({{Value::Int(1), Value::Int(1), Value::Int(2)},
+            {Value::Int(1), null, Value::Int(2)},
+            {null, null, Value::Int(2)}},
+           3);
+  const engine::Batch delta =
+      Rows({{Value::Int(1), Value::Int(2), Value::Int(1)},
+            {Value::Int(1), null, Value::Int(1)},
+            {null, null, Value::Int(1)}},
+           3);
+  StatusOr<engine::Batch> merged = engine::MergeGroups(
+      current, delta, {0, 1}, {expr::AggColumn{2, AggFunc::kCount}});
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_TRUE(SameRows(RowsOf(*merged),
+                       {{Value::Int(1), Value::Int(1), Value::Int(2)},
+                        {Value::Int(1), null, Value::Int(3)},
+                        {null, null, Value::Int(3)},
+                        {Value::Int(1), Value::Int(2), Value::Int(1)}}));
+}
+
+TEST(MergeGroupsTest, KeylessGlobalAggregateStaysOneRow) {
+  const engine::Batch current = Rows(
+      {{Value::Int(4), Value::Int(10), Value::Int(1), Value::Null()}}, 4);
+  const engine::Batch delta = Rows(
+      {{Value::Int(2), Value::Double(0.5), Value::Int(-3), Value::Int(8)}},
+      4);
+  StatusOr<engine::Batch> merged = engine::MergeGroups(
+      current, delta, {},
+      {expr::AggColumn{0, AggFunc::kCount}, expr::AggColumn{1, AggFunc::kSum},
+       expr::AggColumn{2, AggFunc::kMin}, expr::AggColumn{3, AggFunc::kMax}});
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_TRUE(SameRows(RowsOf(*merged), {{Value::Int(6), Value::Double(10.5),
+                                          Value::Int(-3), Value::Int(8)}}));
+}
+
+TEST(MergeGroupsTest, StringKeysAndExtremesUnderOneDictionary) {
+  // Both sides encoded against one dictionary, as Append phase 2 encodes
+  // the delta against the AST: keys group on codes, MIN/MAX compare the
+  // strings, and the output keeps the dictionary.
+  auto dict = std::make_shared<engine::StringDictionary>();
+  auto encoded = [&dict](const std::vector<Row>& rows) {
+    engine::Batch batch = engine::BatchFromRows(rows, 3);
+    engine::DictEncodeBatch(&batch, {dict, dict, dict});
+    return batch;
+  };
+  const Value s = Value::String("s");
+  const engine::Batch current =
+      encoded({{Value::String("east"), Value::String("m"), Value::String("q")},
+               {Value::String("west"), Value::String("b"), Value::Null()}});
+  const engine::Batch delta =
+      encoded({{Value::String("west"), Value::String("a"), s},
+               {Value::String("east"), Value::String("n"), Value::String("c")},
+               {Value::String("north"), Value::Null(), Value::Null()}});
+  StatusOr<engine::Batch> merged = engine::MergeGroups(
+      current, delta, {0},
+      {expr::AggColumn{1, AggFunc::kMin}, expr::AggColumn{2, AggFunc::kMax}});
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_TRUE(SameRows(
+      RowsOf(*merged),
+      {{Value::String("east"), Value::String("m"), Value::String("q")},
+       {Value::String("west"), Value::String("a"), s},
+       {Value::String("north"), Value::Null(), Value::Null()}}));
+  EXPECT_EQ(merged->columns[0].dict(), dict);
+  EXPECT_EQ(merged->columns[1].dict(), dict);
+}
+
+TEST(MergeGroupsTest, DeltaUnderAnotherDictionaryGrowsNeither) {
+  // The AST leg of a compensated query carries the stored AST's
+  // dictionary, the delta leg another one (or raw strings): the merge must
+  // not intern the delta's strings into the stored dictionary.
+  auto stored = std::make_shared<engine::StringDictionary>();
+  auto other = std::make_shared<engine::StringDictionary>();
+  engine::Batch current = engine::BatchFromRows(
+      {{Value::String("east"), Value::Int(2)},
+       {Value::String("west"), Value::Int(1)}},
+      2);
+  engine::DictEncodeBatch(&current, {stored, nullptr});
+  const engine::Batch raw_delta = engine::BatchFromRows(
+      {{Value::String("south"), Value::Int(5)},
+       {Value::String("east"), Value::Int(1)}},
+      2);
+  engine::Batch coded_delta = raw_delta;
+  engine::DictEncodeBatch(&coded_delta, {other, nullptr});
+  const int32_t stored_size = stored->size();
+  const int32_t other_size = other->size();
+  for (const engine::Batch* delta :
+       std::vector<const engine::Batch*>{&raw_delta, &coded_delta}) {
+    StatusOr<engine::Batch> merged = engine::MergeGroups(
+        current, *delta, {0}, {expr::AggColumn{1, AggFunc::kCount}});
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    EXPECT_TRUE(SameRows(RowsOf(*merged),
+                         {{Value::String("east"), Value::Int(3)},
+                          {Value::String("west"), Value::Int(1)},
+                          {Value::String("south"), Value::Int(5)}}));
+    EXPECT_EQ(stored->size(), stored_size);
+    EXPECT_EQ(other->size(), other_size);
+  }
 }
 
 // ---------------------------------------------------------------------------

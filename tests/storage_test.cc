@@ -8,6 +8,7 @@
 // appends (the suite name matches the CI TSan regex on purpose).
 #include <atomic>
 #include <filesystem>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -199,31 +200,38 @@ TEST(StorageTest, SnapshotsScanWhileAppendsPublish) {
   // Readers pin snapshots and decode every string of the table and of the
   // newest retained slice, checking each against the value its id implies:
   // a row published before its dictionary codes would decode wrongly (or
-  // race, under TSan).
-  std::atomic<bool> done{false};
+  // race, under TSan). The appends start only once every reader has
+  // finished one pass, and each reader stops only after scanning a
+  // snapshot published after the last append, so readers and writer
+  // overlap however the threads are scheduled.
+  constexpr int kReaders = 3;
+  std::latch warmed_up(kReaders);
+  std::atomic<int64_t> last_epoch{-1};
   std::atomic<int64_t> checked{0};
+  auto check = [&](const engine::Batch& batch) {
+    for (int64_t i = 0; i < batch.num_rows; ++i) {
+      Row want = RowsOfT(static_cast<int>(batch.columns[0].IntAt(i)), 1)[0];
+      ASSERT_EQ(batch.columns[1].StringAt(i), want[1].AsString());
+      ASSERT_TRUE(batch.columns[2].ValueAt(i) == want[2]);
+    }
+    checked.fetch_add(batch.num_rows, std::memory_order_relaxed);
+  };
   auto read = [&]() {
-    while (!done.load(std::memory_order_acquire)) {
+    for (bool first_pass = true;; first_pass = false) {
       engine::Storage::Snapshot snap = db.storage().Snap();
-      std::vector<std::shared_ptr<const engine::Batch>> batches = {
-          snap.FindColumnar("t")};
       const int64_t epoch = snap.Epoch("t");
+      check(*snap.FindColumnar("t"));
       for (const auto& slice : snap.DeltaSlices("t", epoch - 1, epoch)) {
-        batches.push_back(slice);
+        check(*slice);
       }
-      for (const auto& batch : batches) {
-        for (int64_t i = 0; i < batch->num_rows; ++i) {
-          Row want = RowsOfT(
-              static_cast<int>(batch->columns[0].IntAt(i)), 1)[0];
-          ASSERT_EQ(batch->columns[1].StringAt(i), want[1].AsString());
-          ASSERT_TRUE(batch->columns[2].ValueAt(i) == want[2]);
-        }
-        checked.fetch_add(batch->num_rows, std::memory_order_relaxed);
-      }
+      if (first_pass) warmed_up.count_down();
+      const int64_t last = last_epoch.load(std::memory_order_acquire);
+      if (last >= 0 && epoch >= last) return;
     }
   };
   std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r) readers.emplace_back(read);
+  for (int r = 0; r < kReaders; ++r) readers.emplace_back(read);
+  warmed_up.wait();
 
   // Alternate deferred appends (retain a slice) with eager ones (merge into
   // the AST, which absorbs and prunes the slices).
@@ -237,7 +245,7 @@ TEST(StorageTest, SnapshotsScanWhileAppendsPublish) {
     EXPECT_TRUE(appended.ok()) << appended.status().ToString();
     next_id += 15;
   }
-  done.store(true, std::memory_order_release);
+  last_epoch.store(db.storage().Epoch("t"), std::memory_order_release);
   for (std::thread& reader : readers) reader.join();
 
   EXPECT_GT(checked.load(), 0);
