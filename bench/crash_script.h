@@ -4,10 +4,11 @@
 // (tests/crash_recovery_test) replays the same ops into an in-memory twin to
 // decide what the recovered state MUST look like.
 //
-// The script deliberately walks every WAL record type and both maintenance
-// paths: bulk loads (ASTs go stale), incremental appends, appends onto a
-// stale AST (recompute), refreshes, staleness budgets, drops, a second
-// table, and explicit checkpoints.
+// The script deliberately walks every WAL record type and every maintenance
+// path: bulk loads (ASTs go stale), incremental appends, appends onto a
+// bulk-loaded AST (recompute), deferred appends and the refresh or eager
+// append that catches up on them, staleness budgets, drops, a second table,
+// and explicit checkpoints.
 #ifndef SUMTAB_BENCH_CRASH_SCRIPT_H_
 #define SUMTAB_BENCH_CRASH_SCRIPT_H_
 
@@ -38,7 +39,7 @@ inline std::vector<Row> URows(int start_k, int n) {
 }
 
 /// Number of ops in the script. Ops are applied in order, 0-based.
-inline int ScriptLength() { return 29; }
+inline int ScriptLength() { return 31; }
 
 /// Applies op `i` to `db` (durable in the child, in-memory in the twin).
 inline Status ApplyOp(Database* db, int i) {
@@ -126,6 +127,16 @@ inline Status ApplyOp(Database* db, int i) {
     }
     case 28:
       return db->RefreshSummaryTable("ast_g");  // absorbs the retained range
+    case 29: {
+      Database::AppendOptions deferred;
+      deferred.maintain = false;
+      return db->Append("t", TRows(105, 6), deferred).status();
+    }
+    case 30:
+      // Eager append onto the deferred AST: catches up by merging the
+      // retained slice with its own delta, logged and replayed as one
+      // kAppend record.
+      return db->Append("t", TRows(111, 9)).status();
     default:
       return Status::InvalidArgument("op index out of range");
   }

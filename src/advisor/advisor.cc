@@ -459,7 +459,7 @@ StatusOr<Recommendation> RecommendForWorkload(
     for (const std::string& table : matching::LeafBaseTables(cand_graph)) {
       auto it = appends.find(ToLower(table));
       if (it == appends.end()) continue;
-      StatusOr<maintenance::MergePlan> plan =
+      StatusOr<matching::DeltaMerge> plan =
           maintenance::AnalyzeMergePlan(cand_graph, table);
       if (plan.ok()) {
         charge += it->second.rows;

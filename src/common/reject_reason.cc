@@ -74,32 +74,10 @@ const char* RejectReasonToken(RejectReason reason) {
       return "no_min_max_derivation";
     case RejectReason::kAvgNotLowered:
       return "avg_not_lowered";
-    case RejectReason::kMaintDistinctBlock:
-      return "maint_distinct_block";
-    case RejectReason::kMaintScalarSubquery:
-      return "maint_scalar_subquery";
-    case RejectReason::kMaintDeltaRefCount:
-      return "maint_delta_ref_count";
-    case RejectReason::kMaintMultiQuantifierRoot:
-      return "maint_multi_quantifier_root";
-    case RejectReason::kMaintAggBelowJoin:
-      return "maint_agg_below_join";
-    case RejectReason::kMaintRootShape:
-      return "maint_root_shape";
     case RejectReason::kMaintHavingPredicate:
       return "maint_having_predicate";
-    case RejectReason::kMaintGroupByChildNotSelect:
-      return "maint_group_by_child_not_select";
-    case RejectReason::kMaintNestedBlock:
-      return "maint_nested_block";
     case RejectReason::kMaintComputedOutput:
       return "maint_computed_output";
-    case RejectReason::kMaintDistinctAggregate:
-      return "maint_distinct_aggregate";
-    case RejectReason::kMaintNonMergeableAggregate:
-      return "maint_non_mergeable_aggregate";
-    case RejectReason::kMaintMultiGroupingSet:
-      return "maint_multi_grouping_set";
     case RejectReason::kMaintPartialGroupKey:
       return "maint_partial_group_key";
     case RejectReason::kAdmissionQueueFull:

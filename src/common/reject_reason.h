@@ -61,20 +61,11 @@ enum class RejectReason : uint16_t {
   kNoMinMaxDerivation = 79,
   kAvgNotLowered = 80,
 
-  // ---- incremental maintenance (AnalyzeMergePlan; 107 and 115 retired) ----
-  kMaintDistinctBlock = 100,
-  kMaintScalarSubquery = 101,
-  kMaintDeltaRefCount = 102,
-  kMaintMultiQuantifierRoot = 103,
-  kMaintAggBelowJoin = 104,
-  kMaintRootShape = 105,
+  // ---- incremental maintenance: the stored-layout rules AnalyzeMergePlan
+  // adds to the shared delta analysis (comp_* 152-158 below). 100-105,
+  // 107-109, 111-113 and 115 are retired and stay reserved. ----
   kMaintHavingPredicate = 106,
-  kMaintGroupByChildNotSelect = 108,
-  kMaintNestedBlock = 109,
   kMaintComputedOutput = 110,
-  kMaintDistinctAggregate = 111,
-  kMaintNonMergeableAggregate = 112,
-  kMaintMultiGroupingSet = 113,
   kMaintPartialGroupKey = 114,
 
   // ---- serving: admission control + sessions (src/serving/) ----
@@ -95,8 +86,9 @@ enum class RejectReason : uint16_t {
   kDeltaDroppedOnRecovery = 147,
   kWorkloadDroppedOnRecovery = 148,
 
-  // ---- delta compensation: stale-AST rewrites over retained append
-  // slices (src/matching/compensation.cc) ----
+  // ---- delta compensation and the shared delta analysis: the lag check
+  // (150-151), delta decomposability for compensation and maintenance
+  // alike (152-158), and the AST leg (159) ----
   kCompMultiTableStaleness = 150,  // more than one base table lags the AST
   kCompDeltaUnavailable = 151,     // no contiguous retained-slice coverage
   kCompQueryShape = 152,           // not an SPJ / single-aggregate-block query

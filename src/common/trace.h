@@ -46,8 +46,9 @@ struct AstAttemptTrace {
   double cost_after = 0;
   RejectReason reason = RejectReason::kNone;  // terminal reject for this AST
   std::string detail;
-  std::string maintenance;  // incremental-merge verdict: "incremental" or
-                            // the maint_* reject token (filled by EXPLAIN)
+  std::string maintenance;  // next-append verdict per base table:
+                            // "incremental", "catch_up(<k> epochs)" or the
+                            // comp_* / maint_* reject token (EXPLAIN only)
   std::string compensation;  // delta-compensation verdict for a stale AST:
                              // "compensated(<rows> delta rows, <n> epochs)"
                              // or the comp_* reject token

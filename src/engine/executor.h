@@ -44,9 +44,10 @@ struct ExecOptions {
   bool disable_hash_join = false;
   /// Per-table substitutions: BASE boxes naming a key scan the mapped
   /// batch instead of storage (same columns as the table it stands in for).
-  /// Incremental summary-table maintenance evaluates an AST definition
-  /// against an encoded append delta this way, and delta compensation its
-  /// delta leg against one retained slice.
+  /// The one delta leg (compensation::MergeDeltaLeg) evaluates a graph
+  /// against one append slice at a time this way — an AST definition for
+  /// incremental maintenance and catch-up, a query's delta leg for
+  /// compensation.
   const std::map<std::string, std::shared_ptr<const Batch>>*
       columnar_overrides = nullptr;
   /// Row budget: total rows the plan may materialize across all operators

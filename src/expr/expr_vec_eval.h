@@ -2,10 +2,11 @@
 // batch (or a morsel-sized row range of one) instead of a per-row tree walk.
 // Semantics are bit-identical to the scalar Eval in expr_eval.h — the same
 // three-valued logic, NULL propagation before type checks, division by
-// zero -> NULL, sticky int/double arithmetic promotion — machine-checked by
-// the differential oracle's columnar leg. The mixed-kind fallback literally
-// calls the scalar EvalBinaryScalar core, so the two paths share one
-// definition of every operator.
+// zero -> NULL, sticky int/double arithmetic promotion — machine-checked
+// against the reference evaluator in tests/reference (which evaluates
+// through the scalar Eval) and row by row in vec_eval_test. The mixed-kind
+// fallback literally calls the scalar EvalBinaryScalar core, so the two
+// paths share one definition of every operator.
 //
 // Fast paths run tight typed loops (int64/double/bool payloads, no Value
 // construction); columns whose tag is kVariant, string comparisons against

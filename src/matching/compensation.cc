@@ -9,16 +9,20 @@
 namespace sumtab {
 namespace matching {
 
-namespace {
-
-bool IsStaleScan(const qgm::Box& box, const std::string& stale_table) {
-  return box.kind == qgm::Box::Kind::kBase &&
-         ToLower(box.table_name) == stale_table;
+int TableReferences(const qgm::Graph& graph, const std::string& table) {
+  const std::string key = ToLower(table);
+  int references = 0;
+  for (qgm::BoxId id : graph.TopologicalOrder()) {
+    const qgm::Box* box = graph.box(id);
+    if (box->kind == qgm::Box::Kind::kBase &&
+        ToLower(box->table_name) == key) {
+      ++references;
+    }
+  }
+  return references;
 }
 
-}  // namespace
-
-StatusOr<CompensationShape> AnalyzeCompensableQuery(
+StatusOr<DeltaMerge> AnalyzeCompensableQuery(
     const qgm::Graph& query, const std::string& stale_table) {
   // Whole-graph conditions: the delta leg is the query re-run over only the
   // appended rows, so every operator must distribute over union in the stale
@@ -26,11 +30,9 @@ StatusOr<CompensationShape> AnalyzeCompensableQuery(
   // scalar subqueries re-evaluate against the grown table; both break the
   // leg-wise decomposition. A self-join touches old x new row pairs neither
   // leg sees.
-  int references = 0;
   int group_bys = 0;
   for (qgm::BoxId id : query.TopologicalOrder()) {
     const qgm::Box* box = query.box(id);
-    if (IsStaleScan(*box, stale_table)) ++references;
     if (box->IsGroupBy()) ++group_bys;
     if (box->distinct) {
       return RejectUnsupported(RejectReason::kCompDistinct, "DISTINCT block");
@@ -42,25 +44,29 @@ StatusOr<CompensationShape> AnalyzeCompensableQuery(
       }
     }
   }
+  const int references = TableReferences(query, stale_table);
   if (references != 1) {
+    // Zero references is the "unaffected" case for Append; the subcode is
+    // the same, callers that care count the references themselves.
     return RejectUnsupported(
         RejectReason::kCompDeltaRefCount,
         "stale table '" + stale_table + "' referenced " +
             std::to_string(references) + " times (need exactly 1)");
   }
 
-  CompensationShape shape;
+  DeltaMerge merge;
   if (group_bys == 0) {
     // Pure SPJ: delta(Q(R)) == Q(deltaR) when R appears once, so the legs
     // simply concatenate — no merge key, no residual.
-    shape.spj = true;
-    return shape;
+    merge.spj = true;
+    return merge;
   }
 
   // Aggregate path: exactly one aggregate block — root SELECT over one
   // GROUP-BY over a SELECT of base scans. The root's own projections and
-  // HAVING need no restriction (unlike incremental maintenance): they move
-  // into the residual step, which runs over fully merged groups.
+  // HAVING are not this analysis' concern: compensation moves them into a
+  // residual step over fully merged groups, and maintenance adds its own
+  // stored-layout rules for them.
   const qgm::Box* root = query.box(query.root());
   if (group_bys != 1 || root->kind != qgm::Box::Kind::kSelect ||
       root->quantifiers.size() != 1) {
@@ -84,11 +90,12 @@ StatusOr<CompensationShape> AnalyzeCompensableQuery(
     }
   }
   if (!gb->IsSimpleGroupBy()) {
-    // Grouping sets merge per-cuboid through the keyed merge, exactly like
-    // incremental maintenance — and with the same caveat: a data-NULL in a
-    // fine cuboid and the padding NULL of a coarser one collide on the merge
-    // key, fusing groups across cuboids. Nullability must come from the
-    // grouping *source* (the GROUP-BY's own column_info folds in padding).
+    // Grouping sets merge per-cuboid through the keyed merge: a delta row's
+    // NULL pattern identifies its cuboid — unless a grouping column can be
+    // NULL in the data, where a data-NULL in a fine cuboid and the padding
+    // NULL of a coarser one collide on the merge key and fuse groups across
+    // cuboids. Nullability must come from the grouping *source* (the
+    // GROUP-BY's own column_info folds in padding).
     for (int i = 0; i < gb->NumOutputs(); ++i) {
       if (!gb->IsGroupingOutput(i)) continue;
       int col = -1;
@@ -105,10 +112,9 @@ StatusOr<CompensationShape> AnalyzeCompensableQuery(
       }
     }
   }
-  shape.groupby = gb->id;
   for (int i = 0; i < gb->NumOutputs(); ++i) {
     if (gb->IsGroupingOutput(i)) {
-      shape.key_positions.push_back(i);
+      merge.key_cols.push_back(i);
       continue;
     }
     const expr::ExprPtr& agg = gb->outputs[i].expr;
@@ -138,17 +144,16 @@ StatusOr<CompensationShape> AnalyzeCompensableQuery(
                                      expr::AggFuncName(agg->agg) +
                                      "' does not decompose under union");
     }
-    shape.agg_positions.push_back(
-        expr::AggColumn{i, agg->agg});
+    merge.agg_cols.push_back(expr::AggColumn{i, agg->agg});
   }
-  return shape;
+  return merge;
 }
 
 StatusOr<CompensationPlan> BuildCompensationPlan(
     const qgm::Graph& query, const std::string& stale_table,
     const SummaryTableDef& ast, const catalog::Catalog& catalog,
     AstAttemptTrace* attempt, QueryTrace* qtrace) {
-  SUMTAB_ASSIGN_OR_RETURN(CompensationShape shape,
+  SUMTAB_ASSIGN_OR_RETURN(DeltaMerge merge,
                           AnalyzeCompensableQuery(query, stale_table));
 
   // Q': the shared leg shape. For the aggregate form the root becomes a bare
@@ -158,7 +163,7 @@ StatusOr<CompensationPlan> BuildCompensationPlan(
   // ORDER BY comes off in either form: it is applied once, after the merge.
   qgm::Graph qprime = qgm::Graph::CloneGraph(query);
   qprime.set_order_by({});
-  if (!shape.spj) {
+  if (!merge.spj) {
     qgm::Box* root = qprime.box(qprime.root());
     const qgm::Box* gb = qprime.box(root->quantifiers[0].child);
     std::vector<qgm::OutputColumn> outs;
@@ -175,11 +180,9 @@ StatusOr<CompensationPlan> BuildCompensationPlan(
   CompensationPlan plan;
   plan.summary_table = ast.table_name;
   plan.stale_table = stale_table;
-  plan.spj = shape.spj;
-  plan.key_positions = shape.key_positions;
-  plan.agg_positions = shape.agg_positions;
+  plan.merge = merge;
   const qgm::Box* orig_root = query.box(query.root());
-  if (!shape.spj) {
+  if (!merge.spj) {
     plan.final_outputs = orig_root->outputs;
     plan.final_predicates = orig_root->predicates;
   }
@@ -202,12 +205,10 @@ StatusOr<CompensationPlan> BuildCompensationPlan(
   // any scan of the stale table (e.g. a rejoin back to it), that scan would
   // read the CURRENT version — which already contains the delta rows leg B
   // counts again.
-  for (qgm::BoxId id : rw.graph.TopologicalOrder()) {
-    if (IsStaleScan(*rw.graph.box(id), stale_table)) {
-      return RejectMatch(RejectReason::kCompAstMismatch,
-                         "rewrite leaves a residual scan of '" + stale_table +
-                             "' (would double-count the delta)");
-    }
+  if (TableReferences(rw.graph, stale_table) > 0) {
+    return RejectMatch(RejectReason::kCompAstMismatch,
+                       "rewrite leaves a residual scan of '" + stale_table +
+                           "' (would double-count the delta)");
   }
   plan.ast_leg = std::move(rw.graph);
   return plan;

@@ -1,19 +1,25 @@
-// Delta-compensation rewrites: answering a query through a STALE summary
-// table plus an aggregate over only the rows appended since its epoch
-// (ROADMAP "lambda rewrites"; soundness per Cohen & Nutt's aggregate
-// rewriting framework — SUM/COUNT decompose under union, AVG via its
-// SUM/COUNT lowering, MIN/MAX under append-only deltas).
+// Delta decomposability and delta-compensation rewrites. Both incremental
+// maintenance and compensation rest on one fact — a graph evaluated over an
+// append-only union splits into the old rows' answer plus the delta's,
+// merged per group (Cohen & Nutt's aggregate rewriting framework: SUM/COUNT
+// decompose under union, AVG via its SUM/COUNT lowering, MIN/MAX under
+// append-only deltas) — and AnalyzeCompensableQuery is the one place that
+// decides it. maintenance::AnalyzeMergePlan calls it for an AST definition
+// and adds only its stored-layout rules.
 //
+// Compensation answers a query through a STALE summary table plus an
+// aggregate over only the rows appended since its epoch.
 // The plan has two legs sharing one shape Q': the original query with its
 // root reduced to a bare projection of every GROUP-BY output (residual
 // projections/HAVING/ORDER BY move to a post-merge step). Leg A is Q'
 // rewritten through the stale AST (answers as of the AST's epoch); leg B is
 // Q' executed with the stale table overridden by the retained delta slices.
-// The executor merges the legs per group through the SAME
-// engine::MergeGroups the incremental-maintenance path uses — the
-// aggregation kernel re-aggregating both legs' partials (COUNT as SUM) —
-// so sticky int->double SUM promotion stays bit-identical to a full
-// recompute, then evaluates the residual root over the merged rows.
+// The delta leg runs through compensation::MergeDeltaLeg, the routine
+// incremental maintenance and catch-up also use: it merges the legs per
+// group through engine::MergeGroups — the aggregation kernel re-aggregating
+// both legs' partials (COUNT as SUM) — so sticky int->double SUM promotion
+// stays bit-identical to a full recompute. The residual root then runs over
+// the merged rows.
 #ifndef SUMTAB_MATCHING_COMPENSATION_H_
 #define SUMTAB_MATCHING_COMPENSATION_H_
 
@@ -30,30 +36,33 @@
 namespace sumtab {
 namespace matching {
 
-/// The decomposable-shape verdict for one (query, stale table) pair.
-struct CompensationShape {
-  /// No aggregation anywhere: select-project-join, legs concatenate (the
-  /// spj_append analog of incremental maintenance).
+/// How a delta's result merges into a current result of the same columns.
+struct DeltaMerge {
+  /// No aggregation anywhere: select-project-join, the delta rows append.
   bool spj = false;
-  /// The aggregate box (kInvalidBox for spj).
-  qgm::BoxId groupby = qgm::kInvalidBox;
-  /// Positions of the grouping outputs among the GROUP-BY box's outputs —
-  /// the merge key of the two legs.
-  std::vector<int> key_positions;
-  /// The aggregates, by position among the GROUP-BY box's outputs.
-  std::vector<expr::AggColumn> agg_positions;
+  /// Positions of the grouping columns — the merge key.
+  std::vector<int> key_cols;
+  /// The aggregate columns, re-aggregated per key by engine::MergeGroups.
+  std::vector<expr::AggColumn> agg_cols;
 };
 
-/// Decides whether `query` can be answered by compensating a stale AST whose
-/// only lagging base table is `stale_table` (lower-cased), assuming the
-/// staleness is pure retained appends. Accepts exactly the delta-decomposable
-/// shapes: a DISTINCT-free, subquery-free SPJ referencing the stale table
-/// once, or a single aggregate block (root SELECT over one GROUP-BY over a
-/// SELECT of base tables) whose aggregates are all COUNT/SUM/MIN/MAX —
-/// residual projections (including lowered AVG = SUM/COUNT) and HAVING live
-/// above the merge, so they need no restriction. Rejections carry a comp_*
-/// RejectReason subcode (the structured verdict EXPLAIN REWRITE stamps).
-StatusOr<CompensationShape> AnalyzeCompensableQuery(
+/// How many BASE boxes of `graph` scan `table` (names compare
+/// case-insensitively).
+int TableReferences(const qgm::Graph& graph, const std::string& table);
+
+/// The one decision of delta decomposability: whether `query` evaluated over
+/// `stale_table` (lower-cased) plus an append-only delta equals its answer
+/// over the old rows merged with its answer over the delta. Accepts exactly
+/// a DISTINCT-free, subquery-free SPJ referencing the stale table once, or a
+/// single aggregate block (root SELECT over one GROUP-BY over a SELECT of
+/// base tables) whose aggregates are all COUNT/SUM/MIN/MAX, with no nullable
+/// grouping column under multiple grouping sets. The root's projections
+/// (including lowered AVG = SUM/COUNT) and HAVING sit above the merge and
+/// are left to the caller; the merge's positions are among the GROUP-BY
+/// box's outputs. Rejections carry a comp_* RejectReason subcode
+/// (152-158); kCompDeltaRefCount also covers a graph that does not read
+/// `stale_table` at all.
+StatusOr<DeltaMerge> AnalyzeCompensableQuery(
     const qgm::Graph& query, const std::string& stale_table);
 
 /// An executable two-leg compensation plan. Immutable once built; the plan
@@ -65,12 +74,10 @@ struct CompensationPlan {
   /// materialized epoch, to = the snapshot epoch at planning time.
   int64_t from_epoch = 0;
   int64_t to_epoch = 0;
-  bool spj = false;
   qgm::Graph ast_leg;    // Q' rewritten through the AST (no stale-table scan)
   qgm::Graph delta_leg;  // Q' over base tables; executed once per retained
                          // slice, with the stale table overridden by it
-  std::vector<int> key_positions;
-  std::vector<expr::AggColumn> agg_positions;
+  DeltaMerge merge;      // Q''s root outputs are the GROUP-BY's, in order
   /// Residual root over the merged rows (empty for spj): output expressions
   /// and HAVING conjuncts reference quantifier 0 = the merged GROUP-BY row.
   std::vector<qgm::OutputColumn> final_outputs;

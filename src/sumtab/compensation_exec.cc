@@ -21,11 +21,41 @@ namespace compensation {
 // between a compensated answer and a direct execution impossible.
 using engine::exec_internal::ApplyOrderBy;
 
+StatusOr<engine::Batch> MergeDeltaLeg(
+    engine::Batch current, const qgm::Graph& graph,
+    const std::string& stale_table,
+    const std::vector<engine::Executor::BatchPtr>& slices,
+    const matching::DeltaMerge& merge, const engine::Storage::Snapshot& snap,
+    engine::ExecOptions options) {
+  // One run per slice, partials concatenated: the graph decomposes under
+  // union, so one merge over all of them equals aggregating the slices
+  // together — without ever copying the slices into one batch.
+  std::optional<engine::Batch> delta;
+  for (const engine::Executor::BatchPtr& slice : slices) {
+    const std::map<std::string, engine::Executor::BatchPtr> overrides = {
+        {stale_table, slice}};
+    options.columnar_overrides = &overrides;
+    SUMTAB_ASSIGN_OR_RETURN(
+        engine::Executor::BatchPtr part,
+        engine::Executor(snap, options).ExecuteColumns(graph));
+    delta = delta ? engine::ConcatBatches(*delta, *part) : *part;
+  }
+  if (!delta) return current;
+  // SPJ: the old rows and the delta partition the answer. Otherwise the
+  // aggregation kernel re-aggregates both sides' partials per key, so
+  // aggregate kinds land exactly where a full recompute would put them.
+  // Concatenation never interns, so `current`'s dictionaries stay as they
+  // are.
+  if (merge.spj) return engine::ConcatBatches(current, *delta);
+  return engine::MergeGroups(current, *delta, merge.key_cols, merge.agg_cols,
+                             options.max_threads);
+}
+
 StatusOr<engine::Relation> ExecuteCompensationPlan(
     const matching::CompensationPlan& plan,
     const engine::Storage::Snapshot& snap, const engine::ExecOptions& options,
     int64_t* delta_rows_scanned) {
-  std::vector<std::shared_ptr<const engine::Batch>> slices =
+  std::vector<engine::Executor::BatchPtr> slices =
       snap.DeltaSlices(plan.stale_table, plan.from_epoch, plan.to_epoch);
   if (slices.empty() && plan.from_epoch < plan.to_epoch) {
     // The planner validated coverage against this same snapshot, and pinned
@@ -45,41 +75,18 @@ StatusOr<engine::Relation> ExecuteCompensationPlan(
   // Both legs execute against the SAME pinned snapshot with the caller's
   // options (parallel / budgets apply to each leg); only the override
   // differs — leg B scans a retained slice where the plan scans the stale
-  // table. The delta leg runs once per slice and its partials concatenate:
-  // aggregates that qualify for compensation decompose under union, so one
-  // merge over all of them equals aggregating the slices together — without
-  // ever copying the slices into one batch.
+  // table.
   engine::ExecOptions leg_options = options;
   leg_options.columnar_overrides = nullptr;
   SUMTAB_ASSIGN_OR_RETURN(
       engine::Executor::BatchPtr ast_leg,
       engine::Executor(snap, leg_options).ExecuteColumns(plan.ast_leg));
-  engine::Batch answer = *ast_leg;
-  std::optional<engine::Batch> delta;
-  for (const auto& slice : slices) {
-    const std::map<std::string, std::shared_ptr<const engine::Batch>>
-        overrides = {{plan.stale_table, slice}};
-    leg_options.columnar_overrides = &overrides;
-    SUMTAB_ASSIGN_OR_RETURN(
-        engine::Executor::BatchPtr delta_leg,
-        engine::Executor(snap, leg_options).ExecuteColumns(plan.delta_leg));
-    delta = delta ? engine::ConcatBatches(*delta, *delta_leg) : *delta_leg;
-  }
-  if (delta && plan.spj) {
-    // SPJ: the legs partition the answer; concatenate.
-    answer = engine::ConcatBatches(answer, *delta);
-  } else if (delta) {
-    // Keyed merge of the legs' groups through the one merge incremental
-    // maintenance uses: the aggregation kernel re-aggregates both legs'
-    // partials, so aggregate kinds land exactly where a full recompute
-    // would put them. Concatenation never interns, so the stored AST's
-    // dictionaries stay as they are.
-    SUMTAB_ASSIGN_OR_RETURN(
-        answer, engine::MergeGroups(answer, *delta, plan.key_positions,
-                                    plan.agg_positions, options.max_threads));
-  }
+  SUMTAB_ASSIGN_OR_RETURN(
+      engine::Batch answer,
+      MergeDeltaLeg(*ast_leg, plan.delta_leg, plan.stale_table, slices,
+                    plan.merge, snap, leg_options));
 
-  if (!plan.spj) {
+  if (!plan.merge.spj) {
     // Residual: the original root's HAVING, then its projections (lowered
     // AVG included), over the merged groups. Quantifier 0 of those
     // expressions is the GROUP-BY box, whose output layout the merged batch
@@ -106,8 +113,8 @@ StatusOr<engine::Relation> ExecuteCompensationPlan(
   }
   std::vector<std::string> names;
   for (const qgm::OutputColumn& out :
-       plan.spj ? plan.delta_leg.box(plan.delta_leg.root())->outputs
-                : plan.final_outputs) {
+       plan.merge.spj ? plan.delta_leg.box(plan.delta_leg.root())->outputs
+                      : plan.final_outputs) {
     names.push_back(out.name);
   }
   engine::Relation result = engine::BatchToRelation(answer, std::move(names));

@@ -71,13 +71,9 @@ ShardedPlanCache::Validator Database::PlanValidator(
       if (st == nullptr || st->disabled.load(std::memory_order_acquire)) {
         return "ast:" + comp.summary_table;
       }
-      auto it = st->materialized_epochs.find(comp.stale_table);
-      int64_t materialized =
-          it == st->materialized_epochs.end() ? 0 : it->second;
-      if (materialized != comp.from_epoch ||
-          snap.Epoch(comp.stale_table) != comp.to_epoch ||
-          !snap.HasDeltaCoverage(comp.stale_table, comp.from_epoch,
-                                 comp.to_epoch)) {
+      StatusOr<Lag> lag = LagOf(*st, snap);
+      if (!lag.ok() || lag->table != comp.stale_table ||
+          lag->from != comp.from_epoch || lag->to != comp.to_epoch) {
         return "delta:" + comp.stale_table;
       }
     }
@@ -480,21 +476,30 @@ std::unique_ptr<qgm::Graph> Database::TryRewrite(
     QueryTrace* trace,
     std::shared_ptr<const matching::CompensationPlan>* compensation) {
   *candidates = 0;
-  // EXPLAIN REWRITE also reports, per AST, whether an append to each of its
-  // base tables would merge incrementally — computed once (round 0) and only
-  // when tracing.
-  auto maintenance_verdict = [](const SummaryTable& st) {
+  // EXPLAIN REWRITE also reports, per AST, what the next eager append to
+  // each of its base tables would do — merge the delta, catch up by merging
+  // the retained slices too, or recompute for the analysis' or the lag
+  // check's reason — computed once (round 0) and only when tracing.
+  auto maintenance_verdict = [this, &snap](const SummaryTable& st) {
+    StatusOr<Lag> lag = LagOf(st, snap);
     std::string verdict;
     for (const std::string& table : matching::LeafBaseTables(st.graph)) {
-      StatusOr<maintenance::MergePlan> plan =
+      StatusOr<matching::DeltaMerge> plan =
           maintenance::AnalyzeMergePlan(st.graph, table);
       if (!verdict.empty()) verdict += ", ";
       verdict += table;
       verdict += "=";
-      if (plan.ok()) {
-        verdict += plan->spj_append ? "incremental(spj)" : "incremental";
+      if (!plan.ok() || !lag.ok()) {
+        verdict += RejectReasonToken(
+            RejectReasonFromStatus(plan.ok() ? lag.status() : plan.status()));
+      } else if (lag->table.empty()) {
+        verdict += plan->spj ? "incremental(spj)" : "incremental";
+      } else if (lag->table == ToLower(table)) {
+        verdict += "catch_up(" + std::to_string(lag->to - lag->from) +
+                   " epochs)";
       } else {
-        verdict += RejectReasonToken(RejectReasonFromStatus(plan.status()));
+        // An append here would leave two tables lagging.
+        verdict += RejectReasonToken(RejectReason::kCompMultiTableStaleness);
       }
     }
     return verdict;
@@ -547,36 +552,18 @@ std::unique_ptr<qgm::Graph> Database::TryRewrite(
           attempt.maintenance = maintenance_verdict(*st);
           attempt_ptr = &attempt;
         }
-        // Which base tables lag the materialization? Compensation handles
-        // exactly one (the merge key joins one AST leg to one delta leg).
-        std::vector<std::pair<std::string, int64_t>> lagging;
-        for (const auto& [table, epoch] : st->materialized_epochs) {
-          if (snap.Epoch(table) > epoch) lagging.emplace_back(table, epoch);
-        }
+        // Compensation needs the lag to be retained appends on one table
+        // (the merge key joins one AST leg to one delta leg).
         StatusOr<matching::CompensationPlan> comp =
             [&]() -> StatusOr<matching::CompensationPlan> {
-          if (lagging.size() != 1) {
-            return RejectUnsupported(
-                RejectReason::kCompMultiTableStaleness,
-                std::to_string(lagging.size()) +
-                    " base tables lag behind ast '" + st->name + "'");
-          }
-          const std::string& table = lagging[0].first;
-          int64_t from = lagging[0].second;
-          int64_t to = snap.Epoch(table);
-          if (!snap.HasDeltaCoverage(table, from, to)) {
-            return RejectUnsupported(
-                RejectReason::kCompDeltaUnavailable,
-                "no contiguous retained deltas for '" + table + "' epochs (" +
-                    std::to_string(from) + ", " + std::to_string(to) + "]");
-          }
+          SUMTAB_ASSIGN_OR_RETURN(Lag lag, LagOf(*st, snap));
           matching::SummaryTableDef def{st->name, &st->graph};
           SUMTAB_ASSIGN_OR_RETURN(
               matching::CompensationPlan plan,
-              matching::BuildCompensationPlan(query, table, def, catalog_,
+              matching::BuildCompensationPlan(query, lag.table, def, catalog_,
                                               attempt_ptr, trace));
-          plan.from_epoch = from;
-          plan.to_epoch = to;
+          plan.from_epoch = lag.from;
+          plan.to_epoch = lag.to;
           return plan;
         }();
         if (!comp.ok()) {

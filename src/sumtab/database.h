@@ -293,13 +293,16 @@ class Database {
   /// table. Single-block aggregate ASTs over one occurrence of the appended
   /// table (no HAVING, no DISTINCT aggregates, no scalar subqueries) refresh
   /// incrementally by aggregating only the delta and merging it into the
-  /// materialized groups (count/sum add, min/max combine); everything else
-  /// falls back to full recomputation. In contrast, plain BulkLoad does NOT
-  /// maintain summary tables (bulk-load-then-define workflows).
+  /// materialized groups (count/sum add, min/max combine); an AST that
+  /// deferred appends to the same table left behind merges its retained
+  /// slices along with the delta. Everything else — including staleness
+  /// from a BulkLoad, lag on another table and quarantine — falls back to
+  /// full recomputation. In contrast, plain BulkLoad does NOT maintain
+  /// summary tables (bulk-load-then-define workflows).
   ///
   /// Either way the appended rows are additionally RETAINED as an
   /// addressable delta slice keyed by the epoch the append produced, so an
-  /// AST left stale (deferred maintenance, or a failed phase-3 refresh) can
+  /// AST left stale (deferred maintenance, or a failed recompute) can
   /// still answer queries exactly via delta compensation.
   struct AppendOptions {
     /// False: skip AST maintenance entirely (no incremental merges, no
@@ -315,7 +318,10 @@ class Database {
     return Append(table, std::move(rows), AppendOptions());
   }
 
-  /// Full recomputation of one summary table from the base tables.
+  /// Brings one summary table up to date. An AST that lags only behind
+  /// retained appends on one table (deferred maintenance) catches up by
+  /// merging those slices, as the next eager Append would; any other AST
+  /// is recomputed from the base tables.
   Status RefreshSummaryTable(const std::string& name);
 
   const DatabaseOptions& options() const { return options_; }
@@ -458,6 +464,30 @@ class Database {
 
   /// Epoch lag of `st` summed over its base tables.
   int64_t StalenessOf(const SummaryTable& st) const;
+  /// The base table a summary table lags behind and the lagging epochs
+  /// (from, to]; table empty and from == to when nothing lags.
+  struct Lag {
+    std::string table;
+    int64_t from = 0;
+    int64_t to = 0;
+  };
+  /// The one lag check: `st`'s lag in `snap`, when it is retained appends
+  /// on one table — the condition for compensating a query through `st` and
+  /// for catching `st` up by merging the slices. Rejects with
+  /// comp_multi_table_staleness when more than one table lags and with
+  /// comp_delta_unavailable when a lagging epoch has no retained slice.
+  StatusOr<Lag> LagOf(const SummaryTable& st,
+                      const engine::Storage::Snapshot& snap) const;
+  /// `st`'s stored rows with every retained slice of `table` it lags by and
+  /// `delta` (Append's new rows; null on refresh) merged in through the one
+  /// delta leg, encoded for publishing. Rejects — and the caller recomputes
+  /// — when `st` is quarantined, LagOf rejects, `st` lags behind another
+  /// table, or the evaluation fails. Caller holds maint_mu_.
+  StatusOr<engine::Batch> CatchUp(const SummaryTable& st,
+                                  const matching::DeltaMerge& plan,
+                                  const std::string& table,
+                                  engine::Executor::BatchPtr delta,
+                                  const engine::Storage::Snapshot& snap) const;
   AstState StateOf(const SummaryTable& st) const;
   bool UsableForRewrite(const SummaryTable& st, bool allow_stale) const;
   /// Counts a rewrite-path failure; quarantines at kQuarantineThreshold.
@@ -470,10 +500,13 @@ class Database {
   /// it; everything when none do). Caller holds maint_mu_; pinned snapshots
   /// keep their slices via shared ownership.
   void PruneAbsorbedDeltas(const std::string& table);
-  /// RefreshSummaryTable body; caller holds maint_mu_ but NOT ddl_mu_: the
+  /// Full recompute of `st`; caller holds maint_mu_ but NOT ddl_mu_: the
   /// recompute runs against stable storage (maint_mu_ excludes other
-  /// writers), then commits under a brief exclusive ddl_mu_ window.
+  /// writers), then publishes through PublishRefresh.
   Status RefreshUnderMaint(SummaryTable* st);
+  /// Publishes `rows` as `st`'s contents under a brief exclusive ddl_mu_
+  /// window, marks `st` refreshed and prunes the slices it absorbed.
+  Status PublishRefresh(SummaryTable* st, engine::Batch rows);
 
   // ---- durability internals (src/sumtab/durability.cc) ----
   //

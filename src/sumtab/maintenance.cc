@@ -2,13 +2,13 @@
 // propagation in the style of Mumick et al., "Maintenance of Data Cubes and
 // Summary Tables in a Warehouse" (the paper's reference [10]).
 //
-// For a mergeable AST — a single aggregate block whose root projects the
-// GROUP-BY outputs untouched — the delta rows are aggregated by executing
-// the AST's own QGM graph with the appended table overridden by the delta,
-// and engine::MergeGroups re-aggregates the materialized table together
-// with that delta aggregate: COUNT/SUM add, MIN/MAX combine, new groups
-// append. Anything else (HAVING, DISTINCT aggregates, scalar subqueries,
-// self-references, nested blocks) recomputes.
+// For a mergeable AST — one that matching::AnalyzeCompensableQuery finds
+// decomposable under an append-only delta and whose root stores the
+// GROUP-BY's rows untouched — compensation::MergeDeltaLeg evaluates the
+// AST's own QGM graph over the delta and engine::MergeGroups re-aggregates
+// the stored rows together with it: COUNT/SUM add, MIN/MAX combine, new
+// groups append. An AST that deferred appends left behind catches up the
+// same way, over the retained slices it lags by. Everything else recomputes.
 #include "sumtab/maintenance.h"
 
 #include <algorithm>
@@ -18,79 +18,30 @@
 #include "common/metrics.h"
 #include "common/reject_reason.h"
 #include "common/str_util.h"
-#include "engine/aggregator.h"
 #include "engine/column_vector.h"
 #include "engine/executor.h"
 #include "expr/expr_rewrite.h"
+#include "sumtab/compensation_exec.h"
 #include "sumtab/database.h"
 #include "wal/wal.h"
 
 namespace sumtab {
 namespace maintenance {
 
-namespace {
+StatusOr<matching::DeltaMerge> AnalyzeMergePlan(
+    const qgm::Graph& graph, const std::string& delta_table) {
+  SUMTAB_ASSIGN_OR_RETURN(
+      matching::DeltaMerge shape,
+      matching::AnalyzeCompensableQuery(graph, ToLower(delta_table)));
+  // Select-project-join: for an insert-only delta over a table referenced
+  // exactly once, delta(R join S) == deltaR join S, so the delta's rows
+  // append as stored.
+  if (shape.spj) return shape;
 
-/// How many BASE boxes of `graph` scan `table`.
-int TableReferences(const qgm::Graph& graph, const std::string& table) {
-  int references = 0;
-  for (qgm::BoxId id : graph.TopologicalOrder()) {
-    const qgm::Box* box = graph.box(id);
-    if (box->kind == qgm::Box::Kind::kBase && box->table_name == table) {
-      ++references;
-    }
-  }
-  return references;
-}
-
-}  // namespace
-
-StatusOr<MergePlan> AnalyzeMergePlan(const qgm::Graph& graph,
-                                     const std::string& delta_table) {
-  bool has_group_by = false;
-  for (qgm::BoxId id : graph.TopologicalOrder()) {
-    const qgm::Box* box = graph.box(id);
-    if (box->IsGroupBy()) has_group_by = true;
-    if (box->distinct) {
-      return RejectUnsupported(RejectReason::kMaintDistinctBlock,
-                               "DISTINCT block");
-    }
-    for (const qgm::Quantifier& q : box->quantifiers) {
-      if (q.kind == qgm::Quantifier::Kind::kScalar) {
-        return RejectUnsupported(RejectReason::kMaintScalarSubquery,
-                                 "scalar subquery");
-      }
-    }
-  }
-  if (TableReferences(graph, delta_table) != 1) {
-    // The caller tells "unaffected" (0 refs) from "self-join" (>1) by
-    // counting references itself, keyed on this subcode.
-    return RejectUnsupported(RejectReason::kMaintDeltaRefCount,
-                             "appended table referenced != 1 time");
-  }
-
+  // One aggregate block, whose root SELECT is what the table stores. Unlike
+  // a compensated query, which re-evaluates its root over merged groups, the
+  // stored rows must be the GROUP-BY's rows themselves.
   const qgm::Box* root = graph.box(graph.root());
-  if (root->kind != qgm::Box::Kind::kSelect || root->quantifiers.empty()) {
-    return RejectUnsupported(RejectReason::kMaintRootShape,
-                             "unexpected root shape");
-  }
-  MergePlan plan;
-  if (!has_group_by) {
-    // Select-project-join AST: for an insert-only delta over a table
-    // referenced exactly once, delta(R join S) == deltaR join S, so the
-    // delta's SPJ result appends directly. This holds for any number of
-    // root quantifiers (all are kForeach — scalars were rejected above).
-    plan.spj_append = true;
-    return plan;
-  }
-  // Aggregate path: one aggregate block — SELECT root over a single
-  // GROUP-BY over a SELECT over base tables.
-  if (root->quantifiers.size() != 1) {
-    // A join above (or beside) the aggregation consumes summary rows more
-    // than once; merging deltas into it is not linear. Explicitly rejected
-    // rather than inferred from quantifiers[0]'s kind.
-    return RejectUnsupported(RejectReason::kMaintMultiQuantifierRoot,
-                             "aggregate root has multiple quantifiers");
-  }
   if (!root->predicates.empty()) {
     // HAVING filters rows whose aggregates a delta may push across the
     // threshold; merging cannot resurrect filtered groups.
@@ -98,49 +49,7 @@ StatusOr<MergePlan> AnalyzeMergePlan(const qgm::Graph& graph,
                              "HAVING predicate");
   }
   const qgm::Box* gb = graph.box(root->quantifiers[0].child);
-  if (!gb->IsGroupBy()) {
-    return RejectUnsupported(RejectReason::kMaintAggBelowJoin,
-                             "aggregation below a join");
-  }
-  // Exactly one aggregate block: nothing below the GROUP-BY's select may
-  // group again.
-  const qgm::Box* lower = graph.box(gb->quantifiers[0].child);
-  if (lower->kind != qgm::Box::Kind::kSelect) {
-    return RejectUnsupported(RejectReason::kMaintGroupByChildNotSelect,
-                             "GROUP-BY child is not a SELECT");
-  }
-  for (const qgm::Quantifier& q : lower->quantifiers) {
-    if (graph.box(q.child)->kind != qgm::Box::Kind::kBase) {
-      return RejectUnsupported(RejectReason::kMaintNestedBlock,
-                               "nested query block");
-    }
-  }
-  if (!gb->IsSimpleGroupBy()) {
-    // CUBE/ROLLUP/GROUPING SETS merge per-cuboid: a delta row's NULL
-    // pattern identifies its cuboid, so the keyed merge lands each delta
-    // row on its own cuboid's groups — unless a grouping column can be
-    // NULL in the *data*, where a data-NULL in one cuboid and the padding
-    // NULL of a coarser cuboid produce the same key and the merge would
-    // combine rows across cuboids (a recompute keeps them separate).
-    // Nullability must come from the grouping source below the GROUP-BY:
-    // the GROUP-BY's own column_info already folds in padding nullability.
-    for (int i = 0; i < gb->NumOutputs(); ++i) {
-      if (!gb->IsGroupingOutput(i)) continue;
-      int col = -1;
-      bool source_nullable = true;  // conservatively reject odd shapes
-      if (expr::IsSimpleColumnRef(gb->outputs[i].expr, 0, &col) && col >= 0 &&
-          col < static_cast<int>(lower->column_info.size())) {
-        source_nullable = lower->column_info[col].nullable;
-      }
-      if (source_nullable) {
-        return RejectUnsupported(
-            RejectReason::kMaintMultiGroupingSet,
-            "nullable grouping column '" + gb->outputs[i].name +
-                "' under multiple grouping sets");
-      }
-    }
-  }
-  // Root outputs must be bare references to GROUP-BY outputs.
+  matching::DeltaMerge plan;
   std::vector<bool> key_projected(gb->outputs.size(), false);
   for (size_t i = 0; i < root->outputs.size(); ++i) {
     int col = -1;
@@ -148,27 +57,17 @@ StatusOr<MergePlan> AnalyzeMergePlan(const qgm::Graph& graph,
       return RejectUnsupported(RejectReason::kMaintComputedOutput,
                                "computed expression above the aggregate");
     }
+    const int stored = static_cast<int>(i);
     if (gb->IsGroupingOutput(col)) {
-      plan.key_cols.push_back(static_cast<int>(i));
+      plan.key_cols.push_back(stored);
       key_projected[col] = true;
       continue;
     }
-    const expr::ExprPtr& agg = gb->outputs[col].expr;
-    if (agg->agg_distinct) {
-      return RejectUnsupported(RejectReason::kMaintDistinctAggregate,
-                               "DISTINCT aggregate");
-    }
-    switch (agg->agg) {
-      case expr::AggFunc::kCount:
-      case expr::AggFunc::kSum:
-      case expr::AggFunc::kMin:
-      case expr::AggFunc::kMax:
-        break;
-      default:
-        return RejectUnsupported(RejectReason::kMaintNonMergeableAggregate,
-                                 "non-mergeable aggregate");
-    }
-    plan.agg_cols.push_back(expr::AggColumn{static_cast<int>(i), agg->agg});
+    // Every other GROUP-BY output is one of the analysis' aggregates.
+    auto agg = std::find_if(
+        shape.agg_cols.begin(), shape.agg_cols.end(),
+        [col](const expr::AggColumn& a) { return a.col == col; });
+    plan.agg_cols.push_back(expr::AggColumn{stored, agg->func});
   }
   // The merge is keyed on the projected grouping columns; if the root drops
   // one, distinct groups alias in the materialized table and deltas would
@@ -188,10 +87,70 @@ StatusOr<MergePlan> AnalyzeMergePlan(const qgm::Graph& graph,
 namespace {
 
 using maintenance::AnalyzeMergePlan;
-using maintenance::MergePlan;
-using maintenance::TableReferences;
 
 }  // namespace
+
+StatusOr<Database::Lag> Database::LagOf(
+    const SummaryTable& st, const engine::Storage::Snapshot& snap) const {
+  Lag lag;
+  int lagging = 0;
+  for (const auto& [table, epoch] : st.materialized_epochs) {
+    int64_t current = snap.Epoch(table);
+    if (current <= epoch) continue;
+    ++lagging;
+    lag = Lag{table, epoch, current};
+  }
+  // One delta leg merges into one stored result, so one table may lag.
+  if (lagging > 1) {
+    return RejectUnsupported(RejectReason::kCompMultiTableStaleness,
+                             std::to_string(lagging) +
+                                 " base tables lag behind ast '" + st.name +
+                                 "'");
+  }
+  // Only pure appends are retained: a BulkLoad, or a slice dropped past
+  // kMaxRetainedDeltas, leaves a gap no delta leg can cover.
+  if (!snap.HasDeltaCoverage(lag.table, lag.from, lag.to)) {
+    return RejectUnsupported(
+        RejectReason::kCompDeltaUnavailable,
+        "no contiguous retained deltas for '" + lag.table + "' epochs (" +
+            std::to_string(lag.from) + ", " + std::to_string(lag.to) + "]");
+  }
+  return lag;
+}
+
+StatusOr<engine::Batch> Database::CatchUp(const SummaryTable& st,
+                                          const matching::DeltaMerge& plan,
+                                          const std::string& table,
+                                          engine::Executor::BatchPtr delta,
+                                          const engine::Storage::Snapshot& snap)
+    const {
+  if (st.disabled.load(std::memory_order_acquire)) {
+    // Quarantine means the stored rows are untrusted; no delta fixes them.
+    return Status::InvalidArgument("ast '" + st.name + "' is quarantined");
+  }
+  SUMTAB_ASSIGN_OR_RETURN(Lag lag, LagOf(st, snap));
+  std::vector<engine::Executor::BatchPtr> slices;
+  if (!lag.table.empty()) {
+    if (lag.table != table) {
+      return RejectUnsupported(RejectReason::kCompMultiTableStaleness,
+                               "ast '" + st.name + "' lags behind '" +
+                                   lag.table + "', not '" + table + "'");
+    }
+    slices = snap.DeltaSlices(table, lag.from, lag.to);
+  }
+  if (delta != nullptr) slices.push_back(std::move(delta));
+  SUMTAB_RETURN_NOT_OK(
+      FaultInjector::Instance().Check("maintenance/incremental"));
+  std::shared_ptr<const engine::Batch> current = snap.FindColumnar(st.name);
+  if (current == nullptr) {
+    return Status::Internal("summary table data missing");
+  }
+  SUMTAB_ASSIGN_OR_RETURN(
+      engine::Batch merged,
+      compensation::MergeDeltaLeg(*current, st.graph, table, slices, plan,
+                                  snap, engine::ExecOptions{}));
+  return storage_.Encode(st.name, std::move(merged));
+}
 
 Status Database::RefreshSummaryTable(const std::string& name) {
   std::lock_guard<std::mutex> maint(maint_mu_);
@@ -204,12 +163,28 @@ Status Database::RefreshSummaryTable(const std::string& name) {
   if (st == nullptr) {
     return Status::NotFound("summary table '" + name + "'");
   }
-  // Logged before the recompute runs: a refresh that fails after this point
+  // Logged before the refresh runs: a refresh that fails after this point
   // fails identically on replay (deterministic against the same state), so
   // the recovered AST lands in the same stale-with-failure state.
   SUMTAB_RETURN_NOT_OK(LogNameOp(
       static_cast<uint8_t>(wal::RecordType::kRefreshSummary), st->name));
-  Status refreshed = RefreshUnderMaint(st.get());
+  // An AST that lags behind retained appends on one table catches up: the
+  // slices merge through the one delta leg, exactly as the next eager append
+  // would merge them. Everything else recomputes — a fresh AST, a
+  // quarantined one, BulkLoad staleness, a coverage gap, lag on more than
+  // one table, a shape AnalyzeMergePlan rejects.
+  const engine::Storage::Snapshot snap = storage_.Snap();
+  StatusOr<Lag> lag = LagOf(*st, snap);
+  StatusOr<engine::Batch> caught_up = Status::NotSupported("not lagging");
+  if (lag.ok() && !lag->table.empty()) {
+    StatusOr<matching::DeltaMerge> plan =
+        AnalyzeMergePlan(st->graph, lag->table);
+    caught_up = plan.ok() ? CatchUp(*st, *plan, lag->table, nullptr, snap)
+                          : StatusOr<engine::Batch>(plan.status());
+  }
+  Status refreshed = caught_up.ok()
+                         ? PublishRefresh(st.get(), std::move(*caught_up))
+                         : RefreshUnderMaint(st.get());
   MaybeCheckpointLocked();
   return refreshed;
 }
@@ -226,13 +201,16 @@ Status Database::RefreshUnderMaint(SummaryTable* st) {
   // hash-table order: the stored order is then deterministic, and queries
   // over the AST run faster on it (perfbench dashboard tiles: median query
   // latency ~12% lower than over hash-ordered ASTs, 4-core Xeon VM).
-  engine::Batch updated =
-      storage_.Encode(st->name, engine::SortBatch(*result));
+  return PublishRefresh(st,
+                        storage_.Encode(st->name, engine::SortBatch(*result)));
+}
+
+Status Database::PublishRefresh(SummaryTable* st, engine::Batch rows) {
   {
     // Copy-on-write commit: queries pinned to the old version keep it.
     std::unique_lock<std::shared_mutex> lock(ddl_mu_);
-    SUMTAB_RETURN_NOT_OK(storage_.Replace(st->name, std::move(updated)));
-    // A successful recompute is the one event that both re-captures the base
+    SUMTAB_RETURN_NOT_OK(storage_.Replace(st->name, std::move(rows)));
+    // A successful refresh is the one event that both re-captures the base
     // epochs and lifts a quarantine.
     MarkRefreshed(st);
   }
@@ -254,7 +232,7 @@ StatusOr<Database::MaintenanceReport> Database::Append(
   // snapshot) or plan after the base table and every incrementally-merged
   // AST published together — they never observe the base table appended but
   // a dependent AST unmerged. ASTs on the recompute path go visibly stale at
-  // the commit (their epochs lag) and stop serving rewrites until phase 3
+  // the commit (their epochs lag) and stop serving rewrites until phase 2
   // refreshes them; answers stay correct throughout, from base tables.
   std::lock_guard<std::mutex> maint(maint_mu_);
   const catalog::Table* meta = catalog_.FindTable(table);
@@ -282,49 +260,45 @@ StatusOr<Database::MaintenanceReport> Database::Append(
       engine::ConcatBatches(*storage_.FindColumnar(meta->name), *delta);
   MaintenanceReport report;
 
-  const std::map<std::string, std::shared_ptr<const engine::Batch>>
-      delta_override = {{meta->name, delta}};
-
-  // Phase 1: aggregate the delta through every incrementally-maintainable
-  // AST (reads dimensions from storage, the appended table from the delta).
-  // Storage and the registry are stable under maint_mu_ alone.
+  // Phase 1: merge the delta into a copy of every incrementally-maintainable
+  // AST (reads dimensions from storage, the appended table from the delta),
+  // through the one delta leg compensation also uses. Storage and the
+  // registry are stable under maint_mu_ alone. Each entry is timed.
   //
-  // Deferred maintenance skips phases 1-3: it publishes the base rows and
+  // Deferred maintenance skips phases 1 and 2: it publishes the base rows and
   // RETAINS the appended slice, but leaves dependent ASTs untouched. Their
   // epochs now lag by a pure-append delta with full coverage, so the
-  // rewriter can still answer exactly through them via delta compensation;
-  // a later Refresh (or eager append) absorbs the slices. This trades
-  // per-append maintenance cost for per-query compensation cost — the
-  // ingest-heavy end of the paper's maintenance spectrum.
+  // rewriter can still answer exactly through them via delta compensation,
+  // and the next eager append or Refresh catches them up by merging the
+  // retained slices. This trades per-append maintenance cost for per-query
+  // compensation cost — the ingest-heavy end of the paper's maintenance
+  // spectrum.
   struct Pending {
     SummaryTable* st;
-    MergePlan plan;
-    engine::Batch delta_result;
-    size_t entry;          // its RefreshEntry: phase 2 adds the merge time
-    engine::Batch merged;  // built in phase 2, published at the commit
+    engine::Batch merged;  // published at the commit
   };
   std::vector<Pending> incremental;
   std::vector<SummaryTable*> recompute;
+  const engine::Storage::Snapshot snap = storage_.Snap();
   for (const auto& st : summary_tables_) {
     if (!append_options.maintain) {
       report.entries.push_back(RefreshEntry{
           st->name,
-          TableReferences(st->graph, meta->name) == 0
+          matching::TableReferences(st->graph, meta->name) == 0
               ? RefreshMode::kUnaffected
               : RefreshMode::kDeferred,
           0, ""});
       continue;
     }
     auto start = std::chrono::steady_clock::now();
-    StatusOr<MergePlan> plan = AnalyzeMergePlan(st->graph, meta->name);
+    StatusOr<matching::DeltaMerge> plan =
+        AnalyzeMergePlan(st->graph, meta->name);
     if (!plan.ok()) {
-      bool unaffected = false;
+      // The reference-count reject covers both an AST that does not read
+      // the table (unaffected) and a self-join (recompute).
       if (RejectReasonFromStatus(plan.status()) ==
-          RejectReason::kMaintDeltaRefCount) {
-        // Distinguish 0 references (unaffected) from self-joins.
-        unaffected = TableReferences(st->graph, meta->name) == 0;
-      }
-      if (unaffected) {
+              RejectReason::kCompDeltaRefCount &&
+          matching::TableReferences(st->graph, meta->name) == 0) {
         report.entries.push_back(
             RefreshEntry{st->name, RefreshMode::kUnaffected, 0, ""});
       } else {
@@ -332,66 +306,24 @@ StatusOr<Database::MaintenanceReport> Database::Append(
       }
       continue;
     }
-    if (StalenessOf(*st) > 0) {
-      // The AST is already stale (e.g. a BulkLoad without refresh): its
-      // materialization is missing earlier rows, so merging just this delta
-      // and stamping the new epoch would mark it fresh while still wrong.
-      // Route it to a full recompute instead.
+    // A fresh AST merges the new delta; one that deferred appends to this
+    // table left behind merges its retained slices along with it. Whatever
+    // CatchUp refuses recomputes: BulkLoad staleness, a coverage gap, lag
+    // on another table, quarantine, and a failed evaluation — the append
+    // itself never fails for it.
+    StatusOr<engine::Batch> merged =
+        CatchUp(*st, *plan, meta->name, delta, snap);
+    if (!merged.ok()) {
       recompute.push_back(st.get());
       continue;
     }
-    engine::ExecOptions options;
-    options.columnar_overrides = &delta_override;
-    engine::Executor executor(storage_, options);
-    Status injected = FaultInjector::Instance().Check("maintenance/incremental");
-    StatusOr<engine::Executor::BatchPtr> delta_eval =
-        injected.ok() ? executor.ExecuteColumns(st->graph)
-                      : StatusOr<engine::Executor::BatchPtr>(
-                            std::move(injected));
-    if (!delta_eval.ok()) {
-      // Incremental path broke; fall back to full recomputation rather than
-      // failing the append.
-      recompute.push_back(st.get());
-      continue;
-    }
-    auto end = std::chrono::steady_clock::now();
-    Pending pending;
-    pending.st = st.get();
-    pending.plan = std::move(*plan);
-    pending.delta_result = **delta_eval;
-    pending.entry = report.entries.size();
-    incremental.push_back(std::move(pending));
+    incremental.push_back(Pending{st.get(), std::move(*merged)});
     report.entries.push_back(RefreshEntry{
         st->name, RefreshMode::kIncremental,
-        std::chrono::duration<double, std::milli>(end - start).count(), ""});
-  }
-
-  // Phase 2: merge the delta aggregates into copies of the materialized
-  // tables, still offline, through the one keyed merge compensation also
-  // uses. Each merge is timed into its AST's entry.
-  for (Pending& pending : incremental) {
-    auto start = std::chrono::steady_clock::now();
-    std::shared_ptr<const engine::Batch> current =
-        storage_.FindColumnar(pending.st->name);
-    if (current == nullptr) {
-      return Status::Internal("summary table data missing");
-    }
-    engine::Batch delta =
-        storage_.Encode(pending.st->name, std::move(pending.delta_result));
-    if (pending.plan.spj_append) {
-      pending.merged = engine::ConcatBatches(*current, delta);
-    } else {
-      SUMTAB_ASSIGN_OR_RETURN(
-          pending.merged,
-          engine::MergeGroups(*current, delta, pending.plan.key_cols,
-                              pending.plan.agg_cols));
-    }
-    pending.merged =
-        storage_.Encode(pending.st->name, std::move(pending.merged));
-    report.entries[pending.entry].millis +=
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start)
-            .count();
+            .count(),
+        ""});
   }
 
   // Log + harden before publishing anything: every phase so far was pure
@@ -405,29 +337,28 @@ StatusOr<Database::MaintenanceReport> Database::Append(
                 meta->name, rows));
 
   // Commit: publish the appended base and every merged AST, bump the epoch,
-  // and advance the merged ASTs' recorded epochs (lifting any quarantine —
-  // maintenance just succeeded) in ONE exclusive window. The window is pure
-  // pointer swaps and map updates: queries see pre-append or post-append
-  // state, never the base appended with a dependent AST unmerged.
+  // and advance the merged ASTs' recorded epochs in ONE exclusive window.
+  // The window is pure pointer swaps and map updates: queries see
+  // pre-append or post-append state, never the base appended with a
+  // dependent AST unmerged.
   {
     std::unique_lock<std::shared_mutex> lock(ddl_mu_);
     SUMTAB_RETURN_NOT_OK(storage_.Replace(meta->name, std::move(next_base)));
     int64_t new_epoch = storage_.BumpEpoch(meta->name);
-    // Retain the slice even on the eager path: if a phase-3 recompute fails
+    // Retain the slice even on the eager path: if a phase-2 recompute fails
     // below, the AST it leaves stale is still exactly one pure-append epoch
     // behind — compensatable instead of unusable. Absorbed slices are pruned
-    // right after phase 3.
+    // right after phase 2.
     storage_.RetainDelta(meta->name, new_epoch, delta);
     for (Pending& pending : incremental) {
       SUMTAB_RETURN_NOT_OK(
           storage_.Replace(pending.st->name, std::move(pending.merged)));
       pending.st->materialized_epochs[meta->name] = new_epoch;
       pending.st->consecutive_failures = 0;
-      pending.st->disabled = false;
     }
   }
 
-  // Phase 3: full recomputation for the rest. A refresh failure marks the
+  // Phase 2: full recomputation for the rest. A refresh failure marks the
   // AST (stale, failure counted toward quarantine) but does not fail the
   // append: the base data is already in, and the rewriter will simply stop
   // routing through the un-refreshed table.

@@ -1,37 +1,34 @@
-// Incremental-maintenance analysis, exposed for unit tests and for
-// EXPLAIN REWRITE (which reports, per offered AST, whether an append to a
-// base table would merge incrementally or force a recompute — and why).
-// The merge itself is engine::MergeGroups (engine/aggregator.h), the keyed
-// merge delta compensation uses too: it re-aggregates the stored rows with
-// the delta's groups through the aggregation kernel, so one definition of
-// aggregate semantics serves recompute, incremental merge and compensation.
+// Incremental-maintenance analysis, exposed for unit tests, the advisor
+// and EXPLAIN REWRITE (which reports, per offered AST, whether an append to
+// a base table would merge incrementally or force a recompute — and why).
+// Whether an AST decomposes under an append-only delta is decided by
+// matching::AnalyzeCompensableQuery, the one analysis delta compensation
+// uses too; this layer adds only the rules of the stored layout. The merge
+// itself is compensation::MergeDeltaLeg (sumtab/compensation_exec.h), the
+// one delta leg: it evaluates the AST over the delta slices and folds the
+// result into the stored rows through engine::MergeGroups.
 #ifndef SUMTAB_SUMTAB_MAINTENANCE_H_
 #define SUMTAB_SUMTAB_MAINTENANCE_H_
 
 #include <string>
-#include <vector>
 
 #include "common/status.h"
-#include "expr/expr.h"
+#include "matching/compensation.h"
 #include "qgm/qgm.h"
 
 namespace sumtab {
 namespace maintenance {
 
-/// How an AST's materialized rows absorb an insert delta on one base table.
-struct MergePlan {
-  bool spj_append = false;    // no aggregation: append delta rows verbatim
-  std::vector<int> key_cols;  // output positions forming the group key
-  std::vector<expr::AggColumn> agg_cols;
-};
-
 /// Decides whether `graph` (an AST definition) supports incremental insert
-/// maintenance for appends to `delta_table`, and how its output columns
-/// merge. Rejections carry a maint_* RejectReason subcode; in particular
-/// kMaintDeltaRefCount distinguishes "referenced != 1 time" (the caller
-/// checks the actual count to tell unaffected from self-join).
-StatusOr<MergePlan> AnalyzeMergePlan(const qgm::Graph& graph,
-                                     const std::string& delta_table);
+/// maintenance for appends to `delta_table`, and how its stored columns
+/// absorb the delta (positions are the AST's stored columns). The
+/// decomposability verdicts are AnalyzeCompensableQuery's comp_* rejects
+/// (kCompDeltaRefCount also when `graph` does not read `delta_table`:
+/// Append counts the references to tell an unaffected AST from a
+/// self-join). The stored layout adds three maint_* rejects: HAVING, a
+/// computed root output, and a grouping column the root does not project.
+StatusOr<matching::DeltaMerge> AnalyzeMergePlan(
+    const qgm::Graph& graph, const std::string& delta_table);
 
 }  // namespace maintenance
 }  // namespace sumtab

@@ -246,7 +246,8 @@ TEST_F(CrashRecoveryTest, KillMatrixRecoversToValidPrefix) {
   }
   // Torn final write at several script positions: the op's frame reaches
   // disk only halfway, then power dies; recovery must truncate the tail.
-  for (int arm_at : {1, 3, 5, 11, 20}) {
+  // 30 tears the catch-up append (script op 30).
+  for (int arm_at : {1, 3, 5, 11, 20, 30}) {
     RUN_ONE("wal/torn_write", arm_at, iteration++, kills);
   }
   // The harness only proves something if the children actually died at the
@@ -266,8 +267,10 @@ TEST_F(CrashRecoveryTest, RepeatedCrashesDuringRecoveryConverge) {
   // Now crash DURING recovery, repeatedly, at different replay depths.
   // Replay writes nothing, so every attempt sees the same directory and the
   // final recovery must land on the full state.
+  // The last checkpoint is script op 26, so the fourth replayed record is
+  // op 30, the catch-up append.
   int kills = 0;
-  for (int n = 1; n <= 3; ++n) {
+  for (int n = 1; n <= 4; ++n) {
     ChildResult redo =
         RunDriver({"recover", dir, "recovery/replay", std::to_string(n)});
     if (redo.killed) {

@@ -351,7 +351,8 @@ TEST_P(DifferentialTest, TpcdSchemaThreeWayEquivalence) {
   }
 }
 
-// Incremental-maintenance leg: after a sequence of random Appends, every
+// Incremental-maintenance leg: after a sequence of random Appends — eager
+// ones, and deferred ones the next eager append catches up on — every
 // mergeable AST must (a) have refreshed via the kIncremental path — not a
 // silent recompute — and (b) hold content row-for-row identical to a forced
 // recompute of the same definition. Int-only aggregates are compared
@@ -391,7 +392,10 @@ TEST_P(DifferentialTest, IncrementalMaintenanceMatchesRecompute) {
 
   std::mt19937_64 rng(seed ^ 0xdeadULL);
   int next_tid = 1000000;
-  for (int round = 0; round < 4; ++round) {
+  // Deferred rounds leave the ASTs behind; the eager round after them
+  // merges the retained slices together with its own delta.
+  const bool kEager[] = {true, false, true, false, false, true};
+  for (int round = 0; round < 6; ++round) {
     std::vector<Row> delta;
     int n = 20 + static_cast<int>(rng() % 60);
     for (int i = 0; i < n; ++i) {
@@ -406,15 +410,19 @@ TEST_P(DifferentialTest, IncrementalMaintenanceMatchesRecompute) {
           Value::Double(5.0 + static_cast<double>(rng() % 995) * 0.25),
           Value::Double(0.0)});
     }
+    Database::AppendOptions append_options;
+    append_options.maintain = kEager[round];
     StatusOr<Database::MaintenanceReport> report =
-        db.Append("trans", std::move(delta));
+        db.Append("trans", std::move(delta), append_options);
     ASSERT_TRUE(report.ok())
         << "seed=" << seed << " round=" << round << ": "
         << report.status().ToString();
     for (const AstDef& ast : asts) {
       for (const Database::RefreshEntry& entry : report->entries) {
         if (entry.summary_table != ast.name) continue;
-        EXPECT_EQ(entry.mode, Database::RefreshMode::kIncremental)
+        EXPECT_EQ(entry.mode, kEager[round]
+                                  ? Database::RefreshMode::kIncremental
+                                  : Database::RefreshMode::kDeferred)
             << "seed=" << seed << " round=" << round << " ast=" << ast.name
             << " error=" << entry.error;
       }
@@ -449,12 +457,15 @@ TEST_P(DifferentialTest, IncrementalMaintenanceMatchesRecompute) {
 // Maintenance legs against the reference: one database runs eager rounds
 // (incremental delta aggregation merged into the stored ASTs), deferred
 // rounds (the ASTs keep their contents while compensated answers serve
-// queries) and refreshes (full recomputes). After every round each stored
-// AST must equal the reference's evaluation of its definition: over the
-// current base tables while the AST is fresh, and over the snapshot pinned
-// before the append while a deferred round leaves it stale. Integer
-// aggregates must match exactly; SUM(double) within SameRowMultiset's
-// tolerance (an incremental merge re-associates fp addition).
+// queries), refreshes (which catch the deferred ASTs up by merging the
+// retained slices), and catch-up rounds (k deferred appends, then an eager
+// append that merges all k slices with its own delta). After every round
+// each stored AST must equal the reference's evaluation of its definition:
+// over the current base tables while the AST is fresh, and over the
+// snapshot pinned before the append while a deferred round leaves it
+// stale. Integer aggregates must match exactly; SUM(double) within
+// SameRowMultiset's tolerance (an incremental merge re-associates fp
+// addition).
 TEST_P(DifferentialTest, MaintainedAstsMatchReference) {
   const uint64_t seed = GetParam();
   Database db;
@@ -503,7 +514,7 @@ TEST_P(DifferentialTest, MaintainedAstsMatchReference) {
 
   std::mt19937_64 rng(seed ^ 0xfeedULL);
   int next_tid = 3000000;
-  for (int round = 0; round < 4; ++round) {
+  auto next_delta = [&]() {
     std::vector<Row> delta;
     int n = 20 + static_cast<int>(rng() % 60);
     for (int i = 0; i < n; ++i) {
@@ -518,19 +529,27 @@ TEST_P(DifferentialTest, MaintainedAstsMatchReference) {
           Value::Double(5.0 + static_cast<double>(rng() % 995) * 0.25),
           Value::Double(0.0)});
     }
+    return delta;
+  };
+  auto expect_incremental = [&](const Database::MaintenanceReport& report,
+                                int round) {
+    for (const Database::RefreshEntry& entry : report.entries) {
+      EXPECT_EQ(entry.mode, Database::RefreshMode::kIncremental)
+          << "seed=" << seed << " round=" << round
+          << " ast=" << entry.summary_table << " error=" << entry.error;
+    }
+  };
+  Database::AppendOptions deferred;
+  deferred.maintain = false;
+  for (int round = 0; round < 4; ++round) {
     const bool eager = round % 2 == 0;
-    Database::AppendOptions append_options;
-    append_options.maintain = eager;
     const engine::Storage::Snapshot before = db.storage().Snap();
     StatusOr<Database::MaintenanceReport> report =
-        db.Append("trans", std::move(delta), append_options);
+        db.Append("trans", next_delta(),
+                  eager ? Database::AppendOptions{} : deferred);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     if (eager) {
-      for (const Database::RefreshEntry& entry : report->entries) {
-        EXPECT_EQ(entry.mode, Database::RefreshMode::kIncremental)
-            << "seed=" << seed << " round=" << round
-            << " ast=" << entry.summary_table << " error=" << entry.error;
-      }
+      expect_incremental(*report, round);
       check_asts(db.storage().Snap(), round, "eager");
     } else {
       check_asts(before, round, "deferred");
@@ -553,6 +572,17 @@ TEST_P(DifferentialTest, MaintainedAstsMatchReference) {
       }
       check_asts(db.storage().Snap(), round, "refresh");
     }
+    if (HasFatalFailure() || HasNonfatalFailure()) return;
+  }
+  for (int k = 1; k <= 3; ++k) {
+    for (int i = 0; i < k; ++i) {
+      ASSERT_TRUE(db.Append("trans", next_delta(), deferred).ok());
+    }
+    StatusOr<Database::MaintenanceReport> report =
+        db.Append("trans", next_delta());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    expect_incremental(*report, 3 + k);
+    check_asts(db.storage().Snap(), 3 + k, "catch-up");
     if (HasFatalFailure() || HasNonfatalFailure()) return;
   }
 }

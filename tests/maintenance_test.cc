@@ -1,9 +1,11 @@
 // Tests for summary-table maintenance: incremental insert-delta propagation
-// vs. full recomputation, and the invariant that after any Append every
-// summary table equals a from-scratch evaluation of its defining query.
+// vs. full recomputation, catch-up of ASTs that deferred appends left
+// behind, and the invariant that after any Append every summary table
+// equals a from-scratch evaluation of its defining query.
 #include <gtest/gtest.h>
 
 #include "common/date.h"
+#include "common/fault_injection.h"
 #include "tests/test_util.h"
 
 namespace sumtab {
@@ -40,7 +42,11 @@ Mode ModeOf(const Database::MaintenanceReport& report,
 
 class MaintenanceTest : public ::testing::Test {
  protected:
-  void SetUp() override { db_ = testing::MakeCardDb(2000); }
+  void SetUp() override {
+    FaultInjector::Instance().Reset();
+    db_ = testing::MakeCardDb(2000);
+  }
+  void TearDown() override { FaultInjector::Instance().Reset(); }
 
   /// Compares the stored summary table against a fresh evaluation.
   void ExpectFresh(const std::string& name, const std::string& sql,
@@ -57,8 +63,20 @@ class MaintenanceTest : public ::testing::Test {
         << stored->relation.ToString(10);
   }
 
+  int64_t StalenessOf(const std::string& name) {
+    StatusOr<SummaryTableInfo> info = db_->GetSummaryTableInfo(name);
+    EXPECT_TRUE(info.ok()) << info.status().ToString();
+    return info.ok() ? info->staleness : -1;
+  }
+
   std::unique_ptr<Database> db_;
 };
+
+Database::AppendOptions Deferred() {
+  Database::AppendOptions options;
+  options.maintain = false;
+  return options;
+}
 
 TEST_F(MaintenanceTest, IncrementalCountSum) {
   const char* def =
@@ -212,6 +230,126 @@ TEST_F(MaintenanceTest, ManualRefresh) {
   ASSERT_TRUE(db_->RefreshSummaryTable("s").ok());
   ExpectFresh("s", def, "select faid, c from s");
   EXPECT_FALSE(db_->RefreshSummaryTable("ghost").ok());
+}
+
+// ---- catch-up: an AST that deferred appends left behind merges the
+// retained slices instead of recomputing ----
+
+constexpr char kCatchUpDef[] =
+    "select faid, year(date) as y, count(*) as c, sum(qty) as q, "
+    "max(price) as mx from trans group by faid, year(date)";
+constexpr char kCatchUpStored[] = "select faid, y, c, q, mx from s";
+
+TEST_F(MaintenanceTest, EagerAppendAfterDeferredAppendsCatchesUp) {
+  ASSERT_TRUE(db_->DefineSummaryTable("s", kCatchUpDef).ok());
+  for (int k = 0; k < 3; ++k) {
+    auto report =
+        db_->Append("trans", MakeTransDelta(4000000 + k * 100, 60, 50 + k),
+                    Deferred());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(ModeOf(*report, "s"), Mode::kDeferred);
+  }
+  EXPECT_EQ(StalenessOf("s"), 3);
+  auto report = db_->Append("trans", MakeTransDelta(4001000, 80, 59));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(ModeOf(*report, "s"), Mode::kIncremental);
+  EXPECT_EQ(StalenessOf("s"), 0);
+  ExpectFresh("s", kCatchUpDef, kCatchUpStored);
+}
+
+TEST_F(MaintenanceTest, RefreshAfterDeferredAppendsMergesInsteadOfRecomputing) {
+  ASSERT_TRUE(db_->DefineSummaryTable("s", kCatchUpDef).ok());
+  ASSERT_TRUE(
+      db_->Append("trans", MakeTransDelta(4100000, 70, 61), Deferred()).ok());
+  ASSERT_TRUE(
+      db_->Append("trans", MakeTransDelta(4100100, 40, 62), Deferred()).ok());
+  // A recompute would trip the armed fault; the catch-up merge never runs
+  // the recompute path.
+  ScopedFault recompute("maintenance/refresh",
+                        Status::Internal("refresh recomputed"), -1);
+  ASSERT_TRUE(db_->RefreshSummaryTable("s").ok());
+  EXPECT_EQ(FaultInjector::Instance().Trips("maintenance/refresh"), 0);
+  EXPECT_EQ(StalenessOf("s"), 0);
+  ExpectFresh("s", kCatchUpDef, kCatchUpStored);
+}
+
+TEST_F(MaintenanceTest, RefreshOfFreshAstRecomputes) {
+  ASSERT_TRUE(db_->DefineSummaryTable("s", kCatchUpDef).ok());
+  ScopedFault recompute("maintenance/refresh",
+                        Status::Internal("refresh recomputed"), 1);
+  EXPECT_FALSE(db_->RefreshSummaryTable("s").ok());
+  EXPECT_EQ(FaultInjector::Instance().Trips("maintenance/refresh"), 1);
+}
+
+TEST_F(MaintenanceTest, BulkLoadStalenessRecomputesAfterDeferredAppend) {
+  // The BulkLoad's epoch has no retained slice: the coverage gap forbids
+  // catching up, so the eager append recomputes.
+  ASSERT_TRUE(db_->DefineSummaryTable("s", kCatchUpDef).ok());
+  ASSERT_TRUE(db_->BulkLoad("trans", MakeTransDelta(4200000, 50, 63)).ok());
+  ASSERT_TRUE(
+      db_->Append("trans", MakeTransDelta(4200100, 50, 64), Deferred()).ok());
+  auto report = db_->Append("trans", MakeTransDelta(4200200, 50, 65));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(ModeOf(*report, "s"), Mode::kRecompute);
+  ExpectFresh("s", kCatchUpDef, kCatchUpStored);
+}
+
+TEST_F(MaintenanceTest, LagPastRetainedDeltasRecomputes) {
+  // One deferred append more than storage retains: the oldest slice is
+  // gone, so the lag is no longer covered.
+  ASSERT_TRUE(db_->DefineSummaryTable("s", kCatchUpDef).ok());
+  const int deferred =
+      static_cast<int>(engine::Storage::kMaxRetainedDeltas) + 1;
+  for (int k = 0; k < deferred; ++k) {
+    ASSERT_TRUE(db_->Append("trans",
+                            MakeTransDelta(4300000 + k * 10, 5, 100 + k),
+                            Deferred())
+                    .ok());
+  }
+  auto report = db_->Append("trans", MakeTransDelta(4310000, 20, 99));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(ModeOf(*report, "s"), Mode::kRecompute);
+  ExpectFresh("s", kCatchUpDef, kCatchUpStored);
+}
+
+TEST_F(MaintenanceTest, LagOnTwoTablesRecomputes) {
+  const char* def =
+      "select status, count(*) as c, sum(qty) as q from trans, acct "
+      "where faid = aid group by status";
+  ASSERT_TRUE(db_->DefineSummaryTable("s", def).ok());
+  std::vector<Row> accounts;
+  for (int i = 0; i < 5; ++i) {
+    accounts.push_back(Row{Value::Int(5000 + i), Value::Int(i),
+                           Value::String(i % 2 == 0 ? "gold" : "basic")});
+  }
+  ASSERT_TRUE(db_->Append("acct", std::move(accounts), Deferred()).ok());
+  ASSERT_TRUE(
+      db_->Append("trans", MakeTransDelta(4400000, 50, 66), Deferred()).ok());
+  auto report = db_->Append("trans", MakeTransDelta(4400100, 50, 67));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(ModeOf(*report, "s"), Mode::kRecompute);
+  ExpectFresh("s", def, "select status, c, q from s");
+}
+
+TEST_F(MaintenanceTest, QuarantinedAstRecomputes) {
+  // Quarantine means the stored rows are untrusted: no delta merges into
+  // them, and the recompute lifts the quarantine.
+  ASSERT_TRUE(db_->DefineSummaryTable("s", kCatchUpDef).ok());
+  {
+    ScopedFault broken("rewriter/rewrite",
+                       Status::Internal("injected rewrite failure"), -1);
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(db_->Query(kCatchUpDef).ok());
+  }
+  StatusOr<SummaryTableInfo> info = db_->GetSummaryTableInfo("s");
+  ASSERT_TRUE(info.ok());
+  ASSERT_EQ(info->state, AstState::kDisabled);
+  auto report = db_->Append("trans", MakeTransDelta(4500000, 50, 68));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(ModeOf(*report, "s"), Mode::kRecompute);
+  info = db_->GetSummaryTableInfo("s");
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->state, AstState::kFresh);
+  ExpectFresh("s", kCatchUpDef, kCatchUpStored);
 }
 
 }  // namespace

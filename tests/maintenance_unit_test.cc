@@ -1,6 +1,7 @@
 // Unit tests for incremental maintenance: AnalyzeMergePlan's accept/reject
-// decisions (with their structured maint_* reject subcodes, from
-// sumtab/maintenance.h) and engine::MergeGroups, the keyed merge that folds
+// decisions (the shared delta analysis' comp_* subcodes plus its own
+// maint_* stored-layout subcodes, from sumtab/maintenance.h) and
+// engine::MergeGroups, the keyed merge that folds
 // a delta aggregate into a stored one — in particular the SUM type rules
 // (NULL identity, Int stays Int, any Double side promotes) that must
 // mirror a full recompute exactly, grouping-set padding keys, the keyless
@@ -12,6 +13,7 @@
 
 #include "common/reject_reason.h"
 #include "engine/aggregator.h"
+#include "matching/compensation.h"
 #include "qgm/qgm_builder.h"
 #include "sql/parser.h"
 #include "sumtab/maintenance.h"
@@ -21,7 +23,7 @@ namespace sumtab {
 namespace {
 
 using maintenance::AnalyzeMergePlan;
-using maintenance::MergePlan;
+using matching::DeltaMerge;
 using expr::AggFunc;
 
 class MaintenanceUnitTest : public ::testing::Test {
@@ -39,7 +41,7 @@ class MaintenanceUnitTest : public ::testing::Test {
   RejectReason AnalyzeReject(const std::string& sql,
                              const std::string& delta_table = "trans") {
     qgm::Graph graph = BuildAst(sql);
-    StatusOr<MergePlan> plan = AnalyzeMergePlan(graph, delta_table);
+    StatusOr<DeltaMerge> plan = AnalyzeMergePlan(graph, delta_table);
     EXPECT_FALSE(plan.ok()) << sql;
     return plan.ok() ? RejectReason::kNone
                      : RejectReasonFromStatus(plan.status());
@@ -56,9 +58,9 @@ TEST_F(MaintenanceUnitTest, SimpleAggregateIsMergeable) {
   qgm::Graph graph = BuildAst(
       "select faid, flid, count(*) as cnt, sum(qty) as sq, min(price) as mn "
       "from trans group by faid, flid");
-  StatusOr<MergePlan> plan = AnalyzeMergePlan(graph, "trans");
+  StatusOr<DeltaMerge> plan = AnalyzeMergePlan(graph, "trans");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_FALSE(plan->spj_append);
+  EXPECT_FALSE(plan->spj);
   EXPECT_EQ(plan->key_cols, (std::vector<int>{0, 1}));
   ASSERT_EQ(plan->agg_cols.size(), 3u);
   EXPECT_EQ(plan->agg_cols[0].col, 2);
@@ -70,9 +72,9 @@ TEST_F(MaintenanceUnitTest, SimpleAggregateIsMergeable) {
 TEST_F(MaintenanceUnitTest, SpjAstAppendsVerbatim) {
   qgm::Graph graph =
       BuildAst("select faid, qty, price from trans where qty > 2");
-  StatusOr<MergePlan> plan = AnalyzeMergePlan(graph, "trans");
+  StatusOr<DeltaMerge> plan = AnalyzeMergePlan(graph, "trans");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_TRUE(plan->spj_append);
+  EXPECT_TRUE(plan->spj);
 }
 
 TEST_F(MaintenanceUnitTest, SpjJoinIsMergeablePerDelta) {
@@ -81,9 +83,9 @@ TEST_F(MaintenanceUnitTest, SpjJoinIsMergeablePerDelta) {
   qgm::Graph graph = BuildAst(
       "select trans.faid as faid, status, qty from trans, acct "
       "where trans.faid = acct.aid");
-  StatusOr<MergePlan> plan = AnalyzeMergePlan(graph, "trans");
+  StatusOr<DeltaMerge> plan = AnalyzeMergePlan(graph, "trans");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_TRUE(plan->spj_append);
+  EXPECT_TRUE(plan->spj);
 }
 
 TEST_F(MaintenanceUnitTest, RollupOverNonNullableColumnsIsMergeable) {
@@ -93,7 +95,7 @@ TEST_F(MaintenanceUnitTest, RollupOverNonNullableColumnsIsMergeable) {
   qgm::Graph graph = BuildAst(
       "select faid, flid, count(*) as cnt from trans "
       "group by rollup(faid, flid)");
-  StatusOr<MergePlan> plan = AnalyzeMergePlan(graph, "trans");
+  StatusOr<DeltaMerge> plan = AnalyzeMergePlan(graph, "trans");
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
 }
 
@@ -104,12 +106,12 @@ TEST_F(MaintenanceUnitTest, RollupOverNonNullableColumnsIsMergeable) {
 TEST_F(MaintenanceUnitTest, MultiQuantifierRootWithAggregationIsRejected) {
   // A join above an aggregation: the delta cannot be folded into the
   // materialized groups by a keyed merge. Must be an explicit, typed reject
-  // (kMaintMultiQuantifierRoot), not a crash or a silent wrong merge.
+  // (kCompQueryShape), not a crash or a silent wrong merge.
   EXPECT_EQ(AnalyzeReject(
                 "select status, cnt from "
                 "(select faid, count(*) as cnt from trans group by faid) d, "
                 "acct where d.faid = acct.aid"),
-            RejectReason::kMaintMultiQuantifierRoot);
+            RejectReason::kCompQueryShape);
 }
 
 TEST_F(MaintenanceUnitTest, AggregationBelowJoinIsRejected) {
@@ -118,7 +120,7 @@ TEST_F(MaintenanceUnitTest, AggregationBelowJoinIsRejected) {
                 "(select faid, count(*) as cnt from trans group by faid) d, "
                 "acct where d.faid = acct.aid",
                 "acct"),
-            RejectReason::kMaintMultiQuantifierRoot);
+            RejectReason::kCompQueryShape);
 }
 
 TEST_F(MaintenanceUnitTest, PartialGroupKeyProjectionIsRejected) {
@@ -151,14 +153,14 @@ TEST_F(MaintenanceUnitTest, DistinctAggregateIsRejected) {
   // distinct sets.
   EXPECT_EQ(AnalyzeReject("select faid, count(distinct qty) as cd "
                           "from trans group by faid"),
-            RejectReason::kMaintDistinctAggregate);
+            RejectReason::kCompDistinctAggregate);
 }
 
 TEST_F(MaintenanceUnitTest, SelfJoinDeltaIsRejected) {
   // trans referenced twice: ΔR ⋈ R misses the R ⋈ ΔR half.
   EXPECT_EQ(AnalyzeReject("select a.faid as faid, b.qty as qty "
                           "from trans a, trans b where a.tid = b.tid"),
-            RejectReason::kMaintDeltaRefCount);
+            RejectReason::kCompDeltaRefCount);
 }
 
 TEST_F(MaintenanceUnitTest, UnreferencedDeltaTableIsRejectedAsRefCount) {
@@ -166,7 +168,7 @@ TEST_F(MaintenanceUnitTest, UnreferencedDeltaTableIsRejectedAsRefCount) {
   EXPECT_EQ(AnalyzeReject("select faid, count(*) as cnt from trans "
                           "group by faid",
                           "acct"),
-            RejectReason::kMaintDeltaRefCount);
+            RejectReason::kCompDeltaRefCount);
 }
 
 TEST_F(MaintenanceUnitTest, NullableGroupingColumnUnderRollupIsRejected) {
@@ -183,10 +185,10 @@ TEST_F(MaintenanceUnitTest, NullableGroupingColumnUnderRollupIsRejected) {
   ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
   StatusOr<qgm::Graph> graph = qgm::BuildGraph(**stmt, db.catalog());
   ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-  StatusOr<MergePlan> plan = AnalyzeMergePlan(*graph, "t");
+  StatusOr<DeltaMerge> plan = AnalyzeMergePlan(*graph, "t");
   ASSERT_FALSE(plan.ok());
   EXPECT_EQ(RejectReasonFromStatus(plan.status()),
-            RejectReason::kMaintMultiGroupingSet);
+            RejectReason::kCompNullableGroupingSet);
 
   // The same shape with a simple GROUP BY is fine: there is only one
   // cuboid, so NULL keys cannot collide across grouping sets.
@@ -195,6 +197,58 @@ TEST_F(MaintenanceUnitTest, NullableGroupingColumnUnderRollupIsRejected) {
   graph = qgm::BuildGraph(**stmt, db.catalog());
   ASSERT_TRUE(graph.ok());
   EXPECT_TRUE(AnalyzeMergePlan(*graph, "t").ok());
+}
+
+TEST_F(MaintenanceUnitTest, SharedRejectsCarryOneCodeFromBothEntryPoints) {
+  // Compensation's query analysis and maintenance's merge analysis are one
+  // decision of delta decomposability: every shared reject comes back from
+  // both entry points with the same comp_* code.
+  ASSERT_TRUE(db_->CreateTable("nt", {{"g", Type::kInt, true},
+                                      {"h", Type::kInt, false}})
+                  .ok());
+  struct Case {
+    const char* what;
+    const char* sql;
+    const char* table;
+    RejectReason want;
+  };
+  const Case cases[] = {
+      {"DISTINCT block", "select distinct faid, flid from trans", "trans",
+       RejectReason::kCompDistinct},
+      {"scalar subquery",
+       "select flid, count(*) as c, (select count(*) from acct) as tot "
+       "from trans group by flid",
+       "trans", RejectReason::kCompScalarSubquery},
+      {"self-join",
+       "select a.faid as faid, b.qty as qty from trans a, trans b "
+       "where a.tid = b.tid",
+       "trans", RejectReason::kCompDeltaRefCount},
+      {"nested block",
+       "select tcnt, count(*) as n from (select faid, count(*) as tcnt "
+       "from trans group by faid) group by tcnt",
+       "trans", RejectReason::kCompQueryShape},
+      {"aggregation below a join",
+       "select status, cnt from "
+       "(select faid, count(*) as cnt from trans group by faid) d, "
+       "acct where d.faid = acct.aid",
+       "trans", RejectReason::kCompQueryShape},
+      {"DISTINCT aggregate",
+       "select faid, count(distinct qty) as cd from trans group by faid",
+       "trans", RejectReason::kCompDistinctAggregate},
+      {"nullable grouping column under ROLLUP",
+       "select g, h, count(*) as cnt from nt group by rollup(g, h)", "nt",
+       RejectReason::kCompNullableGroupingSet},
+  };
+  for (const Case& c : cases) {
+    qgm::Graph graph = BuildAst(c.sql);
+    StatusOr<matching::DeltaMerge> comp =
+        matching::AnalyzeCompensableQuery(graph, c.table);
+    StatusOr<DeltaMerge> maint = AnalyzeMergePlan(graph, c.table);
+    ASSERT_FALSE(comp.ok()) << c.what;
+    ASSERT_FALSE(maint.ok()) << c.what;
+    EXPECT_EQ(RejectReasonFromStatus(comp.status()), c.want) << c.what;
+    EXPECT_EQ(RejectReasonFromStatus(maint.status()), c.want) << c.what;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -460,6 +460,43 @@ TEST_F(ExplainRejectTest, MaintenanceVerdictSurfacesRejectToken) {
       << text;
 }
 
+TEST_F(ExplainRejectTest, MaintenanceVerdictReportsCatchUpOrTheLagReject) {
+  // For a stale AST the verdict says what the next eager append would do:
+  // merge the retained slices the AST lags by, or recompute for the lag
+  // check's reason.
+  Define("ast_d", "select faid, count(*) as cnt from trans group by faid");
+  auto rows = [](int start_tid, int n) {
+    std::vector<Row> out;
+    for (int i = 0; i < n; ++i) {
+      out.push_back(Row{Value::Int(start_tid + i), Value::Int(i % 50),
+                        Value::Int(i % 12), Value::Int(i % 40),
+                        Value::Date(19940101 + (i % 28)),
+                        Value::Int(1 + i % 5), Value::Double(10.0),
+                        Value::Double(0.0)});
+    }
+    return out;
+  };
+  Database::AppendOptions deferred;
+  deferred.maintain = false;
+  ASSERT_TRUE(db_->Append("trans", rows(9000000, 20), deferred).ok());
+  ASSERT_TRUE(db_->Append("trans", rows(9000100, 20), deferred).ok());
+  const std::string sql =
+      "select faid, count(*) as c from trans group by faid";
+  StatusOr<std::string> explained = db_->ExplainRewrite(sql);
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  EXPECT_NE(explained->find("maintenance: trans=catch_up(2 epochs)"),
+            std::string::npos)
+      << *explained;
+
+  // A BulkLoad's epoch has no retained slice: the lag is not covered.
+  ASSERT_TRUE(db_->BulkLoad("trans", rows(9000200, 20)).ok());
+  explained = db_->ExplainRewrite(sql);
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  EXPECT_NE(explained->find("maintenance: trans=comp_delta_unavailable"),
+            std::string::npos)
+      << *explained;
+}
+
 TEST_F(ExplainRejectTest, EveryMatchRejectTokenRoundTrips) {
   // The token vocabulary is an API: every enum value must render to a
   // stable snake_case token and parse back through a stamped Status.
