@@ -66,14 +66,13 @@ StatusOr<DeltaMerge> AnalyzeCompensableQuery(
     const qgm::Graph& query, const std::string& stale_table);
 
 /// An executable two-leg compensation plan. Immutable once built; the plan
-/// cache shares one instance across hits.
+/// cache shares one instance across hits. It depends on which table is
+/// stale, not on which epochs lag: under append-only decomposability the
+/// same legs answer any lag on `stale_table`, so the executor takes the
+/// epoch range from the AST's lag at the snapshot it runs against.
 struct CompensationPlan {
   std::string summary_table;  // the stale AST answering leg A
   std::string stale_table;    // lower-cased base table the delta covers
-  /// Leg B covers base epochs (from_epoch, to_epoch]: from = the AST's
-  /// materialized epoch, to = the snapshot epoch at planning time.
-  int64_t from_epoch = 0;
-  int64_t to_epoch = 0;
   qgm::Graph ast_leg;    // Q' rewritten through the AST (no stale-table scan)
   qgm::Graph delta_leg;  // Q' over base tables; executed once per retained
                          // slice, with the stale table overridden by it
@@ -86,12 +85,10 @@ struct CompensationPlan {
   std::vector<qgm::OrderSpec> order_by;
 };
 
-/// Analyzes `query` and assembles the two legs against `ast`. Epoch range
-/// and table names are the caller's to fill in (they come from the AST
-/// registry + snapshot, which this layer does not see). Fails with a comp_*
-/// reject when the shape does not decompose or the AST cannot absorb Q'
-/// (`comp_ast_mismatch` covers both "no match" and a rewrite that leaves a
-/// residual scan of the stale table, which would double-count the delta).
+/// Analyzes `query` and assembles the two legs against `ast`. Fails with a
+/// comp_* reject when the shape does not decompose or the AST cannot absorb
+/// Q' (`comp_ast_mismatch` covers both "no match" and a rewrite that leaves
+/// a residual scan of the stale table, which would double-count the delta).
 /// `attempt`/`qtrace` flow through to the navigator like RewriteQuery's.
 StatusOr<CompensationPlan> BuildCompensationPlan(
     const qgm::Graph& query, const std::string& stale_table,

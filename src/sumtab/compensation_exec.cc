@@ -52,24 +52,26 @@ StatusOr<engine::Batch> MergeDeltaLeg(
 }
 
 StatusOr<engine::Relation> ExecuteCompensationPlan(
-    const matching::CompensationPlan& plan,
-    const engine::Storage::Snapshot& snap, const engine::ExecOptions& options,
-    int64_t* delta_rows_scanned) {
+    const matching::CompensationPlan& plan, int64_t from_epoch,
+    int64_t to_epoch, const engine::Storage::Snapshot& snap,
+    const engine::ExecOptions& options, int64_t* delta_rows_scanned) {
   std::vector<engine::Executor::BatchPtr> slices =
-      snap.DeltaSlices(plan.stale_table, plan.from_epoch, plan.to_epoch);
-  if (slices.empty() && plan.from_epoch < plan.to_epoch) {
-    // The planner validated coverage against this same snapshot, and pinned
-    // slices cannot be pruned out from under it — reaching here means the
-    // plan was cached against a different snapshot and validation let it
-    // through; refuse rather than answer from partial history.
+      snap.DeltaSlices(plan.stale_table, from_epoch, to_epoch);
+  if (slices.empty() && from_epoch < to_epoch) {
+    // The caller checked coverage of this range against this same
+    // snapshot, and pinned slices cannot be pruned out from under it —
+    // reaching here means the range came from another snapshot; refuse
+    // rather than answer from partial history.
     return RejectUnsupported(
         RejectReason::kCompDeltaUnavailable,
         "retained delta slices for '" + plan.stale_table +
             "' are not pinned by this snapshot");
   }
   if (delta_rows_scanned != nullptr) {
-    *delta_rows_scanned =
-        snap.DeltaRows(plan.stale_table, plan.from_epoch, plan.to_epoch);
+    *delta_rows_scanned = 0;
+    for (const engine::Executor::BatchPtr& slice : slices) {
+      *delta_rows_scanned += slice->num_rows;
+    }
   }
 
   // Both legs execute against the SAME pinned snapshot with the caller's

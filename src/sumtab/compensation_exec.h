@@ -37,16 +37,17 @@ StatusOr<engine::Batch> MergeDeltaLeg(
     const matching::DeltaMerge& merge, const engine::Storage::Snapshot& snap,
     engine::ExecOptions options);
 
-/// Executes `plan` against `snap` (which must pin delta coverage for the
-/// plan's epoch range — the planner checked; a pinned snapshot cannot lose
-/// slices). `options` flows to both legs — parallel / budget settings apply
-/// to each — except columnar_overrides (see MergeDeltaLeg).
-/// `delta_rows_scanned` (optional) receives the number of delta rows the
-/// compensation leg read.
+/// Executes `plan` against `snap`, its delta leg over the retained slices
+/// of the stale table in epochs (from_epoch, to_epoch]: the compensated
+/// AST's lag in `snap`, which the caller derives from that same snapshot (a
+/// pinned snapshot cannot lose the slices it covers). `options` flows to
+/// both legs — parallel / budget settings apply to each — except
+/// columnar_overrides (see MergeDeltaLeg). `delta_rows_scanned` (optional)
+/// receives the number of delta rows the compensation leg read.
 StatusOr<engine::Relation> ExecuteCompensationPlan(
-    const matching::CompensationPlan& plan,
-    const engine::Storage::Snapshot& snap, const engine::ExecOptions& options,
-    int64_t* delta_rows_scanned = nullptr);
+    const matching::CompensationPlan& plan, int64_t from_epoch,
+    int64_t to_epoch, const engine::Storage::Snapshot& snap,
+    const engine::ExecOptions& options, int64_t* delta_rows_scanned = nullptr);
 
 }  // namespace compensation
 }  // namespace sumtab

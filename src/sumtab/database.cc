@@ -21,20 +21,34 @@ namespace sumtab {
 
 namespace {
 
-/// Leaf-scan cost of a graph against a pinned snapshot: total rows of every
-/// scanned base table. TryRewrite costs its candidates with it, and the
-/// workload log prices the query's base-table form with it.
-int64_t LeafRowCost(const qgm::Graph& graph,
-                    const engine::Storage::Snapshot& snap) {
-  int64_t cost = 0;
+/// The lower-cased table of every base-table scan in `graph`, repeats kept.
+std::vector<std::string> LeafTables(const qgm::Graph& graph) {
+  std::vector<std::string> tables;
   for (int id = 0; id < graph.size(); ++id) {
     const qgm::Box* box = graph.box(id);
-    if (box->kind != qgm::Box::Kind::kBase) continue;
-    std::shared_ptr<const engine::Batch> batch =
-        snap.FindColumnar(box->table_name);
-    if (batch != nullptr) cost += batch->num_rows;
+    if (box->kind == qgm::Box::Kind::kBase) {
+      tables.push_back(ToLower(box->table_name));
+    }
   }
-  return cost;
+  return tables;
+}
+
+/// Total rows of `tables` in a pinned snapshot. Over a graph's LeafTables it
+/// is the graph's leaf-scan cost: TryRewrite costs its candidates with it,
+/// and the workload log prices the query's base-table form with it.
+int64_t LeafRows(const std::vector<std::string>& tables,
+                 const engine::Storage::Snapshot& snap) {
+  int64_t rows = 0;
+  for (const std::string& table : tables) {
+    std::shared_ptr<const engine::Batch> batch = snap.FindColumnar(table);
+    if (batch != nullptr) rows += batch->num_rows;
+  }
+  return rows;
+}
+
+int64_t LeafRowCost(const qgm::Graph& graph,
+                    const engine::Storage::Snapshot& snap) {
+  return LeafRows(LeafTables(graph), snap);
 }
 
 }  // namespace
@@ -44,64 +58,59 @@ Database::~Database() = default;
 
 // ---- rewrite-plan cache ----
 
-std::string Database::PlanCacheKey(const std::string& sql,
+std::string Database::PlanCacheKey(const std::string& normalized_sql,
                                    const QueryOptions& options) const {
   // Only options that change the *plan graph* belong in the key; execution
   // knobs (threads, budgets, join strategy) reuse the same entry.
-  return NormalizeSqlText(sql) + "#rw=" + (options.enable_rewrite ? "1" : "0") +
+  return normalized_sql + "#rw=" + (options.enable_rewrite ? "1" : "0") +
          "#stale=" + (options.allow_stale_reads ? "1" : "0") +
          "#comp=" + (options.enable_compensation ? "1" : "0");
 }
 
-ShardedPlanCache::Validator Database::PlanValidator(
+PlanContext Database::PlanningContext(
+    const std::vector<std::string>& leaf_tables,
     const engine::Storage::Snapshot& snap, int64_t generation,
     const QueryOptions& options) const {
-  // The captured references outlive the synchronous lookup only; the
-  // validator must not be stored. Caller holds ddl_mu_, so the registry and
-  // the epochs it consults cannot change mid-validation.
-  return [this, &snap, generation, &options](
-             const CachedPlan& entry) -> std::string {
-    // "Stale but compensatable" entries pin a delta high-water mark: the
-    // plan is exact only for the precise epoch range it was built over.
-    // Checked FIRST so a refresh that absorbed the range (which also bumps
-    // the generation) reports the specific cause, not the generic one.
-    if (entry.compensation != nullptr) {
-      const matching::CompensationPlan& comp = *entry.compensation;
-      SummaryTablePtr st = FindSummaryTable(comp.summary_table);
-      if (st == nullptr || st->disabled.load(std::memory_order_acquire)) {
-        return "ast:" + comp.summary_table;
-      }
-      StatusOr<Lag> lag = LagOf(*st, snap);
-      if (!lag.ok() || lag->table != comp.stale_table ||
-          lag->from != comp.from_epoch || lag->to != comp.to_epoch) {
-        return "delta:" + comp.stale_table;
-      }
+  PlanContext context;
+  context.generation = generation;
+  // With rewriting off the plan is the base-table form, whatever the ASTs.
+  if (!options.enable_rewrite) return context;
+  // Mirrors TryRewrite's branches: UsableForRewrite (fresh or tolerated),
+  // else the compensation attempt (LagOf), else skipped.
+  for (const SummaryTablePtr& st : summary_tables_) {
+    bool reads = false;
+    for (const std::string& table : leaf_tables) {
+      reads = reads || st->materialized_epochs.count(table) > 0;
     }
-    // Generation captures DDL / AST-lifecycle changes since planning.
-    if (entry.generation != generation) return "generation";
-    // Any epoch bump of a base table the original query scans invalidates:
-    // a spliced-in AST may now be stale, and even the relative costs that
-    // picked this plan have changed.
-    for (const auto& [table, epoch] : entry.base_epochs) {
-      if (snap.Epoch(table) != epoch) return "epoch:" + table;
+    if (!reads) continue;
+    AstPlanState& state = context.asts.emplace_back();
+    state.name = st->name;
+    if (st->disabled.load(std::memory_order_acquire)) {
+      state.kind = AstPlanState::Kind::kQuarantined;
+      continue;
     }
-    // The ASTs this plan reads must still be serviceable under the *current*
-    // options — a quarantined or newly-stale AST must not be served from
-    // cache when a fresh search would have skipped it.
-    for (const std::string& name : entry.used_asts) {
-      // The compensated AST is *expected* to be stale — the compensation
-      // block above already pinned its exact staleness window.
-      if (entry.compensation != nullptr &&
-          name == entry.compensation->summary_table) {
-        continue;
-      }
-      SummaryTablePtr st = FindSummaryTable(name);
-      if (st == nullptr || !UsableForRewrite(*st, options.allow_stale_reads)) {
-        return "ast:" + name;
-      }
+    int64_t lag = 0;
+    for (const auto& [table, epoch] : st->materialized_epochs) {
+      int64_t behind = snap.Epoch(table) - epoch;
+      if (behind <= 0) continue;
+      if (lag == 0) state.table = table;
+      lag += behind;
     }
-    return "";
-  };
+    if (lag == 0) continue;  // kFresh
+    if (lag <= st->max_staleness || options.allow_stale_reads) {
+      state.kind = AstPlanState::Kind::kTolerated;
+      state.epochs = lag;
+      continue;
+    }
+    state.kind = AstPlanState::Kind::kUnusable;
+    if (!options.enable_compensation) continue;
+    if (StatusOr<Lag> delta = LagOf(*st, snap); delta.ok()) {
+      state.kind = AstPlanState::Kind::kLagging;
+      state.table = delta->table;
+      state.epochs = delta->to - delta->from;
+    }
+  }
+  return context;
 }
 
 void Database::BumpGeneration() {
@@ -554,18 +563,12 @@ std::unique_ptr<qgm::Graph> Database::TryRewrite(
         }
         // Compensation needs the lag to be retained appends on one table
         // (the merge key joins one AST leg to one delta leg).
+        StatusOr<Lag> lag = LagOf(*st, snap);
+        matching::SummaryTableDef def{st->name, &st->graph};
         StatusOr<matching::CompensationPlan> comp =
-            [&]() -> StatusOr<matching::CompensationPlan> {
-          SUMTAB_ASSIGN_OR_RETURN(Lag lag, LagOf(*st, snap));
-          matching::SummaryTableDef def{st->name, &st->graph};
-          SUMTAB_ASSIGN_OR_RETURN(
-              matching::CompensationPlan plan,
-              matching::BuildCompensationPlan(query, lag.table, def, catalog_,
-                                              attempt_ptr, trace));
-          plan.from_epoch = lag.from;
-          plan.to_epoch = lag.to;
-          return plan;
-        }();
+            lag.ok() ? matching::BuildCompensationPlan(
+                           query, lag->table, def, catalog_, attempt_ptr, trace)
+                     : StatusOr<matching::CompensationPlan>(lag.status());
         if (!comp.ok()) {
           if (trace != nullptr) {
             attempt.reason = RejectReasonFromStatus(comp.status());
@@ -576,8 +579,7 @@ std::unique_ptr<qgm::Graph> Database::TryRewrite(
           continue;
         }
         ++*candidates;
-        int64_t delta_rows =
-            snap.DeltaRows(comp->stale_table, comp->from_epoch, comp->to_epoch);
+        int64_t delta_rows = snap.DeltaRows(lag->table, lag->from, lag->to);
         int64_t cost = LeafRowCost(comp->ast_leg, snap) + delta_rows;
         bool acceptable = cost <= current_cost &&
                           (best_comp == nullptr || cost < best_comp_cost);
@@ -586,7 +588,7 @@ std::unique_ptr<qgm::Graph> Database::TryRewrite(
           attempt.cost_after = static_cast<double>(cost);
           attempt.compensation =
               "compensated(" + std::to_string(delta_rows) + " delta rows, " +
-              std::to_string(comp->to_epoch - comp->from_epoch) + " epochs)";
+              std::to_string(lag->to - lag->from) + " epochs)";
           if (!acceptable) attempt.detail = "costlier than the current plan";
         }
         if (acceptable) {
@@ -765,21 +767,32 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
   QueryResult result;
   if (options.collect_trace) result.trace = std::make_shared<QueryTrace>();
   QueryTrace* trace = result.trace.get();
+  // The cache key and the workload log share one normalization.
+  const std::string normalized =
+      options.enable_plan_cache || options.record_workload
+          ? NormalizeSqlText(sql)
+          : std::string();
   std::string cache_key;
-  std::unique_ptr<qgm::Graph> plan;      // the graph to execute (owned)
-  std::unique_ptr<qgm::Graph> original;  // base-table form, for fallback
-  std::vector<SummaryTablePtr> used;     // ASTs the plan splices in (pinned)
+  ShardedPlanCache::PlanPtr cached;            // set on a hit
+  std::shared_ptr<const qgm::Graph> plan;      // the graph to execute
+  std::shared_ptr<const qgm::Graph> original;  // base-table form, fallback
+  std::vector<SummaryTablePtr> used;  // ASTs the plan splices in (pinned)
   // Non-null when the query is served by the two-leg delta-compensation path
   // (stale AST + retained deltas); `plan` stays null then and `original`
-  // holds the base-table fallback.
+  // holds the base-table fallback. `comp_lag` is the AST's lag in `snap`:
+  // the epochs the delta leg covers.
   std::shared_ptr<const matching::CompensationPlan> comp;
+  Lag comp_lag;
   int64_t comp_delta_rows = 0;
   bool was_rewritten = false;
   // Leaf rows a base-table plan scans (against the pinned snapshot): the
-  // workload log's direct-cost figure. Cache hits reuse the memoized value.
+  // workload log's direct-cost figure.
   int64_t base_leaf_rows = 0;
   engine::Storage::Snapshot snap;
   int64_t plan_generation = 0;
+  // What a compile-path plan is memoized under (step 3).
+  std::vector<std::string> leaf_tables;
+  PlanContext plan_context;
 
   // Planning happens under the shared catalog lock: pin the storage
   // snapshot every later step reads, capture the generation, consult the
@@ -792,12 +805,14 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
 
     // 1. Plan-cache lookup: a hit skips parse -> QGM build -> match search.
     if (options.enable_plan_cache) {
-      cache_key = PlanCacheKey(sql, options);
-      CachedPlan cached;
+      cache_key = PlanCacheKey(normalized, options);
       std::string cause;
-      ShardedPlanCache::Lookup lookup = plan_cache_.LookupAndValidate(
-          cache_key, PlanValidator(snap, plan_generation, options), &cached,
-          &cause);
+      ShardedPlanCache::Lookup lookup = plan_cache_.Find(
+          cache_key,
+          [&](const std::vector<std::string>& tables) {
+            return PlanningContext(tables, snap, plan_generation, options);
+          },
+          &cached, &cause);
       if (trace != nullptr) {
         switch (lookup) {
           case ShardedPlanCache::Lookup::kHit:
@@ -813,28 +828,23 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
       }
       if (lookup == ShardedPlanCache::Lookup::kHit) {
         result.plan_cache_hit = true;
-        result.used_summary_table = cached.used_summary_table;
-        result.summary_table = cached.summary_table;
-        result.rewritten_sql = cached.rewritten_sql;
-        result.candidate_rewrites = cached.candidate_rewrites;
-        // The validator just vouched for these ASTs under this same lock, so
-        // the lookups cannot miss; pin them for post-execution bookkeeping.
-        for (const std::string& name : cached.used_asts) {
+        result.used_summary_table = cached->used_summary_table;
+        result.summary_table = cached->summary_table;
+        result.rewritten_sql = cached->rewritten_sql;
+        result.candidate_rewrites = cached->candidate_rewrites;
+        // The context check just vouched for these ASTs under this same
+        // lock, so the lookups cannot miss; pin them for post-execution
+        // bookkeeping.
+        for (const std::string& name : cached->used_asts) {
           if (SummaryTablePtr st = FindSummaryTable(name)) {
             used.push_back(std::move(st));
           }
         }
-        was_rewritten = cached.used_summary_table;
-        base_leaf_rows = cached.base_leaf_rows;
-        comp = cached.compensation;
-        if (comp != nullptr) {
-          // For compensation entries the cached graph is the ORIGINAL
-          // base-table form (the execution fallback); the immutable
-          // compensation plan itself is shared, not copied.
-          original = std::make_unique<qgm::Graph>(std::move(cached.plan));
-        } else {
-          plan = std::make_unique<qgm::Graph>(std::move(cached.plan));
-        }
+        was_rewritten = cached->used_summary_table;
+        base_leaf_rows = LeafRows(cached->leaf_tables, snap);
+        comp = cached->compensation;
+        // A compensation entry's graph is the base-table fallback.
+        (comp != nullptr ? original : plan) = cached->plan;
       }
     }
 
@@ -853,8 +863,13 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
         trace->RecordPhaseMicros(QueryTrace::kPhaseParse, (t1 - t0) / 1000);
         trace->RecordPhaseMicros(QueryTrace::kPhaseQgmBuild, (t2 - t1) / 1000);
       }
-      original = std::make_unique<qgm::Graph>(std::move(graph));
-      base_leaf_rows = LeafRowCost(*original, snap);
+      original = std::make_shared<const qgm::Graph>(std::move(graph));
+      leaf_tables = LeafTables(*original);
+      base_leaf_rows = LeafRows(leaf_tables, snap);
+      if (options.enable_plan_cache) {
+        plan_context =
+            PlanningContext(leaf_tables, snap, plan_generation, options);
+      }
       if (options.enable_rewrite) {
         std::string chosen;
         int64_t rw0 = MonotonicNanos();
@@ -898,9 +913,16 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
         }
       }
       if (plan == nullptr && comp == nullptr) {
-        plan = std::make_unique<qgm::Graph>(qgm::Graph::CloneGraph(*original));
+        plan = original;
         used.clear();
       }
+    }
+
+    // The delta leg covers the compensated AST's lag at this snapshot, not
+    // the lag it had when the plan was made: an equal planning context
+    // guarantees only the same stale table and the same number of epochs.
+    if (comp != nullptr) {
+      SUMTAB_ASSIGN_OR_RETURN(comp_lag, LagOf(*used.front(), snap));
     }
   }  // ddl_mu_ released — execution must not hold the catalog lock.
 
@@ -916,16 +938,19 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
   exec_options.trace = trace;
   int64_t exec_start = MonotonicNanos();
   StatusOr<engine::Relation> data =
-      comp != nullptr ? compensation::ExecuteCompensationPlan(
-                            *comp, snap, exec_options, &comp_delta_rows)
-                      : engine::Executor(snap, exec_options).Execute(*plan);
+      comp != nullptr
+          ? compensation::ExecuteCompensationPlan(*comp, comp_lag.from,
+                                                  comp_lag.to, snap,
+                                                  exec_options,
+                                                  &comp_delta_rows)
+          : engine::Executor(snap, exec_options).Execute(*plan);
   if (!data.ok() && was_rewritten) {
     // Graceful degradation: the rewritten plan failed, so fall back to the
     // base tables — a summary table is an optimization, never a requirement.
     // The retry runs against the SAME pinned snapshot, so the answer still
     // reflects one consistent point in time.
     for (const SummaryTablePtr& st : used) RecordAstFailure(st.get());
-    if (result.plan_cache_hit) plan_cache_.Forget(cache_key);  // broken entry
+    if (cached != nullptr) plan_cache_.Forget(cache_key, cached.get());
     result.degradation.degraded = true;
     result.degradation.stage = "execute";
     result.degradation.summary_table = result.summary_table;
@@ -944,7 +969,7 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
                               sql::Parse(sql));
       SUMTAB_ASSIGN_OR_RETURN(qgm::Graph graph,
                               qgm::BuildGraph(*stmt, catalog_));
-      original = std::make_unique<qgm::Graph>(std::move(graph));
+      original = std::make_shared<const qgm::Graph>(std::move(graph));
     }
     engine::Executor retry(snap, exec_options);
     data = retry.Execute(*original);
@@ -979,7 +1004,7 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
         MetricsRegistry::Global().counter("query.compensation_delta_rows");
     result.compensated = true;
     result.compensation_delta_rows = comp_delta_rows;
-    result.compensation_epochs = comp->to_epoch - comp->from_epoch;
+    result.compensation_epochs = comp_lag.to - comp_lag.from;
     compensated_counter->Increment();
     compensated_rows_counter->Increment(comp_delta_rows);
     for (const SummaryTablePtr& st : used) {
@@ -994,30 +1019,23 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
   }
   // 3. Memoize the decision — only a plan that parsed, matched, and executed
   //    cleanly this call (a fallback plan is not the search's answer). The
-  //    entry is stamped with the generation and epochs observed at planning
-  //    time, so a load/DDL that raced past us invalidates it on next lookup
-  //    instead of serving a stale decision as current.
-  if (options.enable_plan_cache && !result.plan_cache_hit &&
-      !result.degradation.degraded && original != nullptr) {
-    CachedPlan entry;
-    if (comp != nullptr) {
-      // Cache the base-table form as the fallback graph; the compensation
-      // plan itself is immutable and shared across hits.
-      entry.plan = qgm::Graph::CloneGraph(*original);
-      entry.compensation = comp;
-    } else {
-      entry.plan = std::move(*plan);
-    }
-    entry.used_summary_table = result.used_summary_table;
-    entry.summary_table = result.summary_table;
-    entry.rewritten_sql = result.rewritten_sql;
-    entry.candidate_rewrites = result.candidate_rewrites;
-    for (const SummaryTablePtr& st : used) entry.used_asts.push_back(st->name);
-    entry.generation = plan_generation;
-    entry.base_leaf_rows = base_leaf_rows;
-    for (const std::string& table : matching::LeafBaseTables(*original)) {
-      entry.base_epochs[ToLower(table)] = snap.Epoch(ToLower(table));
-    }
+  //    entry is stamped with the planning context observed under the
+  //    planning lock, so a load/DDL that raced past us misses it on the next
+  //    lookup instead of serving a stale decision as current.
+  if (options.enable_plan_cache && cached == nullptr &&
+      !result.degradation.degraded) {
+    auto entry = std::make_shared<CachedPlan>();
+    // Compensation entries keep the base-table form as the fallback graph;
+    // the compensation plan itself is immutable and shared across hits.
+    entry->plan = comp != nullptr ? original : plan;
+    entry->used_summary_table = result.used_summary_table;
+    entry->summary_table = result.summary_table;
+    entry->rewritten_sql = result.rewritten_sql;
+    entry->candidate_rewrites = result.candidate_rewrites;
+    for (const SummaryTablePtr& st : used) entry->used_asts.push_back(st->name);
+    entry->compensation = comp;
+    entry->leaf_tables = std::move(leaf_tables);
+    entry->context = std::move(plan_context);
     plan_cache_.Insert(cache_key, std::move(entry));
   }
   // 4. Feed the workload log — the advisor's input. Off for the advisor's
@@ -1026,7 +1044,7 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
   if (options.record_workload) {
     queries_observed_.fetch_add(1, std::memory_order_acq_rel);
     sumtab::WorkloadLog::QueryObservation obs;
-    obs.normalized_sql = NormalizeSqlText(sql);
+    obs.normalized_sql = normalized;
     obs.base_leaf_rows = base_leaf_rows;
     obs.rewritten = result.used_summary_table;
     obs.compensated = result.compensated;
@@ -1086,14 +1104,17 @@ StatusOr<std::string> Database::ExplainRewrite(const std::string& sql,
   int64_t generation = catalog_generation_.load(std::memory_order_acquire);
 
   // Plan-cache fate first, exactly as Query() would see it. This is a real
-  // lookup — a hit refreshes the LRU, a stale entry is dropped — but EXPLAIN
-  // never inserts, so explaining cannot seed the cache with an unexecuted
-  // plan.
+  // lookup — a hit refreshes the LRU, plans of a dead generation are
+  // dropped — but EXPLAIN never inserts, so explaining cannot seed the cache
+  // with an unexecuted plan.
   if (options.enable_plan_cache) {
-    CachedPlan cached;
+    ShardedPlanCache::PlanPtr cached;
     std::string cause;
-    switch (plan_cache_.LookupAndValidate(
-        PlanCacheKey(sql, options), PlanValidator(snap, generation, options),
+    switch (plan_cache_.Find(
+        PlanCacheKey(NormalizeSqlText(sql), options),
+        [&](const std::vector<std::string>& tables) {
+          return PlanningContext(tables, snap, generation, options);
+        },
         &cached, &cause)) {
       case ShardedPlanCache::Lookup::kHit:
         trace.SetPlanCache(PlanCacheOutcome::kHit, "");

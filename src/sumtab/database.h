@@ -132,9 +132,9 @@ struct QueryOptions {
   /// reference (bit-identical to the pre-parallel engine).
   int max_threads = 0;
   /// Consult/populate the rewrite-plan cache. A hit skips the
-  /// parse -> QGM-build -> match-search pipeline entirely; entries are
-  /// validated against the catalog generation, base-table epochs, and the
-  /// freshness state of every summary table they splice in.
+  /// parse -> QGM-build -> match-search pipeline entirely; a plan is served
+  /// only while its planning context holds: the catalog generation and the
+  /// state of every summary table over the query's base tables.
   bool enable_plan_cache = true;
   /// Attach a QueryTrace to the result: per-phase wall times, every
   /// (query-box, AST) match attempt with its structured outcome, plan-cache
@@ -176,16 +176,16 @@ struct QueryResult {
 };
 
 /// Counters exposed by Database::Stats(). Hits/misses/invalidations
-/// partition plan-cache lookups: an invalidation is a lookup that found an
-/// entry but had to discard it (DDL generation change, base-table epoch
-/// bump, or a spliced-in summary table no longer serviceable).
+/// partition plan-cache lookups: an invalidation is a lookup that found the
+/// query's key only under other planning contexts (a DDL generation change,
+/// or a summary table over its base tables in another state).
 struct DatabaseStats {
   int64_t plan_cache_hits = 0;
   int64_t plan_cache_misses = 0;
   int64_t plan_cache_invalidations = 0;
   int64_t plan_cache_entries = 0;
   /// Monotonic DDL counter (CreateTable / DefineSummaryTable / Drop /
-  /// SetMaxStaleness / refresh); part of every cache entry's validity.
+  /// SetMaxStaleness / refresh); part of every cached plan's context.
   int64_t catalog_generation = 0;
   /// Snapshot of the process-wide metrics registry (counters + latency
   /// histograms): query/rewrite/match/maintenance counters and per-phase
@@ -428,14 +428,17 @@ class Database {
   /// Max cached plans; least-recently-used entries are evicted beyond it.
   static constexpr size_t kPlanCacheCapacity = 256;
 
-  std::string PlanCacheKey(const std::string& sql,
+  /// `normalized_sql` is NormalizeSqlText of the query.
+  std::string PlanCacheKey(const std::string& normalized_sql,
                            const QueryOptions& options) const;
-  /// Validator bound to one query's pinned snapshot + planning generation.
-  /// Must be invoked while holding ddl_mu_ (shared), since it consults the
-  /// summary-table registry.
-  ShardedPlanCache::Validator PlanValidator(
-      const engine::Storage::Snapshot& snap, int64_t generation,
-      const QueryOptions& options) const;
+  /// The planning context (plan_cache.h) of a query over `leaf_tables`
+  /// under `options`: `generation` plus the state in `snap` of every AST
+  /// that reads one of the tables, classified the way TryRewrite's search
+  /// treats it. Caller holds ddl_mu_ (shared), since it reads the registry.
+  PlanContext PlanningContext(const std::vector<std::string>& leaf_tables,
+                              const engine::Storage::Snapshot& snap,
+                              int64_t generation,
+                              const QueryOptions& options) const;
   /// DDL/AST-lifecycle change: bump the generation so every cached plan made
   /// before it is discarded on next lookup.
   void BumpGeneration();

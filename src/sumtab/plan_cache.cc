@@ -1,6 +1,29 @@
 #include "sumtab/plan_cache.h"
 
+#include <algorithm>
+
 namespace sumtab {
+
+std::string ContextChange(const PlanContext& cached,
+                          const PlanContext& current) {
+  using Kind = AstPlanState::Kind;
+  const size_t n = std::max(cached.asts.size(), current.asts.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (i >= cached.asts.size()) return "ast:" + current.asts[i].name;
+    if (i >= current.asts.size()) return "ast:" + cached.asts[i].name;
+    const AstPlanState& was = cached.asts[i];
+    const AstPlanState& now = current.asts[i];
+    if (was.name != now.name) return "ast:" + was.name;
+    if (was == now) continue;
+    if (was.kind == Kind::kLagging) return "delta:" + was.table;
+    if (now.kind == Kind::kLagging) return "delta:" + now.table;
+    if (was.kind == Kind::kQuarantined || now.kind == Kind::kQuarantined) {
+      return "ast:" + was.name;
+    }
+    return "epoch:" + (was.table.empty() ? now.table : was.table);
+  }
+  return cached.generation != current.generation ? "generation" : "";
+}
 
 ShardedPlanCache::ShardedPlanCache(size_t capacity) {
   shard_capacity_ = capacity / kNumShards;
@@ -32,8 +55,14 @@ std::unique_lock<std::mutex> ShardedPlanCache::Lock(const Shard& shard) {
   return lock;
 }
 
-ShardedPlanCache::Lookup ShardedPlanCache::LookupAndValidate(
-    const std::string& key, const Validator& validator, CachedPlan* out,
+void ShardedPlanCache::Erase(Shard& shard,
+                             std::map<std::string, Node>::iterator it) {
+  shard.lru.erase(it->second.lru_pos);
+  shard.entries.erase(it);
+}
+
+ShardedPlanCache::Lookup ShardedPlanCache::Find(
+    const std::string& key, const ContextFn& current, PlanPtr* out,
     std::string* invalidation_cause) {
   static Counter* hits = MetricsRegistry::Global().counter("plan_cache.hits");
   static Counter* misses =
@@ -49,60 +78,69 @@ ShardedPlanCache::Lookup ShardedPlanCache::LookupAndValidate(
     misses->Increment();
     return Lookup::kMiss;
   }
-  std::string cause = validator(it->second.plan);
-  if (!cause.empty()) {
-    ++shard.invalidations;
-    shard.invalidations_counter->Increment();
-    invalidations->Increment();
-    if (invalidation_cause != nullptr) *invalidation_cause = cause;
-    shard.lru.erase(it->second.lru_pos);
-    shard.entries.erase(it);
-    return Lookup::kInvalidated;
+  // Every plan of a key comes from one catalog generation (Insert keeps it
+  // so), hence from one parse: their leaf tables agree.
+  std::vector<PlanPtr>& variants = it->second.variants;
+  const PlanContext now = current(variants.front()->leaf_tables);
+  auto match = std::find_if(
+      variants.begin(), variants.end(),
+      [&now](const PlanPtr& plan) { return plan->context == now; });
+  if (match != variants.end()) {
+    ++shard.hits;
+    shard.hits_counter->Increment();
+    hits->Increment();
+    std::rotate(variants.begin(), match, match + 1);
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
+    *out = variants.front();
+    return Lookup::kHit;
   }
-  ++shard.hits;
-  shard.hits_counter->Increment();
-  hits->Increment();
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-  const CachedPlan& entry = it->second.plan;
-  out->plan = qgm::Graph::CloneGraph(entry.plan);
-  out->used_summary_table = entry.used_summary_table;
-  out->summary_table = entry.summary_table;
-  out->rewritten_sql = entry.rewritten_sql;
-  out->candidate_rewrites = entry.candidate_rewrites;
-  out->used_asts = entry.used_asts;
-  out->compensation = entry.compensation;
-  out->generation = entry.generation;
-  out->base_epochs = entry.base_epochs;
-  out->base_leaf_rows = entry.base_leaf_rows;
-  return Lookup::kHit;
+  ++shard.invalidations;
+  shard.invalidations_counter->Increment();
+  invalidations->Increment();
+  if (invalidation_cause != nullptr) {
+    *invalidation_cause = ContextChange(variants.front()->context, now);
+  }
+  // Generations only grow: plans from an older one are dead for good.
+  if (variants.front()->context.generation != now.generation) {
+    Erase(shard, it);
+  }
+  return Lookup::kInvalidated;
 }
 
-void ShardedPlanCache::Insert(const std::string& key, CachedPlan entry) {
+void ShardedPlanCache::Insert(const std::string& key, PlanPtr entry) {
   Shard& shard = ShardFor(key);
   std::unique_lock<std::mutex> lock = Lock(shard);
   auto it = shard.entries.find(key);
-  if (it != shard.entries.end()) {
-    shard.lru.erase(it->second.lru_pos);
-    shard.entries.erase(it);
+  if (it == shard.entries.end()) {
+    shard.lru.push_front(key);
+    Node node;
+    node.lru_pos = shard.lru.begin();
+    it = shard.entries.emplace(key, std::move(node)).first;
+  } else {
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
   }
-  shard.lru.push_front(key);
-  Node node;
-  node.plan = std::move(entry);
-  node.lru_pos = shard.lru.begin();
-  shard.entries.emplace(key, std::move(node));
+  std::vector<PlanPtr>& variants = it->second.variants;
+  std::erase_if(variants, [&entry](const PlanPtr& plan) {
+    return plan->context.generation != entry->context.generation ||
+           plan->context == entry->context;
+  });
+  variants.insert(variants.begin(), std::move(entry));
+  if (variants.size() > kMaxVariants) variants.resize(kMaxVariants);
   while (shard.entries.size() > shard_capacity_) {
     shard.entries.erase(shard.lru.back());
     shard.lru.pop_back();
   }
 }
 
-void ShardedPlanCache::Forget(const std::string& key) {
+void ShardedPlanCache::Forget(const std::string& key, const CachedPlan* entry) {
   Shard& shard = ShardFor(key);
   std::unique_lock<std::mutex> lock = Lock(shard);
   auto it = shard.entries.find(key);
   if (it == shard.entries.end()) return;
-  shard.lru.erase(it->second.lru_pos);
-  shard.entries.erase(it);
+  std::erase_if(it->second.variants, [entry](const PlanPtr& plan) {
+    return plan.get() == entry;
+  });
+  if (it->second.variants.empty()) Erase(shard, it);
 }
 
 ShardedPlanCache::Stats ShardedPlanCache::TotalStats() const {
@@ -112,7 +150,9 @@ ShardedPlanCache::Stats ShardedPlanCache::TotalStats() const {
     stats.hits += shard.hits;
     stats.misses += shard.misses;
     stats.invalidations += shard.invalidations;
-    stats.entries += static_cast<int64_t>(shard.entries.size());
+    for (const auto& [key, node] : shard.entries) {
+      stats.entries += static_cast<int64_t>(node.variants.size());
+    }
   }
   return stats;
 }

@@ -1,15 +1,23 @@
-// Mutex-sharded LRU cache of rewrite-plan decisions.
+// Mutex-sharded LRU cache of rewrite-plan decisions, stamped with the
+// planning context they were made in.
 //
-// PR 4 introduced the plan cache as one map under one mutex; under a
-// concurrent serving load every warm-cache query serializes on that lock.
-// This version hashes keys across kNumShards independent partitions, each
-// with its own mutex, map, LRU list, and counters, so unrelated queries
-// proceed in parallel and a contended acquisition is visible in the metrics
-// (plan_cache.shard<i>.contention counts lock acquisitions that had to
-// block). Validation policy (catalog generation, base-table epochs, AST
-// serviceability) stays with the caller — Database supplies it as a
-// validator callback so the cache itself has no coupling to freshness
-// bookkeeping.
+// A plan is the outcome of parse -> QGM build -> match search, and it stays
+// right for as long as what the search read stays the same: the catalog
+// generation and, for every AST over one of the query's base tables, that
+// AST's state at the query's pinned snapshot (PlanContext). Appends that
+// leave every AST fresh change neither, so they keep the plan. One key (the
+// normalized SQL plus the planning options) holds up to kMaxVariants plans
+// side by side, one per context: a query that alternates between fresh ASTs
+// and ASTs one deferred append behind keeps both its rewrite and its
+// compensated plan warm. A lookup hits only when the caller's current
+// context equals an entry's; a key found only under other contexts counts
+// as an invalidation, and the cause names the first component that differs.
+// Entries are immutable and shared, so a hit copies a pointer.
+//
+// Keys hash across kNumShards independent partitions, each with its own
+// mutex, map, LRU list and counters, so unrelated queries proceed in
+// parallel (plan_cache.shard<i>.contention counts lock acquisitions that had
+// to block). Database computes contexts; the cache only compares them.
 #ifndef SUMTAB_SUMTAB_PLAN_CACHE_H_
 #define SUMTAB_SUMTAB_PLAN_CACHE_H_
 
@@ -17,6 +25,7 @@
 #include <functional>
 #include <list>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -27,74 +36,107 @@
 
 namespace sumtab {
 
-/// One memoized rewrite decision (DESIGN.md, "Parallel execution and plan
-/// caching"). Key = normalized SQL + the planning-relevant options;
-/// validity = (catalog generation, epoch of every base table the original
-/// query scans, serviceability of every spliced-in AST) — judged by the
-/// caller's validator at lookup time.
+/// One AST's state at a query's pinned snapshot, as far as planning sees it
+/// (DESIGN.md §8): which of the search's branches the AST takes.
+struct AstPlanState {
+  enum class Kind : uint8_t {
+    kFresh,        // no lag: rewrites read it as stored
+    kTolerated,    // lags `epochs` in all, within max_staleness or stale reads
+    kLagging,      // lags `epochs` retained appends to `table`: compensable
+    kUnusable,     // lags behind `table`, neither tolerated nor compensable
+    kQuarantined,  // disabled until its next refresh
+  };
+  std::string name;
+  Kind kind = Kind::kFresh;
+  /// The base table it lags behind (the first by name when several do);
+  /// empty for kFresh and kQuarantined.
+  std::string table;
+  int64_t epochs = 0;  // kTolerated and kLagging only
+  bool operator==(const AstPlanState&) const = default;
+};
+
+/// Everything a cached plan depends on besides its key.
+struct PlanContext {
+  int64_t generation = 0;
+  /// Every AST that reads one of the query's base tables, in registry order;
+  /// empty when rewriting is off.
+  std::vector<AstPlanState> asts;
+  bool operator==(const PlanContext&) const = default;
+};
+
+/// "" when the contexts are equal; else the cause naming the first component
+/// that differs, ASTs before the generation: "delta:<table>" when either side
+/// has the AST lagging on `table` (the lag was absorbed or moved),
+/// "ast:<name>" when the AST appeared, went or entered or left quarantine,
+/// "epoch:<table>" for any other staleness change, and "generation".
+std::string ContextChange(const PlanContext& cached,
+                          const PlanContext& current);
+
+/// One memoized rewrite decision (DESIGN.md §8). Immutable once inserted.
 struct CachedPlan {
-  qgm::Graph plan;  // the graph Query() would execute (rewritten or not)
+  /// The graph Query() executes: the rewrite or the base-table form. A
+  /// compensation entry holds the base-table form, its execution fallback.
+  std::shared_ptr<const qgm::Graph> plan;
   bool used_summary_table = false;
   std::string summary_table;
   std::string rewritten_sql;
   int candidate_rewrites = 0;
   std::vector<std::string> used_asts;
-  /// Set for "stale but compensatable" plans: the two-leg compensation plan
-  /// that answered via a stale AST + its retained deltas. Immutable and
-  /// shared — hits copy the pointer, not the legs. `plan` then holds the
-  /// ORIGINAL graph (the execution fallback); validity additionally pins the
-  /// delta high-water mark: the entry dies (cause "delta:<table>") as soon
-  /// as a refresh absorbs the range or further appends move the mark.
+  /// Set when a lagging AST answers through the two-leg compensation plan.
+  /// The plan names its stale table, not an epoch range: the range is the
+  /// AST's lag at execution, so one entry serves every snapshot in which
+  /// the AST lags on that table by the same number of epochs.
   std::shared_ptr<const matching::CompensationPlan> compensation;
-  /// Catalog generation at planning time. Any DDL/AST-lifecycle bump after
-  /// it invalidates the entry.
-  int64_t generation = 0;
-  /// Epochs of the original query's base tables at planning time. Any bump
-  /// (BulkLoad / Append) invalidates: the plan may scan an AST whose
-  /// content no longer reflects the base data.
-  std::map<std::string, int64_t> base_epochs;
-  /// Leaf rows a base-table plan scans for this query, captured at planning
-  /// time. Lets a cache hit feed the workload log (src/sumtab/workload_log.h)
-  /// the same direct-cost figure the compile path computes, without
-  /// re-parsing. Epoch validation bounds its drift: any base-table change
-  /// invalidates the entry, so the figure is exact for the snapshot served.
-  int64_t base_leaf_rows = 0;
+  /// Lower-cased table of every base-table scan in the query's base-table
+  /// form, a table scanned twice listed twice. They select the ASTs of the
+  /// planning context, and their rows at the pinned snapshot are the workload
+  /// log's direct-cost figure, summed afresh on every hit.
+  std::vector<std::string> leaf_tables;
+  PlanContext context;
 };
 
 class ShardedPlanCache {
  public:
   static constexpr int kNumShards = 8;
+  /// Plans kept per key, one per planning context; the least recently
+  /// served goes beyond it.
+  static constexpr size_t kMaxVariants = 4;
 
-  /// `capacity` is the total entry budget, split evenly across shards;
-  /// least-recently-used entries are evicted per shard beyond it.
+  using PlanPtr = std::shared_ptr<const CachedPlan>;
+
+  /// `capacity` is the total key budget, split evenly across shards;
+  /// least-recently-used keys are evicted per shard beyond it.
   explicit ShardedPlanCache(size_t capacity);
   ShardedPlanCache(const ShardedPlanCache&) = delete;
   ShardedPlanCache& operator=(const ShardedPlanCache&) = delete;
 
   enum class Lookup { kHit, kMiss, kInvalidated };
 
-  /// Returns "" when the entry is still valid, else the invalidation cause
-  /// ("generation", "epoch:<table>", "ast:<name>", or "delta:<table>" for a
-  /// compensation entry whose delta range moved). Called with the shard
-  /// lock held, so it must not re-enter the cache.
-  using Validator = std::function<std::string(const CachedPlan&)>;
+  /// The caller's current planning context for a query over `leaf_tables`.
+  /// Called at most once per lookup, with the shard lock held, so it must
+  /// not re-enter the cache.
+  using ContextFn =
+      std::function<PlanContext(const std::vector<std::string>& leaf_tables)>;
 
-  /// Validates + pops the entry for `key`. On kHit, `*out` receives a deep
-  /// copy of the cached plan and the entry moves to the front of its
-  /// shard's LRU. On kInvalidated, the entry is dropped and
-  /// `*invalidation_cause` (if non-null) receives the validator's verdict.
-  Lookup LookupAndValidate(const std::string& key, const Validator& validator,
-                           CachedPlan* out,
-                           std::string* invalidation_cause = nullptr);
+  /// Serves the plan for `key` whose context equals `current`'s. On kHit,
+  /// `*out` shares it and the key moves to the front of its shard's LRU. On
+  /// kInvalidated, `*invalidation_cause` (if non-null) receives
+  /// ContextChange against the most recently served plan, and plans from
+  /// older catalog generations, which can never be served again, are
+  /// dropped.
+  Lookup Find(const std::string& key, const ContextFn& current, PlanPtr* out,
+              std::string* invalidation_cause = nullptr);
 
-  /// Inserts/replaces the entry for `key`, evicting LRU entries beyond the
-  /// shard's capacity.
-  void Insert(const std::string& key, CachedPlan entry);
+  /// Adds `entry` under `key`, replacing the plan for the same context and
+  /// any plan from another catalog generation, and evicting beyond
+  /// kMaxVariants per key and the shard's key capacity.
+  void Insert(const std::string& key, PlanPtr entry);
 
-  /// Drops the entry for `key` (used when a cached plan fails to execute).
-  void Forget(const std::string& key);
+  /// Drops `entry` from `key` (a cached plan that failed to execute).
+  void Forget(const std::string& key, const CachedPlan* entry);
 
-  /// Aggregated counters across shards (Database::Stats()).
+  /// Aggregated counters across shards (Database::Stats()); `entries`
+  /// counts plans, not keys.
   struct Stats {
     int64_t hits = 0;
     int64_t misses = 0;
@@ -105,7 +147,7 @@ class ShardedPlanCache {
 
  private:
   struct Node {
-    CachedPlan plan;
+    std::vector<PlanPtr> variants;  // front = most recently served
     std::list<std::string>::iterator lru_pos;
   };
 
@@ -127,6 +169,9 @@ class ShardedPlanCache {
 
   /// Locks a shard, counting acquisitions that had to block.
   static std::unique_lock<std::mutex> Lock(const Shard& shard);
+
+  /// Removes `it`'s key from `shard` entirely.
+  static void Erase(Shard& shard, std::map<std::string, Node>::iterator it);
 
   size_t shard_capacity_;
   Shard shards_[kNumShards];

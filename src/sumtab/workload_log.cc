@@ -1,7 +1,5 @@
 #include "sumtab/workload_log.h"
 
-#include <algorithm>
-
 namespace sumtab {
 
 void WorkloadLog::RecordQuery(const QueryObservation& obs) {
@@ -12,23 +10,20 @@ void WorkloadLog::RecordQuery(const QueryObservation& obs) {
       // Evict the least-executed entry; among ties the lexicographically
       // LAST key goes, so eviction is deterministic and the retained set is
       // independent of arrival order.
-      auto victim = queries_.begin();
-      for (auto cand = queries_.begin(); cand != queries_.end(); ++cand) {
-        if (cand->second.executions < victim->second.executions ||
-            (cand->second.executions == victim->second.executions &&
-             cand->first > victim->first)) {
-          victim = cand;
-        }
-      }
+      auto victim = queries_.find(*by_use_.begin()->second);
+      by_use_.erase(by_use_.begin());
       queries_.erase(victim);
       ++evicted_;
     }
     WorkloadQueryStats fresh;
     fresh.normalized_sql = obs.normalized_sql;
     it = queries_.emplace(obs.normalized_sql, std::move(fresh)).first;
+  } else {
+    by_use_.erase({it->second.executions, &it->first});
   }
   WorkloadQueryStats& stats = it->second;
   ++stats.executions;
+  by_use_.insert({stats.executions, &it->first});
   stats.base_leaf_rows = obs.base_leaf_rows;
   stats.total_leaf_rows += obs.base_leaf_rows;
   if (obs.rewritten) {
@@ -63,14 +58,19 @@ void WorkloadLog::Restore(const WorkloadSnapshot& snap) {
   queries_.clear();
   appends_ = snap.appends;
   evicted_ = snap.evicted;
+  by_use_.clear();
   for (const WorkloadQueryStats& stats : snap.queries) {
     queries_[stats.normalized_sql] = stats;
+  }
+  for (const auto& [key, stats] : queries_) {
+    by_use_.insert({stats.executions, &key});
   }
 }
 
 void WorkloadLog::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   queries_.clear();
+  by_use_.clear();
   appends_.clear();
   evicted_ = 0;
 }

@@ -14,7 +14,9 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sumtab {
@@ -88,9 +90,20 @@ class WorkloadLog {
   void Clear();
 
  private:
+  /// Eviction order: fewest executions first, then the lexicographically
+  /// LAST text, so the victim is begin(). Texts point at queries_' keys.
+  struct EvictionOrder {
+    bool operator()(const std::pair<int64_t, const std::string*>& a,
+                    const std::pair<int64_t, const std::string*>& b) const {
+      return a.first != b.first ? a.first < b.first : *a.second > *b.second;
+    }
+  };
+
   const size_t capacity_;
   mutable std::mutex mu_;
   std::map<std::string, WorkloadQueryStats> queries_;
+  /// One (executions, text) per entry of queries_, kept in step with it.
+  std::set<std::pair<int64_t, const std::string*>, EvictionOrder> by_use_;
   std::map<std::string, WorkloadAppendStats> appends_;
   int64_t evicted_ = 0;
 };

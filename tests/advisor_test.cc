@@ -392,6 +392,93 @@ TEST_F(AdvisorTest, WorkloadLogSurvivesRestart) {
   fs::remove_all(dir);
 }
 
+TEST_F(AdvisorTest, WorkloadLogCachedHitRecordsCurrentLeafRows) {
+  ASSERT_TRUE(db_->DefineSummaryTable(
+                     "by_faid",
+                     "select faid, count(*) as c, sum(qty) as s from trans "
+                     "group by faid")
+                  .ok());
+  const std::string q = "select faid, count(*) as c from trans group by faid";
+  const int64_t before = db_->TableRows("trans");
+  ASSERT_TRUE(db_->Query(q).ok());
+  std::vector<Row> rows;
+  for (int i = 0; i < 10; ++i) {
+    rows.push_back(Row{Value::Int(200000 + i), Value::Int(i % 5),
+                       Value::Int(i % 3), Value::Int(i % 7),
+                       Value::Date(19940101 + i % 28), Value::Int(1 + i % 4),
+                       Value::Double(9.5), Value::Double(0.0)});
+  }
+  ASSERT_TRUE(db_->Append("trans", std::move(rows)).ok());
+  // The eager append kept by_faid fresh, so the plan is served from the
+  // cache; its cost figure is still the base-table form's current size.
+  auto hit = db_->Query(q);
+  ASSERT_TRUE(hit.ok());
+  ASSERT_TRUE(hit->plan_cache_hit);
+  WorkloadSnapshot snap = db_->WorkloadLogSnapshot();
+  const WorkloadQueryStats* stats = nullptr;
+  for (const auto& entry : snap.queries) {
+    if (entry.normalized_sql == NormalizeSqlText(q)) stats = &entry;
+  }
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->base_leaf_rows, before + 10);
+  EXPECT_EQ(stats->total_leaf_rows, 2 * before + 10);
+}
+
+TEST(WorkloadLogTest, EvictsLeastExecutedThenLastText) {
+  WorkloadLog log(3);
+  auto record = [&log](const std::string& text) {
+    WorkloadLog::QueryObservation obs;
+    obs.normalized_sql = text;
+    log.RecordQuery(obs);
+  };
+  auto texts = [&log]() {
+    std::string out;
+    for (const WorkloadQueryStats& q : log.Snapshot().queries) {
+      out += q.normalized_sql + "=" + std::to_string(q.executions) + " ";
+    }
+    return out;
+  };
+  record("b");
+  record("a");
+  record("c");
+  record("a");
+  EXPECT_EQ(texts(), "a=2 b=1 c=1 ");
+  // b and c tie at one execution: the lexicographically last goes.
+  record("d");
+  EXPECT_EQ(texts(), "a=2 b=1 d=1 ");
+  record("e");
+  EXPECT_EQ(texts(), "a=2 b=1 e=1 ");
+  // Re-executions lift b above the tie at one.
+  record("b");
+  record("b");
+  record("f");
+  EXPECT_EQ(texts(), "a=2 b=3 f=1 ");
+  // f catches up with a; the tie at two evicts f, the later text.
+  record("f");
+  record("g");
+  EXPECT_EQ(texts(), "a=2 b=3 g=1 ");
+  record("g");
+  record("h");
+  EXPECT_EQ(texts(), "a=2 b=3 h=1 ");
+  EXPECT_EQ(log.Snapshot().evicted, 5);
+
+  // A restored log evicts in the same order.
+  WorkloadLog restored(3);
+  restored.Restore(log.Snapshot());
+  WorkloadLog::QueryObservation obs;
+  obs.normalized_sql = "0";
+  restored.RecordQuery(obs);
+  restored.RecordQuery(obs);
+  obs.normalized_sql = "i";
+  restored.RecordQuery(obs);
+  std::string kept;
+  for (const WorkloadQueryStats& q : restored.Snapshot().queries) {
+    kept += q.normalized_sql + " ";
+  }
+  // h (one execution) went for "0"; then the tie at two evicted a.
+  EXPECT_EQ(kept, "0 b i ");
+}
+
 TEST_F(AdvisorTest, AdviseAndApplyDropsDecayedAsts) {
   // An advisor-owned AST nobody's queries hit any more decays out; a
   // user-owned AST with the same (lack of) traffic is never touched.

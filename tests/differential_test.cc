@@ -5,7 +5,8 @@
 //   A: the engine, rewriting disabled, threads=1
 //   B: the engine, rewriting enabled,  threads=1
 //   C: the engine, rewriting enabled,  threads=4 (morsels + plan cache)
-//   and, in its own test below, compensated answers over stale ASTs.
+//   and, in tests of their own below, compensated answers over stale ASTs
+//   and cached plans across eager and deferred appends.
 // A and B must match R (reference::MatchesReference): the same row multiset
 // under the repo's fp tolerance — the reference joins in declared order and
 // a rewrite re-aggregates partial sums, both of which legally perturb the
@@ -349,6 +350,100 @@ TEST_P(DifferentialTest, TpcdSchemaThreeWayEquivalence) {
     CheckQuery(&db, gen.Next(), i, seed);
     if (HasFatalFailure() || HasNonfatalFailure()) break;
   }
+}
+
+// Plan-cache leg: cached plans must stay exact while appends move the ASTs
+// between states. One database with the card ASTs cycles eager -> deferred
+// -> eager (catching up) -> deferred; in every state each generated query
+// runs twice, cold and then warm, with the plan cache on. Every answer, hit
+// or miss, must match the reference over the current base tables. The
+// second cycle's states repeat the first's planning contexts, so their plans
+// come back from the cache with the delta leg over the current lag. The leg
+// fails if no warm query hit, so it cannot pass vacuously.
+TEST_P(DifferentialTest, PlanCacheAcrossAppendsMatchesReference) {
+  const uint64_t seed = GetParam();
+  Database db;
+  data::CardSchemaParams params;
+  params.num_trans = 3000;
+  params.seed = seed;
+  ASSERT_TRUE(data::SetupCardSchema(&db, params).ok());
+  ASSERT_TRUE(db.DefineSummaryTable(
+                    "ast_card_a",
+                    "select faid, flid, year(date) as y, count(*) as cnt, "
+                    "sum(qty) as sq, min(qty) as mnq, max(qty) as mxq "
+                    "from trans group by faid, flid, year(date)")
+                  .ok());
+  ASSERT_TRUE(db.DefineSummaryTable(
+                    "ast_card_b",
+                    "select fpgid, year(date) as y, month(date) as m, "
+                    "count(*) as cnt, sum(qty) as sq from trans "
+                    "group by fpgid, year(date), month(date)")
+                  .ok());
+  QueryGen gen(seed ^ 0xcac4eULL, "trans",
+               {{"faid", "faid"},
+                {"fpgid", "fpgid"},
+                {"flid", "flid"},
+                {"year(date)", "y"},
+                {"month(date)", "m"}},
+               {"qty"},
+               {{"acct", "trans.faid = acct.aid", "status"},
+                {"loc", "trans.flid = loc.lid", "state"}},
+               {"year(date) >= 1992", "qty > 2", "faid < 30"});
+  std::vector<std::string> queries;
+  for (int i = 0; i < 16; ++i) queries.push_back(gen.Next());
+
+  std::mt19937_64 rng(seed ^ 0x9a1eULL);
+  int next_tid = 4000000;
+  QueryOptions cached;
+  cached.max_threads = 1;
+  int warm_hits = 0, compensated = 0, served_again = 0;
+  const bool kEager[] = {true, false, true, false};
+  for (int state = 0; state < 4; ++state) {
+    std::vector<Row> delta;
+    int n = 10 + static_cast<int>(rng() % 40);
+    for (int i = 0; i < n; ++i) {
+      delta.push_back(Row{
+          Value::Int(next_tid++), Value::Int(static_cast<int>(rng() % 50)),
+          Value::Int(static_cast<int>(rng() % 12)),
+          Value::Int(static_cast<int>(rng() % 40)),
+          Value::Date(19900101 + static_cast<int>(rng() % 5) * 10000 +
+                      static_cast<int>(rng() % 12) * 100 +
+                      static_cast<int>(rng() % 28)),
+          Value::Int(1 + static_cast<int>(rng() % 5)),
+          Value::Double(5.0 + static_cast<double>(rng() % 995) * 0.25),
+          Value::Double(0.0)});
+    }
+    Database::AppendOptions append_options;
+    append_options.maintain = kEager[state];
+    ASSERT_TRUE(db.Append("trans", std::move(delta), append_options).ok());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const std::string& sql = queries[q];
+      StatusOr<engine::Relation> want = reference::Query(db, sql);
+      ASSERT_TRUE(want.ok()) << Diag(&db, sql, static_cast<int>(q), seed)
+                             << "\nreference failed: "
+                             << want.status().ToString();
+      for (const bool warm : {false, true}) {
+        StatusOr<QueryResult> got = db.Query(sql, cached);
+        ASSERT_TRUE(got.ok()) << Diag(&db, sql, static_cast<int>(q), seed)
+                              << "\nwarm=" << warm << " failed: "
+                              << got.status().ToString();
+        if (got->plan_cache_hit) ++(warm ? warm_hits : served_again);
+        if (got->compensated) ++compensated;
+        EXPECT_TRUE(reference::MatchesReference(got->relation, *want))
+            << Diag(&db, sql, static_cast<int>(q), seed) << "\nstate="
+            << state << " warm=" << warm << " hit=" << got->plan_cache_hit
+            << " compensated=" << got->compensated
+            << " ast=" << got->summary_table << "\nengine:\n"
+            << got->relation.ToString(30) << "reference:\n"
+            << want->ToString(30);
+      }
+      if (HasFatalFailure() || HasNonfatalFailure()) return;
+    }
+  }
+  EXPECT_GT(warm_hits, 0);
+  // The second eager and deferred states re-serve the first ones' plans.
+  EXPECT_GT(served_again, 0);
+  EXPECT_GT(compensated, 0);
 }
 
 // Incremental-maintenance leg: after a sequence of random Appends — eager

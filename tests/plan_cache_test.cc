@@ -1,8 +1,9 @@
 // Rewrite-plan cache correctness (DESIGN.md, "Parallel execution and plan
-// caching"): hits on textually-identical queries, invalidation on DDL
-// (catalog generation) and on base-table epoch bumps (BulkLoad / Append),
-// and composition with PR 2's freshness machinery — a cached rewrite
-// against a now-stale or quarantined AST must never be served.
+// caching"): hits on textually-identical queries, and plans keyed by their
+// planning context — the catalog generation plus the state of every AST over
+// the query's base tables. Appends that leave those states alone keep the
+// plan; a cached rewrite against a now-stale or quarantined AST must never
+// be served as-is.
 #include <gtest/gtest.h>
 
 #include "common/fault_injection.h"
@@ -168,29 +169,32 @@ TEST_F(PlanCacheTest, DropSummaryTableInvalidates) {
   EXPECT_FALSE(after.used_summary_table);
 }
 
-TEST_F(PlanCacheTest, BulkLoadEpochBumpInvalidates) {
+TEST_F(PlanCacheTest, BulkLoadWithoutAstsKeepsThePlan) {
   QueryResult cold = MustQuery(kQuery);
   EXPECT_TRUE(MustQuery(kQuery).plan_cache_hit);
   ASSERT_TRUE(db_->BulkLoad("trans", MakeTransRows(100000, 50)).ok());
+  // No AST reads trans, so the planning context is unchanged: the cached
+  // base-table plan is still the search's answer.
   QueryResult after = MustQuery(kQuery);
-  EXPECT_FALSE(after.plan_cache_hit);
-  // And the recompiled answer sees the new rows.
+  EXPECT_TRUE(after.plan_cache_hit);
+  // And it runs against the new snapshot, so the answer sees the new rows.
   int64_t total_cold = 0, total_after = 0;
   for (const Row& row : cold.relation.rows) total_cold += row[1].AsInt();
   for (const Row& row : after.relation.rows) total_after += row[1].AsInt();
   EXPECT_EQ(total_after, total_cold + 50);
-  EXPECT_GE(db_->Stats().plan_cache_invalidations, 1);
+  EXPECT_EQ(db_->Stats().plan_cache_invalidations, 0);
 }
 
-TEST_F(PlanCacheTest, AppendEpochBumpInvalidates) {
+TEST_F(PlanCacheTest, EagerAppendKeepsThePlan) {
   ASSERT_TRUE(db_->DefineSummaryTable("ast1", kAstDef).ok());
   EXPECT_TRUE(MustQuery(kQuery).used_summary_table);
   EXPECT_TRUE(MustQuery(kQuery).plan_cache_hit);
   ASSERT_TRUE(db_->Append("trans", MakeTransRows(200000, 30)).ok());
-  // Append maintained the AST (fresh again) but bumped the trans epoch —
-  // the cached plan predates both and must be recompiled.
+  // Append maintained the AST, so it is fresh again at the new epoch: the
+  // cached rewrite is still exact and is served.
   QueryResult after = MustQuery(kQuery);
-  EXPECT_FALSE(after.plan_cache_hit);
+  EXPECT_TRUE(after.plan_cache_hit);
+  EXPECT_TRUE(after.used_summary_table);
   QueryOptions no_rewrite;
   no_rewrite.enable_rewrite = false;
   EXPECT_TRUE(engine::SameRowMultiset(
@@ -363,6 +367,110 @@ TEST_F(PlanCacheTest, CompensationFlagPartitionsTheCache) {
   QueryResult comp_again = MustQuery(kQuery);
   EXPECT_TRUE(comp_again.plan_cache_hit);
   EXPECT_TRUE(comp_again.compensated);
+}
+
+TEST_F(PlanCacheTest, CachedRewriteOverDeferredStaleAstIsNeverServedAsIs) {
+  ASSERT_TRUE(db_->DefineSummaryTable("ast1", kAstDef).ok());
+  QueryOptions no_comp;
+  no_comp.enable_compensation = false;
+  ASSERT_TRUE(MustQuery(kQuery).used_summary_table);
+  ASSERT_TRUE(MustQuery(kQuery, no_comp).used_summary_table);
+  ASSERT_TRUE(MustQuery(kQuery).plan_cache_hit);
+  ASSERT_TRUE(MustQuery(kQuery, no_comp).plan_cache_hit);
+
+  // A deferred append leaves ast1 behind: reading it as stored would drop
+  // the 35 new rows.
+  Database::AppendOptions deferred;
+  deferred.maintain = false;
+  ASSERT_TRUE(db_->Append("trans", MakeTransRows(900000, 35), deferred).ok());
+  ASSERT_EQ(db_->GetSummaryTableInfo("ast1")->state, AstState::kStale);
+  QueryOptions no_rewrite;
+  no_rewrite.enable_rewrite = false;
+  engine::Relation reference = MustQuery(kQuery, no_rewrite).relation;
+
+  // With compensation on, the search re-plans to compensate.
+  QueryOptions traced;
+  traced.collect_trace = true;
+  QueryResult comp = MustQuery(kQuery, traced);
+  EXPECT_FALSE(comp.plan_cache_hit);
+  ASSERT_NE(comp.trace, nullptr);
+  EXPECT_EQ(comp.trace->plan_cache_invalidation_cause(), "delta:trans");
+  EXPECT_TRUE(comp.compensated);
+  EXPECT_EQ(comp.compensation_delta_rows, 35);
+  EXPECT_TRUE(engine::SameRowMultiset(reference, comp.relation));
+
+  // Without it, the search re-plans to base tables.
+  QueryResult base = MustQuery(kQuery, no_comp);
+  EXPECT_FALSE(base.plan_cache_hit);
+  EXPECT_FALSE(base.used_summary_table);
+  EXPECT_TRUE(engine::SameRowMultiset(reference, base.relation));
+}
+
+TEST_F(PlanCacheTest, CompensatedPlanIsServedAgainAfterCatchUp) {
+  ASSERT_TRUE(db_->DefineSummaryTable("ast1", kAstDef).ok());
+  Database::AppendOptions deferred;
+  deferred.maintain = false;
+  QueryOptions no_rewrite;
+  no_rewrite.enable_rewrite = false;
+
+  ASSERT_TRUE(db_->Append("trans", MakeTransRows(1000000, 40), deferred).ok());
+  QueryResult first = MustQuery(kQuery);
+  ASSERT_TRUE(first.compensated);
+  EXPECT_FALSE(first.plan_cache_hit);
+  EXPECT_EQ(first.compensation_delta_rows, 40);
+
+  // The eager append catches ast1 up: the fresh rewrite is a second plan
+  // beside the compensated one.
+  ASSERT_TRUE(db_->Append("trans", MakeTransRows(1100000, 10)).ok());
+  QueryResult fresh = MustQuery(kQuery);
+  EXPECT_FALSE(fresh.plan_cache_hit);
+  EXPECT_TRUE(fresh.used_summary_table);
+  EXPECT_FALSE(fresh.compensated);
+  EXPECT_EQ(db_->Stats().plan_cache_entries, 2);
+
+  // A second deferred append puts ast1 one epoch behind again, over a new
+  // epoch range: the compensated plan is served, its delta leg over the
+  // current lag.
+  ASSERT_TRUE(db_->Append("trans", MakeTransRows(1200000, 25), deferred).ok());
+  QueryResult again = MustQuery(kQuery);
+  EXPECT_TRUE(again.plan_cache_hit);
+  EXPECT_TRUE(again.compensated);
+  EXPECT_EQ(again.compensation_epochs, 1);
+  EXPECT_EQ(again.compensation_delta_rows, 25);
+  EXPECT_TRUE(engine::SameRowMultiset(MustQuery(kQuery, no_rewrite).relation,
+                                      again.relation));
+
+  // And the next eager append serves the fresh rewrite from the cache.
+  ASSERT_TRUE(db_->Append("trans", MakeTransRows(1300000, 5)).ok());
+  QueryResult warm = MustQuery(kQuery);
+  EXPECT_TRUE(warm.plan_cache_hit);
+  EXPECT_TRUE(warm.used_summary_table);
+  EXPECT_FALSE(warm.compensated);
+  EXPECT_TRUE(engine::SameRowMultiset(MustQuery(kQuery, no_rewrite).relation,
+                                      warm.relation));
+}
+
+TEST_F(PlanCacheTest, AppendToUnrelatedTableKeepsTheEntry) {
+  ASSERT_TRUE(db_->DefineSummaryTable("ast1", kAstDef).ok());
+  ASSERT_TRUE(db_->DefineSummaryTable(
+                     "ast_loc",
+                     "select state, count(*) as cnt from loc group by state")
+                  .ok());
+  ASSERT_TRUE(MustQuery(kQuery).used_summary_table);
+
+  // ast_loc falls behind on loc; nothing the trans query reads changed.
+  Database::AppendOptions deferred;
+  deferred.maintain = false;
+  ASSERT_TRUE(db_->Append("loc",
+                          {Row{Value::Int(9001), Value::String("Springfield"),
+                               Value::String("IL"), Value::String("USA")}},
+                          deferred)
+                  .ok());
+  ASSERT_EQ(db_->GetSummaryTableInfo("ast_loc")->state, AstState::kStale);
+  QueryResult after = MustQuery(kQuery);
+  EXPECT_TRUE(after.plan_cache_hit);
+  EXPECT_TRUE(after.used_summary_table);
+  EXPECT_EQ(db_->Stats().plan_cache_invalidations, 0);
 }
 
 TEST_F(PlanCacheTest, StatsCountersAreConsistent) {

@@ -7,7 +7,9 @@
 // fixed-size batches, so the set of legal answers is enumerable:
 // count(*) over the hammered table must be start + k * batch for an integer
 // k, and a rewrite-eligible GROUP BY must sum to the same lattice. Any other
-// total is a torn read.
+// total is a torn read. Deferred appends put compensated answers (the AST
+// plus retained deltas, through one cached plan shared by every session) on
+// the same lattice.
 //
 // This suite is in the CI ThreadSanitizer job's regex ("Serving"): the
 // assertions catch semantic tearing, TSan catches the data races that would
@@ -15,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -84,18 +87,35 @@ TEST(ServingStressTest, SnapshotsNeverTearUnderConcurrentAppends) {
 
   std::atomic<bool> appends_done{false};
   std::atomic<int64_t> rewrites_served{0};
+  std::atomic<int64_t> compensated_served{0};
 
-  // Appender: hammers `trans` with fixed-size batches through the
-  // maintenance path, so ast1 stays fresh and rewrite-eligible throughout.
+  // Appender: hammers `trans` with fixed-size batches. Two appends in three
+  // go through the maintenance path, so ast1 stays fresh and the cached
+  // rewrite is served; every third is deferred, so ast1 lags one epoch and
+  // the cached compensated plan is served with its delta range re-derived
+  // per query, until the next append catches ast1 up. After a deferred
+  // append the appender waits (bounded) for one compensated answer, so the
+  // shared compensated plans race the appends on every run.
   std::thread appender([&] {
     for (int k = 0; k < kAppends; ++k) {
+      Database::AppendOptions options;
+      options.maintain = k % 3 != 1;
+      const int64_t compensated_before =
+          compensated_served.load(std::memory_order_acquire);
       StatusOr<Database::MaintenanceReport> report = db->Append(
-          "trans", MakeTransRows(1000000 + k * 1000,
-                                 static_cast<int>(kBatchRows)));
+          "trans",
+          MakeTransRows(1000000 + k * 1000, static_cast<int>(kBatchRows)),
+          options);
       if (!report.ok()) {
         record_failure("append " + std::to_string(k) + " failed: " +
                        report.status().ToString());
         break;
+      }
+      for (int wait = 0; !options.maintain && wait < 2000 &&
+                         compensated_served.load(std::memory_order_acquire) ==
+                             compensated_before;
+           ++wait) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     }
     appends_done.store(true, std::memory_order_release);
@@ -105,7 +125,10 @@ TEST(ServingStressTest, SnapshotsNeverTearUnderConcurrentAppends) {
   for (int s = 0; s < kSessions; ++s) {
     workers.emplace_back([&, s] {
       std::shared_ptr<Session> session = server.CreateSession();
-      for (int q = 0; q < kQueriesPerSession; ++q) {
+      // At least kQueriesPerSession queries, and on until the appends stop.
+      for (int q = 0; q < kQueriesPerSession ||
+                      !appends_done.load(std::memory_order_acquire);
+           ++q) {
         // Alternate a cheap scalar count with the rewrite-eligible GROUP BY
         // so both the base-scan path and the AST path race the appender.
         const bool group = (q + s) % 2 == 0;
@@ -122,6 +145,9 @@ TEST(ServingStressTest, SnapshotsNeverTearUnderConcurrentAppends) {
           }
           if (result->used_summary_table) {
             rewrites_served.fetch_add(1, std::memory_order_relaxed);
+          }
+          if (result->compensated) {
+            compensated_served.fetch_add(1, std::memory_order_acq_rel);
           }
         } else {
           ASSERT_EQ(result->relation.rows.size(), 1u);
@@ -146,9 +172,11 @@ TEST(ServingStressTest, SnapshotsNeverTearUnderConcurrentAppends) {
     EXPECT_TRUE(failures.empty());
   }
   EXPECT_TRUE(appends_done.load(std::memory_order_acquire));
+  EXPECT_GT(compensated_served.load(), 0);
 
   // After the dust settles the final state is the full lattice endpoint —
-  // and the AST merged every batch, so the rewrite path agrees with it.
+  // and the last append was eager, catching the AST up on every batch, so
+  // the rewrite path agrees with it.
   StatusOr<QueryResult> final_count = db->Query(kCountQuery);
   ASSERT_TRUE(final_count.ok());
   EXPECT_EQ(final_count->relation.rows[0][0].AsInt(),
@@ -158,8 +186,9 @@ TEST(ServingStressTest, SnapshotsNeverTearUnderConcurrentAppends) {
 
 TEST(ServingStressTest, BulkLoadsAndQueriesRaceWithoutTearing) {
   // BulkLoad (no AST maintenance, epoch bump only) racing cache-warm
-  // queries: answers must still land on the lattice, and the plan cache
-  // must never serve a pre-load plan as current (validated by epochs).
+  // queries: answers must still land on the lattice. With no AST the cached
+  // base-table plans stay valid across loads, and each hit must read its
+  // own query's snapshot.
   FaultInjector::Instance().Reset();
   std::unique_ptr<Database> db = testing::MakeCardDb(kSeedRows);
   Server server(db.get());

@@ -319,7 +319,8 @@ TEST_F(ExplainRewriteTest, ReportsPlanCacheFate) {
   // A real query populates the cache; EXPLAIN then reports a hit.
   ASSERT_TRUE(db_->Query(sql).ok());
   EXPECT_NE(Explain(sql).find("plan cache: hit"), std::string::npos);
-  // An epoch bump invalidates, and the cause names the table.
+  // A BulkLoad leaves ast1 stale beyond compensation: that invalidates,
+  // and the cause names the table.
   std::vector<Row> rows;
   rows.push_back(Row{Value::Int(999999), Value::Int(1), Value::Int(1),
                      Value::Int(1), Value::Date(19940101), Value::Int(1),
