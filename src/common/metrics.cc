@@ -18,12 +18,6 @@ int BucketIndex(int64_t micros) {
 
 int64_t BucketUpperBound(int idx) { return (int64_t{1} << (idx + 1)) - 1; }
 
-void AppendJsonKey(std::string* out, const std::string& key) {
-  out->push_back('"');
-  out->append(key);  // metric names are ASCII identifiers; no escaping needed
-  out->append("\": ");
-}
-
 }  // namespace
 
 int64_t MonotonicNanos() {
@@ -126,35 +120,6 @@ void MetricsRegistry::ResetAll() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, hist] : histograms_) hist->Reset();
-}
-
-std::string MetricsRegistry::ToJson(const Snapshot& snap) {
-  std::string out = "{\n    \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : snap.counters) {
-    out += first ? "\n      " : ",\n      ";
-    first = false;
-    AppendJsonKey(&out, name);
-    out += std::to_string(value);
-  }
-  if (!first) out += "\n    ";
-  out += "},\n    \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : snap.histograms) {
-    out += first ? "\n      " : ",\n      ";
-    first = false;
-    AppendJsonKey(&out, name);
-    out += "{\"count\": " + std::to_string(h.count);
-    out += ", \"sum_micros\": " + std::to_string(h.sum_micros);
-    out += ", \"max_micros\": " + std::to_string(h.max_micros);
-    out += ", \"p50_micros\": " + std::to_string(h.p50_micros);
-    out += ", \"p95_micros\": " + std::to_string(h.p95_micros);
-    out += ", \"p99_micros\": " + std::to_string(h.p99_micros);
-    out += "}";
-  }
-  if (!first) out += "\n    ";
-  out += "}\n  }";
-  return out;
 }
 
 }  // namespace sumtab

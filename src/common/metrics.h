@@ -4,8 +4,7 @@
 // map itself is mutex-protected and entries are created on demand with
 // stable addresses for the life of the process.
 //
-// Snapshots feed Database::Stats() and the BENCH json emitted by
-// bench/bench_runner.cc.
+// Snapshots feed Database::Stats().
 #ifndef SUMTAB_COMMON_METRICS_H_
 #define SUMTAB_COMMON_METRICS_H_
 
@@ -93,13 +92,9 @@ class MetricsRegistry {
   };
   Snapshot Snap() const;
 
-  /// Zeroes every registered metric (tests and bench runs isolate phases
-  /// with this; entries stay registered).
+  /// Zeroes every registered metric (tests isolate phases with this;
+  /// entries stay registered).
   void ResetAll();
-
-  /// Renders a snapshot as a JSON object string:
-  /// {"counters": {...}, "histograms": {"name": {"count":..,...}}}.
-  static std::string ToJson(const Snapshot& snap);
 
  private:
   mutable std::mutex mu_;

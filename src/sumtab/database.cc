@@ -63,8 +63,7 @@ std::string Database::PlanCacheKey(const std::string& normalized_sql,
   // Only options that change the *plan graph* belong in the key; execution
   // knobs (threads, budgets, join strategy) reuse the same entry.
   return normalized_sql + "#rw=" + (options.enable_rewrite ? "1" : "0") +
-         "#stale=" + (options.allow_stale_reads ? "1" : "0") +
-         "#comp=" + (options.enable_compensation ? "1" : "0");
+         "#stale=" + (options.allow_stale_reads ? "1" : "0");
 }
 
 PlanContext Database::PlanningContext(
@@ -103,7 +102,6 @@ PlanContext Database::PlanningContext(
       continue;
     }
     state.kind = AstPlanState::Kind::kUnusable;
-    if (!options.enable_compensation) continue;
     if (StatusOr<Lag> delta = LagOf(*st, snap); delta.ok()) {
       state.kind = AstPlanState::Kind::kLagging;
       state.table = delta->table;
@@ -543,8 +541,7 @@ std::unique_ptr<qgm::Graph> Database::TryRewrite(
     for (const auto& st : summary_tables_) {
       if (!UsableForRewrite(*st, options.allow_stale_reads)) {
         bool disabled = st->disabled.load(std::memory_order_acquire);
-        bool try_comp = round == 0 && !disabled && compensation != nullptr &&
-                        options.enable_compensation;
+        bool try_comp = round == 0 && !disabled && compensation != nullptr;
         if (!try_comp) {
           if (trace != nullptr && round == 0) {
             trace->AddNote("ast '" + st->name + "' skipped: " +

@@ -115,13 +115,6 @@ struct QueryOptions {
   /// Permit rerouting through kStale summary tables (answers may predate
   /// the latest loads). kDisabled tables are never used.
   bool allow_stale_reads = false;
-  /// Permit delta-compensation rewrites: a kStale AST whose staleness is
-  /// pure retained appends may still answer the query EXACTLY, as
-  /// AST-scan ∪ same-shape aggregate over only the delta rows (DESIGN.md,
-  /// "Delta compensation"). Unlike allow_stale_reads this never degrades
-  /// the answer — it is on by default and gated per query only for
-  /// ablation/benchmarks. Requires enable_rewrite.
-  bool enable_compensation = true;
   /// Executor row budget (total materialized rows, join intermediates
   /// included); 0 = unbounded. Exceeded => kResourceExhausted.
   int64_t max_rows = 0;

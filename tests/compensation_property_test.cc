@@ -326,6 +326,76 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<0>(info.param));
     });
 
+// ---------------------------------------------------------------------------
+// Delta size: a COUNT/SUM AST over 100k base rows falls behind by 1k, 10k or
+// 100k rows appended with maintenance deferred over four epochs. The
+// compensated plan must answer like a recompute while reading fewer rows
+// than the base-table plan does.
+// ---------------------------------------------------------------------------
+
+class CompensationDeltaSizeTest : public ::testing::TestWithParam<int64_t> {};
+
+std::vector<Row> MakeTRows(int64_t first, int64_t n) {
+  std::vector<Row> rows;
+  rows.reserve(static_cast<size_t>(n));
+  for (int64_t a = first; a < first + n; ++a) {
+    rows.push_back({Value::Int(a), Value::Int(a % 97), Value::Int(a % 16)});
+  }
+  return rows;
+}
+
+TEST_P(CompensationDeltaSizeTest, CompensatedPlanReadsFewerRowsThanBase) {
+  const int64_t delta_rows = GetParam();
+  constexpr int64_t kBaseRows = 100000;
+  constexpr int kEpochs = 4;
+  const std::string sql =
+      "select g, count(*) as c, sum(b) as s from t group by g";
+  Database db;
+  ASSERT_TRUE(db.CreateTable("t",
+                             {{"a", Type::kInt},
+                              {"b", Type::kInt},
+                              {"g", Type::kInt}},
+                             {"a"})
+                  .ok());
+  ASSERT_TRUE(db.BulkLoad("t", MakeTRows(0, kBaseRows)).ok());
+  ASSERT_TRUE(db.DefineSummaryTable("ast_g", sql).ok());
+  Database::AppendOptions deferred;
+  deferred.maintain = false;
+  const int64_t per_epoch = delta_rows / kEpochs;
+  for (int e = 0; e < kEpochs; ++e) {
+    ASSERT_TRUE(
+        db.Append("t", MakeTRows(kBaseRows + e * per_epoch, per_epoch),
+                  deferred)
+            .ok());
+  }
+
+  QueryOptions no_rewrite;
+  no_rewrite.enable_rewrite = false;
+  no_rewrite.collect_trace = true;
+  StatusOr<QueryResult> reference = db.Query(sql, no_rewrite);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  QueryOptions traced;
+  traced.collect_trace = true;
+  StatusOr<QueryResult> got = db.Query(sql, traced);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got->compensated);
+  EXPECT_EQ(got->compensation_delta_rows, delta_rows);
+  EXPECT_EQ(got->compensation_epochs, kEpochs);
+  EXPECT_TRUE(BitIdenticalSorted(reference->relation, got->relation));
+  ASSERT_NE(reference->trace, nullptr);
+  ASSERT_NE(got->trace, nullptr);
+  // The delta leg reads every appended row; the base-table plan reads them
+  // and the 100k base rows too.
+  EXPECT_GE(got->trace->RowsProcessed(), delta_rows);
+  EXPECT_LT(got->trace->RowsProcessed(), reference->trace->RowsProcessed());
+}
+
+INSTANTIATE_TEST_SUITE_P(Deltas, CompensationDeltaSizeTest,
+                         ::testing::Values<int64_t>(1000, 10000, 100000),
+                         [](const ::testing::TestParamInfo<int64_t>& info) {
+                           return "rows" + std::to_string(info.param);
+                         });
+
 // A recovered AST holds its own dictionaries while the retained slices it
 // is compensated with carry the base table's: the merge must answer over
 // both without interning a query's strings into the stored AST's

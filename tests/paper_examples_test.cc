@@ -1,6 +1,7 @@
 // End-to-end reproduction of every worked example in the paper: each query /
 // AST pair from Figures 2, 5, 6, 7, 8, 10, 11, 13, 14 must (a) be rewritten
-// to use the AST and (b) produce exactly the same answer as direct execution.
+// to use the AST and (b) produce exactly the same answer as direct execution,
+// (c) at one lane and at four, and (d) again from the plan cache.
 #include <gtest/gtest.h>
 
 #include "tests/test_util.h"
@@ -8,8 +9,33 @@
 namespace sumtab {
 namespace {
 
-using testing::ExpectRewriteEquivalent;
 using testing::MakeCardDb;
+
+/// testing::ExpectRewriteEquivalent, then the figure's second and third
+/// runs at max_threads 1 and 4: both are plan-cache hits, and both answer
+/// like direct execution.
+std::string ExpectFigureRewrite(Database* db, const std::string& sql,
+                                bool expect_rewrite = true) {
+  std::string rewritten =
+      testing::ExpectRewriteEquivalent(db, sql, expect_rewrite);
+  QueryOptions no_rewrite;
+  no_rewrite.enable_rewrite = false;
+  StatusOr<QueryResult> direct = db->Query(sql, no_rewrite);
+  EXPECT_TRUE(direct.ok()) << direct.status().ToString() << "\n" << sql;
+  if (!direct.ok()) return rewritten;
+  for (int threads : {1, 4}) {
+    QueryOptions options;
+    options.max_threads = threads;
+    StatusOr<QueryResult> again = db->Query(sql, options);
+    EXPECT_TRUE(again.ok()) << again.status().ToString() << "\n" << sql;
+    if (!again.ok()) continue;
+    EXPECT_TRUE(again->plan_cache_hit) << "threads=" << threads << "\n" << sql;
+    EXPECT_EQ(again->used_summary_table, expect_rewrite) << sql;
+    EXPECT_TRUE(engine::SameRowMultiset(direct->relation, again->relation))
+        << "threads=" << threads << "\n" << sql;
+  }
+  return rewritten;
+}
 
 class PaperExamplesTest : public ::testing::Test {
  protected:
@@ -25,7 +51,7 @@ TEST_F(PaperExamplesTest, Fig2_Q1) {
       "select faid, flid, year(date) as year, count(*) as cnt "
       "from trans group by faid, flid, year(date)");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  std::string rewritten = ExpectRewriteEquivalent(
+  std::string rewritten = ExpectFigureRewrite(
       db_.get(),
       "select faid, state, year(date) as year, count(*) as cnt "
       "from trans, loc where flid = lid and country = 'USA' "
@@ -43,7 +69,7 @@ TEST_F(PaperExamplesTest, Fig5_Q2) {
       "qty * price as value "
       "from trans, loc, acct where lid = flid and faid = aid and disc > 0.1");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  std::string rewritten = ExpectRewriteEquivalent(
+  std::string rewritten = ExpectFigureRewrite(
       db_.get(),
       "select aid, status, qty * price * (1 - disc) as amt "
       "from trans, pgroup, acct "
@@ -62,7 +88,7 @@ TEST_F(PaperExamplesTest, Fig6_Q4) {
       "sum(qty * price) as value from trans "
       "group by year(date), month(date)");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  std::string rewritten = ExpectRewriteEquivalent(
+  std::string rewritten = ExpectFigureRewrite(
       db_.get(),
       "select year(date) as year, sum(qty * price) as value "
       "from trans group by year(date)");
@@ -78,7 +104,7 @@ TEST_F(PaperExamplesTest, Fig7_Q6) {
       "sum(qty * price) as value from trans "
       "group by year(date), month(date)");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  std::string rewritten = ExpectRewriteEquivalent(
+  std::string rewritten = ExpectFigureRewrite(
       db_.get(),
       "select year(date) % 100 as yy, sum(qty * price) as value "
       "from trans where month(date) >= 6 group by year(date) % 100");
@@ -93,7 +119,7 @@ TEST_F(PaperExamplesTest, Fig8_Q7) {
       "select flid, year(date) as year, count(*) as cnt "
       "from trans group by flid, year(date)");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  std::string rewritten = ExpectRewriteEquivalent(
+  std::string rewritten = ExpectFigureRewrite(
       db_.get(),
       "select lid, year(date) as year, count(*) as cnt "
       "from trans, loc where flid = lid and country = 'USA' "
@@ -119,7 +145,7 @@ TEST_F(PaperExamplesTest, Fig10_Q8) {
   // AST exposes its inner table — which AST8 does not. Hence this test uses
   // an AST whose root IS the inner GROUP-BY. See Fig10_Q8_NestedMatch for
   // the multi-block 4.2.2 case.
-  std::string rewritten = ExpectRewriteEquivalent(
+  std::string rewritten = ExpectFigureRewrite(
       db_.get(),
       "select tcnt, count(*) as mcnt from "
       "(select year(date) as year, month(date) as month, count(*) as tcnt "
@@ -141,7 +167,7 @@ TEST_F(PaperExamplesTest, Fig10_Q8_NestedMatch) {
   // monthly block; the outer block then needs 4.2.2. The yearly counts are
   // NOT derivable from AST8's root (mcnt buckets are monthly), so this must
   // NOT be rewritten — a correctness check on 4.2.2's conditions.
-  ExpectRewriteEquivalent(
+  ExpectFigureRewrite(
       db_.get(),
       "select tcnt, count(*) as ycnt from "
       "(select year(date) as year, count(*) as tcnt "
@@ -158,7 +184,7 @@ TEST_F(PaperExamplesTest, Fig11_Q10) {
       "(select count(*) from trans) as totcnt "
       "from trans group by flid, year(date)");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  std::string rewritten = ExpectRewriteEquivalent(
+  std::string rewritten = ExpectFigureRewrite(
       db_.get(),
       "select flid, count(*) as cnt, "
       "count(*) / (select count(*) from trans) as cntpct "
@@ -178,21 +204,21 @@ TEST_F(PaperExamplesTest, Fig13_CubeAst) {
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
 
   // Q11.1: exact cuboid (flid, year) + slicing, no regrouping.
-  std::string q111 = ExpectRewriteEquivalent(
+  std::string q111 = ExpectFigureRewrite(
       db_.get(),
       "select flid, year(date) as year, count(*) as cnt "
       "from trans where year(date) > 1990 group by flid, year(date)");
   EXPECT_NE(q111.find("is null"), std::string::npos) << q111;
 
   // Q11.2: month predicate forces the (flid, year, month) cuboid + regroup.
-  ExpectRewriteEquivalent(
+  ExpectFigureRewrite(
       db_.get(),
       "select flid, year(date) as year, count(*) as cnt "
       "from trans where month(date) >= 6 group by flid, year(date)");
 
   // Q11.3: count(distinct faid) by (flid, year, month): no cuboid carries
   // both faid and month — must NOT match.
-  ExpectRewriteEquivalent(
+  ExpectFigureRewrite(
       db_.get(),
       "select flid, year(date) as year, month(date) as month, "
       "count(distinct faid) as custcnt "
@@ -211,7 +237,7 @@ TEST_F(PaperExamplesTest, Fig14_CubeVsCube) {
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
 
   // Q12.1: both cuboids exist in the AST — no regrouping, union slicing.
-  std::string q121 = ExpectRewriteEquivalent(
+  std::string q121 = ExpectFigureRewrite(
       db_.get(),
       "select flid, year(date) as year, count(*) as cnt "
       "from trans where year(date) > 1990 "
@@ -220,7 +246,7 @@ TEST_F(PaperExamplesTest, Fig14_CubeVsCube) {
 
   // Q12.2: the (flid) cuboid is missing — fall back to GS^E = (flid, year),
   // slice it, and regroup by gs((flid), (year)).
-  std::string q122 = ExpectRewriteEquivalent(
+  std::string q122 = ExpectFigureRewrite(
       db_.get(),
       "select flid, year(date) as year, count(*) as cnt "
       "from trans where year(date) > 1990 "
@@ -237,10 +263,10 @@ TEST_F(PaperExamplesTest, Table1_SemanticInequivalence) {
       "select flid, year(date) as year, count(*) as cnt "
       "from trans group by flid, year(date) having count(*) > 2");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  ExpectRewriteEquivalent(db_.get(),
-                          "select flid, count(*) as cnt from trans "
-                          "group by flid having count(*) > 2",
-                          /*expect_rewrite=*/false);
+  ExpectFigureRewrite(db_.get(),
+                      "select flid, count(*) as cnt from trans "
+                      "group by flid having count(*) > 2",
+                      /*expect_rewrite=*/false);
 }
 
 }  // namespace

@@ -345,38 +345,49 @@ TEST_F(PlanCacheTest, CompensationPlanInvalidatedWhenDeltaRangeMoves) {
                                       after.relation));
 }
 
-TEST_F(PlanCacheTest, CompensationFlagPartitionsTheCache) {
+TEST_F(PlanCacheTest, CompensatedAndFallbackPlansWarmTheirOwnEntries) {
   ASSERT_TRUE(db_->DefineSummaryTable("ast1", kAstDef).ok());
   Database::AppendOptions deferred;
   deferred.maintain = false;
   ASSERT_TRUE(db_->Append("trans", MakeTransRows(800000, 10), deferred).ok());
   ASSERT_TRUE(MustQuery(kQuery).compensated);
+  QueryResult comp_warm = MustQuery(kQuery);
+  EXPECT_TRUE(comp_warm.plan_cache_hit);
+  EXPECT_TRUE(comp_warm.compensated);
 
-  // Same text, compensation disabled: a distinct planning context, so a
-  // distinct key — it must NOT hit the compensated entry, and with the
-  // AST stale and staleness not tolerated it falls back to base tables.
-  QueryOptions off;
-  off.enable_compensation = false;
-  QueryResult no_comp = MustQuery(kQuery, off);
-  EXPECT_FALSE(no_comp.plan_cache_hit);
-  EXPECT_FALSE(no_comp.compensated);
-  EXPECT_FALSE(no_comp.used_summary_table);
+  // A BulkLoad retains no slice, so ast1 now lags by an epoch it cannot be
+  // compensated over: a distinct planning context under the same key. It
+  // must NOT hit the compensated entry; it falls back to base tables.
+  ASSERT_TRUE(db_->BulkLoad("trans", MakeTransRows(810000, 10)).ok());
+  QueryResult fallback = MustQuery(kQuery);
+  EXPECT_FALSE(fallback.plan_cache_hit);
+  EXPECT_FALSE(fallback.compensated);
+  EXPECT_FALSE(fallback.used_summary_table);
 
-  // Both keys warm independently.
-  EXPECT_TRUE(MustQuery(kQuery, off).plan_cache_hit);
-  QueryResult comp_again = MustQuery(kQuery);
-  EXPECT_TRUE(comp_again.plan_cache_hit);
-  EXPECT_TRUE(comp_again.compensated);
+  // The fallback plan warms its own entry beside the compensated one.
+  QueryResult fallback_warm = MustQuery(kQuery);
+  EXPECT_TRUE(fallback_warm.plan_cache_hit);
+  EXPECT_FALSE(fallback_warm.used_summary_table);
+  EXPECT_EQ(db_->Stats().plan_cache_entries, 2);
+  QueryOptions no_rewrite;
+  no_rewrite.enable_rewrite = false;
+  EXPECT_TRUE(engine::SameRowMultiset(MustQuery(kQuery, no_rewrite).relation,
+                                      fallback_warm.relation));
 }
 
 TEST_F(PlanCacheTest, CachedRewriteOverDeferredStaleAstIsNeverServedAsIs) {
+  // A histogram of kQuery's counts: its inner block rewrites over ast1, but
+  // compensation takes only one aggregate block over the stale table, so
+  // once ast1 lags this query must go back to base tables.
+  constexpr char kNested[] =
+      "select cnt, count(*) as n from "
+      "(select faid, count(*) as cnt from trans group by faid) "
+      "group by cnt";
   ASSERT_TRUE(db_->DefineSummaryTable("ast1", kAstDef).ok());
-  QueryOptions no_comp;
-  no_comp.enable_compensation = false;
   ASSERT_TRUE(MustQuery(kQuery).used_summary_table);
-  ASSERT_TRUE(MustQuery(kQuery, no_comp).used_summary_table);
+  ASSERT_TRUE(MustQuery(kNested).used_summary_table);
   ASSERT_TRUE(MustQuery(kQuery).plan_cache_hit);
-  ASSERT_TRUE(MustQuery(kQuery, no_comp).plan_cache_hit);
+  ASSERT_TRUE(MustQuery(kNested).plan_cache_hit);
 
   // A deferred append leaves ast1 behind: reading it as stored would drop
   // the 35 new rows.
@@ -386,9 +397,8 @@ TEST_F(PlanCacheTest, CachedRewriteOverDeferredStaleAstIsNeverServedAsIs) {
   ASSERT_EQ(db_->GetSummaryTableInfo("ast1")->state, AstState::kStale);
   QueryOptions no_rewrite;
   no_rewrite.enable_rewrite = false;
-  engine::Relation reference = MustQuery(kQuery, no_rewrite).relation;
 
-  // With compensation on, the search re-plans to compensate.
+  // The single-block query re-plans to compensate.
   QueryOptions traced;
   traced.collect_trace = true;
   QueryResult comp = MustQuery(kQuery, traced);
@@ -397,13 +407,15 @@ TEST_F(PlanCacheTest, CachedRewriteOverDeferredStaleAstIsNeverServedAsIs) {
   EXPECT_EQ(comp.trace->plan_cache_invalidation_cause(), "delta:trans");
   EXPECT_TRUE(comp.compensated);
   EXPECT_EQ(comp.compensation_delta_rows, 35);
-  EXPECT_TRUE(engine::SameRowMultiset(reference, comp.relation));
+  EXPECT_TRUE(engine::SameRowMultiset(MustQuery(kQuery, no_rewrite).relation,
+                                      comp.relation));
 
-  // Without it, the search re-plans to base tables.
-  QueryResult base = MustQuery(kQuery, no_comp);
+  // The nested one re-plans to base tables.
+  QueryResult base = MustQuery(kNested);
   EXPECT_FALSE(base.plan_cache_hit);
   EXPECT_FALSE(base.used_summary_table);
-  EXPECT_TRUE(engine::SameRowMultiset(reference, base.relation));
+  EXPECT_TRUE(engine::SameRowMultiset(MustQuery(kNested, no_rewrite).relation,
+                                      base.relation));
 }
 
 TEST_F(PlanCacheTest, CompensatedPlanIsServedAgainAfterCatchUp) {

@@ -11,6 +11,9 @@
 // plus retained deltas, through one cached plan shared by every session) on
 // the same lattice.
 //
+// A mixed workload rounds it off: a cheap AST query stream beside heavy
+// joins and appends, under admission control and fair-share weights.
+//
 // This suite is in the CI ThreadSanitizer job's regex ("Serving"): the
 // assertions catch semantic tearing, TSan catches the data races that would
 // cause it.
@@ -24,6 +27,7 @@
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "data/tpcd_schema.h"
 #include "serving/session.h"
 #include "tests/test_util.h"
 
@@ -298,6 +302,101 @@ TEST(ServingStressTest, ConcurrentDdlAndQueriesStayCoherent) {
   std::lock_guard<std::mutex> lock(failures_mu);
   for (const std::string& message : failures) ADD_FAILURE() << message;
   EXPECT_TRUE(failures.empty());
+}
+
+TEST(ServingStressTest, CheapStreamIsServedBesideHeavyJoinsAndAppends) {
+  // A cheap warm-cache AST query (weight 2), a heavy four-way join
+  // (weight 1) and a background appender share one Server. Each stream runs
+  // a fixed number of operations, so the test's length does not depend on
+  // the machine's speed.
+  FaultInjector::Instance().Reset();
+  Database db;
+  data::TpcdParams params;
+  params.num_lineitems = 4000;
+  params.num_orders = 400;
+  ASSERT_TRUE(data::SetupTpcdSchema(&db, params).ok());
+  ASSERT_TRUE(db.DefineSummaryTable(
+                    "ast_order_year",
+                    "select year(odate) as y, opriority, count(*) as cnt "
+                    "from orders group by year(odate), opriority")
+                  .ok());
+  constexpr char kCheap[] =
+      "select year(odate) as y, count(*) as cnt from orders "
+      "group by year(odate)";
+  constexpr char kHeavy[] =
+      "select rname, sum(lprice) as rev "
+      "from lineitem, orders, customer, nation "
+      "where lineitem.okey = orders.okey and orders.ckey = customer.ckey "
+      "and customer.nkey = nation.nkey group by rname";
+  constexpr int kCheapQueries = 200;
+  constexpr int kHeavyQueries = 10;
+  constexpr int kAppendBatches = 10;
+  constexpr int kAppendRows = 100;
+
+  AdmissionOptions admission;
+  admission.max_concurrent = 16;
+  admission.max_queued = 64;
+  admission.max_wait_millis = 30000;
+  Server server(&db, admission);
+  ASSERT_TRUE(db.Query(kCheap).ok());  // warms the plan cache
+
+  std::vector<engine::Relation> cheap_answers;
+  int cheap_rejected = 0, cheap_rewritten = 0;
+  int heavy_done = 0, appends_done = 0;
+  std::thread cheap([&] {
+    std::shared_ptr<Session> session =
+        server.CreateSession({.max_in_flight = 64, .weight = 2});
+    for (int q = 0; q < kCheapQueries; ++q) {
+      StatusOr<QueryResult> result = session->Query(kCheap);
+      if (!result.ok()) {
+        ++cheap_rejected;
+        continue;
+      }
+      cheap_rewritten += result->used_summary_table;
+      cheap_answers.push_back(std::move(result->relation));
+    }
+  });
+  std::thread heavy([&] {
+    std::shared_ptr<Session> session = server.CreateSession({.weight = 1});
+    for (int q = 0; q < kHeavyQueries; ++q) {
+      heavy_done += session->Query(kHeavy).ok();
+    }
+  });
+  std::thread appender([&] {
+    for (int k = 0; k < kAppendBatches; ++k) {
+      std::vector<Row> rows;
+      for (int i = 0; i < kAppendRows; ++i) {
+        rows.push_back(Row{Value::Int(1000000 + k * kAppendRows + i),
+                           Value::Int(i % params.num_orders),
+                           Value::Int(i % params.num_parts),
+                           Value::Int(1 + i % 50),
+                           Value::Double(900.0 + i), Value::Double(0.05),
+                           Value::Date(19940101 + i % 28)});
+      }
+      appends_done += db.Append("lineitem", std::move(rows)).ok();
+    }
+  });
+  cheap.join();
+  heavy.join();
+  appender.join();
+
+  EXPECT_EQ(cheap_rejected, 0);
+  EXPECT_EQ(static_cast<int>(cheap_answers.size()), kCheapQueries);
+  EXPECT_EQ(cheap_rewritten, kCheapQueries);
+  EXPECT_GT(heavy_done, 0);
+  EXPECT_EQ(appends_done, kAppendBatches);
+  EXPECT_EQ(db.TableRows("lineitem"),
+            params.num_lineitems + kAppendBatches * kAppendRows);
+
+  // The appends touch lineitem only, so every cheap answer is the final
+  // direct answer.
+  QueryOptions no_rewrite;
+  no_rewrite.enable_rewrite = false;
+  StatusOr<QueryResult> direct = db.Query(kCheap, no_rewrite);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  for (const engine::Relation& answer : cheap_answers) {
+    EXPECT_TRUE(engine::SameRowMultiset(direct->relation, answer));
+  }
 }
 
 }  // namespace
