@@ -52,6 +52,8 @@ const char* RejectReasonToken(RejectReason reason) {
       return "cuboid_not_covered";
     case RejectReason::kCuboidUnionNotCovered:
       return "cuboid_union_not_covered";
+    case RejectReason::kNullableGroupingSlice:
+      return "nullable_grouping_slice";
     case RejectReason::kColumnNotPreserved:
       return "column_not_preserved";
     case RejectReason::kAggregateNotPreserved:

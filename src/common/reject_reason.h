@@ -47,6 +47,7 @@ enum class RejectReason : uint16_t {
   kNoCuboidMatch = 50,
   kCuboidNotCovered = 51,
   kCuboidUnionNotCovered = 52,
+  kNullableGroupingSlice = 53,  // IS NULL slice over a nullable grouping source
 
   // ---- compensation column derivation (paper Sec. 4 derivation rules) ----
   kColumnNotPreserved = 70,

@@ -17,7 +17,8 @@ bool EqualsIgnoreCase(const std::string& a, const std::string& b);
 std::string Join(const std::vector<std::string>& parts,
                  const std::string& sep);
 
-/// Canonical form of a SQL statement for plan-cache keying: whitespace runs
+/// Canonical form of a SQL statement for the workload log and the advisor's
+/// dedup (the plan cache keys by sql::Templatize instead): whitespace runs
 /// collapse to one space, leading/trailing whitespace is trimmed, and
 /// everything outside single-quoted string literals is lower-cased (literals
 /// keep their bytes — 'ABC' and 'abc' are different queries). Purely

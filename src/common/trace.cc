@@ -16,6 +16,8 @@ const char* PlanCacheOutcomeName(PlanCacheOutcome outcome) {
       return "hit";
     case PlanCacheOutcome::kInvalidated:
       return "invalidated";
+    case PlanCacheOutcome::kLiteralSensitive:
+      return "literal-sensitive";
   }
   return "unknown";
 }
@@ -61,11 +63,12 @@ std::vector<AstAttemptTrace> QueryTrace::AstAttempts() const {
   return ast_attempts_;
 }
 
-void QueryTrace::SetPlanCache(PlanCacheOutcome outcome,
-                              std::string invalidation_cause) {
+void QueryTrace::SetPlanCache(PlanCacheOutcome outcome, std::string detail,
+                              std::string template_text) {
   std::lock_guard<std::mutex> lock(mu_);
   plan_cache_ = outcome;
-  invalidation_cause_ = std::move(invalidation_cause);
+  plan_cache_detail_ = std::move(detail);
+  plan_template_ = std::move(template_text);
 }
 
 PlanCacheOutcome QueryTrace::plan_cache_outcome() const {
@@ -73,9 +76,9 @@ PlanCacheOutcome QueryTrace::plan_cache_outcome() const {
   return plan_cache_;
 }
 
-std::string QueryTrace::plan_cache_invalidation_cause() const {
+std::string QueryTrace::plan_cache_detail() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return invalidation_cause_;
+  return plan_cache_detail_;
 }
 
 void QueryTrace::SetChosen(std::string summary_table,
@@ -96,10 +99,12 @@ std::string QueryTrace::ToString() const {
 
   out += "plan cache: ";
   out += PlanCacheOutcomeName(plan_cache_);
-  if (!invalidation_cause_.empty()) {
-    out += " (cause: " + invalidation_cause_ + ")";
+  if (!plan_cache_detail_.empty()) {
+    out += plan_cache_ == PlanCacheOutcome::kInvalidated ? " (cause: " : " (";
+    out += plan_cache_detail_ + ")";
   }
   out += "\n";
+  if (!plan_template_.empty()) out += "plan template: " + plan_template_ + "\n";
 
   if (!chosen_summary_table_.empty()) {
     out += "rewrite: using summary table '" + chosen_summary_table_ + "'\n";

@@ -61,6 +61,7 @@ enum class PlanCacheOutcome {
   kMiss,
   kHit,
   kInvalidated,
+  kLiteralSensitive,  // the template's plan serves only other literals
 };
 
 class QueryTrace {
@@ -94,9 +95,13 @@ class QueryTrace {
   void AddAstAttempt(AstAttemptTrace attempt);
   std::vector<AstAttemptTrace> AstAttempts() const;
 
-  void SetPlanCache(PlanCacheOutcome outcome, std::string invalidation_cause);
+  /// `detail`: the invalidation cause, "template" or the literal-sensitive
+  /// decision on a hit, or the decision for kLiteralSensitive.
+  /// `template_text`: the query's template (sql::Templatize).
+  void SetPlanCache(PlanCacheOutcome outcome, std::string detail,
+                    std::string template_text);
   PlanCacheOutcome plan_cache_outcome() const;
-  std::string plan_cache_invalidation_cause() const;
+  std::string plan_cache_detail() const;
 
   void SetChosen(std::string summary_table, std::string rewritten_sql);
   void AddNote(std::string note);
@@ -112,7 +117,8 @@ class QueryTrace {
   std::atomic<int64_t> rows_processed_{0};
   std::vector<AstAttemptTrace> ast_attempts_;
   PlanCacheOutcome plan_cache_ = PlanCacheOutcome::kDisabled;
-  std::string invalidation_cause_;
+  std::string plan_cache_detail_;
+  std::string plan_template_;
   std::string chosen_summary_table_;
   std::string rewritten_sql_;
   std::vector<std::string> notes_;

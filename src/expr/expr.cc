@@ -25,6 +25,13 @@ ExprPtr LitInt(int64_t v) { return Lit(Value::Int(v)); }
 ExprPtr LitDouble(double v) { return Lit(Value::Double(v)); }
 ExprPtr LitString(std::string v) { return Lit(Value::String(std::move(v))); }
 
+ExprPtr SlotLit(Value v, int slot) {
+  auto node = NewNode(Expr::Kind::kLiteral);
+  node->literal = std::move(v);
+  node->slot = slot;
+  return node;
+}
+
 ExprPtr ColName(std::string qualifier, std::string name) {
   auto node = NewNode(Expr::Kind::kColumnName);
   node->qualifier = std::move(qualifier);
@@ -121,8 +128,7 @@ bool Equal(const ExprPtr& a, const ExprPtr& b) {
   if (a->kind != b->kind) return false;
   switch (a->kind) {
     case Expr::Kind::kLiteral:
-      if (!(a->literal == b->literal)) return false;
-      // Distinguish NULL kinds vs values handled by Value::operator==.
+      if (!LiteralsEqual(*a, *b, "literal equality")) return false;
       break;
     case Expr::Kind::kColumnName:
       if (a->qualifier != b->qualifier || a->name != b->name) return false;
@@ -264,6 +270,52 @@ void CollectQuantifiers(const ExprPtr& e, std::vector<int>* out) {
       out->push_back(node.quantifier);
     }
   });
+}
+
+namespace {
+
+thread_local SlotReadScope* current_slot_scope = nullptr;
+
+}  // namespace
+
+SlotReadScope::SlotReadScope() : outer_(current_slot_scope) {
+  current_slot_scope = this;
+}
+
+SlotReadScope::~SlotReadScope() { current_slot_scope = outer_; }
+
+void NoteSlotRead(const char* decision) {
+  SlotReadScope* scope = current_slot_scope;
+  if (scope != nullptr && scope->first_read_ == nullptr) {
+    scope->first_read_ = decision;
+  }
+}
+
+bool LiteralsEqual(const Expr& a, const Expr& b, const char* decision) {
+  if (a.slot >= 0 && a.slot == b.slot) return true;
+  if (a.slot >= 0 && b.slot >= 0 && a.literal.kind() == b.literal.kind()) {
+    return false;
+  }
+  if (a.slot >= 0 || b.slot >= 0) NoteSlotRead(decision);
+  return a.literal == b.literal;
+}
+
+ExprPtr BindSlots(const ExprPtr& e, const std::vector<Value>& params) {
+  if (e == nullptr) return nullptr;
+  if (e->kind == Expr::Kind::kLiteral) {
+    return e->slot >= 0 ? SlotLit(params[e->slot], e->slot) : e;
+  }
+  bool changed = false;
+  std::vector<ExprPtr> children;
+  children.reserve(e->children.size());
+  for (const ExprPtr& child : e->children) {
+    children.push_back(BindSlots(child, params));
+    changed = changed || children.back() != child;
+  }
+  if (!changed) return e;
+  auto node = std::make_shared<Expr>(*e);
+  node->children = std::move(children);
+  return node;
 }
 
 bool IsCommutative(BinaryOp op) {

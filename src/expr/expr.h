@@ -77,6 +77,9 @@ class Expr {
 
   // kLiteral
   Value literal;
+  /// The parameter slot a query literal was lifted into (SlotLit), or -1
+  /// for a literal of the text itself (ASTs, ORDER BY, NULL, rewrites).
+  int slot = -1;
 
   // kColumnName
   std::string qualifier;  // table alias; empty if unqualified
@@ -109,6 +112,8 @@ ExprPtr Lit(Value v);
 ExprPtr LitInt(int64_t v);
 ExprPtr LitDouble(double v);
 ExprPtr LitString(std::string v);
+/// A literal lifted into parameter slot `slot`, holding `v` (DESIGN.md §8).
+ExprPtr SlotLit(Value v, int slot);
 ExprPtr ColName(std::string qualifier, std::string name);
 ExprPtr ColRef(int quantifier, int column);
 ExprPtr RejoinRef(int rejoin_idx, int column);
@@ -130,7 +135,8 @@ void SplitConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out);
 // ---- Structural identity ----
 
 /// Deep structural equality (column refs compare by indexes, literals by
-/// value, commutativity NOT considered here — see matching/predicate_match).
+/// LiteralsEqual, commutativity NOT considered here — see
+/// matching/predicate_match).
 bool Equal(const ExprPtr& a, const ExprPtr& b);
 
 size_t HashExpr(const ExprPtr& e);
@@ -162,6 +168,47 @@ bool IsCommutative(BinaryOp op);
 /// For comparisons, the operator with operands swapped (a < b ≡ b > a);
 /// returns op itself for commutative/non-comparison ops.
 BinaryOp FlipComparison(BinaryOp op);
+
+// ---- Parameter slots (DESIGN.md §8) ----
+//
+// The plan cache keys a query by its template: sql::Templatize lifts every
+// int, double, string and date literal into a slot, one slot per distinct
+// literal, and the parser tags each such literal node with its slot while it
+// holds the first sighting's value. A plan whose search never read a slot
+// literal's value is right for every binding of the template; a plan whose
+// search did is right only for the literals it saw.
+
+/// Collects, for the planning run on the calling thread, the first decision
+/// that read a slot literal's value. Scopes nest; the innermost collects.
+class SlotReadScope {
+ public:
+  SlotReadScope();
+  ~SlotReadScope();
+  SlotReadScope(const SlotReadScope&) = delete;
+  SlotReadScope& operator=(const SlotReadScope&) = delete;
+
+  /// The first decision noted, or null when none read a value.
+  const char* first_read() const { return first_read_; }
+
+ private:
+  friend void NoteSlotRead(const char* decision);
+  SlotReadScope* outer_;
+  const char* first_read_ = nullptr;
+};
+
+/// Notes that `decision` read a slot literal's value, in this thread's
+/// innermost SlotReadScope (a no-op outside any).
+void NoteSlotRead(const char* decision);
+
+/// Equality of two literal nodes, as a planning decision. Two literals of
+/// one slot are equal and two slots of one value kind are not, whatever the
+/// binding, since a template gives equal literals one slot. Any other
+/// comparison that involves a slot compares its value, and notes `decision`.
+bool LiteralsEqual(const Expr& a, const Expr& b, const char* decision);
+
+/// `e` with every slot literal holding params[slot]. Subtrees without a
+/// slot literal are shared, not copied.
+ExprPtr BindSlots(const ExprPtr& e, const std::vector<Value>& params);
 
 const char* BinaryOpName(BinaryOp op);   // symbol, e.g. "+", "<="
 const char* AggFuncName(AggFunc func);   // lowercase, e.g. "count"

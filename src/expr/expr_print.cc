@@ -33,17 +33,29 @@ int Precedence(const Expr& e) {
   return 100;
 }
 
+}  // namespace
+
+std::string LiteralToString(const Value& v) {
+  if (v.kind() == Value::Kind::kString) {
+    std::string quoted = "'";
+    for (char c : v.AsString()) {
+      quoted += c;
+      if (c == '\'') quoted += c;  // '' re-lexes as one quote
+    }
+    return quoted + "'";
+  }
+  if (v.kind() == Value::Kind::kDate) return "date '" + v.ToString() + "'";
+  return v.ToString();
+}
+
+namespace {
+
 std::string Print(const ExprPtr& e, const RefPrinter& refs, int parent_prec) {
   std::string out;
   switch (e->kind) {
     case Expr::Kind::kLiteral:
-      if (e->literal.kind() == Value::Kind::kString) {
-        out = "'" + e->literal.AsString() + "'";
-      } else if (e->literal.kind() == Value::Kind::kDate) {
-        out = "date '" + e->literal.ToString() + "'";
-      } else {
-        out = e->literal.ToString();
-      }
+      if (refs && e->slot >= 0) out = refs(*e);
+      if (out.empty()) out = LiteralToString(e->literal);
       break;
     case Expr::Kind::kColumnName:
       out = e->qualifier.empty() ? e->name : e->qualifier + "." + e->name;

@@ -11,9 +11,13 @@
 namespace sumtab {
 namespace expr {
 
-/// Maps a leaf reference node to its display text; return empty to fall back
-/// to the index-based default.
+/// Maps a leaf reference node, or a slot literal, to its display text;
+/// return empty to fall back to the default (q<N>.<M>, or the value).
 using RefPrinter = std::function<std::string(const Expr&)>;
+
+/// A literal as SQL text the lexer reads back: 'string' (quotes doubled),
+/// date 'yyyy-mm-dd', or the value.
+std::string LiteralToString(const Value& v);
 
 std::string ToString(const ExprPtr& e);
 std::string ToString(const ExprPtr& e, const RefPrinter& refs);

@@ -1,7 +1,5 @@
 #include "expr/expr_rewrite.h"
 
-#include "expr/expr_eval.h"
-
 namespace sumtab {
 namespace expr {
 
@@ -19,37 +17,6 @@ ExprPtr MapRejoinRefs(const ExprPtr& e,
     if (leaf->kind != Expr::Kind::kRejoinRef) return nullptr;
     return fn(leaf->quantifier, leaf->column);
   });
-}
-
-ExprPtr FoldConstants(const ExprPtr& e) {
-  if (e == nullptr) return nullptr;
-  if (e->children.empty()) return e;
-  bool changed = false;
-  bool all_literal = true;
-  std::vector<ExprPtr> folded;
-  folded.reserve(e->children.size());
-  for (const ExprPtr& child : e->children) {
-    ExprPtr f = FoldConstants(child);
-    changed = changed || f != child;
-    all_literal = all_literal && f->kind == Expr::Kind::kLiteral;
-    folded.push_back(std::move(f));
-  }
-  ExprPtr node = e;
-  if (changed) {
-    auto copy = std::make_shared<Expr>(*e);
-    copy->children = folded;
-    node = copy;
-  }
-  // Only pure scalar operators fold; aggregates and subqueries never do.
-  if (all_literal && (node->kind == Expr::Kind::kUnary ||
-                      node->kind == Expr::Kind::kBinary ||
-                      node->kind == Expr::Kind::kFunction ||
-                      node->kind == Expr::Kind::kIsNull)) {
-    EvalContext empty_ctx;
-    StatusOr<Value> v = Eval(node, empty_ctx);
-    if (v.ok()) return Lit(std::move(v).value());
-  }
-  return node;
 }
 
 bool IsSimpleColumnRef(const ExprPtr& e, int quantifier, int* column) {

@@ -18,9 +18,6 @@ ExprPtr MapColumnRefs(const ExprPtr& e,
 ExprPtr MapRejoinRefs(const ExprPtr& e,
                       const std::function<ExprPtr(int, int)>& fn);
 
-/// Folds literal-only arithmetic/comparison subtrees bottom-up.
-ExprPtr FoldConstants(const ExprPtr& e);
-
 /// True if e is exactly ColumnRef{quantifier, column} for some column;
 /// *column receives it.
 bool IsSimpleColumnRef(const ExprPtr& e, int quantifier, int* column);

@@ -4,7 +4,6 @@
 
 #include "common/reject_reason.h"
 #include "common/str_util.h"
-#include "expr/expr_rewrite.h"
 
 namespace sumtab {
 namespace matching {
@@ -91,20 +90,11 @@ StatusOr<DeltaMerge> AnalyzeCompensableQuery(
   }
   if (!gb->IsSimpleGroupBy()) {
     // Grouping sets merge per-cuboid through the keyed merge: a delta row's
-    // NULL pattern identifies its cuboid — unless a grouping column can be
-    // NULL in the data, where a data-NULL in a fine cuboid and the padding
-    // NULL of a coarser one collide on the merge key and fuse groups across
-    // cuboids. Nullability must come from the grouping *source* (the
-    // GROUP-BY's own column_info folds in padding).
+    // NULL pattern identifies its cuboid, unless a grouping column can be
+    // NULL in the data and a data-NULL collides with a padding NULL.
     for (int i = 0; i < gb->NumOutputs(); ++i) {
-      if (!gb->IsGroupingOutput(i)) continue;
-      int col = -1;
-      bool source_nullable = true;  // conservatively reject odd shapes
-      if (expr::IsSimpleColumnRef(gb->outputs[i].expr, 0, &col) && col >= 0 &&
-          col < static_cast<int>(lower->column_info.size())) {
-        source_nullable = lower->column_info[col].nullable;
-      }
-      if (source_nullable) {
+      if (gb->IsGroupingOutput(i) &&
+          qgm::NullableGroupingSource(query, *gb, i)) {
         return RejectUnsupported(
             RejectReason::kCompNullableGroupingSet,
             "nullable grouping column '" + gb->outputs[i].name +
@@ -147,6 +137,25 @@ StatusOr<DeltaMerge> AnalyzeCompensableQuery(
     merge.agg_cols.push_back(expr::AggColumn{i, agg->agg});
   }
   return merge;
+}
+
+CompensationPlan BindSlots(const CompensationPlan& plan,
+                           const std::vector<Value>& params) {
+  CompensationPlan bound;
+  bound.summary_table = plan.summary_table;
+  bound.stale_table = plan.stale_table;
+  bound.ast_leg = qgm::BindSlots(plan.ast_leg, params);
+  bound.delta_leg = qgm::BindSlots(plan.delta_leg, params);
+  bound.merge = plan.merge;
+  bound.final_outputs = plan.final_outputs;
+  for (qgm::OutputColumn& out : bound.final_outputs) {
+    out.expr = expr::BindSlots(out.expr, params);
+  }
+  for (const expr::ExprPtr& p : plan.final_predicates) {
+    bound.final_predicates.push_back(expr::BindSlots(p, params));
+  }
+  bound.order_by = plan.order_by;
+  return bound;
 }
 
 StatusOr<CompensationPlan> BuildCompensationPlan(

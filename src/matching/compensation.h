@@ -85,6 +85,11 @@ struct CompensationPlan {
   std::vector<qgm::OrderSpec> order_by;
 };
 
+/// `plan` with every slot literal bound to params[slot] (qgm::BindSlots):
+/// a cached template plan made executable for one query's literals.
+CompensationPlan BindSlots(const CompensationPlan& plan,
+                           const std::vector<Value>& params);
+
 /// Analyzes `query` and assembles the two legs against `ast`. Fails with a
 /// comp_* reject when the shape does not decompose or the AST cannot absorb
 /// Q' (`comp_ast_mismatch` covers both "no match" and a rewrite that leaves

@@ -47,9 +47,11 @@ StatusOr<MatchResult> MatchSimpleVsCube(MatchSession* session, const Box& e,
       last = info.status();
       continue;
     }
+    SUMTAB_ASSIGN_OR_RETURN(std::vector<ExprPtr> slice,
+                            SlicingPredicates(*session, r, r_set));
     SUMTAB_ASSIGN_OR_RETURN(
         BoxId comp_root,
-        BuildGroupByComp(session, e, r, *info, SlicingPredicates(r, r_set)));
+        BuildGroupByComp(session, e, r, *info, std::move(slice)));
     MatchResult result;
     result.comp_root = comp_root;
     return result;
@@ -125,8 +127,10 @@ StatusOr<MatchResult> MatchCubeVsCube(MatchSession* session, const Box& e,
     if (consistent) {
       std::vector<ExprPtr> slice_disjuncts;
       for (const SubMatch& sub : subs) {
-        slice_disjuncts.push_back(expr::MakeConjunction(
-            SlicingPredicates(r, r.grouping_sets[sub.r_set_idx])));
+        SUMTAB_ASSIGN_OR_RETURN(
+            std::vector<ExprPtr> slice,
+            SlicingPredicates(*session, r, r.grouping_sets[sub.r_set_idx]));
+        slice_disjuncts.push_back(expr::MakeConjunction(std::move(slice)));
       }
       ExprPtr slice = slice_disjuncts[0];
       for (size_t k = 1; k < slice_disjuncts.size(); ++k) {
@@ -161,9 +165,11 @@ StatusOr<MatchResult> MatchCubeVsCube(MatchSession* session, const Box& e,
       last = info.status();
       continue;
     }
+    SUMTAB_ASSIGN_OR_RETURN(std::vector<ExprPtr> slice,
+                            SlicingPredicates(*session, r, r_set));
     SUMTAB_ASSIGN_OR_RETURN(
         BoxId comp_root,
-        BuildGroupByComp(session, e, r, *info, SlicingPredicates(r, r_set)));
+        BuildGroupByComp(session, e, r, *info, std::move(slice)));
     MatchResult result;
     result.comp_root = comp_root;
     return result;

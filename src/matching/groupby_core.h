@@ -74,9 +74,12 @@ StatusOr<qgm::BoxId> BuildGroupByComp(MatchSession* session, const qgm::Box& e,
 /// The NULL-slicing predicate selecting cuboid `r_set` out of a
 /// multidimensional subsumer (paper Sec. 5.1): conjunction over the
 /// subsumer's grouping outputs of IS [NOT] NULL tests, in the comp-select
-/// vocabulary.
-std::vector<expr::ExprPtr> SlicingPredicates(const qgm::Box& r,
-                                             const std::vector<int>& r_set);
+/// vocabulary. Rejects (nullable_grouping_slice) when any of those outputs
+/// can be NULL in the data (qgm::NullableGroupingSource): the slice would
+/// mix its rows up with other cuboids'.
+StatusOr<std::vector<expr::ExprPtr>> SlicingPredicates(
+    const MatchSession& session, const qgm::Box& r,
+    const std::vector<int>& r_set);
 
 /// AnalyzeGroupByMatch with regrouping forced on (5.2 fallback: a
 /// multidimensional subsumee must regroup by its own gs function even when

@@ -251,10 +251,15 @@ StatusOr<GBMatchInfo> AnalyzeGroupByMatch(MatchSession* session, const Box& e,
                                  /*force_regroup=*/false);
 }
 
-std::vector<ExprPtr> SlicingPredicates(const Box& r,
-                                       const std::vector<int>& r_set) {
+StatusOr<std::vector<ExprPtr>> SlicingPredicates(
+    const MatchSession& session, const Box& r, const std::vector<int>& r_set) {
   std::vector<ExprPtr> preds;
   for (int k : r.GroupingOutputs()) {
+    if (qgm::NullableGroupingSource(session.ast(), r, k)) {
+      return RejectMatch(RejectReason::kNullableGroupingSlice,
+                         "grouping column '" + r.outputs[k].name +
+                             "' can be NULL in the data");
+    }
     bool in_set = false;
     for (int s : r_set) in_set = in_set || s == k;
     preds.push_back(expr::IsNull(expr::ColRef(0, k), /*negated=*/in_set));

@@ -23,6 +23,7 @@ struct Range {
   ExprPtr subject;
   BinaryOp op;   // kEq, kLt, kLe, kGt, kGe
   Value bound;
+  int slot;      // the bound literal's parameter slot, or -1
 };
 
 std::optional<Range> AsRange(const ExprPtr& p) {
@@ -41,10 +42,10 @@ std::optional<Range> AsRange(const ExprPtr& p) {
   const ExprPtr& l = p->children[0];
   const ExprPtr& r = p->children[1];
   if (r->kind == Expr::Kind::kLiteral && l->kind != Expr::Kind::kLiteral) {
-    return Range{l, op, r->literal};
+    return Range{l, op, r->literal, r->slot};
   }
   if (l->kind == Expr::Kind::kLiteral && r->kind != Expr::Kind::kLiteral) {
-    return Range{r, expr::FlipComparison(op), l->literal};
+    return Range{r, expr::FlipComparison(op), l->literal, l->slot};
   }
   return std::nullopt;
 }
@@ -107,7 +108,7 @@ bool EquivExprEqual(const ExprPtr& a, const ExprPtr& b,
   if (a->kind != b->kind) return false;
   switch (a->kind) {
     case Expr::Kind::kLiteral:
-      return a->literal == b->literal;
+      return expr::LiteralsEqual(*a, *b, "literal equality");
     case Expr::Kind::kUnary:
       return a->unary_op == b->unary_op &&
              EquivExprEqual(a->children[0], b->children[0], equiv);
@@ -157,12 +158,18 @@ bool EquivExprEqual(const ExprPtr& a, const ExprPtr& b,
 
 bool PredicateSubsumes(const ExprPtr& rp, const ExprPtr& ep,
                        const ColumnEquivalence& equiv) {
-  if (EquivExprEqual(rp, ep, equiv)) return true;
   std::optional<Range> r = AsRange(rp);
   std::optional<Range> e = AsRange(ep);
-  if (!r || !e) return false;
-  if (!EquivExprEqual(r->subject, e->subject, equiv)) return false;
-  return RangeImplies(*e, *r);
+  const bool ranges =
+      r && e && EquivExprEqual(r->subject, e->subject, equiv);
+  // Both checks below compare the bounds: a bound held in a slot makes the
+  // answer hold only for this binding (two bounds of one slot are equal in
+  // every binding, so comparing them reads nothing).
+  if (ranges && (r->slot >= 0 || e->slot >= 0) && r->slot != e->slot) {
+    expr::NoteSlotRead("predicate subsumption");
+  }
+  if (EquivExprEqual(rp, ep, equiv)) return true;
+  return ranges && RangeImplies(*e, *r);
 }
 
 }  // namespace matching

@@ -20,7 +20,7 @@ int Box::OutputIndex(const std::string& name) const {
 }
 
 Box* Graph::AddBox(Box::Kind kind) {
-  auto box = std::make_unique<Box>();
+  auto box = std::make_shared<Box>();
   box->id = static_cast<BoxId>(boxes_.size());
   box->kind = kind;
   boxes_.push_back(std::move(box));
@@ -94,7 +94,7 @@ Graph Graph::CloneGraph(const Graph& src) {
 void Graph::Compact() {
   std::vector<BoxId> keep = TopologicalOrder();
   std::vector<int> remap(boxes_.size(), -1);
-  std::vector<std::unique_ptr<Box>> fresh;
+  std::vector<std::shared_ptr<Box>> fresh;
   fresh.reserve(keep.size());
   for (BoxId id : keep) {
     remap[id] = static_cast<int>(fresh.size());
@@ -108,6 +108,45 @@ void Graph::Compact() {
   }
   boxes_ = std::move(fresh);
   root_ = remap[root_];
+}
+
+Graph BindSlots(const Graph& graph, const std::vector<Value>& params) {
+  auto has_slot = [](const expr::ExprPtr& e) {
+    return expr::Any(e, [](const expr::Expr& node) { return node.slot >= 0; });
+  };
+  Graph bound;
+  bound.root_ = graph.root_;
+  bound.order_by_ = graph.order_by_;
+  bound.boxes_.reserve(graph.boxes_.size());
+  for (const std::shared_ptr<Box>& box : graph.boxes_) {
+    bool slotted = std::any_of(box->predicates.begin(), box->predicates.end(),
+                               has_slot);
+    for (const OutputColumn& out : box->outputs) {
+      slotted = slotted || has_slot(out.expr);
+    }
+    if (!slotted) {
+      bound.boxes_.push_back(box);
+      continue;
+    }
+    auto copy = std::make_shared<Box>(*box);
+    for (OutputColumn& out : copy->outputs) {
+      out.expr = expr::BindSlots(out.expr, params);
+    }
+    for (expr::ExprPtr& p : copy->predicates) p = expr::BindSlots(p, params);
+    bound.boxes_.push_back(std::move(copy));
+  }
+  return bound;
+}
+
+bool NullableGroupingSource(const Graph& graph, const Box& gb, int output) {
+  int col = -1;
+  if (gb.quantifiers.size() != 1 ||
+      !expr::IsSimpleColumnRef(gb.outputs[output].expr, 0, &col)) {
+    return true;
+  }
+  const Box* child = graph.box(gb.quantifiers[0].child);
+  return col < 0 || col >= static_cast<int>(child->column_info.size()) ||
+         child->column_info[col].nullable;
 }
 
 namespace {

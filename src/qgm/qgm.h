@@ -163,7 +163,11 @@ class Graph {
   void Compact();
 
  private:
-  std::vector<std::unique_ptr<Box>> boxes_;
+  friend Graph BindSlots(const Graph& graph, const std::vector<Value>& params);
+
+  // Shared only between a cached plan and the graphs BindSlots makes from
+  // it, all of which stay immutable.
+  std::vector<std::shared_ptr<Box>> boxes_;
   BoxId root_ = kInvalidBox;
   std::vector<OrderSpec> order_by_;
 };
@@ -175,6 +179,21 @@ Status InferColumnInfo(Graph* graph, const catalog::Catalog& catalog);
 /// Computes column_info for one non-BASE box whose children already carry
 /// info (used for compensation boxes assembled by the matcher).
 Status ComputeBoxColumnInfo(Graph* graph, Box* box);
+
+/// True when grouping output `output` of GROUP-BY box `gb` can be NULL in
+/// the data, judged by its source column in the child (the box's own
+/// column_info folds in grouping-set padding, so it cannot tell). A grouping
+/// output that is not a plain input column counts as nullable. Under several
+/// grouping sets such a column's data NULL and a coarser cuboid's padding
+/// NULL look alike, so neither cuboid slicing nor a keyed delta merge may
+/// rely on IS NULL there.
+bool NullableGroupingSource(const Graph& graph, const Box& gb, int output);
+
+/// `graph` with every slot literal bound to params[slot] (DESIGN.md §8): a
+/// cached template plan made executable for one query's literals. Boxes
+/// without a slot literal are shared with `graph`, not copied, so neither
+/// graph may be mutated afterwards.
+Graph BindSlots(const Graph& graph, const std::vector<Value>& params);
 
 /// QGM normalization (paper footnote 6: consecutive SELECT boxes can almost
 /// always be merged): inlines every non-DISTINCT SELECT child with a single

@@ -10,9 +10,13 @@ namespace qgm {
 
 namespace {
 
+/// Brackets a slot number in ToSlottedSql's marked text.
+constexpr char kSlotMark = '\x01';
+
 class SqlEmitter {
  public:
-  explicit SqlEmitter(const Graph& graph) : graph_(graph) {}
+  SqlEmitter(const Graph& graph, bool mark_slots)
+      : graph_(graph), mark_slots_(mark_slots) {}
 
   StatusOr<std::string> Emit(BoxId id) {
     const Box& box = *graph_.box(id);
@@ -49,6 +53,9 @@ class SqlEmitter {
   /// print as q<N>.<column name>; scalar quantifiers inline their subquery.
   expr::RefPrinter MakeRefs(const Box& box, Status* failure) {
     return [this, &box, failure](const expr::Expr& e) -> std::string {
+      if (e.kind == expr::Expr::Kind::kLiteral && mark_slots_) {
+        return kSlotMark + std::to_string(e.slot) + kSlotMark;
+      }
       if (e.kind != expr::Expr::Kind::kColumnRef) return "";
       const Quantifier& q = box.quantifiers[e.quantifier];
       if (q.kind == Quantifier::Kind::kScalar) {
@@ -125,12 +132,11 @@ class SqlEmitter {
   }
 
   const Graph& graph_;
+  const bool mark_slots_;
 };
 
-}  // namespace
-
-StatusOr<std::string> ToSql(const Graph& graph) {
-  SqlEmitter emitter(graph);
+StatusOr<std::string> EmitSql(const Graph& graph, bool mark_slots) {
+  SqlEmitter emitter(graph, mark_slots);
   SUMTAB_ASSIGN_OR_RETURN(std::string sql, emitter.Emit(graph.root()));
   const Box* root = graph.box(graph.root());
   if (!graph.order_by().empty()) {
@@ -142,6 +148,44 @@ StatusOr<std::string> ToSql(const Graph& graph) {
     sql += " order by " + Join(items, ", ");
   }
   return sql;
+}
+
+}  // namespace
+
+StatusOr<std::string> ToSql(const Graph& graph) {
+  return EmitSql(graph, /*mark_slots=*/false);
+}
+
+std::string SlottedSql::Render(const std::vector<Value>& params) const {
+  std::string sql = pieces[0];
+  for (size_t i = 0; i < slots.size(); ++i) {
+    sql += expr::LiteralToString(params[slots[i]]);
+    sql += pieces[i + 1];
+  }
+  return sql;
+}
+
+StatusOr<SlottedSql> ToSlottedSql(const Graph& graph, size_t num_slots) {
+  SUMTAB_ASSIGN_OR_RETURN(std::string marked,
+                          EmitSql(graph, /*mark_slots=*/true));
+  SlottedSql out;
+  size_t start = 0;
+  for (size_t open = marked.find(kSlotMark); open != std::string::npos;
+       open = marked.find(kSlotMark, start)) {
+    size_t close = marked.find(kSlotMark, open + 1);
+    std::string number = marked.substr(
+        open + 1, close == std::string::npos ? 0 : close - open - 1);
+    if (number.empty() || number.size() > 9 ||
+        number.find_first_not_of("0123456789") != std::string::npos ||
+        std::stoul(number) >= num_slots) {
+      return Status::Internal("a literal of the plan holds the slot marker");
+    }
+    out.pieces.push_back(marked.substr(start, open - start));
+    out.slots.push_back(static_cast<int>(std::stoul(number)));
+    start = close + 1;
+  }
+  out.pieces.push_back(marked.substr(start));
+  return out;
 }
 
 }  // namespace qgm

@@ -2,15 +2,16 @@
 
 #include <array>
 #include <cctype>
-
-#include "common/str_util.h"
+#include <charconv>
+#include <cstring>
+#include <string_view>
 
 namespace sumtab {
 namespace sql {
 
 namespace {
 
-constexpr std::array<const char*, 28> kKeywords = {
+constexpr std::array<std::string_view, 28> kKeywords = {
     "select", "from",     "where",  "group",    "by",       "having",
     "order",  "as",       "and",    "or",       "not",      "is",
     "null",   "distinct", "asc",    "desc",     "rollup",   "cube",
@@ -21,7 +22,7 @@ constexpr std::array<const char*, 28> kKeywords = {
 }  // namespace
 
 bool IsKeyword(const std::string& word) {
-  for (const char* kw : kKeywords) {
+  for (std::string_view kw : kKeywords) {
     if (word == kw) return true;
   }
   return false;
@@ -29,6 +30,7 @@ bool IsKeyword(const std::string& word) {
 
 StatusOr<std::vector<Token>> Lex(const std::string& input) {
   std::vector<Token> tokens;
+  tokens.reserve(input.size() / 4 + 1);
   size_t i = 0;
   const size_t n = input.size();
   while (i < n) {
@@ -50,7 +52,11 @@ StatusOr<std::vector<Token>> Lex(const std::string& input) {
                        input[i] == '_')) {
         ++i;
       }
-      tok.text = ToLower(input.substr(start, i - start));
+      tok.text.reserve(i - start);
+      for (size_t k = start; k < i; ++k) {
+        tok.text += static_cast<char>(
+            std::tolower(static_cast<unsigned char>(input[k])));
+      }
       tok.type = IsKeyword(tok.text) ? TokenType::kKeyword
                                      : TokenType::kIdentifier;
       tokens.push_back(std::move(tok));
@@ -69,13 +75,17 @@ StatusOr<std::vector<Token>> Lex(const std::string& input) {
         }
       }
       tok.text = input.substr(start, i - start);
-      if (is_double) {
-        tok.type = TokenType::kDoubleLiteral;
-        tok.double_value = std::stod(tok.text);
-      } else {
-        tok.type = TokenType::kIntLiteral;
-        tok.int_value = std::stoll(tok.text);
+      const char* first = input.data() + start;
+      const char* last = input.data() + i;
+      std::from_chars_result parsed =
+          is_double ? std::from_chars(first, last, tok.double_value)
+                    : std::from_chars(first, last, tok.int_value);
+      if (parsed.ec != std::errc()) {
+        return Status::InvalidArgument(
+            "numeric literal out of range at offset " +
+            std::to_string(tok.position));
       }
+      tok.type = is_double ? TokenType::kDoubleLiteral : TokenType::kIntLiteral;
       tokens.push_back(std::move(tok));
       continue;
     }
@@ -115,7 +125,7 @@ StatusOr<std::vector<Token>> Lex(const std::string& input) {
       tok.text = input.substr(i, 2);
       if (tok.text == "!=") tok.text = "<>";
       i += 2;
-    } else if (std::string("(),.*+-/%<>=").find(c) != std::string::npos) {
+    } else if (c != '\0' && std::strchr("(),.*+-/%<>=", c) != nullptr) {
       tok.text = std::string(1, c);
       ++i;
     } else {

@@ -28,6 +28,7 @@ struct Token {
   int64_t int_value = 0;
   double double_value = 0.0;
   int position = 0;     // byte offset in the input, for error messages
+  int slot = -1;        // parameter slot of a lifted literal (Templatize)
 };
 
 /// Tokenizes SQL text. Comments ('-- ...' to end of line) are skipped.

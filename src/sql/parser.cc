@@ -444,24 +444,31 @@ class Parser {
     return expr::Aggregate(func, std::move(arg), distinct);
   }
 
+  /// A literal token's node: a slot literal when Templatize lifted it.
+  static ExprPtr Literal(Value v, int slot) {
+    return slot >= 0 ? expr::SlotLit(std::move(v), slot)
+                     : expr::Lit(std::move(v));
+  }
+
   StatusOr<ExprPtr> ParsePrimary() {
     const Token& t = Peek();
     switch (t.type) {
       case TokenType::kIntLiteral:
         Advance();
-        return expr::LitInt(t.int_value);
+        return Literal(Value::Int(t.int_value), t.slot);
       case TokenType::kDoubleLiteral:
         Advance();
-        return expr::LitDouble(t.double_value);
+        return Literal(Value::Double(t.double_value), t.slot);
       case TokenType::kStringLiteral:
         Advance();
-        return expr::LitString(t.text);
+        return Literal(Value::String(t.text), t.slot);
       case TokenType::kKeyword: {
         if (t.text == "date") {
           Advance();
           if (Peek().type == TokenType::kStringLiteral) {
-            SUMTAB_ASSIGN_OR_RETURN(int32_t d, ParseDate(Advance().text));
-            return expr::Lit(Value::Date(d));
+            const Token& text = Advance();
+            SUMTAB_ASSIGN_OR_RETURN(int32_t d, ParseDate(text.text));
+            return Literal(Value::Date(d), text.slot);
           }
           // Not a date literal: treat `date` as a column name (the paper's
           // Trans table has a column of that name).
@@ -533,14 +540,23 @@ class Parser {
 StatusOr<std::shared_ptr<SelectStmt>> Parse(const std::string& sql,
                                             const ParseOptions& options) {
   SUMTAB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(sql));
+  return ParseTokens(std::move(tokens), options);
+}
+
+StatusOr<std::shared_ptr<SelectStmt>> ParseTokens(std::vector<Token> tokens,
+                                                  const ParseOptions& options) {
   Parser parser(std::move(tokens), options);
   return parser.ParseStatement();
 }
 
 bool IsExplainRewrite(const std::string& sql, std::string* inner_sql) {
   StatusOr<std::vector<Token>> tokens = Lex(sql);
-  if (!tokens.ok()) return false;  // the SELECT parser will report the error
-  const std::vector<Token>& toks = *tokens;
+  // A lex error is not this statement: the SELECT parser will report it.
+  return tokens.ok() && IsExplainRewrite(sql, *tokens, inner_sql);
+}
+
+bool IsExplainRewrite(const std::string& sql, const std::vector<Token>& toks,
+                      std::string* inner_sql) {
   if (toks.size() < 3) return false;
   if (toks[0].type != TokenType::kIdentifier || toks[0].text != "explain") {
     return false;
@@ -557,10 +573,7 @@ bool IsExplainRewrite(const std::string& sql, std::string* inner_sql) {
   return true;
 }
 
-bool IsTuneStatement(const std::string& sql, int64_t* budget_rows) {
-  StatusOr<std::vector<Token>> tokens = Lex(sql);
-  if (!tokens.ok()) return false;
-  const std::vector<Token>& toks = *tokens;
+bool IsTuneStatement(const std::vector<Token>& toks, int64_t* budget_rows) {
   if (toks.empty() || toks[0].type != TokenType::kIdentifier ||
       toks[0].text != "tune") {
     return false;

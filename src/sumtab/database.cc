@@ -13,6 +13,7 @@
 #include "qgm/qgm_print.h"
 #include "qgm/qgm_to_sql.h"
 #include "sql/parser.h"
+#include "sql/template.h"
 #include "sumtab/compensation_exec.h"
 #include "sumtab/maintenance.h"
 #include "wal/wal.h"
@@ -46,6 +47,26 @@ int64_t LeafRows(const std::vector<std::string>& tables,
   return rows;
 }
 
+/// The trace's plan-cache fate for a lookup; on a hit, `*detail` becomes
+/// "template", or the decision that keeps the plan to its own literals.
+PlanCacheOutcome PlanCacheFate(ShardedPlanCache::Lookup lookup,
+                               const CachedPlan* cached, std::string* detail) {
+  switch (lookup) {
+    case ShardedPlanCache::Lookup::kHit:
+      *detail = cached->literal_read.empty()
+                    ? "template"
+                    : "literal-sensitive: " + cached->literal_read;
+      return PlanCacheOutcome::kHit;
+    case ShardedPlanCache::Lookup::kMiss:
+      return PlanCacheOutcome::kMiss;
+    case ShardedPlanCache::Lookup::kInvalidated:
+      return PlanCacheOutcome::kInvalidated;
+    case ShardedPlanCache::Lookup::kLiteralSensitive:
+      return PlanCacheOutcome::kLiteralSensitive;
+  }
+  return PlanCacheOutcome::kMiss;
+}
+
 int64_t LeafRowCost(const qgm::Graph& graph,
                     const engine::Storage::Snapshot& snap) {
   return LeafRows(LeafTables(graph), snap);
@@ -58,11 +79,12 @@ Database::~Database() = default;
 
 // ---- rewrite-plan cache ----
 
-std::string Database::PlanCacheKey(const std::string& normalized_sql,
-                                   const QueryOptions& options) const {
+std::string Database::PlanCacheKey(const sql::SqlTemplate& tmpl,
+                                   const QueryOptions& options) {
   // Only options that change the *plan graph* belong in the key; execution
   // knobs (threads, budgets, join strategy) reuse the same entry.
-  return normalized_sql + "#rw=" + (options.enable_rewrite ? "1" : "0") +
+  return tmpl.text + "#slots=" + tmpl.SlotKinds() +
+         "#rw=" + (options.enable_rewrite ? "1" : "0") +
          "#stale=" + (options.allow_stale_reads ? "1" : "0");
 }
 
@@ -122,6 +144,7 @@ DatabaseStats Database::Stats() const {
   stats.plan_cache_misses = cache.misses;
   stats.plan_cache_invalidations = cache.invalidations;
   stats.plan_cache_entries = cache.entries;
+  stats.plan_cache_literal_sensitive = cache.literal_sensitive;
   stats.catalog_generation = catalog_generation_.load(std::memory_order_acquire);
   stats.metrics = MetricsRegistry::Global().Snap();
   stats.durability.enabled = wal_ != nullptr;
@@ -707,8 +730,11 @@ std::unique_ptr<qgm::Graph> Database::TryRewrite(
 
 StatusOr<QueryResult> Database::Query(const std::string& sql,
                                       const QueryOptions& options) {
+  // One lex serves the statement dispatch, the plan-cache template and, on
+  // a miss, the parse.
+  SUMTAB_ASSIGN_OR_RETURN(std::vector<sql::Token> tokens, sql::Lex(sql));
   std::string inner_sql;
-  if (sql::IsExplainRewrite(sql, &inner_sql)) {
+  if (sql::IsExplainRewrite(sql, tokens, &inner_sql)) {
     SUMTAB_ASSIGN_OR_RETURN(std::string text,
                             ExplainRewrite(inner_sql, options));
     QueryResult result;
@@ -724,7 +750,7 @@ StatusOr<QueryResult> Database::Query(const std::string& sql,
     return result;
   }
   int64_t tune_budget = -1;
-  if (sql::IsTuneStatement(sql, &tune_budget)) {
+  if (sql::IsTuneStatement(tokens, &tune_budget)) {
     advisor::AdvisorOptions tune_options;
     tune_options.budget_rows = tune_budget;
     SUMTAB_ASSIGN_OR_RETURN(advisor::TuneOutcome outcome,
@@ -738,10 +764,11 @@ StatusOr<QueryResult> Database::Query(const std::string& sql,
     }
     return result;
   }
-  return QuerySelect(sql, options);
+  return QuerySelect(sql, std::move(tokens), options);
 }
 
 StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
+                                            std::vector<sql::Token> tokens,
                                             const QueryOptions& options) {
   static Counter* queries = MetricsRegistry::Global().counter("query.total");
   static Counter* degraded_queries =
@@ -764,11 +791,12 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
   QueryResult result;
   if (options.collect_trace) result.trace = std::make_shared<QueryTrace>();
   QueryTrace* trace = result.trace.get();
-  // The cache key and the workload log share one normalization.
+  // The plan cache keys the query by its template (DESIGN.md §8); the
+  // workload log keeps the literal text, which the advisor re-parses.
+  sql::SqlTemplate tmpl;
+  if (options.enable_plan_cache) tmpl = sql::Templatize(&tokens);
   const std::string normalized =
-      options.enable_plan_cache || options.record_workload
-          ? NormalizeSqlText(sql)
-          : std::string();
+      options.record_workload ? NormalizeSqlText(sql) : std::string();
   std::string cache_key;
   ShardedPlanCache::PlanPtr cached;            // set on a hit
   std::shared_ptr<const qgm::Graph> plan;      // the graph to execute
@@ -790,6 +818,7 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
   // What a compile-path plan is memoized under (step 3).
   std::vector<std::string> leaf_tables;
   PlanContext plan_context;
+  std::string literal_read;  // the search's first read of a slot's value
 
   // Planning happens under the shared catalog lock: pin the storage
   // snapshot every later step reads, capture the generation, consult the
@@ -802,32 +831,22 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
 
     // 1. Plan-cache lookup: a hit skips parse -> QGM build -> match search.
     if (options.enable_plan_cache) {
-      cache_key = PlanCacheKey(normalized, options);
-      std::string cause;
+      cache_key = PlanCacheKey(tmpl, options);
+      std::string detail;
       ShardedPlanCache::Lookup lookup = plan_cache_.Find(
-          cache_key,
+          cache_key, tmpl.params,
           [&](const std::vector<std::string>& tables) {
             return PlanningContext(tables, snap, plan_generation, options);
           },
-          &cached, &cause);
+          &cached, &detail);
       if (trace != nullptr) {
-        switch (lookup) {
-          case ShardedPlanCache::Lookup::kHit:
-            trace->SetPlanCache(PlanCacheOutcome::kHit, "");
-            break;
-          case ShardedPlanCache::Lookup::kMiss:
-            trace->SetPlanCache(PlanCacheOutcome::kMiss, "");
-            break;
-          case ShardedPlanCache::Lookup::kInvalidated:
-            trace->SetPlanCache(PlanCacheOutcome::kInvalidated, cause);
-            break;
-        }
+        PlanCacheOutcome outcome = PlanCacheFate(lookup, cached.get(), &detail);
+        trace->SetPlanCache(outcome, std::move(detail), tmpl.text);
       }
       if (lookup == ShardedPlanCache::Lookup::kHit) {
         result.plan_cache_hit = true;
         result.used_summary_table = cached->used_summary_table;
         result.summary_table = cached->summary_table;
-        result.rewritten_sql = cached->rewritten_sql;
         result.candidate_rewrites = cached->candidate_rewrites;
         // The context check just vouched for these ASTs under this same
         // lock, so the lookups cannot miss; pin them for post-execution
@@ -839,17 +858,33 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
         }
         was_rewritten = cached->used_summary_table;
         base_leaf_rows = LeafRows(cached->leaf_tables, snap);
+        // Other literals than the plan's own: bind them into copies of the
+        // graphs (a literal-sensitive plan never gets here with other ones).
+        const bool rebind = cached->params != tmpl.params;
+        result.rewritten_sql =
+            rebind && !cached->rewritten_sql_slots.pieces.empty()
+                ? cached->rewritten_sql_slots.Render(tmpl.params)
+                : cached->rewritten_sql;
         comp = cached->compensation;
+        if (rebind && comp != nullptr) {
+          comp = std::make_shared<const matching::CompensationPlan>(
+              matching::BindSlots(*comp, tmpl.params));
+        }
         // A compensation entry's graph is the base-table fallback.
-        (comp != nullptr ? original : plan) = cached->plan;
+        (comp != nullptr ? original : plan) =
+            rebind ? std::make_shared<const qgm::Graph>(
+                         qgm::BindSlots(*cached->plan, tmpl.params))
+                   : cached->plan;
       }
     }
 
     // 2. Compile path (miss / invalidated / cache disabled).
     if (plan == nullptr && comp == nullptr) {
+      // Notes any step below that reads a slot literal's value.
+      expr::SlotReadScope slot_reads;
       int64_t t0 = MonotonicNanos();
       SUMTAB_ASSIGN_OR_RETURN(std::shared_ptr<sql::SelectStmt> stmt,
-                              sql::Parse(sql));
+                              sql::ParseTokens(std::move(tokens)));
       int64_t t1 = MonotonicNanos();
       SUMTAB_ASSIGN_OR_RETURN(qgm::Graph graph,
                               qgm::BuildGraph(*stmt, catalog_));
@@ -912,6 +947,9 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
       if (plan == nullptr && comp == nullptr) {
         plan = original;
         used.clear();
+      }
+      if (slot_reads.first_read() != nullptr) {
+        literal_read = slot_reads.first_read();
       }
     }
 
@@ -1028,6 +1066,22 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
     entry->used_summary_table = result.used_summary_table;
     entry->summary_table = result.summary_table;
     entry->rewritten_sql = result.rewritten_sql;
+    entry->params = std::move(tmpl.params);
+    entry->literal_read = std::move(literal_read);
+    if (entry->literal_read.empty() && !entry->params.empty() &&
+        !entry->rewritten_sql.empty()) {
+      // Cut the SQL at its slots, so a hit renders its own literals. A
+      // string literal that holds the cut marker leaves it uncut, and the
+      // plan then serves only these literals.
+      StatusOr<qgm::SlottedSql> slotted = qgm::ToSlottedSql(
+          comp != nullptr ? comp->ast_leg : *plan, entry->params.size());
+      if (slotted.ok() &&
+          slotted->Render(entry->params) == entry->rewritten_sql) {
+        entry->rewritten_sql_slots = std::move(*slotted);
+      } else {
+        entry->literal_read = "rewritten sql";
+      }
+    }
     entry->candidate_rewrites = result.candidate_rewrites;
     for (const SummaryTablePtr& st : used) entry->used_asts.push_back(st->name);
     entry->compensation = comp;
@@ -1105,24 +1159,18 @@ StatusOr<std::string> Database::ExplainRewrite(const std::string& sql,
   // dropped — but EXPLAIN never inserts, so explaining cannot seed the cache
   // with an unexecuted plan.
   if (options.enable_plan_cache) {
+    SUMTAB_ASSIGN_OR_RETURN(std::vector<sql::Token> tokens, sql::Lex(sql));
+    sql::SqlTemplate tmpl = sql::Templatize(&tokens);
     ShardedPlanCache::PlanPtr cached;
-    std::string cause;
-    switch (plan_cache_.Find(
-        PlanCacheKey(NormalizeSqlText(sql), options),
+    std::string detail;
+    ShardedPlanCache::Lookup lookup = plan_cache_.Find(
+        PlanCacheKey(tmpl, options), tmpl.params,
         [&](const std::vector<std::string>& tables) {
           return PlanningContext(tables, snap, generation, options);
         },
-        &cached, &cause)) {
-      case ShardedPlanCache::Lookup::kHit:
-        trace.SetPlanCache(PlanCacheOutcome::kHit, "");
-        break;
-      case ShardedPlanCache::Lookup::kMiss:
-        trace.SetPlanCache(PlanCacheOutcome::kMiss, "");
-        break;
-      case ShardedPlanCache::Lookup::kInvalidated:
-        trace.SetPlanCache(PlanCacheOutcome::kInvalidated, cause);
-        break;
-    }
+        &cached, &detail);
+    PlanCacheOutcome outcome = PlanCacheFate(lookup, cached.get(), &detail);
+    trace.SetPlanCache(outcome, std::move(detail), std::move(tmpl.text));
   }
 
   int64_t t0 = MonotonicNanos();

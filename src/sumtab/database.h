@@ -43,6 +43,7 @@
 #include "engine/relation.h"
 #include "matching/compensation.h"
 #include "qgm/qgm.h"
+#include "sql/template.h"
 #include "sumtab/plan_cache.h"
 #include "sumtab/workload_log.h"
 
@@ -171,12 +172,16 @@ struct QueryResult {
 /// Counters exposed by Database::Stats(). Hits/misses/invalidations
 /// partition plan-cache lookups: an invalidation is a lookup that found the
 /// query's key only under other planning contexts (a DDL generation change,
-/// or a summary table over its base tables in another state).
+/// or a summary table over its base tables in another state). A lookup that
+/// found only a literal-sensitive plan made with other literals is a miss.
 struct DatabaseStats {
   int64_t plan_cache_hits = 0;
   int64_t plan_cache_misses = 0;
   int64_t plan_cache_invalidations = 0;
   int64_t plan_cache_entries = 0;
+  /// Cached plans whose search read a literal's value, so they serve only
+  /// the literals they were made with (DESIGN.md §8).
+  int64_t plan_cache_literal_sensitive = 0;
   /// Monotonic DDL counter (CreateTable / DefineSummaryTable / Drop /
   /// SetMaxStaleness / refresh); part of every cached plan's context.
   int64_t catalog_generation = 0;
@@ -421,9 +426,10 @@ class Database {
   /// Max cached plans; least-recently-used entries are evicted beyond it.
   static constexpr size_t kPlanCacheCapacity = 256;
 
-  /// `normalized_sql` is NormalizeSqlText of the query.
-  std::string PlanCacheKey(const std::string& normalized_sql,
-                           const QueryOptions& options) const;
+  /// The plan-cache key: the query's template and slot kinds, plus the
+  /// options that change the plan graph.
+  static std::string PlanCacheKey(const sql::SqlTemplate& tmpl,
+                                  const QueryOptions& options);
   /// The planning context (plan_cache.h) of a query over `leaf_tables`
   /// under `options`: `generation` plus the state in `snap` of every AST
   /// that reads one of the tables, classified the way TryRewrite's search
@@ -454,8 +460,10 @@ class Database {
           nullptr);
 
   /// Query() body for a plain SELECT (Query() itself also routes
-  /// "explain rewrite" statements to ExplainRewrite()).
+  /// "explain rewrite" statements to ExplainRewrite()); `tokens` is
+  /// Lex(sql).
   StatusOr<QueryResult> QuerySelect(const std::string& sql,
+                                    std::vector<sql::Token> tokens,
                                     const QueryOptions& options);
 
   /// Epoch lag of `st` summed over its base tables.

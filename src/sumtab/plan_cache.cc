@@ -61,9 +61,18 @@ void ShardedPlanCache::Erase(Shard& shard,
   shard.entries.erase(it);
 }
 
+namespace {
+
+/// True when `plan` answers a query with literals `params`.
+bool Serves(const CachedPlan& plan, const std::vector<Value>& params) {
+  return plan.literal_read.empty() || plan.params == params;
+}
+
+}  // namespace
+
 ShardedPlanCache::Lookup ShardedPlanCache::Find(
-    const std::string& key, const ContextFn& current, PlanPtr* out,
-    std::string* invalidation_cause) {
+    const std::string& key, const std::vector<Value>& params,
+    const ContextFn& current, PlanPtr* out, std::string* detail) {
   static Counter* hits = MetricsRegistry::Global().counter("plan_cache.hits");
   static Counter* misses =
       MetricsRegistry::Global().counter("plan_cache.misses");
@@ -83,8 +92,9 @@ ShardedPlanCache::Lookup ShardedPlanCache::Find(
   std::vector<PlanPtr>& variants = it->second.variants;
   const PlanContext now = current(variants.front()->leaf_tables);
   auto match = std::find_if(
-      variants.begin(), variants.end(),
-      [&now](const PlanPtr& plan) { return plan->context == now; });
+      variants.begin(), variants.end(), [&now, &params](const PlanPtr& plan) {
+        return plan->context == now && Serves(*plan, params);
+      });
   if (match != variants.end()) {
     ++shard.hits;
     shard.hits_counter->Increment();
@@ -94,11 +104,21 @@ ShardedPlanCache::Lookup ShardedPlanCache::Find(
     *out = variants.front();
     return Lookup::kHit;
   }
+  auto other_literals = std::find_if(
+      variants.begin(), variants.end(),
+      [&now](const PlanPtr& plan) { return plan->context == now; });
+  if (other_literals != variants.end()) {
+    ++shard.misses;
+    shard.misses_counter->Increment();
+    misses->Increment();
+    if (detail != nullptr) *detail = (*other_literals)->literal_read;
+    return Lookup::kLiteralSensitive;
+  }
   ++shard.invalidations;
   shard.invalidations_counter->Increment();
   invalidations->Increment();
-  if (invalidation_cause != nullptr) {
-    *invalidation_cause = ContextChange(variants.front()->context, now);
+  if (detail != nullptr) {
+    *detail = ContextChange(variants.front()->context, now);
   }
   // Generations only grow: plans from an older one are dead for good.
   if (variants.front()->context.generation != now.generation) {
@@ -122,7 +142,8 @@ void ShardedPlanCache::Insert(const std::string& key, PlanPtr entry) {
   std::vector<PlanPtr>& variants = it->second.variants;
   std::erase_if(variants, [&entry](const PlanPtr& plan) {
     return plan->context.generation != entry->context.generation ||
-           plan->context == entry->context;
+           (plan->context == entry->context &&
+            Serves(*entry, plan->params));
   });
   variants.insert(variants.begin(), std::move(entry));
   if (variants.size() > kMaxVariants) variants.resize(kMaxVariants);
@@ -152,6 +173,9 @@ ShardedPlanCache::Stats ShardedPlanCache::TotalStats() const {
     stats.invalidations += shard.invalidations;
     for (const auto& [key, node] : shard.entries) {
       stats.entries += static_cast<int64_t>(node.variants.size());
+      for (const PlanPtr& plan : node.variants) {
+        stats.literal_sensitive += plan->literal_read.empty() ? 0 : 1;
+      }
     }
   }
   return stats;

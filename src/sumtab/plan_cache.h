@@ -5,14 +5,20 @@
 // right for as long as what the search read stays the same: the catalog
 // generation and, for every AST over one of the query's base tables, that
 // AST's state at the query's pinned snapshot (PlanContext). Appends that
-// leave every AST fresh change neither, so they keep the plan. One key (the
-// normalized SQL plus the planning options) holds up to kMaxVariants plans
-// side by side, one per context: a query that alternates between fresh ASTs
-// and ASTs one deferred append behind keeps both its rewrite and its
-// compensated plan warm. A lookup hits only when the caller's current
-// context equals an entry's; a key found only under other contexts counts
-// as an invalidation, and the cause names the first component that differs.
-// Entries are immutable and shared, so a hit copies a pointer.
+// leave every AST fresh change neither, so they keep the plan. The key is
+// the query's template (sql::Templatize: its literals lifted into slots)
+// plus the planning options, so queries that differ only in their constants
+// share it. A plan whose search read no slot literal's value serves every
+// binding of the template; a literal-sensitive one serves only the literals
+// it was made with. One key holds up to kMaxVariants plans side by side, one
+// per context (and per binding, for literal-sensitive plans): a query that
+// alternates between fresh ASTs and ASTs one deferred append behind keeps
+// both its rewrite and its compensated plan warm. A lookup hits only when
+// the caller's current context equals an entry's; a key found only under
+// other contexts counts as an invalidation, and the cause names the first
+// component that differs. Entries are immutable and shared: a hit copies a
+// pointer, and the caller binds the query's literals into copies of the
+// graphs that hold slots.
 //
 // Keys hash across kNumShards independent partitions, each with its own
 // mutex, map, LRU list and counters, so unrelated queries proceed in
@@ -31,8 +37,10 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/value.h"
 #include "matching/compensation.h"
 #include "qgm/qgm.h"
+#include "qgm/qgm_to_sql.h"
 
 namespace sumtab {
 
@@ -80,6 +88,9 @@ struct CachedPlan {
   bool used_summary_table = false;
   std::string summary_table;
   std::string rewritten_sql;
+  /// rewritten_sql cut at its slot literals; empty for a literal-sensitive
+  /// entry, which is never bound.
+  qgm::SlottedSql rewritten_sql_slots;
   int candidate_rewrites = 0;
   std::vector<std::string> used_asts;
   /// Set when a lagging AST answers through the two-leg compensation plan.
@@ -93,6 +104,14 @@ struct CachedPlan {
   /// log's direct-cost figure, summed afresh on every hit.
   std::vector<std::string> leaf_tables;
   PlanContext context;
+  /// The template's literals the plan was made with (its first sighting),
+  /// by slot; the graphs' slot literals hold them.
+  std::vector<Value> params;
+  /// Empty when no step of the search read a slot literal's value: the plan
+  /// is right for every binding, and a hit with other literals binds them.
+  /// Else the first decision that read one (expr::SlotReadScope), and the
+  /// plan serves only `params`.
+  std::string literal_read;
 };
 
 class ShardedPlanCache {
@@ -110,7 +129,9 @@ class ShardedPlanCache {
   ShardedPlanCache(const ShardedPlanCache&) = delete;
   ShardedPlanCache& operator=(const ShardedPlanCache&) = delete;
 
-  enum class Lookup { kHit, kMiss, kInvalidated };
+  /// kLiteralSensitive: the key holds a plan for the current context, but a
+  /// literal-sensitive one made with other literals; it counts as a miss.
+  enum class Lookup { kHit, kMiss, kInvalidated, kLiteralSensitive };
 
   /// The caller's current planning context for a query over `leaf_tables`.
   /// Called at most once per lookup, with the shard lock held, so it must
@@ -118,30 +139,35 @@ class ShardedPlanCache {
   using ContextFn =
       std::function<PlanContext(const std::vector<std::string>& leaf_tables)>;
 
-  /// Serves the plan for `key` whose context equals `current`'s. On kHit,
-  /// `*out` shares it and the key moves to the front of its shard's LRU. On
-  /// kInvalidated, `*invalidation_cause` (if non-null) receives
-  /// ContextChange against the most recently served plan, and plans from
-  /// older catalog generations, which can never be served again, are
-  /// dropped.
-  Lookup Find(const std::string& key, const ContextFn& current, PlanPtr* out,
-              std::string* invalidation_cause = nullptr);
+  /// Serves the plan for `key` whose context equals `current`'s and that
+  /// holds for `params`, the query's literals. On kHit, `*out` shares it and
+  /// the key moves to the front of its shard's LRU. On kInvalidated,
+  /// `*detail` (if non-null) receives ContextChange against the most
+  /// recently served plan, and plans from older catalog generations, which
+  /// can never be served again, are dropped. On kLiteralSensitive it
+  /// receives the decision that made that plan literal-sensitive.
+  Lookup Find(const std::string& key, const std::vector<Value>& params,
+              const ContextFn& current, PlanPtr* out,
+              std::string* detail = nullptr);
 
-  /// Adds `entry` under `key`, replacing the plan for the same context and
-  /// any plan from another catalog generation, and evicting beyond
-  /// kMaxVariants per key and the shard's key capacity.
+  /// Adds `entry` under `key`, replacing any plan from another catalog
+  /// generation and the plans for the same context that `entry` covers (all
+  /// of them, or the literal-sensitive ones with its literals), and evicting
+  /// beyond kMaxVariants per key and the shard's key capacity.
   void Insert(const std::string& key, PlanPtr entry);
 
   /// Drops `entry` from `key` (a cached plan that failed to execute).
   void Forget(const std::string& key, const CachedPlan* entry);
 
   /// Aggregated counters across shards (Database::Stats()); `entries`
-  /// counts plans, not keys.
+  /// counts plans, not keys, and `literal_sensitive` the plans among them
+  /// that serve only their own literals.
   struct Stats {
     int64_t hits = 0;
     int64_t misses = 0;
     int64_t invalidations = 0;
     int64_t entries = 0;
+    int64_t literal_sensitive = 0;
   };
   Stats TotalStats() const;
 

@@ -32,6 +32,7 @@
 #include "engine/relation.h"
 #include "sumtab/database.h"
 #include "tests/reference.h"
+#include "tests/test_util.h"
 
 namespace sumtab {
 namespace {
@@ -358,8 +359,12 @@ TEST_P(DifferentialTest, TpcdSchemaThreeWayEquivalence) {
 // runs twice, cold and then warm, with the plan cache on. Every answer, hit
 // or miss, must match the reference over the current base tables. The
 // second cycle's states repeat the first's planning contexts, so their plans
-// come back from the cache with the delta leg over the current lag. The leg
-// fails if no warm query hit, so it cannot pass vacuously.
+// come back from the cache with the delta leg over the current lag. Each
+// query is followed by instances of its template with shifted integer
+// literals, which hit the query's plan bound to their own literals: a hit
+// must render the rewritten SQL and take the compensated path exactly as a
+// fresh plan does. The leg fails if no warm query and no such instance hit,
+// so it cannot pass vacuously.
 TEST_P(DifferentialTest, PlanCacheAcrossAppendsMatchesReference) {
   const uint64_t seed = GetParam();
   Database db;
@@ -379,6 +384,16 @@ TEST_P(DifferentialTest, PlanCacheAcrossAppendsMatchesReference) {
                     "count(*) as cnt, sum(qty) as sq from trans "
                     "group by fpgid, year(date), month(date)")
                   .ok());
+  // Covers only the later years: whether it answers a query depends on the
+  // query's year bound (paper 4.1), so its plans are literal-sensitive.
+  ASSERT_TRUE(db.DefineSummaryTable(
+                    "ast_card_recent",
+                    "select faid, flid, fpgid, year(date) as y, "
+                    "month(date) as m, count(*) as cnt, sum(qty) as sq, "
+                    "min(qty) as mnq, max(qty) as mxq from trans "
+                    "where year(date) >= 1993 "
+                    "group by faid, flid, fpgid, year(date), month(date)")
+                  .ok());
   QueryGen gen(seed ^ 0xcac4eULL, "trans",
                {{"faid", "faid"},
                 {"fpgid", "fpgid"},
@@ -396,7 +411,9 @@ TEST_P(DifferentialTest, PlanCacheAcrossAppendsMatchesReference) {
   int next_tid = 4000000;
   QueryOptions cached;
   cached.max_threads = 1;
-  int warm_hits = 0, compensated = 0, served_again = 0;
+  QueryOptions uncached = cached;
+  uncached.enable_plan_cache = false;
+  int warm_hits = 0, compensated = 0, served_again = 0, template_hits = 0;
   const bool kEager[] = {true, false, true, false};
   for (int state = 0; state < 4; ++state) {
     std::vector<Row> delta;
@@ -437,10 +454,38 @@ TEST_P(DifferentialTest, PlanCacheAcrossAppendsMatchesReference) {
             << got->relation.ToString(30) << "reference:\n"
             << want->ToString(30);
       }
+      // Instances of the same template with other literals: the cached plan
+      // is bound to them, and a hit must say and answer what a fresh plan
+      // would.
+      for (const int64_t delta : {1, 2}) {
+        const std::string variant = testing::ShiftIntLiterals(sql, delta);
+        if (variant == sql) break;
+        StatusOr<engine::Relation> want_variant =
+            reference::Query(db, variant);
+        StatusOr<QueryResult> bound = db.Query(variant, cached);
+        StatusOr<QueryResult> fresh = db.Query(variant, uncached);
+        ASSERT_TRUE(want_variant.ok() && bound.ok() && fresh.ok())
+            << Diag(&db, variant, static_cast<int>(q), seed);
+        if (bound->plan_cache_hit) {
+          ++template_hits;
+          EXPECT_EQ(bound->rewritten_sql, fresh->rewritten_sql)
+              << Diag(&db, variant, static_cast<int>(q), seed);
+          EXPECT_EQ(bound->compensated, fresh->compensated)
+              << Diag(&db, variant, static_cast<int>(q), seed);
+        }
+        EXPECT_TRUE(
+            reference::MatchesReference(bound->relation, *want_variant))
+            << Diag(&db, variant, static_cast<int>(q), seed)
+            << "\nstate=" << state << " hit=" << bound->plan_cache_hit
+            << " compensated=" << bound->compensated << "\nengine:\n"
+            << bound->relation.ToString(30) << "reference:\n"
+            << want_variant->ToString(30);
+      }
       if (HasFatalFailure() || HasNonfatalFailure()) return;
     }
   }
   EXPECT_GT(warm_hits, 0);
+  EXPECT_GT(template_hits, 0);
   // The second eager and deferred states re-serve the first ones' plans.
   EXPECT_GT(served_again, 0);
   EXPECT_GT(compensated, 0);

@@ -152,16 +152,6 @@ TEST(ExprEvalTest, AggregateNodeIsAnInternalError) {
   EXPECT_EQ(v.status().code(), Status::Code::kInternal);
 }
 
-TEST(ExprRewriteTest, FoldConstants) {
-  ExprPtr e = Binary(BinaryOp::kMul, Binary(BinaryOp::kAdd, LitInt(2), LitInt(3)),
-                     ColRef(0, 0));
-  ExprPtr folded = expr::FoldConstants(e);
-  ASSERT_EQ(folded->children[0]->kind, expr::Expr::Kind::kLiteral);
-  EXPECT_EQ(folded->children[0]->literal.AsInt(), 5);
-  // Column refs are untouched.
-  EXPECT_EQ(folded->children[1]->kind, expr::Expr::Kind::kColumnRef);
-}
-
 TEST(ExprRewriteTest, Predicates) {
   int col = -1;
   EXPECT_TRUE(expr::IsSimpleColumnRef(ColRef(1, 4), 1, &col));

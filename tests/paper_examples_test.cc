@@ -13,7 +13,9 @@ using testing::MakeCardDb;
 
 /// testing::ExpectRewriteEquivalent, then the figure's second and third
 /// runs at max_threads 1 and 4: both are plan-cache hits, and both answer
-/// like direct execution.
+/// like direct execution. Last, the figure with its integer literals shifted
+/// by one answers like direct execution, and a plan-cache hit for it shows
+/// the fresh plan's rewritten SQL.
 std::string ExpectFigureRewrite(Database* db, const std::string& sql,
                                 bool expect_rewrite = true) {
   std::string rewritten =
@@ -34,6 +36,26 @@ std::string ExpectFigureRewrite(Database* db, const std::string& sql,
     EXPECT_TRUE(engine::SameRowMultiset(direct->relation, again->relation))
         << "threads=" << threads << "\n" << sql;
   }
+  // The figure's template with other integer literals: a plan-cache hit is
+  // bound to them, and says and answers what a fresh plan would.
+  const std::string variant = testing::ShiftIntLiterals(sql, 1);
+  if (variant == sql) return rewritten;
+  QueryOptions no_cache;
+  no_cache.enable_plan_cache = false;
+  StatusOr<QueryResult> fresh = db->Query(variant, no_cache);
+  StatusOr<QueryResult> bound = db->Query(variant);
+  StatusOr<QueryResult> variant_direct = db->Query(variant, no_rewrite);
+  EXPECT_TRUE(fresh.ok() && bound.ok() && variant_direct.ok()) << variant;
+  if (!fresh.ok() || !bound.ok() || !variant_direct.ok()) return rewritten;
+  if (bound->plan_cache_hit) {
+    EXPECT_EQ(bound->rewritten_sql, fresh->rewritten_sql) << variant;
+    EXPECT_EQ(bound->used_summary_table, fresh->used_summary_table)
+        << variant;
+    EXPECT_EQ(bound->compensated, fresh->compensated) << variant;
+  }
+  EXPECT_TRUE(engine::SameRowMultiset(variant_direct->relation,
+                                      bound->relation))
+      << variant << "\nrewritten: " << bound->rewritten_sql;
   return rewritten;
 }
 

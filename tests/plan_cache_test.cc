@@ -6,6 +6,9 @@
 // be served as-is.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "common/fault_injection.h"
 #include "common/str_util.h"
 #include "tests/test_util.h"
@@ -73,19 +76,35 @@ TEST_F(PlanCacheTest, CaseFoldSharesOneEntry) {
 }
 
 TEST_F(PlanCacheTest, QuotedLiteralsStayCaseSensitive) {
-  // String literals are data, not syntax: 'Gold' and 'GOLD' are different
-  // queries and must not collide in the cache.
+  // String literals are data, not syntax: 'Gold' and 'GOLD' share one
+  // template entry, but each query is answered with its own literal, never
+  // with the other's.
   constexpr char kGold[] =
       "select count(*) as c from acct where status = 'Gold'";
   constexpr char kUpper[] =
       "select count(*) as c from acct where status = 'GOLD'";
+  constexpr char kActive[] =
+      "select count(*) as c from acct where status = 'active'";
+  QueryOptions no_cache;
+  no_cache.enable_plan_cache = false;
+  no_cache.enable_rewrite = false;
   QueryResult gold = MustQuery(kGold);
   EXPECT_FALSE(gold.plan_cache_hit);
   QueryResult upper = MustQuery(kUpper);
-  EXPECT_FALSE(upper.plan_cache_hit);  // distinct literal => distinct entry
-  EXPECT_TRUE(MustQuery(kGold).plan_cache_hit);
-  EXPECT_TRUE(MustQuery(kUpper).plan_cache_hit);
-  EXPECT_EQ(db_->Stats().plan_cache_entries, 2);
+  EXPECT_TRUE(upper.plan_cache_hit);  // one template, one entry
+  QueryResult active = MustQuery(kActive);
+  EXPECT_TRUE(active.plan_cache_hit);
+  EXPECT_EQ(db_->Stats().plan_cache_entries, 1);
+  EXPECT_TRUE(engine::SameRowMultiset(gold.relation,
+                                      MustQuery(kGold, no_cache).relation));
+  EXPECT_TRUE(engine::SameRowMultiset(upper.relation,
+                                      MustQuery(kUpper, no_cache).relation));
+  EXPECT_TRUE(engine::SameRowMultiset(active.relation,
+                                      MustQuery(kActive, no_cache).relation));
+  // The bound literal reached the filter: most accounts are 'active'.
+  ASSERT_EQ(active.relation.rows.size(), 1u);
+  EXPECT_GT(active.relation.rows[0][0].AsInt(), 0);
+  EXPECT_EQ(gold.relation.rows[0][0].AsInt(), 0);
   // Folding the SQL around the literal still hits the same entry.
   EXPECT_TRUE(MustQuery(
                   "SELECT count(*) AS c FROM acct WHERE status = 'Gold'")
@@ -308,7 +327,7 @@ TEST_F(PlanCacheTest, CompensationPlanIsCachedAndInvalidatedByRefresh) {
   EXPECT_FALSE(after.plan_cache_hit);
   ASSERT_NE(after.trace, nullptr);
   EXPECT_EQ(after.trace->plan_cache_outcome(), PlanCacheOutcome::kInvalidated);
-  EXPECT_EQ(after.trace->plan_cache_invalidation_cause(), "delta:trans");
+  EXPECT_EQ(after.trace->plan_cache_detail(), "delta:trans");
   EXPECT_TRUE(after.used_summary_table);
   EXPECT_FALSE(after.compensated);
   EXPECT_TRUE(engine::SameRowMultiset(reference, after.relation));
@@ -334,7 +353,7 @@ TEST_F(PlanCacheTest, CompensationPlanInvalidatedWhenDeltaRangeMoves) {
   QueryResult after = MustQuery(kQuery, traced);
   EXPECT_FALSE(after.plan_cache_hit);
   ASSERT_NE(after.trace, nullptr);
-  EXPECT_EQ(after.trace->plan_cache_invalidation_cause(), "delta:trans");
+  EXPECT_EQ(after.trace->plan_cache_detail(), "delta:trans");
   EXPECT_TRUE(after.compensated);
   EXPECT_EQ(after.compensation_epochs, 2);
   EXPECT_EQ(after.compensation_delta_rows, 50);
@@ -404,7 +423,7 @@ TEST_F(PlanCacheTest, CachedRewriteOverDeferredStaleAstIsNeverServedAsIs) {
   QueryResult comp = MustQuery(kQuery, traced);
   EXPECT_FALSE(comp.plan_cache_hit);
   ASSERT_NE(comp.trace, nullptr);
-  EXPECT_EQ(comp.trace->plan_cache_invalidation_cause(), "delta:trans");
+  EXPECT_EQ(comp.trace->plan_cache_detail(), "delta:trans");
   EXPECT_TRUE(comp.compensated);
   EXPECT_EQ(comp.compensation_delta_rows, 35);
   EXPECT_TRUE(engine::SameRowMultiset(MustQuery(kQuery, no_rewrite).relation,
@@ -496,6 +515,196 @@ TEST_F(PlanCacheTest, StatsCountersAreConsistent) {
   EXPECT_EQ(after.plan_cache_misses, 1);
   EXPECT_EQ(after.plan_cache_hits, 2);
   EXPECT_GT(after.catalog_generation, 0);  // schema DDL during setup
+}
+
+// ---------------------------------------------------------------------------
+// Plan templates (DESIGN.md §8): the key lifts literals into slots, so
+// queries that differ only in their constants share one plan; a plan whose
+// search read a literal's value serves only the literals it was made with.
+// ---------------------------------------------------------------------------
+
+class PlanCacheTemplateTest : public PlanCacheTest {
+ protected:
+  /// The query with the cache and rewriting off: the reference answer.
+  engine::Relation Direct(const std::string& sql) {
+    QueryOptions direct;
+    direct.enable_plan_cache = false;
+    direct.enable_rewrite = false;
+    return MustQuery(sql, direct).relation;
+  }
+
+  /// Runs `sql` traced; expects the answer to be Direct's.
+  QueryResult Traced(const std::string& sql) {
+    QueryOptions traced;
+    traced.collect_trace = true;
+    QueryResult result = MustQuery(sql, traced);
+    EXPECT_TRUE(engine::SameRowMultiset(result.relation, Direct(sql))) << sql;
+    return result;
+  }
+
+  static std::string TemplateOf(const QueryResult& result) {
+    std::string text = result.trace->ToString();
+    size_t at = text.find("plan template: ");
+    return at == std::string::npos
+               ? ""
+               : text.substr(at, text.find('\n', at) - at);
+  }
+};
+
+TEST_F(PlanCacheTemplateTest, DrillDownsShareOnePlan) {
+  ASSERT_TRUE(db_->DefineSummaryTable("ast1", kAstDef).ok());
+  auto drill = [](int faid, int year) {
+    return "select faid, year(date) as y, count(*) as cnt from trans "
+           "where faid = " +
+           std::to_string(faid) + " and year(date) <= " +
+           std::to_string(year) + " group by faid, year(date)";
+  };
+  QueryResult first = Traced(drill(3, 1992));
+  EXPECT_FALSE(first.plan_cache_hit);
+  ASSERT_TRUE(first.used_summary_table);
+  QueryResult second = Traced(drill(7, 1993));
+  EXPECT_TRUE(second.plan_cache_hit);
+  EXPECT_TRUE(second.used_summary_table);
+  EXPECT_EQ(second.trace->plan_cache_detail(), "template");
+  EXPECT_EQ(TemplateOf(first), TemplateOf(second));
+  // The bound plan renders its own literals, exactly as a fresh plan would.
+  QueryOptions no_cache;
+  no_cache.enable_plan_cache = false;
+  EXPECT_EQ(second.rewritten_sql, MustQuery(drill(7, 1993), no_cache)
+                                      .rewritten_sql);
+  EXPECT_NE(second.rewritten_sql.find("= 7"), std::string::npos)
+      << second.rewritten_sql;
+  DatabaseStats stats = db_->Stats();
+  EXPECT_EQ(stats.plan_cache_entries, 1);
+  EXPECT_EQ(stats.plan_cache_literal_sensitive, 0);
+}
+
+TEST_F(PlanCacheTemplateTest, SubsumptionFlipReplans) {
+  // Paper 4.1: the AST keeps only 1993 on, so a query's year bound decides
+  // whether the AST's rows cover it. That decision read the literal, so the
+  // plan serves only the literals it was made with.
+  ASSERT_TRUE(db_->DefineSummaryTable(
+                     "ast_recent",
+                     "select faid, year(date) as y, count(*) as cnt from trans "
+                     "where year(date) >= 1993 group by faid, year(date)")
+                  .ok());
+  auto query = [](int year) {
+    return "select faid, count(*) as cnt from trans where year(date) >= " +
+           std::to_string(year) + " group by faid";
+  };
+  QueryResult covered = Traced(query(1994));
+  EXPECT_TRUE(covered.used_summary_table);
+  QueryResult uncovered = Traced(query(1991));
+  EXPECT_FALSE(uncovered.plan_cache_hit);
+  EXPECT_EQ(uncovered.trace->plan_cache_outcome(),
+            PlanCacheOutcome::kLiteralSensitive);
+  EXPECT_FALSE(uncovered.used_summary_table);
+  QueryResult covered_again = Traced(query(1993));
+  EXPECT_FALSE(covered_again.plan_cache_hit);
+  EXPECT_TRUE(covered_again.used_summary_table);
+  // Each binding keeps its own entry and is served again.
+  QueryResult repeat = Traced(query(1991));
+  EXPECT_TRUE(repeat.plan_cache_hit);
+  EXPECT_FALSE(repeat.used_summary_table);
+  EXPECT_EQ(db_->Stats().plan_cache_literal_sensitive, 3);
+}
+
+TEST_F(PlanCacheTemplateTest, EqualLiteralsShapeTheTemplate) {
+  ASSERT_TRUE(db_->DefineSummaryTable(
+                     "ast_ym",
+                     "select year(date) as y, month(date) as m, count(*) as "
+                     "cnt from trans group by year(date), month(date)")
+                  .ok());
+  // One slot for both sides of `% 100`: the grouping expression and the
+  // select item stay the same expression for every binding.
+  auto modulo = [](int m) {
+    return "select year(date) % " + std::to_string(m) +
+           " as yy, count(*) as cnt from trans group by year(date) % " +
+           std::to_string(m);
+  };
+  QueryResult by100 = Traced(modulo(100));
+  QueryResult by7 = Traced(modulo(7));
+  EXPECT_TRUE(by7.plan_cache_hit);
+  EXPECT_NE(TemplateOf(by7).find("% ?0 as yy"), std::string::npos)
+      << TemplateOf(by7);
+  EXPECT_NE(TemplateOf(by7).find("group by year(date) % ?0"),
+            std::string::npos)
+      << TemplateOf(by7);
+  // A one-month range and a wider one are different templates.
+  auto months = [](int lo, int hi) {
+    return "select year(date) as y, count(*) as cnt from trans where "
+           "month(date) >= " +
+           std::to_string(lo) + " and month(date) <= " + std::to_string(hi) +
+           " group by year(date)";
+  };
+  QueryResult one = Traced(months(3, 3));
+  QueryResult wide = Traced(months(3, 5));
+  EXPECT_FALSE(wide.plan_cache_hit);
+  EXPECT_NE(TemplateOf(one), TemplateOf(wide));
+  EXPECT_TRUE(Traced(months(6, 6)).plan_cache_hit);
+  EXPECT_TRUE(Traced(months(1, 11)).plan_cache_hit);
+}
+
+TEST_F(PlanCacheTemplateTest, LiteralKindsAreInTheKey) {
+  constexpr char kInt[] =
+      "select count(*) as c from trans where price < 600";
+  constexpr char kDouble[] =
+      "select count(*) as c from trans where price < 600.5";
+  EXPECT_FALSE(Traced(kInt).plan_cache_hit);
+  EXPECT_FALSE(Traced(kDouble).plan_cache_hit);
+  EXPECT_EQ(db_->Stats().plan_cache_entries, 2);
+  EXPECT_TRUE(Traced("select count(*) as c from trans where price < 700")
+                  .plan_cache_hit);
+  EXPECT_TRUE(Traced("select count(*) as c from trans where price < 0.25")
+                  .plan_cache_hit);
+}
+
+TEST_F(PlanCacheTemplateTest, OrderByPositionStaysInTheText) {
+  constexpr char kBySecond[] =
+      "select faid, count(*) as cnt from trans group by faid order by 2, 1";
+  constexpr char kByFirst[] =
+      "select faid, count(*) as cnt from trans group by faid order by 1";
+  QueryResult second = Traced(kBySecond);
+  QueryResult first = Traced(kByFirst);
+  EXPECT_FALSE(first.plan_cache_hit);
+  EXPECT_NE(TemplateOf(second).find("order by 2, 1"), std::string::npos)
+      << TemplateOf(second);
+  // The rows come back in each query's own order.
+  EXPECT_TRUE(second.relation.rows == Direct(kBySecond).rows);
+  EXPECT_TRUE(first.relation.rows == Direct(kByFirst).rows);
+}
+
+TEST_F(PlanCacheTemplateTest, ConcurrentBindsOfOneEntry) {
+  ASSERT_TRUE(db_->DefineSummaryTable("ast1", kAstDef).ok());
+  auto query = [](int faid) {
+    return "select flid, count(*) as cnt, sum(qty) as sq from trans "
+           "where faid = " +
+           std::to_string(faid) + " group by flid";
+  };
+  constexpr int kValues = 8;
+  std::vector<engine::Relation> expected;
+  for (int v = 0; v < kValues; ++v) expected.push_back(Direct(query(v)));
+  ASSERT_TRUE(MustQuery(query(0)).used_summary_table);
+  std::atomic<int> wrong{0}, misses{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 40; ++i) {
+        int v = (t * 3 + i) % kValues;
+        StatusOr<QueryResult> got = db_->Query(query(v));
+        if (!got.ok() || !got->used_summary_table ||
+            !engine::SameRowMultiset(got->relation, expected[v])) {
+          wrong.fetch_add(1);
+        } else if (!got->plan_cache_hit) {
+          misses.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(misses.load(), 0);
+  EXPECT_EQ(db_->Stats().plan_cache_entries, 1);
 }
 
 }  // namespace

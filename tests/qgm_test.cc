@@ -9,6 +9,7 @@
 #include "qgm/qgm_print.h"
 #include "qgm/qgm_to_sql.h"
 #include "sql/parser.h"
+#include "sql/template.h"
 
 namespace sumtab {
 namespace {
@@ -251,6 +252,8 @@ TEST(QgmToSqlTest, RoundTripReparsesAndRebuilds) {
       "select faid, flid, count(*) as c from trans group by rollup(faid, flid)",
       "select state, count(*) as c from trans, loc where flid = lid "
       "and country = 'USA' group by state",
+      "select faid, count(*) as c from trans where note = 'it''s' "
+      "group by faid",
   };
   for (const char* q : queries) {
     auto g = Build(q, cat);
@@ -261,6 +264,39 @@ TEST(QgmToSqlTest, RoundTripReparsesAndRebuilds) {
     ASSERT_TRUE(g2.ok()) << "re-parse failed for: " << *sql;
     EXPECT_EQ(g2->box(g2->root())->outputs.size(),
               g->box(g->root())->outputs.size());
+  }
+}
+
+TEST(QgmToSqlTest, BoundSlotsRenderLikeAFreshGraph) {
+  catalog::Catalog cat = MakeCatalog();
+  auto tokens = sql::Lex(
+      "select faid, count(*) as c from trans where faid = 3 and "
+      "note = 'a' group by faid having count(*) > 3");
+  ASSERT_TRUE(tokens.ok());
+  sql::SqlTemplate tmpl = sql::Templatize(&*tokens);
+  auto stmt = sql::ParseTokens(*tokens);
+  ASSERT_TRUE(stmt.ok());
+  auto g = qgm::BuildGraph(**stmt, cat);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  auto slotted = qgm::ToSlottedSql(*g, tmpl.params.size());
+  ASSERT_TRUE(slotted.ok());
+  EXPECT_EQ(slotted->Render(tmpl.params), *qgm::ToSql(*g));
+
+  const std::vector<Value> params = {Value::Int(5), Value::String("b'c")};
+  Graph bound = qgm::BindSlots(*g, params);
+  EXPECT_EQ(slotted->Render(params), *qgm::ToSql(bound));
+  EXPECT_NE(slotted->Render(params).find("faid = 5"), std::string::npos);
+  EXPECT_NE(slotted->Render(params).find("'b''c'"), std::string::npos);
+  // Boxes without a slot literal are shared, not copied.
+  for (qgm::BoxId id = 0; id < g->size(); ++id) {
+    const Box* box = g->box(id);
+    bool slotted_box = false;
+    for (const auto& p : box->predicates) {
+      slotted_box = slotted_box || expr::Any(p, [](const expr::Expr& e) {
+                      return e.slot >= 0;
+                    });
+    }
+    EXPECT_EQ(bound.box(id) == box, !slotted_box) << "box " << id;
   }
 }
 

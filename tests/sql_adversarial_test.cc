@@ -67,6 +67,9 @@ TEST(SqlAdversarialTest, MalformedCorpusIsCleanlyRejected) {
       ")))(((",
       "select \x01\x02\x7f from t",
       std::string("select a\0from t", 15),
+      // Numeric literals beyond int64 / double range.
+      "select 99999999999999999999 from t",
+      "select a from t where a < " + std::string(400, '9') + ".5",
   };
   for (const std::string& input : corpus) {
     ExpectCleanRejection(input);

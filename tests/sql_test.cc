@@ -5,6 +5,7 @@
 #include "expr/expr_print.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
+#include "sql/template.h"
 
 namespace sumtab {
 namespace {
@@ -197,6 +198,54 @@ TEST(ParserTest, HavingAndDistinct) {
   EXPECT_TRUE((*stmt)->distinct);
   ASSERT_NE((*stmt)->having, nullptr);
   EXPECT_EQ(expr::ToString((*stmt)->having), "count(*) > 2");
+}
+
+TEST(TemplatizeTest, LiftsEachDistinctLiteralIntoOneSlot) {
+  auto tokens = Lex(
+      "SELECT a, 'x''y' AS s FROM t WHERE b = 3 AND c = 3.0 AND "
+      "d = DATE '1995-01-02' AND e IS NULL AND f = 'x''y' AND g = 3 "
+      "ORDER BY 2");
+  ASSERT_TRUE(tokens.ok());
+  sql::SqlTemplate tmpl = sql::Templatize(&*tokens);
+  // Equal literals of one kind share a slot; 3 and 3.0 do not. ORDER BY
+  // positions, NULL and the DATE keyword stay in the text.
+  EXPECT_EQ(tmpl.text,
+            "select a, ?0 as s from t where b = ?1 and c = ?2 and "
+            "d = date ?3 and e is null and f = ?0 and g = ?1 order by 2");
+  EXPECT_EQ(tmpl.SlotKinds(), "sidt");
+  ASSERT_EQ(tmpl.params.size(), 4u);
+  EXPECT_EQ(tmpl.params[0].AsString(), "x'y");
+  EXPECT_EQ(tmpl.params[3].kind(), Value::Kind::kDate);
+}
+
+TEST(TemplatizeTest, ParserKeepsSlotsOnLiterals) {
+  auto tokens = Lex("select a from t where b >= 7 and c = date '1995-01-02'");
+  ASSERT_TRUE(tokens.ok());
+  sql::SqlTemplate tmpl = sql::Templatize(&*tokens);
+  auto stmt = sql::ParseTokens(*tokens);
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  std::vector<expr::ExprPtr> conjuncts;
+  expr::SplitConjuncts((*stmt)->where, &conjuncts);
+  ASSERT_EQ(conjuncts.size(), 2u);
+  const expr::ExprPtr& seven = conjuncts[0]->children[1];
+  EXPECT_EQ(seven->slot, 0);
+  EXPECT_EQ(seven->literal.AsInt(), 7);
+  const expr::ExprPtr& date = conjuncts[1]->children[1];
+  EXPECT_EQ(date->slot, 1);
+  EXPECT_TRUE(date->literal == tmpl.params[1]);
+  // Plain Parse builds ordinary literals.
+  auto plain = Parse("select a from t where b >= 7");
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ((*plain)->where->children[1]->slot, -1);
+}
+
+TEST(TemplatizeTest, InvalidDateStaysInTheText) {
+  auto tokens = Lex("select a from t where d = date '1995-13-45'");
+  ASSERT_TRUE(tokens.ok());
+  sql::SqlTemplate tmpl = sql::Templatize(&*tokens);
+  EXPECT_EQ(tmpl.text, "select a from t where d = date '1995-13-45'");
+  EXPECT_TRUE(tmpl.params.empty());
+  EXPECT_FALSE(sql::ParseTokens(*tokens).ok());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "data/card_schema.h"
 #include "engine/aggregator.h"
 #include "engine/relation.h"
+#include "sql/lexer.h"
 #include "sumtab/database.h"
 
 namespace sumtab {
@@ -49,6 +50,25 @@ inline std::string ExpectRewriteEquivalent(Database* db,
       << direct->relation.ToString(20) << "\nrouted:\n"
       << routed->relation.ToString(20);
   return routed->rewritten_sql;
+}
+
+/// `sql` with every integer literal before its ORDER BY raised by `delta`.
+/// All move by the same amount, so equal literals stay equal and the query
+/// keeps its plan template (DESIGN.md §8).
+inline std::string ShiftIntLiterals(const std::string& sql, int64_t delta) {
+  StatusOr<std::vector<sql::Token>> tokens = sql::Lex(sql);
+  if (!tokens.ok()) return sql;
+  std::string out;
+  size_t at = 0;
+  for (const sql::Token& token : *tokens) {
+    if (token.type == sql::TokenType::kKeyword && token.text == "order") break;
+    if (token.type != sql::TokenType::kIntLiteral) continue;
+    const size_t position = static_cast<size_t>(token.position);
+    out += sql.substr(at, position - at);
+    out += std::to_string(token.int_value + delta);
+    at = position + token.text.size();
+  }
+  return out + sql.substr(at);
 }
 
 /// engine::AggregateBatch's packed output as rows, the form

@@ -303,9 +303,41 @@ TEST_F(ExplainRewriteTest, ReportsPlanCacheFate) {
   // Nothing cached yet: the report-only lookup misses (and does not insert).
   EXPECT_NE(Explain(sql).find("plan cache: miss"), std::string::npos);
   EXPECT_NE(Explain(sql).find("plan cache: miss"), std::string::npos);
-  // A real query populates the cache; EXPLAIN then reports a hit.
+  // A real query populates the cache; EXPLAIN then reports a hit, and so
+  // it does for other literals of the same template.
   ASSERT_TRUE(db_->Query(sql).ok());
-  EXPECT_NE(Explain(sql).find("plan cache: hit"), std::string::npos);
+  EXPECT_NE(Explain(sql).find("plan cache: hit (template)"),
+            std::string::npos);
+  const char* drill =
+      "select faid, count(*) as c from trans where flid = 3 group by faid";
+  ASSERT_TRUE(db_->Query(drill).ok());
+  std::string bound =
+      Explain("select faid, count(*) as c from trans where flid = 9 "
+              "group by faid");
+  EXPECT_NE(bound.find("plan cache: hit (template)"), std::string::npos)
+      << bound;
+  EXPECT_NE(bound.find("plan template: select faid, count(*) as c from "
+                       "trans where flid = ?0 group by faid"),
+            std::string::npos)
+      << bound;
+  // A plan whose search compared a literal with the AST's own serves only
+  // that literal: another one reports which decision read it.
+  ASSERT_TRUE(db_->DefineSummaryTable(
+                     "ast_low",
+                     "select faid, count(*) as cnt from trans where faid < 20 "
+                     "group by faid")
+                  .ok());
+  ASSERT_TRUE(
+      db_->Query("select faid, count(*) as c from trans where faid < 10 "
+                 "group by faid")
+          .ok());
+  std::string sensitive =
+      Explain("select faid, count(*) as c from trans where faid < 30 "
+              "group by faid");
+  EXPECT_NE(sensitive.find("plan cache: literal-sensitive (literal equality)"),
+            std::string::npos)
+      << sensitive;
+  EXPECT_EQ(db_->Stats().plan_cache_literal_sensitive, 1);
   // A BulkLoad leaves ast1 stale beyond compensation: that invalidates,
   // and the cause names the table.
   std::vector<Row> rows;
