@@ -1,5 +1,6 @@
 #include "matching/compensation.h"
 
+#include <map>
 #include <utility>
 
 #include "common/reject_reason.h"
@@ -139,72 +140,67 @@ StatusOr<DeltaMerge> AnalyzeCompensableQuery(
   return merge;
 }
 
-CompensationPlan BindSlots(const CompensationPlan& plan,
-                           const std::vector<Value>& params) {
-  CompensationPlan bound;
-  bound.summary_table = plan.summary_table;
-  bound.stale_table = plan.stale_table;
-  bound.ast_leg = qgm::BindSlots(plan.ast_leg, params);
-  bound.delta_leg = qgm::BindSlots(plan.delta_leg, params);
-  bound.merge = plan.merge;
-  bound.final_outputs = plan.final_outputs;
-  for (qgm::OutputColumn& out : bound.final_outputs) {
-    out.expr = expr::BindSlots(out.expr, params);
+std::string MergeNodeName(int leg) { return "$merge" + std::to_string(leg); }
+
+std::vector<qgm::BoxId> CompensationBlocks(const qgm::Graph& query) {
+  // Children come first, so each box sees whether any GROUP-BY sits below.
+  std::vector<qgm::BoxId> order = query.TopologicalOrder();
+  std::vector<bool> group_by_below(query.size(), false);
+  std::vector<qgm::BoxId> blocks;
+  for (qgm::BoxId id : order) {
+    const qgm::Box* box = query.box(id);
+    for (const qgm::Quantifier& q : box->quantifiers) {
+      group_by_below[id] = group_by_below[id] || group_by_below[q.child] ||
+                           query.box(q.child)->IsGroupBy();
+    }
+    if (box->IsGroupBy() && !group_by_below[id]) blocks.push_back(id);
   }
-  for (const expr::ExprPtr& p : plan.final_predicates) {
-    bound.final_predicates.push_back(expr::BindSlots(p, params));
-  }
-  bound.order_by = plan.order_by;
-  return bound;
+  if (blocks.empty()) blocks.push_back(query.root());
+  return blocks;
 }
 
-StatusOr<CompensationPlan> BuildCompensationPlan(
-    const qgm::Graph& query, const std::string& stale_table,
+StatusOr<qgm::Graph> BlockQuery(const qgm::Graph& query, qgm::BoxId block) {
+  if (!query.box(block)->IsGroupBy()) {
+    // The whole SPJ query; ORDER BY is applied once, by the residual.
+    qgm::Graph whole = qgm::Graph::CloneGraph(query);
+    whole.set_order_by({});
+    return whole;
+  }
+  // A bare projection of EVERY output: the merge needs the full group key
+  // and every partial aggregate, whatever the blocks above use of them.
+  qgm::Graph out;
+  const qgm::BoxId gb = out.CloneSubgraph(query, block);
+  qgm::Box* root = out.AddBox(qgm::Box::Kind::kSelect);
+  root->quantifiers.push_back(qgm::Quantifier{gb});
+  const qgm::Box* gb_box = out.box(gb);
+  for (int i = 0; i < gb_box->NumOutputs(); ++i) {
+    root->outputs.push_back(
+        qgm::OutputColumn{gb_box->outputs[i].name, expr::ColRef(0, i)});
+  }
+  out.set_root(root->id);
+  SUMTAB_RETURN_NOT_OK(qgm::ComputeBoxColumnInfo(&out, root));
+  return out;
+}
+
+StatusOr<CompensationLeg> BuildCompensationLeg(
+    const qgm::Graph& block_query, const std::string& stale_table,
     const SummaryTableDef& ast, const catalog::Catalog& catalog,
     AstAttemptTrace* attempt, QueryTrace* qtrace) {
-  SUMTAB_ASSIGN_OR_RETURN(DeltaMerge merge,
-                          AnalyzeCompensableQuery(query, stale_table));
+  CompensationLeg leg;
+  SUMTAB_ASSIGN_OR_RETURN(leg.merge,
+                          AnalyzeCompensableQuery(block_query, stale_table));
+  leg.summary_table = ast.table_name;
+  leg.stale_table = stale_table;
+  // Leg B executes Q'_B itself; the executor's table override swaps the
+  // stale scan for the retained delta rows at run time.
+  leg.delta_leg = qgm::Graph::CloneGraph(block_query);
 
-  // Q': the shared leg shape. For the aggregate form the root becomes a bare
-  // projection of EVERY GROUP-BY output (merge needs the full group key and
-  // every partial aggregate; the original root may project a subset or
-  // compute over them) and sheds its HAVING — both move to the residual.
-  // ORDER BY comes off in either form: it is applied once, after the merge.
-  qgm::Graph qprime = qgm::Graph::CloneGraph(query);
-  qprime.set_order_by({});
-  if (!merge.spj) {
-    qgm::Box* root = qprime.box(qprime.root());
-    const qgm::Box* gb = qprime.box(root->quantifiers[0].child);
-    std::vector<qgm::OutputColumn> outs;
-    outs.reserve(gb->outputs.size());
-    for (int i = 0; i < gb->NumOutputs(); ++i) {
-      outs.push_back(qgm::OutputColumn{gb->outputs[i].name,
-                                       expr::ColRef(0, i)});
-    }
-    root->outputs = std::move(outs);
-    root->predicates.clear();
-    SUMTAB_RETURN_NOT_OK(qgm::ComputeBoxColumnInfo(&qprime, root));
-  }
-
-  CompensationPlan plan;
-  plan.summary_table = ast.table_name;
-  plan.stale_table = stale_table;
-  plan.merge = merge;
-  const qgm::Box* orig_root = query.box(query.root());
-  if (!merge.spj) {
-    plan.final_outputs = orig_root->outputs;
-    plan.final_predicates = orig_root->predicates;
-  }
-  plan.order_by = query.order_by();
-
-  // Leg B executes Q' itself; the executor's table override swaps the stale
-  // scan for the retained delta rows at run time.
-  plan.delta_leg = qgm::Graph::CloneGraph(qprime);
-
-  // Leg A is Q' rerouted through the stale AST by the ordinary navigator +
-  // rewriter — compensation predicates, rejoins and all.
-  SUMTAB_ASSIGN_OR_RETURN(RewriteResult rw,
-                          RewriteQuery(qprime, ast, catalog, attempt, qtrace));
+  // Leg A is Q'_B rerouted through the stale AST by the ordinary navigator
+  // + rewriter — compensation predicates, rejoins and all.
+  SUMTAB_ASSIGN_OR_RETURN(
+      RewriteResult rw,
+      RewriteQuery(block_query, ast, catalog, attempt, qtrace));
+  if (attempt != nullptr) attempt->num_matches += rw.num_matches;
   if (!rw.rewritten) {
     return RejectMatch(RejectReason::kCompAstMismatch,
                        "AST '" + ast.table_name +
@@ -219,8 +215,116 @@ StatusOr<CompensationPlan> BuildCompensationPlan(
                        "rewrite leaves a residual scan of '" + stale_table +
                            "' (would double-count the delta)");
   }
-  plan.ast_leg = std::move(rw.graph);
+  leg.ast_leg = std::move(rw.graph);
+  return leg;
+}
+
+namespace {
+
+// Boxes to swap for the root subgraph of another graph.
+using Replacements = std::map<qgm::BoxId, const qgm::Graph*>;
+
+// `graph`'s subgraph under `id`, cloned into `out` with `replace` applied.
+// `done` maps the boxes cloned so far, so a shared box is cloned once.
+qgm::BoxId CloneReplacing(const qgm::Graph& graph, qgm::BoxId id,
+                          const Replacements& replace,
+                          std::map<qgm::BoxId, qgm::BoxId>* done,
+                          qgm::Graph* out) {
+  if (auto it = done->find(id); it != done->end()) return it->second;
+  qgm::BoxId fresh;
+  if (auto it = replace.find(id); it != replace.end()) {
+    fresh = out->CloneSubgraph(*it->second, it->second->root());
+  } else {
+    qgm::Box copy = *graph.box(id);
+    for (qgm::Quantifier& q : copy.quantifiers) {
+      q.child = CloneReplacing(graph, q.child, replace, done, out);
+    }
+    qgm::Box* box = out->AddBox(copy.kind);
+    copy.id = box->id;
+    *box = std::move(copy);
+    fresh = box->id;
+  }
+  (*done)[id] = fresh;
+  return fresh;
+}
+
+qgm::Graph GraphReplacing(const qgm::Graph& graph,
+                          const Replacements& replace) {
+  qgm::Graph out;
+  std::map<qgm::BoxId, qgm::BoxId> done;
+  out.set_root(CloneReplacing(graph, graph.root(), replace, &done, &out));
+  out.set_order_by(graph.order_by());
+  return out;
+}
+
+}  // namespace
+
+CompensationPlan AssembleCompensationPlan(
+    const qgm::Graph& query, const std::vector<qgm::BoxId>& blocks,
+    std::vector<CompensationLeg> legs) {
+  // Each merge node is a one-box graph: a scan of the merged rows, laid out
+  // like the block it stands in for.
+  std::vector<qgm::Graph> nodes(blocks.size());
+  Replacements replace;
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    const qgm::Box* block = query.box(blocks[i]);
+    qgm::Box* node = nodes[i].AddBox(qgm::Box::Kind::kBase);
+    node->table_name = MergeNodeName(static_cast<int>(i));
+    for (const qgm::OutputColumn& out : block->outputs) {
+      node->outputs.push_back(qgm::OutputColumn{out.name, nullptr});
+    }
+    node->column_info = block->column_info;
+    nodes[i].set_root(node->id);
+    replace[blocks[i]] = &nodes[i];
+  }
+  CompensationPlan plan;
+  plan.legs = std::move(legs);
+  plan.residual = GraphReplacing(query, replace);
+  if (plan.residual.box(plan.residual.root())->kind ==
+      qgm::Box::Kind::kBase) {
+    // The block was the root (an SPJ query): project the merged rows under
+    // the root's names, so the ORDER BY has a box to apply to.
+    const qgm::Box* root = query.box(query.root());
+    const qgm::BoxId node = plan.residual.root();
+    qgm::Box* top = plan.residual.AddBox(qgm::Box::Kind::kSelect);
+    top->quantifiers.push_back(qgm::Quantifier{node});
+    for (int i = 0; i < root->NumOutputs(); ++i) {
+      top->outputs.push_back(
+          qgm::OutputColumn{root->outputs[i].name, expr::ColRef(0, i)});
+    }
+    top->column_info = root->column_info;
+    plan.residual.set_root(top->id);
+  }
   return plan;
+}
+
+CompensationPlan BindSlots(const CompensationPlan& plan,
+                           const std::vector<Value>& params) {
+  CompensationPlan bound;
+  bound.residual = qgm::BindSlots(plan.residual, params);
+  for (const CompensationLeg& leg : plan.legs) {
+    CompensationLeg& out = bound.legs.emplace_back();
+    out.summary_table = leg.summary_table;
+    out.stale_table = leg.stale_table;
+    out.ast_leg = qgm::BindSlots(leg.ast_leg, params);
+    out.delta_leg = qgm::BindSlots(leg.delta_leg, params);
+    out.merge = leg.merge;
+  }
+  return bound;
+}
+
+qgm::Graph AstLegsGraph(const CompensationPlan& plan) {
+  Replacements replace;
+  for (qgm::BoxId id : plan.residual.TopologicalOrder()) {
+    const qgm::Box* box = plan.residual.box(id);
+    if (box->kind != qgm::Box::Kind::kBase) continue;
+    for (size_t i = 0; i < plan.legs.size(); ++i) {
+      if (box->table_name == MergeNodeName(static_cast<int>(i))) {
+        replace[id] = &plan.legs[i].ast_leg;
+      }
+    }
+  }
+  return GraphReplacing(plan.residual, replace);
 }
 
 }  // namespace matching

@@ -7,19 +7,26 @@
 // decides it. maintenance::AnalyzeMergePlan calls it for an AST definition
 // and adds only its stored-layout rules.
 //
-// Compensation answers a query through a STALE summary table plus an
-// aggregate over only the rows appended since its epoch.
-// The plan has two legs sharing one shape Q': the original query with its
-// root reduced to a bare projection of every GROUP-BY output (residual
-// projections/HAVING/ORDER BY move to a post-merge step). Leg A is Q'
-// rewritten through the stale AST (answers as of the AST's epoch); leg B is
-// Q' executed with the stale table overridden by the retained delta slices.
-// The delta leg runs through compensation::MergeDeltaLeg, the routine
-// incremental maintenance and catch-up also use: it merges the legs per
-// group through engine::MergeGroups — the aggregation kernel re-aggregating
-// both legs' partials (COUNT as SUM) — so sticky int->double SUM promotion
-// stays bit-identical to a full recompute. The residual root then runs over
-// the merged rows.
+// Compensation answers a query through STALE summary tables plus
+// aggregates over only the rows appended since their epochs, one aggregate
+// block at a time (the paper's block-by-block matching of §4.2, Figs. 10-11).
+// The blocks are the query's lowest GROUP-BY boxes (the root, when it has
+// none). A block B has its own query Q'_B: B's subtree under a bare
+// projection of B's outputs. B is compensated when Q'_B passes
+// AnalyzeCompensableQuery and a stale AST absorbs it with no scan of the
+// stale table left. The plan replaces each compensated block by a merge
+// node: a BASE box with an unforgeable name and B's output layout. The
+// rest of the query, the residual graph, runs unchanged over the merged
+// rows: fig10's outer GROUP BY and HAVING, fig11's parent SELECT, a
+// single-block query's projections, HAVING and ORDER BY. Each block has
+// two legs sharing Q'_B. Leg A is Q'_B rewritten through the block's stale
+// AST (answers as of the AST's epoch); leg B is Q'_B executed with the
+// stale table overridden by the retained delta slices. The delta leg runs
+// through compensation::MergeDeltaLeg, the routine incremental maintenance
+// and catch-up also use: it merges the legs per group through
+// engine::MergeGroups, the aggregation kernel re-aggregating both legs'
+// partials (COUNT as SUM), so sticky int->double SUM promotion stays
+// bit-identical to a full recompute.
 #ifndef SUMTAB_MATCHING_COMPENSATION_H_
 #define SUMTAB_MATCHING_COMPENSATION_H_
 
@@ -65,40 +72,67 @@ int TableReferences(const qgm::Graph& graph, const std::string& table);
 StatusOr<DeltaMerge> AnalyzeCompensableQuery(
     const qgm::Graph& query, const std::string& stale_table);
 
-/// An executable two-leg compensation plan. Immutable once built; the plan
-/// cache shares one instance across hits. It depends on which table is
-/// stale, not on which epochs lag: under append-only decomposability the
-/// same legs answer any lag on `stale_table`, so the executor takes the
-/// epoch range from the AST's lag at the snapshot it runs against.
-struct CompensationPlan {
+/// One compensated block: the two legs of Q'_B and how they merge.
+struct CompensationLeg {
   std::string summary_table;  // the stale AST answering leg A
   std::string stale_table;    // lower-cased base table the delta covers
-  qgm::Graph ast_leg;    // Q' rewritten through the AST (no stale-table scan)
-  qgm::Graph delta_leg;  // Q' over base tables; executed once per retained
+  qgm::Graph ast_leg;    // Q'_B rewritten through the AST (no stale-table scan)
+  qgm::Graph delta_leg;  // Q'_B over base tables; executed once per retained
                          // slice, with the stale table overridden by it
-  DeltaMerge merge;      // Q''s root outputs are the GROUP-BY's, in order
-  /// Residual root over the merged rows (empty for spj): output expressions
-  /// and HAVING conjuncts reference quantifier 0 = the merged GROUP-BY row.
-  std::vector<qgm::OutputColumn> final_outputs;
-  std::vector<expr::ExprPtr> final_predicates;
-  /// Original ORDER BY, applied after the residual (leg graphs carry none).
-  std::vector<qgm::OrderSpec> order_by;
+  DeltaMerge merge;      // Q'_B's root outputs are the block's, in order
 };
+
+/// An executable per-block compensation plan. Immutable once built; the
+/// plan cache shares one instance across hits. It depends on which tables
+/// are stale, not on which epochs lag: under append-only decomposability the
+/// same legs answer any lag on their stale table, so the executor takes each
+/// leg's epoch range from its AST's lag at the snapshot it runs against.
+struct CompensationPlan {
+  /// The query with legs[i]'s block replaced by a BASE box named
+  /// MergeNodeName(i) that carries the block's outputs and column info.
+  qgm::Graph residual;
+  std::vector<CompensationLeg> legs;
+};
+
+/// The table name of merge node `leg`: "$merge<leg>", which no SQL
+/// identifier can spell.
+std::string MergeNodeName(int leg);
+
+/// The blocks compensation may replace, in topological order: every lowest
+/// GROUP-BY box of `query` (one with no GROUP-BY below it), or the root when
+/// the query has no GROUP-BY (an SPJ query is one block).
+std::vector<qgm::BoxId> CompensationBlocks(const qgm::Graph& query);
+
+/// Q'_B of `block`: its subtree under a bare projection of its outputs; for
+/// a non-GROUP-BY block (the root of an SPJ query), the query itself
+/// without its ORDER BY.
+StatusOr<qgm::Graph> BlockQuery(const qgm::Graph& query, qgm::BoxId block);
+
+/// Analyzes `block_query` (a BlockQuery) and assembles its two legs against
+/// `ast`. Fails with a comp_* reject when the shape does not decompose or
+/// the AST cannot absorb it (`comp_ast_mismatch` covers both "no match" and
+/// a rewrite that leaves a scan of the stale table, which would
+/// double-count the delta). `attempt`/`qtrace` flow through to the
+/// navigator like RewriteQuery's.
+StatusOr<CompensationLeg> BuildCompensationLeg(
+    const qgm::Graph& block_query, const std::string& stale_table,
+    const SummaryTableDef& ast, const catalog::Catalog& catalog,
+    AstAttemptTrace* attempt = nullptr, QueryTrace* qtrace = nullptr);
+
+/// The plan that serves blocks[i] of `query` through legs[i].
+CompensationPlan AssembleCompensationPlan(
+    const qgm::Graph& query, const std::vector<qgm::BoxId>& blocks,
+    std::vector<CompensationLeg> legs);
 
 /// `plan` with every slot literal bound to params[slot] (qgm::BindSlots):
 /// a cached template plan made executable for one query's literals.
 CompensationPlan BindSlots(const CompensationPlan& plan,
                            const std::vector<Value>& params);
 
-/// Analyzes `query` and assembles the two legs against `ast`. Fails with a
-/// comp_* reject when the shape does not decompose or the AST cannot absorb
-/// Q' (`comp_ast_mismatch` covers both "no match" and a rewrite that leaves
-/// a residual scan of the stale table, which would double-count the delta).
-/// `attempt`/`qtrace` flow through to the navigator like RewriteQuery's.
-StatusOr<CompensationPlan> BuildCompensationPlan(
-    const qgm::Graph& query, const std::string& stale_table,
-    const SummaryTableDef& ast, const catalog::Catalog& catalog,
-    AstAttemptTrace* attempt = nullptr, QueryTrace* qtrace = nullptr);
+/// The residual with each merge node replaced by its AST leg: the plan as
+/// one statement, the closest thing to its rewritten SQL (it answers as of
+/// the ASTs' epochs, without the deltas).
+qgm::Graph AstLegsGraph(const CompensationPlan& plan);
 
 }  // namespace matching
 }  // namespace sumtab

@@ -525,32 +525,57 @@ StatusOr<MatchResult> MatchSelectSelect(MatchSession* session, const Box& e,
                   r.quantifiers[q].kind == Quantifier::Kind::kForeach);
     }
     if (on_extra) continue;  // extra join predicate
+    // Each comparison reads slot values in a scope of its own, so the
+    // search names the comparison that satisfied `rp` when one read a
+    // value; failed comparisons that read one still make the plan
+    // literal-sensitive, under the first such decision.
+    const char* failed_read = nullptr;
+    const char* satisfying_read = nullptr;
+    auto compare = [&](auto&& comparison) {
+      expr::SlotReadScope reads;
+      bool holds = comparison();
+      if (holds) {
+        satisfying_read = reads.first_read();
+      } else if (failed_read == nullptr) {
+        failed_read = reads.first_read();
+      }
+      return holds;
+    };
     bool satisfied = false;
     for (size_t k = 0; k < te.size() && !satisfied; ++k) {
-      if (EquivExprEqual(te[k], rp, equiv_r)) {
+      if (compare([&] { return EquivExprEqual(te[k], rp, equiv_r); })) {
         te_matched[k] = true;
         satisfied = true;
       }
     }
     for (size_t k = 0; k < cc.size() && !satisfied; ++k) {
-      if (EquivExprEqual(cc[k], rp, equiv_r)) {
+      if (compare([&] { return EquivExprEqual(cc[k], rp, equiv_r); })) {
         cc_matched[k] = true;
         satisfied = true;
       }
     }
     for (size_t k = 0; k < gb_cc.size() && !satisfied; ++k) {
-      satisfied = EquivExprEqual(gb_cc[k], rp, equiv_r);
+      satisfied =
+          compare([&] { return EquivExprEqual(gb_cc[k], rp, equiv_r); });
     }
     // Weaker subsumer predicates are fine: the stronger subsumee predicate
     // stays unmatched and is re-applied in the compensation.
     for (size_t k = 0; k < te.size() && !satisfied; ++k) {
-      satisfied = PredicateSubsumes(rp, te[k], equiv_r);
+      satisfied =
+          compare([&] { return PredicateSubsumes(rp, te[k], equiv_r); });
     }
     for (size_t k = 0; k < cc.size() && !satisfied; ++k) {
-      satisfied = PredicateSubsumes(rp, cc[k], equiv_r);
+      satisfied =
+          compare([&] { return PredicateSubsumes(rp, cc[k], equiv_r); });
     }
     for (size_t k = 0; k < gb_cc.size() && !satisfied; ++k) {
-      satisfied = PredicateSubsumes(rp, gb_cc[k], equiv_r);
+      satisfied =
+          compare([&] { return PredicateSubsumes(rp, gb_cc[k], equiv_r); });
+    }
+    if (satisfying_read != nullptr) {
+      expr::NoteSlotRead(satisfying_read);
+    } else if (failed_read != nullptr) {
+      expr::NoteSlotRead(failed_read);
     }
     if (!satisfied) {
       return RejectMatch(RejectReason::kSubsumerPredUnmatched, "subsumer predicate has no subsumee match");

@@ -9,17 +9,9 @@
 
 #include "common/reject_reason.h"
 #include "engine/aggregator.h"
-#include "engine/exec_shared.h"
-#include "engine/kernels.h"
-#include "expr/expr_vec_eval.h"
 
 namespace sumtab {
 namespace compensation {
-
-// Result ordering goes through the executor's own ApplyOrderBy
-// (engine/exec_shared.h) — sharing the definition makes ordering divergence
-// between a compensated answer and a direct execution impossible.
-using engine::exec_internal::ApplyOrderBy;
 
 StatusOr<engine::Batch> MergeDeltaLeg(
     engine::Batch current, const qgm::Graph& graph,
@@ -52,76 +44,48 @@ StatusOr<engine::Batch> MergeDeltaLeg(
 }
 
 StatusOr<engine::Relation> ExecuteCompensationPlan(
-    const matching::CompensationPlan& plan, int64_t from_epoch,
-    int64_t to_epoch, const engine::Storage::Snapshot& snap,
+    const matching::CompensationPlan& plan,
+    const std::vector<EpochRange>& lags, const engine::Storage::Snapshot& snap,
     const engine::ExecOptions& options, int64_t* delta_rows_scanned) {
-  std::vector<engine::Executor::BatchPtr> slices =
-      snap.DeltaSlices(plan.stale_table, from_epoch, to_epoch);
-  if (slices.empty() && from_epoch < to_epoch) {
-    // The caller checked coverage of this range against this same
-    // snapshot, and pinned slices cannot be pruned out from under it —
-    // reaching here means the range came from another snapshot; refuse
-    // rather than answer from partial history.
-    return RejectUnsupported(
-        RejectReason::kCompDeltaUnavailable,
-        "retained delta slices for '" + plan.stale_table +
-            "' are not pinned by this snapshot");
-  }
-  if (delta_rows_scanned != nullptr) {
-    *delta_rows_scanned = 0;
-    for (const engine::Executor::BatchPtr& slice : slices) {
-      *delta_rows_scanned += slice->num_rows;
-    }
-  }
-
-  // Both legs execute against the SAME pinned snapshot with the caller's
-  // options (parallel / budgets apply to each leg); only the override
-  // differs — leg B scans a retained slice where the plan scans the stale
-  // table.
+  // Every leg and the residual execute against the SAME pinned snapshot
+  // with the caller's options; only the overrides differ — a delta leg
+  // scans a retained slice where Q'_B scans the stale table, the residual
+  // scans merged rows where the query had the block.
   engine::ExecOptions leg_options = options;
   leg_options.columnar_overrides = nullptr;
-  SUMTAB_ASSIGN_OR_RETURN(
-      engine::Executor::BatchPtr ast_leg,
-      engine::Executor(snap, leg_options).ExecuteColumns(plan.ast_leg));
-  SUMTAB_ASSIGN_OR_RETURN(
-      engine::Batch answer,
-      MergeDeltaLeg(*ast_leg, plan.delta_leg, plan.stale_table, slices,
-                    plan.merge, snap, leg_options));
-
-  if (!plan.merge.spj) {
-    // Residual: the original root's HAVING, then its projections (lowered
-    // AVG included), over the merged groups. Quantifier 0 of those
-    // expressions is the GROUP-BY box, whose output layout the merged batch
-    // carries verbatim. Each conjunct filters what the previous ones kept.
-    const std::vector<int> offsets = {0};
-    auto whole = [&offsets](const engine::Batch& batch) {
-      return expr::VecEvalContext{&offsets, &batch, 0, batch.num_rows};
-    };
-    for (const expr::ExprPtr& pred : plan.final_predicates) {
-      std::vector<uint8_t> mask;
-      SUMTAB_RETURN_NOT_OK(expr::EvalPredicateVec(pred, whole(answer), &mask));
-      std::vector<int64_t> kept;
-      engine::kernels::SelectFromMask(mask.data(), answer.num_rows, 0, &kept);
-      answer = engine::GatherBatch(answer, kept);
+  std::map<std::string, engine::Executor::BatchPtr> merged;
+  int64_t delta_rows = 0;
+  for (size_t i = 0; i < plan.legs.size(); ++i) {
+    const matching::CompensationLeg& leg = plan.legs[i];
+    const EpochRange& lag = lags[i];
+    std::vector<engine::Executor::BatchPtr> slices =
+        snap.DeltaSlices(leg.stale_table, lag.from, lag.to);
+    if (slices.empty() && lag.from < lag.to) {
+      // The caller checked coverage of this range against this same
+      // snapshot, and pinned slices cannot be pruned out from under it —
+      // reaching here means the range came from another snapshot; refuse
+      // rather than answer from partial history.
+      return RejectUnsupported(
+          RejectReason::kCompDeltaUnavailable,
+          "retained delta slices for '" + leg.stale_table +
+              "' are not pinned by this snapshot");
     }
-    engine::Batch projected;
-    projected.num_rows = answer.num_rows;
-    for (const qgm::OutputColumn& out : plan.final_outputs) {
-      SUMTAB_ASSIGN_OR_RETURN(engine::ColumnVector col,
-                              expr::EvalVec(out.expr, whole(answer)));
-      projected.columns.push_back(std::move(col));
+    for (const engine::Executor::BatchPtr& slice : slices) {
+      delta_rows += slice->num_rows;
     }
-    answer = std::move(projected);
+    SUMTAB_ASSIGN_OR_RETURN(
+        engine::Executor::BatchPtr ast_leg,
+        engine::Executor(snap, leg_options).ExecuteColumns(leg.ast_leg));
+    SUMTAB_ASSIGN_OR_RETURN(
+        engine::Batch rows,
+        MergeDeltaLeg(*ast_leg, leg.delta_leg, leg.stale_table, slices,
+                      leg.merge, snap, leg_options));
+    merged[matching::MergeNodeName(static_cast<int>(i))] =
+        std::make_shared<const engine::Batch>(std::move(rows));
   }
-  std::vector<std::string> names;
-  for (const qgm::OutputColumn& out :
-       plan.merge.spj ? plan.delta_leg.box(plan.delta_leg.root())->outputs
-                      : plan.final_outputs) {
-    names.push_back(out.name);
-  }
-  engine::Relation result = engine::BatchToRelation(answer, std::move(names));
-  ApplyOrderBy(plan.order_by, &result);
-  return result;
+  if (delta_rows_scanned != nullptr) *delta_rows_scanned = delta_rows;
+  leg_options.columnar_overrides = &merged;
+  return engine::Executor(snap, leg_options).Execute(plan.residual);
 }
 
 }  // namespace compensation

@@ -1,12 +1,12 @@
 // The delta leg and the runtime for delta-compensation plans
 // (matching/compensation.h). MergeDeltaLeg is the one routine that folds
 // retained append slices into a result: delta compensation merges them into
-// the AST leg of a query, Append into a stored AST (the new delta, plus the
+// a block's AST leg, Append into a stored AST (the new delta, plus the
 // slices a deferred AST still lags by), and a catch-up refresh into a stale
-// AST. ExecuteCompensationPlan runs the AST leg and MergeDeltaLeg against
-// one pinned snapshot, then evaluates the residual HAVING / projections the
-// plan carried out of the original query root with the vectorized
-// evaluator, and applies ORDER BY to the answer.
+// AST. ExecuteCompensationPlan builds each merge node's rows from its
+// block's AST leg and MergeDeltaLeg against one pinned snapshot, then runs
+// the residual graph over them through the ordinary executor, which applies
+// the blocks above, the root and ORDER BY.
 #ifndef SUMTAB_SUMTAB_COMPENSATION_EXEC_H_
 #define SUMTAB_SUMTAB_COMPENSATION_EXEC_H_
 
@@ -37,16 +37,22 @@ StatusOr<engine::Batch> MergeDeltaLeg(
     const matching::DeltaMerge& merge, const engine::Storage::Snapshot& snap,
     engine::ExecOptions options);
 
-/// Executes `plan` against `snap`, its delta leg over the retained slices
-/// of the stale table in epochs (from_epoch, to_epoch]: the compensated
-/// AST's lag in `snap`, which the caller derives from that same snapshot (a
-/// pinned snapshot cannot lose the slices it covers). `options` flows to
-/// both legs — parallel / budget settings apply to each — except
-/// columnar_overrides (see MergeDeltaLeg). `delta_rows_scanned` (optional)
-/// receives the number of delta rows the compensation leg read.
+/// The epochs (from, to] a leg's delta covers.
+struct EpochRange {
+  int64_t from = 0;
+  int64_t to = 0;
+};
+
+/// Executes `plan` against `snap`. Leg i's delta leg runs over the retained
+/// slices of its stale table in lags[i]: its AST's lag in `snap`, which the
+/// caller derives from that same snapshot (a pinned snapshot cannot lose
+/// the slices it covers). `options` flows to every leg and to the residual
+/// — parallel / budget settings apply to each — except columnar_overrides,
+/// which this function owns. `delta_rows_scanned` (optional) receives the
+/// number of delta rows the delta legs read, summed over the legs.
 StatusOr<engine::Relation> ExecuteCompensationPlan(
-    const matching::CompensationPlan& plan, int64_t from_epoch,
-    int64_t to_epoch, const engine::Storage::Snapshot& snap,
+    const matching::CompensationPlan& plan,
+    const std::vector<EpochRange>& lags, const engine::Storage::Snapshot& snap,
     const engine::ExecOptions& options, int64_t* delta_rows_scanned = nullptr);
 
 }  // namespace compensation

@@ -1,6 +1,7 @@
 #include "sumtab/database.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "advisor/advisor.h"
 #include "common/fault_injection.h"
@@ -544,21 +545,91 @@ std::unique_ptr<qgm::Graph> Database::TryRewrite(
   std::unique_ptr<qgm::Graph> current;
   int64_t current_cost = LeafRowCost(query, snap);
   std::vector<SummaryTablePtr> used;
+  // Delta compensation (DESIGN.md §13), round 0 only: a stale AST can still
+  // answer a block EXACTLY if its missing updates are retained appends.
+  // Each block keeps its cheapest leg over the lagging ASTs. The blocks and
+  // their queries Q'_B are made on the first lagging AST.
+  std::vector<qgm::BoxId> blocks;
+  std::vector<StatusOr<qgm::Graph>> block_queries;
+  struct BlockLeg {
+    std::optional<matching::CompensationLeg> leg;
+    int64_t cost = 0;  // AST-leg leaf rows + delta rows
+    int64_t delta_rows = 0;
+    SummaryTablePtr st;
+  };
+  std::vector<BlockLeg> block_legs;
+  // One block's verdict against one lagging AST: its leg, or the comp_*
+  // reject. Blocks that do not read the stale table need no leg.
+  auto try_blocks = [&](const SummaryTablePtr& st, const Lag& lag,
+                        AstAttemptTrace* attempt_ptr) {
+    if (blocks.empty()) {
+      blocks = matching::CompensationBlocks(query);
+      for (qgm::BoxId block : blocks) {
+        block_queries.push_back(matching::BlockQuery(query, block));
+      }
+      block_legs.resize(blocks.size());
+    }
+    matching::SummaryTableDef def{st->name, &st->graph};
+    std::string verdicts;
+    Status reject;  // the first block's comp_* reject
+    int64_t delta_rows = snap.DeltaRows(lag.table, lag.from, lag.to);
+    int legs = 0;
+    int64_t cost = 0;
+    for (size_t b = 0; b < blocks.size(); ++b) {
+      if (block_queries[b].ok() &&
+          matching::TableReferences(*block_queries[b], lag.table) == 0) {
+        continue;
+      }
+      StatusOr<matching::CompensationLeg> leg =
+          block_queries[b].ok()
+              ? matching::BuildCompensationLeg(*block_queries[b], lag.table,
+                                               def, catalog_, attempt_ptr,
+                                               trace)
+              : StatusOr<matching::CompensationLeg>(block_queries[b].status());
+      std::string verdict;
+      if (leg.ok()) {
+        int64_t leg_cost = LeafRowCost(leg->ast_leg, snap) + delta_rows;
+        ++legs;
+        cost += leg_cost;
+        verdict = "compensated(" + std::to_string(delta_rows) +
+                  " delta rows, " + std::to_string(lag.to - lag.from) +
+                  " epochs)";
+        BlockLeg& best = block_legs[b];
+        if (!best.leg || leg_cost < best.cost) {
+          best = BlockLeg{std::move(*leg), leg_cost, delta_rows, st};
+        }
+      } else {
+        if (reject.ok()) reject = leg.status();
+        verdict = RejectReasonToken(RejectReasonFromStatus(leg.status()));
+      }
+      if (!verdicts.empty()) verdicts += ", ";
+      if (blocks.size() > 1) verdicts += "q" + std::to_string(blocks[b]) + "=";
+      verdicts += verdict;
+    }
+    if (verdicts.empty()) {
+      // The stale table is read only above the blocks, or not at all.
+      reject = RejectUnsupported(
+          RejectReason::kCompDeltaRefCount,
+          "no aggregate block reads stale table '" + lag.table + "'");
+      verdicts = RejectReasonToken(RejectReason::kCompDeltaRefCount);
+    }
+    if (attempt_ptr != nullptr) {
+      attempt_ptr->compensation = std::move(verdicts);
+      if (legs > 0) {
+        attempt_ptr->produced = true;
+        attempt_ptr->cost_after = static_cast<double>(cost);
+      } else {
+        attempt_ptr->reason = RejectReasonFromStatus(reject);
+        attempt_ptr->detail = reject.ToString();
+      }
+    }
+    return legs > 0;
+  };
   constexpr int kMaxRounds = 4;
   for (int round = 0; round < kMaxRounds; ++round) {
     std::unique_ptr<qgm::Graph> best;
     int64_t best_cost = current_cost;
     SummaryTablePtr best_st;
-    // Round-0-only: a stale AST can still answer EXACTLY if its missing
-    // updates are retained as append deltas — the two-leg delta-compensation
-    // path (DESIGN.md §13). Its candidates compete on cost with ordinary
-    // rewrites; a win ends the iterative search, since the merged answer is
-    // produced outside QGM and cannot be re-fed to the matcher.
-    std::shared_ptr<matching::CompensationPlan> best_comp;
-    SummaryTablePtr best_comp_st;
-    int64_t best_comp_cost = 0;
-    int64_t best_comp_rows = 0;
-    int best_comp_attempt = -1;
     std::vector<AstAttemptTrace> attempts;  // this round's, when tracing
     int best_attempt = -1;                  // index into `attempts`
     for (const auto& st : summary_tables_) {
@@ -582,44 +653,16 @@ std::unique_ptr<qgm::Graph> Database::TryRewrite(
           attempt_ptr = &attempt;
         }
         // Compensation needs the lag to be retained appends on one table
-        // (the merge key joins one AST leg to one delta leg).
+        // (each leg merges one AST leg with one delta leg).
         StatusOr<Lag> lag = LagOf(*st, snap);
-        matching::SummaryTableDef def{st->name, &st->graph};
-        StatusOr<matching::CompensationPlan> comp =
-            lag.ok() ? matching::BuildCompensationPlan(
-                           query, lag->table, def, catalog_, attempt_ptr, trace)
-                     : StatusOr<matching::CompensationPlan>(lag.status());
-        if (!comp.ok()) {
+        if (!lag.ok()) {
           if (trace != nullptr) {
-            attempt.reason = RejectReasonFromStatus(comp.status());
-            attempt.detail = comp.status().ToString();
+            attempt.reason = RejectReasonFromStatus(lag.status());
+            attempt.detail = lag.status().ToString();
             attempt.compensation = RejectReasonToken(attempt.reason);
-            attempts.push_back(std::move(attempt));
           }
-          continue;
-        }
-        ++*candidates;
-        int64_t delta_rows = snap.DeltaRows(lag->table, lag->from, lag->to);
-        int64_t cost = LeafRowCost(comp->ast_leg, snap) + delta_rows;
-        bool acceptable = cost <= current_cost &&
-                          (best_comp == nullptr || cost < best_comp_cost);
-        if (trace != nullptr) {
-          attempt.produced = true;
-          attempt.cost_after = static_cast<double>(cost);
-          attempt.compensation =
-              "compensated(" + std::to_string(delta_rows) + " delta rows, " +
-              std::to_string(lag->to - lag->from) + " epochs)";
-          if (!acceptable) attempt.detail = "costlier than the current plan";
-        }
-        if (acceptable) {
-          best_comp =
-              std::make_shared<matching::CompensationPlan>(std::move(*comp));
-          best_comp_cost = cost;
-          best_comp_rows = delta_rows;
-          best_comp_st = st;
-          if (trace != nullptr) {
-            best_comp_attempt = static_cast<int>(attempts.size());
-          }
+        } else if (try_blocks(st, *lag, attempt_ptr)) {
+          ++*candidates;
         }
         if (trace != nullptr) attempts.push_back(std::move(attempt));
         continue;
@@ -687,25 +730,64 @@ std::unique_ptr<qgm::Graph> Database::TryRewrite(
       }
       if (trace != nullptr) attempts.push_back(std::move(attempt));
     }
-    // A compensation candidate wins only by strictly beating every ordinary
-    // rewrite: at equal scan cost a fresh AST beats two-leg complexity.
-    if (best_comp != nullptr &&
-        (best == nullptr || best_comp_cost < best_cost)) {
-      if (trace != nullptr) {
-        if (best_comp_attempt >= 0) attempts[best_comp_attempt].chosen = true;
-        for (AstAttemptTrace& attempt : attempts) {
-          trace->AddAstAttempt(std::move(attempt));
-        }
-        trace->AddNote("delta compensation: stale ast '" + best_comp_st->name +
-                       "' + " + std::to_string(best_comp_rows) +
-                       " delta rows of '" + best_comp->stale_table + "'");
+    // The compensation candidate serves every block that has a leg; it wins
+    // only by strictly beating every ordinary rewrite (at equal scan cost a
+    // fresh AST beats merging), and its win ends the search, since the
+    // merged rows are produced outside QGM and cannot be re-fed to the
+    // matcher.
+    std::vector<qgm::BoxId> comp_blocks;
+    std::vector<matching::CompensationLeg> comp_legs;
+    std::vector<SummaryTablePtr> comp_asts;  // distinct, in block order
+    std::vector<std::string> notes;
+    int64_t comp_cost = 0;
+    for (size_t b = 0; b < block_legs.size(); ++b) {
+      BlockLeg& block = block_legs[b];
+      if (!block.leg) continue;
+      comp_blocks.push_back(blocks[b]);
+      comp_cost += block.cost;
+      notes.push_back("delta compensation: stale ast '" + block.st->name +
+                      "' + " + std::to_string(block.delta_rows) +
+                      " delta rows of '" + block.leg->stale_table + "'");
+      comp_legs.push_back(std::move(*block.leg));
+      if (std::find(comp_asts.begin(), comp_asts.end(), block.st) ==
+          comp_asts.end()) {
+        comp_asts.push_back(block.st);
       }
-      MetricsRegistry::Global().counter("rewrite.rewritten")->Increment();
-      MetricsRegistry::Global().counter("rewrite.compensated")->Increment();
-      *chosen = best_comp_st->name;
-      *used_refs = {best_comp_st};
-      *compensation = std::move(best_comp);
-      return nullptr;
+    }
+    if (!comp_blocks.empty()) {
+      block_legs.clear();
+      auto comp = std::make_shared<matching::CompensationPlan>(
+          matching::AssembleCompensationPlan(query, comp_blocks,
+                                             std::move(comp_legs)));
+      comp_cost += LeafRowCost(comp->residual, snap);
+      if (comp_cost <= current_cost &&
+          (best == nullptr || comp_cost < best_cost)) {
+        std::vector<std::string> names;
+        for (const SummaryTablePtr& st : comp_asts) names.push_back(st->name);
+        if (trace != nullptr) {
+          for (AstAttemptTrace& attempt : attempts) {
+            attempt.chosen =
+                attempt.produced && !attempt.compensation.empty() &&
+                std::find(names.begin(), names.end(), attempt.ast_name) !=
+                    names.end();
+            trace->AddAstAttempt(std::move(attempt));
+          }
+          for (std::string& note : notes) trace->AddNote(std::move(note));
+        }
+        MetricsRegistry::Global().counter("rewrite.rewritten")->Increment();
+        MetricsRegistry::Global().counter("rewrite.compensated")->Increment();
+        *chosen = Join(names, "+");
+        *used_refs = std::move(comp_asts);
+        *compensation = std::move(comp);
+        return nullptr;
+      }
+      if (trace != nullptr) {
+        for (AstAttemptTrace& attempt : attempts) {
+          if (attempt.produced && !attempt.compensation.empty()) {
+            attempt.detail = "costlier than the current plan";
+          }
+        }
+      }
     }
     if (trace != nullptr) {
       if (best_attempt >= 0) attempts[best_attempt].chosen = true;
@@ -802,13 +884,16 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
   std::shared_ptr<const qgm::Graph> plan;      // the graph to execute
   std::shared_ptr<const qgm::Graph> original;  // base-table form, fallback
   std::vector<SummaryTablePtr> used;  // ASTs the plan splices in (pinned)
-  // Non-null when the query is served by the two-leg delta-compensation path
-  // (stale AST + retained deltas); `plan` stays null then and `original`
-  // holds the base-table fallback. `comp_lag` is the AST's lag in `snap`:
-  // the epochs the delta leg covers.
+  // Non-null when the query is served by per-block delta compensation
+  // (stale ASTs + retained deltas); `plan` stays null then and `original`
+  // holds the base-table fallback. comp_lags[i] is leg i's AST's lag in
+  // `snap`: the epochs its delta leg covers.
   std::shared_ptr<const matching::CompensationPlan> comp;
-  Lag comp_lag;
+  std::vector<compensation::EpochRange> comp_lags;
   int64_t comp_delta_rows = 0;
+  // The compensated plan's AST legs as one graph, on the compile path: what
+  // its rewritten SQL renders.
+  std::optional<qgm::Graph> comp_sql_graph;
   bool was_rewritten = false;
   // Leaf rows a base-table plan scans (against the pinned snapshot): the
   // workload log's direct-cost figure.
@@ -935,9 +1020,10 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
             used.clear();
           }
         } else if (comp != nullptr) {
-          // Two-leg compensation won the search. Leg A (the AST scan) is the
-          // closest single-statement rendering of the plan.
-          StatusOr<std::string> leg_sql = qgm::ToSql(comp->ast_leg);
+          // Compensation won the search. Its AST legs in place of the merge
+          // nodes are the closest single-statement rendering of the plan.
+          comp_sql_graph = matching::AstLegsGraph(*comp);
+          StatusOr<std::string> leg_sql = qgm::ToSql(*comp_sql_graph);
           result.used_summary_table = true;
           result.summary_table = chosen;
           result.rewritten_sql = leg_sql.ok() ? std::move(*leg_sql) : "";
@@ -953,11 +1039,22 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
       }
     }
 
-    // The delta leg covers the compensated AST's lag at this snapshot, not
-    // the lag it had when the plan was made: an equal planning context
-    // guarantees only the same stale table and the same number of epochs.
+    // Each delta leg covers its AST's lag at this snapshot, not the lag it
+    // had when the plan was made: an equal planning context guarantees only
+    // the same stale table and the same number of epochs.
     if (comp != nullptr) {
-      SUMTAB_ASSIGN_OR_RETURN(comp_lag, LagOf(*used.front(), snap));
+      for (const matching::CompensationLeg& leg : comp->legs) {
+        auto st = std::find_if(used.begin(), used.end(),
+                               [&leg](const SummaryTablePtr& ast) {
+                                 return ast->name == leg.summary_table;
+                               });
+        if (st == used.end()) {
+          return Status::Internal("compensation leg over unpinned ast '" +
+                                  leg.summary_table + "'");
+        }
+        SUMTAB_ASSIGN_OR_RETURN(Lag lag, LagOf(**st, snap));
+        comp_lags.push_back(compensation::EpochRange{lag.from, lag.to});
+      }
     }
   }  // ddl_mu_ released — execution must not hold the catalog lock.
 
@@ -974,8 +1071,7 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
   int64_t exec_start = MonotonicNanos();
   StatusOr<engine::Relation> data =
       comp != nullptr
-          ? compensation::ExecuteCompensationPlan(*comp, comp_lag.from,
-                                                  comp_lag.to, snap,
+          ? compensation::ExecuteCompensationPlan(*comp, comp_lags, snap,
                                                   exec_options,
                                                   &comp_delta_rows)
           : engine::Executor(snap, exec_options).Execute(*plan);
@@ -1039,7 +1135,10 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
         MetricsRegistry::Global().counter("query.compensation_delta_rows");
     result.compensated = true;
     result.compensation_delta_rows = comp_delta_rows;
-    result.compensation_epochs = comp_lag.to - comp_lag.from;
+    for (const compensation::EpochRange& lag : comp_lags) {
+      result.compensation_epochs =
+          std::max(result.compensation_epochs, lag.to - lag.from);
+    }
     compensated_counter->Increment();
     compensated_rows_counter->Increment(comp_delta_rows);
     for (const SummaryTablePtr& st : used) {
@@ -1049,7 +1148,8 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
       trace->AddNote("compensated: " + std::to_string(comp_delta_rows) +
                      " delta rows over " +
                      std::to_string(result.compensation_epochs) +
-                     " epoch(s) of '" + comp->stale_table + "'");
+                     " epoch(s) in " + std::to_string(comp->legs.size()) +
+                     " block(s)");
     }
   }
   // 3. Memoize the decision — only a plan that parsed, matched, and executed
@@ -1074,7 +1174,7 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
       // string literal that holds the cut marker leaves it uncut, and the
       // plan then serves only these literals.
       StatusOr<qgm::SlottedSql> slotted = qgm::ToSlottedSql(
-          comp != nullptr ? comp->ast_leg : *plan, entry->params.size());
+          comp != nullptr ? *comp_sql_graph : *plan, entry->params.size());
       if (slotted.ok() &&
           slotted->Render(entry->params) == entry->rewritten_sql) {
         entry->rewritten_sql_slots = std::move(*slotted);
@@ -1201,7 +1301,7 @@ StatusOr<std::string> Database::ExplainRewrite(const std::string& sql,
     StatusOr<std::string> new_sql = qgm::ToSql(*rewritten);
     trace.SetChosen(chosen, new_sql.ok() ? *new_sql : "");
   } else if (comp != nullptr) {
-    StatusOr<std::string> leg_sql = qgm::ToSql(comp->ast_leg);
+    StatusOr<std::string> leg_sql = qgm::ToSql(matching::AstLegsGraph(*comp));
     trace.SetChosen(chosen, leg_sql.ok() ? *leg_sql : "");
   }
   if (degradation.degraded) {

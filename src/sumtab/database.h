@@ -158,11 +158,12 @@ struct QueryResult {
   std::string rewritten_sql;       // the NewQ form (empty if not rewritten)
   int candidate_rewrites = 0;      // how many ASTs offered a rewrite
   bool plan_cache_hit = false;     // served from the rewrite-plan cache
-  /// The answer came from a STALE summary table plus a compensating
-  /// aggregate over its retained append deltas (exact, not degraded).
+  /// The answer came from STALE summary tables plus, per aggregate block,
+  /// a compensating aggregate over their retained append deltas (exact,
+  /// not degraded).
   bool compensated = false;
-  int64_t compensation_delta_rows = 0;  // delta rows the second leg scanned
-  int64_t compensation_epochs = 0;      // epochs the delta range spanned
+  int64_t compensation_delta_rows = 0;  // delta rows read, summed over blocks
+  int64_t compensation_epochs = 0;      // the widest block's delta range
   QueryDegradation degradation;    // set when a failure was recovered
   /// Set when QueryOptions::collect_trace was on (shared so the executor's
   /// parallel lanes can keep counting rows while the caller holds it).
@@ -448,9 +449,10 @@ class Database {
   /// for quarantine accounting and appended to `degradation`) instead of
   /// failing the search. `used_refs` receives the ASTs spliced into the
   /// rewrite. Caller holds ddl_mu_ (shared or exclusive).
-  /// `compensation` (optional) receives a two-leg delta-compensation plan
-  /// when a STALE AST wins via compensation instead; the returned graph is
-  /// then null (the plan carries its own leg graphs).
+  /// `compensation` (optional) receives a per-block delta-compensation plan
+  /// when STALE ASTs win via compensation instead; the returned graph is
+  /// then null (the plan carries its residual and leg graphs) and
+  /// `used_refs` receives the ASTs its legs read.
   std::unique_ptr<qgm::Graph> TryRewrite(
       const qgm::Graph& query, const engine::Storage::Snapshot& snap,
       const QueryOptions& options, std::string* chosen, int* candidates,

@@ -93,10 +93,10 @@ struct CachedPlan {
   qgm::SlottedSql rewritten_sql_slots;
   int candidate_rewrites = 0;
   std::vector<std::string> used_asts;
-  /// Set when a lagging AST answers through the two-leg compensation plan.
-  /// The plan names its stale table, not an epoch range: the range is the
-  /// AST's lag at execution, so one entry serves every snapshot in which
-  /// the AST lags on that table by the same number of epochs.
+  /// Set when lagging ASTs answer through a compensation plan. Its legs
+  /// name their stale tables, not epoch ranges: a leg's range is its AST's
+  /// lag at execution, so one entry serves every snapshot in which the ASTs
+  /// lag on those tables by the same numbers of epochs.
   std::shared_ptr<const matching::CompensationPlan> compensation;
   /// Lower-cased table of every base-table scan in the query's base-table
   /// form, a table scanned twice listed twice. They select the ASTs of the

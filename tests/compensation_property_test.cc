@@ -22,6 +22,7 @@
 #include "engine/relation.h"
 #include "expr/expr.h"
 #include "sumtab/database.h"
+#include "tests/reference.h"
 #include "tests/test_util.h"
 
 namespace sumtab {
@@ -172,9 +173,11 @@ TEST(CompensationMergeProperty, MergeEqualsAggregateOfUnion) {
 
 // ---------------------------------------------------------------------------
 // End-to-end properties through Database: base partition bulk-loaded and
-// materialized into the AST, delta partition appended with maintenance
+// materialized into the ASTs, delta partition appended with maintenance
 // deferred, then compensated answers compared bit-for-bit against a
-// rewrite-disabled recompute over the union.
+// rewrite-disabled recompute over the union and against tests/reference,
+// at 1 and 4 lanes, from a cold and a warm plan cache. Nested (Fig. 10) and
+// scalar-subquery (Fig. 11) queries merge deltas block by block.
 // ---------------------------------------------------------------------------
 
 struct SplitCase {
@@ -235,6 +238,10 @@ TEST_P(CompensationPropertyTest, CompensatedMatchesFullRecompute) {
                     "sum(d) as sd, count(d) as cd "
                     "from t group by g")
                   .ok());
+  ASSERT_TRUE(db.DefineSummaryTable("ast_total",
+                                    "select count(*) as cnt, sum(v) as sv "
+                                    "from t")
+                  .ok());
 
   // Ship the delta as deferred appends (possibly several epochs, possibly
   // zero rows — the from==to empty-delta edge still must compensate cleanly).
@@ -255,52 +262,92 @@ TEST_P(CompensationPropertyTest, CompensatedMatchesFullRecompute) {
     ASSERT_TRUE(report.ok()) << report.status().ToString();
   }
 
-  const std::vector<std::string> kQueries = {
+  // Each query with the number of aggregate blocks compensation merges
+  // deltas into (each block's delta leg reads every delta row).
+  const std::vector<std::pair<std::string, int>> kQueries = {
       // Int-only aggregates: exact under any regrouping.
-      "select g, count(*) as c, sum(v) as s, min(v) as mn, max(v) as mx "
-      "from t group by g",
+      {"select g, count(*) as c, sum(v) as s, min(v) as mn, max(v) as mx "
+       "from t group by g",
+       1},
       // COUNT(col): NULLs in either partition must not count.
-      "select g, count(v) as cv, count(d) as cd from t group by g",
+      {"select g, count(v) as cv, count(d) as cd from t group by g", 1},
       // AVG lowered to SUM/COUNT division over int inputs: one division on
       // merged partials == one division on the recomputed totals.
-      "select g, count(*) as c, avg(v) as av from t group by g",
+      {"select g, count(*) as c, avg(v) as av from t group by g", 1},
       // Double SUM/AVG with sticky int->double promotion in the merge.
-      "select g, sum(d) as sd, avg(d) as ad from t group by g",
+      {"select g, sum(d) as sd, avg(d) as ad from t group by g", 1},
       // Residual predicate + HAVING on top of the merged aggregate.
-      "select g, count(*) as c, sum(v) as s from t where g < 1004 "
-      "group by g having count(*) > 2",
+      {"select g, count(*) as c, sum(v) as s from t where g < 1004 "
+       "group by g having count(*) > 2",
+       1},
       // ORDER BY re-applied after the merge.
-      "select g, max(v) as mx from t group by g order by g",
+      {"select g, max(v) as mx from t group by g order by g", 1},
+      // Fig. 10's shape: an aggregate over an aggregate, with a HAVING
+      // between the blocks. Only the inner block merges deltas; the HAVING
+      // and the outer GROUP BY run over the merged groups.
+      {"select c, count(*) as n from (select g, count(*) as c from t "
+       "group by g having count(*) > 5) group by c",
+       1},
+      {"select mx, count(*) as n, sum(s) as ss from (select g, max(v) as mx, "
+       "sum(v) as s from t where g < 1004 group by g having count(v) > 2) "
+       "group by mx",
+       1},
+      // Fig. 11's shape: a scalar subquery reads t a second time. Its block
+      // and the main block merge deltas separately, the subquery's through
+      // ast_total and the main block's through ast_t.
+      {"select g, count(*) as c, (select count(*) from t) as total "
+       "from t group by g having count(*) > 1",
+       2},
+      {"select g, sum(v) as s, (select sum(v) from t) as tot, "
+       "count(*) * 1000 / (select count(*) from t) as permille "
+       "from t group by g",
+       3},
   };
 
   QueryOptions no_rewrite;
   no_rewrite.enable_rewrite = false;
   no_rewrite.max_threads = 1;
-  for (const std::string& sql : kQueries) {
-    StatusOr<QueryResult> reference = db.Query(sql, no_rewrite);
+  for (const auto& [sql, blocks] : kQueries) {
+    StatusOr<QueryResult> recompute = db.Query(sql, no_rewrite);
+    ASSERT_TRUE(recompute.ok()) << sql << "\n"
+                                << recompute.status().ToString();
+    StatusOr<engine::Relation> reference = reference::Query(db, sql);
     ASSERT_TRUE(reference.ok()) << sql << "\n"
                                 << reference.status().ToString();
-    QueryOptions opts;
-    opts.max_threads = 1;
-    StatusOr<QueryResult> got = db.Query(sql, opts);
-    ASSERT_TRUE(got.ok()) << sql << "\n" << got.status().ToString();
-    EXPECT_TRUE(got->used_summary_table) << sql;
-    EXPECT_TRUE(got->compensated) << sql;
-    EXPECT_EQ(got->summary_table, "ast_t") << sql;
-    EXPECT_EQ(got->compensation_delta_rows, static_cast<int64_t>(delta.size()))
-        << sql;
-    EXPECT_EQ(got->compensation_epochs, epochs) << sql;
-    EXPECT_FALSE(got->degradation.degraded) << sql;
-    EXPECT_TRUE(BitIdenticalSorted(reference->relation, got->relation))
-        << sql << "\nreference:\n"
-        << reference->relation.ToString(20) << "\ngot:\n"
-        << got->relation.ToString(20);
+    // One lane from a cold plan cache, then four from the warm entry.
+    for (int threads : {1, 4}) {
+      QueryOptions opts;
+      opts.max_threads = threads;
+      StatusOr<QueryResult> got = db.Query(sql, opts);
+      ASSERT_TRUE(got.ok()) << sql << "\n" << got.status().ToString();
+      EXPECT_EQ(got->plan_cache_hit, threads == 4) << sql;
+      EXPECT_TRUE(got->used_summary_table) << sql;
+      EXPECT_TRUE(got->compensated) << sql;
+      EXPECT_EQ(got->summary_table,
+                sql.find("select count(*) from t") != std::string::npos ||
+                        sql.find("select sum(v) from t") != std::string::npos
+                    ? "ast_t+ast_total"
+                    : "ast_t")
+          << sql;
+      EXPECT_EQ(got->compensation_delta_rows,
+                blocks * static_cast<int64_t>(delta.size()))
+          << sql;
+      EXPECT_EQ(got->compensation_epochs, epochs) << sql;
+      EXPECT_FALSE(got->degradation.degraded) << sql;
+      EXPECT_TRUE(BitIdenticalSorted(recompute->relation, got->relation))
+          << sql << " threads=" << threads << "\nrecompute:\n"
+          << recompute->relation.ToString(20) << "\ngot:\n"
+          << got->relation.ToString(20);
+      EXPECT_TRUE(reference::MatchesReference(got->relation, *reference))
+          << sql << " threads=" << threads;
+    }
   }
 
   // Refresh absorbs the deltas: same queries now rewrite WITHOUT
   // compensation and still agree.
   ASSERT_TRUE(db.RefreshSummaryTable("ast_t").ok());
-  for (const std::string& sql : kQueries) {
+  ASSERT_TRUE(db.RefreshSummaryTable("ast_total").ok());
+  for (const auto& [sql, blocks] : kQueries) {
     StatusOr<QueryResult> reference = db.Query(sql, no_rewrite);
     ASSERT_TRUE(reference.ok()) << sql;
     StatusOr<QueryResult> got = db.Query(sql);

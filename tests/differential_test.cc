@@ -730,8 +730,9 @@ TEST_P(DifferentialTest, MaintainedAstsMatchReference) {
 // Seventh leg — delta compensation: after randomized *deferred* appends
 // (AppendOptions::maintain = false) the AST is stale but every missing
 // epoch is a retained append slice, so the rewriter answers through the
-// two-leg compensated plan (AST scan merged with a same-shape aggregate
-// over the delta rows). With int-only aggregate arguments the merged
+// compensated plan (per aggregate block, the AST scan merged with a
+// same-shape aggregate over the delta rows; nested and scalar-subquery
+// queries merge each block and run the rest over the merged rows). With int-only aggregate arguments the merged
 // answer must be BIT-IDENTICAL to a full recompute from base tables and
 // match the reference exactly; AVG (lowered to SUM/COUNT with the division
 // in the residual) divides bit-identical ints and so stays exact too.
@@ -757,9 +758,23 @@ TEST_P(DifferentialTest, CompensationSeventhLegMatchesFullRecompute) {
                           "count(*) as c, min(qty) as mn, max(qty) as mx",
                           "count(*) as c, sum(qty) as s, avg(qty) as av",
                           "sum(qty) as s, max(qty) as mx"};
-    std::string sql = "select " + dim + ", " + aggs[rng() % 4] + " from trans";
     const char* filters[] = {"", " where faid < 30", " where qty > 2",
                              " where flid < 8"};
+    // Multi-block shapes merge deltas block by block: an aggregate over
+    // the groups of a block, with a HAVING between them (Fig. 10), and a
+    // scalar subquery over trans as a second block (Fig. 11).
+    const int shape = static_cast<int>(rng() % 4);
+    if (shape == 2) {
+      return "select c, count(*) as n, sum(s) as ss from (select " + dim +
+             ", count(*) as c, sum(qty) as s from trans" + filters[rng() % 4] +
+             " group by " + dim + " having count(*) > 1) group by c";
+    }
+    std::string sql = "select " + dim + ", " + aggs[rng() % 4];
+    if (shape == 3) {
+      sql += ", (select max(qty) + sum(qty) from trans" +
+             std::string(filters[rng() % 4]) + ") as tot";
+    }
+    sql += " from trans";
     sql += filters[rng() % 4];
     sql += " group by " + dim;
     if (rng() % 3 == 0) sql += " having count(*) > 3";
@@ -769,7 +784,7 @@ TEST_P(DifferentialTest, CompensationSeventhLegMatchesFullRecompute) {
   Database::AppendOptions deferred;
   deferred.maintain = false;
   int next_tid = 2000000;
-  int checked = 0, compensated = 0;
+  int checked = 0, compensated = 0, multi_block = 0;
   for (int round = 0; round < 5; ++round) {
     // 1-2 deferred appends per round: the AST falls several epochs behind,
     // each epoch a separately retained slice.
@@ -825,6 +840,7 @@ TEST_P(DifferentialTest, CompensationSeventhLegMatchesFullRecompute) {
         EXPECT_GT(g->compensation_delta_rows, 0) << sql;
         EXPECT_GT(g->compensation_epochs, 0) << sql;
         EXPECT_EQ(g->summary_table, "ast_comp") << sql;
+        if (sql.find("(select") != std::string::npos) ++multi_block;
       }
       // Zero degraded answers: compensation either serves exactly or is
       // never chosen — it must not trip the execute-fallback path.
@@ -848,6 +864,7 @@ TEST_P(DifferentialTest, CompensationSeventhLegMatchesFullRecompute) {
   EXPECT_GT(compensated, checked / 2)
       << "only " << compensated << "/" << checked
       << " queries were compensated";
+  EXPECT_GT(multi_block, 0) << "no multi-block query was compensated";
 
   // A refresh absorbs the deltas: the same query now routes through the
   // fresh AST without compensation.

@@ -11,6 +11,7 @@
 
 #include "common/fault_injection.h"
 #include "common/str_util.h"
+#include "tests/reference.h"
 #include "tests/test_util.h"
 
 namespace sumtab {
@@ -395,18 +396,22 @@ TEST_F(PlanCacheTest, CompensatedAndFallbackPlansWarmTheirOwnEntries) {
 }
 
 TEST_F(PlanCacheTest, CachedRewriteOverDeferredStaleAstIsNeverServedAsIs) {
-  // A histogram of kQuery's counts: its inner block rewrites over ast1, but
-  // compensation takes only one aggregate block over the stale table, so
-  // once ast1 lags this query must go back to base tables.
+  // Three rewrites over ast1: kQuery, a histogram of its counts, and a
+  // COUNT(DISTINCT) block. Compensation merges deltas per aggregate block,
+  // so once ast1 lags the first two re-plan to compensate; a DISTINCT
+  // aggregate does not decompose under union, so the third must go back
+  // to base tables.
   constexpr char kNested[] =
       "select cnt, count(*) as n from "
       "(select faid, count(*) as cnt from trans group by faid) "
       "group by cnt";
+  constexpr char kDistinct[] =
+      "select faid, count(distinct flid) as c from trans group by faid";
   ASSERT_TRUE(db_->DefineSummaryTable("ast1", kAstDef).ok());
-  ASSERT_TRUE(MustQuery(kQuery).used_summary_table);
-  ASSERT_TRUE(MustQuery(kNested).used_summary_table);
-  ASSERT_TRUE(MustQuery(kQuery).plan_cache_hit);
-  ASSERT_TRUE(MustQuery(kNested).plan_cache_hit);
+  for (const char* sql : {kQuery, kNested, kDistinct}) {
+    ASSERT_TRUE(MustQuery(sql).used_summary_table) << sql;
+    ASSERT_TRUE(MustQuery(sql).plan_cache_hit) << sql;
+  }
 
   // A deferred append leaves ast1 behind: reading it as stored would drop
   // the 35 new rows.
@@ -417,24 +422,27 @@ TEST_F(PlanCacheTest, CachedRewriteOverDeferredStaleAstIsNeverServedAsIs) {
   QueryOptions no_rewrite;
   no_rewrite.enable_rewrite = false;
 
-  // The single-block query re-plans to compensate.
+  // The single-block and the nested query re-plan to compensate.
   QueryOptions traced;
   traced.collect_trace = true;
-  QueryResult comp = MustQuery(kQuery, traced);
-  EXPECT_FALSE(comp.plan_cache_hit);
-  ASSERT_NE(comp.trace, nullptr);
-  EXPECT_EQ(comp.trace->plan_cache_detail(), "delta:trans");
-  EXPECT_TRUE(comp.compensated);
-  EXPECT_EQ(comp.compensation_delta_rows, 35);
-  EXPECT_TRUE(engine::SameRowMultiset(MustQuery(kQuery, no_rewrite).relation,
-                                      comp.relation));
+  for (const char* sql : {kQuery, kNested}) {
+    QueryResult comp = MustQuery(sql, traced);
+    EXPECT_FALSE(comp.plan_cache_hit) << sql;
+    ASSERT_NE(comp.trace, nullptr);
+    EXPECT_EQ(comp.trace->plan_cache_detail(), "delta:trans") << sql;
+    EXPECT_TRUE(comp.compensated) << sql;
+    EXPECT_EQ(comp.compensation_delta_rows, 35) << sql;
+    EXPECT_TRUE(engine::SameRowMultiset(MustQuery(sql, no_rewrite).relation,
+                                        comp.relation))
+        << sql;
+  }
 
-  // The nested one re-plans to base tables.
-  QueryResult base = MustQuery(kNested);
+  // The DISTINCT aggregate re-plans to base tables.
+  QueryResult base = MustQuery(kDistinct);
   EXPECT_FALSE(base.plan_cache_hit);
   EXPECT_FALSE(base.used_summary_table);
-  EXPECT_TRUE(engine::SameRowMultiset(MustQuery(kNested, no_rewrite).relation,
-                                      base.relation));
+  EXPECT_TRUE(engine::SameRowMultiset(
+      MustQuery(kDistinct, no_rewrite).relation, base.relation));
 }
 
 TEST_F(PlanCacheTest, CompensatedPlanIsServedAgainAfterCatchUp) {
@@ -607,6 +615,42 @@ TEST_F(PlanCacheTemplateTest, SubsumptionFlipReplans) {
   EXPECT_TRUE(repeat.plan_cache_hit);
   EXPECT_FALSE(repeat.used_summary_table);
   EXPECT_EQ(db_->Stats().plan_cache_literal_sensitive, 3);
+}
+
+TEST_F(PlanCacheTemplateTest, CompensatedTwoBlockTemplateBindsEveryLeg) {
+  // Fig. 11's shape with a literal in each block and one in the HAVING
+  // between them: after a deferred append both blocks merge deltas, and a
+  // hit with other literals must bind the residual and every leg.
+  ASSERT_TRUE(db_->DefineSummaryTable("ast1", kAstDef).ok());
+  Database::AppendOptions deferred;
+  deferred.maintain = false;
+  ASSERT_TRUE(db_->Append("trans", MakeTransRows(950000, 45), deferred).ok());
+  auto query = [](int flid, int below, int having) {
+    return "select faid, count(*) as cnt, (select count(*) from trans "
+           "where flid < " +
+           std::to_string(below) + ") as low from trans where flid = " +
+           std::to_string(flid) + " group by faid having count(*) > " +
+           std::to_string(having);
+  };
+  QueryResult first = Traced(query(3, 7, 1));
+  EXPECT_FALSE(first.plan_cache_hit);
+  ASSERT_TRUE(first.compensated);
+  EXPECT_EQ(first.compensation_delta_rows, 2 * 45);
+  for (const std::string& sql : {query(5, 9, 0), query(11, 4, 1)}) {
+    QueryResult hit = Traced(sql);
+    EXPECT_TRUE(hit.plan_cache_hit) << sql;
+    EXPECT_TRUE(hit.compensated) << sql;
+    EXPECT_EQ(hit.compensation_delta_rows, 2 * 45) << sql;
+    EXPECT_EQ(TemplateOf(hit), TemplateOf(first)) << sql;
+    StatusOr<engine::Relation> want = reference::Query(*db_, sql);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_TRUE(reference::MatchesReference(hit.relation, *want)) << sql;
+    ASSERT_FALSE(hit.relation.rows.empty()) << sql;
+    QueryOptions no_cache;
+    no_cache.enable_plan_cache = false;
+    EXPECT_EQ(hit.rewritten_sql, MustQuery(sql, no_cache).rewritten_sql)
+        << sql;
+  }
 }
 
 TEST_F(PlanCacheTemplateTest, EqualLiteralsShapeTheTemplate) {

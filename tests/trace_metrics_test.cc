@@ -321,7 +321,9 @@ TEST_F(ExplainRewriteTest, ReportsPlanCacheFate) {
             std::string::npos)
       << bound;
   // A plan whose search compared a literal with the AST's own serves only
-  // that literal: another one reports which decision read it.
+  // that literal: another one reports which decision read it — the §4.1
+  // subsumption that satisfied `faid < 20`, not the exact-match attempt
+  // that failed before it.
   ASSERT_TRUE(db_->DefineSummaryTable(
                      "ast_low",
                      "select faid, count(*) as cnt from trans where faid < 20 "
@@ -334,8 +336,9 @@ TEST_F(ExplainRewriteTest, ReportsPlanCacheFate) {
   std::string sensitive =
       Explain("select faid, count(*) as c from trans where faid < 30 "
               "group by faid");
-  EXPECT_NE(sensitive.find("plan cache: literal-sensitive (literal equality)"),
-            std::string::npos)
+  EXPECT_NE(
+      sensitive.find("plan cache: literal-sensitive (predicate subsumption)"),
+      std::string::npos)
       << sensitive;
   EXPECT_EQ(db_->Stats().plan_cache_literal_sensitive, 1);
   // A BulkLoad leaves ast1 stale beyond compensation: that invalidates,
@@ -378,6 +381,47 @@ TEST_F(ExplainRewriteTest, ReportsSkippedStaleAst) {
   EXPECT_NE(text.find("comp_delta_unavailable"), std::string::npos) << text;
   EXPECT_NE(text.find("rewrite: none (original plan)"), std::string::npos)
       << text;
+}
+
+TEST_F(ExplainRewriteTest, ReportsOneCompensationVerdictPerBlock) {
+  // Fig. 11's shape: a scalar subquery reads trans a second time, so the
+  // query has two aggregate blocks. After a deferred append each block is
+  // compensated on its own, and EXPLAIN REWRITE names both verdicts.
+  std::vector<Row> rows;
+  for (int i = 0; i < 20; ++i) {
+    rows.push_back(Row{Value::Int(7000000 + i), Value::Int(i % 50),
+                       Value::Int(i % 12), Value::Int(i % 40),
+                       Value::Date(19940101 + i), Value::Int(1 + i % 5),
+                       Value::Double(10.0), Value::Double(0.0)});
+  }
+  Database::AppendOptions deferred;
+  deferred.maintain = false;
+  ASSERT_TRUE(db_->Append("trans", std::move(rows), deferred).ok());
+  const std::string sql =
+      "select flid, count(*) as cnt, count(*) / (select count(*) from trans) "
+      "as cntpct from trans group by flid";
+  std::string text = Explain(sql);
+  const std::string verdict = "=compensated(20 delta rows, 1 epochs)";
+  const size_t first = text.find(verdict);
+  ASSERT_NE(first, std::string::npos) << text;
+  EXPECT_NE(text.find(verdict, first + verdict.size()), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("rewrite: using summary table 'ast1'"),
+            std::string::npos)
+      << text;
+
+  // The answer sums the delta rows over the blocks and matches the
+  // base tables.
+  StatusOr<QueryResult> got = db_->Query(sql);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got->compensated);
+  EXPECT_EQ(got->compensation_delta_rows, 40);
+  EXPECT_EQ(got->compensation_epochs, 1);
+  QueryOptions no_rewrite;
+  no_rewrite.enable_rewrite = false;
+  StatusOr<QueryResult> base = db_->Query(sql, no_rewrite);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  EXPECT_TRUE(engine::SameRowMultiset(base->relation, got->relation));
 }
 
 // ---------------------------------------------------------------------------
