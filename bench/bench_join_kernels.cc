@@ -17,7 +17,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "engine/column_vector.h"
 #include "engine/kernels.h"
 
@@ -179,8 +178,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   }
-  sumtab::bench::PrintHeader(
-      "dictionary kernels: string keys vs int32 codes");
+  std::printf("dictionary kernels: string keys vs int32 codes\n");
   sumtab::RunSize(100000);
   if (!quick) sumtab::RunSize(1000000);
   return 0;

@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the hot paths of the matcher and the
 // engine: navigator runs, full parse->build->match->rewrite pipelines, and
-// hash aggregation. Complements bench_matching_overhead with
+// hash aggregation. Complements bench_paper's per-query rewrite times with
 // statistically-stable per-operation numbers.
 #include <benchmark/benchmark.h>
 

@@ -39,9 +39,6 @@ namespace sumtab {
 namespace engine {
 
 struct ExecOptions {
-  /// Disables hash joins (nested loops only); exists for the join-strategy
-  /// ablation bench.
-  bool disable_hash_join = false;
   /// Per-table substitutions: BASE boxes naming a key scan the mapped
   /// batch instead of storage (same columns as the table it stands in for).
   /// The one delta leg (compensation::MergeDeltaLeg) evaluates a graph

@@ -203,8 +203,7 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
       continue;
     }
     JoinPred jp;
-    if (!options_.disable_hash_join && qs.size() == 2 &&
-        IsEquiJoin(pred, &jp.qa, &jp.ca, &jp.qb, &jp.cb)) {
+    if (qs.size() == 2 && IsEquiJoin(pred, &jp.qa, &jp.ca, &jp.qb, &jp.cb)) {
       jp.pred = pred;
       join_preds.push_back(jp);
       continue;

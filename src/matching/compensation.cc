@@ -159,48 +159,67 @@ std::vector<qgm::BoxId> CompensationBlocks(const qgm::Graph& query) {
   return blocks;
 }
 
-StatusOr<qgm::Graph> BlockQuery(const qgm::Graph& query, qgm::BoxId block) {
+StatusOr<BlockQueryGraph> BlockQuery(const qgm::Graph& query,
+                                     qgm::BoxId block) {
+  BlockQueryGraph out;
+  std::map<qgm::BoxId, qgm::BoxId> copies;  // query box -> graph box
+  auto map_back = [&]() {
+    out.query_box.assign(out.graph.size(), block);
+    for (const auto& [from, to] : copies) out.query_box[to] = from;
+  };
   if (!query.box(block)->IsGroupBy()) {
     // The whole SPJ query; ORDER BY is applied once, by the residual.
-    qgm::Graph whole = qgm::Graph::CloneGraph(query);
-    whole.set_order_by({});
-    return whole;
+    out.graph.set_root(out.graph.CloneSubgraph(query, query.root(), &copies));
+    map_back();
+    return out;
   }
   // A bare projection of EVERY output: the merge needs the full group key
   // and every partial aggregate, whatever the blocks above use of them.
-  qgm::Graph out;
-  const qgm::BoxId gb = out.CloneSubgraph(query, block);
-  qgm::Box* root = out.AddBox(qgm::Box::Kind::kSelect);
+  const qgm::BoxId gb = out.graph.CloneSubgraph(query, block, &copies);
+  qgm::Box* root = out.graph.AddBox(qgm::Box::Kind::kSelect);
   root->quantifiers.push_back(qgm::Quantifier{gb});
-  const qgm::Box* gb_box = out.box(gb);
+  const qgm::Box* gb_box = out.graph.box(gb);
   for (int i = 0; i < gb_box->NumOutputs(); ++i) {
     root->outputs.push_back(
         qgm::OutputColumn{gb_box->outputs[i].name, expr::ColRef(0, i)});
   }
-  out.set_root(root->id);
-  SUMTAB_RETURN_NOT_OK(qgm::ComputeBoxColumnInfo(&out, root));
+  out.graph.set_root(root->id);
+  SUMTAB_RETURN_NOT_OK(qgm::ComputeBoxColumnInfo(&out.graph, root));
+  map_back();
   return out;
 }
 
 StatusOr<CompensationLeg> BuildCompensationLeg(
-    const qgm::Graph& block_query, const std::string& stale_table,
+    const BlockQueryGraph& block_query, const std::string& stale_table,
     const SummaryTableDef& ast, const catalog::Catalog& catalog,
     AstAttemptTrace* attempt, QueryTrace* qtrace) {
+  const qgm::Graph& graph = block_query.graph;
   CompensationLeg leg;
   SUMTAB_ASSIGN_OR_RETURN(leg.merge,
-                          AnalyzeCompensableQuery(block_query, stale_table));
+                          AnalyzeCompensableQuery(graph, stale_table));
   leg.summary_table = ast.table_name;
   leg.stale_table = stale_table;
   // Leg B executes Q'_B itself; the executor's table override swaps the
   // stale scan for the retained delta rows at run time.
-  leg.delta_leg = qgm::Graph::CloneGraph(block_query);
+  leg.delta_leg = qgm::Graph::CloneGraph(graph);
 
   // Leg A is Q'_B rerouted through the stale AST by the ordinary navigator
-  // + rewriter — compensation predicates, rejoins and all.
-  SUMTAB_ASSIGN_OR_RETURN(
-      RewriteResult rw,
-      RewriteQuery(block_query, ast, catalog, attempt, qtrace));
-  if (attempt != nullptr) attempt->num_matches += rw.num_matches;
+  // + rewriter — compensation predicates, rejoins and all. Its match
+  // attempts are renumbered to the query's boxes, so they line up with the
+  // per-block verdicts.
+  const size_t first_match =
+      attempt != nullptr ? attempt->match_attempts.size() : 0;
+  SUMTAB_ASSIGN_OR_RETURN(RewriteResult rw,
+                          RewriteQuery(graph, ast, catalog, attempt, qtrace));
+  if (attempt != nullptr) {
+    attempt->num_matches += rw.num_matches;
+    for (size_t i = first_match; i < attempt->match_attempts.size(); ++i) {
+      int& box = attempt->match_attempts[i].query_box;
+      if (box >= 0 && box < static_cast<int>(block_query.query_box.size())) {
+        box = block_query.query_box[box];
+      }
+    }
+  }
   if (!rw.rewritten) {
     return RejectMatch(RejectReason::kCompAstMismatch,
                        "AST '" + ast.table_name +

@@ -103,19 +103,29 @@ std::string MergeNodeName(int leg);
 /// the query has no GROUP-BY (an SPJ query is one block).
 std::vector<qgm::BoxId> CompensationBlocks(const qgm::Graph& query);
 
+/// Q'_B of one block, and the query box each of its boxes copies.
+struct BlockQueryGraph {
+  qgm::Graph graph;
+  /// query_box[b]: the query box that graph box b copies. The bare
+  /// projection BlockQuery adds over a GROUP-BY block maps to the block.
+  std::vector<qgm::BoxId> query_box;
+};
+
 /// Q'_B of `block`: its subtree under a bare projection of its outputs; for
 /// a non-GROUP-BY block (the root of an SPJ query), the query itself
 /// without its ORDER BY.
-StatusOr<qgm::Graph> BlockQuery(const qgm::Graph& query, qgm::BoxId block);
+StatusOr<BlockQueryGraph> BlockQuery(const qgm::Graph& query,
+                                     qgm::BoxId block);
 
 /// Analyzes `block_query` (a BlockQuery) and assembles its two legs against
 /// `ast`. Fails with a comp_* reject when the shape does not decompose or
 /// the AST cannot absorb it (`comp_ast_mismatch` covers both "no match" and
 /// a rewrite that leaves a scan of the stale table, which would
 /// double-count the delta). `attempt`/`qtrace` flow through to the
-/// navigator like RewriteQuery's.
+/// navigator like RewriteQuery's; the match attempts it adds to `attempt`
+/// name the query's boxes, not Q'_B's.
 StatusOr<CompensationLeg> BuildCompensationLeg(
-    const qgm::Graph& block_query, const std::string& stale_table,
+    const BlockQueryGraph& block_query, const std::string& stale_table,
     const SummaryTableDef& ast, const catalog::Catalog& catalog,
     AstAttemptTrace* attempt = nullptr, QueryTrace* qtrace = nullptr);
 

@@ -62,11 +62,13 @@ int Graph::Rank(BoxId id) const {
   return rank;
 }
 
-BoxId Graph::CloneSubgraph(const Graph& src, BoxId src_root) {
-  std::map<BoxId, BoxId> mapping;
+BoxId Graph::CloneSubgraph(const Graph& src, BoxId src_root,
+                            std::map<BoxId, BoxId>* mapping) {
+  std::map<BoxId, BoxId> local;
+  if (mapping == nullptr) mapping = &local;
   std::function<BoxId(BoxId)> clone = [&](BoxId id) -> BoxId {
-    auto it = mapping.find(id);
-    if (it != mapping.end()) return it->second;
+    auto it = mapping->find(id);
+    if (it != mapping->end()) return it->second;
     const Box* original = src.box(id);
     // Clone children first; AddBox may invalidate `original` if src == this,
     // so copy the box value up front.
@@ -78,7 +80,7 @@ BoxId Graph::CloneSubgraph(const Graph& src, BoxId src_root) {
     BoxId fresh_id = fresh->id;
     copy.id = fresh_id;
     *fresh = std::move(copy);
-    mapping[id] = fresh_id;
+    (*mapping)[id] = fresh_id;
     return fresh_id;
   };
   return clone(src_root);

@@ -17,6 +17,7 @@
 #ifndef SUMTAB_QGM_QGM_H_
 #define SUMTAB_QGM_QGM_H_
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -152,8 +153,10 @@ class Graph {
   int Rank(BoxId id) const;
 
   /// Deep-copies the subgraph rooted at src_root (from graph src, which may
-  /// be *this) into this graph; returns the new root's id.
-  BoxId CloneSubgraph(const Graph& src, BoxId src_root);
+  /// be *this) into this graph; returns the new root's id. `mapping`, when
+  /// given, receives each copied src box id -> its copy's id.
+  BoxId CloneSubgraph(const Graph& src, BoxId src_root,
+                      std::map<BoxId, BoxId>* mapping = nullptr);
 
   /// Deep-copies an entire graph including root and order-by.
   static Graph CloneGraph(const Graph& src);

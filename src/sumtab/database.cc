@@ -550,7 +550,7 @@ std::unique_ptr<qgm::Graph> Database::TryRewrite(
   // Each block keeps its cheapest leg over the lagging ASTs. The blocks and
   // their queries Q'_B are made on the first lagging AST.
   std::vector<qgm::BoxId> blocks;
-  std::vector<StatusOr<qgm::Graph>> block_queries;
+  std::vector<StatusOr<matching::BlockQueryGraph>> block_queries;
   struct BlockLeg {
     std::optional<matching::CompensationLeg> leg;
     int64_t cost = 0;  // AST-leg leaf rows + delta rows
@@ -577,7 +577,7 @@ std::unique_ptr<qgm::Graph> Database::TryRewrite(
     int64_t cost = 0;
     for (size_t b = 0; b < blocks.size(); ++b) {
       if (block_queries[b].ok() &&
-          matching::TableReferences(*block_queries[b], lag.table) == 0) {
+          matching::TableReferences(block_queries[b]->graph, lag.table) == 0) {
         continue;
       }
       StatusOr<matching::CompensationLeg> leg =
@@ -1059,7 +1059,6 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
   }  // ddl_mu_ released — execution must not hold the catalog lock.
 
   engine::ExecOptions exec_options;
-  exec_options.disable_hash_join = options.disable_hash_join;
   exec_options.max_rows = options.max_rows;
   exec_options.timeout_millis = options.timeout_millis;
   // 0 = hardware concurrency; clamp so aggregation partition ids stay narrow.

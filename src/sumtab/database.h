@@ -111,8 +111,6 @@ struct DurabilityStats {
 struct QueryOptions {
   /// Attempt rerouting through registered summary tables.
   bool enable_rewrite = true;
-  /// Engine knob for the join-strategy ablation bench.
-  bool disable_hash_join = false;
   /// Permit rerouting through kStale summary tables (answers may predate
   /// the latest loads). kDisabled tables are never used.
   bool allow_stale_reads = false;

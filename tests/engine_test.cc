@@ -45,10 +45,9 @@ class EngineTest : public ::testing::Test {
                     .ok());
   }
 
-  engine::Relation Run(const std::string& sql, bool hash_join = true) {
+  engine::Relation Run(const std::string& sql) {
     QueryOptions opts;
     opts.enable_rewrite = false;
-    opts.disable_hash_join = !hash_join;
     StatusOr<QueryResult> r = db_.Query(sql, opts);
     EXPECT_TRUE(r.ok()) << r.status().ToString() << " for " << sql;
     return r.ok() ? std::move(r->relation) : engine::Relation{};
@@ -66,12 +65,37 @@ TEST_F(EngineTest, ScanFilterProject) {
 }
 
 TEST_F(EngineTest, HashJoinAndNestedLoopAgree) {
-  const char* sql =
+  // `t.id = d.id` is a hash-join key; `t.id + 0 = d.id` is not (IsEquiJoin
+  // keys only column = column), so it joins through the cartesian step and
+  // a residual filter. Both answer like the reference evaluator.
+  const char* hash_sql =
       "select t.id, label from t, d where t.id = d.id and val is not null";
-  engine::Relation hash = Run(sql, /*hash_join=*/true);
-  engine::Relation loop = Run(sql, /*hash_join=*/false);
+  const char* loop_sql =
+      "select t.id, label from t, d where t.id + 0 = d.id and val is not null";
+  engine::Relation hash = Run(hash_sql);
+  engine::Relation loop = Run(loop_sql);
   EXPECT_EQ(hash.NumRows(), 2u);
   EXPECT_TRUE(engine::SameRowMultiset(hash, loop));
+  for (const char* sql : {hash_sql, loop_sql}) {
+    StatusOr<engine::Relation> want = reference::Query(db_, sql);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_TRUE(reference::MatchesReference(Run(sql), *want)) << sql;
+  }
+
+  // Which path each query took: both charge the 8 scanned rows, then the
+  // hash join materializes its 2 matches (10 rows in all) and the cartesian
+  // step all 4 x 3 pairs before the residual filter (20), so a budget of 15
+  // admits only the hash join.
+  QueryOptions budget;
+  budget.enable_rewrite = false;
+  budget.enable_plan_cache = false;
+  budget.max_rows = 15;
+  StatusOr<QueryResult> hashed = db_.Query(hash_sql, budget);
+  EXPECT_TRUE(hashed.ok()) << hashed.status().ToString();
+  StatusOr<QueryResult> looped = db_.Query(loop_sql, budget);
+  ASSERT_FALSE(looped.ok());
+  EXPECT_EQ(looped.status().code(), Status::Code::kResourceExhausted)
+      << looped.status().ToString();
 }
 
 TEST_F(EngineTest, JoinOnNullNeverMatches) {

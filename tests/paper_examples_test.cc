@@ -1,15 +1,26 @@
-// End-to-end reproduction of every worked example in the paper: each query /
-// AST pair from Figures 2, 5, 6, 7, 8, 10, 11, 13, 14 must (a) be rewritten
-// to use the AST and (b) produce exactly the same answer as direct execution,
-// (c) at one lane and at four, and (d) again from the plan cache.
+// End-to-end reproduction of every paper artifact in bench/paper_cases.h,
+// one test per case (PaperExamplesTest.<case id>): each query must (a) get
+// the paper's verdict, rewritten through an AST or not, (b) answer exactly
+// like direct execution, (c) at one lane and at four, and (d) again from the
+// plan cache, also for its template with other literals; (e) its rewritten
+// SQL must have the case's NewQ shape, and (f) where the case gives the
+// exact answer, the query must return it.
 #include <gtest/gtest.h>
 
+#include "bench/paper_cases.h"
+#include "tests/reference.h"
 #include "tests/test_util.h"
 
 namespace sumtab {
 namespace {
 
-using testing::MakeCardDb;
+using paper_cases::PaperCase;
+using paper_cases::Schema;
+
+// Fact rows per schema: small enough for tier-1, large enough to keep each
+// case's plan shapes (the bench runs the same cases at scale).
+constexpr int64_t kCardTrans = 5000;
+constexpr int64_t kTpcdLineitems = 20000;
 
 /// testing::ExpectRewriteEquivalent, then the figure's second and third
 /// runs at max_threads 1 and 4: both are plan-cache hits, and both answer
@@ -17,7 +28,7 @@ using testing::MakeCardDb;
 /// by one answers like direct execution, and a plan-cache hit for it shows
 /// the fresh plan's rewritten SQL.
 std::string ExpectFigureRewrite(Database* db, const std::string& sql,
-                                bool expect_rewrite = true) {
+                                bool expect_rewrite) {
   std::string rewritten =
       testing::ExpectRewriteEquivalent(db, sql, expect_rewrite);
   QueryOptions no_rewrite;
@@ -60,236 +71,57 @@ std::string ExpectFigureRewrite(Database* db, const std::string& sql,
 }
 
 class PaperExamplesTest : public ::testing::Test {
- protected:
-  void SetUp() override { db_ = MakeCardDb(); }
-  std::unique_ptr<Database> db_;
+ public:
+  explicit PaperExamplesTest(const PaperCase* paper_case)
+      : case_(*paper_case) {}
+
+  void TestBody() override {
+    Database db;
+    const int64_t fact_rows =
+        case_.schema == Schema::kTpcd ? kTpcdLineitems : kCardTrans;
+    Status setup = paper_cases::SetupSchema(&db, case_.schema, fact_rows);
+    ASSERT_TRUE(setup.ok()) << setup.ToString();
+    for (const paper_cases::Ast& ast : case_.asts) {
+      StatusOr<int64_t> rows = db.DefineSummaryTable(ast.name, ast.sql);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString() << "\n" << ast.sql;
+    }
+    for (const paper_cases::Query& query : case_.queries) {
+      SCOPED_TRACE(query.label);
+      const std::string rewritten =
+          ExpectFigureRewrite(&db, query.sql, query.rewrites);
+      for (const std::string& part : query.newq_has) {
+        EXPECT_NE(rewritten.find(part), std::string::npos)
+            << "NewQ lacks '" << part << "': " << rewritten;
+      }
+      for (const std::string& part : query.newq_lacks) {
+        EXPECT_EQ(rewritten.find(part), std::string::npos)
+            << "NewQ holds '" << part << "': " << rewritten;
+      }
+      if (query.rows.has_value()) {
+        StatusOr<QueryResult> got = db.Query(query.sql);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_TRUE(reference::SameRowsExactly(got->relation.rows,
+                                               *query.rows))
+            << got->relation.ToString();
+      }
+    }
+  }
+
+ private:
+  const PaperCase& case_;
 };
 
-// Figure 2: Q1 / AST1 -> NewQ1 (regrouping city-level counts to state level
-// through the Loc rejoin, count(*) -> sum(cnt), HAVING re-derivation).
-TEST_F(PaperExamplesTest, Fig2_Q1) {
-  auto rows = db_->DefineSummaryTable(
-      "ast1",
-      "select faid, flid, year(date) as year, count(*) as cnt "
-      "from trans group by faid, flid, year(date)");
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  std::string rewritten = ExpectFigureRewrite(
-      db_.get(),
-      "select faid, state, year(date) as year, count(*) as cnt "
-      "from trans, loc where flid = lid and country = 'USA' "
-      "group by faid, state, year(date) having count(*) > 100");
-  EXPECT_NE(rewritten.find("ast1"), std::string::npos) << rewritten;
-}
-
-// Figure 5: Q2 / AST2 -> NewQ2 (PGroup rejoin, Loc extra child proven
-// lossless by RI, aid derived from faid via column equivalence, and the
-// minimum-QCL derivation amt = value * (1 - disc)).
-TEST_F(PaperExamplesTest, Fig5_Q2) {
-  auto rows = db_->DefineSummaryTable(
-      "ast2",
-      "select tid, faid, fpgid, status, country, price, qty, disc, "
-      "qty * price as value "
-      "from trans, loc, acct where lid = flid and faid = aid and disc > 0.1");
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  std::string rewritten = ExpectFigureRewrite(
-      db_.get(),
-      "select aid, status, qty * price * (1 - disc) as amt "
-      "from trans, pgroup, acct "
-      "where pgid = fpgid and faid = aid and price > 100 and disc > 0.1 "
-      "and pgname = 'TV'");
-  EXPECT_NE(rewritten.find("ast2"), std::string::npos) << rewritten;
-  // Minimum-QCL derivation: the rewrite uses the precomputed `value` column.
-  EXPECT_NE(rewritten.find("value"), std::string::npos) << rewritten;
-}
-
-// Figure 6: Q4 / monthly AST -> yearly re-aggregation (rule (c)).
-TEST_F(PaperExamplesTest, Fig6_Q4) {
-  auto rows = db_->DefineSummaryTable(
-      "ast4",
-      "select year(date) as year, month(date) as month, "
-      "sum(qty * price) as value from trans "
-      "group by year(date), month(date)");
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  std::string rewritten = ExpectFigureRewrite(
-      db_.get(),
-      "select year(date) as year, sum(qty * price) as value "
-      "from trans group by year(date)");
-  EXPECT_NE(rewritten.find("ast4"), std::string::npos) << rewritten;
-}
-
-// Figure 7: Q6 / AST6 — SELECT child compensation pulled up through the
-// GROUP-BY (month >= 6), plus a computed grouping expression year % 100.
-TEST_F(PaperExamplesTest, Fig7_Q6) {
-  auto rows = db_->DefineSummaryTable(
-      "ast6",
-      "select year(date) as year, month(date) as month, "
-      "sum(qty * price) as value from trans "
-      "group by year(date), month(date)");
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  std::string rewritten = ExpectFigureRewrite(
-      db_.get(),
-      "select year(date) % 100 as yy, sum(qty * price) as value "
-      "from trans where month(date) >= 6 group by year(date) % 100");
-  EXPECT_NE(rewritten.find("ast6"), std::string::npos) << rewritten;
-}
-
-// Figure 8: Q7 / AST7 — rejoin at the GROUP-BY level; the 1:N rule makes
-// regrouping unnecessary, the counts come straight from the AST.
-TEST_F(PaperExamplesTest, Fig8_Q7) {
-  auto rows = db_->DefineSummaryTable(
-      "ast7",
-      "select flid, year(date) as year, count(*) as cnt "
-      "from trans group by flid, year(date)");
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  std::string rewritten = ExpectFigureRewrite(
-      db_.get(),
-      "select lid, year(date) as year, count(*) as cnt "
-      "from trans, loc where flid = lid and country = 'USA' "
-      "group by lid, year(date)");
-  EXPECT_NE(rewritten.find("ast7"), std::string::npos) << rewritten;
-}
-
-// Figure 10: Q8 / AST8 — histogram of histograms: nested GROUP-BY blocks,
-// GROUP-BY child compensation (pattern 4.2.2).
-TEST_F(PaperExamplesTest, Fig10_Q8) {
-  auto rows = db_->DefineSummaryTable(
-      "ast8",
-      "select tcnt, count(*) as mcnt from "
-      "(select year(date) as year, month(date) as month, count(*) as tcnt "
-      "from trans group by year(date), month(date)) group by tcnt");
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  // The outer blocks cannot be answered from AST8 (monthly vs yearly
-  // histogram), but the *inner* monthly counts can... The paper's Q8 groups
-  // yearly; AST8's inner groups monthly, so the inner blocks match with
-  // regrouping and the outer ones re-derive through pattern 4.2.2. For the
-  // rewrite to reach the AST's *root*, we use the paper's exact pair: the
-  // query's inner histogram re-derives from the AST's finer one only if the
-  // AST exposes its inner table — which AST8 does not. Hence this test uses
-  // an AST whose root IS the inner GROUP-BY. See Fig10_Q8_NestedMatch for
-  // the multi-block 4.2.2 case.
-  std::string rewritten = ExpectFigureRewrite(
-      db_.get(),
-      "select tcnt, count(*) as mcnt from "
-      "(select year(date) as year, month(date) as month, count(*) as tcnt "
-      "from trans group by year(date), month(date)) group by tcnt");
-  EXPECT_NE(rewritten.find("ast8"), std::string::npos) << rewritten;
-}
-
-// Figure 10 proper: multi-block query vs multi-block AST where the inner
-// blocks match with regrouping compensation and the outer GROUP-BY matches
-// through pattern 4.2.2 (the compensation chain contains a GROUP-BY).
-TEST_F(PaperExamplesTest, Fig10_Q8_NestedMatch) {
-  auto rows = db_->DefineSummaryTable(
-      "ast8n",
-      "select tcnt, count(*) as mcnt from "
-      "(select year(date) as year, month(date) as month, count(*) as tcnt "
-      "from trans group by year(date), month(date)) group by tcnt");
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  // Q8 counts *yearly* histograms: its inner block regroups the AST's inner
-  // monthly block; the outer block then needs 4.2.2. The yearly counts are
-  // NOT derivable from AST8's root (mcnt buckets are monthly), so this must
-  // NOT be rewritten — a correctness check on 4.2.2's conditions.
-  ExpectFigureRewrite(
-      db_.get(),
-      "select tcnt, count(*) as ycnt from "
-      "(select year(date) as year, count(*) as tcnt "
-      "from trans group by year(date)) group by tcnt",
-      /*expect_rewrite=*/false);
-}
-
-// Figure 11 / Figure 15: Q10 / AST10 — scalar subqueries, HAVING
-// compensation, sum(cnt)/totcnt derivation through a multi-box chain.
-TEST_F(PaperExamplesTest, Fig11_Q10) {
-  auto rows = db_->DefineSummaryTable(
-      "ast10",
-      "select flid, year(date) as year, count(*) as cnt, "
-      "(select count(*) from trans) as totcnt "
-      "from trans group by flid, year(date)");
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  std::string rewritten = ExpectFigureRewrite(
-      db_.get(),
-      "select flid, count(*) as cnt, "
-      "count(*) / (select count(*) from trans) as cntpct "
-      "from trans, loc where flid = lid and country = 'USA' "
-      "group by flid having count(*) > 2");
-  EXPECT_NE(rewritten.find("ast10"), std::string::npos) << rewritten;
-}
-
-// Figure 13: simple GROUP-BY queries against a cube AST (pattern 5.1).
-TEST_F(PaperExamplesTest, Fig13_CubeAst) {
-  auto rows = db_->DefineSummaryTable(
-      "ast11",
-      "select flid, faid, year(date) as year, month(date) as month, "
-      "count(*) as cnt from trans "
-      "group by grouping sets ((flid, year(date)), "
-      "(flid, year(date), month(date)), (flid, faid, year(date)))");
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-
-  // Q11.1: exact cuboid (flid, year) + slicing, no regrouping.
-  std::string q111 = ExpectFigureRewrite(
-      db_.get(),
-      "select flid, year(date) as year, count(*) as cnt "
-      "from trans where year(date) > 1990 group by flid, year(date)");
-  EXPECT_NE(q111.find("is null"), std::string::npos) << q111;
-
-  // Q11.2: month predicate forces the (flid, year, month) cuboid + regroup.
-  ExpectFigureRewrite(
-      db_.get(),
-      "select flid, year(date) as year, count(*) as cnt "
-      "from trans where month(date) >= 6 group by flid, year(date)");
-
-  // Q11.3: count(distinct faid) by (flid, year, month): no cuboid carries
-  // both faid and month — must NOT match.
-  ExpectFigureRewrite(
-      db_.get(),
-      "select flid, year(date) as year, month(date) as month, "
-      "count(distinct faid) as custcnt "
-      "from trans group by flid, year(date), month(date)",
-      /*expect_rewrite=*/false);
-}
-
-// Figure 14: cube queries against a cube AST (pattern 5.2).
-TEST_F(PaperExamplesTest, Fig14_CubeVsCube) {
-  auto rows = db_->DefineSummaryTable(
-      "ast12",
-      "select flid, faid, year(date) as year, month(date) as month, "
-      "count(*) as cnt from trans "
-      "group by grouping sets ((flid, faid, year(date)), "
-      "(flid, year(date)), (flid, year(date), month(date)), (year(date)))");
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-
-  // Q12.1: both cuboids exist in the AST — no regrouping, union slicing.
-  std::string q121 = ExpectFigureRewrite(
-      db_.get(),
-      "select flid, year(date) as year, count(*) as cnt "
-      "from trans where year(date) > 1990 "
-      "group by grouping sets ((flid, year(date)), (year(date)))");
-  EXPECT_NE(q121.find("OR"), std::string::npos) << q121;
-
-  // Q12.2: the (flid) cuboid is missing — fall back to GS^E = (flid, year),
-  // slice it, and regroup by gs((flid), (year)).
-  std::string q122 = ExpectFigureRewrite(
-      db_.get(),
-      "select flid, year(date) as year, count(*) as cnt "
-      "from trans where year(date) > 1990 "
-      "group by grouping sets ((flid), (year(date)))");
-  EXPECT_NE(q122.find("grouping sets"), std::string::npos) << q122;
-}
-
-// Table 1: a HAVING predicate inside the AST makes the match semantically
-// invalid even though the HAVING texts are identical (translation turns the
-// query's cnt > 2 into sum(cnt) > 2, which differs). Must NOT match.
-TEST_F(PaperExamplesTest, Table1_SemanticInequivalence) {
-  auto rows = db_->DefineSummaryTable(
-      "ast10h",
-      "select flid, year(date) as year, count(*) as cnt "
-      "from trans group by flid, year(date) having count(*) > 2");
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  ExpectFigureRewrite(db_.get(),
-                      "select flid, count(*) as cnt from trans "
-                      "group by flid having count(*) > 2",
-                      /*expect_rewrite=*/false);
-}
+// Registered at static initialization, before gtest_main lists the tests.
+const bool kRegistered = [] {
+  for (const PaperCase& paper_case : paper_cases::Cases()) {
+    ::testing::RegisterTest(
+        "PaperExamplesTest", paper_case.id, nullptr, nullptr, __FILE__,
+        __LINE__, [&paper_case]() -> ::testing::Test* {
+          return new PaperExamplesTest(&paper_case);
+        });
+  }
+  return true;
+}();
 
 }  // namespace
 }  // namespace sumtab

@@ -8,6 +8,9 @@
 // Suite names deliberately contain Trace/Metrics/Explain so the TSan CI job
 // (-R ".*Trace|Metrics|Explain.*") picks them up: traces are written from
 // morsel-parallel lanes and must be race-free.
+#include <algorithm>
+#include <regex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "common/metrics.h"
 #include "common/reject_reason.h"
 #include "common/trace.h"
+#include "qgm/qgm_builder.h"
 #include "sql/parser.h"
 #include "tests/test_util.h"
 
@@ -409,6 +413,59 @@ TEST_F(ExplainRewriteTest, ReportsOneCompensationVerdictPerBlock) {
   EXPECT_NE(text.find("rewrite: using summary table 'ast1'"),
             std::string::npos)
       << text;
+
+  // The attempt's match lines number the query's boxes, as the verdicts
+  // do: each names a block that owns a verdict or a box under one, of the
+  // kind its pattern matches, and every block is named by some line.
+  StatusOr<std::shared_ptr<sql::SelectStmt>> stmt = sql::Parse(sql);
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  StatusOr<qgm::Graph> graph = qgm::BuildGraph(**stmt, db_->catalog());
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  std::vector<int> blocks;
+  const std::regex verdict_re("q(\\d+)=compensated");
+  for (auto it = std::sregex_iterator(text.begin(), text.end(), verdict_re);
+       it != std::sregex_iterator(); ++it) {
+    blocks.push_back(std::stoi((*it)[1]));
+  }
+  EXPECT_EQ(blocks.size(), 2u) << text;
+  std::set<int> covered;  // the verdict blocks and every box under them
+  std::vector<int> pending = blocks;
+  while (!pending.empty()) {
+    const int box = pending.back();
+    pending.pop_back();
+    if (!covered.insert(box).second) continue;
+    for (const qgm::Quantifier& q : graph->box(box)->quantifiers) {
+      pending.push_back(q.child);
+    }
+  }
+  std::set<int> named;
+  const std::regex match_re("match q(\\d+) vs a\\d+ \\[([a-z/]+)\\]");
+  for (auto it = std::sregex_iterator(text.begin(), text.end(), match_re);
+       it != std::sregex_iterator(); ++it) {
+    const int box = std::stoi((*it)[1]);
+    const std::string pattern = (*it)[2];
+    named.insert(box);
+    ASSERT_TRUE(covered.count(box) > 0)
+        << (*it)[0] << " names no box of a compensated block\n"
+        << text;
+    const qgm::Box* query_box = graph->box(box);
+    if (pattern == "seed") {
+      EXPECT_EQ(query_box->kind, qgm::Box::Kind::kBase) << (*it)[0];
+    } else if (pattern == "groupby/groupby") {
+      EXPECT_TRUE(query_box->IsGroupBy()) << (*it)[0];
+    } else if (pattern == "select/select") {
+      // The bare projection over a block prints as the block.
+      const bool is_block =
+          std::find(blocks.begin(), blocks.end(), box) != blocks.end();
+      EXPECT_TRUE(query_box->kind == qgm::Box::Kind::kSelect || is_block)
+          << (*it)[0];
+    }
+  }
+  for (int block : blocks) {
+    EXPECT_TRUE(named.count(block) > 0)
+        << "no match line names block q" << block << "\n"
+        << text;
+  }
 
   // The answer sums the delta rows over the blocks and matches the
   // base tables.
