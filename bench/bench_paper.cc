@@ -143,6 +143,7 @@ void RunCase(Database* db, const PaperCase& paper_case, int64_t fact_rows,
       ok = ok && engine::SameRowMultiset(direct.relation,
                                          engine::Relation{{}, *query.rows});
     }
+    ok = ok && (!query.some_rows || direct.relation.NumRows() > 0);
     Check(ok, std::string(paper_case.id) + " " + query.label + ": " + newq);
     const char* verdict = routed.used_summary_table ? "true" : "false";
     std::printf(
@@ -328,7 +329,7 @@ int main(int argc, char** argv) {
     for (int64_t fact_rows : scales) {
       Database db;
       Must(paper_cases::SetupSchema(&db, schema, fact_rows), "schema");
-      for (const PaperCase& paper_case : paper_cases::Cases()) {
+      for (const PaperCase& paper_case : paper_cases::Cases(tpcd_rows)) {
         if (paper_case.schema == schema) {
           RunCase(&db, paper_case, fact_rows, &cases);
         }

@@ -38,11 +38,12 @@ struct Ast {
 
 struct Query {
   const char* label;
-  const char* sql;
+  std::string sql;
   bool rewrites;  // the paper's verdict: answered through an AST
   std::vector<std::string> newq_has = {};    // substrings of the NewQ SQL
   std::vector<std::string> newq_lacks = {};  // substrings it must not hold
   std::optional<std::vector<Row>> rows = {};  // the exact answer, if given
+  bool some_rows = false;  // the answer, whose rows vary with scale, has some
 };
 
 struct PaperCase {
@@ -141,8 +142,14 @@ constexpr const char* kTable1Query =
     "select flid, count(*) as cnt from trans group by flid "
     "having count(*) > 2";
 
-inline const std::vector<PaperCase>& Cases() {
-  static const std::vector<PaperCase> cases = {
+/// Every case, with the TPC-D schema loaded at `tpcd_lineitems` rows (the
+/// card schema's cases do not depend on its scale).
+inline std::vector<PaperCase> Cases(int64_t tpcd_lineitems) {
+  // W4 keeps the parts with more than the mean lineitems per part, so some
+  // parts qualify and some do not at every scale.
+  const std::string lineitems_per_part =
+      std::to_string(tpcd_lineitems / data::TpcdParams().num_parts);
+  return {
       // Fig. 2: Q1 regroups per-(account, city, year) counts to state level
       // through the Loc rejoin; count(*) becomes sum(cnt), in the HAVING too.
       {"Fig2_Q1", "FIG2", Schema::kCard,
@@ -331,8 +338,9 @@ inline const std::vector<PaperCase>& Cases() {
          true},
         {"W4 big parts histogram",
          "select pkey, count(*) as cnt from lineitem group by pkey "
-         "having count(*) > 400",
-         true},
+         "having count(*) > " +
+             lineitems_per_part,
+         true, {}, {}, {}, /*some_rows=*/true},
         {"W5 order counts by year",
          "select year(odate) as y, count(*) as cnt from orders "
          "group by year(odate)",
@@ -351,7 +359,6 @@ inline const std::vector<PaperCase>& Cases() {
          "select pkey, avg(ldisc) as d from lineitem group by pkey",
          false}}},
   };
-  return cases;
 }
 
 }  // namespace paper_cases

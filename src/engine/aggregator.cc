@@ -106,23 +106,27 @@ struct ValueKey {
   }
 };
 
-/// Pass 1's answer for one partition of the input: its rows, each row's
-/// group id, and each group's first row; ids run from 0 in first-seen
-/// order. Serially the one partition holds every row (`rows` stays empty).
+/// Pass 1's answer for one partition of the input: its column rows, each
+/// row's group id, and each group's first row; ids run from 0 in
+/// first-seen order. Serially the one partition holds every row: the
+/// input's selection, or every column row when it has none. The global
+/// group needs no ids: every row is in group 0.
 struct Partition {
-  std::vector<int64_t> rows;       // input rows, in order; empty = all rows
+  const int64_t* rows = nullptr;   // column rows, in order; null = 0..count-1
+  int64_t count = 0;
+  std::vector<int64_t> own_rows;   // a parallel partition's rows
+  bool global = false;             // one group, 0, and no `gid`
   std::vector<int32_t> gid;        // per partition row
-  std::vector<int64_t> first_row;  // per group
+  std::vector<int64_t> first_row;  // per group, a column row
 };
 
-/// Calls fn(k, i) for partition row k = 0, 1, ... and its input row i.
+/// Calls fn(k, i) for partition row k = 0, 1, ... and its column row i.
 template <typename Fn>
 void ForEachRow(const Partition& part, const Fn& fn) {
-  const int64_t count = static_cast<int64_t>(part.gid.size());
-  if (part.rows.empty()) {
-    for (int64_t k = 0; k < count; ++k) fn(k, k);
+  if (part.rows == nullptr) {
+    for (int64_t k = 0; k < part.count; ++k) fn(k, k);
   } else {
-    for (int64_t k = 0; k < count; ++k) fn(k, part.rows[k]);
+    for (int64_t k = 0; k < part.count; ++k) fn(k, part.rows[k]);
   }
 }
 
@@ -133,53 +137,63 @@ uint16_t PartitionOf(uint64_t hash, int lanes) {
   return static_cast<uint16_t>((low * static_cast<uint64_t>(lanes)) >> 32);
 }
 
-/// Assigns ids to `count` rows, row_of(k) being partition row k's input row
-/// and hash_of(k) its key hash.
-template <typename Key, typename RowOf, typename HashOf>
-void AssignIds(const Key& key, int64_t count, const RowOf& row_of,
-               const HashOf& hash_of, Partition* part) {
+/// Assigns ids to the partition's rows, hash_of(k) being partition row k's
+/// key hash.
+template <typename Key, typename HashOf>
+void AssignIds(const Key& key, const HashOf& hash_of, Partition* part) {
   kernels::GroupIdTable table;
-  part->gid.resize(count);
-  for (int64_t k = 0; k < count; ++k) {
-    const int64_t i = row_of(k);
-    const int32_t g = table.FindOrInsert(hash_of(k), [&](int32_t id) {
-      return key.Same(i, part->first_row[id]);
+  // Built in locals and moved in: partitions side by side would share the
+  // cache lines of their vectors' headers.
+  std::vector<int32_t> gid(part->count);
+  std::vector<int64_t> first_row;
+  ForEachRow(*part, [&](int64_t k, int64_t i) {
+    const int32_t g = table.FindOrInsert(hash_of(k, i), [&](int32_t id) {
+      return key.Same(i, first_row[id]);
     });
-    if (g == static_cast<int32_t>(part->first_row.size())) {
-      part->first_row.push_back(i);
-    }
-    part->gid[k] = g;
-  }
+    if (g == static_cast<int32_t>(first_row.size())) first_row.push_back(i);
+    gid[k] = g;
+  });
+  part->gid = std::move(gid);
+  part->first_row = std::move(first_row);
 }
 
+/// Pass 1 over the n input rows `sel` lists (column rows 0..n-1 when null).
 template <typename Key>
-std::vector<Partition> AssignGroupIds(const Key& key, int64_t n, int lanes) {
+std::vector<Partition> AssignGroupIds(const Key& key, const int64_t* sel,
+                                      int64_t n, int lanes) {
   std::vector<Partition> parts(lanes);
   if (lanes <= 1) {
+    parts[0].rows = sel;
+    parts[0].count = n;
     AssignIds(
-        key, n, [](int64_t k) { return k; },
-        [&key](int64_t k) { return key.Hash(k); }, &parts[0]);
+        key, [&key](int64_t, int64_t i) { return key.Hash(i); }, &parts[0]);
     return parts;
   }
   // Hash every row once; the hash picks the partition and the table slot.
   std::vector<uint64_t> hashes(n);
   std::vector<uint16_t> partition(n);
   ParallelFor(n, lanes, [&](int, int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      hashes[i] = key.Hash(i);
-      partition[i] = PartitionOf(hashes[i], lanes);
+    for (int64_t k = begin; k < end; ++k) {
+      hashes[k] = key.Hash(sel != nullptr ? sel[k] : k);
+      partition[k] = PartitionOf(hashes[k], lanes);
     }
   }, kMinParallelRowsPerLane);
   ParallelFor(lanes, lanes, [&](int, int64_t begin, int64_t end) {
     for (int64_t p = begin; p < end; ++p) {
-      std::vector<int64_t>& rows = parts[p].rows;
-      for (int64_t i = 0; i < n; ++i) {
-        if (partition[i] == p) rows.push_back(i);
+      // Each partition row's position in the input, to find its hash.
+      std::vector<int64_t> at;
+      for (int64_t k = 0; k < n; ++k) {
+        if (partition[k] == p) at.push_back(k);
       }
+      Partition& part = parts[p];
+      part.own_rows.resize(at.size());
+      for (size_t k = 0; k < at.size(); ++k) {
+        part.own_rows[k] = sel != nullptr ? sel[at[k]] : at[k];
+      }
+      part.rows = part.own_rows.data();
+      part.count = static_cast<int64_t>(at.size());
       AssignIds(
-          key, static_cast<int64_t>(rows.size()),
-          [&rows](int64_t k) { return rows[k]; },
-          [&](int64_t k) { return hashes[rows[k]]; }, &parts[p]);
+          key, [&](int64_t k, int64_t) { return hashes[at[k]]; }, &part);
     }
   }, /*min_chunk=*/1);
   return parts;
@@ -187,22 +201,26 @@ std::vector<Partition> AssignGroupIds(const Key& key, int64_t n, int lanes) {
 
 template <int W>
 std::vector<Partition> AssignCodeIds(
-    const std::vector<const EncodedKey*>& keys, int64_t n, int lanes) {
+    const std::vector<const EncodedKey*>& keys, const int64_t* sel, int64_t n,
+    int lanes) {
   CodeKey<W> codes;
   for (int k = 0; k < W; ++k) {
     codes.values[k] = keys[k]->values;
     codes.nulls[k] = keys[k]->nulls;
   }
-  return AssignGroupIds(codes, n, lanes);
+  return AssignGroupIds(codes, sel, n, lanes);
 }
 
-/// Pass 1 over the key made of the `keys` columns of an n-row input. An
-/// empty key is the one global group, which exists even over no rows.
+/// Pass 1 over the key made of the `keys` columns, for the n input rows
+/// `sel` lists. An empty key is the one global group, which exists even
+/// over no rows.
 std::vector<Partition> GroupIdsOf(const std::vector<const EncodedKey*>& keys,
-                                  int64_t n, int lanes) {
+                                  const int64_t* sel, int64_t n, int lanes) {
   if (keys.empty()) {
     std::vector<Partition> parts(1);
-    parts[0].gid.assign(n, 0);
+    parts[0].rows = sel;
+    parts[0].count = n;
+    parts[0].global = true;
     parts[0].first_row = {-1};  // never read: the global group has no key
     return parts;
   }
@@ -210,14 +228,14 @@ std::vector<Partition> GroupIdsOf(const std::vector<const EncodedKey*>& keys,
   for (const EncodedKey* key : keys) encoded = encoded && key->values;
   if (encoded) {
     using Assign = std::vector<Partition> (*)(
-        const std::vector<const EncodedKey*>&, int64_t, int);
+        const std::vector<const EncodedKey*>&, const int64_t*, int64_t, int);
     constexpr Assign kByWidth[] = {AssignCodeIds<1>, AssignCodeIds<2>,
                                    AssignCodeIds<3>, AssignCodeIds<4>};
-    return kByWidth[keys.size() - 1](keys, n, lanes);
+    return kByWidth[keys.size() - 1](keys, sel, n, lanes);
   }
   ValueKey values;
   for (const EncodedKey* key : keys) values.cols.push_back(key->col);
-  return AssignGroupIds(values, n, lanes);
+  return AssignGroupIds(values, sel, n, lanes);
 }
 
 /// How one aggregate reads its argument.
@@ -240,11 +258,11 @@ struct AggPlan {
   EncodedKey widened;  // kMinMaxInt's argument
 };
 
-AggPlan PlanAggregate(const AggSpec& spec, const Batch& input) {
+AggPlan PlanAggregate(const AggSpec& spec, const BatchView& input) {
   using Tag = ColumnVector::Tag;
   AggPlan plan;
   if (spec.star) return plan;
-  plan.arg = &input.columns[spec.arg_col];
+  plan.arg = input.columns[spec.arg_col];
   const Tag tag = plan.arg->tag();
   const bool extreme = spec.func == AggFunc::kMin || spec.func == AggFunc::kMax;
   if (spec.distinct && !extreme) {  // DISTINCT never moves a MIN or MAX
@@ -302,17 +320,62 @@ struct AggAccum {
   }
 };
 
+/// The global group's COUNT and SUM over one partition, folded in locals
+/// and added to group 0 once; false for any other op.
+bool FoldGlobal(const AggPlan& plan, const Partition& part, AggAccum* acc) {
+  const uint8_t* nulls = plan.arg != nullptr ? plan.arg->nulls().data()
+                                             : nullptr;
+  int64_t count = 0;
+  switch (plan.op) {
+    case Op::kCountStar:
+      acc->count[0] += part.count;
+      return true;
+    case Op::kCount:
+      ForEachRow(part, [&](int64_t, int64_t i) { count += nulls[i] == 0; });
+      acc->count[0] += count;
+      return true;
+    case Op::kSumInt: {
+      const int64_t* v = plan.arg->ints().data();
+      int64_t sum = acc->ints[0];
+      ForEachRow(part, [&](int64_t, int64_t i) {
+        const bool valid = nulls[i] == 0;
+        count += valid;
+        sum += valid ? v[i] : 0;
+      });
+      acc->count[0] += count;
+      acc->ints[0] = sum;
+      return true;
+    }
+    case Op::kSumDouble: {
+      const double* v = plan.arg->doubles().data();
+      double sum = acc->doubles[0];
+      ForEachRow(part, [&](int64_t, int64_t i) {
+        if (nulls[i] != 0) return;  // adding 0.0 could turn -0.0 into 0.0
+        ++count;
+        sum += v[i];
+      });
+      acc->count[0] += count;
+      acc->doubles[0] = sum;
+      return true;
+    }
+    default:
+      return false;
+  }
+}
+
 /// Folds the partition's rows (input order) into their groups. MIN keeps
 /// the first of equal minima and MAX the first of equal maxima, comparing
 /// numerics widened to double exactly like Value::Compare.
 void Accumulate(const AggPlan& plan, const Partition& part, AggAccum* acc) {
+  const bool global = part.global;
+  if (global && FoldGlobal(plan, part, acc)) return;
   const uint8_t* nulls = plan.arg != nullptr ? plan.arg->nulls().data()
                                              : nullptr;
   const int32_t* gid = part.gid.data();
   // fn(i, g) for every partition row i whose argument is not NULL.
   auto each = [&](const auto& fn) {
     ForEachRow(part, [&](int64_t k, int64_t i) {
-      if (nulls[i] == 0) fn(i, gid[k]);
+      if (nulls[i] == 0) fn(i, global ? 0 : gid[k]);
     });
   };
   auto better = [min = plan.is_min](double v, double best) {
@@ -465,15 +528,24 @@ StatusOr<Batch> AggregateBatch(
     const Batch& input, const std::vector<int>& grouping_cols,
     const std::vector<std::vector<int>>& grouping_sets,
     const std::vector<AggSpec>& aggs, int max_threads) {
+  return AggregateBatch(BatchView::Of(input), grouping_cols, grouping_sets,
+                        aggs, max_threads);
+}
+
+StatusOr<Batch> AggregateBatch(
+    const BatchView& input, const std::vector<int>& grouping_cols,
+    const std::vector<std::vector<int>>& grouping_sets,
+    const std::vector<AggSpec>& aggs, int max_threads) {
   for (const AggSpec& spec : aggs) {
     if (!spec.star && spec.arg_col < 0) {
       return Status::Internal("aggregate argument column missing");
     }
   }
   const int64_t n = input.num_rows;
+  const int64_t* sel = input.sel != nullptr ? input.sel->data() : nullptr;
   std::vector<EncodedKey> widened(grouping_cols.size());
   for (size_t k = 0; k < grouping_cols.size(); ++k) {
-    EncodeKeyColumn(input.columns[grouping_cols[k]], &widened[k]);
+    EncodeKeyColumn(*input.columns[grouping_cols[k]], &widened[k]);
   }
   const size_t na = aggs.size();
   std::vector<AggPlan> plans;
@@ -489,7 +561,7 @@ StatusOr<Batch> AggregateBatch(
         set.empty() ? 1 : ParallelLanes(n, max_threads, kMinParallelRowsPerLane);
     std::vector<const EncodedKey*> keys;
     for (int k : set) keys.push_back(&widened[k]);
-    const std::vector<Partition> parts = GroupIdsOf(keys, n, lanes);
+    const std::vector<Partition> parts = GroupIdsOf(keys, sel, n, lanes);
     const int64_t np = static_cast<int64_t>(parts.size());
     // Each partition accumulates into its own arrays: no two lanes write
     // one cache line.
@@ -525,7 +597,7 @@ StatusOr<Batch> AggregateBatch(
       }
     }
     out.columns.push_back(
-        ColumnVector::Gather(input.columns[grouping_cols[k]], rows));
+        ColumnVector::Gather(*input.columns[grouping_cols[k]], rows));
   }
   for (size_t a = 0; a < na; ++a) {
     out.columns.push_back(
@@ -582,7 +654,8 @@ std::vector<int64_t> DistinctRows(const Batch& input, int max_threads) {
   const int lanes =
       ParallelLanes(input.num_rows, max_threads, kMinParallelRowsPerLane);
   std::vector<int64_t> rows;
-  for (const Partition& part : GroupIdsOf(keys, input.num_rows, lanes)) {
+  for (const Partition& part :
+       GroupIdsOf(keys, nullptr, input.num_rows, lanes)) {
     rows.insert(rows.end(), part.first_row.begin(), part.first_row.end());
   }
   // Each partition lists its first rows in input order; merge them.

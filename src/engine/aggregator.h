@@ -50,6 +50,16 @@ struct AggSpec {
 /// order is therefore the serial one — floating-point sums are
 /// bit-identical, only output row order may differ (callers treat results
 /// as multisets).
+///
+/// A view's selection is the one serial partition's row list, so a filtered
+/// input is aggregated where it lies, without a gather; a global aggregate
+/// (an empty grouping set) needs no group ids and folds COUNT and SUM
+/// straight into its accumulators.
+StatusOr<Batch> AggregateBatch(
+    const BatchView& input, const std::vector<int>& grouping_cols,
+    const std::vector<std::vector<int>>& grouping_sets,
+    const std::vector<AggSpec>& aggs, int max_threads = 1);
+/// The same over every row of a batch.
 StatusOr<Batch> AggregateBatch(
     const Batch& input, const std::vector<int>& grouping_cols,
     const std::vector<std::vector<int>>& grouping_sets,

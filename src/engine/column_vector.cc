@@ -395,11 +395,16 @@ void ColumnVector::AppendColumn(const ColumnVector& src) {
 
 ColumnVector ColumnVector::Gather(const ColumnVector& src,
                                   const std::vector<int64_t>& indexes) {
-  const int64_t n = static_cast<int64_t>(indexes.size());
+  return Gather(src, indexes.data(), static_cast<int64_t>(indexes.size()));
+}
+
+ColumnVector ColumnVector::Gather(const ColumnVector& src,
+                                  const int64_t* indexes, int64_t n) {
   ColumnVector out(src.tag_);
   if (src.tag_ == Tag::kVariant) {
     out.Reserve(n);
-    for (int64_t i : indexes) {
+    for (int64_t k = 0; k < n; ++k) {
+      const int64_t i = indexes[k];
       if (i < 0) {
         out.AppendNull();
       } else {
@@ -422,7 +427,7 @@ ColumnVector ColumnVector::Gather(const ColumnVector& src,
   // Matches the per-row semantics: the gathered column saw a value iff any
   // gathered row is non-null.
   out.saw_value_ = n > 0 && all_null == 0;
-  auto gather = [&indexes, n](const auto& from, auto* to) {
+  auto gather = [indexes, n](const auto& from, auto* to) {
     to->resize(n);
     for (int64_t i = 0; i < n; ++i) {
       const int64_t j = indexes[i];
@@ -597,6 +602,40 @@ Batch GatherBatch(const Batch& batch, const std::vector<int64_t>& indexes) {
   out.columns.reserve(batch.columns.size());
   for (const ColumnVector& col : batch.columns) {
     out.columns.push_back(ColumnVector::Gather(col, indexes));
+  }
+  return out;
+}
+
+BatchView BatchView::Of(const Batch& batch) {
+  BatchView view;
+  view.num_rows = batch.num_rows;
+  view.columns.reserve(batch.columns.size());
+  for (const ColumnVector& col : batch.columns) view.columns.push_back(&col);
+  return view;
+}
+
+BatchView BatchView::Of(std::shared_ptr<const Batch> batch) {
+  BatchView view = Of(*batch);
+  view.owners.push_back(std::move(batch));
+  return view;
+}
+
+std::shared_ptr<const Batch> DenseBatch(const BatchView& view) {
+  if (view.sel == nullptr && view.owners.size() == 1) {
+    const std::shared_ptr<const Batch>& owner = view.owners[0];
+    bool whole = owner->NumColumns() == view.NumColumns();
+    for (int c = 0; whole && c < view.NumColumns(); ++c) {
+      whole = view.columns[c] == &owner->columns[c];
+    }
+    if (whole) return owner;
+  }
+  auto out = std::make_shared<Batch>();
+  out->num_rows = view.num_rows;
+  out->columns.reserve(view.columns.size());
+  for (const ColumnVector* col : view.columns) {
+    out->columns.push_back(view.sel != nullptr
+                               ? ColumnVector::Gather(*col, *view.sel)
+                               : *col);
   }
   return out;
 }

@@ -181,13 +181,17 @@ class ColumnVector {
   void AppendBool(bool v) { nulls_.push_back(0); bools_.push_back(v ? 1 : 0); }
   void AppendDate(int32_t v) { nulls_.push_back(0); dates_.push_back(v); }
 
-  /// New column holding src rows at `indexes`, in order (filter/join gather);
-  /// a negative index yields NULL (grouping-set padding, empty MIN/MAX).
+  /// New column holding src rows at `indexes`, in order (join gather, late
+  /// materialization of a selection); a negative index yields NULL
+  /// (grouping-set padding, empty MIN/MAX).
   static ColumnVector Gather(const ColumnVector& src,
                              const std::vector<int64_t>& indexes);
+  /// The same over the n indexes starting at `indexes`.
+  static ColumnVector Gather(const ColumnVector& src, const int64_t* indexes,
+                             int64_t n);
 
   /// New column holding src rows [begin, begin + n) — bulk payload copies,
-  /// used to materialize borrowed column refs in projections.
+  /// used to materialize borrowed column refs.
   static ColumnVector Slice(const ColumnVector& src, int64_t begin, int64_t n);
 
   /// New column holding a's rows then b's, allocated once for both (bulk
@@ -226,6 +230,37 @@ struct Batch {
   /// Materializes row i (the row adapter at the facade edge).
   Row RowAt(int64_t i) const;
 };
+
+/// Ascending row numbers into a set of columns: the rows a filter kept.
+using Selection = std::vector<int64_t>;
+using SelectionPtr = std::shared_ptr<const Selection>;
+
+/// Rows as one operator hands them to the next without copying: borrowed
+/// columns, all read through `sel` when there is one (row i of the view is
+/// row (*sel)[i] of every column) and directly otherwise. A filter refines
+/// `sel` instead of gathering; `owners` keep the borrowed columns alive (a
+/// view of a caller's batch leaves it empty).
+struct BatchView {
+  std::vector<const ColumnVector*> columns;
+  SelectionPtr sel;
+  int64_t num_rows = 0;
+  std::vector<std::shared_ptr<const Batch>> owners;
+
+  int NumColumns() const { return static_cast<int>(columns.size()); }
+  /// The column row behind view row i.
+  int64_t Row(int64_t i) const { return sel != nullptr ? (*sel)[i] : i; }
+
+  /// Every row and column of `batch`, which the caller keeps alive.
+  static BatchView Of(const Batch& batch);
+  /// Every row and column of `batch`, sharing its ownership.
+  static BatchView Of(std::shared_ptr<const Batch> batch);
+};
+
+/// The view's rows as one batch, for consumers that need dense columns:
+/// the batch itself when the view is all of one it shares, else the rows
+/// materialized — one gather per column through the selection, a plain
+/// copy without one.
+std::shared_ptr<const Batch> DenseBatch(const BatchView& view);
 
 struct Relation;  // engine/relation.h
 

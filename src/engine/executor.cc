@@ -141,7 +141,8 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteColumns(
                     std::chrono::duration<double, std::milli>(
                         options_.timeout_millis));
   }
-  return ExecuteBox(graph, graph.root());
+  SUMTAB_ASSIGN_OR_RETURN(BatchView root, ExecuteBox(graph, graph.root()));
+  return DenseBatch(root);
 }
 
 StatusOr<Relation> Executor::Execute(const qgm::Graph& graph) {

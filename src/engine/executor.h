@@ -94,12 +94,13 @@ class Executor {
 
  private:
   // One method per box kind (executor_vec.cc): operators consume and produce
-  // batches and evaluate expressions morsel-at-a-time.
-  StatusOr<BatchPtr> ExecuteBox(const qgm::Graph& graph, qgm::BoxId id);
-  StatusOr<BatchPtr> ExecuteSelect(const qgm::Graph& graph,
-                                   const qgm::Box& box);
-  StatusOr<BatchPtr> ExecuteGroupBy(const qgm::Graph& graph,
+  // views (borrowed columns under an optional selection) and evaluate
+  // expressions morsel-at-a-time.
+  StatusOr<BatchView> ExecuteBox(const qgm::Graph& graph, qgm::BoxId id);
+  StatusOr<BatchView> ExecuteSelect(const qgm::Graph& graph,
                                     const qgm::Box& box);
+  StatusOr<BatchView> ExecuteGroupBy(const qgm::Graph& graph,
+                                     const qgm::Box& box);
   /// Column names of the root box's result (outputs, or the base table's
   /// schema when the root is a bare scan).
   std::vector<std::string> RootColumnNames(const qgm::Graph& graph) const;

@@ -1,10 +1,15 @@
 // Operators of the QGM executor, one method per box kind. Operators pass
-// columnar Batches; predicates and projections evaluate through the
-// vectorized evaluator in morsel-sized ranges, and joins gather columns by
-// index instead of merging rows. Every plan decision (pushdown, greedy join
-// order, hash vs nested-loop step) keys off filtered child row counts only,
-// never off thread count, so threads=1 and threads=N run the same plan and
-// produce bit-identical results up to output row order.
+// BatchViews: borrowed columns read through an optional selection. A filter
+// refines its input's selection instead of copying rows; a projection
+// borrows bare column references and evaluates only computed outputs, over
+// the selected rows; an aggregate reads through the selection; a join
+// composes its probe and build indexes with its inputs' selections, so its
+// one gather reads the unfiltered columns. Predicates and projections
+// evaluate through the vectorized evaluator in morsel-sized ranges. Every
+// plan decision (pushdown, greedy join order, hash vs nested-loop step)
+// keys off filtered child row counts only, never off thread count, so
+// threads=1 and threads=N run the same plan and produce bit-identical
+// results up to output row order.
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -22,6 +27,7 @@ namespace engine {
 
 namespace {
 
+using BatchPtr = std::shared_ptr<const Batch>;
 using exec_internal::IsEquiJoin;
 using exec_internal::kMorselRows;
 using exec_internal::PredQuantifiers;
@@ -30,64 +36,78 @@ using qgm::Box;
 using qgm::BoxId;
 using qgm::Quantifier;
 
-/// Evaluates `pred` over the batch morsel-parallel; returns the surviving
-/// row indexes in input order (chunk outputs concatenated in chunk order,
-/// matching the serial scan).
-StatusOr<std::vector<int64_t>> SelectIndexes(const ExprPtr& pred,
-                                             const std::vector<int>& offsets,
-                                             const Batch& batch,
-                                             int max_threads) {
-  const int64_t n = batch.num_rows;
-  const int lanes = ParallelLanes(n, max_threads, kMorselRows);
-  std::vector<std::vector<int64_t>> lane_idx(lanes);
-  std::vector<Status> lane_status(lanes, Status::OK());
-  ParallelFor(n, lanes, [&](int lane, int64_t begin, int64_t end) {
-    expr::VecEvalContext ctx{&offsets, &batch, begin, end};
-    std::vector<uint8_t> mask;
-    Status st = expr::EvalPredicateVec(pred, ctx, &mask);
-    if (!st.ok()) {
-      lane_status[lane] = std::move(st);
-      return;
-    }
-    kernels::SelectFromMask(mask.data(), end - begin, begin, &lane_idx[lane]);
-  }, kMorselRows);
-  for (const Status& st : lane_status) SUMTAB_RETURN_NOT_OK(st);
+/// The lanes' row lists in lane order, as one.
+Selection ConcatLanes(std::vector<Selection>* lanes) {
   size_t total = 0;
-  for (const auto& part : lane_idx) total += part.size();
-  std::vector<int64_t> out;
+  for (const Selection& part : *lanes) total += part.size();
+  Selection out = std::move((*lanes)[0]);
   out.reserve(total);
-  for (const auto& part : lane_idx) {
-    out.insert(out.end(), part.begin(), part.end());
+  for (size_t lane = 1; lane < lanes->size(); ++lane) {
+    out.insert(out.end(), (*lanes)[lane].begin(), (*lanes)[lane].end());
   }
   return out;
 }
 
-/// Gathers the joined batch: probe-side columns by probe index, build-side
-/// columns by build index, where `keep` (over probe then build columns) is
-/// set; the rest stay empty, as nothing reads them. With an empty build
-/// side it filters one batch. Columns are independent, so large gathers go
-/// column-parallel.
-Batch GatherJoin(const Batch& probe, const Batch& build,
-                 const std::vector<int64_t>& probe_idx,
-                 const std::vector<int64_t>& build_idx,
-                 const std::vector<bool>& keep, int max_threads) {
-  Batch out;
-  out.num_rows = static_cast<int64_t>(probe_idx.size());
-  const int pw = probe.NumColumns();
-  const int total = pw + build.NumColumns();
-  out.columns.resize(total);
-  const int lanes = out.num_rows >= kMorselRows
-                        ? std::min(max_threads, total > 0 ? total : 1)
+/// Filters the view by `pred` morsel-parallel: its selection becomes the
+/// rows that pass, in order (chunk outputs concatenated in chunk order,
+/// matching the serial scan). A view every row of which passes is left
+/// as it is.
+Status Refine(const ExprPtr& pred, const std::vector<int>& offsets,
+              BatchView* view, int max_threads) {
+  const int64_t n = view->num_rows;
+  const int lanes = ParallelLanes(n, max_threads, kMorselRows);
+  std::vector<Selection> lane_rows(lanes);
+  std::vector<Status> lane_status(lanes, Status::OK());
+  ParallelFor(n, lanes, [&](int lane, int64_t begin, int64_t end) {
+    Selection& rows = lane_rows[lane];
+    rows.reserve(end - begin);
+    for (int64_t from = begin; from < end; from += kMorselRows) {
+      expr::VecEvalContext ctx{&offsets, view, from,
+                               std::min(end, from + kMorselRows)};
+      Status st = expr::SelectVec(pred, ctx, &rows);
+      if (!st.ok()) {
+        lane_status[lane] = std::move(st);
+        return;
+      }
+    }
+  }, kMorselRows);
+  for (const Status& st : lane_status) SUMTAB_RETURN_NOT_OK(st);
+  Selection rows = ConcatLanes(&lane_rows);
+  if (static_cast<int64_t>(rows.size()) == n) return Status::OK();
+  view->num_rows = static_cast<int64_t>(rows.size());
+  view->sel = std::make_shared<const Selection>(std::move(rows));
+  return Status::OK();
+}
+
+/// Gathers the joined batch: left columns at `left_rows`, right columns at
+/// `right_rows` — column rows, already composed with each side's selection
+/// — where `keep` (over left then right columns) is set; the rest stay
+/// empty, as nothing reads them. Columns are independent, so large gathers
+/// go column-parallel.
+BatchView GatherJoin(const BatchView& left, const BatchView& right,
+                     const Selection& left_rows, const Selection& right_rows,
+                     const std::vector<bool>& keep, int max_threads) {
+  auto out = std::make_shared<Batch>();
+  out->num_rows = static_cast<int64_t>(left_rows.size());
+  const int lw = left.NumColumns();
+  out->columns.resize(lw + right.NumColumns());
+  std::vector<int> kept;
+  for (int c = 0; c < static_cast<int>(keep.size()); ++c) {
+    if (keep[c]) kept.push_back(c);
+  }
+  const int nkept = static_cast<int>(kept.size());
+  const int lanes = out->num_rows >= kMorselRows
+                        ? std::min(max_threads, std::max(nkept, 1))
                         : 1;
-  ParallelFor(total, lanes, [&](int, int64_t begin, int64_t end) {
-    for (int64_t c = begin; c < end; ++c) {
-      if (!keep[c]) continue;
-      out.columns[c] =
-          c < pw ? ColumnVector::Gather(probe.columns[c], probe_idx)
-                 : ColumnVector::Gather(build.columns[c - pw], build_idx);
+  ParallelFor(nkept, lanes, [&](int, int64_t begin, int64_t end) {
+    for (int64_t k = begin; k < end; ++k) {
+      const int c = kept[k];
+      out->columns[c] =
+          c < lw ? ColumnVector::Gather(*left.columns[c], left_rows)
+                 : ColumnVector::Gather(*right.columns[c - lw], right_rows);
     }
   }, /*min_chunk=*/1);
-  return out;
+  return BatchView::Of(BatchPtr(std::move(out)));
 }
 
 }  // namespace
@@ -105,8 +125,7 @@ std::vector<std::string> Executor::RootColumnNames(
   return names;
 }
 
-StatusOr<Executor::BatchPtr> Executor::ExecuteBox(const qgm::Graph& graph,
-                                                  BoxId id) {
+StatusOr<BatchView> Executor::ExecuteBox(const qgm::Graph& graph, BoxId id) {
   SUMTAB_RETURN_NOT_OK(CheckDeadline());
   const Box& box = *graph.box(id);
   switch (box.kind) {
@@ -114,14 +133,16 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteBox(const qgm::Graph& graph,
       SUMTAB_FAULT_POINT("executor/scan");
       if (options_.columnar_overrides != nullptr) {
         auto it = options_.columnar_overrides->find(box.table_name);
-        if (it != options_.columnar_overrides->end()) return it->second;
+        if (it != options_.columnar_overrides->end()) {
+          return BatchView::Of(it->second);
+        }
       }
       // Scans borrow storage's published columns without copying.
       BatchPtr batch = snapshot_.FindColumnar(box.table_name);
       if (batch == nullptr) {
         return Status::NotFound("no data for table '" + box.table_name + "'");
       }
-      return batch;
+      return BatchView::Of(std::move(batch));
     }
     case Box::Kind::kSelect:
       return ExecuteSelect(graph, box);
@@ -131,39 +152,40 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteBox(const qgm::Graph& graph,
   return Status::Internal("unknown box kind");
 }
 
-StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
-                                                     const Box& box) {
+StatusOr<BatchView> Executor::ExecuteSelect(const qgm::Graph& graph,
+                                            const Box& box) {
   const int nq = static_cast<int>(box.quantifiers.size());
 
   // 1. Execute children. Scalar subqueries collapse to a single row.
-  std::vector<BatchPtr> child(nq);
+  std::vector<BatchView> child(nq);
   std::vector<int> child_width(nq);
   for (int q = 0; q < nq; ++q) {
-    SUMTAB_ASSIGN_OR_RETURN(BatchPtr batch,
+    SUMTAB_ASSIGN_OR_RETURN(BatchView view,
                             ExecuteBox(graph, box.quantifiers[q].child));
-    child_width[q] = batch->NumColumns();
+    child_width[q] = view.NumColumns();
     if (box.quantifiers[q].kind == Quantifier::Kind::kScalar) {
-      if (batch->num_rows > 1) {
+      if (view.num_rows > 1) {
         return Status::InvalidArgument(
             "scalar subquery returned more than one row");
       }
-      if (batch->num_rows == 1) {
-        child[q] = batch;
+      if (view.num_rows == 1) {
+        child[q] = std::move(view);
       } else {
         auto one = std::make_shared<Batch>();
         one->num_rows = 1;
-        one->columns.resize(batch->NumColumns());
+        one->columns.resize(view.NumColumns());
         for (ColumnVector& col : one->columns) col.AppendNull();
-        child[q] = one;
+        child[q] = BatchView::Of(BatchPtr(std::move(one)));
       }
     } else {
-      child[q] = batch;
-      SUMTAB_RETURN_NOT_OK(Charge(batch->num_rows));
+      SUMTAB_RETURN_NOT_OK(Charge(view.num_rows));
+      child[q] = std::move(view);
     }
   }
 
-  // 2. Partition predicates: single-quantifier filters push down; equi-joins
-  //    become hash keys; the rest apply as soon as their quantifiers join.
+  // 2. Partition predicates: single-quantifier filters push down, refining
+  //    their child's selection; equi-joins become hash keys; the rest apply
+  //    as soon as their quantifiers join.
   std::vector<ExprPtr> residual;
   struct JoinPred {
     int qa, ca, qb, cb;
@@ -171,35 +193,13 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
     bool used = false;
   };
   std::vector<JoinPred> join_preds;
-  // Filters and joins gather only the columns of each quantifier that this
-  // box's predicates and outputs read; the others stay empty up to the
-  // projection, which reads nothing else.
-  std::vector<std::vector<bool>> read(nq);
-  for (int q = 0; q < nq; ++q) read[q].assign(child_width[q], false);
-  auto mark = [&read](const ExprPtr& e) {
-    expr::Visit(e, [&read](const expr::Expr& node) {
-      if (node.kind == expr::Expr::Kind::kColumnRef && node.quantifier >= 0 &&
-          node.quantifier < static_cast<int>(read.size()) &&
-          node.column >= 0 &&
-          node.column < static_cast<int>(read[node.quantifier].size())) {
-        read[node.quantifier][node.column] = true;
-      }
-    });
-  };
-  for (const ExprPtr& pred : box.predicates) mark(pred);
-  for (const qgm::OutputColumn& out : box.outputs) mark(out.expr);
   for (const ExprPtr& pred : box.predicates) {
     std::vector<int> qs = PredQuantifiers(pred);
     if (qs.size() == 1) {
       std::vector<int> offsets(nq, -1);
       offsets[qs[0]] = 0;
-      const Batch& input = *child[qs[0]];
-      SUMTAB_ASSIGN_OR_RETURN(
-          std::vector<int64_t> keep,
-          SelectIndexes(pred, offsets, input, options_.max_threads));
-      if (static_cast<int64_t>(keep.size()) == input.num_rows) continue;
-      child[qs[0]] = std::make_shared<Batch>(GatherJoin(
-          input, Batch(), keep, {}, read[qs[0]], options_.max_threads));
+      SUMTAB_RETURN_NOT_OK(
+          Refine(pred, offsets, &child[qs[0]], options_.max_threads));
       continue;
     }
     JoinPred jp;
@@ -213,14 +213,38 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
 
   // 3. Greedy join: the next quantifier is one with a hash-join edge to the
   //    joined set, else the smallest unjoined child (cartesian step). The
-  //    combined batch holds the concatenated child columns; offsets[q] is
+  //    combined view holds the concatenated child columns; offsets[q] is
   //    q's first column slot.
   std::vector<int> offsets(nq, -1);
-  BatchPtr combined;
-  std::vector<bool> combined_read;  // per combined slot: read[q][c]
+  BatchView combined;
   std::vector<bool> joined(nq, false);
   int joined_count = 0;
   int width = 0;
+
+  // A join gathers only the columns of the joined set and of `next` that
+  // something still reads: the outputs, and the predicates not yet applied
+  // (hash keys just used are not). The rest stay empty, since nothing
+  // reads them.
+  auto still_read = [&](int next) {
+    std::vector<bool> keep(width + child_width[next], false);
+    auto mark = [&](const ExprPtr& e) {
+      expr::Visit(e, [&](const expr::Expr& node) {
+        if (node.kind != expr::Expr::Kind::kColumnRef) return;
+        const int q = node.quantifier;
+        if (q < 0 || q >= nq || (!joined[q] && q != next) || node.column < 0 ||
+            node.column >= child_width[q]) {
+          return;
+        }
+        keep[(q == next ? width : offsets[q]) + node.column] = true;
+      });
+    };
+    for (const qgm::OutputColumn& out : box.outputs) mark(out.expr);
+    for (const ExprPtr& pred : residual) mark(pred);
+    for (const JoinPred& jp : join_preds) {
+      if (!jp.used) mark(jp.pred);
+    }
+    return keep;
+  };
 
   auto apply_ready_residuals = [&]() -> Status {
     std::vector<ExprPtr> still;
@@ -231,13 +255,8 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
         still.push_back(pred);
         continue;
       }
-      SUMTAB_ASSIGN_OR_RETURN(
-          std::vector<int64_t> keep,
-          SelectIndexes(pred, offsets, *combined, options_.max_threads));
-      if (static_cast<int64_t>(keep.size()) != combined->num_rows) {
-        combined = std::make_shared<Batch>(GatherJoin(
-            *combined, Batch(), keep, {}, combined_read, options_.max_threads));
-      }
+      SUMTAB_RETURN_NOT_OK(
+          Refine(pred, offsets, &combined, options_.max_threads));
     }
     residual = std::move(still);
     return Status::OK();
@@ -264,26 +283,24 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
     if (next == -1) {
       for (int q = 0; q < nq; ++q) {
         if (joined[q]) continue;
-        if (next == -1 || child[q]->num_rows < child[next]->num_rows) {
+        if (next == -1 || child[q].num_rows < child[next].num_rows) {
           next = q;
         }
       }
     }
 
-    combined_read.insert(combined_read.end(), read[next].begin(),
-                         read[next].end());
     if (joined_count == 0) {
-      combined = child[next];
+      combined = std::move(child[next]);
       offsets[next] = 0;
       width = child_width[next];
     } else if (!edges.empty()) {
-      // Hash join `next` against the combined batch: build an index table
+      // Hash join `next` against the combined view: build an index table
       // over the smaller side (`next` on a tie), probe morsel-parallel with
-      // the other collecting (probe, build) index pairs, then gather both
-      // sides column-wise.
-      const bool swap = child[next]->num_rows > combined->num_rows;
-      const Batch& build = swap ? *combined : *child[next];
-      const Batch& probe = swap ? *child[next] : *combined;
+      // the other collecting (probe, build) column-row pairs, then gather
+      // both sides column-wise.
+      const bool swap = child[next].num_rows > combined.num_rows;
+      const BatchView& build = swap ? combined : child[next];
+      const BatchView& probe = swap ? child[next] : combined;
       std::vector<int> build_cols;
       std::vector<int> probe_slots;
       for (JoinPred* jp : edges) {
@@ -302,8 +319,8 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
       // dictionary probe codes directly; different dictionaries translate
       // probe codes to build codes once (one Find per distinct string) and
       // then probe the same pure int loop.
-      const ColumnVector* bkey = &build.columns[build_cols[0]];
-      const ColumnVector* pkey = &probe.columns[probe_slots[0]];
+      const ColumnVector* bkey = build.columns[build_cols[0]];
+      const ColumnVector* pkey = probe.columns[probe_slots[0]];
       enum class KeyMode { kNone, kInt, kDate, kCode, kCodeTranslate };
       KeyMode mode = KeyMode::kNone;
       if (build_cols.size() == 1 && bkey->tag() == pkey->tag()) {
@@ -321,26 +338,30 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
       if (mode == KeyMode::kCodeTranslate) {
         xlate = kernels::TranslateCodes(*pkey->dict(), *bkey->dict());
       }
+      // The table holds build view rows; probes read through the probe
+      // view's selection.
       std::unique_ptr<kernels::Int64JoinTable> flat;
       std::unordered_map<Row, std::vector<int64_t>, RowHash> row_table;
       if (mode != KeyMode::kNone) {
         flat = std::make_unique<kernels::Int64JoinTable>(build.num_rows);
         // Reverse insertion: chains come back in ascending build-row order.
         for (int64_t i = build.num_rows - 1; i >= 0; --i) {
-          if (bkey->IsNull(i)) continue;  // SQL '=' never matches NULL
-          int64_t k = mode == KeyMode::kInt    ? bkey->ints()[i]
-                      : mode == KeyMode::kDate ? bkey->dates()[i]
-                                               : bkey->codes()[i];
+          const int64_t r = build.Row(i);
+          if (bkey->IsNull(r)) continue;  // SQL '=' never matches NULL
+          int64_t k = mode == KeyMode::kInt    ? bkey->ints()[r]
+                      : mode == KeyMode::kDate ? bkey->dates()[r]
+                                               : bkey->codes()[r];
           flat->Insert(k, i);
         }
       } else {
         row_table.reserve(build.num_rows);
         for (int64_t i = 0; i < build.num_rows; ++i) {
+          const int64_t r = build.Row(i);
           Row key;
           key.reserve(build_cols.size());
           bool has_null = false;
           for (int c : build_cols) {
-            Value v = build.columns[c].ValueAt(i);
+            Value v = build.columns[c]->ValueAt(r);
             has_null = has_null || v.is_null();
             key.push_back(std::move(v));
           }
@@ -351,106 +372,117 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
       const int64_t probe_n = probe.num_rows;
       const int lanes =
           ParallelLanes(probe_n, options_.max_threads, kMorselRows);
-      std::vector<std::vector<std::pair<int64_t, int64_t>>> lane_pairs(lanes);
+      const int64_t* probe_sel =
+          probe.sel != nullptr ? probe.sel->data() : nullptr;
+      const int64_t* build_sel =
+          build.sel != nullptr ? build.sel->data() : nullptr;
+      // Per lane, the matching pairs' column rows on either side.
+      std::vector<Selection> lane_probe(lanes);
+      std::vector<Selection> lane_build(lanes);
       std::vector<Status> lane_status(lanes, Status::OK());
       ParallelFor(probe_n, lanes, [&](int lane, int64_t begin, int64_t end) {
-        auto& pairs = lane_pairs[lane];
+        // Lane-local lists, handed over at the end: lanes appending to
+        // neighbouring vectors would share their headers' cache lines.
+        Selection probe_match;
+        Selection build_match;
+        auto emit = [&](int64_t r, int64_t bi) {
+          probe_match.push_back(r);
+          build_match.push_back(build_sel != nullptr ? build_sel[bi] : bi);
+        };
         // Charges the lane's uncharged pairs once there are at least
         // `at_least` of them, so the row budget trips within a morsel of
         // matches of its limit without an atomic add per probe row.
         size_t charged = 0;
         auto charge = [&](size_t at_least) {
-          if (pairs.size() - charged < at_least) return true;
-          Status st = Charge(static_cast<int64_t>(pairs.size() - charged));
-          charged = pairs.size();
+          const size_t pairs = probe_match.size();
+          if (pairs - charged < at_least) return true;
+          Status st = Charge(static_cast<int64_t>(pairs - charged));
+          charged = pairs;
           if (!st.ok()) lane_status[lane] = std::move(st);
           return lane_status[lane].ok();
         };
-        if (flat != nullptr) {
+        auto probe_range = [&] {
+          if (flat != nullptr) {
+            for (int64_t i = begin; i < end; ++i) {
+              const int64_t r = probe_sel != nullptr ? probe_sel[i] : i;
+              if (pkey->IsNull(r)) continue;
+              int64_t k;
+              switch (mode) {
+                case KeyMode::kInt:
+                  k = pkey->ints()[r];
+                  break;
+                case KeyMode::kDate:
+                  k = pkey->dates()[r];
+                  break;
+                case KeyMode::kCode:
+                  k = pkey->codes()[r];
+                  break;
+                default:  // kCodeTranslate
+                  k = xlate[pkey->codes()[r]];
+                  if (k < 0) continue;  // string absent from the build side
+                  break;
+              }
+              int64_t head = flat->Probe(k);
+              if (head < 0) continue;
+              for (int64_t bi = head; bi != -1; bi = flat->Next(bi)) {
+                emit(r, bi);
+              }
+              if (!charge(kMorselRows)) return;
+            }
+            charge(1);
+            return;
+          }
           for (int64_t i = begin; i < end; ++i) {
-            if (pkey->IsNull(i)) continue;
-            int64_t k;
-            switch (mode) {
-              case KeyMode::kInt:
-                k = pkey->ints()[i];
-                break;
-              case KeyMode::kDate:
-                k = pkey->dates()[i];
-                break;
-              case KeyMode::kCode:
-                k = pkey->codes()[i];
-                break;
-              default:  // kCodeTranslate
-                k = xlate[pkey->codes()[i]];
-                if (k < 0) continue;  // string absent from the build side
-                break;
+            const int64_t r = probe.Row(i);
+            Row key;
+            key.reserve(probe_slots.size());
+            bool has_null = false;
+            for (int slot : probe_slots) {
+              Value v = probe.columns[slot]->ValueAt(r);
+              has_null = has_null || v.is_null();
+              key.push_back(std::move(v));
             }
-            int64_t head = flat->Probe(k);
-            if (head < 0) continue;
-            for (int64_t bi = head; bi != -1; bi = flat->Next(bi)) {
-              pairs.emplace_back(i, bi);
-            }
+            if (has_null) continue;
+            auto it = row_table.find(key);
+            if (it == row_table.end()) continue;
+            for (int64_t bi : it->second) emit(r, bi);
             if (!charge(kMorselRows)) return;
           }
           charge(1);
-          return;
-        }
-        for (int64_t i = begin; i < end; ++i) {
-          Row key;
-          key.reserve(probe_slots.size());
-          bool has_null = false;
-          for (int slot : probe_slots) {
-            Value v = probe.columns[slot].ValueAt(i);
-            has_null = has_null || v.is_null();
-            key.push_back(std::move(v));
-          }
-          if (has_null) continue;
-          auto it = row_table.find(key);
-          if (it == row_table.end()) continue;
-          for (int64_t bi : it->second) pairs.emplace_back(i, bi);
-          if (!charge(kMorselRows)) return;
-        }
-        charge(1);
+        };
+        probe_range();
+        lane_probe[lane] = std::move(probe_match);
+        lane_build[lane] = std::move(build_match);
       }, kMorselRows);
       for (const Status& st : lane_status) SUMTAB_RETURN_NOT_OK(st);
-      std::vector<int64_t> probe_idx;
-      std::vector<int64_t> build_idx;
-      size_t total = 0;
-      for (const auto& part : lane_pairs) total += part.size();
-      probe_idx.reserve(total);
-      build_idx.reserve(total);
-      for (const auto& part : lane_pairs) {
-        for (const auto& [pi, bi] : part) {
-          probe_idx.push_back(pi);
-          build_idx.push_back(bi);
-        }
-      }
-      combined = std::make_shared<Batch>(GatherJoin(
-          *combined, *child[next], swap ? build_idx : probe_idx,
-          swap ? probe_idx : build_idx, combined_read, options_.max_threads));
+      const Selection probe_rows = ConcatLanes(&lane_probe);
+      const Selection build_rows = ConcatLanes(&lane_build);
+      combined = GatherJoin(combined, child[next],
+                            swap ? build_rows : probe_rows,
+                            swap ? probe_rows : build_rows, still_read(next),
+                            options_.max_threads);
       offsets[next] = width;
       width += child_width[next];
-      child[next] = nullptr;
+      child[next] = BatchView();
     } else {
       // Nested-loop (cartesian) step; residual predicates prune right after.
-      const Batch& right = *child[next];
-      std::vector<int64_t> probe_idx;
-      std::vector<int64_t> build_idx;
-      probe_idx.reserve(combined->num_rows * right.num_rows);
-      build_idx.reserve(combined->num_rows * right.num_rows);
-      for (int64_t i = 0; i < combined->num_rows; ++i) {
+      const BatchView& right = child[next];
+      Selection left_rows;
+      Selection right_rows;
+      left_rows.reserve(combined.num_rows * right.num_rows);
+      right_rows.reserve(combined.num_rows * right.num_rows);
+      for (int64_t i = 0; i < combined.num_rows; ++i) {
         for (int64_t j = 0; j < right.num_rows; ++j) {
           SUMTAB_RETURN_NOT_OK(Charge(1));
-          probe_idx.push_back(i);
-          build_idx.push_back(j);
+          left_rows.push_back(combined.Row(i));
+          right_rows.push_back(right.Row(j));
         }
       }
-      combined = std::make_shared<Batch>(GatherJoin(
-          *combined, right, probe_idx, build_idx, combined_read,
-          options_.max_threads));
+      combined = GatherJoin(combined, right, left_rows, right_rows,
+                            still_read(next), options_.max_threads);
       offsets[next] = width;
       width += child_width[next];
-      child[next] = nullptr;
+      child[next] = BatchView();
     }
     joined[next] = true;
     ++joined_count;
@@ -468,58 +500,95 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteSelect(const qgm::Graph& graph,
     return Status::Internal("residual predicates left after join");
   }
 
-  // 4. Project: every output expression evaluates vectorized over
-  //    morsel-sized ranges; lane results concatenate in chunk order.
-  const int64_t project_n = combined->num_rows;
+  // 4. Project. Bare column references are borrowed: when every output is
+  //    one, the result keeps the combined view's selection; otherwise the
+  //    result is dense, and only under a selection do bare references
+  //    gather. Everything else evaluates vectorized over morsel-sized
+  //    ranges of the selected rows; lane results concatenate in chunk
+  //    order.
+  const int64_t project_n = combined.num_rows;
   const int nout = static_cast<int>(box.outputs.size());
-  const int project_lanes =
-      ParallelLanes(project_n, options_.max_threads, kMorselRows);
-  std::vector<std::vector<ColumnVector>> lane_cols(
-      project_lanes, std::vector<ColumnVector>(nout));
-  std::vector<Status> project_status(project_lanes, Status::OK());
-  ParallelFor(project_n, project_lanes,
-              [&](int lane, int64_t begin, int64_t end) {
-    expr::VecEvalContext ctx{&offsets, combined.get(), begin, end};
-    for (int c = 0; c < nout; ++c) {
-      StatusOr<ColumnVector> col = expr::EvalVec(box.outputs[c].expr, ctx);
-      if (!col.ok()) {
-        project_status[lane] = col.status();
-        return;
-      }
-      lane_cols[lane][c] = std::move(*col);
-    }
-  }, kMorselRows);
-  for (const Status& st : project_status) SUMTAB_RETURN_NOT_OK(st);
-  auto result = std::make_shared<Batch>();
-  result->num_rows = project_n;
-  result->columns.resize(nout);
+  bool all_bare = true;
+  for (const qgm::OutputColumn& out : box.outputs) {
+    all_bare = all_bare && out.expr->kind == expr::Expr::Kind::kColumnRef;
+  }
+  const bool borrow = all_bare || combined.sel == nullptr;
+  std::vector<int> computed;  // outputs evaluated, in order
   for (int c = 0; c < nout; ++c) {
-    if (project_lanes == 1) {
-      result->columns[c] = std::move(lane_cols[0][c]);
+    if (!borrow || box.outputs[c].expr->kind != expr::Expr::Kind::kColumnRef) {
+      computed.push_back(c);
+    }
+  }
+  const int ncomputed = static_cast<int>(computed.size());
+  auto fresh = std::make_shared<Batch>();
+  fresh->num_rows = project_n;
+  fresh->columns.resize(ncomputed);
+  if (ncomputed > 0) {
+    const int project_lanes =
+        ParallelLanes(project_n, options_.max_threads, kMorselRows);
+    std::vector<std::vector<ColumnVector>> lane_cols(
+        project_lanes, std::vector<ColumnVector>(ncomputed));
+    std::vector<Status> project_status(project_lanes, Status::OK());
+    ParallelFor(project_n, project_lanes,
+                [&](int lane, int64_t begin, int64_t end) {
+      expr::VecEvalContext ctx{&offsets, &combined, begin, end};
+      for (int k = 0; k < ncomputed; ++k) {
+        StatusOr<ColumnVector> col =
+            expr::EvalVec(box.outputs[computed[k]].expr, ctx);
+        if (!col.ok()) {
+          project_status[lane] = col.status();
+          return;
+        }
+        lane_cols[lane][k] = std::move(*col);
+      }
+    }, kMorselRows);
+    for (const Status& st : project_status) SUMTAB_RETURN_NOT_OK(st);
+    for (int k = 0; k < ncomputed; ++k) {
+      if (project_lanes == 1) {
+        fresh->columns[k] = std::move(lane_cols[0][k]);
+        continue;
+      }
+      for (int lane = 0; lane < project_lanes; ++lane) {
+        fresh->columns[k].AppendColumn(lane_cols[lane][k]);
+      }
+    }
+  }
+  BatchView result;
+  result.num_rows = project_n;
+  if (borrow) {
+    result.sel = all_bare ? combined.sel : nullptr;
+    result.owners = combined.owners;
+  }
+  if (ncomputed > 0) result.owners.push_back(fresh);
+  result.columns.resize(nout);
+  for (int c = 0, k = 0; c < nout; ++c) {
+    if (k < ncomputed && computed[k] == c) {
+      result.columns[c] = &fresh->columns[k++];
       continue;
     }
-    for (int lane = 0; lane < project_lanes; ++lane) {
-      result->columns[c].AppendColumn(lane_cols[lane][c]);
-    }
+    const expr::Expr& ref = *box.outputs[c].expr;
+    result.columns[c] = combined.columns[offsets[ref.quantifier] + ref.column];
   }
 
   if (box.distinct) {
-    std::vector<int64_t> keep = DistinctRows(*result, options_.max_threads);
-    if (static_cast<int64_t>(keep.size()) != result->num_rows) {
-      result = std::make_shared<Batch>(GatherBatch(*result, keep));
+    BatchPtr rows = DenseBatch(result);
+    std::vector<int64_t> keep = DistinctRows(*rows, options_.max_threads);
+    if (static_cast<int64_t>(keep.size()) != rows->num_rows) {
+      rows = std::make_shared<Batch>(GatherBatch(*rows, keep));
     }
+    return BatchView::Of(std::move(rows));
   }
-  return BatchPtr(result);
+  return result;
 }
 
-StatusOr<Executor::BatchPtr> Executor::ExecuteGroupBy(const qgm::Graph& graph,
-                                                      const Box& box) {
-  SUMTAB_ASSIGN_OR_RETURN(BatchPtr child,
+StatusOr<BatchView> Executor::ExecuteGroupBy(const qgm::Graph& graph,
+                                             const Box& box) {
+  SUMTAB_ASSIGN_OR_RETURN(BatchView child,
                           ExecuteBox(graph, box.quantifiers[0].child));
   exec_internal::GroupBySpec spec;
   SUMTAB_RETURN_NOT_OK(exec_internal::BuildGroupBySpec(box, &spec));
   SUMTAB_ASSIGN_OR_RETURN(
-      Batch packed, AggregateBatch(*child, spec.grouping_cols, spec.sets,
+      Batch packed, AggregateBatch(child, spec.grouping_cols, spec.sets,
                                    spec.aggs, options_.max_threads));
   SUMTAB_RETURN_NOT_OK(Charge(packed.num_rows));
   // Packed layout (grouping ordinals, then aggregates) -> output layout.
@@ -531,7 +600,7 @@ StatusOr<Executor::BatchPtr> Executor::ExecuteGroupBy(const qgm::Graph& graph,
     packed.columns.push_back(
         std::move(columns[g >= 0 ? g : ng + spec.agg_ordinal[i]]));
   }
-  return BatchPtr(std::make_shared<Batch>(std::move(packed)));
+  return BatchView::Of(std::make_shared<const Batch>(std::move(packed)));
 }
 
 }  // namespace engine

@@ -1,9 +1,8 @@
 // SIMD-friendly typed kernels shared by the vectorized executor, the
 // vectorized expression evaluator and the columnar containers: flat hash
-// build/probe for joins, dense group ids for aggregation, bulk gathers,
-// mask -> index filter-selection, and dictionary code translation. Every
-// loop here is branch-light over flat arrays so the compiler can vectorize
-// it; none of them allocate per row.
+// build/probe for joins, dense group ids for aggregation, and dictionary
+// code translation. Every loop here is branch-light over flat arrays so the
+// compiler can vectorize it; none of them allocate per row.
 //
 // Keys are int64 everywhere: int and date columns widen, dictionary-encoded
 // string columns pass their int32 codes. Callers handle NULLs (a join
@@ -40,31 +39,6 @@ inline uint64_t MixKey(const int64_t* v, int k, uint8_t null_mask) {
     h = (h ^ static_cast<uint64_t>(v[i])) * 0x9e3779b97f4a7c15ULL;
   }
   return h;
-}
-
-/// Bulk gather: out[i] = src[indexes[i]].
-template <typename T>
-inline void Gather(const std::vector<T>& src,
-                   const std::vector<int64_t>& indexes, std::vector<T>* out) {
-  const int64_t n = static_cast<int64_t>(indexes.size());
-  out->resize(n);
-  T* dst = out->data();
-  const T* s = src.data();
-  for (int64_t i = 0; i < n; ++i) dst[i] = s[indexes[i]];
-}
-
-/// Filter-select: appends base + i to *out for every set mask bit; returns
-/// how many were appended.
-inline int64_t SelectFromMask(const uint8_t* mask, int64_t n, int64_t base,
-                              std::vector<int64_t>* out) {
-  int64_t count = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    if (mask[i] != 0) {
-      out->push_back(base + i);
-      ++count;
-    }
-  }
-  return count;
 }
 
 /// Flat linear-probing hash table from int64 join keys to build-row chains —

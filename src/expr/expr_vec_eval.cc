@@ -1,5 +1,7 @@
 #include "expr/expr_vec_eval.h"
 
+#include <type_traits>
+
 #include "common/date.h"
 #include "common/str_util.h"
 #include "expr/expr_eval.h"
@@ -205,6 +207,69 @@ bool IsComparison(BinaryOp op) {
   }
 }
 
+/// Typed in-place view of one numeric comparison operand: a column's
+/// payload from `data` on, or a constant. Get widens to double exactly like
+/// Value::ToDouble (stored bools are 0 or 1).
+template <typename T>
+struct NumSpan {
+  const T* data;
+  const uint8_t* nulls;
+
+  double Get(int64_t i) const { return static_cast<double>(data[i]); }
+  bool Null(int64_t i) const { return nulls[i] != 0; }
+};
+
+struct ConstSpan {
+  double value;
+
+  double Get(int64_t) const { return value; }
+  bool Null(int64_t) const { return false; }
+};
+
+/// Calls fn with the typed payload of a numeric column, from row `off` on.
+template <typename Fn>
+void WithPayload(const ColumnVector& col, int64_t off, const Fn& fn) {
+  const uint8_t* nulls = col.nulls().data() + off;
+  switch (col.tag()) {
+    case Tag::kInt:
+      return fn(NumSpan<int64_t>{col.ints().data() + off, nulls});
+    case Tag::kDouble:
+      return fn(NumSpan<double>{col.doubles().data() + off, nulls});
+    case Tag::kDate:
+      return fn(NumSpan<int32_t>{col.dates().data() + off, nulls});
+    default:  // kBool; NumericOperand excludes the rest
+      return fn(NumSpan<uint8_t>{col.bools().data() + off, nulls});
+  }
+}
+
+/// Calls fn with the typed span of a numeric operand.
+template <typename Fn>
+void WithNumSpan(const VecVal& v, const Fn& fn) {
+  if (v.is_const) return fn(ConstSpan{v.const_val.ToDouble()});
+  WithPayload(v.vec(), v.off(), fn);
+}
+
+/// Calls fn with `op` as a compile-time constant, so ApplyComparison folds
+/// into the loop that fn runs.
+template <typename Fn>
+void WithComparison(BinaryOp op, const Fn& fn) {
+  using std::integral_constant;
+  switch (op) {
+    case BinaryOp::kEq:
+      return fn(integral_constant<BinaryOp, BinaryOp::kEq>{});
+    case BinaryOp::kNe:
+      return fn(integral_constant<BinaryOp, BinaryOp::kNe>{});
+    case BinaryOp::kLt:
+      return fn(integral_constant<BinaryOp, BinaryOp::kLt>{});
+    case BinaryOp::kLe:
+      return fn(integral_constant<BinaryOp, BinaryOp::kLe>{});
+    case BinaryOp::kGt:
+      return fn(integral_constant<BinaryOp, BinaryOp::kGt>{});
+    default:  // kGe
+      return fn(integral_constant<BinaryOp, BinaryOp::kGe>{});
+  }
+}
+
 StatusOr<VecVal> EvalInternal(const ExprPtr& e, const VecEvalContext& ctx);
 
 /// 3VL truth span: out[i] in {-1 (NULL), 0 (false), 1 (true)}.
@@ -343,19 +408,22 @@ StatusOr<VecVal> EvalBinary(const ExprPtr& e, const VecEvalContext& ctx) {
       return Owned(std::move(out));
     }
     if (NumericOperand(l) && NumericOperand(r)) {
-      DSpan a = MakeDSpan(l, n);
-      DSpan b = MakeDSpan(r, n);
+      // Typed payloads read in place, widened per row like Value::Compare.
       ColumnVector out(Tag::kBool);
       out.Reserve(n);
-      for (int64_t i = 0; i < n; ++i) {
-        if (a.Null(i) || b.Null(i)) {
-          out.AppendNull();
-          continue;
-        }
-        double x = a.Get(i);
-        double y = b.Get(i);
-        out.AppendBool(ApplyComparison(op, x == y, x < y));
-      }
+      WithNumSpan(l, [&](const auto& a) {
+        WithNumSpan(r, [&](const auto& b) {
+          for (int64_t i = 0; i < n; ++i) {
+            if (a.Null(i) || b.Null(i)) {
+              out.AppendNull();
+              continue;
+            }
+            const double x = a.Get(i);
+            const double y = b.Get(i);
+            out.AppendBool(ApplyComparison(op, x == y, x < y));
+          }
+        });
+      });
       return Owned(std::move(out));
     }
   } else if (op == BinaryOp::kAdd || op == BinaryOp::kSub ||
@@ -456,9 +524,14 @@ StatusOr<VecVal> EvalInternal(const ExprPtr& e, const VecEvalContext& ctx) {
       return Const(e->literal);
 
     case Expr::Kind::kColumnRef: {
+      const ColumnVector* col =
+          ctx.view->columns[(*ctx.offsets)[e->quantifier] + e->column];
+      if (ctx.view->sel != nullptr) {
+        return Owned(
+            ColumnVector::Gather(*col, ctx.view->sel->data() + ctx.begin, n));
+      }
       VecVal out;
-      out.borrowed =
-          &ctx.batch->columns[(*ctx.offsets)[e->quantifier] + e->column];
+      out.borrowed = col;
       out.offset = ctx.begin;
       return out;
     }
@@ -612,6 +685,93 @@ ColumnVector Materialize(VecVal val, int64_t n) {
   return std::move(val.owned);
 }
 
+/// Appends to *out the column row r of every row k (0-based) of ctx's range
+/// for which pass(k, r) holds, in order. Branch-free: every row is written
+/// and only the passing ones advance the cursor.
+template <typename Pass>
+void SelectRows(const VecEvalContext& ctx, const Pass& pass,
+                engine::Selection* out) {
+  const int64_t n = ctx.NumRows();
+  const size_t old = out->size();
+  out->resize(old + n);
+  int64_t* dst = out->data() + old;
+  int64_t count = 0;
+  if (ctx.view->sel != nullptr) {
+    const int64_t* rows = ctx.view->sel->data() + ctx.begin;
+    for (int64_t k = 0; k < n; ++k) {
+      const int64_t r = rows[k];
+      dst[count] = r;
+      count += pass(k, r) ? 1 : 0;
+    }
+  } else {
+    for (int64_t k = 0; k < n; ++k) {
+      const int64_t r = ctx.begin + k;
+      dst[count] = r;
+      count += pass(k, r) ? 1 : 0;
+    }
+  }
+  out->resize(old + count);
+}
+
+/// SelectVec's in-place predicates, which read the column where it lies
+/// under the view's selection; false when e is not one of them.
+bool SelectInPlace(const ExprPtr& e, const VecEvalContext& ctx,
+                   engine::Selection* out) {
+  auto column = [&ctx](const ExprPtr& ref) {
+    return ctx.view->columns[(*ctx.offsets)[ref->quantifier] + ref->column];
+  };
+  if (e->kind == Expr::Kind::kIsNull &&
+      e->children[0]->kind == Expr::Kind::kColumnRef) {
+    const uint8_t* nulls = column(e->children[0])->nulls().data();
+    const uint8_t want = e->is_null_negated ? 0 : 1;
+    SelectRows(ctx, [&](int64_t, int64_t r) { return nulls[r] == want; },
+               out);
+    return true;
+  }
+  if (e->kind != Expr::Kind::kBinary || !IsComparison(e->binary_op)) {
+    return false;
+  }
+  const ExprPtr& l = e->children[0];
+  const ExprPtr& r = e->children[1];
+  const bool col_left = l->kind == Expr::Kind::kColumnRef &&
+                        r->kind == Expr::Kind::kLiteral;
+  if (!col_left && !(l->kind == Expr::Kind::kLiteral &&
+                     r->kind == Expr::Kind::kColumnRef)) {
+    return false;
+  }
+  const ColumnVector& col = *column(col_left ? l : r);
+  const Value& lit = (col_left ? r : l)->literal;
+  if (lit.is_null()) return true;  // every row compares NULL
+  const uint8_t* nulls = col.nulls().data();
+  if (col.IsNumericTag() && lit.IsNumeric()) {
+    const double c = lit.ToDouble();
+    WithPayload(col, 0, [&](const auto& v) {
+      WithComparison(e->binary_op, [&](auto op) {
+        SelectRows(ctx, [&](int64_t, int64_t row) {
+          const double x = col_left ? v.Get(row) : c;
+          const double y = col_left ? c : v.Get(row);
+          return (nulls[row] == 0) & ApplyComparison(op, x == y, x < y);
+        }, out);
+      });
+    });
+    return true;
+  }
+  // Dictionary codes equal iff their strings do (a literal absent from the
+  // dictionary, code -1, equals no stored string).
+  if (col.tag() == Tag::kString && col.dict_encoded() &&
+      lit.kind() == Value::Kind::kString &&
+      (e->binary_op == BinaryOp::kEq || e->binary_op == BinaryOp::kNe)) {
+    const int32_t code = col.dict()->Find(lit.AsString());
+    const int32_t* codes = col.codes().data();
+    const bool want_eq = e->binary_op == BinaryOp::kEq;
+    SelectRows(ctx, [&](int64_t, int64_t row) {
+      return (nulls[row] == 0) & ((codes[row] == code) == want_eq);
+    }, out);
+    return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 StatusOr<ColumnVector> EvalVec(const ExprPtr& e, const VecEvalContext& ctx) {
@@ -623,37 +783,42 @@ StatusOr<ColumnVector> EvalVec(const ExprPtr& e, const VecEvalContext& ctx) {
   return Materialize(std::move(val), n);
 }
 
-Status EvalPredicateVec(const ExprPtr& e, const VecEvalContext& ctx,
-                        std::vector<uint8_t>* mask) {
-  const int64_t n = ctx.NumRows();
-  mask->assign(n, 0);
-  if (n <= 0) return Status::OK();
+Status SelectVec(const ExprPtr& e, const VecEvalContext& ctx,
+                 engine::Selection* out) {
+  // An empty range evaluates nothing, like EvalVec.
+  if (ctx.NumRows() <= 0) return Status::OK();
+  if (SelectInPlace(e, ctx, out)) return Status::OK();
   SUMTAB_ASSIGN_OR_RETURN(VecVal val, EvalInternal(e, ctx));
   if (val.is_const) {
     if (val.const_val.is_null()) return Status::OK();
     if (val.const_val.kind() != Value::Kind::kBool) {
       return Status::InvalidArgument("predicate did not evaluate to boolean");
     }
-    if (val.const_val.AsBool()) mask->assign(n, 1);
+    if (val.const_val.AsBool()) {
+      SelectRows(ctx, [](int64_t, int64_t) { return true; }, out);
+    }
     return Status::OK();
   }
   const ColumnVector& col = val.vec();
-  const int64_t off = val.off();
+  const uint8_t* nulls = col.nulls().data() + val.off();
   if (col.tag() == Tag::kBool) {
-    for (int64_t i = 0; i < n; ++i) {
-      (*mask)[i] = !col.IsNull(off + i) && col.bools()[off + i] != 0;
-    }
+    const uint8_t* truth = col.bools().data() + val.off();
+    SelectRows(ctx, [&](int64_t k, int64_t) {
+      return (nulls[k] == 0) & (truth[k] != 0);
+    }, out);
     return Status::OK();
   }
-  for (int64_t i = 0; i < n; ++i) {
-    if (col.IsNull(off + i)) continue;  // NULL rejects the row, no error
-    if (col.tag() == Tag::kVariant &&
-        col.VariantAt(off + i).kind() == Value::Kind::kBool) {
-      (*mask)[i] = col.VariantAt(off + i).AsBool() ? 1 : 0;
-      continue;
+  for (int64_t k = 0; k < ctx.NumRows(); ++k) {
+    // NULL rejects the row, no error.
+    if (nulls[k] == 0 && !(col.tag() == Tag::kVariant &&
+                           col.VariantAt(val.off() + k).kind() ==
+                               Value::Kind::kBool)) {
+      return Status::InvalidArgument("predicate did not evaluate to boolean");
     }
-    return Status::InvalidArgument("predicate did not evaluate to boolean");
   }
+  SelectRows(ctx, [&](int64_t k, int64_t) {
+    return nulls[k] == 0 && col.VariantAt(val.off() + k).AsBool();
+  }, out);
   return Status::OK();
 }
 

@@ -25,13 +25,14 @@
 namespace sumtab {
 namespace expr {
 
-/// Evaluation context: the combined batch of a box (child columns
+/// Evaluation context: the combined view of a box (child columns
 /// concatenated, offsets[q] = first slot of quantifier q, exactly as the
-/// scalar EvalContext lays out its combined row) plus the [begin, end) row
-/// range to evaluate — one morsel = one range.
+/// scalar EvalContext lays out its combined row) plus the [begin, end)
+/// range of view rows to evaluate — one morsel = one range. Under a
+/// selection, view row i is column row view->Row(i).
 struct VecEvalContext {
   const std::vector<int>* offsets = nullptr;
-  const engine::Batch* batch = nullptr;
+  const engine::BatchView* view = nullptr;
   int64_t begin = 0;
   int64_t end = 0;  // exclusive
 
@@ -42,15 +43,20 @@ struct VecEvalContext {
 /// ctx.NumRows() values. Row i of the result equals the scalar
 /// Eval(e, row begin+i) bit-for-bit; an error any scalar evaluation would
 /// raise is raised here too (possibly attributed to a different row — the
-/// whole statement fails either way).
+/// whole statement fails either way). Under a selection, each column
+/// reference gathers the range's rows once.
 StatusOr<engine::ColumnVector> EvalVec(const ExprPtr& e,
                                        const VecEvalContext& ctx);
 
-/// Evaluates a predicate over the range into mask (resized to
-/// ctx.NumRows()): mask[i] = 1 iff the row passes (BOOL true; NULL and
-/// false both reject, as in the scalar EvalPredicate).
-Status EvalPredicateVec(const ExprPtr& e, const VecEvalContext& ctx,
-                        std::vector<uint8_t>* mask);
+/// Filters the range by predicate e: appends to *out, in order, the column
+/// row of every view row the predicate passes (BOOL true; NULL and false
+/// both reject, as in the scalar EvalPredicate). Over a view with a
+/// selection this refines it; over one without it makes one. A comparison
+/// of a column with a literal, `IS [NOT] NULL` on a column and `=`/`<>`
+/// against a string literal on a dictionary column read the column's
+/// payload where it lies; every other predicate evaluates through EvalVec.
+Status SelectVec(const ExprPtr& e, const VecEvalContext& ctx,
+                 engine::Selection* out);
 
 }  // namespace expr
 }  // namespace sumtab

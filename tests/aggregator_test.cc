@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -269,6 +270,103 @@ TEST(AggregatorTest, CubeKeepsDataNullsApartFromPaddingNulls) {
     }
   }
   EXPECT_EQ(null_x, 2);  // one data-NULL group, one padded group
+}
+
+/// Aggregates the rows of `batch` (built from `input`) that `sel` lists,
+/// read through the selection, serially and at four lanes, and checks both
+/// against the reference over those rows; returns the serial answer.
+std::vector<Row> ExpectSelectionLikeReference(
+    const Batch& batch, const std::vector<Row>& input,
+    const engine::Selection& sel, const std::vector<int>& grouping_cols,
+    const std::vector<std::vector<int>>& sets,
+    const std::vector<AggSpec>& aggs) {
+  std::vector<Row> kept;
+  for (int64_t r : sel) kept.push_back(input[r]);
+  StatusOr<std::vector<Row>> want =
+      reference::Aggregate(kept, grouping_cols, sets, aggs);
+  EXPECT_TRUE(want.ok());
+  engine::BatchView view = engine::BatchView::Of(batch);
+  view.sel = std::make_shared<engine::Selection>(sel);
+  view.num_rows = static_cast<int64_t>(sel.size());
+  std::vector<Row> serial;
+  for (int threads : {1, 4}) {
+    StatusOr<Batch> got =
+        engine::AggregateBatch(view, grouping_cols, sets, aggs, threads);
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    if (!got.ok() || !want.ok()) return {};
+    std::vector<Row> rows = engine::BatchToRelation(*got, {}).rows;
+    EXPECT_TRUE(reference::SameRowsExactly(rows, *want))
+        << "threads=" << threads;
+    if (threads == 1) serial = std::move(rows);
+  }
+  return serial;
+}
+
+TEST(AggregatorTest, SelectionIsReadWhereItLies) {
+  // NULLs in int, dictionary-string and double keys and in every argument;
+  // the selection skips two rows in three and keeps runs, so four lanes
+  // still partition what it lists.
+  Lcg rng(7);
+  std::vector<Row> input;
+  for (int64_t i = 0; i < 3 * kRows; ++i) {
+    input.push_back(
+        {rng.Next(9) == 0 ? Value::Null() : Value::Int(rng.Next(40)),
+         rng.Next(7) == 0 ? Value::Null()
+                          : Value::String("g" + std::to_string(rng.Next(5))),
+         rng.Next(6) == 0 ? Value::Null() : Value::Int(rng.Next(1000) - 500),
+         rng.Next(5) == 0 ? Value::Null()
+                          : Value::Double(rng.Next(64) * 0.125 - 4),
+         Value::Date(19950101 + rng.Next(300))});
+  }
+  Batch batch = engine::BatchFromRows(input, 5);
+  engine::DictEncodeBatch(&batch, {});
+  engine::Selection sel;
+  for (int64_t i = 0; i < static_cast<int64_t>(input.size()); ++i) {
+    if (i % 3 == 1 || (i / 500) % 4 == 0) sel.push_back(i);
+  }
+  std::vector<AggSpec> aggs = AllOf(2);
+  for (const AggSpec& spec : AllOf(3)) aggs.push_back(spec);
+  aggs.push_back(Star());
+  aggs.push_back(Agg(AggFunc::kMin, 1));
+  aggs.push_back(Agg(AggFunc::kMax, 4));
+  aggs.push_back(Agg(AggFunc::kCount, 0, /*distinct=*/true));
+  for (const std::vector<int>& keys :
+       std::vector<std::vector<int>>{{}, {0}, {1}, {3}, {0, 1, 4}}) {
+    std::vector<int> set(keys.size());
+    for (size_t k = 0; k < keys.size(); ++k) set[k] = static_cast<int>(k);
+    std::vector<Row> got =
+        ExpectSelectionLikeReference(batch, input, sel, keys, {set}, aggs);
+    EXPECT_FALSE(got.empty());
+  }
+  // CUBE and grouping sets over the selection.
+  ExpectSelectionLikeReference(batch, input, sel, {0, 1},
+                               {{0, 1}, {0}, {1}, {}}, aggs);
+  ExpectSelectionLikeReference(batch, input, sel, {1, 3, 0},
+                               {{0, 1, 2}, {1}, {}}, aggs);
+}
+
+TEST(AggregatorTest, EmptySelectionGlobalAndGrouped) {
+  std::vector<Row> input;
+  for (int64_t i = 0; i < 100; ++i) {
+    input.push_back({Value::Int(i % 4), Value::Int(i), Value::Double(0.5)});
+  }
+  Batch batch = engine::BatchFromRows(input, 3);
+  std::vector<AggSpec> aggs = AllOf(1);
+  for (const AggSpec& spec : AllOf(2)) aggs.push_back(spec);
+  aggs.push_back(Star());
+  std::vector<Row> global =
+      ExpectSelectionLikeReference(batch, input, {}, {}, {{}}, aggs);
+  ASSERT_EQ(global.size(), 1u);
+  EXPECT_EQ(global[0][0], Value::Int(0));  // COUNT(col)
+  EXPECT_TRUE(global[0][1].is_null());     // SUM
+  EXPECT_EQ(global[0][10], Value::Int(0));  // COUNT(*)
+  EXPECT_TRUE(
+      ExpectSelectionLikeReference(batch, input, {}, {0}, {{0}}, aggs)
+          .empty());
+  EXPECT_EQ(ExpectSelectionLikeReference(batch, input, {}, {0, 2},
+                                         {{0, 1}, {0}, {}}, aggs)
+                .size(),
+            1u);
 }
 
 TEST(AggregatorTest, SelectDistinctMatchesReference) {

@@ -352,6 +352,165 @@ TEST(JoinTest, PrunedGathersAndSmallerBuildSideMatchReference) {
   }
 }
 
+/// A 12k-row table with NULLs in its key, argument and predicate columns,
+/// an int column past 2^53, and a 60-row dimension: enough rows for four
+/// lanes to split every filter, probe and aggregate.
+class EngineSelectionTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kTwoTo53 = int64_t{1} << 53;
+
+  void SetUp() override {
+    ASSERT_TRUE(db_.CreateTable("s",
+                                {Column{"k", Type::kInt, true},
+                                 Column{"g", Type::kString, true},
+                                 Column{"v", Type::kInt, true},
+                                 Column{"x", Type::kDouble, true},
+                                 Column{"big", Type::kInt, false}},
+                                {})
+                    .ok());
+    ASSERT_TRUE(db_.CreateTable("dm",
+                                {Column{"k", Type::kInt, true},
+                                 Column{"g2", Type::kString, false},
+                                 Column{"w", Type::kInt, false},
+                                 Column{"c", Type::kInt, false}},
+                                {})
+                    .ok());
+    std::vector<Row> rows;
+    for (int64_t i = 0; i < 12000; ++i) {
+      rows.push_back(
+          {i % 11 == 0 ? Value::Null() : Value::Int(i % 70),
+           i % 13 == 0 ? Value::Null() : Value::String(i % 3 ? "a" : "b"),
+           i % 7 == 0 ? Value::Null() : Value::Int(i % 50),
+           i % 5 == 0 ? Value::Null() : Value::Double((i % 17) * 0.25 - 1),
+           Value::Int(kTwoTo53 + i % 4)});
+    }
+    std::vector<Row> dm;
+    for (int64_t k = 0; k < 60; ++k) {
+      dm.push_back({k == 7 ? Value::Null() : Value::Int(k),
+                    Value::String(k % 2 == 0 ? "a" : "b"), Value::Int(k % 40),
+                    Value::Int(k % 5)});
+    }
+    ASSERT_TRUE(db_.BulkLoad("s", rows).ok());
+    ASSERT_TRUE(db_.BulkLoad("dm", dm).ok());
+  }
+
+  /// The query's answer at one lane, after checking it and the four-lane
+  /// answer against the reference, and the two against each other bit for
+  /// bit.
+  std::vector<Row> ExpectLikeReference(const std::string& sql) {
+    StatusOr<engine::Relation> want = reference::Query(db_, sql);
+    EXPECT_TRUE(want.ok()) << want.status().ToString() << "\n" << sql;
+    std::vector<Row> serial;
+    for (int threads : {1, 4}) {
+      QueryOptions opts;
+      opts.enable_rewrite = false;
+      opts.max_threads = threads;
+      StatusOr<QueryResult> got = db_.Query(sql, opts);
+      EXPECT_TRUE(got.ok()) << got.status().ToString() << "\n" << sql;
+      if (!got.ok() || !want.ok()) return {};
+      EXPECT_TRUE(reference::MatchesReference(got->relation, *want))
+          << sql << " threads=" << threads;
+      if (threads == 1) {
+        serial = got->relation.rows;
+      } else {
+        EXPECT_TRUE(reference::SameRowsExactly(got->relation.rows, serial))
+            << sql;
+      }
+    }
+    return serial;
+  }
+
+  Database db_;
+};
+
+TEST_F(EngineSelectionTest, FilterThenAggregateOverNulls) {
+  for (const char* sql : {
+           "select k, count(*) as n, count(v) as cv, sum(v) as sv, "
+           "sum(x) as sx, min(x) as mn, max(g) as mg from s "
+           "where v > 10 group by k",
+           "select g, k, count(*) as n, sum(x) as sx, avg(v) as av from s "
+           "where x < 2.5 and k is not null group by g, k",
+           "select count(*) as n, count(x) as cx, sum(v) as sv, sum(x) as sx, "
+           "min(v) as mn, max(x) as mx from s where g = 'a'",
+           "select k, sum(v * 2) as s2, count(*) as n from s "
+           "where v is null or x > 1 group by k",
+           "select x, count(*) as n from s where g <> 'b' and v < 25 "
+           "group by x",
+           "select distinct k, g from s where v < 20",
+           "select k, v from s where v > 45 and x >= 0",
+           "select count(*) as n from s "
+           "where v > (select max(w) from dm where c = 2)",
+       }) {
+    EXPECT_FALSE(ExpectLikeReference(sql).empty()) << sql;
+  }
+}
+
+TEST_F(EngineSelectionTest, EveryRowFilteredOut) {
+  // A global aggregate still answers one row: COUNT 0 and SUM NULL; a
+  // grouped one answers none.
+  std::vector<Row> global = ExpectLikeReference(
+      "select count(*) as n, count(v) as cv, sum(v) as sv, sum(x) as sx "
+      "from s where v > 1000");
+  ASSERT_EQ(global.size(), 1u);
+  EXPECT_EQ(global[0][0], Value::Int(0));
+  EXPECT_EQ(global[0][1], Value::Int(0));
+  EXPECT_TRUE(global[0][2].is_null());
+  EXPECT_TRUE(global[0][3].is_null());
+  EXPECT_TRUE(ExpectLikeReference(
+                  "select k, count(*) as n from s where v > 1000 group by k")
+                  .empty());
+  // The second filter sees an empty selection.
+  EXPECT_TRUE(ExpectLikeReference("select k, x from s "
+                                  "where g = 'absent' and x > 0")
+                  .empty());
+}
+
+TEST_F(EngineSelectionTest, IntsPastTwoToThe53CompareAsDoubles) {
+  // big holds 2^53 + i % 4. As doubles 2^53 + 1 rounds to 2^53 and
+  // 2^53 + 3 to 2^53 + 4, so Value::Compare finds half the rows equal to
+  // the literal 2^53 + 1 and the other half greater.
+  const std::string lit = std::to_string(kTwoTo53 + 1);
+  std::vector<Row> eq =
+      ExpectLikeReference("select count(*) as n from s where big = " + lit);
+  ASSERT_EQ(eq.size(), 1u);
+  EXPECT_EQ(eq[0][0], Value::Int(6000));
+  std::vector<Row> gt =
+      ExpectLikeReference("select count(*) as n from s where big > " + lit);
+  ASSERT_EQ(gt.size(), 1u);
+  EXPECT_EQ(gt[0][0], Value::Int(6000));
+  std::vector<Row> le = ExpectLikeReference(
+      "select count(*) as n from s where " + lit + " >= big");
+  ASSERT_EQ(le.size(), 1u);
+  EXPECT_EQ(le[0][0], Value::Int(6000));
+}
+
+TEST_F(EngineSelectionTest, CubeAndGroupingSetsOverASelection) {
+  for (const char* sql : {
+           "select k, g, count(*) as n, sum(x) as sx from s where v >= 5 "
+           "group by cube(k, g)",
+           "select k, g, count(v) as cv, sum(v) as sv, max(x) as mx from s "
+           "where x is not null and v < 30 "
+           "group by grouping sets ((k, g), (g), ())",
+       }) {
+    EXPECT_FALSE(ExpectLikeReference(sql).empty()) << sql;
+  }
+}
+
+TEST_F(EngineSelectionTest, HashJoinWithBothSidesFiltered) {
+  for (const char* sql : {
+           "select dm.c, count(*) as n, sum(s.x) as sx from s, dm "
+           "where s.k = dm.k and s.v > 5 and dm.w < 30 group by dm.c",
+           "select s.k, dm.w, s.x from s, dm where s.k = dm.k and s.v < 3 "
+           "and dm.c = 1 and s.v < dm.w",
+           "select s.g, count(*) as n from s, dm where s.g = dm.g2 "
+           "and s.v < 10 and dm.c <> 3 and s.k = dm.k group by s.g",
+           "select count(*) as n, sum(s.v * dm.w) as p from s, dm "
+           "where s.k = dm.k and s.x > 0 and dm.g2 = 'b'",
+       }) {
+    EXPECT_FALSE(ExpectLikeReference(sql).empty()) << sql;
+  }
+}
+
 /// AggregateBatch over `input`, checked against the reference's grouping
 /// of the same rows in the same order (exactly, Value kinds included).
 std::vector<Row> AggregateLikeReference(

@@ -10,6 +10,8 @@
 // SortBatch/SameRowMultiset and the columnar null bitmap share — data-NULLs
 // and grouping-set padding-NULLs must be indistinguishable to it.
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -44,9 +46,21 @@ void SortByCompareRows(std::vector<Row>* rows) {
   });
 }
 
+/// The rows of `view` that SelectVec keeps, or its error.
+StatusOr<engine::Selection> Select(const ExprPtr& e,
+                                   const engine::BatchView& view,
+                                   const std::vector<int>& offsets) {
+  expr::VecEvalContext ctx{&offsets, &view, 0, view.num_rows};
+  engine::Selection kept;
+  SUMTAB_RETURN_NOT_OK(expr::SelectVec(e, ctx, &kept));
+  return kept;
+}
+
 /// Evaluates e over `rows` both ways and asserts identical outcomes:
 /// same Values bit-for-bit when scalar evaluation succeeds on every row,
-/// and a vectorized error whenever any scalar evaluation errors.
+/// and a vectorized error whenever any scalar evaluation errors. Both
+/// vectorized paths run over every row and again over a selection of every
+/// other row, which column references read through.
 void CheckBothPaths(const ExprPtr& e, const std::vector<Row>& rows,
                     int num_cols, const std::string& label) {
   std::vector<int> offsets = {0};
@@ -62,7 +76,13 @@ void CheckBothPaths(const ExprPtr& e, const std::vector<Row>& rows,
     expected.push_back(std::move(*v));
   }
   Batch batch = BatchFromRows(rows, num_cols);
-  expr::VecEvalContext vctx{&offsets, &batch, 0, batch.num_rows};
+  const engine::BatchView all = engine::BatchView::Of(batch);
+  engine::BatchView odd_out = all;  // rows 0, 2, 4, ...
+  auto even = std::make_shared<engine::Selection>();
+  for (int64_t i = 0; i < batch.num_rows; i += 2) even->push_back(i);
+  odd_out.sel = even;
+  odd_out.num_rows = static_cast<int64_t>(even->size());
+  expr::VecEvalContext vctx{&offsets, &all, 0, batch.num_rows};
   StatusOr<ColumnVector> col = expr::EvalVec(e, vctx);
   if (scalar_error) {
     EXPECT_FALSE(col.ok()) << label << ": scalar errors but vectorized ok";
@@ -77,9 +97,18 @@ void CheckBothPaths(const ExprPtr& e, const std::vector<Row>& rows,
         << label << " row " << i << ": scalar " << expected[i].ToString()
         << " vs vectorized " << got.ToString();
   }
+  expr::VecEvalContext sctx{&offsets, &odd_out, 0, odd_out.num_rows};
+  StatusOr<ColumnVector> selected = expr::EvalVec(e, sctx);
+  ASSERT_TRUE(selected.ok()) << label << ": " << selected.status().ToString();
+  ASSERT_EQ(selected->size(), odd_out.num_rows) << label;
+  for (int64_t k = 0; k < odd_out.num_rows; ++k) {
+    Value got = selected->ValueAt(k);
+    const Value& want = expected[(*even)[k]];
+    EXPECT_TRUE(got == want && got.kind() == want.kind())
+        << label << " selected row " << (*even)[k];
+  }
   // The predicate path must agree with the scalar EvalPredicate too.
-  std::vector<uint8_t> mask;
-  Status pred_status = expr::EvalPredicateVec(e, vctx, &mask);
+  StatusOr<engine::Selection> kept = Select(e, all, offsets);
   bool scalar_pred_error = false;
   std::vector<bool> expected_mask;
   for (const Row& row : rows) {
@@ -92,14 +121,23 @@ void CheckBothPaths(const ExprPtr& e, const std::vector<Row>& rows,
     expected_mask.push_back(*pass);
   }
   if (scalar_pred_error) {
-    EXPECT_FALSE(pred_status.ok())
+    EXPECT_FALSE(kept.ok())
         << label << ": scalar predicate errors but vectorized ok";
     return;
   }
-  ASSERT_TRUE(pred_status.ok()) << label << ": " << pred_status.ToString();
+  ASSERT_TRUE(kept.ok()) << label << ": " << kept.status().ToString();
+  engine::Selection want_all;
+  engine::Selection want_even;
   for (size_t i = 0; i < expected_mask.size(); ++i) {
-    EXPECT_EQ(mask[i] != 0, expected_mask[i]) << label << " mask row " << i;
+    if (!expected_mask[i]) continue;
+    want_all.push_back(static_cast<int64_t>(i));
+    if (i % 2 == 0) want_even.push_back(static_cast<int64_t>(i));
   }
+  EXPECT_EQ(*kept, want_all) << label;
+  // Refining a selection keeps the passing rows among the selected ones.
+  StatusOr<engine::Selection> refined = Select(e, odd_out, offsets);
+  ASSERT_TRUE(refined.ok()) << label << ": " << refined.status().ToString();
+  EXPECT_EQ(*refined, want_even) << label << " (selection)";
 }
 
 Row R1(Value v) { return Row{std::move(v)}; }
@@ -217,6 +255,70 @@ TEST(VecEvalTest, UnaryFunctionsAndIsNull) {
                  "c0 IS NOT NULL");
 }
 
+TEST(VecEvalTest, IntsPastTwoToThe53CompareInDoubleOrder) {
+  // An int column compared with an int literal widens both to double, as
+  // Value::Compare does: 2^53 + 1 rounds to 2^53, so the two compare equal
+  // although the ints differ. The in-place filter must keep that order.
+  const int64_t big = int64_t{1} << 53;
+  std::vector<Row> rows = {R1(Value::Int(big)),      R1(Value::Int(big + 1)),
+                           R1(Value::Int(big + 2)),  R1(Value::Null()),
+                           R1(Value::Int(-big - 1)), R1(Value::Int(big - 1)),
+                           R1(Value::Int(INT64_MAX))};
+  for (BinaryOp op : {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
+                      BinaryOp::kLe, BinaryOp::kGt, BinaryOp::kGe}) {
+    for (int64_t lit : {big, big + 1, -big}) {
+      const std::string label = std::string("op ") + expr::BinaryOpName(op) +
+                                " " + std::to_string(lit);
+      CheckBothPaths(expr::Binary(op, expr::ColRef(0, 0), expr::LitInt(lit)),
+                     rows, 1, "col " + label);
+      CheckBothPaths(expr::Binary(op, expr::LitInt(lit), expr::ColRef(0, 0)),
+                     rows, 1, "lit " + label);
+    }
+  }
+  Batch batch = BatchFromRows(rows, 1);
+  const std::vector<int> offsets = {0};
+  StatusOr<engine::Selection> eq =
+      Select(expr::Binary(BinaryOp::kEq, expr::ColRef(0, 0),
+                          expr::LitInt(big + 1)),
+             engine::BatchView::Of(batch), offsets);
+  ASSERT_TRUE(eq.ok());
+  EXPECT_EQ(*eq, (engine::Selection{0, 1}));
+  EXPECT_EQ(Value::Int(big).Compare(Value::Int(big + 1)), 0);
+}
+
+TEST(VecEvalTest, InPlaceComparisonsCoverEveryNumericPayload) {
+  // Int, double, date and bool columns with NULLs, against int and double
+  // literals on either side — the typed loops that read payloads in place.
+  std::vector<Row> rows = {
+      Row{Value::Int(3), Value::Double(2.5), Value::Date(19950101),
+          Value::Bool(true)},
+      Row{Value::Null(), Value::Null(), Value::Null(), Value::Null()},
+      Row{Value::Int(-1), Value::Double(-0.0), Value::Date(20000229),
+          Value::Bool(false)},
+      Row{Value::Int(1), Value::Double(1.0), Value::Date(19991231),
+          Value::Null()},
+      Row{Value::Int(7), Value::Null(), Value::Date(19950101),
+          Value::Bool(true)},
+  };
+  const std::vector<Value> literals = {Value::Int(1), Value::Double(0.0),
+                                       Value::Int(19991231), Value::Int(0),
+                                       Value::Double(2.5)};
+  for (int c = 0; c < 4; ++c) {
+    for (const Value& lit : literals) {
+      for (BinaryOp op : {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
+                          BinaryOp::kLe, BinaryOp::kGt, BinaryOp::kGe}) {
+        const std::string label = "col " + std::to_string(c) + " " +
+                                   expr::BinaryOpName(op) + " " +
+                                   lit.ToString();
+        CheckBothPaths(expr::Binary(op, expr::ColRef(0, c), expr::Lit(lit)),
+                       rows, 4, label);
+        CheckBothPaths(expr::Binary(op, expr::Lit(lit), expr::ColRef(0, c)),
+                       rows, 4, "flipped " + label);
+      }
+    }
+  }
+}
+
 TEST(VecEvalTest, MorselRangesSeeTheSameRows) {
   // Evaluating [begin, end) sub-ranges must match the full-range rows.
   std::vector<Row> rows;
@@ -227,12 +329,13 @@ TEST(VecEvalTest, MorselRangesSeeTheSameRows) {
   std::vector<int> offsets = {0};
   ExprPtr e = expr::Binary(BinaryOp::kMul, expr::ColRef(0, 0),
                            expr::LitInt(3));
-  expr::VecEvalContext full{&offsets, &batch, 0, batch.num_rows};
+  const engine::BatchView view = engine::BatchView::Of(batch);
+  expr::VecEvalContext full{&offsets, &view, 0, batch.num_rows};
   StatusOr<ColumnVector> whole = expr::EvalVec(e, full);
   ASSERT_TRUE(whole.ok());
   for (int64_t begin : {int64_t{0}, int64_t{13}, int64_t{99}, int64_t{100}}) {
     int64_t end = std::min<int64_t>(batch.num_rows, begin + 31);
-    expr::VecEvalContext part{&offsets, &batch, begin, end};
+    expr::VecEvalContext part{&offsets, &view, begin, end};
     StatusOr<ColumnVector> piece = expr::EvalVec(e, part);
     ASSERT_TRUE(piece.ok());
     ASSERT_EQ(piece->size(), end - begin);
@@ -382,7 +485,8 @@ TEST(VecEvalTest, DictEncodedConstantComparisonMatchesScalar) {
   engine::DictEncodeBatch(&batch, {});
   ASSERT_TRUE(batch.columns[0].dict_encoded());
   std::vector<int> offsets = {0};
-  expr::VecEvalContext vctx{&offsets, &batch, 0, batch.num_rows};
+  const engine::BatchView view = engine::BatchView::Of(batch);
+  expr::VecEvalContext vctx{&offsets, &view, 0, batch.num_rows};
   for (const char* lit : {"a", "", "absent"}) {
     for (BinaryOp op : {BinaryOp::kEq, BinaryOp::kNe}) {
       for (bool const_on_left : {false, true}) {
