@@ -1,8 +1,8 @@
 // Microbenchmark for the dictionary-encoded kernels, below the SQL layer:
 // the same hash-join probe and grouped aggregation measured twice — once
-// over raw std::string keys the way the row engine hashes them, and once
-// over int32 dictionary codes through kernels::Int64JoinTable and a flat
-// code-indexed accumulator. Both sides produce the same answers (checked);
+// over raw std::string keys in a std::unordered_map (a string hash and
+// compare per row), and once over int32 dictionary codes through
+// kernels::Int64JoinTable and a flat code-indexed accumulator. Both sides produce the same answers (checked);
 // the delta is pure key-representation cost: no per-row string hashing, no
 // allocation, branch-light int loops the compiler can vectorize.
 //
@@ -61,8 +61,8 @@ Workload MakeWorkload(int64_t n) {
   return w;
 }
 
-/// Hash-join probe, string keys: the row engine's shape — an unordered_map
-/// from the key string to the build row, one string hash + compare per probe.
+/// Hash-join probe, string keys: an unordered_map from the key string to the
+/// build row, one string hash + compare per probe.
 int64_t ProbeStrings(const Workload& w) {
   std::unordered_map<std::string, int64_t> table;
   table.reserve(w.build_keys.size());
@@ -94,7 +94,7 @@ int64_t ProbeCodes(const Workload& w) {
 }
 
 /// Grouped SUM, string keys: unordered_map<string, sum> — one string hash
-/// per input row, the row aggregator's cost shape.
+/// per input row.
 int64_t GroupStrings(const Workload& w) {
   std::unordered_map<std::string, int64_t> groups;
   groups.reserve(w.build_keys.size());

@@ -83,8 +83,8 @@ int main() {
   std::printf("rewritten SQL:\n  %s\n\n", result->rewritten_sql.c_str());
   std::printf("%s\n", result->relation.ToString().c_str());
 
-  // 5. EXPLAIN shows the QGM graphs and the rewrite decision.
-  auto explain = db.Explain(query);
+  // 5. EXPLAIN REWRITE shows the rewrite decision and every match attempt.
+  auto explain = db.ExplainRewrite(query);
   if (explain.ok()) std::printf("%s\n", explain->c_str());
   return 0;
 }

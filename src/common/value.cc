@@ -125,12 +125,4 @@ std::string Value::ToString() const {
   return "?";
 }
 
-size_t RowHash::operator()(const Row& row) const {
-  size_t h = 0x243f6a8885a308d3ULL;
-  for (const Value& v : row) {
-    h ^= v.Hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
 }  // namespace sumtab

@@ -104,10 +104,6 @@ struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }
 };
 
-struct RowHash {
-  size_t operator()(const Row& row) const;
-};
-
 }  // namespace sumtab
 
 #endif  // SUMTAB_COMMON_VALUE_H_

@@ -16,50 +16,13 @@ namespace {
 
 using expr::AggFunc;
 
-/// Rows per lane below which partitioning overhead beats the win.
-constexpr int64_t kMinParallelRowsPerLane = 4096;
-
-/// How many grouping columns one composite key of widened codes can hold.
-constexpr int kMaxEncodedKeyCols = 4;
-
-/// One column widened to an int64 code view: ints borrow their buffer,
-/// dates/bools widen into `scratch`, dictionary-encoded strings widen their
-/// codes. Two rows carry the same widened code iff their Values are equal.
-/// Doubles are excluded — bit-pattern equality would split -0.0 from 0.0 —
-/// as are raw strings and variants; `values` stays null for them.
-struct EncodedKey {
-  const ColumnVector* col = nullptr;
-  const int64_t* values = nullptr;
-  const uint8_t* nulls = nullptr;
-  std::vector<int64_t> scratch;
-};
-
 template <typename T>
 void Widen(const std::vector<T>& src, EncodedKey* out) {
   out->scratch.assign(src.begin(), src.end());
   out->values = out->scratch.data();
 }
 
-void EncodeKeyColumn(const ColumnVector& col, EncodedKey* out) {
-  out->col = &col;
-  out->nulls = col.nulls().data();
-  switch (col.tag()) {
-    case ColumnVector::Tag::kInt:
-      out->values = col.ints().data();
-      return;
-    case ColumnVector::Tag::kDate:
-      return Widen(col.dates(), out);
-    case ColumnVector::Tag::kBool:
-      return Widen(col.bools(), out);
-    case ColumnVector::Tag::kString:
-      if (col.dict_encoded()) Widen(col.codes(), out);
-      return;
-    default:
-      return;
-  }
-}
-
-/// A grouping key over W widened code columns: equal codes and NULL flags
+/// A key over W widened code columns: equal codes and NULL flags
 /// on every column <=> equal Values (a NULL slot's code is the column's
 /// zero placeholder).
 template <int W>
@@ -85,9 +48,9 @@ struct CodeKey {
   }
 };
 
-/// Any other grouping key (doubles, raw strings, variants, more than
+/// Any other key (doubles, raw strings, variants, more than
 /// kMaxEncodedKeyCols columns): Value equality and Value::Hash, so -0.0
-/// meets 0.0 and Int(3) meets Double(3.0) exactly as in a Row-keyed map.
+/// meets 0.0 and Int(3) meets Double(3.0).
 struct ValueKey {
   std::vector<const ColumnVector*> cols;
 
@@ -105,30 +68,6 @@ struct ValueKey {
     return true;
   }
 };
-
-/// Pass 1's answer for one partition of the input: its column rows, each
-/// row's group id, and each group's first row; ids run from 0 in
-/// first-seen order. Serially the one partition holds every row: the
-/// input's selection, or every column row when it has none. The global
-/// group needs no ids: every row is in group 0.
-struct Partition {
-  const int64_t* rows = nullptr;   // column rows, in order; null = 0..count-1
-  int64_t count = 0;
-  std::vector<int64_t> own_rows;   // a parallel partition's rows
-  bool global = false;             // one group, 0, and no `gid`
-  std::vector<int32_t> gid;        // per partition row
-  std::vector<int64_t> first_row;  // per group, a column row
-};
-
-/// Calls fn(k, i) for partition row k = 0, 1, ... and its column row i.
-template <typename Fn>
-void ForEachRow(const Partition& part, const Fn& fn) {
-  if (part.rows == nullptr) {
-    for (int64_t k = 0; k < part.count; ++k) fn(k, k);
-  } else {
-    for (int64_t k = 0; k < part.count; ++k) fn(k, part.rows[k]);
-  }
-}
 
 /// The partition of a key hash, from bits that are independent of the
 /// high bits a GroupIdTable slot is picked by.
@@ -178,22 +117,30 @@ std::vector<Partition> AssignGroupIds(const Key& key, const int64_t* sel,
       partition[k] = PartitionOf(hashes[k], lanes);
     }
   }, kMinParallelRowsPerLane);
+  // Bucket the rows in one counting pass: count each partition's rows, then
+  // scatter rows and hashes in input order.
+  std::vector<int64_t> fill(lanes, 0);
+  for (int64_t k = 0; k < n; ++k) ++fill[partition[k]];
+  std::vector<std::vector<uint64_t>> part_hashes(lanes);
+  for (int p = 0; p < lanes; ++p) {
+    parts[p].own_rows.resize(fill[p]);
+    part_hashes[p].resize(fill[p]);
+    fill[p] = 0;
+  }
+  for (int64_t k = 0; k < n; ++k) {
+    const uint16_t p = partition[k];
+    const int64_t at = fill[p]++;
+    parts[p].own_rows[at] = sel != nullptr ? sel[k] : k;
+    part_hashes[p][at] = hashes[k];
+  }
   ParallelFor(lanes, lanes, [&](int, int64_t begin, int64_t end) {
     for (int64_t p = begin; p < end; ++p) {
-      // Each partition row's position in the input, to find its hash.
-      std::vector<int64_t> at;
-      for (int64_t k = 0; k < n; ++k) {
-        if (partition[k] == p) at.push_back(k);
-      }
       Partition& part = parts[p];
-      part.own_rows.resize(at.size());
-      for (size_t k = 0; k < at.size(); ++k) {
-        part.own_rows[k] = sel != nullptr ? sel[at[k]] : at[k];
-      }
       part.rows = part.own_rows.data();
-      part.count = static_cast<int64_t>(at.size());
+      part.count = static_cast<int64_t>(part.own_rows.size());
+      const uint64_t* hash = part_hashes[p].data();
       AssignIds(
-          key, [&](int64_t k, int64_t) { return hashes[at[k]]; }, &part);
+          key, [hash](int64_t k, int64_t) { return hash[k]; }, &part);
     }
   }, /*min_chunk=*/1);
   return parts;
@@ -209,33 +156,6 @@ std::vector<Partition> AssignCodeIds(
     codes.nulls[k] = keys[k]->nulls;
   }
   return AssignGroupIds(codes, sel, n, lanes);
-}
-
-/// Pass 1 over the key made of the `keys` columns, for the n input rows
-/// `sel` lists. An empty key is the one global group, which exists even
-/// over no rows.
-std::vector<Partition> GroupIdsOf(const std::vector<const EncodedKey*>& keys,
-                                  const int64_t* sel, int64_t n, int lanes) {
-  if (keys.empty()) {
-    std::vector<Partition> parts(1);
-    parts[0].rows = sel;
-    parts[0].count = n;
-    parts[0].global = true;
-    parts[0].first_row = {-1};  // never read: the global group has no key
-    return parts;
-  }
-  bool encoded = keys.size() <= kMaxEncodedKeyCols;
-  for (const EncodedKey* key : keys) encoded = encoded && key->values;
-  if (encoded) {
-    using Assign = std::vector<Partition> (*)(
-        const std::vector<const EncodedKey*>&, const int64_t*, int64_t, int);
-    constexpr Assign kByWidth[] = {AssignCodeIds<1>, AssignCodeIds<2>,
-                                   AssignCodeIds<3>, AssignCodeIds<4>};
-    return kByWidth[keys.size() - 1](keys, sel, n, lanes);
-  }
-  ValueKey values;
-  for (const EncodedKey* key : keys) values.cols.push_back(key->col);
-  return AssignGroupIds(values, sel, n, lanes);
 }
 
 /// How one aggregate reads its argument.
@@ -661,6 +581,49 @@ std::vector<int64_t> DistinctRows(const Batch& input, int max_threads) {
   // Each partition lists its first rows in input order; merge them.
   if (lanes > 1) std::sort(rows.begin(), rows.end());
   return rows;
+}
+
+void EncodeKeyColumn(const ColumnVector& col, EncodedKey* out) {
+  out->col = &col;
+  out->nulls = col.nulls().data();
+  switch (col.tag()) {
+    case ColumnVector::Tag::kInt:
+      out->values = col.ints().data();
+      return;
+    case ColumnVector::Tag::kDate:
+      return Widen(col.dates(), out);
+    case ColumnVector::Tag::kBool:
+      return Widen(col.bools(), out);
+    case ColumnVector::Tag::kString:
+      if (col.dict_encoded()) Widen(col.codes(), out);
+      return;
+    default:
+      return;
+  }
+}
+
+std::vector<Partition> GroupIdsOf(const std::vector<const EncodedKey*>& keys,
+                                  const int64_t* sel, int64_t n, int lanes) {
+  if (keys.empty()) {
+    std::vector<Partition> parts(1);
+    parts[0].rows = sel;
+    parts[0].count = n;
+    parts[0].global = true;
+    parts[0].first_row = {-1};  // never read: the global group has no key
+    return parts;
+  }
+  bool encoded = keys.size() <= kMaxEncodedKeyCols;
+  for (const EncodedKey* key : keys) encoded = encoded && key->values;
+  if (encoded) {
+    using Assign = std::vector<Partition> (*)(
+        const std::vector<const EncodedKey*>&, const int64_t*, int64_t, int);
+    constexpr Assign kByWidth[] = {AssignCodeIds<1>, AssignCodeIds<2>,
+                                   AssignCodeIds<3>, AssignCodeIds<4>};
+    return kByWidth[keys.size() - 1](keys, sel, n, lanes);
+  }
+  ValueKey values;
+  for (const EncodedKey* key : keys) values.cols.push_back(key->col);
+  return AssignGroupIds(values, sel, n, lanes);
 }
 
 }  // namespace engine

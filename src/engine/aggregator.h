@@ -7,6 +7,7 @@
 #ifndef SUMTAB_ENGINE_AGGREGATOR_H_
 #define SUMTAB_ENGINE_AGGREGATOR_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
@@ -84,6 +85,63 @@ StatusOr<Batch> MergeGroups(const Batch& current, const Batch& delta,
 /// distinct row of `input` (Value equality, NULL equal to NULL), in input
 /// order.
 std::vector<int64_t> DistinctRows(const Batch& input, int max_threads = 1);
+
+// ---- Pass 1, the one definition of key equality ----
+// Grouping, DISTINCT, MergeGroups and the hash join key rows through
+// GroupIdsOf: two rows get one id iff their key Values are equal column by
+// column (NULL meets NULL, Int(3) meets Double(3.0), -0.0 meets 0.0).
+
+/// Rows per lane below which partitioning overhead beats the win.
+constexpr int64_t kMinParallelRowsPerLane = 4096;
+
+/// How many key columns one composite key of widened codes can hold.
+constexpr int kMaxEncodedKeyCols = 4;
+
+/// One column widened to an int64 code view: ints borrow their buffer,
+/// dates/bools widen into `scratch`, dictionary-encoded strings widen their
+/// codes. Two rows carry the same widened code iff their Values are equal.
+/// Doubles are excluded — bit-pattern equality would split -0.0 from 0.0 —
+/// as are raw strings and variants; `values` stays null for them.
+struct EncodedKey {
+  const ColumnVector* col = nullptr;
+  const int64_t* values = nullptr;
+  const uint8_t* nulls = nullptr;
+  std::vector<int64_t> scratch;
+};
+
+void EncodeKeyColumn(const ColumnVector& col, EncodedKey* out);
+
+/// Pass 1's answer for one partition of the input: its column rows, each
+/// row's group id, and each group's first row; ids run from 0 in
+/// first-seen order. Serially the one partition holds every row: the
+/// input's selection, or every column row when it has none. The global
+/// group needs no ids: every row is in group 0.
+struct Partition {
+  const int64_t* rows = nullptr;   // column rows, in order; null = 0..count-1
+  int64_t count = 0;
+  std::vector<int64_t> own_rows;   // a parallel partition's rows
+  bool global = false;             // one group, 0, and no `gid`
+  std::vector<int32_t> gid;        // per partition row
+  std::vector<int64_t> first_row;  // per group, a column row
+};
+
+/// Calls fn(k, i) for partition row k = 0, 1, ... and its column row i.
+template <typename Fn>
+void ForEachRow(const Partition& part, const Fn& fn) {
+  if (part.rows == nullptr) {
+    for (int64_t k = 0; k < part.count; ++k) fn(k, k);
+  } else {
+    for (int64_t k = 0; k < part.count; ++k) fn(k, part.rows[k]);
+  }
+}
+
+/// Pass 1 over the key made of the `keys` columns, for the n input rows
+/// `sel` lists (column rows 0..n-1 when null). With lanes > 1 every group
+/// lies wholly inside one partition, which keeps its rows in input order
+/// and numbers its groups from 0. An empty key is the one global group,
+/// which exists even over no rows.
+std::vector<Partition> GroupIdsOf(const std::vector<const EncodedKey*>& keys,
+                                  const int64_t* sel, int64_t n, int lanes);
 
 }  // namespace engine
 }  // namespace sumtab

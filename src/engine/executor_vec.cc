@@ -11,7 +11,6 @@
 // threads=1 and threads=N run the same plan and produce bit-identical
 // results up to output row order.
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -108,6 +107,114 @@ BatchView GatherJoin(const BatchView& left, const BatchView& right,
     }
   }, /*min_chunk=*/1);
   return BatchView::Of(BatchPtr(std::move(out)));
+}
+
+/// A hash join's key reduced to one int64 code per row of each side: two
+/// rows' codes are equal iff their key Values are equal column by column,
+/// and a row with a NULL in any key column is flagged, as SQL '=' never
+/// matches it. `in_place` codes and flags are read at a view row's column
+/// row, the others at the view row itself.
+struct JoinKeys {
+  struct Side {
+    const int64_t* codes = nullptr;
+    const uint8_t* nulls = nullptr;
+    bool in_place = false;
+  };
+  Side build;
+  Side probe;
+  // What the sides read.
+  std::vector<EncodedKey> encoded;  // per column, build's then probe's
+  std::vector<int64_t> ids;
+  std::vector<uint8_t> null_rows;
+};
+
+/// Reduces the key columns `build_cols` and `probe_cols` to JoinKeys. A
+/// single column whose two sides encode into one code space — ints, dates
+/// and bools; or dictionary strings, the probe's codes translated into the
+/// build's dictionary so that a string absent there never matches — is its
+/// own code, read in place or widened as EncodedKey does. Any other key is
+/// coded by pass 1 over the build rows then the probe rows, ids offset to
+/// run on across partitions: CodeKey over widened codes when every column
+/// encodes into one code space, else ValueKey over the key Values.
+void ReduceJoinKeys(const BatchView& build, const std::vector<int>& build_cols,
+                    const BatchView& probe, const std::vector<int>& probe_cols,
+                    int max_threads, JoinKeys* keys) {
+  const size_t w = build_cols.size();
+  std::vector<EncodedKey>& enc = keys->encoded;
+  enc.resize(2 * w);
+  bool one_space = w <= kMaxEncodedKeyCols;
+  for (size_t k = 0; k < w; ++k) {
+    EncodedKey& to = enc[k];
+    EncodedKey& from = enc[w + k];
+    EncodeKeyColumn(*build.columns[build_cols[k]], &to);
+    EncodeKeyColumn(*probe.columns[probe_cols[k]], &from);
+    // Encoded strings are the columns with a dictionary.
+    one_space = one_space && to.values != nullptr && from.values != nullptr &&
+                (to.col->dict() == nullptr) == (from.col->dict() == nullptr);
+    if (!one_space || from.col->dict() == to.col->dict()) continue;
+    const std::vector<int64_t> xlate =
+        kernels::TranslateCodes(*from.col->dict(), *to.col->dict());
+    for (size_t r = 0; r < from.scratch.size(); ++r) {
+      if (from.nulls[r] == 0) from.scratch[r] = xlate[from.scratch[r]];
+    }
+  }
+  if (w == 1 && one_space) {
+    keys->build = {enc[0].values, enc[0].nulls, true};
+    keys->probe = {enc[1].values, enc[1].nulls, true};
+    return;
+  }
+  const int64_t nb = build.num_rows;
+  const int64_t n = nb + probe.num_rows;
+  std::vector<uint8_t>& null_rows = keys->null_rows;
+  null_rows.assign(n, 0);
+  std::vector<EncodedKey> rows(w);  // the key rows: build's, then probe's
+  std::vector<ColumnVector> values(w);
+  auto gather = [&](const EncodedKey& side, const BatchView& view,
+                    int64_t first, EncodedKey* out) {
+    for (int64_t i = 0; i < view.num_rows; ++i) {
+      const int64_t r = view.Row(i);
+      out->scratch[first + i] = side.values[r];
+      null_rows[first + i] |= side.nulls[r];
+    }
+  };
+  for (size_t k = 0; k < w; ++k) {
+    if (one_space) {
+      rows[k].scratch.resize(n);
+      gather(enc[k], build, 0, &rows[k]);
+      gather(enc[w + k], probe, nb, &rows[k]);
+      rows[k].values = rows[k].scratch.data();
+      rows[k].nulls = null_rows.data();  // all zero on the rows pass 1 reads
+      continue;
+    }
+    auto dense = [](const BatchView& view, int c) {
+      const ColumnVector& col = *view.columns[c];
+      return view.sel != nullptr ? ColumnVector::Gather(col, *view.sel) : col;
+    };
+    values[k] = ColumnVector::Concat(dense(build, build_cols[k]),
+                                     dense(probe, probe_cols[k]));
+    rows[k].col = &values[k];
+    for (int64_t i = 0; i < n; ++i) null_rows[i] |= rows[k].col->nulls()[i];
+  }
+  Selection live;
+  for (int64_t i = 0; i < n; ++i) {
+    if (null_rows[i] == 0) live.push_back(i);
+  }
+  std::vector<const EncodedKey*> key_cols;
+  for (const EncodedKey& col : rows) key_cols.push_back(&col);
+  const int64_t nlive = static_cast<int64_t>(live.size());
+  const std::vector<Partition> parts = GroupIdsOf(
+      key_cols, nlive == n ? nullptr : live.data(), nlive,
+      ParallelLanes(nlive, max_threads, kMinParallelRowsPerLane));
+  keys->ids.assign(n, -1);
+  int64_t base = 0;
+  for (const Partition& part : parts) {
+    ForEachRow(part, [&](int64_t k, int64_t i) {
+      keys->ids[i] = base + part.gid[k];
+    });
+    base += static_cast<int64_t>(part.first_row.size());
+  }
+  keys->build = {keys->ids.data(), null_rows.data(), false};
+  keys->probe = {keys->ids.data() + nb, null_rows.data() + nb, false};
 }
 
 }  // namespace
@@ -311,63 +418,18 @@ StatusOr<BatchView> Executor::ExecuteSelect(const qgm::Graph& graph,
         build_cols.push_back(swap ? offsets[qj] + cj : next_col);
         probe_slots.push_back(swap ? next_col : offsets[qj] + cj);
       }
-      // Single-column keys over matching int-like tags — ints, dates, and
-      // dictionary-encoded strings — probe through the flat int64 kernel
-      // table (the common star-schema case); anything else keys on
-      // materialized Rows, which reproduces Value equality exactly.
-      // Dictionary keys come in two flavors: both sides on the SAME
-      // dictionary probe codes directly; different dictionaries translate
-      // probe codes to build codes once (one Find per distinct string) and
-      // then probe the same pure int loop.
-      const ColumnVector* bkey = build.columns[build_cols[0]];
-      const ColumnVector* pkey = probe.columns[probe_slots[0]];
-      enum class KeyMode { kNone, kInt, kDate, kCode, kCodeTranslate };
-      KeyMode mode = KeyMode::kNone;
-      if (build_cols.size() == 1 && bkey->tag() == pkey->tag()) {
-        if (bkey->tag() == ColumnVector::Tag::kInt) {
-          mode = KeyMode::kInt;
-        } else if (bkey->tag() == ColumnVector::Tag::kDate) {
-          mode = KeyMode::kDate;
-        } else if (bkey->tag() == ColumnVector::Tag::kString &&
-                   bkey->dict_encoded() && pkey->dict_encoded()) {
-          mode = bkey->dict() == pkey->dict() ? KeyMode::kCode
-                                              : KeyMode::kCodeTranslate;
-        }
-      }
-      std::vector<int64_t> xlate;  // probe code -> build code (or -1)
-      if (mode == KeyMode::kCodeTranslate) {
-        xlate = kernels::TranslateCodes(*pkey->dict(), *bkey->dict());
-      }
-      // The table holds build view rows; probes read through the probe
-      // view's selection.
-      std::unique_ptr<kernels::Int64JoinTable> flat;
-      std::unordered_map<Row, std::vector<int64_t>, RowHash> row_table;
-      if (mode != KeyMode::kNone) {
-        flat = std::make_unique<kernels::Int64JoinTable>(build.num_rows);
-        // Reverse insertion: chains come back in ascending build-row order.
-        for (int64_t i = build.num_rows - 1; i >= 0; --i) {
-          const int64_t r = build.Row(i);
-          if (bkey->IsNull(r)) continue;  // SQL '=' never matches NULL
-          int64_t k = mode == KeyMode::kInt    ? bkey->ints()[r]
-                      : mode == KeyMode::kDate ? bkey->dates()[r]
-                                               : bkey->codes()[r];
-          flat->Insert(k, i);
-        }
-      } else {
-        row_table.reserve(build.num_rows);
-        for (int64_t i = 0; i < build.num_rows; ++i) {
-          const int64_t r = build.Row(i);
-          Row key;
-          key.reserve(build_cols.size());
-          bool has_null = false;
-          for (int c : build_cols) {
-            Value v = build.columns[c]->ValueAt(r);
-            has_null = has_null || v.is_null();
-            key.push_back(std::move(v));
-          }
-          if (has_null) continue;
-          row_table[std::move(key)].push_back(i);
-        }
+      // Every key reduces to one int64 code per row and side, so one flat
+      // table serves every equi-join. It holds build view rows; probes read
+      // through the probe view's selection.
+      JoinKeys keys;
+      ReduceJoinKeys(build, build_cols, probe, probe_slots,
+                     options_.max_threads, &keys);
+      kernels::Int64JoinTable table(build.num_rows);
+      // Reverse insertion: chains come back in ascending build-row order.
+      for (int64_t i = build.num_rows - 1; i >= 0; --i) {
+        const int64_t at = keys.build.in_place ? build.Row(i) : i;
+        if (keys.build.nulls[at] != 0) continue;
+        table.Insert(keys.build.codes[at], i);
       }
       const int64_t probe_n = probe.num_rows;
       const int lanes =
@@ -401,56 +463,17 @@ StatusOr<BatchView> Executor::ExecuteSelect(const qgm::Graph& graph,
           if (!st.ok()) lane_status[lane] = std::move(st);
           return lane_status[lane].ok();
         };
-        auto probe_range = [&] {
-          if (flat != nullptr) {
-            for (int64_t i = begin; i < end; ++i) {
-              const int64_t r = probe_sel != nullptr ? probe_sel[i] : i;
-              if (pkey->IsNull(r)) continue;
-              int64_t k;
-              switch (mode) {
-                case KeyMode::kInt:
-                  k = pkey->ints()[r];
-                  break;
-                case KeyMode::kDate:
-                  k = pkey->dates()[r];
-                  break;
-                case KeyMode::kCode:
-                  k = pkey->codes()[r];
-                  break;
-                default:  // kCodeTranslate
-                  k = xlate[pkey->codes()[r]];
-                  if (k < 0) continue;  // string absent from the build side
-                  break;
-              }
-              int64_t head = flat->Probe(k);
-              if (head < 0) continue;
-              for (int64_t bi = head; bi != -1; bi = flat->Next(bi)) {
-                emit(r, bi);
-              }
-              if (!charge(kMorselRows)) return;
-            }
-            charge(1);
-            return;
+        for (int64_t i = begin; i < end; ++i) {
+          const int64_t r = probe_sel != nullptr ? probe_sel[i] : i;
+          const int64_t at = keys.probe.in_place ? r : i;
+          if (keys.probe.nulls[at] != 0) continue;
+          for (int64_t bi = table.Probe(keys.probe.codes[at]); bi != -1;
+               bi = table.Next(bi)) {
+            emit(r, bi);
           }
-          for (int64_t i = begin; i < end; ++i) {
-            const int64_t r = probe.Row(i);
-            Row key;
-            key.reserve(probe_slots.size());
-            bool has_null = false;
-            for (int slot : probe_slots) {
-              Value v = probe.columns[slot]->ValueAt(r);
-              has_null = has_null || v.is_null();
-              key.push_back(std::move(v));
-            }
-            if (has_null) continue;
-            auto it = row_table.find(key);
-            if (it == row_table.end()) continue;
-            for (int64_t bi : it->second) emit(r, bi);
-            if (!charge(kMorselRows)) return;
-          }
-          charge(1);
-        };
-        probe_range();
+          if (!charge(kMorselRows)) break;
+        }
+        charge(1);
         lane_probe[lane] = std::move(probe_match);
         lane_build[lane] = std::move(build_match);
       }, kMorselRows);

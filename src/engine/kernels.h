@@ -4,10 +4,12 @@
 // code translation. Every loop here is branch-light over flat arrays so the
 // compiler can vectorize it; none of them allocate per row.
 //
-// Keys are int64 everywhere: int and date columns widen, dictionary-encoded
-// string columns pass their int32 codes. Callers handle NULLs (a join
+// Keys are int64 everywhere: int columns are read in place, dates, bools
+// and dictionary codes widen, and every other hash-join key arrives as the
+// dense ids of pass 1 (GroupIdsOf, engine/aggregator.h), so one
+// Int64JoinTable serves every equi-join. Callers handle NULLs (a join
 // kernel never sees a null key; grouping folds them into the key's null
-// mask) and fall back to the generic Value paths for non-encodable columns.
+// mask).
 #ifndef SUMTAB_ENGINE_KERNELS_H_
 #define SUMTAB_ENGINE_KERNELS_H_
 

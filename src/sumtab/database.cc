@@ -11,7 +11,6 @@
 #include "common/thread_pool.h"
 #include "matching/rewriter.h"
 #include "qgm/qgm_builder.h"
-#include "qgm/qgm_print.h"
 #include "qgm/qgm_to_sql.h"
 #include "sql/parser.h"
 #include "sql/template.h"
@@ -635,7 +634,7 @@ std::unique_ptr<qgm::Graph> Database::TryRewrite(
     for (const auto& st : summary_tables_) {
       if (!UsableForRewrite(*st, options.allow_stale_reads)) {
         bool disabled = st->disabled.load(std::memory_order_acquire);
-        bool try_comp = round == 0 && !disabled && compensation != nullptr;
+        bool try_comp = round == 0 && !disabled;
         if (!try_comp) {
           if (trace != nullptr && round == 0) {
             trace->AddNote("ast '" + st->name + "' skipped: " +
@@ -1207,43 +1206,6 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
   }
   result.relation = std::move(*data);
   return result;
-}
-
-StatusOr<std::string> Database::Explain(const std::string& sql) {
-  std::shared_lock<std::shared_mutex> lock(ddl_mu_);
-  engine::Storage::Snapshot snap = storage_.Snap();
-  SUMTAB_ASSIGN_OR_RETURN(std::shared_ptr<sql::SelectStmt> stmt,
-                          sql::Parse(sql));
-  SUMTAB_ASSIGN_OR_RETURN(qgm::Graph graph, qgm::BuildGraph(*stmt, catalog_));
-  std::string out = "-- original QGM --\n" + qgm::ToString(graph);
-  std::string chosen;
-  int candidates = 0;
-  std::vector<SummaryTablePtr> used;
-  QueryDegradation degradation;
-  int skipped = 0;
-  for (const auto& st : summary_tables_) {
-    if (!UsableForRewrite(*st, /*allow_stale=*/false)) ++skipped;
-  }
-  std::unique_ptr<qgm::Graph> rewritten = TryRewrite(
-      graph, snap, QueryOptions{}, &chosen, &candidates, &used, &degradation);
-  out += "-- candidate rewrites: " + std::to_string(candidates) + "\n";
-  if (skipped > 0) {
-    out += "-- skipped " + std::to_string(skipped) +
-           " stale/quarantined summary table(s)\n";
-  }
-  if (degradation.degraded) {
-    out += "-- degraded (" + degradation.stage + "): " + degradation.message +
-           "\n";
-  }
-  if (rewritten == nullptr) {
-    out += "-- no summary table matches; executing against base tables\n";
-    return out;
-  }
-  out += "-- rerouted through summary table: " + chosen + "\n";
-  out += "-- rewritten QGM --\n" + qgm::ToString(*rewritten);
-  SUMTAB_ASSIGN_OR_RETURN(std::string new_sql, qgm::ToSql(*rewritten));
-  out += "-- rewritten SQL --\n" + new_sql + "\n";
-  return out;
 }
 
 StatusOr<std::string> Database::ExplainRewrite(const std::string& sql,

@@ -14,15 +14,15 @@
 //   auto result = db.Query("select ... from trans ... group by ...");
 //   // result->used_summary_table == true when rerouted.
 //
-// Thread-safety (DESIGN.md, "Concurrent serving"): Query / Explain /
-// ExplainRewrite / Stats may be called from any number of threads
-// concurrently with each other and with the mutators (BulkLoad / Append /
-// DefineSummaryTable / RefreshSummaryTable / DDL). Each query plans under a
-// shared catalog lock and executes against a storage snapshot pinned at
-// query start, so a concurrent load or maintenance pass never torn-reads a
-// serving query — it either sees the whole change or none of it. The
-// serving::Server / serving::Session layer adds admission control and
-// inter-query scheduling on top of this class.
+// Thread-safety (DESIGN.md, "Concurrent serving"): Query / ExplainRewrite /
+// Stats may be called from any number of threads concurrently with each
+// other and with the mutators (BulkLoad / Append / DefineSummaryTable /
+// RefreshSummaryTable / DDL). Each query plans under a shared catalog lock
+// and executes against a storage snapshot pinned at query start, so a
+// concurrent load or maintenance pass never torn-reads a serving query —
+// it either sees the whole change or none of it. The serving::Server /
+// serving::Session layer adds admission control and inter-query scheduling
+// on top of this class.
 #ifndef SUMTAB_SUMTAB_DATABASE_H_
 #define SUMTAB_SUMTAB_DATABASE_H_
 
@@ -354,10 +354,6 @@ class Database {
   StatusOr<QueryResult> Query(const std::string& sql,
                               const QueryOptions& options = {});
 
-  /// The rewrite decision without executing: original QGM, chosen AST (if
-  /// any) and the rewritten SQL.
-  StatusOr<std::string> Explain(const std::string& sql);
-
   /// Runs the full rewrite pipeline (plan-cache lookup included, execution
   /// excluded) with tracing on and renders the trace: chosen AST and
   /// compensation summary, every match attempt's pattern + structured
@@ -447,7 +443,7 @@ class Database {
   /// for quarantine accounting and appended to `degradation`) instead of
   /// failing the search. `used_refs` receives the ASTs spliced into the
   /// rewrite. Caller holds ddl_mu_ (shared or exclusive).
-  /// `compensation` (optional) receives a per-block delta-compensation plan
+  /// `compensation` receives a per-block delta-compensation plan
   /// when STALE ASTs win via compensation instead; the returned graph is
   /// then null (the plan carries its residual and leg graphs) and
   /// `used_refs` receives the ASTs its legs read.
@@ -455,9 +451,8 @@ class Database {
       const qgm::Graph& query, const engine::Storage::Snapshot& snap,
       const QueryOptions& options, std::string* chosen, int* candidates,
       std::vector<SummaryTablePtr>* used_refs, QueryDegradation* degradation,
-      QueryTrace* trace = nullptr,
-      std::shared_ptr<const matching::CompensationPlan>* compensation =
-          nullptr);
+      QueryTrace* trace,
+      std::shared_ptr<const matching::CompensationPlan>* compensation);
 
   /// Query() body for a plain SELECT (Query() itself also routes
   /// "explain rewrite" statements to ExplainRewrite()); `tokens` is

@@ -106,9 +106,6 @@ TEST(ValueTest, OrderingNullsFirst) {
 
 TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value::Int(3).Hash(), Value::Double(3.0).Hash());
-  Row a{Value::Int(1), Value::String("x")};
-  Row b{Value::Int(1), Value::String("x")};
-  EXPECT_EQ(RowHash{}(a), RowHash{}(b));
 }
 
 TEST(ValueTest, ToStringForms) {

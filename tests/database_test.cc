@@ -167,14 +167,16 @@ TEST(DatabaseTest, ExplainShowsDecision) {
   ASSERT_TRUE(db->DefineSummaryTable(
                     "s1", "select faid, count(*) as c from trans group by faid")
                   .ok());
-  auto hit = db->Explain("select faid, count(*) as c from trans group by faid");
+  auto hit =
+      db->ExplainRewrite("select faid, count(*) as c from trans group by faid");
   ASSERT_TRUE(hit.ok());
-  EXPECT_NE(hit->find("rerouted through summary table: s1"), std::string::npos);
-  EXPECT_NE(hit->find("rewritten SQL"), std::string::npos);
-  auto miss = db->Explain("select fpgid, sum(qty) as q from trans "
-                          "group by fpgid");
+  EXPECT_NE(hit->find("rewrite: using summary table 's1'"), std::string::npos);
+  EXPECT_NE(hit->find("ast 's1' round 0: chosen"), std::string::npos);
+  auto miss = db->ExplainRewrite("select fpgid, sum(qty) as q from trans "
+                                 "group by fpgid");
   ASSERT_TRUE(miss.ok());
-  EXPECT_NE(miss->find("no summary table matches"), std::string::npos);
+  EXPECT_NE(miss->find("rewrite: none (original plan)"), std::string::npos);
+  EXPECT_EQ(miss->find(": chosen"), std::string::npos);
 }
 
 TEST(DatabaseTest, RewrittenSqlReparsesAndAgrees) {

@@ -17,9 +17,9 @@
 // accumulation order is exactly the serial one and any fp difference is a
 // real bug.
 //
-// Any mismatch prints the seed, query ordinal, SQL, the Explain() plan
-// (which names the chosen AST), and both result sets — replay by running
-// the failing seed alone.
+// Any mismatch prints the seed, query ordinal, SQL, the ExplainRewrite()
+// trace (which names the chosen AST), and both result sets — replay by
+// running the failing seed alone.
 #include <cstdint>
 #include <random>
 #include <string>
@@ -264,7 +264,7 @@ class DifferentialTest : public ::testing::TestWithParam<uint64_t> {
                    uint64_t seed) {
     std::string out = "seed=" + std::to_string(seed) +
                       " query#" + std::to_string(ordinal) + "\nsql: " + sql;
-    StatusOr<std::string> plan = db->Explain(sql);
+    StatusOr<std::string> plan = db->ExplainRewrite(sql);
     if (plan.ok()) out += "\n" + *plan;
     return out;
   }

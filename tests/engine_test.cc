@@ -272,11 +272,17 @@ TEST_F(EngineTest, MissingTableDataFails) {
 
 TEST(JoinTest, PrunedGathersAndSmallerBuildSideMatchReference) {
   // A 12k-row fact against a 60-row dimension (and a 5-row one): hash joins
-  // now build on the smaller side and gather only the columns a box reads.
-  // Every shape — swapped and unswapped build, two-column (Value-keyed)
-  // keys, NULL keys, residuals across sides, a three-way join, a scalar
-  // subquery — must equal the reference at one lane and at four, and the
-  // two lane counts must agree bit for bit.
+  // build on the smaller side and gather only the columns a box reads.
+  // Every shape — swapped and unswapped build, NULL keys, residuals across
+  // sides, a three-way join, a scalar subquery — and every kind of key must
+  // equal the reference at one lane and at four, and the two lane counts
+  // must agree bit for bit. The keys cover each way a key becomes one code
+  // per row: one int, date or dictionary column read as its own code (a
+  // dictionary across two tables, one string absent from the build side;
+  // a self-join on one dictionary), and pass-1 ids for int = double (3
+  // meets 3.0, 0 meets -0.0), an int and a double column, a 3-column
+  // encodable key, a 5-column key past kMaxEncodedKeyCols, and a composite
+  // key with NULLs in either column.
   using catalog::Column;
   Database db;
   ASSERT_TRUE(db.CreateTable("f",
@@ -284,14 +290,19 @@ TEST(JoinTest, PrunedGathersAndSmallerBuildSideMatchReference) {
                               Column{"g", Type::kString, false},
                               Column{"v", Type::kInt, false},
                               Column{"x", Type::kDouble, false},
-                              Column{"unused", Type::kString, false}},
+                              Column{"unused", Type::kString, false},
+                              Column{"d", Type::kDate, true},
+                              Column{"s", Type::kString, true}},
                              {})
                   .ok());
   ASSERT_TRUE(db.CreateTable("dm",
                              {Column{"k", Type::kInt, true},
                               Column{"g2", Type::kString, false},
                               Column{"w", Type::kInt, false},
-                              Column{"c", Type::kInt, false}},
+                              Column{"c", Type::kInt, false},
+                              Column{"kd", Type::kDouble, false},
+                              Column{"d", Type::kDate, false},
+                              Column{"s", Type::kString, false}},
                              {})
                   .ok());
   ASSERT_TRUE(db.CreateTable("cat",
@@ -304,13 +315,22 @@ TEST(JoinTest, PrunedGathersAndSmallerBuildSideMatchReference) {
     f.push_back({i % 97 == 0 ? Value::Null() : Value::Int(i % 70),
                  Value::String(i % 3 == 0 ? "a" : "b"), Value::Int(i % 50),
                  Value::Double((i % 13) * 0.25),
-                 Value::String("pad" + std::to_string(i % 5))});
+                 Value::String("pad" + std::to_string(i % 5)),
+                 i % 89 == 0 ? Value::Null()
+                             : Value::Date(20000101 + (i % 70) % 10),
+                 i % 101 == 0 ? Value::Null()
+                              : Value::String("s" + std::to_string(i % 9))});
   }
   std::vector<Row> dm;
   for (int64_t k = 0; k < 60; ++k) {
     dm.push_back({k == 7 ? Value::Null() : Value::Int(k),
                   Value::String(k % 2 == 0 ? "a" : "b"), Value::Int(k % 40),
-                  Value::Int(k % 5)});
+                  Value::Int(k % 5),
+                  Value::Double(k == 0       ? -0.0
+                                : k % 6 == 3 ? k + 0.5
+                                             : static_cast<double>(k)),
+                  Value::Date(20000101 + k % 10 + (k % 7 == 3 ? 100 : 0)),
+                  Value::String("s" + std::to_string(k % 12))});
   }
   std::vector<Row> cat;
   for (int64_t c = 0; c < 5; ++c) {
@@ -330,9 +350,26 @@ TEST(JoinTest, PrunedGathersAndSmallerBuildSideMatchReference) {
            "where f.k = dm.k and dm.c = cat.c group by label",
            "select f.k, count(*) as n, count(*) / (select count(*) from dm) "
            "as share from f, dm where f.k = dm.k group by f.k",
+           "select dm.k, count(*) as n from f, dm where f.k = dm.kd "
+           "group by dm.k",
+           "select f.d, count(*) as n from f, dm where f.d = dm.d group by f.d",
+           "select dm.s, count(*) as n, sum(f.v) as sv from f, dm "
+           "where f.s = dm.s group by dm.s",
+           "select a.s, count(*) as n from f a, f b "
+           "where a.s = b.s and b.v = 0 and b.k < 10 group by a.s",
+           "select f.k, count(*) as n from f, dm "
+           "where f.k = dm.k and f.g = dm.g2 and f.d = dm.d group by f.k",
+           "select f.k, f.v, count(*) as n from f, dm where f.k = dm.k "
+           "and f.g = dm.g2 and f.d = dm.d and f.s = dm.s and f.v = dm.w "
+           "group by f.k, f.v",
+           "select f.k, count(*) as n from f, dm "
+           "where f.k = dm.k and f.x = dm.kd group by f.k",
+           "select dm.k, count(*) as n from f, dm "
+           "where f.k = dm.k and f.s = dm.s group by dm.k",
        }) {
     StatusOr<engine::Relation> want = reference::Query(db, sql);
     ASSERT_TRUE(want.ok()) << want.status().ToString() << "\n" << sql;
+    EXPECT_GT(want->NumRows(), 0u) << sql;
     std::vector<Row> serial;
     for (int threads : {1, 4}) {
       QueryOptions opts;

@@ -6,7 +6,6 @@
 #include "catalog/catalog.h"
 #include "qgm/qgm.h"
 #include "qgm/qgm_builder.h"
-#include "qgm/qgm_print.h"
 #include "qgm/qgm_to_sql.h"
 #include "sql/parser.h"
 #include "sql/template.h"
@@ -298,16 +297,6 @@ TEST(QgmToSqlTest, BoundSlotsRenderLikeAFreshGraph) {
     }
     EXPECT_EQ(bound.box(id) == box, !slotted_box) << "box " << id;
   }
-}
-
-TEST(QgmPrintTest, DumpsAllBoxes) {
-  catalog::Catalog cat = MakeCatalog();
-  auto g = Build("select faid, count(*) as c from trans group by faid", cat);
-  ASSERT_TRUE(g.ok());
-  std::string dump = qgm::ToString(*g);
-  EXPECT_NE(dump.find("BASE trans"), std::string::npos);
-  EXPECT_NE(dump.find("GROUPBY"), std::string::npos);
-  EXPECT_NE(dump.find("root: box"), std::string::npos);
 }
 
 }  // namespace
