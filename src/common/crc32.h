@@ -1,6 +1,8 @@
 // CRC-32 (the IEEE 802.3 polynomial, reflected: 0xEDB88320) over byte
 // ranges. Used to frame WAL records and checkpoint sections so recovery can
 // tell a torn or corrupted region from a valid one without trusting lengths.
+// Computed slicing-by-8 (eight table lookups per eight input bytes); the
+// values are those of the bytewise algorithm.
 #ifndef SUMTAB_COMMON_CRC32_H_
 #define SUMTAB_COMMON_CRC32_H_
 

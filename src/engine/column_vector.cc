@@ -514,6 +514,57 @@ ColumnVector ColumnVector::Concat(const ColumnVector& a,
   return out;
 }
 
+template <typename T>
+ColumnVector ColumnVector::Adopt(std::vector<uint8_t> nulls,
+                                 std::vector<T> payload) {
+  ColumnVector out;
+  out.saw_value_ = std::find(nulls.begin(), nulls.end(), 0) != nulls.end();
+  out.nulls_ = std::move(nulls);
+  if constexpr (std::is_same_v<T, int64_t>) {
+    out.tag_ = Tag::kInt;
+    out.ints_ = std::move(payload);
+  } else if constexpr (std::is_same_v<T, double>) {
+    out.tag_ = Tag::kDouble;
+    out.doubles_ = std::move(payload);
+  } else if constexpr (std::is_same_v<T, int32_t>) {
+    out.tag_ = Tag::kDate;
+    out.dates_ = std::move(payload);
+  } else if constexpr (std::is_same_v<T, uint8_t>) {
+    out.tag_ = Tag::kBool;
+    out.bools_ = std::move(payload);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out.tag_ = Tag::kString;
+    out.strings_ = std::move(payload);
+  } else {
+    static_assert(std::is_same_v<T, Value>);
+    out.tag_ = Tag::kVariant;
+    out.variants_ = std::move(payload);
+  }
+  return out;
+}
+
+template ColumnVector ColumnVector::Adopt(std::vector<uint8_t>,
+                                         std::vector<int64_t>);
+template ColumnVector ColumnVector::Adopt(std::vector<uint8_t>,
+                                         std::vector<double>);
+template ColumnVector ColumnVector::Adopt(std::vector<uint8_t>,
+                                         std::vector<int32_t>);
+template ColumnVector ColumnVector::Adopt(std::vector<uint8_t>,
+                                         std::vector<uint8_t>);
+template ColumnVector ColumnVector::Adopt(std::vector<uint8_t>,
+                                         std::vector<std::string>);
+template ColumnVector ColumnVector::Adopt(std::vector<uint8_t>,
+                                         std::vector<Value>);
+
+ColumnVector ColumnVector::AdoptCodes(std::vector<uint8_t> nulls,
+                                      std::vector<int32_t> codes,
+                                      DictionaryPtr dict) {
+  ColumnVector out = Adopt(std::move(nulls), std::vector<std::string>{});
+  out.codes_ = std::move(codes);
+  out.dict_ = std::move(dict);
+  return out;
+}
+
 Row Batch::RowAt(int64_t i) const {
   Row row;
   row.reserve(columns.size());

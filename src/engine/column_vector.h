@@ -198,6 +198,19 @@ class ColumnVector {
   /// copies when tags and dictionaries agree).
   static ColumnVector Concat(const ColumnVector& a, const ColumnVector& b);
 
+  /// A column taking over ready payloads (the checkpoint reader): `nulls`
+  /// is the 0/1 bitmap and `payload` holds one slot per row, the zero
+  /// placeholder in null slots. The payload type picks the tag: int64_t
+  /// kInt, double kDouble, int32_t kDate, uint8_t kBool, std::string raw
+  /// kString, Value kVariant.
+  template <typename T>
+  static ColumnVector Adopt(std::vector<uint8_t> nulls,
+                            std::vector<T> payload);
+  /// The same for a dictionary-encoded kString column: `codes` into `dict`.
+  static ColumnVector AdoptCodes(std::vector<uint8_t> nulls,
+                                 std::vector<int32_t> codes,
+                                 DictionaryPtr dict);
+
  private:
   void PromoteToVariant();
   void AppendPlaceholder();

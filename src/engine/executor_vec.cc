@@ -10,6 +10,7 @@
 // keys off filtered child row counts only, never off thread count, so
 // threads=1 and threads=N run the same plan and produce bit-identical
 // results up to output row order.
+#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -128,10 +129,40 @@ struct JoinKeys {
   std::vector<uint8_t> null_rows;
 };
 
+/// True for a key column pair of ints and doubles with a double on at
+/// least one side: Value::Compare widens both to double.
+bool IsDoubleKey(const ColumnVector& a, const ColumnVector& b) {
+  using Tag = ColumnVector::Tag;
+  auto numeric = [](Tag t) { return t == Tag::kInt || t == Tag::kDouble; };
+  return numeric(a.tag()) && numeric(b.tag()) &&
+         (a.tag() == Tag::kDouble || b.tag() == Tag::kDouble);
+}
+
+/// An int or double column widened to one int64 code per column row: the
+/// bit pattern of its value as a double, -0.0 folded into 0.0, so equal
+/// codes <=> equal widened values (a NaN meets only its own bit pattern).
+void WidenToDoubleBits(const ColumnVector& col, EncodedKey* out) {
+  out->col = &col;
+  out->nulls = col.nulls().data();
+  const int64_t n = col.size();
+  out->scratch.resize(n);
+  auto put = [out](int64_t i, double d) {
+    d = d == 0.0 ? 0.0 : d;
+    std::memcpy(&out->scratch[i], &d, sizeof d);
+  };
+  if (col.tag() == ColumnVector::Tag::kDouble) {
+    for (int64_t i = 0; i < n; ++i) put(i, col.doubles()[i]);
+  } else {
+    for (int64_t i = 0; i < n; ++i) put(i, static_cast<double>(col.ints()[i]));
+  }
+  out->values = out->scratch.data();
+}
+
 /// Reduces the key columns `build_cols` and `probe_cols` to JoinKeys. A
 /// single column whose two sides encode into one code space — ints, dates
 /// and bools; or dictionary strings, the probe's codes translated into the
-/// build's dictionary so that a string absent there never matches — is its
+/// build's dictionary so that a string absent there never matches; or ints
+/// and doubles with a double among them, widened to double bits — is its
 /// own code, read in place or widened as EncodedKey does. Any other key is
 /// coded by pass 1 over the build rows then the probe rows, ids offset to
 /// run on across partitions: CodeKey over widened codes when every column
@@ -142,6 +173,14 @@ void ReduceJoinKeys(const BatchView& build, const std::vector<int>& build_cols,
   const size_t w = build_cols.size();
   std::vector<EncodedKey>& enc = keys->encoded;
   enc.resize(2 * w);
+  if (w == 1 && IsDoubleKey(*build.columns[build_cols[0]],
+                            *probe.columns[probe_cols[0]])) {
+    WidenToDoubleBits(*build.columns[build_cols[0]], &enc[0]);
+    WidenToDoubleBits(*probe.columns[probe_cols[0]], &enc[1]);
+    keys->build = {enc[0].values, enc[0].nulls, true};
+    keys->probe = {enc[1].values, enc[1].nulls, true};
+    return;
+  }
   bool one_space = w <= kMaxEncodedKeyCols;
   for (size_t k = 0; k < w; ++k) {
     EncodedKey& to = enc[k];

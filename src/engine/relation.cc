@@ -96,11 +96,29 @@ Storage::VersionPtr Storage::Find(const std::string& key) const {
 
 Status Storage::AddTable(const std::string& name,
                          std::vector<std::string> column_names, Batch batch) {
-  std::string key = Key(name);
   DictEncodeBatch(&batch, {});
+  return Publish(name, std::move(column_names),
+                 std::make_shared<const Batch>(std::move(batch)));
+}
+
+Status Storage::AdoptTable(const std::string& name,
+                           std::vector<std::string> column_names,
+                           std::shared_ptr<const Batch> batch) {
+  for (const ColumnVector& col : batch->columns) {
+    if (col.tag() == ColumnVector::Tag::kString && !col.dict_encoded()) {
+      return AddTable(name, std::move(column_names), Batch(*batch));
+    }
+  }
+  return Publish(name, std::move(column_names), std::move(batch));
+}
+
+Status Storage::Publish(const std::string& name,
+                        std::vector<std::string> column_names,
+                        std::shared_ptr<const Batch> batch) {
+  std::string key = Key(name);
   auto version = std::make_shared<Version>();
   version->column_names = std::move(column_names);
-  version->batch = std::make_shared<const Batch>(std::move(batch));
+  version->batch = std::move(batch);
   std::lock_guard<std::mutex> lock(mu_);
   if (tables_.count(key) > 0) {
     return Status::AlreadyExists("table data for '" + key + "'");
@@ -190,8 +208,7 @@ std::vector<Storage::RetainedDelta> Storage::RetainedDeltas() const {
   for (const auto& [table, slices] : snap.deltas_) {
     std::vector<std::string> names = snap.ColumnNames(table);
     for (const auto& [epoch, batch] : slices) {
-      out.push_back(
-          RetainedDelta{table, epoch, BatchToRelation(*batch, names)});
+      out.push_back(RetainedDelta{table, epoch, names, batch});
     }
   }
   return out;

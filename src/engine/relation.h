@@ -1,6 +1,6 @@
 // Table storage the engine scans — one dictionary-encoded columnar version
 // per table — and Relation, the row form answers and loaded data take at the
-// facade edge (BulkLoad input, query results, the checkpoint codec).
+// facade edge (BulkLoad input, query results, v2 checkpoint tables).
 #ifndef SUMTAB_ENGINE_RELATION_H_
 #define SUMTAB_ENGINE_RELATION_H_
 
@@ -19,7 +19,8 @@ namespace sumtab {
 namespace engine {
 
 /// A materialized relational table in row form: named columns + rows. Query
-/// results, BulkLoad input and checkpoint sections use it; storage does not.
+/// results, BulkLoad input and v2 checkpoint sections use it; storage does
+/// not.
 struct Relation {
   std::vector<std::string> column_names;
   std::vector<Row> rows;
@@ -135,6 +136,12 @@ class Storage {
   /// Publishes a new table (raw string columns get fresh dictionaries).
   Status AddTable(const std::string& name,
                   std::vector<std::string> column_names, Batch batch);
+  /// AddTable of a shared batch, published as it is when it holds no raw
+  /// string column (a recovered checkpoint's, whose dictionaries came with
+  /// it, so its codes survive); otherwise a copy is encoded.
+  Status AdoptTable(const std::string& name,
+                    std::vector<std::string> column_names,
+                    std::shared_ptr<const Batch> batch);
   Status DropTable(const std::string& name);
   /// Commits a new version of an existing table (copy-on-write): snapshots
   /// taken before the call keep serving the prior version. Column names
@@ -170,12 +177,13 @@ class Storage {
   /// refresh / incremental merge). Snapshots pinned earlier keep theirs.
   void PruneDeltasThrough(const std::string& name, int64_t epoch);
 
-  /// {table (lower-cased), epoch, rows} of every retained slice — decoded,
-  /// for checkpointing.
+  /// {table (lower-cased), epoch, columns} of every retained slice, for
+  /// checkpointing; the batches are the retained ones, shared.
   struct RetainedDelta {
     std::string table;
     int64_t epoch = 0;
-    Relation data;
+    std::vector<std::string> column_names;
+    std::shared_ptr<const Batch> data;
   };
   std::vector<RetainedDelta> RetainedDeltas() const;
 
@@ -190,6 +198,11 @@ class Storage {
 
   /// Current version of `key` (nullptr for unknown tables).
   VersionPtr Find(const std::string& key) const;
+
+  /// Installs `batch` as the first version of `name`.
+  Status Publish(const std::string& name,
+                 std::vector<std::string> column_names,
+                 std::shared_ptr<const Batch> batch);
 
   /// Guards the maps; pinned versions are immutable so holders never need it.
   mutable std::mutex mu_;

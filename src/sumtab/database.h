@@ -563,6 +563,9 @@ class Database {
   std::atomic<uint64_t> checkpoint_seq_{0};  // last checkpoint written/loaded
   std::atomic<int64_t> checkpoints_written_{0};
   int64_t records_since_checkpoint_ = 0;  // maint_mu_ only
+  /// The encoding buffer WriteCheckpoint reuses, kept between checkpoints
+  /// (maint_mu_ only).
+  std::string checkpoint_buffer_;
   std::vector<RecoveryEvent> recovery_events_;
   int64_t recovery_replayed_ = 0;
   int64_t recovery_truncated_bytes_ = 0;

@@ -172,10 +172,8 @@ Status Database::Recover() {
     for (wal::CheckpointBaseTable& bt : ckpt.state.base_tables) {
       std::string name = bt.table.name;
       SUMTAB_RETURN_NOT_OK(catalog_.AddTable(std::move(bt.table)));
-      SUMTAB_RETURN_NOT_OK(storage_.AddTable(
-          name, bt.data.column_names,
-          engine::BatchFromRows(std::move(bt.data.rows),
-                                bt.data.NumColumns())));
+      SUMTAB_RETURN_NOT_OK(storage_.AdoptTable(
+          name, std::move(bt.column_names), std::move(bt.data)));
       storage_.SetEpoch(name, bt.epoch);
     }
     for (const catalog::ForeignKey& fk : ckpt.state.foreign_keys) {
@@ -216,12 +214,12 @@ Status Database::Recover() {
         ++recovery_deltas_dropped_;
         continue;
       }
-      storage_.RetainDelta(
-          delta.table, delta.epoch,
-          std::make_shared<const engine::Batch>(
-              storage_.Encode(delta.table,
-                              engine::BatchFromRows(std::move(delta.data.rows),
-                                                    delta.data.NumColumns()))));
+      // A v3 slice's string columns already index the recovered table's
+      // dictionaries, and Encode leaves them be; a v2 slice's raw strings
+      // are encoded against them, as Append does.
+      storage_.RetainDelta(delta.table, delta.epoch,
+                           std::make_shared<const engine::Batch>(
+                               storage_.Encode(delta.table, *delta.data)));
     }
   }
 
@@ -302,26 +300,26 @@ Status Database::RecoverAst(wal::CheckpointAst&& ast) {
   }
 
   bool dropped = !ast.data_ok || !graph_ok;
-  engine::Relation data;
   if (dropped) {
     // Graceful degradation: the AST is dropped to kDisabled with an empty
     // materialization — queries keep succeeding from base tables, and (if
     // the graph rebuilt) a RefreshSummaryTable() recompute revives it.
+    ast.column_names.clear();
     for (const catalog::Column& col : ast.table.columns) {
-      data.column_names.push_back(col.name);
+      ast.column_names.push_back(col.name);
     }
+    auto empty = std::make_shared<engine::Batch>();
+    empty->columns.resize(ast.column_names.size());
+    ast.data = std::move(empty);
     recovery_events_.push_back(RecoveryEvent{
         RejectReasonToken(RejectReason::kAstDroppedOnRecovery),
         "summary table '" + ast.name + "' dropped: " +
             (ast.data_ok ? "definition no longer builds"
                          : "corrupt checkpoint data section")});
     ++recovery_asts_dropped_;
-  } else {
-    data = std::move(ast.data);
   }
-  SUMTAB_RETURN_NOT_OK(storage_.AddTable(
-      ast.name, data.column_names,
-      engine::BatchFromRows(std::move(data.rows), data.NumColumns())));
+  SUMTAB_RETURN_NOT_OK(storage_.AdoptTable(
+      ast.name, std::move(ast.column_names), std::move(ast.data)));
 
   if (!graph_ok) {
     // Without a definition graph the AST can neither serve rewrites nor be
@@ -462,26 +460,24 @@ Status Database::CheckpointLocked() {
   state.catalog_generation =
       catalog_generation_.load(std::memory_order_acquire);
   state.foreign_keys = catalog_.foreign_keys();
-  // Tables are checkpointed in row form (the codec's format): decoded from
-  // their published columns, so the bytes match what was loaded.
+  // Tables are checkpointed as their published columns, shared with the
+  // snapshot pinned here: nothing is copied before the encoder reads them.
   engine::Storage::Snapshot snap = storage_.Snap();
-  auto rows_of = [&snap](const std::string& name) {
-    return engine::BatchToRelation(*snap.FindColumnar(name),
-                                   snap.ColumnNames(name));
-  };
   for (const std::string& name : catalog_.TableNames()) {
     const catalog::Table* table = catalog_.FindTable(name);
     if (table->is_summary_table) continue;  // ASTs come from the registry
-    if (snap.FindColumnar(name) == nullptr) continue;
     wal::CheckpointBaseTable bt;
+    bt.data = snap.FindColumnar(name);
+    if (bt.data == nullptr) continue;
     bt.table = *table;
     bt.epoch = snap.Epoch(name);
-    bt.data = rows_of(name);
+    bt.column_names = snap.ColumnNames(name);
     state.base_tables.push_back(std::move(bt));
   }
   for (const SummaryTablePtr& st : summary_tables_) {
     const catalog::Table* table = catalog_.FindTable(st->name);
-    if (table == nullptr || snap.FindColumnar(st->name) == nullptr) continue;
+    std::shared_ptr<const engine::Batch> data = snap.FindColumnar(st->name);
+    if (table == nullptr || data == nullptr) continue;
     wal::CheckpointAst ast;
     ast.name = st->name;
     ast.sql = st->sql;
@@ -492,7 +488,8 @@ Status Database::CheckpointLocked() {
         st->consecutive_failures.load(std::memory_order_acquire);
     ast.disabled = st->disabled.load(std::memory_order_acquire);
     ast.advisor_owned = st->advisor_owned;
-    ast.data = rows_of(st->name);
+    ast.column_names = snap.ColumnNames(st->name);
+    ast.data = std::move(data);
     state.asts.push_back(std::move(ast));
   }
   // The observed workload travels with the checkpoint so the advisor's
@@ -507,12 +504,14 @@ Status Database::CheckpointLocked() {
     wal::CheckpointDelta cd;
     cd.table = std::move(rd.table);
     cd.epoch = rd.epoch;
+    cd.column_names = std::move(rd.column_names);
     cd.data = std::move(rd.data);
     state.deltas.push_back(std::move(cd));
   }
 
   uint64_t seq = checkpoint_seq_.load(std::memory_order_acquire) + 1;
-  SUMTAB_RETURN_NOT_OK(wal::WriteCheckpoint(options_.data_dir, seq, state));
+  SUMTAB_RETURN_NOT_OK(wal::WriteCheckpoint(options_.data_dir, seq, state,
+                                            &checkpoint_buffer_));
   checkpoint_seq_.store(seq, std::memory_order_release);
   checkpoints_written_.fetch_add(1, std::memory_order_acq_rel);
   records_since_checkpoint_ = 0;

@@ -8,13 +8,14 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "common/crc32.h"
 #include "common/fault_injection.h"
 #include "common/metrics.h"
 #include "common/reject_reason.h"
+#include "common/str_util.h"
 #include "wal/codec.h"
+#include "wal/wal.h"
 
 namespace sumtab {
 namespace wal {
@@ -47,12 +48,59 @@ uint64_t CheckpointSeqOf(const std::string& filename) {
   return seq;
 }
 
+/// Opens a section in place: its header, length and CRC still zero, to be
+/// filled by EndSection once the payload follows it in `out`.
+size_t BeginSection(std::string* out, SectionType type) {
+  const size_t header = out->size();
+  PutU8(out, static_cast<uint8_t>(type));
+  PutU32(out, 0);
+  PutU32(out, 0);
+  return header;
+}
+
+void EndSection(std::string* out, size_t header) {
+  const size_t payload = header + 9;
+  std::string fields;
+  PutU32(&fields, static_cast<uint32_t>(out->size() - payload));
+  PutU32(&fields, Crc32(out->data() + payload, out->size() - payload));
+  out->replace(header + 1, 8, fields);
+}
+
 void AppendSection(std::string* out, SectionType type,
                    const std::string& payload) {
-  PutU8(out, static_cast<uint8_t>(type));
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU32(out, Crc32(payload));
+  const size_t header = BeginSection(out, type);
   out->append(payload);
+  EndSection(out, header);
+}
+
+/// Dictionaries of the base table `name` in `tables` (case-insensitive),
+/// the ones its delta slices' codes index; empty when it is absent.
+std::vector<engine::DictionaryPtr> BaseDictionaries(
+    const std::vector<CheckpointBaseTable>& tables, const std::string& name) {
+  for (const CheckpointBaseTable& bt : tables) {
+    if (EqualsIgnoreCase(bt.table.name, name) && bt.data != nullptr) {
+      return engine::BatchDictionaries(*bt.data);
+    }
+  }
+  return {};
+}
+
+/// One table payload: a v3 batch, or a v2 relation converted to columns
+/// the way v2 recovery did. Null when the payload does not decode.
+std::shared_ptr<const engine::Batch> GetTableData(
+    Decoder* in, uint32_t version,
+    const std::vector<engine::DictionaryPtr>& shared,
+    std::vector<std::string>* column_names) {
+  engine::Batch batch;
+  if (version >= 3) {
+    batch = in->GetBatch(column_names, shared);
+  } else {
+    engine::Relation rel = in->GetRelation();
+    *column_names = rel.column_names;
+    batch = engine::BatchFromRows(std::move(rel.rows), rel.NumColumns());
+  }
+  if (!in->ok()) return nullptr;
+  return std::make_shared<const engine::Batch>(std::move(batch));
 }
 
 void PutColumn(std::string* out, const catalog::Column& col) {
@@ -105,14 +153,6 @@ std::string EncodeMeta(const CheckpointState& state) {
     PutString(&out, fk.parent_table);
     PutString(&out, fk.parent_column);
   }
-  return out;
-}
-
-std::string EncodeBaseTable(const CheckpointBaseTable& bt) {
-  std::string out;
-  PutTable(&out, bt.table);
-  PutI64(&out, bt.epoch);
-  PutRelation(&out, bt.data);
   return out;
 }
 
@@ -183,34 +223,55 @@ std::string CheckpointFileName(uint64_t seq) {
 }
 
 Status WriteCheckpoint(const std::string& dir, uint64_t seq,
-                       const CheckpointState& state) {
+                       const CheckpointState& state, std::string* buffer) {
   static Histogram* duration_hist =
       MetricsRegistry::Global().histogram("checkpoint.write");
   ScopedLatency timer(duration_hist);
 
-  std::string contents(kMagic, 4);
+  // Sized once for the table payloads (8-byte cells plus a bitmap byte
+  // bound every fixed-width column): a buffer grown by doubling would copy
+  // what it holds.
+  size_t cells = 0;
+  auto count = [&cells](const std::shared_ptr<const engine::Batch>& b) {
+    cells += static_cast<size_t>(b->num_rows) * b->columns.size();
+  };
+  for (const CheckpointBaseTable& bt : state.base_tables) count(bt.data);
+  for (const CheckpointAst& ast : state.asts) count(ast.data);
+  for (const CheckpointDelta& delta : state.deltas) count(delta.data);
+  std::string local;
+  std::string& contents = buffer != nullptr ? *buffer : local;
+  contents.clear();
+  contents.reserve(cells * 9 + (size_t{1} << 16));
+  contents.append(kMagic, 4);
   PutU32(&contents, kCheckpointVersion);
 
   SUMTAB_FAULT_POINT("checkpoint/write");
   AppendSection(&contents, SectionType::kMeta, EncodeMeta(state));
+  // Table payloads are encoded straight into `contents`, section by section.
   for (const CheckpointBaseTable& bt : state.base_tables) {
     SUMTAB_FAULT_POINT("checkpoint/write");
-    AppendSection(&contents, SectionType::kBaseTable, EncodeBaseTable(bt));
+    const size_t header = BeginSection(&contents, SectionType::kBaseTable);
+    PutTable(&contents, bt.table);
+    PutI64(&contents, bt.epoch);
+    PutBatch(&contents, bt.column_names, *bt.data);
+    EndSection(&contents, header);
   }
   for (const CheckpointAst& ast : state.asts) {
     SUMTAB_FAULT_POINT("checkpoint/write");
     AppendSection(&contents, SectionType::kAstMeta, EncodeAstMeta(ast));
-    std::string data;
-    PutRelation(&data, ast.data);
-    AppendSection(&contents, SectionType::kAstData, data);
+    const size_t header = BeginSection(&contents, SectionType::kAstData);
+    PutBatch(&contents, ast.column_names, *ast.data);
+    EndSection(&contents, header);
   }
   for (const CheckpointDelta& delta : state.deltas) {
     SUMTAB_FAULT_POINT("checkpoint/write");
-    std::string payload;
-    PutString(&payload, delta.table);
-    PutI64(&payload, delta.epoch);
-    PutRelation(&payload, delta.data);
-    AppendSection(&contents, SectionType::kDeltaPartition, payload);
+    const size_t header =
+        BeginSection(&contents, SectionType::kDeltaPartition);
+    PutString(&contents, delta.table);
+    PutI64(&contents, delta.epoch);
+    PutBatch(&contents, delta.column_names, *delta.data,
+             BaseDictionaries(state.base_tables, delta.table));
+    EndSection(&contents, header);
   }
   if (state.workload_present) {
     SUMTAB_FAULT_POINT("checkpoint/write");
@@ -265,24 +326,20 @@ StatusOr<CheckpointLoadResult> LoadLatestCheckpoint(const std::string& dir) {
   }
   if (best_seq == 0) return result;  // no checkpoint: found stays false
 
-  std::ifstream in(best_path, std::ios::binary);
-  if (!in) return RejectIo(RejectReason::kIoError, "open " + best_path);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  in.close();
+  std::string contents;
+  SUMTAB_RETURN_NOT_OK(ReadFileContents(best_path, &contents));
 
   if (contents.size() < 8 || std::memcmp(contents.data(), kMagic, 4) != 0) {
     return Corrupt(best_path + ": bad magic");
   }
-  {
-    Decoder header(contents.data() + 4, 4);
-    uint32_t version = header.U32();
-    if (version != kCheckpointVersion) {
-      return RejectIo(RejectReason::kCheckpointVersionMismatch,
-                      best_path + ": version " + std::to_string(version) +
-                          ", expected " +
-                          std::to_string(kCheckpointVersion));
-    }
+  const uint32_t version = Decoder(contents.data() + 4, 4).U32();
+  if (version < kOldestReadableCheckpointVersion ||
+      version > kCheckpointVersion) {
+    return RejectIo(RejectReason::kCheckpointVersionMismatch,
+                    best_path + ": version " + std::to_string(version) +
+                        ", expected " +
+                        std::to_string(kOldestReadableCheckpointVersion) +
+                        " to " + std::to_string(kCheckpointVersion));
   }
 
   result.found = true;
@@ -333,7 +390,7 @@ StatusOr<CheckpointLoadResult> LoadLatestCheckpoint(const std::string& dir) {
         CheckpointBaseTable bt;
         bt.table = GetTable(&body);
         bt.epoch = body.I64();
-        bt.data = body.GetRelation();
+        bt.data = GetTableData(&body, version, {}, &bt.column_names);
         if (!body.AtEnd()) {
           return Corrupt(best_path + ": base-table decode (" +
                          bt.table.name + ")");
@@ -369,8 +426,10 @@ StatusOr<CheckpointLoadResult> LoadLatestCheckpoint(const std::string& dir) {
         CheckpointAst& ast = state.asts.back();
         if (!crc_ok) break;  // graceful: drop only this AST (data_ok=false)
         Decoder body(payload, len);
-        engine::Relation data = body.GetRelation();
+        std::vector<std::string> names;
+        auto data = GetTableData(&body, version, {}, &names);
         if (!body.AtEnd()) break;  // same: decode failure drops the AST
+        ast.column_names = std::move(names);
         ast.data = std::move(data);
         ast.data_ok = true;
         break;
@@ -385,7 +444,10 @@ StatusOr<CheckpointLoadResult> LoadLatestCheckpoint(const std::string& dir) {
           Decoder body(payload, len);
           delta.table = body.String();
           delta.epoch = body.I64();
-          engine::Relation data = body.GetRelation();
+          // Base tables precede deltas, so their dictionaries are decoded.
+          auto data = GetTableData(
+              &body, version, BaseDictionaries(state.base_tables, delta.table),
+              &delta.column_names);
           if (body.AtEnd()) {
             delta.data = std::move(data);
             delta.data_ok = true;
@@ -471,11 +533,8 @@ Status RemoveCheckpointsBefore(const std::string& dir, uint64_t seq) {
 
 StatusOr<std::vector<SectionInfo>> ListCheckpointSections(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return RejectIo(RejectReason::kIoError, "open " + path);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  in.close();
+  std::string contents;
+  SUMTAB_RETURN_NOT_OK(ReadFileContents(path, &contents));
   if (contents.size() < 8 || std::memcmp(contents.data(), kMagic, 4) != 0) {
     return Corrupt(path + ": bad magic");
   }

@@ -1,9 +1,10 @@
 // Binary encoding for WAL record bodies and checkpoint sections:
-// little-endian fixed-width integers, length-prefixed strings, and tagged
-// Values/Rows/Relations. The Decoder is bounds-checked and never throws —
-// a truncated or corrupted payload flips it into a sticky error state the
-// caller tests once at the end, so recovery can treat any malformed region
-// as "not a record" instead of crashing on it.
+// little-endian fixed-width integers, length-prefixed strings, tagged
+// Values/Rows, and columnar Batches (one typed payload per column, copied
+// in bulk). The Decoder is bounds-checked and never throws — a truncated or
+// corrupted payload flips it into a sticky error state the caller tests
+// once at the end, so recovery can treat any malformed region as "not a
+// record" instead of crashing on it.
 #ifndef SUMTAB_WAL_CODEC_H_
 #define SUMTAB_WAL_CODEC_H_
 
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/value.h"
+#include "engine/column_vector.h"
 #include "engine/relation.h"
 
 namespace sumtab {
@@ -28,7 +30,17 @@ void PutDouble(std::string* out, double v);
 void PutString(std::string* out, const std::string& s);
 void PutValue(std::string* out, const Value& v);
 void PutRow(std::string* out, const Row& row);
-void PutRelation(std::string* out, const engine::Relation& rel);
+/// `column_names`, the row count, then per column: a kind byte, a byte
+/// saying whether a null bitmap follows (left out when the column holds no
+/// NULL), the bitmap, and the payload — ints, doubles, dates and bools as
+/// one little-endian copy each; a dictionary column as its dictionary's
+/// strings then its int32 codes; raw strings length-prefixed; a kVariant
+/// column a tagged Value per row. A column encoded against `shared[c]`
+/// writes only its codes: the reader supplies the same dictionary (a delta
+/// slice names its base table's).
+void PutBatch(std::string* out, const std::vector<std::string>& column_names,
+              const engine::Batch& batch,
+              const std::vector<engine::DictionaryPtr>& shared = {});
 void PutEpochMap(std::string* out, const std::map<std::string, int64_t>& m);
 
 // ---- decoding ----
@@ -46,6 +58,13 @@ class Decoder {
   std::string String();
   Value GetValue();
   Row GetRow();
+  /// A PutBatch payload; `shared` must hold the dictionaries the writer was
+  /// given. Every bulk read is bounds-checked before it allocates, and every
+  /// code is checked against its dictionary's size.
+  engine::Batch GetBatch(std::vector<std::string>* column_names,
+                         const std::vector<engine::DictionaryPtr>& shared = {});
+  /// A row-form table payload ([u32 ncols][names][u64 nrows][rows]): how
+  /// v2 checkpoints stored tables, read only to load them.
   engine::Relation GetRelation();
   std::map<std::string, int64_t> GetEpochMap();
 
@@ -58,6 +77,11 @@ class Decoder {
 
  private:
   bool Need(size_t n);
+  /// n fixed-width values copied out in one piece.
+  template <typename T>
+  std::vector<T> Bulk(size_t n);
+  engine::ColumnVector GetColumn(size_t rows,
+                                 const engine::DictionaryPtr& shared);
 
   const char* data_;
   size_t len_;

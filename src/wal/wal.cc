@@ -1,6 +1,7 @@
 #include "wal/wal.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -9,7 +10,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "common/crc32.h"
 #include "common/fault_injection.h"
@@ -303,13 +303,8 @@ StatusOr<ScanResult> ScanDir(const std::string& dir, bool repair) {
   uint64_t prev_lsn = 0;
   for (const auto& [seq, path] : segments) {
     result.max_segment_seq = seq;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      return RejectIo(RejectReason::kIoError, "open " + path);
-    }
-    std::string contents((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-    in.close();
+    std::string contents;
+    SUMTAB_RETURN_NOT_OK(ReadFileContents(path, &contents));
 
     size_t pos = 0;
     bool torn = false;
@@ -379,6 +374,33 @@ Status RemoveSegmentsThrough(const std::string& dir, uint64_t seq) {
     return RejectIo(RejectReason::kIoError,
                     "list " + dir + ": " + ec.message());
   }
+  return Status::OK();
+}
+
+Status ReadFileContents(const std::string& path, std::string* out) {
+  int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Errno("open " + path);
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    Status err = Errno("stat " + path);
+    ::close(fd);
+    return err;
+  }
+  out->resize(static_cast<size_t>(st.st_size));
+  size_t got = 0;
+  while (got < out->size()) {
+    ssize_t n = ::read(fd, out->data() + got, out->size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      Status err = Errno("read " + path);
+      ::close(fd);
+      return err;
+    }
+    if (n == 0) break;  // the file shrank under us: keep what was read
+    got += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  out->resize(got);
   return Status::OK();
 }
 

@@ -158,6 +158,10 @@ StatusOr<ScanResult> ScanDir(const std::string& dir, bool repair);
 /// Deletes every segment with sequence <= `seq` (post-checkpoint pruning).
 Status RemoveSegmentsThrough(const std::string& dir, uint64_t seq);
 
+/// The whole file at `path`, read into `out` with one sized read (WAL
+/// segments and checkpoints); kIoError when it cannot be opened or read.
+Status ReadFileContents(const std::string& path, std::string* out);
+
 }  // namespace wal
 }  // namespace sumtab
 

@@ -1,6 +1,11 @@
-// Unit tests for common/: Status, Value semantics, dates, string helpers.
+// Unit tests for common/: Status, Value semantics, dates, string helpers,
+// CRC-32.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
+#include "common/crc32.h"
 #include "common/date.h"
 #include "common/status.h"
 #include "common/str_util.h"
@@ -126,6 +131,42 @@ TEST(StrUtilTest, Join) {
   EXPECT_EQ(Join({}, ", "), "");
   EXPECT_EQ(Join({"a"}, ", "), "a");
   EXPECT_EQ(Join({"a", "b", "c"}, " | "), "a | b | c");
+}
+
+/// The plain bytewise CRC-32 (reflected 0xEDB88320), bit by bit: the
+/// reference the table-driven Crc32 must reproduce.
+uint32_t BitwiseCrc32(const unsigned char* data, size_t len, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, CheckValue) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  std::mt19937 gen(27);
+  std::vector<unsigned char> buf(64 + 8);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(gen());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      ASSERT_EQ(Crc32(p, len), BitwiseCrc32(p, len, 0))
+          << "offset " << offset << " len " << len;
+      // Seeded continuation: two ranges checksum as one stream.
+      const size_t cut = len / 3;
+      ASSERT_EQ(Crc32(p + cut, len - cut, Crc32(p, cut)),
+                BitwiseCrc32(p, len, 0))
+          << "offset " << offset << " len " << len << " cut " << cut;
+    }
+  }
 }
 
 }  // namespace

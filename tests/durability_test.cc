@@ -6,12 +6,16 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 
+#include "common/crc32.h"
 #include "common/fault_injection.h"
 #include "common/reject_reason.h"
 #include "data/card_schema.h"
 #include "tests/test_util.h"
 #include "wal/checkpoint.h"
+#include "wal/codec.h"
 #include "wal/wal.h"
 
 namespace sumtab {
@@ -569,6 +573,501 @@ TEST_F(DurabilityTest, WalFsyncFaultFailsMutatorWithoutPublishing) {
   }
   // Log-before-publish: the failed mutation is not visible in memory either.
   EXPECT_EQ(db->TableRows("trans"), before);
+}
+
+// ---- columnar checkpoints ----
+
+/// The small schema of the committed v2 fixture (tests/fixtures/
+/// checkpoint_v2.stck, written by the v2 checkpoint writer): a dimension
+/// and a fact table with string, double, date and bool columns and NULLs, a
+/// string-keyed AST (cat_sum) and a join AST (region_sum), a maintained
+/// append, a deferred append that leaves both ASTs stale over a retained
+/// slice with a string column, and the fixture queries run once each, so
+/// the workload log is not empty.
+constexpr const char* kFixtureQueries[] = {
+    "select cat, count(*) as c, sum(amt) as s from sales group by cat",
+    "select rname, count(*) as c from sales, region "
+    "where sales.rid = region.rid group by rname",
+    "select rname, cat, sum(amt) as s from sales, region "
+    "where sales.rid = region.rid group by rname, cat",
+};
+
+Row FixtureSale(int sid, const char* cat) {
+  return Row{Value::Int(sid),
+             Value::Int(sid % 4),
+             Value::String(cat),
+             sid % 7 == 0 ? Value::Null() : Value::Double(1.25 * (sid % 9)),
+             Value::Date(19990101 + sid % 28),
+             sid % 5 == 0 ? Value::Null() : Value::Bool(sid % 2 == 0)};
+}
+
+Status BuildFixture(Database* db) {
+  using catalog::Column;
+  SUMTAB_RETURN_NOT_OK(db->CreateTable(
+      "region",
+      {Column{"rid", Type::kInt, false}, Column{"rname", Type::kString, false}},
+      {"rid"}));
+  SUMTAB_RETURN_NOT_OK(db->CreateTable(
+      "sales",
+      {Column{"sid", Type::kInt, false}, Column{"rid", Type::kInt, false},
+       Column{"cat", Type::kString, false}, Column{"amt", Type::kDouble, true},
+       Column{"d", Type::kDate, false}, Column{"flag", Type::kBool, true}},
+      {"sid"}));
+  SUMTAB_RETURN_NOT_OK(db->AddForeignKey("sales", "rid", "region", "rid"));
+  SUMTAB_RETURN_NOT_OK(db->BulkLoad(
+      "region", {Row{Value::Int(0), Value::String("north")},
+                 Row{Value::Int(1), Value::String("south")},
+                 Row{Value::Int(2), Value::String("east")},
+                 Row{Value::Int(3), Value::String("west")}}));
+  const char* cats[] = {"tools", "toys", "books"};
+  std::vector<Row> sales;
+  for (int sid = 0; sid < 40; ++sid) {
+    sales.push_back(FixtureSale(sid, cats[sid % 3]));
+  }
+  SUMTAB_RETURN_NOT_OK(db->BulkLoad("sales", std::move(sales)));
+  SUMTAB_RETURN_NOT_OK(
+      db->DefineSummaryTable(
+            "cat_sum",
+            "select cat, count(*) as c, sum(amt) as s from sales group by cat")
+          .status());
+  SUMTAB_RETURN_NOT_OK(
+      db->DefineSummaryTable("region_sum",
+                             "select rname, count(*) as c from sales, region "
+                             "where sales.rid = region.rid group by rname")
+          .status());
+  std::vector<Row> maintained;
+  for (int sid = 40; sid < 45; ++sid) {
+    maintained.push_back(FixtureSale(sid, "toys"));
+  }
+  SUMTAB_RETURN_NOT_OK(db->Append("sales", std::move(maintained)).status());
+  Database::AppendOptions deferred;
+  deferred.maintain = false;
+  std::vector<Row> late;
+  for (int sid = 45; sid < 51; ++sid) {
+    late.push_back(FixtureSale(sid, sid % 2 == 0 ? "games" : "books"));
+  }
+  SUMTAB_RETURN_NOT_OK(
+      db->Append("sales", std::move(late), deferred).status());
+  for (const char* q : kFixtureQueries) {
+    SUMTAB_RETURN_NOT_OK(db->Query(q).status());
+  }
+  return Status::OK();
+}
+
+/// Every fixture query answers on `db` as on `twin`, rewritten the same way.
+void ExpectFixtureAnswers(Database* db, Database* twin) {
+  for (const char* q : kFixtureQueries) {
+    StatusOr<QueryResult> got = db->Query(q);
+    StatusOr<QueryResult> want = twin->Query(q);
+    ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << q;
+    ASSERT_TRUE(want.ok()) << want.status().ToString() << "\n" << q;
+    EXPECT_EQ(got->used_summary_table, want->used_summary_table) << q;
+    EXPECT_EQ(got->compensated, want->compensated) << q;
+    EXPECT_TRUE(engine::SameRowMultiset(got->relation, want->relation))
+        << q << "\ngot:\n" << got->relation.ToString() << "want:\n"
+        << want->relation.ToString();
+  }
+}
+
+TEST_F(DurabilityTest, LoadsCommittedV2Checkpoint) {
+  fs::create_directories(dir_);
+  const std::string path = dir_ + "/" + wal::CheckpointFileName(1);
+  fs::copy_file(SUMTAB_TEST_FIXTURES "/checkpoint_v2.stck", path);
+  {
+    std::ifstream f(path, std::ios::binary);
+    char header[8];
+    ASSERT_TRUE(f.read(header, 8));
+    ASSERT_EQ(header[4], 2) << "the fixture is a v2 checkpoint";
+  }
+  auto twin = std::make_unique<Database>();
+  ASSERT_TRUE(BuildFixture(twin.get()).ok());
+
+  auto db = MustOpen();
+  ASSERT_NE(db, nullptr);
+  EXPECT_TRUE(db->recovery_events().empty());
+  EXPECT_EQ(db->TableRows("sales"), 51);
+  EXPECT_EQ(StateOf(db.get(), "cat_sum"), AstState::kStale);
+  EXPECT_EQ(StateOf(db.get(), "region_sum"), AstState::kStale);
+  EXPECT_FALSE(db->WorkloadLogSnapshot().queries.empty());
+  StatusOr<QueryResult> cat = db->Query(kFixtureQueries[0]);
+  ASSERT_TRUE(cat.ok());
+  EXPECT_TRUE(cat->compensated);
+  ExpectFixtureAnswers(db.get(), twin.get());
+
+  // The next checkpoint is written as v3 and answers the same after reopen.
+  ASSERT_TRUE(db->Checkpoint().ok());
+  db.reset();
+  {
+    std::ifstream f(dir_ + "/" + wal::CheckpointFileName(2), std::ios::binary);
+    char header[8];
+    ASSERT_TRUE(f.read(header, 8));
+    EXPECT_EQ(static_cast<uint32_t>(header[4]), wal::kCheckpointVersion);
+  }
+  db = MustOpen();
+  ASSERT_NE(db, nullptr);
+  ExpectFixtureAnswers(db.get(), twin.get());
+}
+
+TEST_F(DurabilityTest, EveryColumnKindSurvivesCheckpointAndReopen) {
+  using catalog::Column;
+  std::map<std::string, std::shared_ptr<const engine::Batch>> before;
+  const std::vector<std::string> tables = {"kinds", "empty", "kind_sum"};
+  constexpr char kSumSql[] =
+      "select s, count(*) as c, sum(d) as sd, min(dt) as mdt, max(i) as mi "
+      "from kinds group by s";
+  {
+    auto db = MustOpen();
+    ASSERT_NE(db, nullptr);
+    ASSERT_TRUE(db->CreateTable("kinds", {Column{"i", Type::kInt, true},
+                                          Column{"d", Type::kDouble, true},
+                                          Column{"dt", Type::kDate, true},
+                                          Column{"b", Type::kBool, true},
+                                          Column{"s", Type::kString, true},
+                                          Column{"none", Type::kString, true},
+                                          Column{"k", Type::kInt, false}})
+                    .ok());
+    ASSERT_TRUE(db->CreateTable("empty", {Column{"a", Type::kInt, false},
+                                          Column{"s", Type::kString, false}})
+                    .ok());
+    std::vector<Row> rows;
+    for (int i = 0; i < 30; ++i) {
+      const bool null = i % 4 == 1;
+      rows.push_back(Row{
+          null ? Value::Null() : Value::Int(int64_t{1} << (i + 20)),
+          null ? Value::Null() : Value::Double(i == 0 ? -0.0 : 0.5 * i),
+          null ? Value::Null() : Value::Date(19980101 + i),
+          null ? Value::Null() : Value::Bool(i % 3 == 0),
+          i % 5 == 2 ? Value::Null() : Value::String("s" + std::to_string(i % 6)),
+          Value::Null(), Value::Int(i)});
+    }
+    ASSERT_TRUE(db->BulkLoad("kinds", rows).ok());
+    ASSERT_TRUE(db->DefineSummaryTable("kind_sum", kSumSql).ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+    engine::Storage::Snapshot snap = db->storage().Snap();
+    for (const std::string& t : tables) before[t] = snap.FindColumnar(t);
+  }
+  auto db = MustOpen();
+  ASSERT_NE(db, nullptr);
+  EXPECT_TRUE(db->recovery_events().empty());
+  EXPECT_EQ(db->Stats().durability.recovery_replayed_records, 0);
+  engine::Storage::Snapshot snap = db->storage().Snap();
+  for (const std::string& t : tables) {
+    SCOPED_TRACE(t);
+    std::shared_ptr<const engine::Batch> got = snap.FindColumnar(t);
+    const engine::Batch& want = *before[t];
+    ASSERT_NE(got, nullptr);
+    ASSERT_EQ(got->num_rows, want.num_rows);
+    ASSERT_EQ(got->NumColumns(), want.NumColumns());
+    for (int c = 0; c < want.NumColumns(); ++c) {
+      const engine::ColumnVector& g = got->columns[c];
+      const engine::ColumnVector& w = want.columns[c];
+      EXPECT_EQ(g.tag(), w.tag()) << "column " << c;
+      EXPECT_EQ(g.nulls(), w.nulls()) << "column " << c;
+      EXPECT_EQ(g.dict_encoded(), w.dict_encoded()) << "column " << c;
+      if (w.dict_encoded() && g.dict_encoded()) {
+        EXPECT_EQ(g.codes(), w.codes()) << "column " << c;
+        EXPECT_EQ(g.dict()->size(), w.dict()->size()) << "column " << c;
+      }
+      for (int64_t i = 0; i < want.num_rows; ++i) {
+        EXPECT_EQ(g.ValueAt(i).ToString(), w.ValueAt(i).ToString())
+            << "column " << c << " row " << i;
+        EXPECT_EQ(g.ValueAt(i).kind(), w.ValueAt(i).kind());
+      }
+    }
+  }
+  EXPECT_EQ(StateOf(db.get(), "kind_sum"), AstState::kFresh);
+  testing::ExpectRewriteEquivalent(db.get(), kSumSql);
+}
+
+TEST_F(DurabilityTest, RecoveredDictionariesServeJoinWithCompensatedDelta) {
+  // The AST joins on a string key, so the compensated query's delta leg
+  // joins the recovered slice's dictionary codes against another table's
+  // dictionary.
+  using catalog::Column;
+  static constexpr char kAst[] =
+      "select zone, count(*) as c, sum(amt) as s from orders, shop "
+      "where orders.sname = shop.sname group by zone";
+  auto build = [](Database* db) {
+    ASSERT_TRUE(db->CreateTable("shop", {Column{"sname", Type::kString, false},
+                                         Column{"zone", Type::kString, false}},
+                                {"sname"})
+                    .ok());
+    ASSERT_TRUE(db->CreateTable("orders", {Column{"oid", Type::kInt, false},
+                                           Column{"sname", Type::kString, false},
+                                           Column{"amt", Type::kDouble, false}})
+                    .ok());
+    ASSERT_TRUE(db->AddForeignKey("orders", "sname", "shop", "sname").ok());
+    std::vector<Row> shops;
+    for (int i = 0; i < 6; ++i) {
+      shops.push_back(Row{Value::String("s" + std::to_string(i)),
+                          Value::String("z" + std::to_string(i % 3))});
+    }
+    ASSERT_TRUE(db->BulkLoad("shop", shops).ok());
+    std::vector<Row> orders;
+    for (int i = 0; i < 50; ++i) {
+      orders.push_back(Row{Value::Int(i),
+                           Value::String("s" + std::to_string(i % 4)),
+                           Value::Double(1.5 * (i % 7))});
+    }
+    ASSERT_TRUE(db->BulkLoad("orders", orders).ok());
+    ASSERT_TRUE(db->DefineSummaryTable("zone_sum", kAst).ok());
+    Database::AppendOptions deferred;
+    deferred.maintain = false;
+    for (int batch = 0; batch < 2; ++batch) {
+      std::vector<Row> late;
+      for (int i = 0; i < 7; ++i) {
+        // Shops 4 and 5 first appear in the deltas.
+        late.push_back(Row{Value::Int(100 + 10 * batch + i),
+                           Value::String("s" + std::to_string((i + batch) % 6)),
+                           Value::Double(0.5 * i)});
+      }
+      ASSERT_TRUE(db->Append("orders", std::move(late), deferred).ok());
+    }
+  };
+  auto twin = std::make_unique<Database>();
+  build(twin.get());
+  StatusOr<QueryResult> want = twin->Query(kAst);
+  ASSERT_TRUE(want.ok());
+  ASSERT_TRUE(want->compensated);
+  {
+    auto db = MustOpen();
+    ASSERT_NE(db, nullptr);
+    build(db.get());
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  auto db = MustOpen();
+  ASSERT_NE(db, nullptr);
+  EXPECT_EQ(db->Stats().durability.recovery_replayed_records, 0);
+  // Each recovered slice's string column indexes the recovered table's
+  // dictionary object itself.
+  std::shared_ptr<const engine::Batch> orders =
+      db->storage().FindColumnar("orders");
+  ASSERT_NE(orders, nullptr);
+  ASSERT_TRUE(orders->columns[1].dict_encoded());
+  std::vector<engine::Storage::RetainedDelta> deltas =
+      db->storage().RetainedDeltas();
+  ASSERT_EQ(deltas.size(), 2u);
+  for (const engine::Storage::RetainedDelta& rd : deltas) {
+    EXPECT_EQ(rd.data->columns[1].dict(), orders->columns[1].dict());
+  }
+  for (int threads : {1, 4}) {
+    QueryOptions opts;
+    opts.max_threads = threads;
+    StatusOr<QueryResult> got = db->Query(kAst, opts);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(got->compensated);
+    EXPECT_EQ(got->compensation_delta_rows, 14);
+    EXPECT_TRUE(engine::SameRowMultiset(got->relation, want->relation))
+        << got->relation.ToString() << want->relation.ToString();
+  }
+}
+
+/// Where a PutBatch payload's fields lie inside one checkpoint section.
+struct BatchLayout {
+  size_t rows_at = 0;              // the u64 row count
+  std::vector<size_t> name_at;     // each column name's u32 length
+  std::vector<size_t> dict_at;     // each inline dictionary's u32 size
+  std::vector<size_t> codes_at;    // each dictionary column's codes
+};
+
+/// Walks the PutBatch payload that starts `at` bytes into `payload`.
+BatchLayout LayoutOf(const std::string& payload, size_t at) {
+  BatchLayout layout;
+  wal::Decoder in(payload.data() + at, payload.size() - at);
+  auto pos = [&] { return payload.size() - in.remaining(); };
+  const uint32_t ncols = in.U32();
+  for (uint32_t c = 0; c < ncols; ++c) {
+    layout.name_at.push_back(pos());
+    in.String();
+  }
+  layout.rows_at = pos();
+  const uint64_t rows = in.U64();
+  for (uint32_t c = 0; c < ncols; ++c) {
+    const uint8_t kind = in.U8();
+    if (in.U8() != 0) {
+      for (uint64_t i = 0; i < rows; ++i) in.U8();
+    }
+    auto skip = [&](size_t bytes) {
+      for (uint64_t i = 0; i < rows * bytes; ++i) in.U8();
+    };
+    switch (kind) {
+      case 0:  // int
+      case 1:  // double
+        skip(8);
+        break;
+      case 2:  // raw strings
+        for (uint64_t i = 0; i < rows; ++i) in.String();
+        break;
+      case 3:  // date
+        skip(4);
+        break;
+      case 4:  // bool
+        skip(1);
+        break;
+      case 5:  // variant
+        for (uint64_t i = 0; i < rows; ++i) in.GetValue();
+        break;
+      case 6: {  // inline dictionary, then codes
+        layout.dict_at.push_back(pos());
+        const uint32_t size = in.U32();
+        for (uint32_t k = 0; k < size; ++k) in.String();
+        layout.codes_at.push_back(pos());
+        skip(4);
+        break;
+      }
+      case 7:  // codes into the base table's dictionary
+        layout.codes_at.push_back(pos());
+        skip(4);
+        break;
+    }
+  }
+  EXPECT_TRUE(in.AtEnd());
+  return layout;
+}
+
+/// Where the PutBatch payload starts inside a table section's payload.
+size_t BatchStart(wal::SectionType type, const std::string& payload) {
+  wal::Decoder in(payload);
+  if (type == wal::SectionType::kDeltaPartition) {
+    in.String();
+    in.I64();
+  } else if (type == wal::SectionType::kBaseTable) {
+    in.String();  // the catalog table, then the epoch
+    const uint32_t ncols = in.U32();
+    for (uint32_t c = 0; c < ncols; ++c) {
+      in.String();
+      in.U8();
+      in.U8();
+    }
+    const uint32_t npk = in.U32();
+    for (uint32_t k = 0; k < npk; ++k) in.String();
+    in.U8();
+    in.I64();
+  }
+  return payload.size() - in.remaining();
+}
+
+/// Rewrites the first section of `type` through `lie`, which edits its
+/// payload in place, then recomputes the section's CRC so only decoding
+/// can catch the lie.
+void LieInSection(const std::string& path, wal::SectionType type,
+                  const std::function<void(std::string*, const BatchLayout&)>&
+                      lie) {
+  StatusOr<std::vector<wal::SectionInfo>> sections =
+      wal::ListCheckpointSections(path);
+  ASSERT_TRUE(sections.ok()) << sections.status().ToString();
+  for (const wal::SectionInfo& s : *sections) {
+    if (s.type != type) continue;
+    std::string contents;
+    ASSERT_TRUE(wal::ReadFileContents(path, &contents).ok());
+    std::string payload = contents.substr(s.payload_offset, s.payload_len);
+    lie(&payload, LayoutOf(payload, BatchStart(type, payload)));
+    ASSERT_EQ(payload.size(), s.payload_len);
+    std::string crc;
+    wal::PutU32(&crc, Crc32(payload));
+    contents.replace(s.payload_offset, s.payload_len, payload);
+    contents.replace(s.payload_offset - 4, 4, crc);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << contents;
+    return;
+  }
+  FAIL() << "no section of type " << static_cast<int>(type);
+}
+
+void SetU32(std::string* payload, size_t at, uint32_t v) {
+  std::string field;
+  wal::PutU32(&field, v);
+  payload->replace(at, 4, field);
+}
+
+void SetU64(std::string* payload, size_t at, uint64_t v) {
+  std::string field;
+  wal::PutU64(&field, v);
+  payload->replace(at, 8, field);
+}
+
+TEST_F(DurabilityTest, LyingCheckpointPayloadsFailOrDropOnlyTheirSection) {
+  const std::string saved = dir_ + "_saved";
+  fs::remove_all(saved);
+  {
+    auto db = MustOpen();
+    ASSERT_NE(db, nullptr);
+    ASSERT_TRUE(BuildFixture(db.get()).ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  fs::copy(dir_, saved);
+  auto twin = std::make_unique<Database>();
+  ASSERT_TRUE(BuildFixture(twin.get()).ok());
+  const std::string path = dir_ + "/" + wal::CheckpointFileName(1);
+  auto restore = [&] {
+    fs::remove_all(dir_);
+    fs::copy(saved, dir_);
+  };
+  using Lie = std::function<void(std::string*, const BatchLayout&)>;
+  const Lie more_rows = [](std::string* p, const BatchLayout& l) {
+    SetU64(p, l.rows_at, 52);
+  };
+  const Lie huge_rows = [](std::string* p, const BatchLayout& l) {
+    SetU64(p, l.rows_at, uint64_t{1} << 40);
+  };
+  const Lie long_name = [](std::string* p, const BatchLayout& l) {
+    SetU32(p, l.name_at[0], 0x7fffffff);
+  };
+  const Lie bad_code = [](std::string* p, const BatchLayout& l) {
+    ASSERT_FALSE(l.codes_at.empty());
+    SetU32(p, l.codes_at[0], 1000);
+  };
+  const Lie long_dict_string = [](std::string* p, const BatchLayout& l) {
+    ASSERT_FALSE(l.dict_at.empty());
+    SetU32(p, l.dict_at[0] + 4, 0x7fffffff);
+  };
+
+  // A base table that lies fails recovery with checkpoint_corruption.
+  for (const Lie& lie : {more_rows, huge_rows, long_name, bad_code,
+                         long_dict_string}) {
+    restore();
+    LieInSection(path, wal::SectionType::kBaseTable, lie);
+    StatusOr<std::unique_ptr<Database>> opened = Database::Open(Options());
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(RejectReasonFromStatus(opened.status()),
+              RejectReason::kCheckpointCorruption);
+  }
+  // An AST that lies is dropped alone; the answers come from base tables.
+  for (const Lie& lie : {more_rows, huge_rows, long_name, bad_code,
+                         long_dict_string}) {
+    restore();
+    LieInSection(path, wal::SectionType::kAstData, lie);
+    auto db = MustOpen();
+    ASSERT_NE(db, nullptr);
+    ASSERT_EQ(db->recovery_events().size(), 1u);
+    EXPECT_EQ(db->recovery_events()[0].kind,
+              RejectReasonToken(RejectReason::kAstDroppedOnRecovery));
+    EXPECT_EQ(StateOf(db.get(), "cat_sum"), AstState::kDisabled);
+    EXPECT_EQ(StateOf(db.get(), "region_sum"), AstState::kStale);
+    for (const char* q : kFixtureQueries) {
+      StatusOr<QueryResult> got = db->Query(q);
+      StatusOr<QueryResult> want = twin->Query(q);
+      ASSERT_TRUE(got.ok() && want.ok()) << q;
+      EXPECT_TRUE(engine::SameRowMultiset(got->relation, want->relation));
+    }
+  }
+  // A slice that lies is dropped alone: compensation refuses, answers hold.
+  for (const Lie& lie : {more_rows, huge_rows, long_name, bad_code}) {
+    restore();
+    LieInSection(path, wal::SectionType::kDeltaPartition, lie);
+    auto db = MustOpen();
+    ASSERT_NE(db, nullptr);
+    ASSERT_EQ(db->recovery_events().size(), 1u);
+    EXPECT_EQ(db->recovery_events()[0].kind,
+              RejectReasonToken(RejectReason::kDeltaDroppedOnRecovery));
+    for (const char* q : kFixtureQueries) {
+      StatusOr<QueryResult> got = db->Query(q);
+      StatusOr<QueryResult> want = twin->Query(q);
+      ASSERT_TRUE(got.ok() && want.ok()) << q;
+      EXPECT_FALSE(got->compensated) << q;
+      EXPECT_TRUE(engine::SameRowMultiset(got->relation, want->relation));
+    }
+  }
+  fs::remove_all(saved);
 }
 
 }  // namespace

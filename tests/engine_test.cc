@@ -279,10 +279,11 @@ TEST(JoinTest, PrunedGathersAndSmallerBuildSideMatchReference) {
   // must agree bit for bit. The keys cover each way a key becomes one code
   // per row: one int, date or dictionary column read as its own code (a
   // dictionary across two tables, one string absent from the build side;
-  // a self-join on one dictionary), and pass-1 ids for int = double (3
-  // meets 3.0, 0 meets -0.0), an int and a double column, a 3-column
-  // encodable key, a 5-column key past kMaxEncodedKeyCols, and a composite
-  // key with NULLs in either column.
+  // a self-join on one dictionary; int = double and double = double read
+  // as double bits, 3 meeting 3.0 and 0 meeting -0.0), and pass-1 ids for
+  // an int and a double column, a 3-column encodable key, a 5-column key
+  // past kMaxEncodedKeyCols, and a composite key with NULLs in either
+  // column.
   using catalog::Column;
   Database db;
   ASSERT_TRUE(db.CreateTable("f",
@@ -351,6 +352,8 @@ TEST(JoinTest, PrunedGathersAndSmallerBuildSideMatchReference) {
            "select f.k, count(*) as n, count(*) / (select count(*) from dm) "
            "as share from f, dm where f.k = dm.k group by f.k",
            "select dm.k, count(*) as n from f, dm where f.k = dm.kd "
+           "group by dm.k",
+           "select dm.k, count(*) as n from f, dm where f.x = dm.kd "
            "group by dm.k",
            "select f.d, count(*) as n from f, dm where f.d = dm.d group by f.d",
            "select dm.s, count(*) as n, sum(f.v) as sv from f, dm "

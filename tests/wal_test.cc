@@ -4,6 +4,7 @@
 // end-to-end coverage (SIGKILL mid-operation) lives in crash_recovery_test.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -74,7 +75,7 @@ TEST_F(WalTest, CodecScalarRoundTrip) {
   EXPECT_TRUE(dec.AtEnd());
 }
 
-TEST_F(WalTest, CodecValueRowRelationRoundTrip) {
+TEST_F(WalTest, CodecValueRowBatchRoundTrip) {
   engine::Relation rel;
   rel.column_names = {"a", "b", "c", "d", "e"};
   rel.rows.push_back(Row{Value::Int(7), Value::Double(1.5),
@@ -84,18 +85,255 @@ TEST_F(WalTest, CodecValueRowRelationRoundTrip) {
                          Value::Bool(false)});
 
   std::string buf;
-  PutRelation(&buf, rel);
+  PutBatch(&buf, rel.column_names, engine::BatchFromRows(rel.rows, 5));
   std::map<std::string, int64_t> epochs{{"trans", 12}, {"acct", 3}};
   PutEpochMap(&buf, epochs);
 
   Decoder dec(buf);
-  engine::Relation back = dec.GetRelation();
+  std::vector<std::string> names;
+  engine::Batch back = dec.GetBatch(&names);
   std::map<std::string, int64_t> epochs_back = dec.GetEpochMap();
   ASSERT_TRUE(dec.AtEnd());
-  ASSERT_EQ(back.column_names, rel.column_names);
-  ASSERT_EQ(back.NumRows(), rel.NumRows());
-  EXPECT_TRUE(engine::SameRowMultiset(back, rel));
+  ASSERT_EQ(names, rel.column_names);
+  ASSERT_EQ(back.num_rows, 2);
+  EXPECT_TRUE(engine::SameRowMultiset(engine::BatchToRelation(back, names),
+                                      rel));
   EXPECT_EQ(epochs_back, epochs);
+}
+
+TEST_F(WalTest, CodecReadsRowFormTablePayload) {
+  // The v2 checkpoint table layout: [u32 ncols][names][u64 nrows][rows].
+  std::vector<Row> rows = {Row{Value::Int(1), Value::String("a")},
+                           Row{Value::Null(), Value::String("b")}};
+  std::string buf;
+  PutU32(&buf, 2);
+  PutString(&buf, "k");
+  PutString(&buf, "s");
+  PutU64(&buf, rows.size());
+  for (const Row& row : rows) PutRow(&buf, row);
+  Decoder dec(buf);
+  engine::Relation back = dec.GetRelation();
+  ASSERT_TRUE(dec.AtEnd());
+  EXPECT_EQ(back.column_names, (std::vector<std::string>{"k", "s"}));
+  EXPECT_EQ(back.rows, rows);
+}
+
+/// Every payload kind PutBatch writes, each column with its NULL case: int,
+/// double (with -0.0), date, bool, raw string, dictionary string (whose
+/// dictionary holds a string no row uses), kVariant, an all-NULL column
+/// that keeps its tag, and a column without NULLs.
+engine::Batch EveryKindBatch() {
+  using engine::ColumnVector;
+  using Tag = ColumnVector::Tag;
+  auto dict = std::make_shared<engine::StringDictionary>();
+  dict->Intern("unused");
+  engine::Batch b;
+  b.num_rows = 4;
+  b.columns.resize(9);
+  b.columns[0] = ColumnVector(Tag::kInt);
+  b.columns[1] = ColumnVector(Tag::kDouble);
+  b.columns[2] = ColumnVector(Tag::kDate);
+  b.columns[3] = ColumnVector(Tag::kBool);
+  b.columns[4] = ColumnVector(Tag::kString);
+  b.columns[5] = ColumnVector(Tag::kString);
+  b.columns[7] = ColumnVector(Tag::kDouble);
+  for (int i = 0; i < 4; ++i) {
+    const bool null = i == 2;
+    auto put = [&](int c, Value v) {
+      b.columns[c].AppendValue(null ? Value::Null() : std::move(v));
+    };
+    put(0, Value::Int(int64_t{1} << (40 + i)));
+    put(1, Value::Double(i == 1 ? -0.0 : 0.5 * i));
+    put(2, Value::Date(19990101 + i));
+    put(3, Value::Bool(i % 2 == 0));
+    put(4, Value::String(std::string(i, 'r')));
+    put(5, Value::String(i % 2 == 0 ? "even" : "odd"));
+    put(6, i == 0 ? Value::Int(3) : Value::Double(0.25 * i));
+    b.columns[7].AppendNull();
+    b.columns[8].AppendValue(Value::Int(-i));
+  }
+  EXPECT_TRUE(b.columns[5].EncodeStrings(dict));
+  EXPECT_EQ(b.columns[6].tag(), Tag::kVariant);
+  return b;
+}
+
+const std::vector<std::string> kEveryKindNames = {
+    "i", "d", "dt", "b", "raw", "dict", "var", "all_null", "no_null"};
+
+void ExpectSameColumns(const engine::Batch& got, const engine::Batch& want) {
+  ASSERT_EQ(got.num_rows, want.num_rows);
+  ASSERT_EQ(got.NumColumns(), want.NumColumns());
+  for (int c = 0; c < want.NumColumns(); ++c) {
+    const engine::ColumnVector& g = got.columns[c];
+    const engine::ColumnVector& w = want.columns[c];
+    EXPECT_EQ(g.tag(), w.tag()) << "column " << c;
+    EXPECT_EQ(g.nulls(), w.nulls()) << "column " << c;
+    EXPECT_EQ(g.dict_encoded(), w.dict_encoded()) << "column " << c;
+    if (w.dict_encoded() && g.dict_encoded()) {
+      // Codes survive: same codes into a dictionary with the same strings.
+      EXPECT_EQ(g.codes(), w.codes()) << "column " << c;
+      ASSERT_EQ(g.dict()->size(), w.dict()->size()) << "column " << c;
+      for (int32_t code = 0; code < w.dict()->size(); ++code) {
+        EXPECT_EQ(g.dict()->At(code), w.dict()->At(code));
+      }
+    }
+    for (int64_t i = 0; i < want.num_rows; ++i) {
+      const Value gv = g.ValueAt(i);
+      const Value wv = w.ValueAt(i);
+      EXPECT_EQ(gv.kind(), wv.kind()) << "column " << c << " row " << i;
+      EXPECT_EQ(gv.ToString(), wv.ToString()) << "column " << c << " row " << i;
+      if (wv.kind() == Value::Kind::kDouble) {
+        EXPECT_EQ(std::signbit(gv.AsDouble()), std::signbit(wv.AsDouble()));
+      }
+    }
+  }
+}
+
+TEST_F(WalTest, CodecBatchRoundTripsEveryColumnKind) {
+  const engine::Batch batch = EveryKindBatch();
+  std::string buf;
+  PutBatch(&buf, kEveryKindNames, batch);
+  Decoder dec(buf);
+  std::vector<std::string> names;
+  engine::Batch back = dec.GetBatch(&names);
+  ASSERT_TRUE(dec.AtEnd());
+  EXPECT_EQ(names, kEveryKindNames);
+  ExpectSameColumns(back, batch);
+  // The all-NULL column kept its tag and stays free to take another.
+  engine::ColumnVector all_null = back.columns[7];
+  all_null.AppendValue(Value::String("late"));
+  EXPECT_EQ(all_null.tag(), engine::ColumnVector::Tag::kString);
+
+  // A zero-row table: every column present, each payload empty.
+  engine::Batch empty;
+  empty.columns.resize(2);
+  empty.columns[1] = engine::ColumnVector(engine::ColumnVector::Tag::kString);
+  ASSERT_TRUE(
+      empty.columns[1].EncodeStrings(std::make_shared<engine::StringDictionary>()));
+  buf.clear();
+  PutBatch(&buf, {"a", "b"}, empty);
+  Decoder dec2(buf);
+  engine::Batch empty_back = dec2.GetBatch(&names);
+  ASSERT_TRUE(dec2.AtEnd());
+  EXPECT_EQ(names, (std::vector<std::string>{"a", "b"}));
+  ExpectSameColumns(empty_back, empty);
+}
+
+TEST_F(WalTest, CodecBatchSharedDictionaryWritesOnlyCodes) {
+  const engine::Batch batch = EveryKindBatch();
+  const std::vector<engine::DictionaryPtr> shared =
+      engine::BatchDictionaries(batch);
+  std::string inline_buf;
+  std::string shared_buf;
+  PutBatch(&inline_buf, kEveryKindNames, batch);
+  PutBatch(&shared_buf, kEveryKindNames, batch, shared);
+  EXPECT_LT(shared_buf.size(), inline_buf.size());
+
+  // Read back against the same dictionaries: the column shares the object.
+  std::vector<std::string> names;
+  Decoder dec(shared_buf);
+  engine::Batch back = dec.GetBatch(&names, shared);
+  ASSERT_TRUE(dec.AtEnd());
+  ExpectSameColumns(back, batch);
+  EXPECT_EQ(back.columns[5].dict(), shared[5]);
+
+  // Without the dictionary, or with one too small for a code, the payload
+  // does not decode.
+  Decoder none(shared_buf);
+  none.GetBatch(&names);
+  EXPECT_FALSE(none.ok());
+  std::vector<engine::DictionaryPtr> small(shared.size());
+  small[5] = std::make_shared<engine::StringDictionary>();
+  small[5]->Intern("unused");
+  Decoder too_small(shared_buf);
+  too_small.GetBatch(&names, small);
+  EXPECT_FALSE(too_small.ok());
+}
+
+TEST_F(WalTest, CodecBatchLyingOrTruncatedPayloadFailsCleanly) {
+  // Three rows of: an int column, a raw string column, a dictionary column.
+  engine::Batch batch;
+  batch.num_rows = 3;
+  batch.columns.resize(3);
+  const char* raw[] = {"x", "yy", "zzz"};
+  const char* dict[] = {"p", "q", "p"};
+  for (int i = 0; i < 3; ++i) {
+    batch.columns[0].AppendValue(Value::Int(i));
+    batch.columns[1].AppendValue(Value::String(raw[i]));
+    batch.columns[2].AppendValue(Value::String(dict[i]));
+  }
+  ASSERT_TRUE(batch.columns[2].EncodeStrings(
+      std::make_shared<engine::StringDictionary>()));
+  std::string good;
+  PutBatch(&good, {"i", "s", "d"}, batch);
+  // Offsets: 3 names of 5 bytes after the column count, the row count, an
+  // int column (kind, bitmap flag, 24 bytes), a raw string column (kind,
+  // flag, 5 + 6 + 7 bytes), then the dictionary column (kind, flag, size,
+  // "p" and "q", three codes).
+  const size_t rows_at = 4 + 3 * 5;
+  const size_t strings_at = rows_at + 8 + 2 + 24 + 2;
+  const size_t dict_at = strings_at + 18 + 2;
+  const size_t codes_at = dict_at + 4 + 10;
+  ASSERT_EQ(good.size(), codes_at + 12);
+
+  // Not decoding to exactly the payload's end is what fails a section; a
+  // failed read leaves nothing half-built behind.
+  auto fails = [](const std::string& bytes) {
+    Decoder dec(bytes);
+    std::vector<std::string> names;
+    engine::Batch b = dec.GetBatch(&names);
+    if (!dec.ok()) {
+      EXPECT_TRUE(b.num_rows == 0 && names.empty());
+    }
+    return !dec.AtEnd();
+  };
+  auto with_u32 = [&good](size_t at, uint32_t v) {
+    std::string bytes = good;
+    std::string field;
+    PutU32(&field, v);
+    bytes.replace(at, 4, field);
+    return bytes;
+  };
+  auto with_u64 = [&good](size_t at, uint64_t v) {
+    std::string bytes = good;
+    std::string field;
+    PutU64(&field, v);
+    bytes.replace(at, 8, field);
+    return bytes;
+  };
+  {
+    Decoder dec(good);
+    std::vector<std::string> names;
+    dec.GetBatch(&names);
+    ASSERT_TRUE(dec.AtEnd());
+  }
+  EXPECT_TRUE(fails(with_u64(rows_at, 4)));           // one row too many
+  EXPECT_TRUE(fails(with_u64(rows_at, 2)));           // one too few
+  EXPECT_TRUE(fails(with_u64(rows_at, 1ull << 40)));  // past any payload
+  EXPECT_TRUE(fails(with_u64(rows_at, (1ull << 31) - 1)));
+  EXPECT_TRUE(fails(with_u32(strings_at, 0x7fffffff)));  // string length
+  EXPECT_TRUE(fails(with_u32(dict_at, 0x7fffffff)));     // dictionary size
+  EXPECT_TRUE(fails(with_u32(dict_at, 1)));              // code past it
+  EXPECT_TRUE(fails(with_u32(codes_at + 4, 2)));         // code == size
+  EXPECT_TRUE(fails(with_u32(codes_at, 0xffffffff)));    // negative code
+  EXPECT_TRUE(fails(with_u32(0, 1000)));                 // column count
+  {
+    std::string bytes = good;
+    bytes[rows_at + 8] = 9;  // unknown kind
+    EXPECT_TRUE(fails(bytes));
+    bytes = good;
+    bytes[rows_at + 9] = 2;  // bitmap flag neither 0 nor 1
+    EXPECT_TRUE(fails(bytes));
+  }
+  {
+    // The dictionary repeats a string: it would come back under one code.
+    std::string bytes = good;
+    bytes[dict_at + 4 + 5 + 4] = 'p';
+    EXPECT_TRUE(fails(bytes));
+  }
+  for (size_t len = 0; len < good.size(); ++len) {
+    EXPECT_TRUE(fails(good.substr(0, len))) << "prefix " << len;
+  }
 }
 
 TEST_F(WalTest, CodecTruncatedPayloadIsStickyError) {
@@ -307,6 +545,13 @@ TEST_F(WalTest, TornWriteFaultLeavesRepairableTail) {
 
 // ---- checkpoint ----
 
+std::shared_ptr<const engine::Batch> Columns(const std::vector<Row>& rows,
+                                             int num_columns) {
+  engine::Batch batch = engine::BatchFromRows(rows, num_columns);
+  engine::DictEncodeBatch(&batch, {});
+  return std::make_shared<const engine::Batch>(std::move(batch));
+}
+
 CheckpointState MakeState() {
   CheckpointState state;
   state.last_lsn = 17;
@@ -317,13 +562,14 @@ CheckpointState MakeState() {
   CheckpointBaseTable base;
   base.table.name = "trans";
   base.table.columns = {{"tid", Type::kInt, false},
-                        {"price", Type::kDouble, true}};
+                        {"price", Type::kDouble, true},
+                        {"tag", Type::kString, false}};
   base.table.primary_key = {"tid"};
   base.epoch = 4;
-  base.data.column_names = {"tid", "price"};
-  base.data.rows.push_back(Row{Value::Int(1), Value::Double(9.5)});
-  base.data.rows.push_back(Row{Value::Int(2), Value::Null()});
-  state.base_tables.push_back(std::move(base));
+  base.column_names = {"tid", "price", "tag"};
+  base.data = Columns({Row{Value::Int(1), Value::Double(9.5), Value::String("a")},
+                       Row{Value::Int(2), Value::Null(), Value::String("b")}},
+                      3);
 
   CheckpointAst ast;
   ast.name = "ast1";
@@ -335,10 +581,28 @@ CheckpointState MakeState() {
   ast.max_staleness = 2;
   ast.consecutive_failures = 1;
   ast.disabled = false;
-  ast.data.column_names = {"tid", "c"};
-  ast.data.rows.push_back(Row{Value::Int(1), Value::Int(10)});
+  ast.column_names = {"tid", "c"};
+  ast.data = Columns({Row{Value::Int(1), Value::Int(10)}}, 2);
   state.asts.push_back(std::move(ast));
+
+  // A retained slice encoded against the base table's dictionaries, as
+  // Storage::Encode leaves it.
+  CheckpointDelta delta;
+  delta.table = "trans";
+  delta.epoch = 4;
+  delta.column_names = base.column_names;
+  engine::Batch slice = engine::BatchFromRows(
+      {Row{Value::Int(3), Value::Double(1.0), Value::String("b")}}, 3);
+  engine::DictEncodeBatch(&slice, engine::BatchDictionaries(*base.data));
+  delta.data = std::make_shared<const engine::Batch>(std::move(slice));
+  state.deltas.push_back(std::move(delta));
+  state.base_tables.push_back(std::move(base));
   return state;
+}
+
+engine::Relation RowsOf(const std::shared_ptr<const engine::Batch>& batch,
+                        const std::vector<std::string>& names) {
+  return engine::BatchToRelation(*batch, names);
 }
 
 TEST_F(WalTest, CheckpointRoundTrip) {
@@ -348,6 +612,7 @@ TEST_F(WalTest, CheckpointRoundTrip) {
   ASSERT_TRUE(loaded->found);
   EXPECT_EQ(loaded->seq, 5u);
   const CheckpointState& s = loaded->state;
+  const CheckpointState want = MakeState();
   EXPECT_EQ(s.last_lsn, 17u);
   EXPECT_EQ(s.wal_segment_seq, 3u);
   EXPECT_EQ(s.catalog_generation, 9);
@@ -357,14 +622,24 @@ TEST_F(WalTest, CheckpointRoundTrip) {
   EXPECT_EQ(s.base_tables[0].epoch, 4);
   EXPECT_EQ(s.base_tables[0].table.primary_key,
             std::vector<std::string>{"tid"});
-  EXPECT_TRUE(engine::SameRowMultiset(s.base_tables[0].data,
-                                      MakeState().base_tables[0].data));
+  EXPECT_EQ(s.base_tables[0].column_names, want.base_tables[0].column_names);
+  ExpectSameColumns(*s.base_tables[0].data, *want.base_tables[0].data);
   ASSERT_EQ(s.asts.size(), 1u);
   EXPECT_TRUE(s.asts[0].data_ok);
   EXPECT_EQ(s.asts[0].max_staleness, 2);
   EXPECT_EQ(s.asts[0].consecutive_failures, 1);
   EXPECT_EQ(s.asts[0].materialized_epochs.at("trans"), 4);
   EXPECT_TRUE(s.asts[0].table.is_summary_table);
+  EXPECT_TRUE(engine::SameRowMultiset(RowsOf(s.asts[0].data, {"tid", "c"}),
+                                      RowsOf(want.asts[0].data, {"tid", "c"})));
+  // The slice's string column indexes the loaded base table's dictionary
+  // object itself.
+  ASSERT_EQ(s.deltas.size(), 1u);
+  ASSERT_TRUE(s.deltas[0].data_ok);
+  EXPECT_EQ(s.deltas[0].epoch, 4);
+  ExpectSameColumns(*s.deltas[0].data, *want.deltas[0].data);
+  EXPECT_EQ(s.deltas[0].data->columns[2].dict(),
+            s.base_tables[0].data->columns[2].dict());
 }
 
 TEST_F(WalTest, LoadPicksHighestSeqAndPrunes) {
@@ -422,7 +697,7 @@ TEST_F(WalTest, CorruptAstDataSectionIsGraceful) {
   EXPECT_EQ(loaded->state.asts[0].sql, MakeState().asts[0].sql);
   // Base tables are untouched.
   ASSERT_EQ(loaded->state.base_tables.size(), 1u);
-  EXPECT_EQ(loaded->state.base_tables[0].data.NumRows(), 2u);
+  EXPECT_EQ(loaded->state.base_tables[0].data->num_rows, 2);
 }
 
 TEST_F(WalTest, CorruptMetaSectionFailsLoad) {
@@ -456,18 +731,22 @@ TEST_F(WalTest, TruncatedCheckpointMissingEndFailsLoad) {
 }
 
 TEST_F(WalTest, VersionMismatchFailsLoad) {
-  ASSERT_TRUE(WriteCheckpoint(dir_, 1, MakeState()).ok());
-  const std::string path = dir_ + "/" + CheckpointFileName(1);
-  {
-    // Bump the u32 version right after the 4-byte magic.
-    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(4);
-    f.put(static_cast<char>(kCheckpointVersion + 1));
+  // Too old (v1) and too new both mismatch; v2 files are read (see
+  // durability_test's committed v2 fixture).
+  for (uint32_t version : {1u, kCheckpointVersion + 1}) {
+    ASSERT_TRUE(WriteCheckpoint(dir_, 1, MakeState()).ok());
+    const std::string path = dir_ + "/" + CheckpointFileName(1);
+    {
+      // Rewrite the u32 version right after the 4-byte magic.
+      std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+      f.seekp(4);
+      f.put(static_cast<char>(version));
+    }
+    StatusOr<CheckpointLoadResult> loaded = LoadLatestCheckpoint(dir_);
+    ASSERT_FALSE(loaded.ok()) << "version " << version;
+    EXPECT_EQ(RejectReasonFromStatus(loaded.status()),
+              RejectReason::kCheckpointVersionMismatch);
   }
-  StatusOr<CheckpointLoadResult> loaded = LoadLatestCheckpoint(dir_);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(RejectReasonFromStatus(loaded.status()),
-            RejectReason::kCheckpointVersionMismatch);
 }
 
 TEST_F(WalTest, CheckpointWriteFaultLeavesNoCheckpoint) {
