@@ -85,6 +85,10 @@ int main() {
 
   // 5. EXPLAIN REWRITE shows the rewrite decision and every match attempt.
   auto explain = db.ExplainRewrite(query);
-  if (explain.ok()) std::printf("%s\n", explain->c_str());
+  if (!explain.ok()) {
+    std::fprintf(stderr, "%s\n", explain.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("%s\n", explain->c_str());
   return 0;
 }

@@ -72,6 +72,16 @@ int64_t LeafRowCost(const qgm::Graph& graph,
   return LeafRows(LeafTables(graph), snap);
 }
 
+/// The standing of AST `name` among `asts`, or null.
+template <typename Standing>
+const Standing* FindStanding(const std::vector<Standing>& asts,
+                             const std::string& name) {
+  for (const Standing& ast : asts) {
+    if (ast.st->name == name) return &ast;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 Database::Database() : plan_cache_(kPlanCacheCapacity) {}
@@ -88,46 +98,79 @@ std::string Database::PlanCacheKey(const sql::SqlTemplate& tmpl,
          "#stale=" + (options.allow_stale_reads ? "1" : "0");
 }
 
-PlanContext Database::PlanningContext(
-    const std::vector<std::string>& leaf_tables,
-    const engine::Storage::Snapshot& snap, int64_t generation,
-    const QueryOptions& options) const {
+Database::AstStanding Database::Classify(const SummaryTablePtr& st,
+                                         const engine::Storage::Snapshot& snap,
+                                         bool allow_stale) const {
+  AstStanding out;
+  out.st = st;
+  AstPlanState& state = out.state;
+  state.name = st->name;
+  std::string first_table;  // the first lagging table by name
+  int lagging = 0;
+  Lag lag;
+  for (const auto& [table, epoch] : st->materialized_epochs) {
+    int64_t current = snap.Epoch(table);
+    if (current <= epoch) continue;
+    if (lagging++ == 0) first_table = table;
+    out.staleness += current - epoch;
+    lag = Lag{table, epoch, current};
+  }
+  // One delta leg merges into one stored result, so one table may lag.
+  if (lagging > 1) {
+    out.lag = RejectUnsupported(RejectReason::kCompMultiTableStaleness,
+                                std::to_string(lagging) +
+                                    " base tables lag behind ast '" +
+                                    st->name + "'");
+  } else if (!snap.HasDeltaCoverage(lag.table, lag.from, lag.to)) {
+    // Only pure appends are retained: a BulkLoad, or a slice dropped past
+    // kMaxRetainedDeltas, leaves a gap no delta leg can cover.
+    out.lag = RejectUnsupported(
+        RejectReason::kCompDeltaUnavailable,
+        "no contiguous retained deltas for '" + lag.table + "' epochs (" +
+            std::to_string(lag.from) + ", " + std::to_string(lag.to) + "]");
+  } else {
+    out.lag = std::move(lag);
+  }
+  if (st->disabled.load(std::memory_order_acquire)) {
+    state.kind = AstPlanState::Kind::kQuarantined;  // overrides everything
+  } else if (out.staleness > 0) {
+    state.table = std::move(first_table);
+    if (out.staleness <= st->max_staleness || allow_stale) {
+      state.kind = AstPlanState::Kind::kTolerated;
+      state.epochs = out.staleness;
+    } else if (out.lag.ok()) {
+      state.kind = AstPlanState::Kind::kLagging;
+      state.epochs = out.staleness;
+    } else {
+      state.kind = AstPlanState::Kind::kUnusable;
+    }
+  }
+  return out;
+}
+
+std::vector<Database::AstStanding> Database::Standings(
+    const engine::Storage::Snapshot& snap, const QueryOptions& options) const {
+  std::vector<AstStanding> asts;
+  // With rewriting off the plan is the base-table form, whatever the ASTs.
+  if (!options.enable_rewrite) return asts;
+  asts.reserve(summary_tables_.size());
+  for (const SummaryTablePtr& st : summary_tables_) {
+    asts.push_back(Classify(st, snap, options.allow_stale_reads));
+  }
+  return asts;
+}
+
+PlanContext Database::PlanContextOf(const std::vector<AstStanding>& asts,
+                                    const std::vector<std::string>& leaf_tables,
+                                    int64_t generation) {
   PlanContext context;
   context.generation = generation;
-  // With rewriting off the plan is the base-table form, whatever the ASTs.
-  if (!options.enable_rewrite) return context;
-  // Mirrors TryRewrite's branches: UsableForRewrite (fresh or tolerated),
-  // else the compensation attempt (LagOf), else skipped.
-  for (const SummaryTablePtr& st : summary_tables_) {
-    bool reads = false;
+  for (const AstStanding& ast : asts) {
     for (const std::string& table : leaf_tables) {
-      reads = reads || st->materialized_epochs.count(table) > 0;
-    }
-    if (!reads) continue;
-    AstPlanState& state = context.asts.emplace_back();
-    state.name = st->name;
-    if (st->disabled.load(std::memory_order_acquire)) {
-      state.kind = AstPlanState::Kind::kQuarantined;
-      continue;
-    }
-    int64_t lag = 0;
-    for (const auto& [table, epoch] : st->materialized_epochs) {
-      int64_t behind = snap.Epoch(table) - epoch;
-      if (behind <= 0) continue;
-      if (lag == 0) state.table = table;
-      lag += behind;
-    }
-    if (lag == 0) continue;  // kFresh
-    if (lag <= st->max_staleness || options.allow_stale_reads) {
-      state.kind = AstPlanState::Kind::kTolerated;
-      state.epochs = lag;
-      continue;
-    }
-    state.kind = AstPlanState::Kind::kUnusable;
-    if (StatusOr<Lag> delta = LagOf(*st, snap); delta.ok()) {
-      state.kind = AstPlanState::Kind::kLagging;
-      state.table = delta->table;
-      state.epochs = delta->to - delta->from;
+      if (ast.st->materialized_epochs.count(table) > 0) {
+        context.asts.push_back(ast.state);
+        break;
+      }
     }
   }
   return context;
@@ -365,9 +408,11 @@ Status Database::DropSummaryTable(const std::string& name) {
       }
     }
     BumpGeneration();
-    // Note: the catalog keeps the (now dangling) table entry out of
-    // simplicity; queries naming it will fail at execution.
-    dropped = storage_.DropTable(key);
+    // The table entry goes with the AST, so the name can be defined again,
+    // live as after a restart.
+    dropped = catalog_.DropTable(key);
+    Status data_dropped = storage_.DropTable(key);
+    if (dropped.ok()) dropped = std::move(data_dropped);
   }
   MaybeCheckpointLocked();
   return dropped;
@@ -395,29 +440,6 @@ Database::SummaryTablePtr Database::FindSummaryTable(
     if (st->name == key) return st;
   }
   return nullptr;
-}
-
-int64_t Database::StalenessOf(const SummaryTable& st) const {
-  int64_t lag = 0;
-  for (const auto& [table, epoch] : st.materialized_epochs) {
-    int64_t current = storage_.Epoch(table);
-    if (current > epoch) lag += current - epoch;
-  }
-  return lag;
-}
-
-AstState Database::StateOf(const SummaryTable& st) const {
-  if (st.disabled.load(std::memory_order_acquire)) return AstState::kDisabled;
-  return StalenessOf(st) > 0 ? AstState::kStale : AstState::kFresh;
-}
-
-bool Database::UsableForRewrite(const SummaryTable& st,
-                                bool allow_stale) const {
-  if (st.disabled.load(std::memory_order_acquire)) {
-    return false;  // quarantine overrides everything
-  }
-  int64_t lag = StalenessOf(st);
-  return lag == 0 || lag <= st.max_staleness || allow_stale;
 }
 
 void Database::RecordAstFailure(SummaryTable* st) {
@@ -452,8 +474,13 @@ StatusOr<SummaryTableInfo> Database::GetSummaryTableInfo(
   SummaryTableInfo info;
   info.name = st->name;
   info.sql = st->sql;
-  info.state = StateOf(*st);
-  info.staleness = StalenessOf(*st);
+  AstStanding standing = Classify(st, storage_.Snap());
+  info.state = standing.state.kind == AstPlanState::Kind::kQuarantined
+                   ? AstState::kDisabled
+               : standing.state.kind == AstPlanState::Kind::kFresh
+                   ? AstState::kFresh
+                   : AstState::kStale;
+  info.staleness = standing.staleness;
   info.max_staleness = st->max_staleness;
   info.consecutive_failures =
       st->consecutive_failures.load(std::memory_order_acquire);
@@ -500,22 +527,19 @@ Status Database::SetMaxStaleness(const std::string& name,
 }
 
 std::unique_ptr<qgm::Graph> Database::TryRewrite(
-    const qgm::Graph& query, const engine::Storage::Snapshot& snap,
-    const QueryOptions& options, std::string* chosen, int* candidates,
-    std::vector<SummaryTablePtr>* used_refs, QueryDegradation* degradation,
-    QueryTrace* trace,
-    std::shared_ptr<const matching::CompensationPlan>* compensation) {
-  *candidates = 0;
+    const qgm::Graph& query, const std::vector<AstStanding>& asts,
+    const engine::Storage::Snapshot& snap, CachedPlan* record,
+    QueryDegradation* degradation, QueryTrace* trace) {
   // EXPLAIN REWRITE also reports, per AST, what the next eager append to
   // each of its base tables would do — merge the delta, catch up by merging
   // the retained slices too, or recompute for the analysis' or the lag
   // check's reason — computed once (round 0) and only when tracing.
-  auto maintenance_verdict = [this, &snap](const SummaryTable& st) {
-    StatusOr<Lag> lag = LagOf(st, snap);
+  auto maintenance_verdict = [](const AstStanding& ast) {
+    const StatusOr<Lag>& lag = ast.lag;
     std::string verdict;
-    for (const std::string& table : matching::LeafBaseTables(st.graph)) {
+    for (const std::string& table : matching::LeafBaseTables(ast.st->graph)) {
       StatusOr<matching::DeltaMerge> plan =
-          maintenance::AnalyzeMergePlan(st.graph, table);
+          maintenance::AnalyzeMergePlan(ast.st->graph, table);
       if (!verdict.empty()) verdict += ", ";
       verdict += table;
       verdict += "=";
@@ -631,51 +655,45 @@ std::unique_ptr<qgm::Graph> Database::TryRewrite(
     SummaryTablePtr best_st;
     std::vector<AstAttemptTrace> attempts;  // this round's, when tracing
     int best_attempt = -1;                  // index into `attempts`
-    for (const auto& st : summary_tables_) {
-      if (!UsableForRewrite(*st, options.allow_stale_reads)) {
-        bool disabled = st->disabled.load(std::memory_order_acquire);
-        bool try_comp = round == 0 && !disabled;
-        if (!try_comp) {
-          if (trace != nullptr && round == 0) {
-            trace->AddNote("ast '" + st->name + "' skipped: " +
-                           (disabled ? "quarantined" : "stale"));
-          }
-          continue;
+    for (const AstStanding& ast : asts) {
+      const SummaryTablePtr& st = ast.st;
+      const AstPlanState::Kind kind = ast.state.kind;
+      if (kind == AstPlanState::Kind::kQuarantined) {
+        if (trace != nullptr && round == 0) {
+          trace->AddNote("ast '" + st->name + "' skipped: quarantined");
         }
-        AstAttemptTrace attempt;
-        AstAttemptTrace* attempt_ptr = nullptr;
-        if (trace != nullptr) {
-          attempt.ast_name = st->name;
-          attempt.round = round;
-          attempt.cost_before = static_cast<double>(current_cost);
-          attempt.maintenance = maintenance_verdict(*st);
-          attempt_ptr = &attempt;
-        }
-        // Compensation needs the lag to be retained appends on one table
-        // (each leg merges one AST leg with one delta leg).
-        StatusOr<Lag> lag = LagOf(*st, snap);
-        if (!lag.ok()) {
-          if (trace != nullptr) {
-            attempt.reason = RejectReasonFromStatus(lag.status());
-            attempt.detail = lag.status().ToString();
-            attempt.compensation = RejectReasonToken(attempt.reason);
-          }
-        } else if (try_blocks(st, *lag, attempt_ptr)) {
-          ++*candidates;
-        }
-        if (trace != nullptr) attempts.push_back(std::move(attempt));
         continue;
       }
-      matching::SummaryTableDef def{st->name, &st->graph};
+      // Lagging and unusable ASTs get one attempt, at compensation, in
+      // round 0.
+      const bool usable = kind == AstPlanState::Kind::kFresh ||
+                          kind == AstPlanState::Kind::kTolerated;
+      if (!usable && round > 0) continue;
       AstAttemptTrace attempt;
       AstAttemptTrace* attempt_ptr = nullptr;
       if (trace != nullptr) {
         attempt.ast_name = st->name;
         attempt.round = round;
         attempt.cost_before = static_cast<double>(current_cost);
-        if (round == 0) attempt.maintenance = maintenance_verdict(*st);
+        if (round == 0) attempt.maintenance = maintenance_verdict(ast);
         attempt_ptr = &attempt;
       }
+      if (!usable) {
+        // Compensation needs the lag to be retained appends on one table
+        // (each leg merges one AST leg with one delta leg).
+        if (!ast.lag.ok()) {
+          if (trace != nullptr) {
+            attempt.reason = RejectReasonFromStatus(ast.lag.status());
+            attempt.detail = ast.lag.status().ToString();
+            attempt.compensation = RejectReasonToken(attempt.reason);
+          }
+        } else if (try_blocks(st, *ast.lag, attempt_ptr)) {
+          ++record->candidate_rewrites;
+        }
+        if (trace != nullptr) attempts.push_back(std::move(attempt));
+        continue;
+      }
+      matching::SummaryTableDef def{st->name, &st->graph};
       StatusOr<matching::RewriteResult> rewrite = matching::RewriteQuery(
           current != nullptr ? *current : query, def, catalog_, attempt_ptr,
           trace);
@@ -706,7 +724,7 @@ std::unique_ptr<qgm::Graph> Database::TryRewrite(
         }
         continue;
       }
-      if (round == 0) ++*candidates;
+      if (round == 0) ++record->candidate_rewrites;
       int64_t cost = LeafRowCost(rewrite->graph, snap);
       // The first round takes any match (<=): even a same-size SPJ summary
       // table is worth using (filters/expressions are precomputed). Later
@@ -775,9 +793,9 @@ std::unique_ptr<qgm::Graph> Database::TryRewrite(
         }
         MetricsRegistry::Global().counter("rewrite.rewritten")->Increment();
         MetricsRegistry::Global().counter("rewrite.compensated")->Increment();
-        *chosen = Join(names, "+");
-        *used_refs = std::move(comp_asts);
-        *compensation = std::move(comp);
+        record->summary_table = Join(names, "+");
+        record->used_asts = std::move(names);
+        record->compensation = std::move(comp);
         return nullptr;
       }
       if (trace != nullptr) {
@@ -802,10 +820,8 @@ std::unique_ptr<qgm::Graph> Database::TryRewrite(
   if (current != nullptr) {
     MetricsRegistry::Global().counter("rewrite.rewritten")->Increment();
   }
-  std::vector<std::string> names;
-  for (const SummaryTablePtr& st : used) names.push_back(st->name);
-  *chosen = Join(names, "+");
-  *used_refs = std::move(used);
+  for (const SummaryTablePtr& st : used) record->used_asts.push_back(st->name);
+  record->summary_table = Join(record->used_asts, "+");
   return current;
 }
 
@@ -848,6 +864,120 @@ StatusOr<QueryResult> Database::Query(const std::string& sql,
   return QuerySelect(sql, std::move(tokens), options);
 }
 
+ShardedPlanCache::PlanPtr Database::LookupPlan(
+    const std::string& key, const sql::SqlTemplate& tmpl,
+    const std::vector<AstStanding>& asts, int64_t generation,
+    QueryTrace* trace) {
+  ShardedPlanCache::PlanPtr cached;
+  std::string detail;
+  ShardedPlanCache::Lookup lookup = plan_cache_.Find(
+      key, tmpl.params,
+      [&](const std::vector<std::string>& tables) {
+        return PlanContextOf(asts, tables, generation);
+      },
+      &cached, &detail);
+  if (trace != nullptr) {
+    PlanCacheOutcome outcome = PlanCacheFate(lookup, cached.get(), &detail);
+    trace->SetPlanCache(outcome, std::move(detail), tmpl.text);
+  }
+  return lookup == ShardedPlanCache::Lookup::kHit ? cached : nullptr;
+}
+
+StatusOr<std::shared_ptr<CachedPlan>> Database::CompilePlan(
+    std::vector<sql::Token> tokens, std::vector<Value> params,
+    const std::vector<AstStanding>& asts,
+    const engine::Storage::Snapshot& snap, int64_t generation,
+    const QueryOptions& options, QueryTrace* trace,
+    QueryDegradation* degradation) {
+  static Histogram* parse_hist =
+      MetricsRegistry::Global().histogram("phase.parse");
+  static Histogram* build_hist =
+      MetricsRegistry::Global().histogram("phase.qgm_build");
+  static Histogram* rewrite_hist =
+      MetricsRegistry::Global().histogram("phase.rewrite");
+  // Notes any step below that reads a slot literal's value.
+  expr::SlotReadScope slot_reads;
+  int64_t t0 = MonotonicNanos();
+  SUMTAB_ASSIGN_OR_RETURN(std::shared_ptr<sql::SelectStmt> stmt,
+                          sql::ParseTokens(std::move(tokens)));
+  int64_t t1 = MonotonicNanos();
+  SUMTAB_ASSIGN_OR_RETURN(qgm::Graph graph, qgm::BuildGraph(*stmt, catalog_));
+  int64_t t2 = MonotonicNanos();
+  parse_hist->Record((t1 - t0) / 1000);
+  build_hist->Record((t2 - t1) / 1000);
+  if (trace != nullptr) {
+    trace->RecordPhaseMicros(QueryTrace::kPhaseParse, (t1 - t0) / 1000);
+    trace->RecordPhaseMicros(QueryTrace::kPhaseQgmBuild, (t2 - t1) / 1000);
+  }
+  auto record = std::make_shared<CachedPlan>();
+  record->base = std::make_shared<const qgm::Graph>(std::move(graph));
+  record->plan = record->base;
+  record->leaf_tables = LeafTables(*record->base);
+  record->context = PlanContextOf(asts, record->leaf_tables, generation);
+  record->params = std::move(params);
+  // What the rewritten SQL renders: the rewrite, or a compensation plan's
+  // AST legs in place of its merge nodes, the closest single-statement
+  // rendering of that plan.
+  const qgm::Graph* sql_graph = nullptr;
+  std::optional<qgm::Graph> legs;
+  if (options.enable_rewrite) {
+    int64_t rw0 = MonotonicNanos();
+    std::unique_ptr<qgm::Graph> rewritten =
+        TryRewrite(*record->base, asts, snap, record.get(), degradation, trace);
+    int64_t rw_micros = (MonotonicNanos() - rw0) / 1000;
+    rewrite_hist->Record(rw_micros);
+    if (trace != nullptr) {
+      trace->RecordPhaseMicros(QueryTrace::kPhaseRewrite, rw_micros);
+    }
+    if (rewritten != nullptr) {
+      StatusOr<std::string> new_sql = qgm::ToSql(*rewritten);
+      if (new_sql.ok()) {
+        record->used_summary_table = true;
+        record->rewritten_sql = std::move(*new_sql);
+        record->plan = std::move(rewritten);
+        sql_graph = record->plan.get();
+      } else {
+        // The rewrite can't be rendered/executed: degrade to base tables.
+        for (const std::string& name : record->used_asts) {
+          RecordAstFailure(FindStanding(asts, name)->st.get());
+        }
+        degradation->degraded = true;
+        degradation->stage = "rewrite";
+        degradation->summary_table = std::move(record->summary_table);
+        if (!degradation->message.empty()) degradation->message += "; ";
+        degradation->message += new_sql.status().ToString();
+        record->summary_table.clear();
+        record->used_asts.clear();
+      }
+    } else if (record->compensation != nullptr) {
+      record->plan = nullptr;
+      legs = matching::AstLegsGraph(*record->compensation);
+      sql_graph = &*legs;
+      StatusOr<std::string> leg_sql = qgm::ToSql(*legs);
+      record->used_summary_table = true;
+      record->rewritten_sql = leg_sql.ok() ? std::move(*leg_sql) : "";
+    }
+  }
+  if (slot_reads.first_read() != nullptr) {
+    record->literal_read = slot_reads.first_read();
+  }
+  if (record->literal_read.empty() && !record->params.empty() &&
+      !record->rewritten_sql.empty()) {
+    // Cut the SQL at its slots, so a hit renders its own literals. A string
+    // literal that holds the cut marker leaves it uncut, and the plan then
+    // serves only these literals.
+    StatusOr<qgm::SlottedSql> slotted =
+        qgm::ToSlottedSql(*sql_graph, record->params.size());
+    if (slotted.ok() &&
+        slotted->Render(record->params) == record->rewritten_sql) {
+      record->rewritten_sql_slots = std::move(*slotted);
+    } else {
+      record->literal_read = "rewritten sql";
+    }
+  }
+  return record;
+}
+
 StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
                                             std::vector<sql::Token> tokens,
                                             const QueryOptions& options) {
@@ -858,12 +988,6 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
       MetricsRegistry::Global().counter("query.rewritten");
   static Histogram* total_hist =
       MetricsRegistry::Global().histogram("query.latency");
-  static Histogram* parse_hist =
-      MetricsRegistry::Global().histogram("phase.parse");
-  static Histogram* build_hist =
-      MetricsRegistry::Global().histogram("phase.qgm_build");
-  static Histogram* rewrite_hist =
-      MetricsRegistry::Global().histogram("phase.rewrite");
   static Histogram* execute_hist =
       MetricsRegistry::Global().histogram("phase.execute");
   queries->Increment();
@@ -879,184 +1003,78 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
   const std::string normalized =
       options.record_workload ? NormalizeSqlText(sql) : std::string();
   std::string cache_key;
-  ShardedPlanCache::PlanPtr cached;            // set on a hit
-  std::shared_ptr<const qgm::Graph> plan;      // the graph to execute
-  std::shared_ptr<const qgm::Graph> original;  // base-table form, fallback
-  std::vector<SummaryTablePtr> used;  // ASTs the plan splices in (pinned)
-  // Non-null when the query is served by per-block delta compensation
-  // (stale ASTs + retained deltas); `plan` stays null then and `original`
-  // holds the base-table fallback. comp_lags[i] is leg i's AST's lag in
-  // `snap`: the epochs its delta leg covers.
-  std::shared_ptr<const matching::CompensationPlan> comp;
-  std::vector<compensation::EpochRange> comp_lags;
-  int64_t comp_delta_rows = 0;
-  // The compensated plan's AST legs as one graph, on the compile path: what
-  // its rewritten SQL renders.
-  std::optional<qgm::Graph> comp_sql_graph;
-  bool was_rewritten = false;
-  // Leaf rows a base-table plan scans (against the pinned snapshot): the
-  // workload log's direct-cost figure.
-  int64_t base_leaf_rows = 0;
+  ShardedPlanCache::PlanPtr record;  // shared with the cache on a hit
+  bool compiled = false;
   engine::Storage::Snapshot snap;
-  int64_t plan_generation = 0;
-  // What a compile-path plan is memoized under (step 3).
-  std::vector<std::string> leaf_tables;
-  PlanContext plan_context;
-  std::string literal_read;  // the search's first read of a slot's value
+  std::vector<SummaryTablePtr> used;  // ASTs the plan reads (pinned)
+  // Each compensation leg's epoch range: its AST's lag at this snapshot.
+  std::vector<compensation::EpochRange> comp_lags;
 
-  // Planning happens under the shared catalog lock: pin the storage
-  // snapshot every later step reads, capture the generation, consult the
-  // cache, and (on a miss) run parse -> QGM build -> match search. Loads and
-  // DDL (exclusive holders) are ordered entirely before or after this block.
+  // 1. Plan under the shared catalog lock: pin the storage snapshot every
+  //    later step reads, classify the ASTs at it, then look the plan up or
+  //    compile it. Loads and DDL (exclusive holders) are ordered entirely
+  //    before or after this block.
   {
     std::shared_lock<std::shared_mutex> lock(ddl_mu_);
     snap = storage_.Snap();
-    plan_generation = catalog_generation_.load(std::memory_order_acquire);
-
-    // 1. Plan-cache lookup: a hit skips parse -> QGM build -> match search.
+    const int64_t generation =
+        catalog_generation_.load(std::memory_order_acquire);
+    const std::vector<AstStanding> asts = Standings(snap, options);
     if (options.enable_plan_cache) {
       cache_key = PlanCacheKey(tmpl, options);
-      std::string detail;
-      ShardedPlanCache::Lookup lookup = plan_cache_.Find(
-          cache_key, tmpl.params,
-          [&](const std::vector<std::string>& tables) {
-            return PlanningContext(tables, snap, plan_generation, options);
-          },
-          &cached, &detail);
-      if (trace != nullptr) {
-        PlanCacheOutcome outcome = PlanCacheFate(lookup, cached.get(), &detail);
-        trace->SetPlanCache(outcome, std::move(detail), tmpl.text);
-      }
-      if (lookup == ShardedPlanCache::Lookup::kHit) {
-        result.plan_cache_hit = true;
-        result.used_summary_table = cached->used_summary_table;
-        result.summary_table = cached->summary_table;
-        result.candidate_rewrites = cached->candidate_rewrites;
-        // The context check just vouched for these ASTs under this same
-        // lock, so the lookups cannot miss; pin them for post-execution
-        // bookkeeping.
-        for (const std::string& name : cached->used_asts) {
-          if (SummaryTablePtr st = FindSummaryTable(name)) {
-            used.push_back(std::move(st));
-          }
-        }
-        was_rewritten = cached->used_summary_table;
-        base_leaf_rows = LeafRows(cached->leaf_tables, snap);
-        // Other literals than the plan's own: bind them into copies of the
-        // graphs (a literal-sensitive plan never gets here with other ones).
-        const bool rebind = cached->params != tmpl.params;
-        result.rewritten_sql =
-            rebind && !cached->rewritten_sql_slots.pieces.empty()
-                ? cached->rewritten_sql_slots.Render(tmpl.params)
-                : cached->rewritten_sql;
-        comp = cached->compensation;
-        if (rebind && comp != nullptr) {
-          comp = std::make_shared<const matching::CompensationPlan>(
-              matching::BindSlots(*comp, tmpl.params));
-        }
-        // A compensation entry's graph is the base-table fallback.
-        (comp != nullptr ? original : plan) =
-            rebind ? std::make_shared<const qgm::Graph>(
-                         qgm::BindSlots(*cached->plan, tmpl.params))
-                   : cached->plan;
-      }
+      record = LookupPlan(cache_key, tmpl, asts, generation, trace);
     }
-
-    // 2. Compile path (miss / invalidated / cache disabled).
-    if (plan == nullptr && comp == nullptr) {
-      // Notes any step below that reads a slot literal's value.
-      expr::SlotReadScope slot_reads;
-      int64_t t0 = MonotonicNanos();
-      SUMTAB_ASSIGN_OR_RETURN(std::shared_ptr<sql::SelectStmt> stmt,
-                              sql::ParseTokens(std::move(tokens)));
-      int64_t t1 = MonotonicNanos();
-      SUMTAB_ASSIGN_OR_RETURN(qgm::Graph graph,
-                              qgm::BuildGraph(*stmt, catalog_));
-      int64_t t2 = MonotonicNanos();
-      parse_hist->Record((t1 - t0) / 1000);
-      build_hist->Record((t2 - t1) / 1000);
-      if (trace != nullptr) {
-        trace->RecordPhaseMicros(QueryTrace::kPhaseParse, (t1 - t0) / 1000);
-        trace->RecordPhaseMicros(QueryTrace::kPhaseQgmBuild, (t2 - t1) / 1000);
-      }
-      original = std::make_shared<const qgm::Graph>(std::move(graph));
-      leaf_tables = LeafTables(*original);
-      base_leaf_rows = LeafRows(leaf_tables, snap);
-      if (options.enable_plan_cache) {
-        plan_context =
-            PlanningContext(leaf_tables, snap, plan_generation, options);
-      }
-      if (options.enable_rewrite) {
-        std::string chosen;
-        int64_t rw0 = MonotonicNanos();
-        std::unique_ptr<qgm::Graph> rewritten =
-            TryRewrite(*original, snap, options, &chosen,
-                       &result.candidate_rewrites, &used, &result.degradation,
-                       trace, &comp);
-        int64_t rw_micros = (MonotonicNanos() - rw0) / 1000;
-        rewrite_hist->Record(rw_micros);
-        if (trace != nullptr) {
-          trace->RecordPhaseMicros(QueryTrace::kPhaseRewrite, rw_micros);
-        }
-        if (rewritten != nullptr) {
-          StatusOr<std::string> new_sql = qgm::ToSql(*rewritten);
-          if (new_sql.ok()) {
-            result.used_summary_table = true;
-            result.summary_table = chosen;
-            result.rewritten_sql = std::move(*new_sql);
-            was_rewritten = true;
-            plan = std::move(rewritten);
-          } else {
-            // The rewrite can't be rendered/executed: degrade to base tables.
-            for (const SummaryTablePtr& st : used) RecordAstFailure(st.get());
-            result.degradation.degraded = true;
-            result.degradation.stage = "rewrite";
-            result.degradation.summary_table = chosen;
-            if (!result.degradation.message.empty()) {
-              result.degradation.message += "; ";
-            }
-            result.degradation.message += new_sql.status().ToString();
-            used.clear();
-          }
-        } else if (comp != nullptr) {
-          // Compensation won the search. Its AST legs in place of the merge
-          // nodes are the closest single-statement rendering of the plan.
-          comp_sql_graph = matching::AstLegsGraph(*comp);
-          StatusOr<std::string> leg_sql = qgm::ToSql(*comp_sql_graph);
-          result.used_summary_table = true;
-          result.summary_table = chosen;
-          result.rewritten_sql = leg_sql.ok() ? std::move(*leg_sql) : "";
-          was_rewritten = true;
-        }
-      }
-      if (plan == nullptr && comp == nullptr) {
-        plan = original;
-        used.clear();
-      }
-      if (slot_reads.first_read() != nullptr) {
-        literal_read = slot_reads.first_read();
-      }
+    if (record == nullptr) {
+      SUMTAB_ASSIGN_OR_RETURN(
+          record,
+          CompilePlan(std::move(tokens), std::move(tmpl.params), asts, snap,
+                      generation, options, trace, &result.degradation));
+      compiled = true;
     }
-
-    // Each delta leg covers its AST's lag at this snapshot, not the lag it
-    // had when the plan was made: an equal planning context guarantees only
-    // the same stale table and the same number of epochs.
-    if (comp != nullptr) {
-      for (const matching::CompensationLeg& leg : comp->legs) {
-        auto st = std::find_if(used.begin(), used.end(),
-                               [&leg](const SummaryTablePtr& ast) {
-                                 return ast->name == leg.summary_table;
-                               });
-        if (st == used.end()) {
-          return Status::Internal("compensation leg over unpinned ast '" +
-                                  leg.summary_table + "'");
-        }
-        SUMTAB_ASSIGN_OR_RETURN(Lag lag, LagOf(**st, snap));
+    // A hit's context check vouched for these ASTs under this same lock,
+    // so they are all registered. Each delta leg covers its AST's lag at
+    // this snapshot, not the lag it had when the plan was made: an equal
+    // planning context guarantees only the same stale table and the same
+    // number of epochs.
+    for (const std::string& name : record->used_asts) {
+      const AstStanding* ast = FindStanding(asts, name);
+      if (ast == nullptr) {
+        return Status::Internal("plan over unregistered ast '" + name + "'");
+      }
+      used.push_back(ast->st);
+    }
+    if (record->compensation != nullptr) {
+      for (const matching::CompensationLeg& leg : record->compensation->legs) {
+        SUMTAB_ASSIGN_OR_RETURN(
+            Lag lag, FindStanding(asts, leg.summary_table)->lag);
         comp_lags.push_back(compensation::EpochRange{lag.from, lag.to});
       }
     }
   }  // ddl_mu_ released — execution must not hold the catalog lock.
 
+  // 2. Bind the query's literals into what it runs, when they are not the
+  //    plan's own (a literal-sensitive plan never gets here with others).
+  const bool rebind = !compiled && record->params != tmpl.params;
+  auto bound = [&](const std::shared_ptr<const qgm::Graph>& graph) {
+    return rebind ? std::make_shared<const qgm::Graph>(
+                        qgm::BindSlots(*graph, tmpl.params))
+                  : graph;
+  };
+  std::shared_ptr<const matching::CompensationPlan> comp =
+      record->compensation;
+  if (rebind && comp != nullptr) {
+    comp = std::make_shared<const matching::CompensationPlan>(
+        matching::BindSlots(*comp, tmpl.params));
+  }
+  result.plan_cache_hit = !compiled;
+  result.used_summary_table = record->used_summary_table;
+  result.summary_table = record->summary_table;
+  result.candidate_rewrites = record->candidate_rewrites;
+  result.rewritten_sql = rebind && !record->rewritten_sql_slots.pieces.empty()
+                             ? record->rewritten_sql_slots.Render(tmpl.params)
+                             : record->rewritten_sql;
+
+  // 3. Execute.
   engine::ExecOptions exec_options;
   exec_options.max_rows = options.max_rows;
   exec_options.timeout_millis = options.timeout_millis;
@@ -1067,19 +1085,20 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
           : std::min(options.max_threads, 128);
   exec_options.trace = trace;
   int64_t exec_start = MonotonicNanos();
+  int64_t comp_delta_rows = 0;
   StatusOr<engine::Relation> data =
       comp != nullptr
           ? compensation::ExecuteCompensationPlan(*comp, comp_lags, snap,
                                                   exec_options,
                                                   &comp_delta_rows)
-          : engine::Executor(snap, exec_options).Execute(*plan);
-  if (!data.ok() && was_rewritten) {
+          : engine::Executor(snap, exec_options).Execute(*bound(record->plan));
+  if (!data.ok() && record->used_summary_table) {
     // Graceful degradation: the rewritten plan failed, so fall back to the
     // base tables — a summary table is an optimization, never a requirement.
     // The retry runs against the SAME pinned snapshot, so the answer still
     // reflects one consistent point in time.
     for (const SummaryTablePtr& st : used) RecordAstFailure(st.get());
-    if (cached != nullptr) plan_cache_.Forget(cache_key, cached.get());
+    if (!compiled) plan_cache_.Forget(cache_key, record.get());
     result.degradation.degraded = true;
     result.degradation.stage = "execute";
     result.degradation.summary_table = result.summary_table;
@@ -1089,19 +1108,7 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
     result.summary_table.clear();
     result.rewritten_sql.clear();
     comp.reset();  // the retry answers from base tables, not the deltas
-    if (original == nullptr) {
-      // Cache hit: the base-table form was never built this call. Re-parse
-      // under the shared lock (the catalog may be newer than the snapshot;
-      // for the table/column facts parsing needs, that is compatible).
-      std::shared_lock<std::shared_mutex> lock(ddl_mu_);
-      SUMTAB_ASSIGN_OR_RETURN(std::shared_ptr<sql::SelectStmt> stmt,
-                              sql::Parse(sql));
-      SUMTAB_ASSIGN_OR_RETURN(qgm::Graph graph,
-                              qgm::BuildGraph(*stmt, catalog_));
-      original = std::make_shared<const qgm::Graph>(std::move(graph));
-    }
-    engine::Executor retry(snap, exec_options);
-    data = retry.Execute(*original);
+    data = engine::Executor(snap, exec_options).Execute(*bound(record->base));
   }
   {
     int64_t exec_micros = (MonotonicNanos() - exec_start) / 1000;
@@ -1111,14 +1118,13 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
     }
   }
   if (!data.ok()) return data.status();
+
+  // 4. Bookkeeping.
   if (result.used_summary_table) {
     rewritten_queries->Increment();
     if (trace != nullptr) {
       trace->SetChosen(result.summary_table, result.rewritten_sql);
     }
-  }
-  if (result.degradation.degraded) degraded_queries->Increment();
-  if (result.used_summary_table) {
     // Serving through the AST(s) worked: clear their failure streaks and
     // credit the hit (the advisor's auto-DROP lifecycle reads these).
     for (const SummaryTablePtr& st : used) {
@@ -1126,7 +1132,8 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
       st->rewrite_hits.fetch_add(1, std::memory_order_acq_rel);
     }
   }
-  if (comp != nullptr && result.used_summary_table) {
+  if (result.degradation.degraded) degraded_queries->Increment();
+  if (comp != nullptr) {
     static Counter* compensated_counter =
         MetricsRegistry::Global().counter("query.compensated");
     static Counter* compensated_rows_counter =
@@ -1150,58 +1157,28 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
                      " block(s)");
     }
   }
-  // 3. Memoize the decision — only a plan that parsed, matched, and executed
-  //    cleanly this call (a fallback plan is not the search's answer). The
-  //    entry is stamped with the planning context observed under the
-  //    planning lock, so a load/DDL that raced past us misses it on the next
-  //    lookup instead of serving a stale decision as current.
-  if (options.enable_plan_cache && cached == nullptr &&
-      !result.degradation.degraded) {
-    auto entry = std::make_shared<CachedPlan>();
-    // Compensation entries keep the base-table form as the fallback graph;
-    // the compensation plan itself is immutable and shared across hits.
-    entry->plan = comp != nullptr ? original : plan;
-    entry->used_summary_table = result.used_summary_table;
-    entry->summary_table = result.summary_table;
-    entry->rewritten_sql = result.rewritten_sql;
-    entry->params = std::move(tmpl.params);
-    entry->literal_read = std::move(literal_read);
-    if (entry->literal_read.empty() && !entry->params.empty() &&
-        !entry->rewritten_sql.empty()) {
-      // Cut the SQL at its slots, so a hit renders its own literals. A
-      // string literal that holds the cut marker leaves it uncut, and the
-      // plan then serves only these literals.
-      StatusOr<qgm::SlottedSql> slotted = qgm::ToSlottedSql(
-          comp != nullptr ? *comp_sql_graph : *plan, entry->params.size());
-      if (slotted.ok() &&
-          slotted->Render(entry->params) == entry->rewritten_sql) {
-        entry->rewritten_sql_slots = std::move(*slotted);
-      } else {
-        entry->literal_read = "rewritten sql";
-      }
-    }
-    entry->candidate_rewrites = result.candidate_rewrites;
-    for (const SummaryTablePtr& st : used) entry->used_asts.push_back(st->name);
-    entry->compensation = comp;
-    entry->leaf_tables = std::move(leaf_tables);
-    entry->context = std::move(plan_context);
-    plan_cache_.Insert(cache_key, std::move(entry));
+  // Memoize only a plan this call compiled, whose search did not degrade
+  // and which executed cleanly (a fallback plan is not the search's
+  // answer). It carries the planning context observed under the planning
+  // lock, so a load/DDL that raced past us misses it on the next lookup
+  // instead of serving a stale decision as current.
+  if (options.enable_plan_cache && compiled && !result.degradation.degraded) {
+    plan_cache_.Insert(cache_key, record);
   }
-  // 4. Feed the workload log — the advisor's input. Off for the advisor's
-  //    own sizing probes (record_workload=false) so tuning doesn't observe
-  //    itself.
+  // Feed the workload log — the advisor's input. Off for the advisor's own
+  // sizing probes (record_workload=false) so tuning doesn't observe itself.
   if (options.record_workload) {
     queries_observed_.fetch_add(1, std::memory_order_acq_rel);
     sumtab::WorkloadLog::QueryObservation obs;
     obs.normalized_sql = normalized;
-    obs.base_leaf_rows = base_leaf_rows;
+    obs.base_leaf_rows = LeafRows(record->leaf_tables, snap);
     obs.rewritten = result.used_summary_table;
     obs.compensated = result.compensated;
     if (!obs.rewritten) {
       obs.reject =
           result.candidate_rewrites > 0 ? "costlier_than_base" : "no_match";
     }
-    for (const SummaryTablePtr& st : used) obs.used_asts.push_back(st->name);
+    obs.used_asts = record->used_asts;
     workload_log_.RecordQuery(obs);
   }
   result.relation = std::move(*data);
@@ -1210,60 +1187,30 @@ StatusOr<QueryResult> Database::QuerySelect(const std::string& sql,
 
 StatusOr<std::string> Database::ExplainRewrite(const std::string& sql,
                                                const QueryOptions& options) {
+  SUMTAB_ASSIGN_OR_RETURN(std::vector<sql::Token> tokens, sql::Lex(sql));
   QueryTrace trace;
   std::shared_lock<std::shared_mutex> lock(ddl_mu_);
-  engine::Storage::Snapshot snap = storage_.Snap();
-  int64_t generation = catalog_generation_.load(std::memory_order_acquire);
-
+  const engine::Storage::Snapshot snap = storage_.Snap();
+  const int64_t generation =
+      catalog_generation_.load(std::memory_order_acquire);
+  const std::vector<AstStanding> asts = Standings(snap, options);
   // Plan-cache fate first, exactly as Query() would see it. This is a real
   // lookup — a hit refreshes the LRU, plans of a dead generation are
   // dropped — but EXPLAIN never inserts, so explaining cannot seed the cache
-  // with an unexecuted plan.
+  // with an unexecuted plan. The plan itself is compiled afresh, traced.
+  sql::SqlTemplate tmpl;
   if (options.enable_plan_cache) {
-    SUMTAB_ASSIGN_OR_RETURN(std::vector<sql::Token> tokens, sql::Lex(sql));
-    sql::SqlTemplate tmpl = sql::Templatize(&tokens);
-    ShardedPlanCache::PlanPtr cached;
-    std::string detail;
-    ShardedPlanCache::Lookup lookup = plan_cache_.Find(
-        PlanCacheKey(tmpl, options), tmpl.params,
-        [&](const std::vector<std::string>& tables) {
-          return PlanningContext(tables, snap, generation, options);
-        },
-        &cached, &detail);
-    PlanCacheOutcome outcome = PlanCacheFate(lookup, cached.get(), &detail);
-    trace.SetPlanCache(outcome, std::move(detail), std::move(tmpl.text));
+    tmpl = sql::Templatize(&tokens);
+    LookupPlan(PlanCacheKey(tmpl, options), tmpl, asts, generation, &trace);
   }
-
-  int64_t t0 = MonotonicNanos();
-  SUMTAB_ASSIGN_OR_RETURN(std::shared_ptr<sql::SelectStmt> stmt,
-                          sql::Parse(sql));
-  int64_t t1 = MonotonicNanos();
-  SUMTAB_ASSIGN_OR_RETURN(qgm::Graph graph, qgm::BuildGraph(*stmt, catalog_));
-  int64_t t2 = MonotonicNanos();
-  trace.RecordPhaseMicros(QueryTrace::kPhaseParse, (t1 - t0) / 1000);
-  trace.RecordPhaseMicros(QueryTrace::kPhaseQgmBuild, (t2 - t1) / 1000);
-
-  std::string chosen;
-  int candidates = 0;
-  std::vector<SummaryTablePtr> used;
   QueryDegradation degradation;
-  int64_t rw0 = MonotonicNanos();
-  std::unique_ptr<qgm::Graph> rewritten;
-  std::shared_ptr<const matching::CompensationPlan> comp;
-  if (options.enable_rewrite) {
-    rewritten = TryRewrite(graph, snap, options, &chosen, &candidates, &used,
-                           &degradation, &trace, &comp);
-  } else {
-    trace.AddNote("rewriting disabled by options");
-  }
-  trace.RecordPhaseMicros(QueryTrace::kPhaseRewrite,
-                          (MonotonicNanos() - rw0) / 1000);
-  if (rewritten != nullptr) {
-    StatusOr<std::string> new_sql = qgm::ToSql(*rewritten);
-    trace.SetChosen(chosen, new_sql.ok() ? *new_sql : "");
-  } else if (comp != nullptr) {
-    StatusOr<std::string> leg_sql = qgm::ToSql(matching::AstLegsGraph(*comp));
-    trace.SetChosen(chosen, leg_sql.ok() ? *leg_sql : "");
+  SUMTAB_ASSIGN_OR_RETURN(
+      std::shared_ptr<CachedPlan> record,
+      CompilePlan(std::move(tokens), std::move(tmpl.params), asts, snap,
+                  generation, options, &trace, &degradation));
+  if (!options.enable_rewrite) trace.AddNote("rewriting disabled by options");
+  if (record->used_summary_table) {
+    trace.SetChosen(record->summary_table, record->rewritten_sql);
   }
   if (degradation.degraded) {
     trace.AddNote("degraded (" + degradation.stage +
@@ -1285,7 +1232,7 @@ StatusOr<std::string> Database::ExplainRewrite(const std::string& sql,
   }
 
   std::string out = "== EXPLAIN REWRITE ==\n";
-  out += "candidates: " + std::to_string(candidates) + "\n";
+  out += "candidates: " + std::to_string(record->candidate_rewrites) + "\n";
   out += trace.ToString();
   return out;
 }

@@ -425,34 +425,85 @@ class Database {
   /// options that change the plan graph.
   static std::string PlanCacheKey(const sql::SqlTemplate& tmpl,
                                   const QueryOptions& options);
-  /// The planning context (plan_cache.h) of a query over `leaf_tables`
-  /// under `options`: `generation` plus the state in `snap` of every AST
-  /// that reads one of the tables, classified the way TryRewrite's search
-  /// treats it. Caller holds ddl_mu_ (shared), since it reads the registry.
-  PlanContext PlanningContext(const std::vector<std::string>& leaf_tables,
-                              const engine::Storage::Snapshot& snap,
-                              int64_t generation,
-                              const QueryOptions& options) const;
   /// DDL/AST-lifecycle change: bump the generation so every cached plan made
   /// before it is discarded on next lookup.
   void BumpGeneration();
 
-  /// Best rewrite across the usable (fresh-enough, non-quarantined) ASTs —
-  /// fewest estimated scanned rows against `snap`; null result when none
-  /// matches. An AST whose match/rewrite errors is skipped (failure recorded
-  /// for quarantine accounting and appended to `degradation`) instead of
-  /// failing the search. `used_refs` receives the ASTs spliced into the
-  /// rewrite. Caller holds ddl_mu_ (shared or exclusive).
-  /// `compensation` receives a per-block delta-compensation plan
-  /// when STALE ASTs win via compensation instead; the returned graph is
-  /// then null (the plan carries its residual and leg graphs) and
-  /// `used_refs` receives the ASTs its legs read.
-  std::unique_ptr<qgm::Graph> TryRewrite(
-      const qgm::Graph& query, const engine::Storage::Snapshot& snap,
-      const QueryOptions& options, std::string* chosen, int* candidates,
-      std::vector<SummaryTablePtr>* used_refs, QueryDegradation* degradation,
-      QueryTrace* trace,
-      std::shared_ptr<const matching::CompensationPlan>* compensation);
+  /// The base table a summary table lags behind and the lagging epochs
+  /// (from, to]; table empty and from == to when nothing lags.
+  struct Lag {
+    std::string table;
+    int64_t from = 0;
+    int64_t to = 0;
+  };
+  /// One AST's standing at a pinned snapshot (DESIGN.md §8): the one
+  /// classification that the search's branches, the plan-cache context, the
+  /// compensation legs' epoch ranges, maintenance's catch-up and
+  /// GetSummaryTableInfo all read.
+  struct AstStanding {
+    SummaryTablePtr st;
+    /// Which of the search's branches the AST takes, as the planning context
+    /// records it.
+    AstPlanState state;
+    /// Epochs it lags, summed over its base tables.
+    int64_t staleness = 0;
+    /// The one lag check: the lag when it is retained appends on one table —
+    /// the condition for compensating a query through the AST and for
+    /// catching it up by merging the slices. Rejects with
+    /// comp_multi_table_staleness when more than one table lags and with
+    /// comp_delta_unavailable when a lagging epoch has no retained slice.
+    StatusOr<Lag> lag = Lag{};
+  };
+  /// `st`'s standing in `snap`; a lag within its max_staleness, or any lag
+  /// under `allow_stale`, is tolerated. Caller holds ddl_mu_ or maint_mu_.
+  AstStanding Classify(const SummaryTablePtr& st,
+                       const engine::Storage::Snapshot& snap,
+                       bool allow_stale = false) const;
+  /// Every registered AST's standing, in registry order; none when
+  /// `options` turn rewriting off. Caller holds ddl_mu_ (shared).
+  std::vector<AstStanding> Standings(const engine::Storage::Snapshot& snap,
+                                     const QueryOptions& options) const;
+  /// The planning context (plan_cache.h) of a query over `leaf_tables`:
+  /// `generation` plus the standing of every AST that reads one of them.
+  static PlanContext PlanContextOf(const std::vector<AstStanding>& asts,
+                                   const std::vector<std::string>& leaf_tables,
+                                   int64_t generation);
+
+  /// Looks `tmpl` up under `key` in the context `asts` and `generation`
+  /// give, and records the plan-cache fate in `trace` (may be null). Returns
+  /// the shared record on a hit, else null.
+  ShardedPlanCache::PlanPtr LookupPlan(const std::string& key,
+                                       const sql::SqlTemplate& tmpl,
+                                       const std::vector<AstStanding>& asts,
+                                       int64_t generation, QueryTrace* trace);
+  /// Builds the plan record of the SELECT `tokens` (lexed, templatized when
+  /// `params` are its slots' literals) at `snap`: parse, QGM build, the
+  /// rewrite search over `asts`, the rewritten SQL and its slotted cut, and
+  /// the planning context. Query() and ExplainRewrite() both plan through
+  /// it. `degradation` receives what the search had to skip. Caller holds
+  /// ddl_mu_ (shared).
+  StatusOr<std::shared_ptr<CachedPlan>> CompilePlan(
+      std::vector<sql::Token> tokens, std::vector<Value> params,
+      const std::vector<AstStanding>& asts,
+      const engine::Storage::Snapshot& snap, int64_t generation,
+      const QueryOptions& options, QueryTrace* trace,
+      QueryDegradation* degradation);
+
+  /// Best rewrite of `query` across `asts` — fewest estimated scanned rows
+  /// against `snap`; null when none matches. Fresh and tolerated ASTs are
+  /// matched, lagging ones compensated, the rest skipped. An AST whose
+  /// match/rewrite errors is skipped (failure recorded for quarantine
+  /// accounting and appended to `degradation`) instead of failing the
+  /// search. Fills `record`'s summary_table, candidate_rewrites and
+  /// used_asts; when lagging ASTs win via per-block delta compensation
+  /// instead, the returned graph is null and `record->compensation` carries
+  /// the plan. Caller holds ddl_mu_ (shared or exclusive).
+  std::unique_ptr<qgm::Graph> TryRewrite(const qgm::Graph& query,
+                                         const std::vector<AstStanding>& asts,
+                                         const engine::Storage::Snapshot& snap,
+                                         CachedPlan* record,
+                                         QueryDegradation* degradation,
+                                         QueryTrace* trace);
 
   /// Query() body for a plain SELECT (Query() itself also routes
   /// "explain rewrite" statements to ExplainRewrite()); `tokens` is
@@ -461,34 +512,16 @@ class Database {
                                     std::vector<sql::Token> tokens,
                                     const QueryOptions& options);
 
-  /// Epoch lag of `st` summed over its base tables.
-  int64_t StalenessOf(const SummaryTable& st) const;
-  /// The base table a summary table lags behind and the lagging epochs
-  /// (from, to]; table empty and from == to when nothing lags.
-  struct Lag {
-    std::string table;
-    int64_t from = 0;
-    int64_t to = 0;
-  };
-  /// The one lag check: `st`'s lag in `snap`, when it is retained appends
-  /// on one table — the condition for compensating a query through `st` and
-  /// for catching `st` up by merging the slices. Rejects with
-  /// comp_multi_table_staleness when more than one table lags and with
-  /// comp_delta_unavailable when a lagging epoch has no retained slice.
-  StatusOr<Lag> LagOf(const SummaryTable& st,
-                      const engine::Storage::Snapshot& snap) const;
   /// `st`'s stored rows with every retained slice of `table` it lags by and
   /// `delta` (Append's new rows; null on refresh) merged in through the one
   /// delta leg, encoded for publishing. Rejects — and the caller recomputes
-  /// — when `st` is quarantined, LagOf rejects, `st` lags behind another
-  /// table, or the evaluation fails. Caller holds maint_mu_.
-  StatusOr<engine::Batch> CatchUp(const SummaryTable& st,
+  /// — when `st` is quarantined, its lag check rejects, `st` lags behind
+  /// another table, or the evaluation fails. Caller holds maint_mu_.
+  StatusOr<engine::Batch> CatchUp(const SummaryTablePtr& st,
                                   const matching::DeltaMerge& plan,
                                   const std::string& table,
                                   engine::Executor::BatchPtr delta,
                                   const engine::Storage::Snapshot& snap) const;
-  AstState StateOf(const SummaryTable& st) const;
-  bool UsableForRewrite(const SummaryTable& st, bool allow_stale) const;
   /// Counts a rewrite-path failure; quarantines at kQuarantineThreshold.
   void RecordAstFailure(SummaryTable* st);
   /// Marks `st` consistent with the current base epochs and revives it.

@@ -90,50 +90,22 @@ using maintenance::AnalyzeMergePlan;
 
 }  // namespace
 
-StatusOr<Database::Lag> Database::LagOf(
-    const SummaryTable& st, const engine::Storage::Snapshot& snap) const {
-  Lag lag;
-  int lagging = 0;
-  for (const auto& [table, epoch] : st.materialized_epochs) {
-    int64_t current = snap.Epoch(table);
-    if (current <= epoch) continue;
-    ++lagging;
-    lag = Lag{table, epoch, current};
-  }
-  // One delta leg merges into one stored result, so one table may lag.
-  if (lagging > 1) {
-    return RejectUnsupported(RejectReason::kCompMultiTableStaleness,
-                             std::to_string(lagging) +
-                                 " base tables lag behind ast '" + st.name +
-                                 "'");
-  }
-  // Only pure appends are retained: a BulkLoad, or a slice dropped past
-  // kMaxRetainedDeltas, leaves a gap no delta leg can cover.
-  if (!snap.HasDeltaCoverage(lag.table, lag.from, lag.to)) {
-    return RejectUnsupported(
-        RejectReason::kCompDeltaUnavailable,
-        "no contiguous retained deltas for '" + lag.table + "' epochs (" +
-            std::to_string(lag.from) + ", " + std::to_string(lag.to) + "]");
-  }
-  return lag;
-}
-
-StatusOr<engine::Batch> Database::CatchUp(const SummaryTable& st,
+StatusOr<engine::Batch> Database::CatchUp(const SummaryTablePtr& st,
                                           const matching::DeltaMerge& plan,
                                           const std::string& table,
                                           engine::Executor::BatchPtr delta,
                                           const engine::Storage::Snapshot& snap)
     const {
-  if (st.disabled.load(std::memory_order_acquire)) {
+  if (st->disabled.load(std::memory_order_acquire)) {
     // Quarantine means the stored rows are untrusted; no delta fixes them.
-    return Status::InvalidArgument("ast '" + st.name + "' is quarantined");
+    return Status::InvalidArgument("ast '" + st->name + "' is quarantined");
   }
-  SUMTAB_ASSIGN_OR_RETURN(Lag lag, LagOf(st, snap));
+  SUMTAB_ASSIGN_OR_RETURN(Lag lag, Classify(st, snap).lag);
   std::vector<engine::Executor::BatchPtr> slices;
   if (!lag.table.empty()) {
     if (lag.table != table) {
       return RejectUnsupported(RejectReason::kCompMultiTableStaleness,
-                               "ast '" + st.name + "' lags behind '" +
+                               "ast '" + st->name + "' lags behind '" +
                                    lag.table + "', not '" + table + "'");
     }
     slices = snap.DeltaSlices(table, lag.from, lag.to);
@@ -141,15 +113,15 @@ StatusOr<engine::Batch> Database::CatchUp(const SummaryTable& st,
   if (delta != nullptr) slices.push_back(std::move(delta));
   SUMTAB_RETURN_NOT_OK(
       FaultInjector::Instance().Check("maintenance/incremental"));
-  std::shared_ptr<const engine::Batch> current = snap.FindColumnar(st.name);
+  std::shared_ptr<const engine::Batch> current = snap.FindColumnar(st->name);
   if (current == nullptr) {
     return Status::Internal("summary table data missing");
   }
   SUMTAB_ASSIGN_OR_RETURN(
       engine::Batch merged,
-      compensation::MergeDeltaLeg(*current, st.graph, table, slices, plan,
+      compensation::MergeDeltaLeg(*current, st->graph, table, slices, plan,
                                   snap, engine::ExecOptions{}));
-  return storage_.Encode(st.name, std::move(merged));
+  return storage_.Encode(st->name, std::move(merged));
 }
 
 Status Database::RefreshSummaryTable(const std::string& name) {
@@ -174,12 +146,12 @@ Status Database::RefreshSummaryTable(const std::string& name) {
   // quarantined one, BulkLoad staleness, a coverage gap, lag on more than
   // one table, a shape AnalyzeMergePlan rejects.
   const engine::Storage::Snapshot snap = storage_.Snap();
-  StatusOr<Lag> lag = LagOf(*st, snap);
+  StatusOr<Lag> lag = Classify(st, snap).lag;
   StatusOr<engine::Batch> caught_up = Status::NotSupported("not lagging");
   if (lag.ok() && !lag->table.empty()) {
     StatusOr<matching::DeltaMerge> plan =
         AnalyzeMergePlan(st->graph, lag->table);
-    caught_up = plan.ok() ? CatchUp(*st, *plan, lag->table, nullptr, snap)
+    caught_up = plan.ok() ? CatchUp(st, *plan, lag->table, nullptr, snap)
                           : StatusOr<engine::Batch>(plan.status());
   }
   Status refreshed = caught_up.ok()
@@ -312,7 +284,7 @@ StatusOr<Database::MaintenanceReport> Database::Append(
     // on another table, quarantine, and a failed evaluation — the append
     // itself never fails for it.
     StatusOr<engine::Batch> merged =
-        CatchUp(*st, *plan, meta->name, delta, snap);
+        CatchUp(st, *plan, meta->name, delta, snap);
     if (!merged.ok()) {
       recompute.push_back(st.get());
       continue;

@@ -17,8 +17,8 @@
 // the caller's current context equals an entry's; a key found only under
 // other contexts counts as an invalidation, and the cause names the first
 // component that differs. Entries are immutable and shared: a hit copies a
-// pointer, and the caller binds the query's literals into copies of the
-// graphs that hold slots.
+// pointer, and the caller binds the query's literals into a copy of only the
+// graph it runs.
 //
 // Keys hash across kNumShards independent partitions, each with its own
 // mutex, map, LRU list and counters, so unrelated queries proceed in
@@ -80,10 +80,16 @@ struct PlanContext {
 std::string ContextChange(const PlanContext& cached,
                           const PlanContext& current);
 
-/// One memoized rewrite decision (DESIGN.md §8). Immutable once inserted.
+/// One plan record (DESIGN.md §8): the outcome of parse -> QGM build ->
+/// match search -> SQL rendering for one query at one snapshot. Query()
+/// executes it and caches it, EXPLAIN REWRITE renders it. Immutable once
+/// built, so a cache hit shares it.
 struct CachedPlan {
-  /// The graph Query() executes: the rewrite or the base-table form. A
-  /// compensation entry holds the base-table form, its execution fallback.
+  /// The query's base-table form: what a plan that fails to execute falls
+  /// back to.
+  std::shared_ptr<const qgm::Graph> base;
+  /// The graph Query() executes: the rewrite, or `base`. Null when
+  /// `compensation` answers.
   std::shared_ptr<const qgm::Graph> plan;
   bool used_summary_table = false;
   std::string summary_table;

@@ -266,6 +266,87 @@ TEST_F(DurabilityTest, DropSummaryTableSurvivesRestart) {
   EXPECT_FALSE(result->used_summary_table);
 }
 
+// A dropped AST's table entry goes with it, so its name can be defined again
+// — live, after a WAL-only restart and after a checkpoint restart alike.
+class DropRedefineTest : public DurabilityTest {
+ protected:
+  /// `name` is neither an AST nor a table any query can name.
+  void ExpectGone(Database* db, const std::string& name) {
+    EXPECT_EQ(db->catalog().FindTable(name), nullptr);
+    EXPECT_TRUE(db->SummaryTableNames().empty());
+    StatusOr<QueryResult> read = db->Query("select faid from " + name);
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.status().code(), Status::Code::kNotFound);
+    EXPECT_EQ(read.status().message(), "table '" + name + "'");
+  }
+  /// kAstQuery rewrites through `name` and answers as the base tables do.
+  void ExpectRewritesThrough(Database* db, const std::string& name) {
+    StatusOr<QueryResult> routed = db->Query(kAstQuery);
+    ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+    EXPECT_TRUE(routed->used_summary_table);
+    EXPECT_EQ(routed->summary_table, name);
+    EXPECT_TRUE(engine::SameRowMultiset(BaseAnswer(db, kAstQuery),
+                                        routed->relation));
+  }
+};
+
+TEST_F(DropRedefineTest, LiveRedefineRewrites) {
+  auto db = MustOpenCardDb();
+  ASSERT_NE(db, nullptr);
+  ASSERT_TRUE(db->DefineSummaryTable("a1", kAstDef).ok());
+  ExpectRewritesThrough(db.get(), "a1");
+  ASSERT_TRUE(db->DropSummaryTable("a1").ok());
+  ExpectGone(db.get(), "a1");
+  StatusOr<int64_t> again = db->DefineSummaryTable("a1", kAstDef);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ExpectRewritesThrough(db.get(), "a1");
+}
+
+TEST_F(DropRedefineTest, RedefineSurvivesWalOnlyRestart) {
+  {
+    auto db = MustOpenCardDb();
+    ASSERT_NE(db, nullptr);
+    ASSERT_TRUE(db->DefineSummaryTable("a1", kAstDef).ok());
+    ASSERT_TRUE(db->DropSummaryTable("a1").ok());
+    ASSERT_TRUE(db->DefineSummaryTable("a1", kAstDef).ok());
+  }
+  {
+    auto recovered = MustOpen();
+    ASSERT_NE(recovered, nullptr);
+    EXPECT_EQ(recovered->SummaryTableNames(), std::vector<std::string>{"a1"});
+    ExpectRewritesThrough(recovered.get(), "a1");
+    ASSERT_TRUE(recovered->DropSummaryTable("a1").ok());
+  }
+  auto again = MustOpen();
+  ASSERT_NE(again, nullptr);
+  ExpectGone(again.get(), "a1");
+}
+
+TEST_F(DropRedefineTest, RedefineSurvivesCheckpointRestart) {
+  {
+    auto db = MustOpenCardDb();
+    ASSERT_NE(db, nullptr);
+    ASSERT_TRUE(db->DefineSummaryTable("a1", kAstDef).ok());
+    ASSERT_TRUE(db->DropSummaryTable("a1").ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+    ASSERT_TRUE(db->DefineSummaryTable("a1", kAstDef).ok());
+    ExpectRewritesThrough(db.get(), "a1");
+  }
+  {
+    auto recovered = MustOpen();
+    ASSERT_NE(recovered, nullptr);
+    ExpectRewritesThrough(recovered.get(), "a1");
+    ASSERT_TRUE(recovered->DropSummaryTable("a1").ok());
+    ASSERT_TRUE(recovered->Checkpoint().ok());
+    ExpectGone(recovered.get(), "a1");
+  }
+  auto again = MustOpen();
+  ASSERT_NE(again, nullptr);
+  ExpectGone(again.get(), "a1");
+  ASSERT_TRUE(again->DefineSummaryTable("a1", kAstDef).ok());
+  ExpectRewritesThrough(again.get(), "a1");
+}
+
 TEST_F(DurabilityTest, TornWalTailIsTruncatedOnOpen) {
   {
     auto db = MustOpenCardDb();

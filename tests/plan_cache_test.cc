@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 
 #include "common/fault_injection.h"
@@ -523,6 +524,97 @@ TEST_F(PlanCacheTest, StatsCountersAreConsistent) {
   EXPECT_EQ(after.plan_cache_misses, 1);
   EXPECT_EQ(after.plan_cache_hits, 2);
   EXPECT_GT(after.catalog_generation, 0);  // schema DDL during setup
+}
+
+// ---------------------------------------------------------------------------
+// One classification (DESIGN.md §8): the search's branch for an AST and the
+// plan-cache context read the same standing, so at every step of an AST's
+// lifecycle the cached plan is the one the search makes.
+// ---------------------------------------------------------------------------
+
+TEST_F(PlanCacheTest, SearchAndContextClassifyAnAstAlike) {
+  int next_tid = 2000000;
+  auto append = [&](bool maintain) {
+    Database::AppendOptions options;
+    options.maintain = maintain;
+    ASSERT_TRUE(db_->Append("trans", MakeTransRows(next_tid, 20), options).ok());
+    next_tid += 20;
+  };
+  struct Step {
+    const char* name;
+    std::function<void()> act;  // moves ast1 to this step's standing
+    const char* cause;  // the first query's invalidation cause; "" = miss
+    bool used;
+    bool compensated;
+    const char* verdict;  // what EXPLAIN REWRITE prints for ast1
+    bool current = true;  // false: a tolerated AST serves its stored rows
+  };
+  const Step steps[] = {
+      {"fresh",
+       [&] { ASSERT_TRUE(db_->DefineSummaryTable("ast1", kAstDef).ok()); },
+       "", true, false, "ast 'ast1' round 0: chosen"},
+      {"tolerance set",
+       [&] { ASSERT_TRUE(db_->SetMaxStaleness("ast1", 1).ok()); },
+       "generation", true, false, "ast 'ast1' round 0: chosen"},
+      {"tolerated", [&] { append(/*maintain=*/false); }, "epoch:trans", true,
+       false, "ast 'ast1' round 0: chosen", /*current=*/false},
+      {"lagging", [&] { append(/*maintain=*/false); }, "delta:trans", true,
+       true, "compensation: compensated(40 delta rows, 2 epochs)"},
+      {"unusable",
+       [&] {
+         ASSERT_TRUE(
+             db_->BulkLoad("trans", MakeTransRows(next_tid, 10)).ok());
+         next_tid += 10;
+       },
+       "delta:trans", false, false, "compensation: comp_delta_unavailable"},
+      {"quarantined",
+       [&] {
+         // Each eager append recomputes the unusable AST, and fails.
+         ScopedFault fault("maintenance/refresh", Status::Internal("boom"), 3);
+         for (int i = 0; i < 3; ++i) append(/*maintain=*/true);
+         ASSERT_EQ(db_->GetSummaryTableInfo("ast1")->state,
+                   AstState::kDisabled);
+       },
+       "ast:ast1", false, false, "note: ast 'ast1' skipped: quarantined"},
+      {"refreshed",
+       [&] { ASSERT_TRUE(db_->RefreshSummaryTable("ast1").ok()); },
+       "ast:ast1", true, false, "ast 'ast1' round 0: chosen"},
+  };
+  QueryOptions traced;
+  traced.collect_trace = true;
+  for (const Step& step : steps) {
+    SCOPED_TRACE(step.name);
+    step.act();
+    StatusOr<engine::Relation> expected = reference::Query(*db_, kQuery);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+    QueryResult planned = MustQuery(kQuery, traced);
+    EXPECT_FALSE(planned.plan_cache_hit);
+    ASSERT_NE(planned.trace, nullptr);
+    EXPECT_EQ(planned.trace->plan_cache_outcome(),
+              *step.cause == '\0' ? PlanCacheOutcome::kMiss
+                                  : PlanCacheOutcome::kInvalidated);
+    EXPECT_EQ(planned.trace->plan_cache_detail(), step.cause);
+    EXPECT_EQ(planned.used_summary_table, step.used);
+    EXPECT_EQ(planned.compensated, step.compensated);
+    EXPECT_EQ(engine::SameRowMultiset(planned.relation, *expected),
+              step.current);
+
+    QueryResult cached = MustQuery(kQuery);
+    EXPECT_TRUE(cached.plan_cache_hit);
+    EXPECT_EQ(cached.used_summary_table, step.used);
+    EXPECT_EQ(cached.compensated, step.compensated);
+    EXPECT_EQ(cached.rewritten_sql, planned.rewritten_sql);
+    EXPECT_TRUE(engine::SameRowMultiset(cached.relation, planned.relation));
+
+    StatusOr<std::string> explain = db_->ExplainRewrite(kQuery);
+    ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+    EXPECT_NE(explain->find("plan cache: hit (template)"), std::string::npos)
+        << *explain;
+    EXPECT_NE(explain->find(step.verdict), std::string::npos) << *explain;
+    EXPECT_EQ(explain->find("rewrite: none") == std::string::npos, step.used)
+        << *explain;
+  }
 }
 
 // ---------------------------------------------------------------------------

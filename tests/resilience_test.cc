@@ -10,6 +10,7 @@
 #include "common/fault_injection.h"
 #include "common/reject_reason.h"
 #include "serving/session.h"
+#include "tests/reference.h"
 #include "tests/test_util.h"
 
 namespace sumtab {
@@ -181,6 +182,54 @@ TEST_F(ResilienceTest, ExecutionFailureDegradesToBaseTables) {
   StatusOr<SummaryTableInfo> info = db_->GetSummaryTableInfo("s1");
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->consecutive_failures, 0);
+}
+
+TEST_F(ResilienceTest, ExecutionFailureOnPlanCacheHitDegradesToBaseTables) {
+  // A cached plan that fails to execute falls back to its record's own
+  // base-table graph, bound to the hit's literals, and is forgotten. Both a
+  // rewritten and a compensated entry are served to other literals than
+  // their own, so the fallback must bind them too.
+  constexpr char kWarm[] =
+      "select faid, count(*) as c from trans where faid > 10 group by faid";
+  constexpr char kHit[] =
+      "select faid, count(*) as c from trans where faid > 20 group by faid";
+  ASSERT_TRUE(db_->DefineSummaryTable("s1", kAstDef).ok());
+  auto fail_on_hit = [&](bool compensated) {
+    QueryResult warm = MustQuery(kWarm);
+    ASSERT_TRUE(warm.used_summary_table);
+    ASSERT_EQ(warm.compensated, compensated);
+    StatusOr<engine::Relation> expected = reference::Query(*db_, kHit);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+    FaultInjector::Instance().Arm("executor/execute",
+                                  Status::Internal("injected exec failure"), 1);
+    QueryResult degraded = MustQuery(kHit);
+    EXPECT_EQ(FaultInjector::Instance().Trips("executor/execute"), 1);
+    FaultInjector::Instance().Reset();
+    EXPECT_TRUE(degraded.plan_cache_hit);
+    EXPECT_FALSE(degraded.used_summary_table);
+    EXPECT_FALSE(degraded.compensated);
+    EXPECT_TRUE(degraded.degradation.degraded);
+    EXPECT_EQ(degraded.degradation.stage, "execute");
+    EXPECT_EQ(degraded.degradation.summary_table, "s1");
+    EXPECT_TRUE(engine::SameRowMultiset(degraded.relation, *expected));
+
+    // The entry is gone: the next query re-plans through the AST again,
+    // and its plan is cached anew.
+    QueryResult replanned = MustQuery(kHit);
+    EXPECT_FALSE(replanned.plan_cache_hit);
+    EXPECT_TRUE(replanned.used_summary_table);
+    EXPECT_EQ(replanned.compensated, compensated);
+    EXPECT_TRUE(engine::SameRowMultiset(replanned.relation, *expected));
+    EXPECT_TRUE(MustQuery(kHit).plan_cache_hit);
+  };
+  fail_on_hit(/*compensated=*/false);
+
+  // A deferred append leaves s1 one retained epoch behind: compensated.
+  Database::AppendOptions deferred;
+  deferred.maintain = false;
+  ASSERT_TRUE(db_->Append("trans", MakeTransRows(900000, 30), deferred).ok());
+  fail_on_hit(/*compensated=*/true);
 }
 
 TEST_F(ResilienceTest, RewriteSearchFailureDegradesToBaseTables) {

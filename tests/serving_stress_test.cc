@@ -258,9 +258,9 @@ TEST(ServingStressTest, ConcurrentDdlAndQueriesStayCoherent) {
 
   std::thread ddl([&] {
     for (int k = 0; k < 10; ++k) {
-      // Fresh name each round: the catalog intentionally keeps a dropped
-      // AST's table entry, so a name cannot be reused after a drop.
-      const std::string name = "flip" + std::to_string(k);
+      // One name every round: a drop removes the AST's table entry, so each
+      // redefinition races the readers under the name they just planned with.
+      const std::string name = "flip";
       StatusOr<int64_t> defined = db->DefineSummaryTable(name, kAstDef);
       if (!defined.ok()) {
         std::lock_guard<std::mutex> lock(failures_mu);
